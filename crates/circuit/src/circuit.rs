@@ -91,11 +91,7 @@ impl Circuit {
     ///
     /// Panics if the gate addresses a qubit outside the register.
     pub fn push(&mut self, g: Gate) {
-        let (a, b) = g.qubits();
-        assert!(a < self.n, "gate qubit {a} out of range");
-        if let Some(b) = b {
-            assert!(b < self.n, "gate qubit {b} out of range");
-        }
+        check_qubits(self.n, &g);
         self.gates.push(g);
     }
 
@@ -125,11 +121,10 @@ impl Circuit {
     ///
     /// Panics if any gate addresses a qubit `≥ n`.
     pub fn from_gates(n: usize, gates: Vec<Gate>) -> Self {
-        let mut c = Circuit::new(n);
-        for g in gates {
-            c.push(g);
+        for g in &gates {
+            check_qubits(n, g);
         }
-        c
+        Circuit { n, gates }
     }
 
     /// Gate-count summary.
@@ -220,53 +215,78 @@ impl Circuit {
     /// - SU(4) blocks are lowered recursively.
     pub fn lower_to_cnot(&self) -> Circuit {
         let mut out = Circuit::new(self.n);
-        for g in &self.gates {
-            lower_gate(g, &mut out);
-        }
+        out.gates.reserve(self.gates.len());
+        self.for_each_lowered(|g| out.push(g));
         out
     }
+
+    /// Feeds the gates of [`Circuit::lower_to_cnot`] to `emit`, in order,
+    /// without building the lowered circuit.
+    pub(crate) fn for_each_lowered(&self, mut emit: impl FnMut(Gate)) {
+        for g in &self.gates {
+            lower_gate(g, &mut emit);
+        }
+    }
 }
+
+/// Panics unless every qubit of `g` is below `n`.
+fn check_qubits(n: usize, g: &Gate) {
+    let (a, b) = g.qubits();
+    assert!(a < n, "gate qubit {a} out of range");
+    if let Some(b) = b {
+        assert!(b < n, "gate qubit {b} out of range");
+    }
+}
+
+/// A basis-change circuit: 1Q gate constructors applied to one qubit.
+type Basis = &'static [fn(usize) -> Gate];
 
 /// Basis-change circuits used by the lowerings. `pre`/`post` sandwich a
 /// Z-basis (control) or X-basis (target) core.
-fn conj_to_z(q: usize, p: Pauli) -> (Vec<Gate>, Vec<Gate>) {
+fn conj_to_z(p: Pauli) -> (Basis, Basis) {
     match p {
-        Pauli::Z => (vec![], vec![]),
-        Pauli::X => (vec![Gate::H(q)], vec![Gate::H(q)]),
-        Pauli::Y => (vec![Gate::Sdg(q), Gate::H(q)], vec![Gate::H(q), Gate::S(q)]),
+        Pauli::Z => (&[], &[]),
+        Pauli::X => (&[Gate::H], &[Gate::H]),
+        Pauli::Y => (&[Gate::Sdg, Gate::H], &[Gate::H, Gate::S]),
         Pauli::I => unreachable!("identity needs no basis change"),
     }
 }
 
-fn conj_to_x(q: usize, p: Pauli) -> (Vec<Gate>, Vec<Gate>) {
+fn conj_to_x(p: Pauli) -> (Basis, Basis) {
     match p {
-        Pauli::X => (vec![], vec![]),
-        Pauli::Z => (vec![Gate::H(q)], vec![Gate::H(q)]),
+        Pauli::X => (&[], &[]),
+        Pauli::Z => (&[Gate::H], &[Gate::H]),
         // V X V† = Y for V = S: circuit pre = V† = Sdg, post = S.
-        Pauli::Y => (vec![Gate::Sdg(q)], vec![Gate::S(q)]),
+        Pauli::Y => (&[Gate::Sdg], &[Gate::S]),
         Pauli::I => unreachable!("identity needs no basis change"),
     }
 }
 
-fn lower_gate(g: &Gate, out: &mut Circuit) {
+/// Emits `basis_a` on qubit `a`, then `basis_b` on qubit `b`.
+fn emit_basis(emit: &mut impl FnMut(Gate), a: usize, basis_a: Basis, b: usize, basis_b: Basis) {
+    for make in basis_a {
+        emit(make(a));
+    }
+    for make in basis_b {
+        emit(make(b));
+    }
+}
+
+fn lower_gate(g: &Gate, emit: &mut impl FnMut(Gate)) {
     match g {
         Gate::Swap(a, b) => {
-            out.push(Gate::Cnot(*a, *b));
-            out.push(Gate::Cnot(*b, *a));
-            out.push(Gate::Cnot(*a, *b));
+            emit(Gate::Cnot(*a, *b));
+            emit(Gate::Cnot(*b, *a));
+            emit(Gate::Cnot(*a, *b));
         }
         Gate::Clifford2(c) => {
             // C(σ₀,σ₁) = (V₀⊗V₁) CNOT (V₀⊗V₁)† where V₀ Z V₀† = σ₀ and
             // V₁ X V₁† = σ₁; circuit order is V† gates, CNOT, V gates.
-            let (pre_a, post_a) = conj_to_z(c.a, c.kind.sigma0());
-            let (pre_b, post_b) = conj_to_x(c.b, c.kind.sigma1());
-            for gate in pre_a.into_iter().chain(pre_b) {
-                out.push(gate);
-            }
-            out.push(Gate::Cnot(c.a, c.b));
-            for gate in post_a.into_iter().chain(post_b) {
-                out.push(gate);
-            }
+            let (pre_a, post_a) = conj_to_z(c.kind.sigma0());
+            let (pre_b, post_b) = conj_to_x(c.kind.sigma1());
+            emit_basis(emit, c.a, pre_a, c.b, pre_b);
+            emit(Gate::Cnot(c.a, c.b));
+            emit_basis(emit, c.a, post_a, c.b, post_b);
         }
         Gate::PauliRot2 {
             a,
@@ -275,25 +295,21 @@ fn lower_gate(g: &Gate, out: &mut Circuit) {
             pb,
             theta,
         } => {
-            let (pre_a, post_a) = conj_to_z(*a, *pa);
-            let (pre_b, post_b) = conj_to_z(*b, *pb);
-            for gate in pre_a.into_iter().chain(pre_b) {
-                out.push(gate);
-            }
-            out.push(Gate::Cnot(*a, *b));
-            out.push(Gate::Rz(*b, *theta));
-            out.push(Gate::Cnot(*a, *b));
-            for gate in post_a.into_iter().chain(post_b) {
-                out.push(gate);
-            }
+            let (pre_a, post_a) = conj_to_z(*pa);
+            let (pre_b, post_b) = conj_to_z(*pb);
+            emit_basis(emit, *a, pre_a, *b, pre_b);
+            emit(Gate::Cnot(*a, *b));
+            emit(Gate::Rz(*b, *theta));
+            emit(Gate::Cnot(*a, *b));
+            emit_basis(emit, *a, post_a, *b, post_b);
         }
         Gate::Su4(blk) => {
             let Su4Block { inner, .. } = blk.as_ref();
             for g in inner {
-                lower_gate(g, out);
+                lower_gate(g, emit);
             }
         }
-        other => out.push(other.clone()),
+        other => emit(other.clone()),
     }
 }
 

@@ -12,11 +12,31 @@
 //!
 //! Input circuits are lowered to `{1Q, CNOT}` first, so the pass is safe to
 //! call on high-level circuits too.
+//!
+//! # Representation
+//!
+//! The gates live in one node array in circuit order. Each live node links
+//! to the previous and next live node on each of its qubits (its *wires*),
+//! so a CNOT-cancellation search walks only the two merged wires of its
+//! CNOT and a merge search walks only the wire of its rotation: a gate on
+//! other qubits commutes with both and can never decide a search.
+//!
+//! Each sweep runs the CNOT search from every CNOT, then the merge search
+//! from every 1Q gate, in circuit order, until a sweep changes nothing (at
+//! most 64 sweeps). A search that fails is *parked* on the gate that
+//! stopped it and is not repeated until that blocker is removed. This is
+//! exact: the pass only removes gates or replaces the searching rotation
+//! with a same-axis rotation on the same qubit, which commutes with every
+//! gate exactly as before, so a blocked search stays fruitless while its
+//! blocker lives. A search that ran off the end of its wires stays
+//! fruitless for good.
 
 use crate::{Circuit, Gate};
 
 const TWO_PI: f64 = std::f64::consts::TAU;
 const EPS: f64 = 1e-12;
+/// The null node index.
+const NIL: u32 = u32::MAX;
 
 /// Optimizes a circuit to a fixed point of the cancellation passes.
 ///
@@ -35,20 +55,15 @@ const EPS: f64 = 1e-12;
 /// assert_eq!(opt.counts().cnot, 0);
 /// ```
 pub fn optimize(c: &Circuit) -> Circuit {
-    let lowered = c.lower_to_cnot();
-    let mut gates: Vec<Option<Gate>> = lowered
-        .gates()
-        .iter()
-        .map(|g| Some(normalize(g.clone())))
-        .collect();
+    let mut dag = WireDag::lower(c);
     for _ in 0..64 {
-        let mut changed = cancel_cnot_pass(&mut gates);
-        changed |= merge_1q_pass(&mut gates);
+        let mut changed = dag.sweep(Pass::CancelCnot);
+        changed |= dag.sweep(Pass::Merge1q);
         if !changed {
             break;
         }
     }
-    Circuit::from_gates(lowered.num_qubits(), gates.into_iter().flatten().collect())
+    Circuit::from_gates(c.num_qubits(), dag.into_gates())
 }
 
 /// Rewrites phase-like Cliffords as rotations (up to global phase) so the
@@ -76,53 +91,6 @@ fn wrap(theta: f64) -> f64 {
     t
 }
 
-/// Whether `g` commutes with `CNOT(a, b)`.
-fn commutes_with_cnot(g: &Gate, a: usize, b: usize) -> bool {
-    match *g {
-        // Diagonal rotations commute through the control; X-axis through
-        // the target; disjoint qubits always commute.
-        Gate::Rz(q, _) => q != b,
-        Gate::Rx(q, _) => q != a,
-        Gate::Cnot(a2, b2) => {
-            if a2 == a && b2 == b {
-                false // identical gate: handled as cancellation
-            } else {
-                // CNOTs commute unless one's control is the other's target.
-                a2 != b && b2 != a
-            }
-        }
-        _ => {
-            // Other gates only commute when on disjoint qubits.
-            !g.acts_on(a) && !g.acts_on(b)
-        }
-    }
-}
-
-fn cancel_cnot_pass(gates: &mut [Option<Gate>]) -> bool {
-    let mut changed = false;
-    for i in 0..gates.len() {
-        let Some(Gate::Cnot(a, b)) = gates[i] else {
-            continue;
-        };
-        let mut j = i + 1;
-        while j < gates.len() {
-            match &gates[j] {
-                None => {}
-                Some(Gate::Cnot(a2, b2)) if *a2 == a && *b2 == b => {
-                    gates[i] = None;
-                    gates[j] = None;
-                    changed = true;
-                    break;
-                }
-                Some(g) if !commutes_with_cnot(g, a, b) => break,
-                Some(_) => {}
-            }
-            j += 1;
-        }
-    }
-    changed
-}
-
 /// Axis of a 1Q rotation gate.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Axis {
@@ -131,93 +99,330 @@ enum Axis {
     Z,
 }
 
-fn rot_parts(g: &Gate) -> Option<(Axis, usize, f64)> {
-    match *g {
-        Gate::Rx(q, t) => Some((Axis::X, q, t)),
-        Gate::Ry(q, t) => Some((Axis::Y, q, t)),
-        Gate::Rz(q, t) => Some((Axis::Z, q, t)),
-        _ => None,
+/// What a node holds once lowered and normalized.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    H,
+    Rot(Axis),
+    Cnot,
+    /// Removed by the pass.
+    Dead,
+}
+
+impl Kind {
+    /// The pass whose search starts from a node of this kind.
+    fn pass(self) -> Pass {
+        if self == Kind::Cnot {
+            Pass::CancelCnot
+        } else {
+            Pass::Merge1q
+        }
     }
 }
 
-fn make_rot(axis: Axis, q: usize, t: f64) -> Gate {
-    match axis {
-        Axis::X => Gate::Rx(q, t),
-        Axis::Y => Gate::Ry(q, t),
-        Axis::Z => Gate::Rz(q, t),
+/// One gate with its wire links. `q[1]`, `next[1]` and `prev[1]` are
+/// unused by 1Q gates.
+struct Node {
+    kind: Kind,
+    /// Rotation angle (rotations only).
+    theta: f64,
+    /// Qubits: control and target for a CNOT.
+    q: [u32; 2],
+    /// Next live node on wire `q[s]`, per slot `s`.
+    next: [u32; 2],
+    /// Previous live node on wire `q[s]`, per slot `s`.
+    prev: [u32; 2],
+    /// Head of the list of searches parked on this node.
+    parked: u32,
+    /// Next search parked on the same blocker as this node's.
+    park_next: u32,
+}
+
+impl Node {
+    fn arity(&self) -> usize {
+        if self.kind == Kind::Cnot {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// The slot through which this node sits on wire `q`.
+    fn slot(&self, q: u32) -> usize {
+        usize::from(self.q[0] != q)
     }
 }
 
-/// Whether `g` commutes with a rotation about `axis` on qubit `q`.
-fn commutes_with_rot(g: &Gate, axis: Axis, q: usize) -> bool {
-    if !g.acts_on(q) {
-        return true;
+/// The two searches of a sweep, each with its own pending set.
+#[derive(Clone, Copy)]
+enum Pass {
+    CancelCnot = 0,
+    Merge1q = 1,
+}
+
+/// The lowered circuit as wire-linked nodes plus the pending searches.
+struct WireDag {
+    nodes: Vec<Node>,
+    /// One bit per node whose search must run (again), per [`Pass`].
+    pending: [Vec<u64>; 2],
+}
+
+impl WireDag {
+    /// Lowers `c` to the CNOT ISA, normalizes it, and links the wires.
+    /// Every search starts pending.
+    fn lower(c: &Circuit) -> Self {
+        let mut len = 0usize;
+        c.for_each_lowered(|_| len += 1);
+        assert!(len < NIL as usize, "circuit too long for the peephole pass");
+        let mut nodes: Vec<Node> = Vec::with_capacity(len);
+        let mut last = vec![NIL; c.num_qubits()];
+        let mut pending = [vec![0u64; len.div_ceil(64)], vec![0u64; len.div_ceil(64)]];
+        c.for_each_lowered(|g| {
+            let (kind, theta, q0, q1) = match normalize(g) {
+                Gate::H(q) => (Kind::H, 0.0, q, None),
+                Gate::Rx(q, t) => (Kind::Rot(Axis::X), t, q, None),
+                Gate::Ry(q, t) => (Kind::Rot(Axis::Y), t, q, None),
+                Gate::Rz(q, t) => (Kind::Rot(Axis::Z), t, q, None),
+                Gate::Cnot(a, b) => (Kind::Cnot, 0.0, a, Some(b)),
+                other => unreachable!("{other} survives lowering and normalization"),
+            };
+            let idx = nodes.len() as u32;
+            let mut node = Node {
+                kind,
+                theta,
+                q: [q0 as u32, q1.map_or(NIL, |b| b as u32)],
+                next: [NIL; 2],
+                prev: [NIL; 2],
+                parked: NIL,
+                park_next: NIL,
+            };
+            for s in 0..node.arity() {
+                let q = node.q[s];
+                let p = last[q as usize];
+                node.prev[s] = p;
+                if p != NIL {
+                    let pn = &mut nodes[p as usize];
+                    let ps = pn.slot(q);
+                    pn.next[ps] = idx;
+                }
+                last[q as usize] = idx;
+            }
+            set_bit(&mut pending[kind.pass() as usize], idx);
+            nodes.push(node);
+        });
+        WireDag { nodes, pending }
     }
-    match (axis, g) {
-        (Axis::Z, Gate::Cnot(a, _)) => *a == q,
-        (Axis::X, Gate::Cnot(_, b)) => *b == q,
+
+    /// Runs `pass`'s search from every pending node in circuit order.
+    /// Nodes made pending behind the cursor wait for the next sweep.
+    fn sweep(&mut self, pass: Pass) -> bool {
+        let mut changed = false;
+        let mut from = 0usize;
+        while let Some(i) = next_bit(&self.pending[pass as usize], from) {
+            self.pending[pass as usize][i / 64] &= !(1u64 << (i % 64));
+            let i = i as u32;
+            changed |= match (pass, self.nodes[i as usize].kind) {
+                (_, Kind::Dead) => false,
+                (Pass::CancelCnot, _) => self.cancel_cnot(i),
+                (Pass::Merge1q, Kind::H) => self.cancel_h(i),
+                (Pass::Merge1q, _) => self.merge_rotation(i),
+            };
+            from = i as usize + 1;
+        }
+        changed
+    }
+
+    /// The next live node after `i` on wire `q`.
+    fn next_on(&self, i: u32, q: u32) -> u32 {
+        let n = &self.nodes[i as usize];
+        n.next[n.slot(q)]
+    }
+
+    /// Searches the wires of CNOT `i` for an identical CNOT it commutes up
+    /// to, and cancels the pair.
+    fn cancel_cnot(&mut self, i: u32) -> bool {
+        let [a, b] = self.nodes[i as usize].q;
+        let mut na = self.next_on(i, a);
+        let mut nb = self.next_on(i, b);
+        loop {
+            let j = na.min(nb);
+            if j == NIL {
+                return false;
+            }
+            let g = &self.nodes[j as usize];
+            if g.kind == Kind::Cnot && g.q == [a, b] {
+                self.remove(i);
+                self.remove(j);
+                return true;
+            }
+            if !commutes_with_cnot(g, a, b) {
+                self.park(i, j);
+                return false;
+            }
+            if j == na {
+                na = self.next_on(j, a);
+            }
+            if j == nb {
+                nb = self.next_on(j, b);
+            }
+        }
+    }
+
+    /// Cancels H `i` against an H directly after it on its wire.
+    fn cancel_h(&mut self, i: u32) -> bool {
+        let j = self.next_on(i, self.nodes[i as usize].q[0]);
+        if j == NIL {
+            return false;
+        }
+        if self.nodes[j as usize].kind == Kind::H {
+            self.remove(i);
+            self.remove(j);
+            return true;
+        }
+        self.park(i, j);
+        false
+    }
+
+    /// Removes rotation `i` if it is the identity; otherwise merges into it
+    /// the first same-axis rotation it commutes up to on its wire.
+    fn merge_rotation(&mut self, i: u32) -> bool {
+        let Node {
+            kind: Kind::Rot(axis),
+            theta,
+            q: [q, _],
+            ..
+        } = self.nodes[i as usize]
+        else {
+            unreachable!("merge search from a non-rotation")
+        };
+        if wrap(theta).abs() < EPS {
+            self.remove(i);
+            return true;
+        }
+        let mut j = self.next_on(i, q);
+        while j != NIL {
+            let g = &self.nodes[j as usize];
+            if g.kind == Kind::Rot(axis) {
+                let merged = wrap(theta + g.theta);
+                self.remove(j);
+                if merged.abs() < EPS {
+                    self.remove(i);
+                } else {
+                    self.nodes[i as usize].theta = merged;
+                    self.mark_pending(i);
+                }
+                return true;
+            }
+            if !commutes_with_rot(g, axis, q) {
+                self.park(i, j);
+                return false;
+            }
+            j = self.next_on(j, q);
+        }
+        false
+    }
+
+    /// Parks the failed search of `i` on its blocker `j`.
+    fn park(&mut self, i: u32, j: u32) {
+        self.nodes[i as usize].park_next = self.nodes[j as usize].parked;
+        self.nodes[j as usize].parked = i;
+    }
+
+    fn mark_pending(&mut self, i: u32) {
+        let pass = self.nodes[i as usize].kind.pass();
+        set_bit(&mut self.pending[pass as usize], i);
+    }
+
+    /// Unlinks node `k` from its wires and wakes the searches parked on it.
+    fn remove(&mut self, k: u32) {
+        let node = &self.nodes[k as usize];
+        let (arity, q, prev, next) = (node.arity(), node.q, node.prev, node.next);
+        for s in 0..arity {
+            if prev[s] != NIL {
+                let p = &mut self.nodes[prev[s] as usize];
+                let ps = p.slot(q[s]);
+                p.next[ps] = next[s];
+            }
+            if next[s] != NIL {
+                let n = &mut self.nodes[next[s] as usize];
+                let ns = n.slot(q[s]);
+                n.prev[ns] = prev[s];
+            }
+        }
+        let node = &mut self.nodes[k as usize];
+        node.kind = Kind::Dead;
+        let mut w = std::mem::replace(&mut node.parked, NIL);
+        // A live node sits in at most one parked list, and only while its
+        // search is not pending; dead entries are skipped.
+        while w != NIL {
+            let waiter = &self.nodes[w as usize];
+            let after = waiter.park_next;
+            if waiter.kind != Kind::Dead {
+                self.mark_pending(w);
+            }
+            w = after;
+        }
+    }
+
+    /// The live gates in circuit order.
+    fn into_gates(self) -> Vec<Gate> {
+        let live = self.nodes.iter().filter(|n| n.kind != Kind::Dead).count();
+        let mut out = Vec::with_capacity(live);
+        for n in &self.nodes {
+            let q = n.q[0] as usize;
+            out.push(match n.kind {
+                Kind::Dead => continue,
+                Kind::H => Gate::H(q),
+                Kind::Rot(Axis::X) => Gate::Rx(q, n.theta),
+                Kind::Rot(Axis::Y) => Gate::Ry(q, n.theta),
+                Kind::Rot(Axis::Z) => Gate::Rz(q, n.theta),
+                Kind::Cnot => Gate::Cnot(q, n.q[1] as usize),
+            });
+        }
+        out
+    }
+}
+
+fn set_bit(bits: &mut [u64], i: u32) {
+    bits[i as usize / 64] |= 1u64 << (i % 64);
+}
+
+/// The first set bit at index `from` or later.
+fn next_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (!0u64 << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        w += 1;
+        word = *bits.get(w)?;
+    }
+}
+
+/// Whether node `g`, which sits on wire `a` or `b`, commutes with
+/// `CNOT(a, b)` (the identical CNOT is handled as a cancellation).
+fn commutes_with_cnot(g: &Node, a: u32, b: u32) -> bool {
+    match g.kind {
+        // Diagonal rotations commute through the control; X-axis through
+        // the target.
+        Kind::Rot(Axis::Z) => g.q[0] != b,
+        Kind::Rot(Axis::X) => g.q[0] != a,
+        // CNOTs commute unless one's control is the other's target.
+        Kind::Cnot => g.q[0] != b && g.q[1] != a,
+        // H and Ry share a qubit with the CNOT, so they block it.
         _ => false,
     }
 }
 
-fn merge_1q_pass(gates: &mut [Option<Gate>]) -> bool {
-    let mut changed = false;
-    for i in 0..gates.len() {
-        let Some(gi) = gates[i].clone() else { continue };
-        // H · H cancellation (only through non-acting gates).
-        if let Gate::H(q) = gi {
-            let mut j = i + 1;
-            while j < gates.len() {
-                match &gates[j] {
-                    None => {}
-                    Some(Gate::H(q2)) if *q2 == q => {
-                        gates[i] = None;
-                        gates[j] = None;
-                        changed = true;
-                        break;
-                    }
-                    Some(g) if !g.acts_on(q) => {}
-                    _ => break,
-                }
-                j += 1;
-            }
-            continue;
-        }
-        let Some((axis, q, theta)) = rot_parts(&gi) else {
-            continue;
-        };
-        if wrap(theta).abs() < EPS {
-            gates[i] = None;
-            changed = true;
-            continue;
-        }
-        let mut j = i + 1;
-        while j < gates.len() {
-            match &gates[j] {
-                None => {}
-                Some(g) => {
-                    if let Some((axis2, q2, theta2)) = rot_parts(g) {
-                        if axis2 == axis && q2 == q {
-                            let merged = wrap(theta + theta2);
-                            gates[j] = None;
-                            gates[i] = if merged.abs() < EPS {
-                                None
-                            } else {
-                                Some(make_rot(axis, q, merged))
-                            };
-                            changed = true;
-                            break;
-                        }
-                    }
-                    if !commutes_with_rot(g, axis, q) {
-                        break;
-                    }
-                }
-            }
-            j += 1;
-        }
+/// Whether node `g`, which sits on wire `q`, commutes with a rotation about
+/// `axis` on `q`.
+fn commutes_with_rot(g: &Node, axis: Axis, q: u32) -> bool {
+    match (axis, g.kind) {
+        (Axis::Z, Kind::Cnot) => g.q[0] == q,
+        (Axis::X, Kind::Cnot) => g.q[1] == q,
+        _ => false,
     }
-    changed
 }
 
 #[cfg(test)]

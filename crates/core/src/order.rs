@@ -25,11 +25,13 @@
 //! Groups are pre-sorted by descending width, then assembled with a bounded
 //! lookahead window.
 
-use phoenix_circuit::interaction::{
-    distance_matrix, head_edges, similarity, support_2q, tail_edges,
-};
+use phoenix_circuit::interaction::{head_edges, matrix_similarity, tail_edges, DistanceMatrix};
 use phoenix_circuit::{Circuit, Gate};
 use phoenix_pauli::{Clifford2Q, QubitMask};
+use std::collections::VecDeque;
+
+#[cfg(test)]
+mod legacy;
 
 /// Ordering parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,38 +84,105 @@ impl Frontier {
         }
     }
 
-    /// 2Q layers added if `c` were appended (ASAP scheduling), without
-    /// mutating the frontier.
-    ///
-    /// Tracks trial layers only for the qubits `c` actually touches (a
-    /// stack mask + scratch array) instead of cloning the full per-qubit
-    /// layer vector for every ordering candidate.
-    pub fn depth_added(&self, c: &Circuit) -> usize {
-        let mut touched = QubitMask::zeros(self.layers.len());
-        let mut trial = vec![0usize; self.layers.len()];
-        let mut depth = self.depth;
-        for g in c.gates() {
+    /// 2Q layers that pushing the group of `shape` would add (ASAP
+    /// scheduling), from its depth profile alone: the deepest layer the
+    /// group reaches is `max_q f[q] + L_q`, so the depth grows by
+    /// `max(depth, max_q f[q] + L_q) − depth`.
+    fn layers_added(&self, shape: &Shape) -> usize {
+        let reach = shape
+            .profile
+            .iter()
+            .map(|&(q, l)| self.layers[q] + l)
+            .max()
+            .unwrap_or(0);
+        self.depth.max(reach) - self.depth
+    }
+}
+
+/// The Tetris shape of one group (§IV-C): everything the assembly cost
+/// reads from a group, computed once per ordering instead of once per
+/// window candidate.
+#[derive(Debug)]
+struct Shape {
+    /// The 2Q depth profile: `(q, L_q)` for every qubit `q` of the 2Q
+    /// support in ascending order, where `L_q` is the longest chain of 2Q
+    /// gates (each sharing a qubit with the one before) that starts at
+    /// `q`'s first 2Q gate.
+    profile: Vec<(usize, usize)>,
+    /// Clifford2Qs reachable from the left end without crossing any other
+    /// gate on their qubits.
+    leading: Vec<Clifford2Q>,
+    /// The same from the right end.
+    trailing: Vec<Clifford2Q>,
+    /// The first 2Q layer from the left end; `None` marks a 2Q gate that
+    /// is not a Clifford2Q.
+    head_layer: Vec<Option<Clifford2Q>>,
+    /// The first 2Q layer from the right end.
+    tail_layer: Vec<Option<Clifford2Q>>,
+    /// Routing-aware only: the head and tail interaction edges, in
+    /// `BTreeSet` order.
+    head_edges: Vec<(usize, usize)>,
+    tail_edges: Vec<(usize, usize)>,
+}
+
+impl Shape {
+    /// The shape of `c`. `chain` is a zeroed scratch row over at least
+    /// `c`'s qubits and is left zeroed.
+    fn new(c: &Circuit, routing_aware: bool, chain: &mut [usize]) -> Self {
+        // Backward longest-path pass: after it, chain[q] is the longest 2Q
+        // chain starting at q's first 2Q gate.
+        let mut support = QubitMask::zeros(c.num_qubits());
+        for g in c.gates().iter().rev() {
             if let (a, Some(b)) = g.qubits() {
-                let la = if touched.bit(a) {
-                    trial[a]
-                } else {
-                    self.layers[a]
-                };
-                let lb = if touched.bit(b) {
-                    trial[b]
-                } else {
-                    self.layers[b]
-                };
-                let layer = la.max(lb) + 1;
-                trial[a] = layer;
-                trial[b] = layer;
-                touched.set_bit(a);
-                touched.set_bit(b);
-                depth = depth.max(layer);
+                let len = chain[a].max(chain[b]) + 1;
+                chain[a] = len;
+                chain[b] = len;
+                support.set_bit(a);
+                support.set_bit(b);
             }
         }
-        depth - self.depth
+        let profile = support
+            .to_indices()
+            .into_iter()
+            .map(|q| (q, std::mem::take(&mut chain[q])))
+            .collect();
+        let (head_edges, tail_edges) = if routing_aware {
+            (
+                head_edges(c).into_iter().collect(),
+                tail_edges(c).into_iter().collect(),
+            )
+        } else {
+            Default::default()
+        };
+        Shape {
+            profile,
+            leading: frontier_cliffords(c.gates().iter()),
+            trailing: frontier_cliffords(c.gates().iter().rev()),
+            head_layer: facing_layer(c.gates().iter()),
+            tail_layer: facing_layer(c.gates().iter().rev()),
+            head_edges,
+            tail_edges,
+        }
     }
+
+    /// The 2Q support, ascending.
+    fn support(&self) -> impl Iterator<Item = usize> + '_ {
+        self.profile.iter().map(|&(q, _)| q)
+    }
+}
+
+/// Buffers reused across candidate evaluations.
+#[derive(Default)]
+struct Scratch {
+    /// Which trailing Cliffords of the previous group are already matched.
+    used: Vec<bool>,
+    /// Every Clifford2Q matched across the seam, from both sides.
+    matched: Vec<Clifford2Q>,
+    /// Union of the two groups' 2Q supports, ascending.
+    nodes: Vec<usize>,
+    /// Distance matrices of the previous tail and the candidate head.
+    tail: DistanceMatrix,
+    head: DistanceMatrix,
 }
 
 /// The assembling cost of placing `next` after the assembled prefix whose
@@ -126,10 +195,25 @@ pub fn assembly_cost(
     next: &Circuit,
     opts: &OrderOptions,
 ) -> f64 {
-    let mut cost = frontier.depth_added(next) as f64;
+    let n = prev.num_qubits().max(next.num_qubits());
+    let mut chain = vec![0; n];
+    let prev = Shape::new(prev, opts.routing_aware, &mut chain);
+    let next = Shape::new(next, opts.routing_aware, &mut chain);
+    shape_cost(frontier, &prev, &next, opts, &mut Scratch::default())
+}
+
+/// [`assembly_cost`] on precomputed shapes.
+fn shape_cost(
+    frontier: &Frontier,
+    prev: &Shape,
+    next: &Shape,
+    opts: &OrderOptions,
+    scratch: &mut Scratch,
+) -> f64 {
+    let mut cost = frontier.layers_added(next) as f64;
 
     // Clifford2Q cancellation credit.
-    let (m, prev_layer_cleared, next_layer_cleared) = clifford_cancellations(prev, next);
+    let (m, prev_layer_cleared, next_layer_cleared) = clifford_cancellations(prev, next, scratch);
     cost -= 2.0 * m as f64;
     if prev_layer_cleared {
         cost -= 1.0;
@@ -139,45 +223,72 @@ pub fn assembly_cost(
     }
 
     if opts.routing_aware {
-        let s = mean_similarity(prev, next).clamp(0.05, 1.0);
+        let s = mean_similarity(prev, next, scratch).clamp(0.05, 1.0);
         cost = if cost >= 0.0 { cost / s } else { cost * s };
     }
     cost
 }
 
-/// Eq. (7) similarity normalized to a mean row cosine in `[0, 1]`.
-fn mean_similarity(prev: &Circuit, next: &Circuit) -> f64 {
-    let mut union = support_2q(prev);
-    union.or_with(&support_2q(next));
-    let nodes: Vec<usize> = union.to_indices();
+/// Eq. (7) similarity of `prev`'s tail and `next`'s head, normalized to a
+/// mean row cosine in `[0, 1]`.
+fn mean_similarity(prev: &Shape, next: &Shape, scratch: &mut Scratch) -> f64 {
+    let Scratch {
+        nodes, tail, head, ..
+    } = scratch;
+    nodes.clear();
+    let (mut a, mut b) = (prev.support().peekable(), next.support().peekable());
+    loop {
+        let q = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => break,
+        };
+        a.next_if_eq(&q);
+        b.next_if_eq(&q);
+        nodes.push(q);
+    }
     if nodes.is_empty() {
         return 1.0;
     }
-    let d1 = distance_matrix(&nodes, &tail_edges(prev));
-    let d2 = distance_matrix(&nodes, &head_edges(next));
-    similarity(&d1, &d2) / nodes.len() as f64
+    tail.compute(nodes, &prev.tail_edges);
+    head.compute(nodes, &next.head_edges);
+    matrix_similarity(tail, head) / nodes.len() as f64
 }
 
 /// Counts Hermitian Clifford2Q pairs that cancel across the seam and
 /// whether the cancellation clears the facing 2Q layer on either side.
-fn clifford_cancellations(prev: &Circuit, next: &Circuit) -> (usize, bool, bool) {
-    let mut trailing = frontier_cliffords(prev.gates().iter().rev());
-    let leading = frontier_cliffords(next.gates().iter());
-    let mut matched = 0usize;
-    let mut matched_gates: Vec<Clifford2Q> = Vec::new();
-    for l in &leading {
-        if let Some(pos) = trailing.iter().position(|t| cancels(t, l)) {
-            matched_gates.push(trailing.remove(pos));
-            matched_gates.push(*l);
-            matched += 1;
+fn clifford_cancellations(
+    prev: &Shape,
+    next: &Shape,
+    scratch: &mut Scratch,
+) -> (usize, bool, bool) {
+    let Scratch { used, matched, .. } = scratch;
+    used.clear();
+    used.resize(prev.trailing.len(), false);
+    matched.clear();
+    for l in &next.leading {
+        let hit = (0..prev.trailing.len()).find(|&p| !used[p] && cancels(&prev.trailing[p], l));
+        if let Some(p) = hit {
+            used[p] = true;
+            matched.push(prev.trailing[p]);
+            matched.push(*l);
         }
     }
-    if matched == 0 {
+    if matched.is_empty() {
         return (0, false, false);
     }
-    let prev_cleared = layer_cleared(prev.gates().iter().rev(), &matched_gates);
-    let next_cleared = layer_cleared(next.gates().iter(), &matched_gates);
-    (matched, prev_cleared, next_cleared)
+    let cleared = |layer: &[Option<Clifford2Q>]| {
+        !layer.is_empty()
+            && layer
+                .iter()
+                .all(|g| g.is_some_and(|c| matched.contains(&c)))
+    };
+    (
+        matched.len() / 2,
+        cleared(&prev.tail_layer),
+        cleared(&next.head_layer),
+    )
 }
 
 /// The frontier 2Q Cliffords reachable from one end without crossing any
@@ -201,12 +312,12 @@ fn frontier_cliffords<'a>(gates: impl Iterator<Item = &'a Gate>) -> Vec<Clifford
     out
 }
 
-/// Whether the facing 2Q layer consists entirely of cancelled gates.
-fn layer_cleared<'a>(gates: impl Iterator<Item = &'a Gate>, cancelled: &[Clifford2Q]) -> bool {
-    // First 2Q layer from this end: 2Q gates seen before any qubit overlap.
+/// The first 2Q layer met from one end: the 2Q gates seen before any two
+/// of them share a qubit (1Q gates are ignored). `None` marks a gate that
+/// is not a Clifford2Q.
+fn facing_layer<'a>(gates: impl Iterator<Item = &'a Gate>) -> Vec<Option<Clifford2Q>> {
     let mut blocked = QubitMask::default();
-    let mut all_cancelled = true;
-    let mut saw_2q = false;
+    let mut out = Vec::new();
     for g in gates {
         let (a, b) = g.qubits();
         let Some(b) = b else { continue };
@@ -215,12 +326,12 @@ fn layer_cleared<'a>(gates: impl Iterator<Item = &'a Gate>, cancelled: &[Cliffor
         }
         blocked.set_bit(a);
         blocked.set_bit(b);
-        saw_2q = true;
-        let in_layer_cancelled =
-            matches!(g, Gate::Clifford2(c) if cancelled.iter().any(|m| m == c));
-        all_cancelled &= in_layer_cancelled;
+        out.push(match g {
+            Gate::Clifford2(c) => Some(*c),
+            _ => None,
+        });
     }
-    saw_2q && all_cancelled
+    out
 }
 
 /// Whether two Clifford2Q gates are inverse (= equal, they are Hermitian) up
@@ -250,36 +361,53 @@ pub fn order_groups(circuits: &[Circuit], opts: &OrderOptions) -> Vec<usize> {
 /// it already holds — a half-greedy permutation is not meaningfully better
 /// than none). The closure is the hook through which the anytime deepening
 /// rounds and the ordering pass observe `CancelToken`s mid-loop.
+///
+/// Each group's Tetris shape is computed once up front, so a window candidate
+/// costs O(2Q support + frontier Cliffords) (plus the Eq. (7) distance
+/// matrices when routing-aware), independent of the group's gate count.
 pub fn order_groups_interruptible(
     circuits: &[Circuit],
     opts: &OrderOptions,
     interrupted: &mut dyn FnMut() -> bool,
 ) -> Option<Vec<usize>> {
-    let mut remaining: Vec<usize> = (0..circuits.len()).collect();
-    remaining.sort_by_key(|&i| std::cmp::Reverse(circuits[i].support_mask().count_ones()));
-    if remaining.is_empty() {
-        return Some(remaining);
-    }
+    let width: Vec<u32> = circuits
+        .iter()
+        .map(|c| c.support_mask().count_ones())
+        .collect();
+    let mut remaining: VecDeque<usize> = (0..circuits.len()).collect();
+    remaining
+        .make_contiguous()
+        .sort_by_key(|&i| std::cmp::Reverse(width[i]));
+    let Some(first) = remaining.pop_front() else {
+        return Some(Vec::new());
+    };
     let n = circuits.iter().map(Circuit::num_qubits).max().unwrap_or(0);
+    let mut chain = vec![0; n];
+    let shapes: Vec<Shape> = circuits
+        .iter()
+        .map(|c| Shape::new(c, opts.routing_aware, &mut chain))
+        .collect();
+    let mut scratch = Scratch::default();
     let mut frontier = Frontier::new(n);
-    let mut result = vec![remaining.remove(0)];
-    frontier.push(&circuits[result[0]]);
+    let mut result = Vec::with_capacity(circuits.len());
+    result.push(first);
+    frontier.push(&circuits[first]);
     while !remaining.is_empty() {
         if interrupted() {
             return None;
         }
-        let last = *result.last().expect("result is nonempty");
+        let last = &shapes[*result.last().expect("result is nonempty")];
         let window = remaining.len().min(opts.lookahead.max(1));
         let mut best = 0usize;
         let mut best_cost = f64::INFINITY;
         for (w, &cand) in remaining.iter().take(window).enumerate() {
-            let cost = assembly_cost(&frontier, &circuits[last], &circuits[cand], opts);
+            let cost = shape_cost(&frontier, last, &shapes[cand], opts, &mut scratch);
             if cost < best_cost {
                 best_cost = cost;
                 best = w;
             }
         }
-        let chosen = remaining.remove(best);
+        let chosen = remaining.remove(best).expect("best is inside the window");
         frontier.push(&circuits[chosen]);
         result.push(chosen);
     }
@@ -321,13 +449,22 @@ mod tests {
         assert_eq!(c, 1.0, "stacking adds one layer");
     }
 
+    fn shape_of(c: &Circuit, routing_aware: bool) -> Shape {
+        Shape::new(c, routing_aware, &mut vec![0; c.num_qubits()])
+    }
+
     #[test]
     fn frontier_accumulates_depth() {
         let mut f = Frontier::new(3);
         f.push(&cnot_chain(3, &[(0, 1)]));
         assert_eq!(f.depth(), 1);
-        assert_eq!(f.depth_added(&cnot_chain(3, &[(1, 2)])), 1);
-        assert_eq!(f.depth_added(&cnot_chain(3, &[(1, 2), (0, 1)])), 2);
+        assert_eq!(
+            f.layers_added(&shape_of(&cnot_chain(3, &[(1, 2)]), false)),
+            1
+        );
+        let two = shape_of(&cnot_chain(3, &[(1, 2), (0, 1)]), false);
+        assert_eq!(two.profile, vec![(0, 1), (1, 2), (2, 2)]);
+        assert_eq!(f.layers_added(&two), 2);
     }
 
     #[test]
@@ -355,8 +492,15 @@ mod tests {
         let prev = cnot_chain(4, &[(0, 1), (1, 2), (2, 3)]);
         let similar = cnot_chain(4, &[(0, 1), (1, 2), (2, 3)]);
         let different = cnot_chain(4, &[(0, 3), (0, 2), (1, 3)]);
-        let ss = mean_similarity(&prev, &similar);
-        let sd = mean_similarity(&prev, &different);
+        let sim = |a: &Circuit, b: &Circuit| {
+            mean_similarity(
+                &shape_of(a, true),
+                &shape_of(b, true),
+                &mut Scratch::default(),
+            )
+        };
+        let ss = sim(&prev, &similar);
+        let sd = sim(&prev, &different);
         assert!((ss - 1.0).abs() < 1e-12, "identical shape → 1, got {ss}");
         assert!(sd < ss, "rewired shape must be less similar: {sd}");
     }
@@ -450,5 +594,114 @@ mod tests {
         let d = Clifford2Q::new(Clifford2QKind::Czx, 1, 0);
         assert!(!cancels(&c, &d), "CNOT orientation matters");
         assert!(cancels(&c, &c));
+    }
+
+    mod equivalence {
+        use super::super::legacy;
+        use super::*;
+        use phoenix_pauli::{Pauli, CLIFFORD2Q_GENERATORS};
+        use proptest::prelude::*;
+
+        /// A group shaped like a simplified one: Clifford2Qs, a core of 1Q
+        /// and 2Q gates, then (usually) the same Cliffords mirrored.
+        fn arb_group(n: usize) -> impl Strategy<Value = Circuit> {
+            (
+                proptest::collection::vec((0usize..6, 0usize..n, 0usize..n), 0..4),
+                proptest::collection::vec((0usize..6, 0usize..n, 0usize..n), 0..8),
+                0usize..4,
+            )
+                .prop_map(move |(cliffords, core, mirror)| {
+                    let cliffords: Vec<Clifford2Q> = cliffords
+                        .into_iter()
+                        .filter(|&(_, a, b)| a != b)
+                        .map(|(k, a, b)| Clifford2Q::new(CLIFFORD2Q_GENERATORS[k], a, b))
+                        .collect();
+                    let mut c = Circuit::new(n);
+                    for &cl in &cliffords {
+                        c.push(Gate::Clifford2(cl));
+                    }
+                    for (k, a, b) in core {
+                        c.push(match k {
+                            0 => Gate::H(a),
+                            1 => Gate::Rz(a, 0.3),
+                            _ if a == b => continue,
+                            2 => Gate::Cnot(a, b),
+                            3 => Gate::PauliRot2 {
+                                a,
+                                b,
+                                pa: Pauli::Z,
+                                pb: Pauli::X,
+                                theta: 0.7,
+                            },
+                            _ => Gate::Clifford2(Clifford2Q::new(CLIFFORD2Q_GENERATORS[k], a, b)),
+                        });
+                    }
+                    if mirror > 0 {
+                        for &cl in cliffords.iter().rev() {
+                            c.push(Gate::Clifford2(cl));
+                        }
+                    }
+                    c
+                })
+        }
+
+        fn arb_groups(n: usize) -> impl Strategy<Value = Vec<Circuit>> {
+            proptest::collection::vec(arb_group(n), 0..24)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::default())]
+
+            /// Summary-based ordering returns the permutation of the
+            /// per-candidate rescanning ordering, with and without the
+            /// Eq. (7) factor.
+            #[test]
+            fn ordering_matches_legacy(
+                groups in arb_groups(6),
+                lookahead in 0usize..12,
+                routing_aware in any::<bool>(),
+            ) {
+                let opts = OrderOptions { lookahead, routing_aware };
+                prop_assert_eq!(order_groups(&groups, &opts), legacy::order_groups(&groups, &opts));
+            }
+
+            /// Same on a narrow register, where every group collides.
+            #[test]
+            fn ordering_matches_legacy_on_narrow_registers(
+                groups in arb_groups(3),
+                lookahead in 1usize..6,
+                routing_aware in any::<bool>(),
+            ) {
+                let opts = OrderOptions { lookahead, routing_aware };
+                prop_assert_eq!(order_groups(&groups, &opts), legacy::order_groups(&groups, &opts));
+            }
+
+            /// The cached-edge Eq. (7) similarity is bit-identical to the
+            /// one rebuilt from the circuits.
+            #[test]
+            fn similarity_matches_legacy(prev in arb_group(7), next in arb_group(7)) {
+                let cached = mean_similarity(
+                    &shape_of(&prev, true),
+                    &shape_of(&next, true),
+                    &mut Scratch::default(),
+                );
+                let rebuilt = legacy::mean_similarity(&prev, &next);
+                prop_assert_eq!(cached.to_bits(), rebuilt.to_bits());
+            }
+
+            /// Depth-profile identity: `max(depth, max_q f[q] + L_q) − depth`
+            /// is exactly the depth `Frontier::push` adds.
+            #[test]
+            fn depth_profile_matches_push(prefix in arb_groups(5), next in arb_group(5)) {
+                let mut f = Frontier::new(5);
+                for g in &prefix {
+                    f.push(g);
+                }
+                let predicted = f.layers_added(&shape_of(&next, false));
+                let before = f.depth();
+                f.push(&next);
+                prop_assert_eq!(predicted, f.depth() - before);
+            }
+        }
     }
 }

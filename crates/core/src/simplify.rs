@@ -29,7 +29,6 @@ use crate::evaluator::CostEvaluator;
 use phoenix_pauli::{
     fold_conjugation_sign, Bsf, BsfRow, Clifford2Q, PauliString, CLIFFORD2Q_GENERATORS,
 };
-use std::sync::OnceLock;
 
 /// One element of a simplified group's configuration sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +121,7 @@ pub struct SimplifyOptions {
     /// every value; composes with the group-level `stage2_threads`.
     pub scan_threads: usize,
     /// Force the naive clone-and-rescore cost path instead of the
-    /// incremental [`CostEvaluator`] — for differential testing. Also
-    /// switchable at run time with `PHOENIX_NAIVE_COST=1`.
+    /// incremental [`CostEvaluator`] — for differential testing.
     pub naive_cost: bool,
 }
 
@@ -134,14 +132,6 @@ impl Default for SimplifyOptions {
             naive_cost: false,
         }
     }
-}
-
-/// Whether `PHOENIX_NAIVE_COST` forces the naive cost path (read once).
-fn naive_cost_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("PHOENIX_NAIVE_COST").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
 }
 
 /// Runs Algorithm 1 on one group's term list with default options.
@@ -156,8 +146,8 @@ pub fn simplify_terms(n: usize, terms: &[(PauliString, f64)]) -> SimplifiedGroup
 /// Runs Algorithm 1 on one group's term list.
 ///
 /// Candidate evaluation goes through the incremental [`CostEvaluator`]
-/// unless `opts.naive_cost` (or `PHOENIX_NAIVE_COST=1`) selects the naive
-/// clone-and-rescore path; the two produce bit-identical output.
+/// unless `opts.naive_cost` selects the naive clone-and-rescore path; the
+/// two produce bit-identical output.
 ///
 /// # Panics
 ///
@@ -191,7 +181,7 @@ pub fn simplify_terms_interruptible(
     let mut bsf = Bsf::from_terms(n, terms.iter().cloned()).expect("terms fit the register");
     let mut nest: Vec<(Vec<BsfRow>, Clifford2Q)> = Vec::new();
     let mut core_locals: Vec<BsfRow> = Vec::new();
-    let naive = opts.naive_cost || naive_cost_forced();
+    let naive = opts.naive_cost;
     let mut eval = CostEvaluator::new();
 
     // Generous bound; past it we force guaranteed-progress steps.

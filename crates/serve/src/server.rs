@@ -776,11 +776,9 @@ fn watchdog(state: &ServerState) {
 /// One TCP connection: a reader (this thread) assembling size-bounded
 /// frames, and a writer thread flushing replies behind a write timeout.
 fn serve_connection(state: &ServerState, stream: TcpStream, conn: u64) {
-    let _ = stream.set_read_timeout(Some(POLL));
-    let Ok(write_half) = stream.try_clone() else {
+    let Some(write_half) = prepare_stream(&stream, state.config.write_timeout) else {
         return;
     };
-    let _ = write_half.set_write_timeout(Some(state.config.write_timeout));
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::scope(|scope| {
         scope.spawn(|| writer_loop(write_half, rx, state));
@@ -801,6 +799,20 @@ fn serve_connection(state: &ServerState, stream: TcpStream, conn: u64) {
         // The writer exits once every reply sender is gone — i.e. after the
         // workers have answered this connection's remaining jobs.
     });
+}
+
+/// Sets up an accepted connection and returns its write half, or `None`
+/// if the socket cannot be cloned. Replies go out at once (`TCP_NODELAY`):
+/// with requests pipelined on one connection, Nagle's algorithm would
+/// otherwise hold each reply until the client's delayed ACK. Reads poll
+/// every [`POLL`] and writes time out after `write_timeout`. The socket
+/// options are best effort.
+fn prepare_stream(stream: &TcpStream, write_timeout: Duration) -> Option<TcpStream> {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(POLL));
+    let write_half = stream.try_clone().ok()?;
+    let _ = write_half.set_write_timeout(Some(write_timeout));
+    Some(write_half)
 }
 
 /// Why a connection's reader loop returned.
@@ -903,5 +915,38 @@ fn reader_loop(
                 reader.consume(len);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_streams_disable_nagle_and_set_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("address")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        assert!(
+            !accepted.nodelay().expect("query"),
+            "Nagle is on by default"
+        );
+        let write_timeout = Duration::from_millis(1234);
+        let write_half = prepare_stream(&accepted, write_timeout).expect("clone");
+        assert!(accepted.nodelay().expect("query"));
+        assert!(
+            write_half.nodelay().expect("query"),
+            "one socket, one option"
+        );
+        // The kernel rounds socket timeouts up to its clock tick.
+        let near = |t: Option<Duration>, want: Duration| {
+            t.is_some_and(|t| t >= want && t < want + Duration::from_millis(20))
+        };
+        assert!(near(accepted.read_timeout().expect("query"), POLL));
+        assert!(near(
+            write_half.write_timeout().expect("query"),
+            write_timeout
+        ));
+        drop(client);
     }
 }

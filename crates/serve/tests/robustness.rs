@@ -199,11 +199,12 @@ fn queued_request_is_cancelled_by_the_client() {
     };
     let (handle, addr, join) = start_server(config);
     let mut client = connect(addr);
-    // A large job pins the single worker; the victim queues behind it.
+    // A large job pins the single worker; the victim queues behind it (the
+    // queue is FIFO) and is cancelled at once. The cancel only has to win
+    // against the large compile, not against a sleep, so a fast host
+    // cannot finish the large job first.
     client.send_line(&compile_frame(100, 10, 400, 55)).unwrap();
-    std::thread::sleep(Duration::from_millis(80));
     client.send_line(&compile_frame(101, 3, 3, 56)).unwrap();
-    std::thread::sleep(Duration::from_millis(40));
     client.cancel(101).unwrap();
     let victim = client.wait_reply(101).unwrap();
     assert_eq!(kind(&victim), Some("cancelled"), "reply: {victim:?}");
