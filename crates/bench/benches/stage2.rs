@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for stage 2's candidate evaluation: the
-//! incremental nibble-class [`CostEvaluator`] vs the naive
+//! incremental bit-sliced [`CostEvaluator`] vs the naive
 //! clone-and-rescore scan, on the largest UCCSD groups (NH- and H2O-scale),
 //! plus the observability layer's overhead (instrumentation disabled vs
 //! enabled) on the end-to-end logical compile — the disabled arm is the

@@ -1,9 +1,10 @@
 //! Perf-regression harness for stage 2 (Algorithm 1 BSF simplification).
 //!
 //! Times the incremental [`CostEvaluator`]-backed candidate scan against the
-//! naive clone-and-rescore reference on the UCCSD molecules, plus the
-//! end-to-end logical compile and the cold-compile vs warm-rebind ratio of
-//! the parametric cache, and writes `results/BENCH_stage2.json`.
+//! naive clone-and-rescore reference on the UCCSD molecules, the scan alone
+//! per support pair, plus the end-to-end logical compile and the
+//! cold-compile vs warm-rebind ratio of the parametric cache, and writes
+//! `results/BENCH_stage2.json`.
 //! While timing it also cross-checks that both paths produce identical
 //! `SimplifiedGroup`s, so a perf run doubles as an exactness check.
 //!
@@ -16,8 +17,9 @@ use std::sync::Arc;
 use phoenix_bench::{or_exit, phoenix_compiler, row, write_results, Tracer, SEED};
 use phoenix_core::group::group_by_support;
 use phoenix_core::simplify::simplify_terms_with;
-use phoenix_core::{CompileCache, CompileRequest, SimplifiedGroup, SimplifyOptions};
+use phoenix_core::{CompileCache, CompileRequest, CostEvaluator, SimplifiedGroup, SimplifyOptions};
 use phoenix_hamil::{uccsd, Molecule};
+use phoenix_pauli::Bsf;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -36,6 +38,9 @@ struct Row {
     stage2_incremental_ms: f64,
     /// naive / incremental.
     stage2_speedup: f64,
+    /// First-epoch candidate scan (`prepare` + `best_candidate`) per
+    /// support pair, in ns (best of reps).
+    scan_ns_per_pair: f64,
     /// End-to-end `compile_to_cnot` wall-clock (incremental evaluator).
     end_to_end_ms: f64,
     /// Uncached logical compile wall-clock (best of reps).
@@ -100,6 +105,40 @@ fn time_stage2(
     (best, out)
 }
 
+/// Times the first-epoch candidate scan — `prepare` plus `best_candidate`
+/// on each group's tableau after its local rows are peeled — and returns
+/// the best time per scanned support pair over `reps` passes, in ns. Each
+/// pass repeats the sweep until it has run for at least 20 ms.
+fn time_scan_per_pair(n: usize, groups: &[phoenix_core::IrGroup], reps: usize) -> f64 {
+    let tableaux: Vec<Bsf> = groups
+        .iter()
+        .map(|g| {
+            let mut bsf = Bsf::from_terms(n, g.terms().iter().cloned()).expect("group fits");
+            bsf.pop_local_paulis();
+            bsf
+        })
+        .filter(|bsf| bsf.total_weight() > 2)
+        .collect();
+    let pairs: usize = tableaux
+        .iter()
+        .map(|bsf| bsf.total_weight() * (bsf.total_weight() - 1) / 2)
+        .sum();
+    let mut eval = CostEvaluator::new();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let (t, mut sweeps) = (Instant::now(), 0usize);
+        while sweeps == 0 || t.elapsed().as_secs_f64() < 0.02 {
+            for bsf in &tableaux {
+                eval.prepare(bsf);
+                std::hint::black_box(eval.best_candidate(bsf));
+            }
+            sweeps += 1;
+        }
+        best = best.min(t.elapsed().as_secs_f64() * 1e9 / (sweeps * pairs.max(1)) as f64);
+    }
+    best
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let reps = if quick { 1 } else { 3 };
@@ -124,6 +163,7 @@ fn main() {
             "naive ms",
             "incr ms",
             "speedup",
+            "scan ns/pair",
             "e2e ms",
             "cold ms",
             "warm ms",
@@ -131,7 +171,7 @@ fn main() {
         ]
         .map(String::from))
     );
-    println!("{}", row(&vec!["---".to_string(); 11]));
+    println!("{}", row(&vec!["---".to_string(); 12]));
 
     let naive_opts = SimplifyOptions {
         naive_cost: true,
@@ -149,6 +189,7 @@ fn main() {
         let (naive_ms, naive_out) = time_stage2(n, &groups, &naive_opts, reps);
         let (incr_ms, incr_out) = time_stage2(n, &groups, &incr_opts, reps);
         assert_eq!(naive_out, incr_out, "{label}: evaluator paths diverge");
+        let scan_ns = time_scan_per_pair(n, &groups, reps);
 
         let mut e2e_ms = f64::INFINITY;
         for _ in 0..reps {
@@ -172,6 +213,7 @@ fn main() {
                 format!("{naive_ms:.2}"),
                 format!("{incr_ms:.2}"),
                 format!("{speedup:.2}x"),
+                format!("{scan_ns:.0}"),
                 format!("{e2e_ms:.2}"),
                 format!("{cold_ms:.2}"),
                 format!("{warm_ms:.4}"),
@@ -187,6 +229,7 @@ fn main() {
             stage2_naive_ms: naive_ms,
             stage2_incremental_ms: incr_ms,
             stage2_speedup: speedup,
+            scan_ns_per_pair: scan_ns,
             end_to_end_ms: e2e_ms,
             cold_compile_ms: cold_ms,
             warm_rebind_ms: warm_ms,

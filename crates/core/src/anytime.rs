@@ -42,6 +42,7 @@ use phoenix_obs::Span;
 use phoenix_pauli::{Clifford2Q, PauliString};
 
 use crate::cancel::CancelToken;
+use crate::evaluator::CostEvaluator;
 use crate::group::IrGroup;
 use crate::order::{order_groups_interruptible, OrderOptions};
 use crate::pass::{
@@ -220,17 +221,23 @@ impl AnytimePass {
         // greedy loop mid-group (polled once per epoch, so even a single
         // pathological group yields within one epoch); the whole round is
         // then abandoned. A contained panic still produces a (degraded)
-        // result.
-        let compile_one = |i: usize, group: &IrGroup| -> Option<GroupRound> {
+        // result. Each worker carries one evaluator across its groups.
+        let compile_one = |eval: &mut CostEvaluator, i: usize, group: &IrGroup| {
             let naive = || (naive_circuit(n, group.terms()), group.terms().to_vec());
             if !self.simplify {
                 let (c, t) = naive();
                 return Some((c, t, Vec::new(), false));
             }
             let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-                simplify_terms_deepening(n, group.terms(), opts, breadth, &pvs[i], &mut || {
-                    controller.interrupted()
-                })
+                simplify_terms_deepening(
+                    eval,
+                    n,
+                    group.terms(),
+                    opts,
+                    breadth,
+                    &pvs[i],
+                    &mut || controller.interrupted(),
+                )
                 .map(|(s, pv)| (synthesize_group(&s), s.term_sequence(), pv))
             }));
             match attempt {
@@ -244,11 +251,12 @@ impl AnytimePass {
         };
         let mut slots: Vec<Option<GroupRound>> = vec![None; groups.len()];
         if threads <= 1 {
+            let mut eval = CostEvaluator::new();
             for (i, (g, slot)) in groups.iter().zip(slots.iter_mut()).enumerate() {
                 if controller.interrupted() {
                     return None;
                 }
-                *slot = compile_one(i, g);
+                *slot = compile_one(&mut eval, i, g);
                 if slot.is_none() {
                     return None;
                 }
@@ -263,11 +271,12 @@ impl AnytimePass {
                 {
                     let compile_one = &compile_one;
                     scope.spawn(move || {
+                        let mut eval = CostEvaluator::new();
                         for (j, (g, slot)) in gs.iter().zip(out.iter_mut()).enumerate() {
                             if controller.interrupted() {
                                 return;
                             }
-                            *slot = compile_one(c * chunk + j, g);
+                            *slot = compile_one(&mut eval, c * chunk + j, g);
                             if slot.is_none() {
                                 return;
                             }

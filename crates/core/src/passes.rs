@@ -32,12 +32,13 @@ use phoenix_pauli::{CanonicalIr, PauliString};
 use phoenix_router::{route_with_attempt_log, RouterOptions};
 
 use crate::cancel::CancelToken;
+use crate::evaluator::CostEvaluator;
 use crate::group::{group_by_support, IrGroup};
 use crate::order::{order_groups_interruptible, OrderOptions};
 use crate::pass::{
     CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_RETRIED, EVENT_TRUNCATED,
 };
-use crate::simplify::{simplify_terms_interruptible, SimplifyOptions};
+use crate::simplify::{simplify_terms_deepening, SimplifyOptions};
 use crate::synth::synthesize_group;
 
 /// The conventional CNOT cost of synthesizing `terms` without Algorithm 1:
@@ -141,6 +142,7 @@ impl SimplifySynthPass {
     #[allow(clippy::too_many_arguments)]
     fn optimized(
         &self,
+        eval: &mut CostEvaluator,
         n: usize,
         terms: &[(PauliString, f64)],
         opts: &SimplifyOptions,
@@ -158,7 +160,9 @@ impl SimplifySynthPass {
                 cancel.is_some_and(|c| c.is_cancelled())
                     || deadline.is_some_and(|d| Instant::now() >= d)
             };
-            let s = simplify_terms_interruptible(n, terms, opts, &mut interrupted)?;
+            // Full breadth and no principal variation: the plain greedy loop.
+            let (s, _) =
+                simplify_terms_deepening(eval, n, terms, opts, usize::MAX, &[], &mut interrupted)?;
             let synth_start = obs.map(|o| o.now_us());
             let circuit = synthesize_group(&s);
             let children = obs.map_or_else(Vec::new, |o| {
@@ -189,8 +193,10 @@ impl SimplifySynthPass {
     /// [`SimplifySynthPass::optimized`] — an interrupted slot-encoded
     /// compile never inserts a partial artifact into the shared cache. The
     /// returned flag is `true` on a cache hit.
+    #[allow(clippy::too_many_arguments)]
     fn compile_group_via_cache(
         &self,
+        eval: &mut CostEvaluator,
         n: usize,
         group: &IrGroup,
         opts: &SimplifyOptions,
@@ -200,7 +206,9 @@ impl SimplifySynthPass {
     ) -> (Optimized, bool) {
         let key = CanonicalIr::from_terms(n, group.terms());
         let coeffs: Vec<f64> = group.terms().iter().map(|(_, c)| *c).collect();
-        let recompile = || self.optimized(n, group.terms(), opts, None, cancel, obs, false);
+        let recompile = |eval: &mut CostEvaluator| {
+            self.optimized(eval, n, group.terms(), opts, None, cancel, obs, false)
+        };
         if let Some(art) = cache.get_group(&key) {
             let matches = art.num_qubits() == n
                 && art.terms().len() == group.terms().len()
@@ -219,7 +227,7 @@ impl SimplifySynthPass {
             }
             // Digest collision or artifact mismatch: recompile below with
             // the real coefficients and leave the incumbent entry alone.
-            return (recompile(), false);
+            return (recompile(eval), false);
         }
         if let Some(o) = obs {
             o.metrics().incr(MetricId::CacheGroupMisses);
@@ -231,7 +239,7 @@ impl SimplifySynthPass {
             .map(|(i, (p, _))| (p.clone(), encode_slot(i)))
             .collect();
         let ((skeleton, slot_order), children) =
-            match self.optimized(n, &slot_terms, opts, None, cancel, obs, false) {
+            match self.optimized(eval, n, &slot_terms, opts, None, cancel, obs, false) {
                 Optimized::Done(result, children) => (result, children),
                 other => return (other, false),
             };
@@ -240,17 +248,18 @@ impl SimplifySynthPass {
             Ok(art) => cache.insert_group(key, Arc::new(art)),
             // The skeleton is not rebindable (defensive: slot encoding
             // makes this unreachable) — compile uncached instead.
-            Err(_) => return (recompile(), false),
+            Err(_) => return (recompile(eval), false),
         };
         match art.bind(&coeffs) {
             Ok(bound) => (Optimized::Done(bound, children), false),
-            Err(_) => (recompile(), false),
+            Err(_) => (recompile(eval), false),
         }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn compile_group(
         &self,
+        eval: &mut CostEvaluator,
         n: usize,
         index: usize,
         group: &IrGroup,
@@ -293,7 +302,7 @@ impl SimplifySynthPass {
         } else if deadline.is_some_and(|d| Instant::now() >= d) {
             (naive(), Some(EVENT_TRUNCATED), Vec::new(), None)
         } else if let Some(cache) = usable_cache {
-            match self.compile_group_via_cache(n, group, opts, cancel, obs, cache) {
+            match self.compile_group_via_cache(eval, n, group, opts, cancel, obs, cache) {
                 (Optimized::Done(result, children), hit) => (result, None, children, Some(hit)),
                 (Optimized::Interrupted, _) => {
                     (naive(), interrupt_outcome(deadline), Vec::new(), None)
@@ -302,6 +311,7 @@ impl SimplifySynthPass {
             }
         } else {
             match self.optimized(
+                eval,
                 n,
                 group.terms(),
                 opts,
@@ -370,11 +380,15 @@ impl Pass for SimplifySynthPass {
             o.metrics()
                 .set_gauge(GaugeId::Stage2Threads, threads as i64);
         }
+        // Each worker carries one evaluator across its groups.
         let results: Vec<GroupResult> = if threads <= 1 {
+            let mut eval = CostEvaluator::new();
             groups
                 .iter()
                 .enumerate()
-                .map(|(i, g)| self.compile_group(n, i, g, &opts, deadline, cancel, obs, cache))
+                .map(|(i, g)| {
+                    self.compile_group(&mut eval, n, i, g, &opts, deadline, cancel, obs, cache)
+                })
                 .collect()
         } else {
             let mut slots: Vec<Option<GroupResult>> = vec![None; groups.len()];
@@ -386,11 +400,12 @@ impl Pass for SimplifySynthPass {
                     .enumerate()
                 {
                     scope.spawn(move || {
+                        let mut eval = CostEvaluator::new();
                         for (j, (g, slot)) in gs.iter().zip(out.iter_mut()).enumerate() {
                             let i = c * chunk + j;
-                            *slot = Some(
-                                self.compile_group(n, i, g, &opts, deadline, cancel, obs, cache),
-                            );
+                            *slot = Some(self.compile_group(
+                                &mut eval, n, i, g, &opts, deadline, cancel, obs, cache,
+                            ));
                         }
                     });
                 }

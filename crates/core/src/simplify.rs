@@ -19,15 +19,17 @@
 //! ("Clifford2Q operators are added as conjugations, with local Pauli
 //! strings peeled before each epoch") are the same.
 //!
-//! Greedy descent can plateau; a guaranteed-progress fallback then applies
-//! the Clifford that strictly reduces the heaviest row's weight (one always
-//! exists — see `every_weight2_pair_is_reducible`), which bounds the total
-//! epoch count.
+//! Greedy descent can plateau; past a step budget a guaranteed-progress
+//! fallback applies the Clifford that strictly reduces the heaviest row's
+//! weight (one always exists — see `every_weight2_pair_is_reducible`).
+//! On dense groups that alone can cycle, two rows trading the heaviest
+//! place, so a repeated tableau switches to peeling the first row, which
+//! bounds the epoch count (see `simplify_terms_deepening`).
 
 use crate::cost::cost_bsf;
-use crate::evaluator::CostEvaluator;
+use crate::evaluator::{heaviest_row, CostEvaluator};
 use phoenix_pauli::{
-    fold_conjugation_sign, Bsf, BsfRow, Clifford2Q, PauliString, CLIFFORD2Q_GENERATORS,
+    fold_conjugation_sign, Bsf, BsfRow, Clifford2Q, PauliString, QubitMask, CLIFFORD2Q_GENERATORS,
 };
 
 /// One element of a simplified group's configuration sequence.
@@ -178,62 +180,9 @@ pub fn simplify_terms_interruptible(
     opts: &SimplifyOptions,
     interrupted: &mut dyn FnMut() -> bool,
 ) -> Option<SimplifiedGroup> {
-    let mut bsf = Bsf::from_terms(n, terms.iter().cloned()).expect("terms fit the register");
-    let mut nest: Vec<(Vec<BsfRow>, Clifford2Q)> = Vec::new();
-    let mut core_locals: Vec<BsfRow> = Vec::new();
-    let naive = opts.naive_cost;
     let mut eval = CostEvaluator::new();
-
-    // Generous bound; past it we force guaranteed-progress steps.
-    let budget = 64 + 8 * bsf.rows().len() * bsf.total_weight().max(1);
-    let mut steps = 0usize;
-
-    while bsf.total_weight() > 2 {
-        if interrupted() {
-            return None;
-        }
-        let locals = bsf.pop_local_paulis();
-        if bsf.total_weight() <= 2 {
-            core_locals = locals;
-            break;
-        }
-        steps += 1;
-        let cliff = if naive {
-            let current = cost_bsf(&bsf);
-            match best_candidate_naive(&bsf) {
-                Some((c, cost)) if cost < current && steps <= budget => c,
-                _ => progress_candidate_naive(&bsf),
-            }
-        } else {
-            eval.prepare(&bsf);
-            let current = eval.current_cost();
-            match eval.best_candidate_scan(&bsf, opts.scan_threads) {
-                Some((c, cost)) if cost < current && steps <= budget => c,
-                _ => eval.progress_candidate(&bsf),
-            }
-        };
-        bsf.apply_clifford2q(cliff);
-        nest.push((locals, cliff));
-    }
-
-    let mut core_rows = core_locals;
-    core_rows.extend(bsf.rows().iter().cloned());
-
-    let cliffords: Vec<Clifford2Q> = nest.iter().map(|(_, c)| *c).collect();
-    let mut items = Vec::new();
-    for (locals, cliff) in nest {
-        if !locals.is_empty() {
-            items.push(CfgItem::Rotations(locals));
-        }
-        items.push(CfgItem::Clifford(cliff));
-    }
-    if !core_rows.is_empty() {
-        items.push(CfgItem::Rotations(core_rows));
-    }
-    for &cliff in cliffords.iter().rev() {
-        items.push(CfgItem::Clifford(cliff));
-    }
-    Some(SimplifiedGroup { n, items })
+    simplify_terms_deepening(&mut eval, n, terms, opts, usize::MAX, &[], interrupted)
+        .map(|(group, _)| group)
 }
 
 /// Aspiration window for the principal-variation shortcut of
@@ -243,27 +192,69 @@ pub fn simplify_terms_interruptible(
 /// a margin of 1.0 means "clearly improving", not float noise.
 pub(crate) const ASPIRATION_WINDOW: f64 = 1.0;
 
-/// One deepening round of Algorithm 1: the legacy greedy loop with the
-/// candidate scan capped at `max_pairs` support-pair ranks and the previous
-/// round's Clifford sequence `pv` used as a principal variation (tried
-/// first at each epoch; accepted without a scan inside the aspiration
-/// window, otherwise competing with the capped scan's winner).
+/// Exact repeated-state detection over the ordered row masks (Brent's
+/// method): one saved copy, compared in full at every call and replaced
+/// after 1, 2, 4, 8, … calls, so a cycle of any period is seen within a
+/// few of its laps and no hash collision can raise a false alarm.
+#[derive(Default)]
+struct RepeatCheck {
+    /// X and Z masks of the saved rows, interleaved.
+    saved: Vec<QubitMask>,
+    /// Calls since the last save.
+    lap: usize,
+    /// Calls the current save is kept for (doubles at every save).
+    power: usize,
+}
+
+impl RepeatCheck {
+    /// Whether `bsf`'s row masks equal the saved state.
+    fn repeats(&mut self, bsf: &Bsf) -> bool {
+        let masks = bsf.rows().iter().flat_map(|r| [r.x_mask(), r.z_mask()]);
+        if masks.clone().eq(&self.saved) {
+            return true;
+        }
+        if self.lap == self.power {
+            self.saved = masks.cloned().collect();
+            self.power = (2 * self.power).max(1);
+            self.lap = 0;
+        }
+        self.lap += 1;
+        false
+    }
+}
+
+/// Algorithm 1, one deepening round: the greedy loop with the candidate
+/// scan capped at `max_pairs` support-pair ranks and the previous round's
+/// Clifford sequence `pv` used as a principal variation (tried first at
+/// each epoch; accepted without a scan inside the aspiration window,
+/// otherwise competing with the capped scan's winner). `eval`'s buffers
+/// are reused, so one evaluator serves all groups of a worker.
 ///
-/// With `max_pairs == usize::MAX` the PV shortcut is disabled and the loop
-/// reduces exactly to [`simplify_terms_with`] on the incremental cost path,
-/// so the deepest round is bit-identical to the unbudgeted compile.
+/// With `max_pairs == usize::MAX` and an empty `pv` this is the full
+/// greedy loop of [`simplify_terms_with`]; `opts.naive_cost` selects the
+/// reference clone-and-rescore path, which ignores the cap and the PV.
+///
+/// *Termination.* Past a generous step budget every epoch takes the
+/// guaranteed-progress move, which reduces the heaviest row. The loop then
+/// depends only on the ordered row masks, so a repeated state proves it
+/// would cycle forever (two rows can trade the heaviest place every
+/// step). On a repeat it reduces the first row until that row is peeled:
+/// it stays first because peeling keeps the row order, and each step cuts
+/// its weight, so every row is peeled within `w − 1` steps of becoming
+/// first and the loop ends. Groups that terminated before never reach
+/// this exit.
 ///
 /// Returns the simplified group plus the chosen Clifford sequence — the
 /// next round's principal variation — or `None` if `interrupted` fired
 /// mid-loop (the caller abandons the round and keeps its previous best).
-/// The closure is polled once per greedy epoch, like
-/// [`simplify_terms_interruptible`]. Deterministic for every
+/// The closure is polled once per greedy epoch. Deterministic for every
 /// `opts.scan_threads` value.
 ///
 /// # Panics
 ///
 /// Panics if any term does not act on exactly `n` qubits.
 pub(crate) fn simplify_terms_deepening(
+    eval: &mut CostEvaluator,
     n: usize,
     terms: &[(PauliString, f64)],
     opts: &SimplifyOptions,
@@ -274,52 +265,75 @@ pub(crate) fn simplify_terms_deepening(
     let mut bsf = Bsf::from_terms(n, terms.iter().cloned()).expect("terms fit the register");
     let mut nest: Vec<(Vec<BsfRow>, Clifford2Q)> = Vec::new();
     let mut core_locals: Vec<BsfRow> = Vec::new();
-    let mut eval = CostEvaluator::new();
     let capped = max_pairs != usize::MAX;
-    let mut chosen: Vec<Clifford2Q> = Vec::new();
 
-    let budget = 64 + 8 * bsf.rows().len() * bsf.total_weight().max(1);
+    let mut weight = bsf.total_weight();
+    // Generous bound; past it only guaranteed-progress steps are taken.
+    let budget = 64 + 8 * bsf.rows().len() * weight.max(1);
     let mut steps = 0usize;
+    let mut repeat = RepeatCheck::default();
+    let mut livelocked = false;
 
-    while bsf.total_weight() > 2 {
+    while weight > 2 {
         if interrupted() {
             return None;
         }
         let locals = bsf.pop_local_paulis();
-        if bsf.total_weight() <= 2 {
+        eval.prepare(&bsf);
+        if eval.total_weight() <= 2 {
             core_locals = locals;
             break;
         }
         steps += 1;
-        eval.prepare(&bsf);
-        let current = eval.current_cost();
-        let pv_cand = if capped {
-            pv.get(chosen.len())
-                .map(|&c| (c, eval.candidate_cost(&bsf, c)))
+        let cliff = if steps > budget {
+            // Only guaranteed-progress moves from here on, so the loop is a
+            // function of the ordered row masks and a repeat is a cycle.
+            livelocked = livelocked || repeat.repeats(&bsf);
+            // Every row left has weight ≥ 2; on a cycle, reduce the first.
+            let row = if livelocked { 0 } else { heaviest_row(&bsf) };
+            if opts.naive_cost {
+                reduce_row_naive(&bsf, row)
+            } else {
+                eval.reduce_row(&bsf, row)
+            }
+        } else if opts.naive_cost {
+            match best_candidate_naive(&bsf) {
+                Some((c, cost)) if cost < cost_bsf(&bsf) => c,
+                _ => progress_candidate_naive(&bsf),
+            }
         } else {
-            None
-        };
-        let cliff = match pv_cand {
-            // Aspiration hit: clearly improving, skip the scan entirely.
-            Some((c, cost)) if cost <= current - ASPIRATION_WINDOW && steps <= budget => c,
-            _ => {
-                let mut best = eval.best_candidate_scan_capped(&bsf, opts.scan_threads, max_pairs);
-                if let Some((c, cost)) = pv_cand {
-                    // The PV move competes with the capped scan's winner;
-                    // it only displaces the winner on a strict improvement
-                    // (the scan's canonical order defines tie-breaks).
-                    if best.is_none_or(|(_, bc)| cost < bc) {
-                        best = Some((c, cost));
+            let current = eval.current_cost();
+            let pv_cand = if capped {
+                pv.get(nest.len())
+                    .map(|&c| (c, eval.candidate_cost(&bsf, c)))
+            } else {
+                None
+            };
+            match pv_cand {
+                // Aspiration hit: clearly improving, skip the scan entirely.
+                Some((c, cost)) if cost <= current - ASPIRATION_WINDOW => c,
+                _ => {
+                    let mut best =
+                        eval.best_candidate_scan_capped(&bsf, opts.scan_threads, max_pairs);
+                    if let Some((c, cost)) = pv_cand {
+                        // The PV move competes with the capped scan's
+                        // winner; it only displaces the winner on a strict
+                        // improvement (the scan's canonical order defines
+                        // tie-breaks).
+                        if best.is_none_or(|(_, bc)| cost < bc) {
+                            best = Some((c, cost));
+                        }
                     }
-                }
-                match best {
-                    Some((c, cost)) if cost < current && steps <= budget => c,
-                    _ => eval.progress_candidate(&bsf),
+                    match best {
+                        Some((c, cost)) if cost < current => c,
+                        _ => eval.progress_candidate(&bsf),
+                    }
                 }
             }
         };
+        weight = eval.total_weight_after(cliff);
         bsf.apply_clifford2q(cliff);
-        chosen.push(cliff);
+        debug_assert_eq!(weight, bsf.total_weight(), "total weight after {cliff}");
         nest.push((locals, cliff));
     }
 
@@ -340,7 +354,7 @@ pub(crate) fn simplify_terms_deepening(
     for &cliff in cliffords.iter().rev() {
         items.push(CfgItem::Clifford(cliff));
     }
-    Some((SimplifiedGroup { n, items }, chosen))
+    Some((SimplifiedGroup { n, items }, cliffords))
 }
 
 /// The greedy choice: the generator/qubit-pair minimizing Eq. (6) on the
@@ -380,18 +394,17 @@ pub fn best_candidate_naive(bsf: &Bsf) -> Option<(Clifford2Q, f64)> {
 ///
 /// Reference implementation for [`CostEvaluator::progress_candidate`].
 pub fn progress_candidate_naive(bsf: &Bsf) -> Clifford2Q {
-    let heavy = bsf
-        .rows()
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, r)| r.weight())
-        .map(|(i, _)| i)
-        .expect("nonempty tableau");
-    let row = bsf.rows()[heavy].clone();
-    let old_w = row.weight();
-    let support: Vec<usize> = (0..bsf.num_qubits())
-        .filter(|&q| row.support_mask().bit(q))
-        .collect();
+    reduce_row_naive(bsf, heaviest_row(bsf))
+}
+
+/// The Clifford that strictly reduces row `row`'s weight, breaking ties by
+/// the reduced weight and then Eq. (6).
+///
+/// Reference implementation for [`CostEvaluator::reduce_row`].
+pub fn reduce_row_naive(bsf: &Bsf, row: usize) -> Clifford2Q {
+    let target = &bsf.rows()[row];
+    let old_w = target.weight();
+    let support = target.support_mask().to_indices();
     let mut best: Option<(Clifford2Q, usize, f64)> = None;
     for kind in CLIFFORD2Q_GENERATORS {
         for (ia, &a) in support.iter().enumerate() {
@@ -399,7 +412,7 @@ pub fn progress_candidate_naive(bsf: &Bsf) -> Clifford2Q {
                 for &(x, y) in &[(a, b), (b, a)] {
                     let cand = Clifford2Q::new(kind, x, y);
                     let conj = bsf.conjugated(cand);
-                    let w = conj.rows()[heavy].weight();
+                    let w = conj.rows()[row].weight();
                     if w >= old_w {
                         continue;
                     }
@@ -426,6 +439,18 @@ mod tests {
             .enumerate()
             .map(|(i, l)| (l.parse().unwrap(), 0.1 * (i + 1) as f64))
             .collect()
+    }
+
+    /// `terms` in a canonical order, for multiset comparisons.
+    fn sorted(mut terms: Vec<(PauliString, f64)>) -> Vec<(PauliString, f64)> {
+        terms.sort_by_key(|t| {
+            (
+                t.0.x_mask().clone(),
+                t.0.z_mask().clone(),
+                (t.1 * 1e12) as i64,
+            )
+        });
+        terms
     }
 
     /// Every weight-2 restriction (τa, τb) is reducible to weight ≤ 1 by
@@ -476,18 +501,7 @@ mod tests {
         ] {
             let input = terms(&labels);
             let s = simplify_terms(labels[0].len(), &input);
-            let mut got = s.term_sequence();
-            let mut want = input.clone();
-            let key = |t: &(PauliString, f64)| {
-                (
-                    t.0.x_mask().clone(),
-                    t.0.z_mask().clone(),
-                    (t.1 * 1e12) as i64,
-                )
-            };
-            got.sort_by_key(key);
-            want.sort_by_key(key);
-            assert_eq!(got, want, "{labels:?}");
+            assert_eq!(sorted(s.term_sequence()), sorted(input), "{labels:?}");
         }
     }
 
@@ -534,16 +548,20 @@ mod tests {
     }
 
     #[test]
-    fn full_breadth_deepening_matches_legacy() {
+    fn reused_evaluator_matches_a_fresh_one() {
+        // One evaluator carried across groups of different shapes (as a
+        // stage-2 worker does) leaves no state behind between them.
+        let mut eval = CostEvaluator::new();
         for labels in [
+            vec!["XXYYZ", "YZXZI", "ZZZXX", "XYIYX"],
             vec!["ZYY", "ZZY", "XYY", "XZY"],
             vec!["XXXX", "YYII", "ZZZZ", "XYZX"],
-            vec!["XXYYZ", "YZXZI", "ZZZXX", "XYIYX"],
         ] {
             let input = terms(&labels);
             let n = labels[0].len();
-            let legacy = simplify_terms(n, &input);
-            let (deep, _) = simplify_terms_deepening(
+            let fresh = simplify_terms(n, &input);
+            let (reused, _) = simplify_terms_deepening(
+                &mut eval,
                 n,
                 &input,
                 &SimplifyOptions::default(),
@@ -552,7 +570,7 @@ mod tests {
                 &mut || false,
             )
             .unwrap();
-            assert_eq!(deep, legacy, "{labels:?}");
+            assert_eq!(reused, fresh, "{labels:?}");
         }
     }
 
@@ -560,22 +578,17 @@ mod tests {
     fn capped_deepening_with_pv_is_still_unitary_faithful() {
         let input = terms(&["XXYYZ", "YZXZI", "ZZZXX", "XYIYX"]);
         let opts = SimplifyOptions::default();
+        let mut eval = CostEvaluator::new();
         let mut pv: Vec<Clifford2Q> = Vec::new();
         for cap in [1usize, 2, 8, usize::MAX] {
             let (s, chosen) =
-                simplify_terms_deepening(5, &input, &opts, cap, &pv, &mut || false).unwrap();
-            let mut got = s.term_sequence();
-            let mut want = input.clone();
-            let key = |t: &(PauliString, f64)| {
-                (
-                    t.0.x_mask().clone(),
-                    t.0.z_mask().clone(),
-                    (t.1 * 1e12) as i64,
-                )
-            };
-            got.sort_by_key(key);
-            want.sort_by_key(key);
-            assert_eq!(got, want, "cap {cap}");
+                simplify_terms_deepening(&mut eval, 5, &input, &opts, cap, &pv, &mut || false)
+                    .unwrap();
+            assert_eq!(
+                sorted(s.term_sequence()),
+                sorted(input.clone()),
+                "cap {cap}"
+            );
             for item in s.items() {
                 if let CfgItem::Rotations(rows) = item {
                     assert!(rows.iter().all(|r| r.weight() <= 2), "cap {cap}");
@@ -591,6 +604,7 @@ mod tests {
         let pv: Vec<Clifford2Q> = Vec::new();
         for cap in [2usize, 6, usize::MAX] {
             let base = simplify_terms_deepening(
+                &mut CostEvaluator::new(),
                 5,
                 &input,
                 &SimplifyOptions {
@@ -603,6 +617,7 @@ mod tests {
             );
             for scan_threads in [2usize, 8] {
                 let other = simplify_terms_deepening(
+                    &mut CostEvaluator::new(),
                     5,
                     &input,
                     &SimplifyOptions {

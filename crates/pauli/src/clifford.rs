@@ -99,29 +99,38 @@ impl Clifford2QKind {
         &conjugation_tables()[self.index()]
     }
 
-    /// The conjugation table's *output nibbles only*, with the two qubit
-    /// roles optionally reversed.
+    /// The conjugation table's nibble action as a GF(2)-linear map, with the
+    /// two qubit roles optionally reversed.
     ///
-    /// Entry `k` of `nibble_map(false)` is `conjugation_table()[k].0`. Entry
-    /// `k` of `nibble_map(true)` is the output nibble of conjugating `k` by
-    /// this generator applied with its control side on the qubit that bits
-    /// 2–3 of `k` describe — i.e. both the input and output keep a *fixed*
-    /// `(a, b)` bit order while the gate's orientation flips. This lets a
-    /// caller bucket rows by their `(a, b)` nibble once and score both
-    /// orientations of an asymmetric generator from the same buckets,
-    /// without re-reading any row.
+    /// A Clifford acts on the binary symplectic form linearly, so output
+    /// bit `j` of the nibble (`x_a, z_a, x_b, z_b` for `j = 0..4`) is the
+    /// parity of the input bits selected by entry `j` of the map (see
+    /// [`map_nibble`]). `linear_map(false)` reproduces
+    /// `conjugation_table()[k].0` for every nibble `k`. `linear_map(true)`
+    /// is the same generator applied with its control side on the qubit
+    /// that bits 2–3 describe, with both input and output keeping a *fixed*
+    /// `(a, b)` bit order. Each output column of a tableau is therefore the
+    /// XOR of the input columns its entry selects, which lets a caller
+    /// score every oriented generator on a qubit pair from the popcounts
+    /// of the 16 XOR combinations of the pair's four columns.
     ///
     /// Signs are deliberately dropped: the Eq. (6) cost is coefficient-blind.
-    pub fn nibble_map(self, reversed: bool) -> &'static [u8; 16] {
-        static MAPS: OnceLock<[[[u8; 16]; 2]; 6]> = OnceLock::new();
+    pub fn linear_map(self, reversed: bool) -> &'static [u8; 4] {
+        static MAPS: OnceLock<[[[u8; 4]; 2]; 6]> = OnceLock::new();
         let maps = MAPS.get_or_init(|| {
             let swap = |nib: u8| (nib >> 2) | ((nib & 0b11) << 2);
-            let mut maps = [[[0u8; 16]; 2]; 6];
+            let mut maps = [[[0u8; 4]; 2]; 6];
             for (ti, kind) in CLIFFORD2Q_GENERATORS.iter().enumerate() {
                 let table = kind.conjugation_table();
-                for nib in 0..16 {
-                    maps[ti][0][nib] = table[nib].0;
-                    maps[ti][1][nib] = swap(table[swap(nib as u8) as usize].0);
+                // A linear map is fixed by the images of the unit nibbles:
+                // input bit `i` feeds output bit `j` iff image `i` has bit `j`.
+                for i in 0..4 {
+                    let images = [table[1 << i].0, swap(table[swap(1 << i) as usize].0)];
+                    for (map, image) in maps[ti].iter_mut().zip(images) {
+                        for (j, row) in map.iter_mut().enumerate() {
+                            *row |= (image >> j & 1) << i;
+                        }
+                    }
                 }
             }
             maps
@@ -143,6 +152,25 @@ impl Clifford2QKind {
             sign,
         )
     }
+}
+
+/// Applies a [`Clifford2QKind::linear_map`] to a nibble: output bit `j` is
+/// the parity of `nib & map[j]`.
+///
+/// # Examples
+///
+/// ```
+/// use phoenix_pauli::{map_nibble, Clifford2QKind};
+///
+/// // CNOT sends X⊗I (nibble 0b0001) to X⊗X (0b0101).
+/// assert_eq!(map_nibble(Clifford2QKind::Czx.linear_map(false), 0b0001), 0b0101);
+/// ```
+#[inline]
+pub fn map_nibble(map: &[u8; 4], nib: usize) -> usize {
+    map.iter()
+        .enumerate()
+        .map(|(j, &m)| ((nib & m as usize).count_ones() as usize & 1) << j)
+        .sum()
 }
 
 impl fmt::Display for Clifford2QKind {
@@ -344,31 +372,37 @@ mod tests {
     }
 
     #[test]
-    fn nibble_map_forward_matches_conjugation_table() {
+    fn linear_map_reproduces_the_conjugation_table() {
+        // All 16 inputs × 12 oriented generators. The reversed orientation
+        // keeps the fixed (a, b) bit order while the control moves to b:
+        // swap the halves, look up the forward table, swap back.
+        let swap = |nib: usize| (nib >> 2) | ((nib & 0b11) << 2);
         for kind in CLIFFORD2Q_GENERATORS {
-            let map = kind.nibble_map(false);
             let table = kind.conjugation_table();
             for nib in 0..16 {
-                assert_eq!(map[nib], table[nib].0, "{kind} nibble {nib}");
+                let forward = map_nibble(kind.linear_map(false), nib);
+                assert_eq!(forward, table[nib].0 as usize, "{kind} nibble {nib}");
+                let reversed = map_nibble(kind.linear_map(true), nib);
+                let want = swap(table[swap(nib)].0 as usize);
+                assert_eq!(reversed, want, "{kind} reversed, nibble {nib}");
             }
         }
     }
 
     #[test]
-    fn nibble_map_reversed_swaps_the_qubit_roles() {
-        // Entry `k` of the reversed map keeps the fixed (a, b) bit order
-        // while the control moves to b: conjugate (p_b, p_a) and re-encode.
+    fn reversed_linear_map_swaps_the_qubit_roles() {
+        // Conjugating (p_b, p_a) and re-encoding in (a, b) order.
         for kind in CLIFFORD2Q_GENERATORS {
-            let map = kind.nibble_map(true);
+            let map = kind.linear_map(true);
             for nib in 0u8..16 {
                 let pa = Pauli::from_xz(nib & 1 == 1, nib >> 1 & 1 == 1);
                 let pb = Pauli::from_xz(nib >> 2 & 1 == 1, nib >> 3 & 1 == 1);
                 let (qb, qa, _) = kind.conjugate(pb, pa);
-                let want = (qa.x_bit() as u8)
-                    | (qa.z_bit() as u8) << 1
-                    | (qb.x_bit() as u8) << 2
-                    | (qb.z_bit() as u8) << 3;
-                assert_eq!(map[nib as usize], want, "{kind} nibble {nib}");
+                let want = (qa.x_bit() as usize)
+                    | (qa.z_bit() as usize) << 1
+                    | (qb.x_bit() as usize) << 2
+                    | (qb.z_bit() as usize) << 3;
+                assert_eq!(map_nibble(map, nib as usize), want, "{kind} nibble {nib}");
             }
         }
     }
