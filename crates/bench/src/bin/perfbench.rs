@@ -4,7 +4,8 @@
 //! naive clone-and-rescore reference on the UCCSD molecules, the scan alone
 //! per support pair, plus the end-to-end logical compile and the
 //! cold-compile vs warm-rebind ratio of the parametric cache, and writes
-//! `results/BENCH_stage2.json`.
+//! `results/BENCH_stage2.json`. It also counts each molecule's distinct
+//! group shapes, which stage 2 compiles once each.
 //! While timing it also cross-checks that both paths produce identical
 //! `SimplifiedGroup`s, so a perf run doubles as an exactness check.
 //!
@@ -12,6 +13,7 @@
 //! repetition of LiH only (the CI smoke configuration); `--trace`/`--obs`
 //! file pass traces and observability reports under `results/`.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use phoenix_bench::{or_exit, phoenix_compiler, row, write_results, Tracer, SEED};
@@ -19,7 +21,7 @@ use phoenix_core::group::group_by_support;
 use phoenix_core::simplify::simplify_terms_with;
 use phoenix_core::{CompileCache, CompileRequest, CostEvaluator, SimplifiedGroup, SimplifyOptions};
 use phoenix_hamil::{uccsd, Molecule};
-use phoenix_pauli::Bsf;
+use phoenix_pauli::{Bsf, GroupShape};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -31,6 +33,9 @@ struct Row {
     /// the inline representation; more spill to the heap).
     mask_words: usize,
     groups: usize,
+    /// Distinct group shapes (groups equal up to an order-preserving
+    /// relabelling of their supports): the leaders stage 2 compiles.
+    shapes: usize,
     reps: usize,
     /// Stage-2 wall-clock with the naive clone-and-rescore evaluator ("before").
     stage2_naive_ms: f64,
@@ -82,6 +87,15 @@ fn time_rebind(
         warm = warm.min(t.elapsed().as_secs_f64() * 1e3);
     }
     (cold, warm)
+}
+
+/// Number of distinct shapes among `groups`.
+fn distinct_shapes(groups: &[phoenix_core::IrGroup]) -> usize {
+    groups
+        .iter()
+        .map(|g| GroupShape::from_terms(g.support_mask(), g.terms()))
+        .collect::<HashSet<_>>()
+        .len()
 }
 
 /// Runs stage 2 over every group, returning (best wall-clock over `reps`
@@ -160,6 +174,7 @@ fn main() {
             "#Qubit",
             "words",
             "#Group",
+            "#Shape",
             "naive ms",
             "incr ms",
             "speedup",
@@ -171,7 +186,7 @@ fn main() {
         ]
         .map(String::from))
     );
-    println!("{}", row(&vec!["---".to_string(); 12]));
+    println!("{}", row(&vec!["---".to_string(); 13]));
 
     let naive_opts = SimplifyOptions {
         naive_cost: true,
@@ -185,6 +200,7 @@ fn main() {
         let h = uccsd::ansatz(mol, frozen, uccsd::Encoding::JordanWigner, SEED);
         let n = h.num_qubits();
         let groups = group_by_support(n, h.terms());
+        let shapes = distinct_shapes(&groups);
 
         let (naive_ms, naive_out) = time_stage2(n, &groups, &naive_opts, reps);
         let (incr_ms, incr_out) = time_stage2(n, &groups, &incr_opts, reps);
@@ -210,6 +226,7 @@ fn main() {
                 n.to_string(),
                 phoenix_pauli::mask::words_for(n).to_string(),
                 groups.len().to_string(),
+                shapes.to_string(),
                 format!("{naive_ms:.2}"),
                 format!("{incr_ms:.2}"),
                 format!("{speedup:.2}x"),
@@ -225,6 +242,7 @@ fn main() {
             qubits: n,
             mask_words: phoenix_pauli::mask::words_for(n),
             groups: groups.len(),
+            shapes,
             reps,
             stage2_naive_ms: naive_ms,
             stage2_incremental_ms: incr_ms,

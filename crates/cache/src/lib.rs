@@ -19,15 +19,17 @@
 //!    pipeline would have performed, so warm and cold outputs are
 //!    bit-for-bit identical.
 //!
-//! Artifacts are keyed by the Zobrist digest of the angle-erased canonical
-//! IR ([`phoenix_pauli::CanonicalIr`]) plus an options fingerprint, behind
-//! the concurrent [`CompileCache`] at two granularities: whole-program
-//! [`StructureArtifact`]s and per-group [`GroupArtifact`]s (the latter keyed
-//! only by the group's own terms, so they are shared across programs that
-//! contain the same group).
+//! The concurrent [`CompileCache`] holds artifacts at two granularities:
+//!
+//! - whole-program [`StructureArtifact`]s, keyed by the Zobrist digest of
+//!   the angle-erased canonical IR ([`phoenix_pauli::CanonicalIr`]) plus an
+//!   options fingerprint;
+//! - per-shape [`GroupArtifact`]s, keyed by the [`GroupShape`] of an IR
+//!   group: its rows relabelled onto its support ranks. One artifact serves
+//!   every group of the shape, in any program, on any support.
 
 use phoenix_circuit::{Circuit, Gate};
-use phoenix_pauli::{fold_conjugation_sign, CanonicalIr, PauliString};
+use phoenix_pauli::{fold_conjugation_sign, CanonicalIr, GroupShape, PauliString};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,15 +196,15 @@ fn decode_bindings(
     Ok(bindings)
 }
 
-/// Decode a slot-encoded ordered term list into `(string, slot, sign)`.
+/// Decode a slot-encoded ordered term list into `(slot, sign)` pairs.
 fn decode_term_slots(
     terms: &[(PauliString, f64)],
     num_slots: usize,
-) -> Result<Vec<(PauliString, usize, i8)>, DecodeError> {
+) -> Result<Vec<(usize, i8)>, DecodeError> {
     terms
         .iter()
         .enumerate()
-        .map(|(term_index, (p, coeff))| {
+        .map(|(term_index, (_, coeff))| {
             let (slot, sign) = decode_coeff(*coeff).ok_or(DecodeError::UnencodedCoeff {
                 term_index,
                 coeff: *coeff,
@@ -213,15 +215,16 @@ fn decode_term_slots(
                     coeff: *coeff,
                 });
             }
-            Ok((p.clone(), slot, sign))
+            Ok((slot, sign))
         })
         .collect()
 }
 
-/// Patch concrete thetas into a cloned gate list, in place.
-fn patch_gates(gates: &mut [Gate], bindings: &[(usize, usize, i8)], angles: &[f64]) {
+/// Patch concrete thetas into a cloned gate list, in place; `angle(slot)`
+/// is the slot's concrete coefficient.
+fn patch_gates(gates: &mut [Gate], bindings: &[(usize, usize, i8)], angle: impl Fn(usize) -> f64) {
     for &(gate_index, slot, sign) in bindings {
-        let theta = 2.0 * fold_conjugation_sign(angles[slot], sign);
+        let theta = 2.0 * fold_conjugation_sign(angle(slot), sign);
         match &mut gates[gate_index] {
             Gate::Rx(_, t) | Gate::Ry(_, t) | Gate::Rz(_, t) => *t = theta,
             Gate::PauliRot2 { theta: t, .. } => *t = theta,
@@ -289,7 +292,11 @@ impl StructureArtifact {
         digest: u64,
     ) -> Result<Self, DecodeError> {
         let bindings = decode_bindings(skeleton.gates(), num_slots)?;
-        let term_slots = decode_term_slots(term_order, num_slots)?;
+        let term_slots = decode_term_slots(term_order, num_slots)?
+            .into_iter()
+            .zip(term_order)
+            .map(|((slot, sign), (p, _))| (p.clone(), slot, sign))
+            .collect();
         Ok(StructureArtifact {
             num_qubits,
             num_slots,
@@ -339,7 +346,7 @@ impl StructureArtifact {
     pub fn bind(&self, angles: &[f64]) -> Result<BoundProgram, BindError> {
         check_angles(angles, self.num_slots)?;
         let mut gates = self.skeleton.gates().to_vec();
-        patch_gates(&mut gates, &self.bindings, angles);
+        patch_gates(&mut gates, &self.bindings, |slot| angles[slot]);
         let circuit = Circuit::from_gates(self.num_qubits, gates);
         let term_order = self
             .term_slots
@@ -354,64 +361,94 @@ impl StructureArtifact {
     }
 }
 
-/// The angle-independent synthesis of a single commuting group, slot-encoded
-/// against the group's *local* term indices so it can be reused by any
-/// program containing the same group, whatever the coefficients.
+/// The angle-independent synthesis of one group *shape* ([`GroupShape`]):
+/// a skeleton over the shape's `s` support ranks, slot-encoded against the
+/// shape's row indices. It serves every group of the shape, whatever its
+/// support and coefficients.
 #[derive(Debug, Clone)]
 pub struct GroupArtifact {
-    num_qubits: usize,
-    /// The group's input terms, in order; local slot `i` is `terms[i]`.
-    terms: Vec<PauliString>,
+    num_slots: usize,
+    /// The skeleton over `s` rank-space qubits.
     skeleton: Circuit,
     bindings: Vec<(usize, usize, i8)>,
-    term_slots: Vec<(PauliString, usize, i8)>,
+    /// Emission order as `(slot, sign)`: the group's own term `slot`, its
+    /// coefficient folded by `sign`.
+    term_slots: Vec<(usize, i8)>,
 }
 
 impl GroupArtifact {
-    /// Decode a group compiled with local slot encoding (`coeff[i] =`
-    /// [`encode_slot`]`(i)` over the group's own terms).
+    /// Decode a shape compiled in rank space with local slot encoding
+    /// (`coeff[i] =` [`encode_slot`]`(i)` over the shape's `num_slots`
+    /// rows).
     pub fn from_slot_encoded(
-        num_qubits: usize,
-        terms: Vec<PauliString>,
+        num_slots: usize,
         skeleton: Circuit,
         term_order: &[(PauliString, f64)],
     ) -> Result<Self, DecodeError> {
-        let num_slots = terms.len();
         let bindings = decode_bindings(skeleton.gates(), num_slots)?;
         let term_slots = decode_term_slots(term_order, num_slots)?;
         Ok(GroupArtifact {
-            num_qubits,
-            terms,
+            num_slots,
             skeleton,
             bindings,
             term_slots,
         })
     }
 
-    /// The group's input terms in local-slot order.
-    pub fn terms(&self) -> &[PauliString] {
-        &self.terms
+    /// Number of rank-space qubits: the shape's support size `s`.
+    pub fn width(&self) -> usize {
+        self.skeleton.num_qubits()
     }
 
-    /// Number of qubits of the group subcircuit.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+    /// Number of parameter slots: the shape's rows.
+    pub fn num_slots(&self) -> usize {
+        self.num_slots
     }
 
-    /// Substitute the group's concrete coefficients (one per input term, in
-    /// the same order as [`GroupArtifact::terms`]). Returns the bound
-    /// subcircuit and the emission-ordered terms with folded coefficients.
-    pub fn bind(&self, coeffs: &[f64]) -> Result<(Circuit, Vec<(PauliString, f64)>), BindError> {
-        check_angles(coeffs, self.terms.len())?;
-        let mut gates = self.skeleton.gates().to_vec();
-        patch_gates(&mut gates, &self.bindings, coeffs);
-        let circuit = Circuit::from_gates(self.num_qubits, gates);
+    /// Binds the artifact to one group of its shape over an `n`-qubit
+    /// register: every gate moves from rank `r` to `support[r]`, and slot
+    /// `i` takes the coefficient of `terms[i]`. With `support` the group's
+    /// support in ascending order, the angles come from the float
+    /// operations a cold compile of the group performs (`θ = 2·(±coeff)`),
+    /// so the result is bit-for-bit that compile's subcircuit and
+    /// emission-ordered terms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `support` does not hold `s` qubits below `n`, or if
+    /// `terms` does not hold one term per slot.
+    pub fn bind(
+        &self,
+        n: usize,
+        support: &[usize],
+        terms: &[(PauliString, f64)],
+    ) -> (Circuit, Vec<(PauliString, f64)>) {
+        assert_eq!(
+            support.len(),
+            self.width(),
+            "support size differs from the shape width"
+        );
+        assert_eq!(
+            terms.len(),
+            self.num_slots,
+            "term count differs from the slot count"
+        );
+        let mut gates: Vec<Gate> = self
+            .skeleton
+            .gates()
+            .iter()
+            .map(|g| g.map_qubits(&mut |q| support[q]))
+            .collect();
+        patch_gates(&mut gates, &self.bindings, |slot| terms[slot].1);
         let term_order = self
             .term_slots
             .iter()
-            .map(|(p, slot, sign)| (p.clone(), fold_conjugation_sign(coeffs[*slot], *sign)))
+            .map(|&(slot, sign)| {
+                let (p, coeff) = &terms[slot];
+                (p.clone(), fold_conjugation_sign(*coeff, sign))
+            })
             .collect();
-        Ok((circuit, term_order))
+        (Circuit::from_gates(n, gates), term_order)
     }
 }
 
@@ -443,9 +480,10 @@ pub struct CacheStats {
     pub program_hits: u64,
     /// Whole-program artifact lookups that missed.
     pub program_misses: u64,
-    /// Per-group artifact lookups that hit.
+    /// Per-shape artifact lookups that hit (one per distinct group shape
+    /// of a compile).
     pub group_hits: u64,
-    /// Per-group artifact lookups that missed.
+    /// Per-shape artifact lookups that missed.
     pub group_misses: u64,
     /// Artifacts (programs + groups) evicted to honor a capacity bound.
     /// Always 0 for an unbounded cache.
@@ -463,7 +501,7 @@ impl CacheStats {
         }
     }
 
-    /// Fraction of per-group lookups that hit (0.0 when none occurred).
+    /// Fraction of per-shape lookups that hit (0.0 when none occurred).
     pub fn group_hit_rate(&self) -> f64 {
         let total = self.group_hits + self.group_misses;
         if total == 0 {
@@ -521,7 +559,7 @@ fn evict_over_capacity<K: Clone + std::hash::Hash + Eq, V>(
 ///
 /// [`CompileCache::new`] is unbounded — right for a VQE sweep over one
 /// ansatz. A long-lived server should use [`CompileCache::with_capacity`]
-/// instead: each map (programs, groups) is bounded to `max_entries`
+/// instead: each map (programs, group shapes) is bounded to `max_entries`
 /// artifacts, and inserts over capacity evict the coarsely
 /// least-recently-used entry (lookups stamp entries with a logical clock
 /// under the read lock; eviction scans for the minimum stamp under the
@@ -539,7 +577,7 @@ fn evict_over_capacity<K: Clone + std::hash::Hash + Eq, V>(
 #[derive(Debug, Default)]
 pub struct CompileCache {
     programs: RwLock<HashMap<ProgramKey, Stamped<StructureArtifact>>>,
-    groups: RwLock<HashMap<CanonicalIr, Stamped<GroupArtifact>>>,
+    groups: RwLock<HashMap<GroupShape, Stamped<GroupArtifact>>>,
     /// Per-map capacity bound; `None` = unbounded.
     max_entries: Option<usize>,
     /// Logical clock: bumped on every lookup/insert, stamped into entries.
@@ -617,8 +655,8 @@ impl CompileCache {
         kept
     }
 
-    /// Look up a per-group artifact, recording a hit or miss.
-    pub fn get_group(&self, key: &CanonicalIr) -> Option<Arc<GroupArtifact>> {
+    /// Look up a group-shape artifact, recording a hit or miss.
+    pub fn get_group(&self, key: &GroupShape) -> Option<Arc<GroupArtifact>> {
         let groups = self.groups.read().unwrap_or_else(|e| e.into_inner());
         match groups.get(key) {
             Some(entry) => {
@@ -633,11 +671,11 @@ impl CompileCache {
         }
     }
 
-    /// Insert a per-group artifact (first writer wins and capacity is
+    /// Insert a group-shape artifact (first writer wins and capacity is
     /// enforced, as for programs).
     pub fn insert_group(
         &self,
-        key: CanonicalIr,
+        key: GroupShape,
         artifact: Arc<GroupArtifact>,
     ) -> Arc<GroupArtifact> {
         let tick = self.tick();
@@ -662,7 +700,7 @@ impl CompileCache {
             .len()
     }
 
-    /// Number of cached per-group artifacts.
+    /// Number of cached group-shape artifacts.
     pub fn num_groups(&self) -> usize {
         self.groups.read().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -788,24 +826,44 @@ mod tests {
         ));
     }
 
+    fn ps(label: &str) -> PauliString {
+        label.parse().unwrap()
+    }
+
+    /// The shape of one group of `labels`, all on the support `mask`.
+    fn shape(mask: u128, labels: &[&str]) -> GroupShape {
+        let terms: Vec<(PauliString, f64)> = labels.iter().map(|l| (ps(l), 1.0)).collect();
+        GroupShape::from_terms(&phoenix_pauli::QubitMask::from_u128(mask), &terms)
+    }
+
     #[test]
-    fn group_artifact_rebinds_local_slots() {
+    fn group_artifact_binds_onto_the_group_support() {
+        // A rank-space skeleton over s = 2 qubits, two slots.
         let mut c = Circuit::new(2);
         c.push(Gate::Rz(0, 2.0 * encode_slot(0)));
+        c.push(Gate::Cnot(0, 1));
         c.push(Gate::Rz(1, -2.0 * encode_slot(1)));
-        let terms = vec![
-            "ZI".parse::<PauliString>().unwrap(),
-            "IZ".parse::<PauliString>().unwrap(),
-        ];
-        let order = vec![
-            (terms[0].clone(), encode_slot(0)),
-            (terms[1].clone(), -encode_slot(1)),
-        ];
-        let art = GroupArtifact::from_slot_encoded(2, terms, c, &order).unwrap();
-        let (circuit, order) = art.bind(&[0.25, 0.5]).unwrap();
-        assert_eq!(circuit.gates()[0], Gate::Rz(0, 0.5));
-        assert_eq!(circuit.gates()[1], Gate::Rz(1, -1.0));
-        assert_eq!(order[1], ("IZ".parse().unwrap(), -0.5));
+        let order = vec![(ps("ZI"), encode_slot(0)), (ps("IZ"), -encode_slot(1))];
+        let art = GroupArtifact::from_slot_encoded(2, c, &order).unwrap();
+        assert_eq!((art.width(), art.num_slots()), (2, 2));
+        // Bound onto qubits {1, 3} of a 5-qubit register.
+        let terms = vec![(ps("IZIII"), 0.25), (ps("IIIZI"), 0.5)];
+        let (circuit, order) = art.bind(5, &[1, 3], &terms);
+        assert_eq!(circuit.num_qubits(), 5);
+        assert_eq!(
+            circuit.gates(),
+            &[Gate::Rz(1, 0.5), Gate::Cnot(1, 3), Gate::Rz(3, -1.0)]
+        );
+        assert_eq!(order, vec![(ps("IZIII"), 0.25), (ps("IIIZI"), -0.5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "support size")]
+    fn group_artifact_rejects_a_support_of_another_width() {
+        let mut c = Circuit::new(1);
+        c.push(Gate::Rz(0, 2.0 * encode_slot(0)));
+        let art = GroupArtifact::from_slot_encoded(1, c, &[(ps("Z"), encode_slot(0))]).unwrap();
+        art.bind(3, &[0, 2], &[(ps("ZIZ"), 0.5)]);
     }
 
     #[test]
@@ -821,7 +879,7 @@ mod tests {
         );
         cache.insert_program(key.clone(), Arc::clone(&art));
         assert!(cache.get_program(&key).is_some());
-        assert!(cache.get_group(&ir).is_none());
+        assert!(cache.get_group(&shape(0b11, &["ZZ"])).is_none());
 
         let stats = cache.stats();
         assert_eq!(stats.program_hits, 1);
@@ -879,20 +937,18 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_stale_groups_too() {
         let cache = CompileCache::with_capacity(1);
-        let ir = |label: &str| CanonicalIr::from_terms(1, &[(label.parse().unwrap(), 1.0)]);
-        let art = |label: &str| {
-            let terms = vec![label.parse::<PauliString>().unwrap()];
-            let order = vec![(terms[0].clone(), encode_slot(0))];
+        let art = || {
             let mut c = Circuit::new(1);
             c.push(Gate::Rz(0, 2.0 * encode_slot(0)));
-            Arc::new(GroupArtifact::from_slot_encoded(1, terms, c, &order).unwrap())
+            let order = vec![(ps("Z"), encode_slot(0))];
+            Arc::new(GroupArtifact::from_slot_encoded(1, c, &order).unwrap())
         };
-        cache.insert_group(ir("Z"), art("Z"));
-        cache.insert_group(ir("X"), art("X"));
+        cache.insert_group(shape(1, &["Z"]), art());
+        cache.insert_group(shape(1, &["X"]), art());
         assert_eq!(cache.num_groups(), 1);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get_group(&ir("Z")).is_none());
-        assert!(cache.get_group(&ir("X")).is_some());
+        assert!(cache.get_group(&shape(1, &["Z"])).is_none());
+        assert!(cache.get_group(&shape(1, &["X"])).is_some());
     }
 
     #[test]

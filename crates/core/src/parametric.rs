@@ -114,7 +114,7 @@ fn structure_manager(options: &PhoenixOptions, routing_aware: bool) -> PassManag
 /// logical pipeline and decodes the skeleton into a [`StructureArtifact`].
 ///
 /// `cache` (when given) is threaded into the context so stage 2 can reuse
-/// per-group artifacts; `obs` instruments the run.
+/// per-shape group artifacts; `obs` instruments the run.
 pub(crate) fn compile_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],

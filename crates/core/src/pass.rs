@@ -102,14 +102,14 @@ pub struct CompileContext {
     /// router attempts, ...). The manager drains them into that pass's span
     /// after it finishes.
     pub spans: Vec<Span>,
-    /// Shared parametric compilation cache. When set, stage 2 compiles each
-    /// group slot-encoded, caches the angle-independent skeleton keyed by
-    /// the group's canonical IR, and binds the real coefficients — reusing
-    /// the skeleton on the next compile of a structurally identical group.
-    /// `None` keeps the legacy uncached path, bit-for-bit.
+    /// Shared parametric compilation cache. When set, stage 2 looks up each
+    /// distinct group shape's artifact here before compiling it and inserts
+    /// the artifacts it compiles, so later compiles of any group of the same
+    /// shape, in any program, only bind. `None` compiles every shape for
+    /// this compile alone, with bit-for-bit the same output.
     pub cache: Option<Arc<phoenix_cache::CompileCache>>,
     /// Cooperative cancellation token. The manager checks it before every
-    /// pass and stage 2 checks it between groups; a fired token aborts the
+    /// pass and stage 2 once per greedy epoch; a fired token aborts the
     /// pipeline with a typed cancellation error. `None` costs one pointer
     /// check per boundary.
     pub cancel: Option<CancelToken>,
@@ -278,6 +278,16 @@ pub trait Pass {
     /// `true`.
     fn optional(&self) -> bool {
         false
+    }
+
+    /// Runs in place of [`Pass::run`] when the budget skips this
+    /// [`optional`](Pass::optional) pass. A pass that also changes the
+    /// circuit's representation (peephole lowers to `{1Q, CNOT}` before it
+    /// optimizes) does that part here, so only its optimization is dropped
+    /// and a budgeted compile stays in its target ISA. The default does
+    /// nothing.
+    fn run_skipped(&self, _ctx: &mut CompileContext) -> Result<(), PassError> {
+        Ok(())
     }
 }
 
@@ -534,7 +544,8 @@ impl PassManager {
     /// and surfaced as a [`PassError`] rather than unwinding through the
     /// caller. With a budget set ([`PassManager::with_budget`]), optional
     /// passes whose start time falls past the deadline are skipped and
-    /// recorded as `skipped` events in the trace.
+    /// recorded as `skipped` events in the trace; a skipped pass still
+    /// runs its [`Pass::run_skipped`] lowering.
     pub fn run(&self, ctx: &mut CompileContext) -> Result<PassTrace, PassError> {
         let mut trace = PassTrace::default();
         let t0 = Instant::now();
@@ -564,13 +575,14 @@ impl PassManager {
                     obs.metrics().incr(MetricId::PassesSkipped);
                 }
                 trace.events.append(&mut ctx.events);
+                run_contained(pass.name(), || pass.run_skipped(ctx))?;
                 continue;
             }
             let before = CircuitStats::of(&ctx.circuit);
             ctx.spans.clear();
             let span_start = ctx.obs.as_ref().map(|obs| obs.now_us());
             let start = Instant::now();
-            run_contained(pass.as_ref(), ctx)?;
+            run_contained(pass.name(), || pass.run(ctx))?;
             for observer in &self.observers {
                 observer.after_pass(pass.name(), ctx)?;
                 if observer.verifies() {
@@ -614,12 +626,11 @@ impl PassManager {
 /// [`PassError`] carrying the panic payload, so a bug deep inside a stage
 /// surfaces as a typed compile error at the API boundary instead of
 /// aborting the caller.
-fn run_contained(pass: &dyn Pass, ctx: &mut CompileContext) -> Result<(), PassError> {
-    let name = pass.name().to_string();
-    match panic::catch_unwind(AssertUnwindSafe(|| pass.run(ctx))) {
+fn run_contained(name: &str, run: impl FnOnce() -> Result<(), PassError>) -> Result<(), PassError> {
+    match panic::catch_unwind(AssertUnwindSafe(run)) {
         Ok(result) => result,
         Err(payload) => Err(PassError::new(
-            &name,
+            name,
             format!("panicked: {}", panic_message(payload.as_ref())),
         )),
     }

@@ -13,10 +13,12 @@
 //! | [`SnapshotLogicalPass`] | records the pre-routing logical circuit |
 //! | [`LayoutRoutePass`] | layout search + SABRE routing on the target device |
 //!
-//! [`SimplifySynthPass`] fans the independent per-group work out over scoped
-//! threads; results are written back by group index, so the output is
-//! bit-identical for any thread count.
+//! [`SimplifySynthPass`] compiles each distinct group shape once and binds
+//! every group from its shape's artifact, fanning the independent work out
+//! over scoped threads; results are written back by group index, so the
+//! output is bit-identical for any thread count.
 
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +30,7 @@ use phoenix_circuit::transform::{
 use phoenix_circuit::Circuit;
 use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId};
 use phoenix_obs::{ObsCollector, Span};
-use phoenix_pauli::{CanonicalIr, PauliString};
+use phoenix_pauli::{GroupShape, PauliString};
 use phoenix_router::{route_with_attempt_log, RouterOptions};
 
 use crate::cancel::CancelToken;
@@ -69,12 +71,20 @@ impl Pass for GroupPass {
     }
 }
 
-/// Stage 2: per-group BSF simplification + synthesis.
+/// Stage 2: per-group BSF simplification + synthesis, compiled once per
+/// group shape.
 ///
-/// Groups are independent, so the pass distributes them over
-/// `threads` scoped OS threads (`0` = one per available core). Each worker
-/// writes into its own index-aligned slice of the result vector, making the
-/// output identical for every thread count.
+/// Groups whose rows coincide once each support is relabelled onto ranks
+/// `0…s−1` share a [`GroupShape`], and Algorithm 1 makes the same choices
+/// on all of them up to that relabelling (DESIGN.md §2.2.2). The pass
+/// therefore obtains one slot-encoded [`GroupArtifact`] per distinct shape
+/// — from the context's shared [`CompileCache`] when one is mounted and
+/// allowed, otherwise compiled for this compile alone — and binds every
+/// group from its shape's artifact, which is bit-for-bit the group's own
+/// compile. Shape leaders compile over `threads` workers (`0` = one per
+/// available core; the calling thread and scoped OS threads), and the binds
+/// fan out the same way; every worker writes index-aligned slots, so the
+/// output is identical for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplifySynthPass {
     /// Run Algorithm 1; when `false` each group is synthesized with
@@ -87,8 +97,9 @@ pub struct SimplifySynthPass {
     /// is identical for every value.
     pub scan_threads: usize,
     /// Test hook: force the group at this index to panic mid-optimization,
-    /// exercising the degradation path deterministically. Leave `None`
-    /// outside fault-injection tests.
+    /// exercising the degradation path deterministically. The group
+    /// compiles as a shape of its own, so exactly that group degrades.
+    /// Leave `None` outside fault-injection tests.
     pub fault_inject_group: Option<usize>,
 }
 
@@ -114,57 +125,110 @@ type CompiledGroup = (Circuit, Vec<(PauliString, f64)>);
 /// outcome class, and its span (`Some` only when instrumented).
 type GroupResult = (CompiledGroup, GroupOutcome, Option<Span>);
 
-/// Outcome of one optimized group-compilation attempt.
-enum Optimized {
-    /// Compiled successfully (with any instrumentation child spans).
-    Done(CompiledGroup, Vec<Span>),
-    /// The cancel token fired or the deadline elapsed mid-optimization;
-    /// the greedy loop was abandoned inside an epoch.
-    Interrupted,
-    /// Algorithm 1 or synthesis panicked (contained).
-    Panicked,
+/// A shape's artifact, or the outcome every group of the shape records
+/// when it falls back to conventional synthesis.
+type ShapeArtifact = Result<Arc<GroupArtifact>, GroupOutcome>;
+
+/// Maps `f` over `0..len` on up to `threads` workers, each carrying one
+/// `state` from `init` across a contiguous chunk of indices; the calling
+/// thread takes the first chunk and scoped threads the rest. Results come
+/// back in index order, so they are identical for every thread count.
+fn fan_out<S, R: Send>(
+    len: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    if threads <= 1 || len <= 1 {
+        let mut state = init();
+        return (0..len).map(|i| f(&mut state, i)).collect();
+    }
+    let chunk = len.div_ceil(threads);
+    let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    let work = &|c: usize, out: &mut [Option<R>]| {
+        let mut state = init();
+        for (j, slot) in out.iter_mut().enumerate() {
+            *slot = Some(f(&mut state, c * chunk + j));
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = slots.chunks_mut(chunk).enumerate();
+        let first = chunks.next();
+        for (c, out) in chunks {
+            scope.spawn(move || work(c, out));
+        }
+        if let Some((c, out)) = first {
+            work(c, out);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every chunk was processed"))
+        .collect()
 }
 
 impl SimplifySynthPass {
-    /// Compiles one group with the failure modes contained: a panic inside
-    /// Algorithm 1 or synthesis (reported as [`EVENT_DEGRADED`]) and an
-    /// elapsed optimization deadline (reported as [`EVENT_TRUNCATED`])
-    /// both fall back to the group's unsimplified conventional synthesis,
-    /// which is always available and semantically equivalent.
+    /// Compiles one shape's rank-space rows, slot-encoded, through
+    /// Algorithm 1 and synthesis, with the failure modes contained: a
+    /// panic (reported as [`EVENT_DEGRADED`]) and an elapsed optimization
+    /// deadline (reported as [`EVENT_TRUNCATED`]) both leave the shape
+    /// without an artifact, and its groups fall back to their unsimplified
+    /// conventional synthesis, which is always available and semantically
+    /// equivalent. A fired cancel token falls back silently: the result is
+    /// discarded at the next pass boundary anyway. The token and deadline
+    /// are polled once per greedy epoch, so even one pathological shape
+    /// (hundreds of wide rows take thousands of epochs) cannot stall a
+    /// cancellation for more than one epoch.
     ///
-    /// When `obs` is set, also returns the group's span (cat `group`, with
-    /// `candidate-scan`/`synthesize` children on the optimized path). Only
-    /// the timings depend on the run; names and args are deterministic.
-    /// Runs Algorithm 1 + synthesis on `terms` with the panic contained.
-    /// The cancel token and deadline are polled once per greedy epoch, so
-    /// even one pathological group (hundreds of wide terms take thousands
-    /// of epochs) cannot stall a cancellation for more than one epoch.
+    /// When `obs` is set, also returns the `candidate-scan`/`synthesize`
+    /// child spans of the leader's group span.
     #[allow(clippy::too_many_arguments)]
-    fn optimized(
+    fn compile_shape(
         &self,
         eval: &mut CostEvaluator,
-        n: usize,
-        terms: &[(PauliString, f64)],
+        shape: &GroupShape,
         opts: &SimplifyOptions,
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
         obs: Option<&ObsCollector>,
         fault: bool,
-    ) -> Optimized {
+    ) -> (Result<GroupArtifact, GroupOutcome>, Vec<Span>) {
+        let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
+        if cancel.is_some_and(|c| c.is_cancelled()) {
+            return (Err(None), Vec::new());
+        }
+        if past_deadline() {
+            return (Err(Some(EVENT_TRUNCATED)), Vec::new());
+        }
         let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
             if fault {
                 panic!("fault injection: forced panic");
             }
+            let terms: Vec<(PauliString, f64)> = shape
+                .strings()
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| (p, encode_slot(i)))
+                .collect();
             let scan_start = obs.map(|o| o.now_us());
-            let mut interrupted = || {
-                cancel.is_some_and(|c| c.is_cancelled())
-                    || deadline.is_some_and(|d| Instant::now() >= d)
-            };
+            let mut interrupted = || cancel.is_some_and(|c| c.is_cancelled()) || past_deadline();
             // Full breadth and no principal variation: the plain greedy loop.
-            let (s, _) =
-                simplify_terms_deepening(eval, n, terms, opts, usize::MAX, &[], &mut interrupted)?;
+            let (s, _) = simplify_terms_deepening(
+                eval,
+                shape.width(),
+                &terms,
+                opts,
+                usize::MAX,
+                &[],
+                &mut interrupted,
+            )?;
             let synth_start = obs.map(|o| o.now_us());
-            let circuit = synthesize_group(&s);
+            let artifact = GroupArtifact::from_slot_encoded(
+                terms.len(),
+                synthesize_group(&s),
+                &s.term_sequence(),
+            )
+            .expect("a slot-encoded skeleton decodes");
             let children = obs.map_or_else(Vec::new, |o| {
                 let mut scan = Span::new("candidate-scan", "stage2");
                 scan.start_us = scan_start.unwrap_or(0);
@@ -174,156 +238,45 @@ impl SimplifySynthPass {
                 synth.dur_us = o.now_us().saturating_sub(synth.start_us);
                 vec![scan, synth]
             });
-            Some(((circuit, s.term_sequence()), children))
+            Some((artifact, children))
         }));
         match attempt {
-            Ok(Some((result, children))) => Optimized::Done(result, children),
-            Ok(None) => Optimized::Interrupted,
-            Err(_) => Optimized::Panicked,
+            Ok(Some((artifact, children))) => (Ok(artifact), children),
+            // Interrupted mid-loop: past-deadline is reported as truncation,
+            // a fired cancel token stays silent.
+            Ok(None) => (Err(past_deadline().then_some(EVENT_TRUNCATED)), Vec::new()),
+            Err(_) => (Err(Some(EVENT_DEGRADED)), Vec::new()),
         }
     }
 
-    /// The cache-aware optimized path: look the group up by its canonical
-    /// IR; on a hit bind the real coefficients into the cached skeleton, on
-    /// a miss compile the group *slot-encoded*, cache the decoded artifact,
-    /// and bind. Both directions perform the exact float operations of the
-    /// uncached path (sign folding is negation, which is exact), so the
-    /// output is bit-for-bit identical. Propagates [`Optimized::Panicked`]
-    /// and [`Optimized::Interrupted`] exactly like
-    /// [`SimplifySynthPass::optimized`] — an interrupted slot-encoded
-    /// compile never inserts a partial artifact into the shared cache. The
-    /// returned flag is `true` on a cache hit.
+    /// Binds one group from its shape's artifact, or synthesizes it
+    /// conventionally when the shape has none, and builds its span (cat
+    /// `group`) when `obs` is set. `role` is the group's place in its shape
+    /// (`leader` or `bound`; `None` on the naive path), `cache` whether the
+    /// shape's shared-cache lookup hit, `children` and `start_us` the
+    /// leader's compile spans and start. Only the timings depend on the
+    /// run; names and args are deterministic.
     #[allow(clippy::too_many_arguments)]
-    fn compile_group_via_cache(
-        &self,
-        eval: &mut CostEvaluator,
-        n: usize,
-        group: &IrGroup,
-        opts: &SimplifyOptions,
-        cancel: Option<&CancelToken>,
-        obs: Option<&ObsCollector>,
-        cache: &CompileCache,
-    ) -> (Optimized, bool) {
-        let key = CanonicalIr::from_terms(n, group.terms());
-        let coeffs: Vec<f64> = group.terms().iter().map(|(_, c)| *c).collect();
-        let recompile = |eval: &mut CostEvaluator| {
-            self.optimized(eval, n, group.terms(), opts, None, cancel, obs, false)
-        };
-        if let Some(art) = cache.get_group(&key) {
-            let matches = art.num_qubits() == n
-                && art.terms().len() == group.terms().len()
-                && art
-                    .terms()
-                    .iter()
-                    .zip(group.terms())
-                    .all(|(a, (b, _))| a == b);
-            if matches {
-                if let Ok(bound) = art.bind(&coeffs) {
-                    if let Some(o) = obs {
-                        o.metrics().incr(MetricId::CacheGroupHits);
-                    }
-                    return (Optimized::Done(bound, Vec::new()), true);
-                }
-            }
-            // Digest collision or artifact mismatch: recompile below with
-            // the real coefficients and leave the incumbent entry alone.
-            return (recompile(eval), false);
-        }
-        if let Some(o) = obs {
-            o.metrics().incr(MetricId::CacheGroupMisses);
-        }
-        let slot_terms: Vec<(PauliString, f64)> = group
-            .terms()
-            .iter()
-            .enumerate()
-            .map(|(i, (p, _))| (p.clone(), encode_slot(i)))
-            .collect();
-        let ((skeleton, slot_order), children) =
-            match self.optimized(eval, n, &slot_terms, opts, None, cancel, obs, false) {
-                Optimized::Done(result, children) => (result, children),
-                other => return (other, false),
-            };
-        let strings: Vec<PauliString> = group.terms().iter().map(|(p, _)| p.clone()).collect();
-        let art = match GroupArtifact::from_slot_encoded(n, strings, skeleton, &slot_order) {
-            Ok(art) => cache.insert_group(key, Arc::new(art)),
-            // The skeleton is not rebindable (defensive: slot encoding
-            // makes this unreachable) — compile uncached instead.
-            Err(_) => return (recompile(eval), false),
-        };
-        match art.bind(&coeffs) {
-            Ok(bound) => (Optimized::Done(bound, children), false),
-            Err(_) => (recompile(eval), false),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compile_group(
-        &self,
-        eval: &mut CostEvaluator,
+    fn finish_group(
         n: usize,
         index: usize,
         group: &IrGroup,
-        opts: &SimplifyOptions,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
+        artifact: &ShapeArtifact,
+        role: Option<&'static str>,
+        cache: Option<bool>,
+        children: Vec<Span>,
+        start_us: Option<u64>,
         obs: Option<&ObsCollector>,
-        cache: Option<&CompileCache>,
     ) -> GroupResult {
-        let start_us = obs.map(|o| o.now_us());
-        let naive = || {
-            (
-                phoenix_circuit::synthesis::naive_circuit(n, group.terms()),
-                group.terms().to_vec(),
-            )
-        };
-        let fault = self.fault_inject_group;
-        // Caching composes only with the clean optimized path: fault
-        // injection and pass budgets must never leak artifacts into (or be
-        // masked by) the shared cache.
-        let usable_cache = cache.filter(|_| fault.is_none() && deadline.is_none());
-        // A mid-loop interruption degrades to naive synthesis exactly like
-        // the pre-group checks above it: past-deadline is reported as
-        // truncation, while a fired cancel token stays silent (the result
-        // is discarded at the next pass boundary anyway).
-        let interrupt_outcome = |deadline: Option<Instant>| -> GroupOutcome {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                Some(EVENT_TRUNCATED)
-            } else {
-                None
-            }
-        };
-        let (result, outcome, children, cached) = if !self.simplify {
-            (naive(), None, Vec::new(), None)
-        } else if cancel.is_some_and(|c| c.is_cancelled()) {
-            // The compilation is being abandoned: emit the cheapest valid
-            // form and let the manager abort at the next pass boundary
-            // (the result is discarded, so no fallback event is recorded).
-            (naive(), None, Vec::new(), None)
-        } else if deadline.is_some_and(|d| Instant::now() >= d) {
-            (naive(), Some(EVENT_TRUNCATED), Vec::new(), None)
-        } else if let Some(cache) = usable_cache {
-            match self.compile_group_via_cache(eval, n, group, opts, cancel, obs, cache) {
-                (Optimized::Done(result, children), hit) => (result, None, children, Some(hit)),
-                (Optimized::Interrupted, _) => {
-                    (naive(), interrupt_outcome(deadline), Vec::new(), None)
-                }
-                (Optimized::Panicked, _) => (naive(), Some(EVENT_DEGRADED), Vec::new(), None),
-            }
-        } else {
-            match self.optimized(
-                eval,
-                n,
-                group.terms(),
-                opts,
-                deadline,
-                cancel,
-                obs,
-                fault == Some(index),
-            ) {
-                Optimized::Done(result, children) => (result, None, children, None),
-                Optimized::Interrupted => (naive(), interrupt_outcome(deadline), Vec::new(), None),
-                Optimized::Panicked => (naive(), Some(EVENT_DEGRADED), Vec::new(), None),
-            }
+        let (result, outcome) = match artifact {
+            Ok(art) => (art.bind(n, &group.support(), group.terms()), None),
+            Err(outcome) => (
+                (
+                    phoenix_circuit::synthesis::naive_circuit(n, group.terms()),
+                    group.terms().to_vec(),
+                ),
+                *outcome,
+            ),
         };
         let span = obs.map(|o| {
             let cnot = result.0.counts().two_qubit() as u64;
@@ -336,15 +289,155 @@ impl SimplifySynthPass {
             if let Some(kind) = outcome {
                 s = s.arg("outcome", kind);
             }
-            if let Some(hit) = cached {
+            if let Some(hit) = cache {
                 s = s.arg("cache", if hit { "hit" } else { "miss" });
             }
-            s.start_us = start_us.unwrap_or(0);
+            if let Some(role) = role {
+                s = s.arg("shape", role);
+            }
+            s.start_us = start_us.unwrap_or_else(|| o.now_us());
             s.dur_us = o.now_us().saturating_sub(s.start_us);
             s.children = children;
             s
         });
         (result, outcome, span)
+    }
+
+    /// Compiles every group: one artifact per distinct shape, then one bind
+    /// per group. Shapes, shared-cache lookups and inserts are handled on
+    /// the coordinating thread in first-appearance order; the leader
+    /// compiles and the binds fan out over `threads` workers.
+    #[allow(clippy::too_many_arguments)]
+    fn compile_groups(
+        &self,
+        n: usize,
+        groups: &[IrGroup],
+        threads: usize,
+        opts: &SimplifyOptions,
+        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
+        obs: Option<&ObsCollector>,
+        cache: Option<&CompileCache>,
+    ) -> Vec<GroupResult> {
+        let fault = self.fault_inject_group;
+        // Shapes in first-appearance order; the first group of each leads
+        // it. The fault-injected group leads a shape of its own, never
+        // shared, so exactly that group degrades.
+        let keys: Vec<GroupShape> = groups
+            .iter()
+            .map(|g| GroupShape::from_terms(g.support_mask(), g.terms()))
+            .collect();
+        let mut index: HashMap<&GroupShape, usize> = HashMap::with_capacity(keys.len());
+        let mut leaders: Vec<usize> = Vec::new();
+        let mut shape_of: Vec<usize> = Vec::with_capacity(keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            let shape = if fault == Some(i) {
+                leaders.push(i);
+                leaders.len() - 1
+            } else {
+                *index.entry(key).or_insert_with(|| {
+                    leaders.push(i);
+                    leaders.len() - 1
+                })
+            };
+            shape_of.push(shape);
+        }
+
+        // Fault injection and pass budgets must never leak artifacts into
+        // (or be masked by) the shared cache: one lookup per shape.
+        let shared = cache.filter(|_| fault.is_none() && deadline.is_none());
+        let mut artifacts: Vec<Option<ShapeArtifact>> = Vec::with_capacity(leaders.len());
+        let mut lookups: Vec<Option<bool>> = Vec::with_capacity(leaders.len());
+        for &leader in &leaders {
+            let hit = shared.and_then(|c| c.get_group(&keys[leader]));
+            if let (Some(o), Some(_)) = (obs, shared) {
+                o.metrics().incr(if hit.is_some() {
+                    MetricId::CacheGroupHits
+                } else {
+                    MetricId::CacheGroupMisses
+                });
+            }
+            lookups.push(shared.map(|_| hit.is_some()));
+            artifacts.push(hit.map(Ok));
+        }
+
+        // Compile the missing shapes; each leader binds right after its
+        // compile, so its span covers both.
+        let todo: Vec<usize> = (0..leaders.len())
+            .filter(|&s| artifacts[s].is_none())
+            .collect();
+        let compiled = fan_out(todo.len(), threads, CostEvaluator::new, |eval, t| {
+            let shape = todo[t];
+            let leader = leaders[shape];
+            let start_us = obs.map(|o| o.now_us());
+            let (artifact, children) = self.compile_shape(
+                eval,
+                &keys[leader],
+                opts,
+                deadline,
+                cancel,
+                obs,
+                fault == Some(leader),
+            );
+            let artifact = artifact.map(Arc::new);
+            let result = Self::finish_group(
+                n,
+                leader,
+                &groups[leader],
+                &artifact,
+                Some("leader"),
+                lookups[shape],
+                children,
+                start_us,
+                obs,
+            );
+            (artifact, result)
+        });
+        let mut results: Vec<Option<GroupResult>> = (0..groups.len()).map(|_| None).collect();
+        for (&shape, (artifact, result)) in todo.iter().zip(compiled) {
+            let leader = leaders[shape];
+            // A partial artifact never exists: interrupted and panicked
+            // compiles come back as outcomes and are not inserted.
+            let artifact = match (artifact, shared) {
+                (Ok(art), Some(shared)) => Ok(shared.insert_group(keys[leader].clone(), art)),
+                (other, _) => other,
+            };
+            artifacts[shape] = Some(artifact);
+            results[leader] = Some(result);
+        }
+
+        // Bind every other group (and the leaders of cache hits).
+        let pending: Vec<usize> = (0..groups.len())
+            .filter(|&i| results[i].is_none())
+            .collect();
+        let bound = fan_out(
+            pending.len(),
+            threads,
+            || (),
+            |_, k| {
+                let i = pending[k];
+                let shape = shape_of[i];
+                let leader = leaders[shape] == i;
+                Self::finish_group(
+                    n,
+                    i,
+                    &groups[i],
+                    artifacts[shape].as_ref().expect("every shape was resolved"),
+                    Some(if leader { "leader" } else { "bound" }),
+                    if leader { lookups[shape] } else { None },
+                    Vec::new(),
+                    None,
+                    obs,
+                )
+            },
+        );
+        for (&i, result) in pending.iter().zip(bound) {
+            results[i] = Some(result);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every group was compiled or bound"))
+            .collect()
     }
 }
 
@@ -380,40 +473,27 @@ impl Pass for SimplifySynthPass {
             o.metrics()
                 .set_gauge(GaugeId::Stage2Threads, threads as i64);
         }
-        // Each worker carries one evaluator across its groups.
-        let results: Vec<GroupResult> = if threads <= 1 {
-            let mut eval = CostEvaluator::new();
-            groups
-                .iter()
-                .enumerate()
-                .map(|(i, g)| {
-                    self.compile_group(&mut eval, n, i, g, &opts, deadline, cancel, obs, cache)
-                })
-                .collect()
+        let results: Vec<GroupResult> = if self.simplify {
+            self.compile_groups(n, groups, threads, &opts, deadline, cancel, obs, cache)
         } else {
-            let mut slots: Vec<Option<GroupResult>> = vec![None; groups.len()];
-            let chunk = groups.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (c, (gs, out)) in groups
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        let mut eval = CostEvaluator::new();
-                        for (j, (g, slot)) in gs.iter().zip(out.iter_mut()).enumerate() {
-                            let i = c * chunk + j;
-                            *slot = Some(self.compile_group(
-                                &mut eval, n, i, g, &opts, deadline, cancel, obs, cache,
-                            ));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chunk was processed"))
-                .collect()
+            fan_out(
+                groups.len(),
+                threads,
+                || (),
+                |_, i| {
+                    Self::finish_group(
+                        n,
+                        i,
+                        &groups[i],
+                        &Err(None),
+                        None,
+                        None,
+                        Vec::new(),
+                        None,
+                        obs,
+                    )
+                },
+            )
         };
         // Events, spans and metrics are recorded in group-index order on
         // the coordinating thread, keeping every observability artifact
@@ -568,6 +648,9 @@ impl Pass for ConcatPass {
 pub struct TransformPass {
     transform: Box<dyn CircuitTransform>,
     optional: bool,
+    /// What still runs when the budget skips the pass: the transform's
+    /// representation change without its optimization.
+    lowering: Option<Box<dyn CircuitTransform>>,
 }
 
 impl std::fmt::Debug for TransformPass {
@@ -584,6 +667,7 @@ impl TransformPass {
         TransformPass {
             transform: Box::new(transform),
             optional: false,
+            lowering: None,
         }
     }
 
@@ -597,8 +681,14 @@ impl TransformPass {
     }
 
     /// The peephole-optimization pass (skippable under budget pressure).
+    /// Peephole lowers to `{1Q, CNOT}` before it optimizes, so a skipped
+    /// peephole still lowers ([`CnotLower`], which also expands SU(4)
+    /// blocks): the output stays in the CNOT ISA.
     pub fn peephole() -> Self {
-        TransformPass::new(Peephole).skippable()
+        TransformPass {
+            lowering: Some(Box::new(CnotLower)),
+            ..TransformPass::new(Peephole).skippable()
+        }
     }
 
     /// The SU(4)-rebase pass (required: later stages expect the SU(4)
@@ -631,6 +721,13 @@ impl Pass for TransformPass {
 
     fn optional(&self) -> bool {
         self.optional
+    }
+
+    fn run_skipped(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
+        if let Some(lowering) = &self.lowering {
+            ctx.circuit = lowering.apply(&ctx.circuit);
+        }
+        Ok(())
     }
 }
 
@@ -833,6 +930,43 @@ mod tests {
         assert_eq!(trace.events_of_kind(crate::pass::EVENT_SKIPPED).len(), 1);
         // Emitted terms are still a permutation of the input.
         assert_eq!(ctx.term_order.len(), t.len());
+    }
+
+    #[test]
+    fn skipped_peephole_still_lowers_to_cnots() {
+        use phoenix_circuit::{rebase, Gate};
+        use phoenix_pauli::{Clifford2Q, Clifford2QKind, Pauli};
+
+        let mut c = Circuit::new(3);
+        c.push(Gate::Clifford2(Clifford2Q::new(Clifford2QKind::Cxy, 0, 1)));
+        c.push(Gate::PauliRot2 {
+            a: 1,
+            b: 2,
+            pa: Pauli::Y,
+            pb: Pauli::Z,
+            theta: 0.3,
+        });
+        let mut fused = Circuit::new(3);
+        fused.push(Gate::Cnot(0, 2));
+        fused.push(Gate::Rz(2, 0.7));
+        fused.push(Gate::Cnot(0, 2));
+        c.append(&rebase::to_su4(&fused));
+        let before = c.counts();
+        assert!(before.clifford2 > 0 && before.pauli_rot2 > 0 && before.su4 > 0);
+
+        let mut ctx = CompileContext::from_circuit(c.clone());
+        let trace = PassManager::new()
+            .with(TransformPass::peephole())
+            .with_budget(std::time::Duration::ZERO)
+            .run(&mut ctx)
+            .unwrap();
+        assert_eq!(trace.events_of_kind(crate::pass::EVENT_SKIPPED).len(), 1);
+        assert!(trace.passes.is_empty(), "the optimization did not run");
+        let k = ctx.circuit.counts();
+        assert_eq!(k.cnot, k.two_qubit(), "only CNOTs remain: {k:?}");
+        assert_eq!(k.total, k.oneq + k.cnot);
+        // Exactly the lowering, with no optimization on top.
+        assert_eq!(ctx.circuit, c.lower_to_cnot());
     }
 
     #[test]

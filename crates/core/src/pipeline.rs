@@ -186,8 +186,10 @@ pub fn hardware_backend(router: &RouterOptions, layout_trials: usize) -> PassMan
 /// native ISA — nothing for [`NativeIsa::Cnot`], an SU(4) rebase for
 /// [`NativeIsa::Su4`], and rebase + KAK resynthesis + peephole for
 /// [`NativeIsa::CnotViaKak`]. The rebase passes are *required* (not
-/// budget-skippable), so the native-ISA guarantee survives `pass_budget`
-/// truncation exactly as it does for the logical ISA targets.
+/// budget-skippable), and a budget-skipped peephole still lowers to
+/// `{1Q, CNOT}` ([`Pass::run_skipped`](crate::pass::Pass::run_skipped)), so
+/// the native-ISA guarantee survives `pass_budget` truncation exactly as it
+/// does for the logical ISA targets.
 pub fn device_backend(
     device: &Device,
     router: &RouterOptions,

@@ -149,7 +149,7 @@ impl CompileRequest {
     /// With a cache attached, [`CompileRequest::run`] splits into a
     /// structure phase (memoized in the cache, keyed by the Zobrist digest
     /// of the angle-erased canonical IR) and an angle-binding phase, and
-    /// stage 2 additionally reuses per-group artifacts. Outputs are
+    /// stage 2 additionally reuses per-shape group artifacts. Outputs are
     /// bit-for-bit identical to the uncached path. Requests carrying a pass
     /// budget or verification fall back to the legacy path — time-boxed or
     /// verifier-audited runs must not be served from (or leak into) a

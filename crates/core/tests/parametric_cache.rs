@@ -217,6 +217,50 @@ fn group_cache_is_shared_across_programs() {
 }
 
 #[test]
+fn group_cache_is_shared_across_relabelled_programs() {
+    // The second program's groups are the first's placed on other qubits
+    // in the same order (and with other coefficients): every one of its
+    // group shapes hits, and it still equals its own cold compile.
+    let a: Vec<(PauliString, f64)> = terms(&[
+        "ZYYIII", "ZZYIII", "XYYIII", "XZYIII", "IIIZZI", "IIIXXI", "IIIYZI",
+    ]);
+    let b: Vec<(PauliString, f64)> = [
+        "IZIYIY", "IZIZIY", "IXIYIY", "IXIZIY", "ZIIIZI", "XIIIXI", "YIIIZI",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, l)| (l.parse().unwrap(), -0.021 * (i + 2) as f64))
+    .collect();
+    let cache = Arc::new(CompileCache::new());
+    let _ = CompileRequest::new(6, &a)
+        .target(Target::Cnot)
+        .cache(&cache)
+        .run()
+        .unwrap();
+    let before = cache.stats();
+    assert_eq!((before.group_hits, before.group_misses), (0, 2));
+    let out_b = CompileRequest::new(6, &b)
+        .target(Target::Cnot)
+        .cache(&cache)
+        .run()
+        .unwrap();
+    let after = cache.stats();
+    assert_eq!(
+        after.program_misses, 2,
+        "a relabelled program is a new program"
+    );
+    assert_eq!(after.group_hits - before.group_hits, 2, "stats: {after:?}");
+    assert_eq!(after.group_misses, before.group_misses, "stats: {after:?}");
+    assert_eq!(cache.num_groups(), 2);
+    let cold_b = CompileRequest::new(6, &b)
+        .target(Target::Cnot)
+        .run()
+        .unwrap();
+    assert_eq!(out_b.circuit, cold_b.circuit);
+    assert_eq!(out_b.term_order, cold_b.term_order);
+}
+
+#[test]
 fn obs_report_carries_cache_counters_and_bind_span() {
     let t = terms(PROGRAM);
     let cache = Arc::new(CompileCache::new());

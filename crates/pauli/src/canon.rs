@@ -27,6 +27,11 @@
 //! Digest equality is *not* trusted: [`CanonicalIr::eq`] compares the full
 //! mask sequence, so a hash collision can only cause a spurious cache miss,
 //! never a wrong hit.
+//!
+//! Stage 2 keys each IR group by a [`GroupShape`]: the group's ordered
+//! masks relabelled onto its support ranks, so groups that differ only by
+//! an order-preserving qubit relabelling (and their coefficients) share one
+//! key. Its equality, too, compares every mask word.
 
 use crate::mask::{QubitMask, WORD_BITS};
 use crate::PauliString;
@@ -78,7 +83,7 @@ fn chunk_tables(c: usize) -> &'static TableChunk {
 }
 
 /// The Zobrist `u64` for Pauli site `(qubit, idx)` with `X=0, Y=1, Z=2`.
-#[inline]
+#[cfg(test)]
 fn site(q: usize, idx: usize) -> u64 {
     chunk_tables(q / CHUNK_QUBITS)[q % CHUNK_QUBITS][idx]
 }
@@ -99,12 +104,20 @@ fn mix(mut h: u64) -> u64 {
 /// `trailing_zeros` loop per 64-qubit word). The identity string hashes to
 /// zero.
 pub fn term_hash(p: &PauliString) -> u64 {
+    // A word's 64 qubits never straddle two table chunks, so each nonzero
+    // word takes the chunk lock once rather than once per site.
+    const _: () = assert!(CHUNK_QUBITS.is_multiple_of(WORD_BITS));
     let mut h = 0u64;
     let (x, z) = (p.x_mask(), p.z_mask());
     let nwords = x.words().len().max(z.words().len());
     for wi in 0..nwords {
         let (xw, zw) = (x.word(wi), z.word(wi));
         let mut support = xw | zw;
+        if support == 0 {
+            continue;
+        }
+        let q0 = wi * WORD_BITS;
+        let table = chunk_tables(q0 / CHUNK_QUBITS);
         while support != 0 {
             let b = support.trailing_zeros() as usize;
             support &= support - 1;
@@ -115,7 +128,7 @@ pub fn term_hash(p: &PauliString) -> u64 {
                 (false, true) => 2,
                 (false, false) => unreachable!("bit came from the support mask"),
             };
-            h ^= site(wi * WORD_BITS + b, idx);
+            h ^= table[q0 % CHUNK_QUBITS + b][idx];
         }
     }
     h
@@ -254,6 +267,127 @@ impl Hash for CanonicalIr {
     }
 }
 
+/// The relabelling-invariant key of one IR group: every row's `(x, z)`
+/// masks moved onto the group's support ranks `0…s−1` (support qubits in
+/// ascending order), row order kept, coefficients dropped.
+///
+/// Algorithm 1 reads only the ordered row masks, and every tie-break it
+/// makes follows row order or ascending qubit order, so two groups of equal
+/// shape get the same choices up to the order-preserving map
+/// `rank → support[rank]` (DESIGN.md §2.2.2). One compile over `s` qubits
+/// therefore serves every group of the shape.
+///
+/// `Hash` writes only a precomputed digest; `Eq` compares the width and
+/// every mask word, so a digest collision can never produce a wrong hit.
+///
+/// # Examples
+///
+/// ```
+/// use phoenix_pauli::canon::GroupShape;
+/// use phoenix_pauli::{PauliString, QubitMask};
+///
+/// let group = |labels: &[&str], c: f64| -> Vec<(PauliString, f64)> {
+///     labels.iter().map(|l| (l.parse().unwrap(), c)).collect()
+/// };
+/// // Qubits {0, 2} and {1, 3}: the same rows after relabelling.
+/// let a = GroupShape::from_terms(&QubitMask::from_u128(0b0101), &group(&["XIZI", "YIYI"], 0.5));
+/// let b = GroupShape::from_terms(&QubitMask::from_u128(0b1010), &group(&["IXIZ", "IYIY"], -2.0));
+/// assert_eq!(a, b);
+/// assert_eq!(a.width(), 2);
+/// assert_eq!(a.strings(), ["XZ".parse().unwrap(), "YY".parse().unwrap()]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct GroupShape {
+    width: usize,
+    rows: usize,
+    /// Per row: `width.div_ceil(64)` rank-space X words, then as many Z words.
+    words: Vec<u64>,
+    digest: u64,
+}
+
+impl GroupShape {
+    /// Keys `terms`, all of which act inside `support`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term acts on a qubit outside `support`.
+    pub fn from_terms(support: &QubitMask, terms: &[(PauliString, f64)]) -> Self {
+        let width = support.count_ones() as usize;
+        let wpr = width.div_ceil(WORD_BITS);
+        let mut words = vec![0u64; 2 * wpr * terms.len()];
+        for (i, (p, _)) in terms.iter().enumerate() {
+            let row = &mut words[2 * wpr * i..2 * wpr * (i + 1)];
+            let (xs, zs) = row.split_at_mut(wpr);
+            let (x, z) = (p.x_mask(), p.z_mask());
+            let nwords = x.words().len().max(z.words().len());
+            let mut rank = 0usize;
+            for wi in 0..nwords.max(support.words().len()) {
+                let (sw, xw, zw) = (support.word(wi), x.word(wi), z.word(wi));
+                assert_eq!((xw | zw) & !sw, 0, "term acts outside the group support");
+                // Software `pext`: the support bits of this word, in order,
+                // land on the next ranks.
+                let mut bits = sw;
+                while bits != 0 {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let (w, r) = (rank / WORD_BITS, rank % WORD_BITS);
+                    xs[w] |= (xw >> b & 1) << r;
+                    zs[w] |= (zw >> b & 1) << r;
+                    rank += 1;
+                }
+            }
+        }
+        let mut h = mix(((width as u64) << 32) ^ terms.len() as u64);
+        for &w in &words {
+            h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        GroupShape {
+            width,
+            rows: terms.len(),
+            words,
+            digest: mix(h),
+        }
+    }
+
+    /// Number of support qubits `s` (the rank-space register width).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The rank-space rows as `s`-qubit strings, in row order.
+    pub fn strings(&self) -> Vec<PauliString> {
+        let wpr = self.width.div_ceil(WORD_BITS);
+        (0..self.rows)
+            .map(|i| {
+                let row = &self.words[2 * wpr * i..2 * wpr * (i + 1)];
+                let (x, z) = row.split_at(wpr);
+                PauliString::from_packed(
+                    self.width,
+                    QubitMask::from_words(x.to_vec()),
+                    QubitMask::from_words(z.to_vec()),
+                )
+            })
+            .collect()
+    }
+}
+
+impl PartialEq for GroupShape {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest
+            && self.width == other.width
+            && self.rows == other.rows
+            && self.words == other.words
+    }
+}
+
+impl Eq for GroupShape {}
+
+impl Hash for GroupShape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,5 +519,76 @@ mod tests {
         assert_eq!(acc, before);
         assert!(!acc.is_empty());
         assert_eq!(acc.len(), 1);
+    }
+
+    /// The shape of `labels` (all on one support) with coefficients `c`.
+    fn shape(labels: &[&str], c: f64) -> GroupShape {
+        let t: Vec<(PauliString, f64)> = labels.iter().map(|l| (ps(l), c)).collect();
+        let mut support = QubitMask::zeros(t[0].0.num_qubits());
+        for (p, _) in &t {
+            support.or_with(&p.support_mask());
+        }
+        GroupShape::from_terms(&support, &t)
+    }
+
+    #[test]
+    fn group_shape_is_coefficient_blind() {
+        let a = shape(&["XZI", "YYI"], 0.25);
+        let b = shape(&["XZI", "YYI"], -0.0);
+        assert_eq!(a, b);
+        assert_eq!(a.digest, b.digest);
+    }
+
+    #[test]
+    fn group_shape_is_relabel_invariant() {
+        // Any order-preserving placement of the same rows keys the same.
+        let narrow = shape(&["XZY", "ZIX", "YYI"], 1.0);
+        assert_eq!(shape(&["IXIZYI", "IZIIXI", "IYIYII"], 2.0), narrow);
+        // Across inline words, heap words and both word seams.
+        let sites = [63, 64, 199];
+        let wide = |labels: &[&str]| -> GroupShape {
+            let t: Vec<(PauliString, f64)> = labels
+                .iter()
+                .map(|l| (ps(l).embed(200, &sites), 0.5))
+                .collect();
+            let support = t.iter().fold(QubitMask::zeros(200), |mut m, (p, _)| {
+                m.or_with(&p.support_mask());
+                m
+            });
+            GroupShape::from_terms(&support, &t)
+        };
+        let w = wide(&["XZY", "ZIX", "YYI"]);
+        assert_eq!(w, narrow);
+        assert_eq!(w.digest, narrow.digest);
+        assert_eq!(w.width(), 3);
+        let back: Vec<PauliString> = w.strings().iter().map(|p| p.embed(200, &sites)).collect();
+        assert_eq!(back[0], ps("XZY").embed(200, &sites));
+        assert_eq!(back[2], ps("YYI").embed(200, &sites));
+    }
+
+    #[test]
+    fn group_shape_sees_row_order_and_letters() {
+        let ab = shape(&["XZ", "ZX"], 1.0);
+        assert_ne!(ab, shape(&["ZX", "XZ"], 1.0));
+        assert_ne!(ab, shape(&["XZ", "ZY"], 1.0));
+        assert_ne!(ab, shape(&["XZ"], 1.0));
+        assert_ne!(ab, shape(&["XZ", "ZX", "ZX"], 1.0));
+        // The relabelling keeps qubit order: swapping two qubits gives a
+        // different shape.
+        assert_ne!(shape(&["XZ", "YI"], 1.0), shape(&["ZX", "IY"], 1.0));
+    }
+
+    #[test]
+    fn group_shape_equality_compares_full_masks() {
+        let a = shape(&["XZ", "YY"], 1.0);
+        let mut forged = shape(&["XZ", "YZ"], 1.0);
+        forged.digest = a.digest;
+        assert_ne!(a, forged, "a shared digest must not make shapes equal");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the group support")]
+    fn group_shape_rejects_terms_off_the_support() {
+        GroupShape::from_terms(&QubitMask::from_u128(0b01), &[(ps("XX"), 1.0)]);
     }
 }

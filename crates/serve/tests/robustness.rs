@@ -59,6 +59,14 @@ fn status(reply: &Value) -> &str {
     reply.get("status").and_then(Value::as_str).unwrap_or("")
 }
 
+/// A budgeted CNOT-target reply stays in the CNOT ISA: every 2Q gate is a
+/// CNOT, whichever pass the deadline cut short.
+fn assert_cnot_isa(reply: &Value) {
+    let count = |k: &str| reply.get(k).and_then(Value::as_u64);
+    assert!(count("cnot").is_some(), "reply: {reply:?}");
+    assert_eq!(count("cnot"), count("two_qubit"), "reply: {reply:?}");
+}
+
 #[test]
 fn compile_round_trip_reports_metrics_and_cache_hits() {
     let (handle, addr, join) = start_server(ServerConfig::default());
@@ -311,6 +319,8 @@ fn tiered_deadlines_trade_latency_for_quality() {
         .unwrap();
     assert_eq!(status(&fast), "ok", "reply: {fast:?}");
     assert_eq!(status(&slow), "ok", "reply: {slow:?}");
+    assert_cnot_isa(&fast);
+    assert_cnot_isa(&slow);
     let depth = |r: &Value| r.get("depth_reached").and_then(Value::as_u64).unwrap();
     let cost = |r: &Value| {
         (
@@ -362,6 +372,7 @@ fn cancelling_mid_deepening_returns_the_best_so_far() {
         "reply: {reply:?}"
     );
     assert!(reply.get("gates").and_then(Value::as_u64).unwrap() > 0);
+    assert_cnot_isa(&reply);
     handle.shutdown();
     let report = join.join().unwrap();
     assert_eq!(report.admitted, 1);
