@@ -753,7 +753,8 @@ impl Pass for SnapshotLogicalPass {
 pub struct LayoutRoutePass {
     /// SABRE tuning knobs.
     pub router: RouterOptions,
-    /// Random-restart trials of the layout search.
+    /// Forward/backward refinement rounds of the layout search
+    /// (deterministic; see `phoenix_router::search_layout`).
     pub layout_trials: usize,
 }
 

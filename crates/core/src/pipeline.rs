@@ -45,7 +45,8 @@ pub struct PhoenixOptions {
     pub enable_ordering: bool,
     /// SABRE router tuning used by the hardware-aware back end.
     pub router: RouterOptions,
-    /// Random-restart trials of the initial-layout search.
+    /// Forward/backward refinement rounds of the initial-layout search
+    /// (deterministic; see `phoenix_router::search_layout`).
     pub layout_trials: usize,
     /// Worker threads for the per-group simplification+synthesis stage
     /// (`0` = one per available core, `1` = sequential). The output is

@@ -25,8 +25,5 @@ mod place;
 mod sabre;
 
 pub use layout::Layout;
-pub use place::{
-    greedy_layout, route_with_attempt_log, route_with_retry, search_layout, RouteAttempt,
-    RouteRetry,
-};
+pub use place::{greedy_layout, route_with_attempt_log, search_layout, RouteAttempt};
 pub use sabre::{route, try_route, RouteError, RoutedCircuit, RouterOptions};

@@ -6,7 +6,8 @@
 //! (each pass routes the circuit, adopts the final layout, and routes the
 //! reversed circuit back).
 
-use crate::{try_route, Layout, RouteError, RoutedCircuit, RouterOptions};
+use crate::sabre::{route_tables, Tables};
+use crate::{Layout, RouteError, RoutedCircuit, RouterOptions};
 use phoenix_circuit::Circuit;
 use phoenix_topology::CouplingGraph;
 use std::collections::BTreeMap;
@@ -28,6 +29,15 @@ pub fn greedy_layout(circuit: &Circuit, device: &CouplingGraph) -> Layout {
             *w.entry((a.min(b), a.max(b))).or_insert(0.0) += 1.0;
             strength[a] += 1.0;
             strength[b] += 1.0;
+        }
+    }
+    // Each qubit's weighted partners in the map's key order, so every
+    // placement cost sums the same terms in the same order as a map scan.
+    let mut partners: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_log];
+    for (&(a, b), &weight) in &w {
+        partners[a].push((b, weight));
+        if b != a {
+            partners[b].push((a, weight));
         }
     }
     let mut order: Vec<usize> = (0..n_log).collect();
@@ -53,14 +63,7 @@ pub fn greedy_layout(circuit: &Circuit, device: &CouplingGraph) -> Layout {
             let mut best_cost = f64::INFINITY;
             for (pos, &p) in free.iter().enumerate() {
                 let mut cost = 0.0;
-                for (&(a, b), &weight) in &w {
-                    let partner = if a == l {
-                        b
-                    } else if b == l {
-                        a
-                    } else {
-                        continue;
-                    };
+                for &(partner, weight) in &partners[l] {
                     if assignment[partner] != usize::MAX {
                         cost += weight * device.distance(p, assignment[partner]) as f64;
                     }
@@ -81,10 +84,11 @@ pub fn greedy_layout(circuit: &Circuit, device: &CouplingGraph) -> Layout {
 /// forward and backward `iters` times, adopting final layouts, and return
 /// the layout that produced the fewest forward swaps.
 ///
-/// Candidates whose trial routing fails (e.g. the SWAP budget runs out on
-/// a pathological instance) are skipped rather than aborting the search;
-/// if every candidate fails the greedy seed is returned and the caller's
-/// own routing attempt surfaces the error.
+/// The search stops at the first trial routing that fails (e.g. the SWAP
+/// budget runs out on a pathological instance) and returns the best layout
+/// so far, or the greedy seed if no trial succeeded; the caller's own
+/// routing attempt then surfaces the error. It also stops once a forward
+/// routing needs no SWAP, since no later trial can beat it.
 pub fn search_layout(
     circuit: &Circuit,
     device: &CouplingGraph,
@@ -92,45 +96,50 @@ pub fn search_layout(
     iters: usize,
 ) -> Layout {
     let lowered = circuit.lower_to_cnot();
-    let reversed = Circuit::from_gates(
-        lowered.num_qubits(),
-        lowered.gates().iter().rev().cloned().collect(),
-    );
-    let seed = greedy_layout(&lowered, device);
-    let mut current = seed.clone();
-    let mut best = seed.clone();
-    let mut best_swaps = usize::MAX;
-    for _ in 0..iters.max(1) {
-        let fwd = match try_route(&lowered, device, current.clone(), opts) {
-            Ok(r) => r,
-            Err(_) => return if best_swaps == usize::MAX { seed } else { best },
-        };
-        if fwd.num_swaps < best_swaps {
-            best_swaps = fwd.num_swaps;
-            best = current.clone();
-        }
-        match try_route(&reversed, device, fwd.final_layout, opts) {
-            Ok(bwd) => current = bwd.final_layout,
-            Err(_) => return best,
-        }
+    let forward = Tables::new(&lowered, false);
+    match search(&lowered, &forward, device, opts, iters) {
+        Ok(routed) => routed.initial_layout,
+        Err((seed, _)) => seed,
     }
-    // Final check on the last candidate.
-    if let Ok(fwd) = try_route(&lowered, device, current.clone(), opts) {
-        if fwd.num_swaps < best_swaps {
-            best = current;
-        }
-    }
-    best
 }
 
-/// One abandoned routing attempt inside [`route_with_retry`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteRetry {
-    /// Which layout strategy was tried (`"searched"`, `"greedy-seed"`,
-    /// `"trivial"`).
-    pub strategy: &'static str,
-    /// Why the attempt was abandoned.
-    pub error: RouteError,
+/// The refinement behind [`search_layout`], on the forward tables of
+/// `lowered`. Returns the best forward routing, whose initial layout is
+/// the chosen one; or, when routing the greedy seed already fails, the
+/// seed and that error.
+fn search(
+    lowered: &Circuit,
+    forward: &Tables,
+    device: &CouplingGraph,
+    opts: &RouterOptions,
+    iters: usize,
+) -> Result<RoutedCircuit, (Layout, RouteError)> {
+    let route_forward =
+        |layout: Layout| route_tables(forward, Some(lowered.gates()), device, layout, opts);
+    let seed = greedy_layout(lowered, device);
+    let mut best = match route_forward(seed.clone()) {
+        Ok(routed) => routed,
+        Err(error) => return Err((seed, error)),
+    };
+    let mut backward = None;
+    let mut reached = best.final_layout.clone();
+    for _ in 0..iters.max(1) {
+        if best.num_swaps == 0 {
+            break;
+        }
+        let backward = backward.get_or_insert_with(|| Tables::new(lowered, true));
+        let Ok(back) = route_tables(backward, None, device, reached, opts) else {
+            break;
+        };
+        let Ok(fwd) = route_forward(back.final_layout) else {
+            break;
+        };
+        reached = fwd.final_layout.clone();
+        if fwd.num_swaps < best.num_swaps {
+            best = fwd;
+        }
+    }
+    Ok(best)
 }
 
 /// One routing attempt of the retry ladder, timed: the instrumentation
@@ -151,17 +160,35 @@ pub struct RouteAttempt {
     pub error: Option<RouteError>,
 }
 
+impl RouteAttempt {
+    /// The attempt that started at `t0` and just ended with `result`.
+    fn record(
+        strategy: &'static str,
+        t0: Instant,
+        result: &Result<RoutedCircuit, RouteError>,
+    ) -> Self {
+        RouteAttempt {
+            strategy,
+            micros: t0.elapsed().as_micros() as u64,
+            swaps: result.as_ref().ok().map(|r| r.num_swaps),
+            error: result.as_ref().err().cloned(),
+        }
+    }
+}
+
 /// Routing with a graceful-degradation ladder instead of a panic: try the
-/// refined [`search_layout`] placement first, then the plain greedy seed
-/// (an alternate starting point that often escapes a budget blow-up), and
-/// finally the trivial layout with a quadrupled SWAP budget. Returns the
-/// first success together with a per-attempt log (the last entry is the
-/// successful one), or the last error when even the trivial fallback fails
-/// (the instance is genuinely unroutable, e.g. a disconnected device
+/// refined [`search_layout`] placement first, then the plain greedy seed,
+/// and finally the trivial layout with a quadrupled SWAP budget. Returns
+/// the first success together with a per-attempt log (the last entry is
+/// the successful one), or the last error when even the trivial fallback
+/// fails (the instance is genuinely unroutable, e.g. a disconnected device
 /// region).
 ///
-/// Layouts are constructed lazily per attempt, so the log's timings
-/// attribute layout-search cost to the attempt that paid it.
+/// The searched attempt returns the search's own routing of the layout it
+/// chose. It fails only when routing the greedy seed fails, so the
+/// greedy-seed attempt records that error without routing the seed again.
+/// The log's timings attribute layout-search cost to the attempt that paid
+/// it.
 pub fn route_with_attempt_log(
     circuit: &Circuit,
     device: &CouplingGraph,
@@ -177,65 +204,34 @@ pub fn route_with_attempt_log(
             physical: n_phys,
         });
     }
+    let forward = Tables::new(&lowered, false);
     let mut relaxed = opts.clone();
-    relaxed.max_swaps = opts
-        .swap_budget(lowered.counts().two_qubit(), n_phys)
-        .saturating_mul(4);
-    let mut attempts = Vec::new();
-    let mut last_err = None;
-    for strategy in ["searched", "greedy-seed", "trivial"] {
-        let t0 = Instant::now();
-        let (layout, o) = match strategy {
-            "searched" => (search_layout(&lowered, device, opts, layout_trials), opts),
-            "greedy-seed" => (greedy_layout(&lowered, device), opts),
-            _ => (Layout::trivial(n_log, n_phys), &relaxed),
-        };
-        let result = try_route(&lowered, device, layout, o);
-        let micros = t0.elapsed().as_micros() as u64;
-        match result {
-            Ok(routed) => {
-                attempts.push(RouteAttempt {
-                    strategy,
-                    micros,
-                    swaps: Some(routed.num_swaps),
-                    error: None,
-                });
-                return Ok((routed, attempts));
-            }
-            Err(error) => {
-                attempts.push(RouteAttempt {
-                    strategy,
-                    micros,
-                    swaps: None,
-                    error: Some(error.clone()),
-                });
-                last_err = Some(error);
-            }
-        }
-    }
-    Err(last_err.expect("all three attempts recorded an error"))
-}
+    relaxed.max_swaps = opts.swap_budget(forward.num_2q(), n_phys).saturating_mul(4);
 
-/// [`route_with_attempt_log`] reduced to the legacy shape: the first
-/// success plus the *abandoned* attempts only.
-pub fn route_with_retry(
-    circuit: &Circuit,
-    device: &CouplingGraph,
-    opts: &RouterOptions,
-    layout_trials: usize,
-) -> Result<(RoutedCircuit, Vec<RouteRetry>), RouteError> {
-    route_with_attempt_log(circuit, device, opts, layout_trials).map(|(routed, attempts)| {
-        let retries = attempts
-            .into_iter()
-            .filter_map(|a| {
-                a.error.map(|error| RouteRetry {
-                    strategy: a.strategy,
-                    error,
-                })
-            })
-            .collect();
-        (routed, retries)
-    })
+    let t0 = Instant::now();
+    let searched = search(&lowered, &forward, device, opts, layout_trials).map_err(|(_, e)| e);
+    let mut attempts = vec![RouteAttempt::record("searched", t0, &searched)];
+    if let Ok(routed) = searched {
+        return Ok((routed, attempts));
+    }
+    // The search failed routing the greedy seed under `opts`, which is
+    // exactly the greedy-seed attempt.
+    attempts.push(RouteAttempt::record(
+        "greedy-seed",
+        Instant::now(),
+        &searched,
+    ));
+
+    let t0 = Instant::now();
+    let trivial = route_tables(
+        &forward,
+        Some(lowered.gates()),
+        device,
+        Layout::trivial(n_log, n_phys),
+        &relaxed,
+    );
+    attempts.push(RouteAttempt::record("trivial", t0, &trivial));
+    trivial.map(|routed| (routed, attempts))
 }
 
 #[cfg(test)]
@@ -293,9 +289,12 @@ mod tests {
     fn retry_ladder_succeeds_on_a_routable_program() {
         let c = program(5, &[(0, 4), (1, 3), (0, 2)]);
         let dev = CouplingGraph::line(5);
-        let (routed, retries) =
-            route_with_retry(&c, &dev, &RouterOptions::default(), 2).expect("routable");
-        assert!(retries.is_empty(), "first attempt should succeed");
+        let (routed, attempts) =
+            route_with_attempt_log(&c, &dev, &RouterOptions::default(), 2).expect("routable");
+        assert!(
+            attempts.iter().all(|a| a.error.is_none()),
+            "first attempt should succeed"
+        );
         assert!(routed.circuit.len() >= c.len());
     }
 
@@ -310,8 +309,11 @@ mod tests {
             max_swaps: 1,
             ..RouterOptions::default()
         };
-        match route_with_retry(&c, &dev, &opts, 1) {
-            Ok((_, retries)) => assert!(!retries.is_empty(), "must have retried"),
+        match route_with_attempt_log(&c, &dev, &opts, 1) {
+            Ok((_, attempts)) => assert!(
+                attempts.iter().any(|a| a.error.is_some()),
+                "must have retried"
+            ),
             Err(RouteError::SwapBudgetExceeded { .. }) => {}
             Err(e) => panic!("unexpected error {e}"),
         }
@@ -324,7 +326,7 @@ mod tests {
         // layout can route the whole program.
         let c = program(3, &[(0, 1), (1, 2), (0, 2)]);
         let dev = CouplingGraph::from_edges(3, [(0, 1)]);
-        let err = route_with_retry(&c, &dev, &RouterOptions::default(), 1)
+        let err = route_with_attempt_log(&c, &dev, &RouterOptions::default(), 1)
             .expect_err("disconnected region is unroutable");
         assert!(matches!(
             err,

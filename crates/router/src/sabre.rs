@@ -1,4 +1,13 @@
 //! The SABRE-style swap router.
+//!
+//! A routing costs time in proportion to the gates it emits and the SWAP
+//! candidates it scores. The lowered circuit is read once into [`Tables`],
+//! which a layout search shares across all its routings; the drain visits
+//! only the queue positions that can run a gate; the lookahead set is a
+//! slice of the 2Q gates; and a candidate SWAP is scored from the distances
+//! of the pairs that touch the two qubits it moves. Every output, float
+//! ties included, equals a full rescan's: `tests/sabre_equivalence.rs`
+//! compares the two (DESIGN.md §2.5.1).
 
 use crate::Layout;
 use phoenix_circuit::{Circuit, Gate};
@@ -74,6 +83,14 @@ pub enum RouteError {
         /// Logical qubits of the circuit.
         circuit: usize,
     },
+    /// The initial layout spans a different number of physical qubits than
+    /// the device has.
+    LayoutWidthMismatch {
+        /// Physical qubits of the layout.
+        layout: usize,
+        /// Physical qubits of the device.
+        device: usize,
+    },
     /// A blocked 2Q gate has no candidate SWAP — one of its qubits sits on
     /// an isolated physical qubit.
     NoSwapCandidate {
@@ -99,6 +116,10 @@ impl fmt::Display for RouteError {
             RouteError::LayoutMismatch { layout, circuit } => write!(
                 f,
                 "layout maps {layout} logical qubits but the circuit uses {circuit}"
+            ),
+            RouteError::LayoutWidthMismatch { layout, device } => write!(
+                f,
+                "layout spans {layout} physical qubits but the device has {device}"
             ),
             RouteError::NoSwapCandidate { pair: (a, b) } => write!(
                 f,
@@ -158,7 +179,8 @@ pub fn route(
         .unwrap_or_else(|e| panic!("routing failed: {e}"))
 }
 
-/// Fallible [`route`]: rejects undersized devices, mismatched layouts, and
+/// Fallible [`route`]: rejects undersized devices, layouts whose logical
+/// or physical width does not match the circuit or the device, and
 /// instances whose SWAP budget runs out (disconnected regions included)
 /// with a typed [`RouteError`] instead of panicking or looping.
 pub fn try_route(
@@ -168,7 +190,416 @@ pub fn try_route(
     opts: &RouterOptions,
 ) -> Result<RoutedCircuit, RouteError> {
     let lowered = logical.lower_to_cnot();
-    let n_log = lowered.num_qubits();
+    let tables = Tables::new(&lowered, false);
+    route_tables(&tables, Some(lowered.gates()), device, initial_layout, opts)
+}
+
+/// Marks an absent qubit, gate or logical occupant.
+const NONE: usize = usize::MAX;
+
+/// What routing reads of one lowered circuit, in one direction. A layout
+/// search builds the tables of both directions once and shares them across
+/// every routing it makes.
+pub(crate) struct Tables {
+    /// Logical width.
+    n_log: usize,
+    /// Each gate's qubits; the second is [`NONE`] for a 1Q gate.
+    pairs: Vec<(usize, usize)>,
+    /// Qubit `q`'s gates in program order, from `queue[queue_start[q]]` up
+    /// to a [`NONE`] sentinel.
+    queue: Vec<usize>,
+    queue_start: Vec<usize>,
+    /// The 2Q gates' qubit pairs, in program order.
+    two_q: Vec<(usize, usize)>,
+    /// `n2q_before[g]`: how many 2Q gates precede gate `g`.
+    n2q_before: Vec<usize>,
+}
+
+impl Tables {
+    /// The tables of a `{1Q, CNOT}` circuit, read back to front when
+    /// `reversed`.
+    pub(crate) fn new(lowered: &Circuit, reversed: bool) -> Tables {
+        let n_log = lowered.num_qubits();
+        let mut pairs: Vec<(usize, usize)> = lowered
+            .gates()
+            .iter()
+            .map(|g| {
+                let (a, b) = g.qubits();
+                (a, b.unwrap_or(NONE))
+            })
+            .collect();
+        if reversed {
+            pairs.reverse();
+        }
+        let mut queue_start = vec![0usize; n_log + 1];
+        for &(a, b) in &pairs {
+            queue_start[a + 1] += 1;
+            if b != NONE {
+                queue_start[b + 1] += 1;
+            }
+        }
+        for q in 0..n_log {
+            // One extra slot per queue for its sentinel.
+            queue_start[q + 1] += queue_start[q] + 1;
+        }
+        let mut queue = vec![NONE; queue_start[n_log]];
+        let mut fill = queue_start.clone();
+        let mut two_q = Vec::new();
+        let mut n2q_before = Vec::with_capacity(pairs.len());
+        for (g, &(a, b)) in pairs.iter().enumerate() {
+            n2q_before.push(two_q.len());
+            queue[fill[a]] = g;
+            fill[a] += 1;
+            if b != NONE {
+                queue[fill[b]] = g;
+                fill[b] += 1;
+                two_q.push((a, b));
+            }
+        }
+        Tables {
+            n_log,
+            pairs,
+            queue,
+            queue_start,
+            two_q,
+            n2q_before,
+        }
+    }
+
+    /// Number of 2Q gates.
+    pub(crate) fn num_2q(&self) -> usize {
+        self.two_q.len()
+    }
+}
+
+/// A set of logical qubits taken in increasing order. While it is being
+/// taken it only grows ahead of the last qubit taken.
+struct QubitSet {
+    words: Vec<u64>,
+    /// Words below this one are empty.
+    cursor: usize,
+}
+
+impl QubitSet {
+    fn new(n: usize) -> QubitSet {
+        QubitSet {
+            words: vec![0; n.div_ceil(64)],
+            cursor: 0,
+        }
+    }
+
+    fn insert(&mut self, q: usize) {
+        self.words[q / 64] |= 1 << (q % 64);
+        self.cursor = self.cursor.min(q / 64);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words[self.cursor..].iter().all(|&w| w == 0)
+    }
+
+    /// Removes and returns the smallest element.
+    fn pop_first(&mut self) -> Option<usize> {
+        while let Some(w) = self.words.get_mut(self.cursor) {
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(self.cursor * 64 + bit);
+            }
+            self.cursor += 1;
+        }
+        None
+    }
+}
+
+/// The mutable state of one routing.
+struct Router<'a> {
+    t: &'a Tables,
+    device: &'a CouplingGraph,
+    /// Qubit `q`'s next gate is `t.queue[head[q]]` ([`NONE`] when done).
+    head: Vec<usize>,
+    executed: Vec<bool>,
+    /// The lowest gate not yet executed, once advanced past executed ones.
+    min_pending: usize,
+    l2p: Vec<usize>,
+    /// Logical occupant of each physical qubit, or [`NONE`].
+    p2l: Vec<usize>,
+    /// The lowered gates and the routed circuit they are emitted into.
+    emit: Option<(&'a [Gate], Vec<Gate>)>,
+    /// Positions the current drain pass still visits, and those the next
+    /// pass will.
+    visit: QubitSet,
+    next: QubitSet,
+    /// Current drain pass; `popped[q] == pass` once queue `q` was popped in
+    /// it.
+    pass: usize,
+    popped: Vec<usize>,
+}
+
+impl<'a> Router<'a> {
+    #[inline]
+    fn front(&self, q: usize) -> usize {
+        self.t.queue[self.head[q]]
+    }
+
+    /// The other qubit of 2Q gate `g` at position `q`, or [`NONE`].
+    #[inline]
+    fn partner(&self, g: usize, q: usize) -> usize {
+        let (a, b) = self.t.pairs[g];
+        if a == q {
+            b
+        } else {
+            a
+        }
+    }
+
+    #[inline]
+    fn distance(&self, a: usize, b: usize) -> u64 {
+        u64::from(self.device.distance(self.l2p[a], self.l2p[b]))
+    }
+
+    /// Executes every gate the layout lets run, and returns whether any
+    /// gate ran.
+    ///
+    /// The emitted order is part of the output: passes run until one
+    /// executes nothing; a pass snapshots every queue front in qubit order,
+    /// then executes each snapshot entry that is still ready and coupled.
+    /// A 2Q gate that becomes ready during a pass therefore runs at its
+    /// later snapshot position in the same pass, while a newly exposed
+    /// front waits for the next pass.
+    ///
+    /// A pass visits only the positions that can succeed. The first pass
+    /// visits what the caller put in `visit`. Every later pass visits the
+    /// positions whose queue was popped in the previous pass, and the
+    /// partner of each popped queue's new 2Q front. A partner whose
+    /// position is still ahead and whose snapshot entry is that gate joins
+    /// the current pass. Any other position would fail again: its front
+    /// and its partner's front are unchanged, and so is the layout during
+    /// a drain.
+    fn drain(&mut self) -> bool {
+        let mut any = false;
+        while !self.visit.is_empty() {
+            self.pass += 1;
+            while let Some(q) = self.visit.pop_first() {
+                if self.popped[q] == self.pass {
+                    // The queue's pass-start front already ran.
+                    continue;
+                }
+                let g = self.front(q);
+                if g == NONE {
+                    continue;
+                }
+                let (a, b) = self.t.pairs[g];
+                let runs =
+                    b == NONE || (self.front(self.partner(g, q)) == g && self.distance(a, b) == 1);
+                if runs {
+                    self.execute(g, q);
+                    any = true;
+                }
+            }
+            std::mem::swap(&mut self.visit, &mut self.next);
+        }
+        any
+    }
+
+    /// Emits gate `g`, run at position `q`, and pops its queues.
+    fn execute(&mut self, g: usize, q: usize) {
+        if let Some((gates, out)) = &mut self.emit {
+            let l2p = &self.l2p;
+            out.push(gates[g].map_qubits(&mut |x| l2p[x]));
+        }
+        self.executed[g] = true;
+        let (a, b) = self.t.pairs[g];
+        self.pop(a, q);
+        if b != NONE {
+            self.pop(b, q);
+        }
+    }
+
+    /// Pops queue `x` during the visit of position `q`, and schedules the
+    /// positions its new front may let run.
+    fn pop(&mut self, x: usize, q: usize) {
+        self.head[x] += 1;
+        self.popped[x] = self.pass;
+        self.next.insert(x);
+        let g = self.front(x);
+        if g == NONE || self.t.pairs[g].1 == NONE {
+            return;
+        }
+        let s = self.partner(g, x);
+        self.next.insert(s);
+        if s > q && self.popped[s] != self.pass && self.front(s) == g {
+            self.visit.insert(s);
+        }
+    }
+
+    /// Puts position `x` and the partner of its 2Q front in the next
+    /// drain's first pass. After the last pass of a drain every position
+    /// fails; a SWAP that moves `x`, or a bridge that pops its queue, can
+    /// change only the outcome of these positions.
+    fn schedule(&mut self, x: usize) {
+        if x == NONE {
+            return;
+        }
+        self.visit.insert(x);
+        let g = self.front(x);
+        if g != NONE && self.t.pairs[g].1 != NONE {
+            self.visit.insert(self.partner(g, x));
+        }
+    }
+
+    /// Ready 2Q gates as `(gate, a, b)`, in the order of their first qubit.
+    /// After a drain every one of them is blocked.
+    fn front_layer(&self, front: &mut Vec<(usize, usize, usize)>) {
+        front.clear();
+        for q in 0..self.t.n_log {
+            let g = self.front(q);
+            if g == NONE {
+                continue;
+            }
+            let (a, b) = self.t.pairs[g];
+            if b != NONE && a == q && self.front(b) == g {
+                front.push((g, a, b));
+            }
+        }
+    }
+
+    /// The lookahead set: the first `k` 2Q gates at or after the lowest
+    /// queue front, in program order. It keeps 2Q gates past that front
+    /// that already ran, as the SWAP choices always have.
+    fn extended(&mut self, k: usize) -> &'a [(usize, usize)] {
+        // The lowest front is the lowest gate not yet executed: every
+        // earlier gate on its qubits has a lower index.
+        while self.executed[self.min_pending] {
+            self.min_pending += 1;
+        }
+        let t: &'a Tables = self.t;
+        let lo = t.n2q_before[self.min_pending];
+        let hi = lo.saturating_add(k).min(t.two_q.len());
+        &t.two_q[lo..hi]
+    }
+
+    /// Exchanges the occupants of physical qubits `p1` and `p2`.
+    fn swap(&mut self, p1: usize, p2: usize) {
+        let (l1, l2) = (self.p2l[p1], self.p2l[p2]);
+        self.p2l.swap(p1, p2);
+        if l1 != NONE {
+            self.l2p[l1] = p2;
+        }
+        if l2 != NONE {
+            self.l2p[l2] = p1;
+        }
+        self.schedule(l1);
+        self.schedule(l2);
+    }
+
+    /// Retires the ready 2Q gate `g` on `(a, b)` without emitting it.
+    fn retire(&mut self, g: usize, a: usize, b: usize) {
+        self.executed[g] = true;
+        self.head[a] += 1;
+        self.head[b] += 1;
+        self.schedule(a);
+        self.schedule(b);
+    }
+}
+
+/// The distance sums of the front set (`[0]`) and the extended set
+/// (`[1]`), with each pair listed under the logical qubits it touches, so a
+/// candidate SWAP is scored from the pairs of the two qubits it moves.
+struct Sums {
+    total: [u64; 2],
+    /// Per logical qubit: the summed distance of the pairs touching it.
+    touching: Vec<[u64; 2]>,
+    /// Qubit `x`'s pairs are `links[start[x]..start[x + 1]]`, each as
+    /// `(other qubit, its physical qubit, set)`.
+    start: Vec<usize>,
+    links: Vec<(usize, usize, usize)>,
+}
+
+impl Sums {
+    fn new(n_log: usize) -> Sums {
+        Sums {
+            total: [0; 2],
+            touching: vec![[0; 2]; n_log],
+            start: vec![0; n_log + 1],
+            links: Vec::new(),
+        }
+    }
+
+    fn rebuild(
+        &mut self,
+        r: &Router,
+        front: &[(usize, usize, usize)],
+        extended: &[(usize, usize)],
+    ) {
+        let front = front.iter().map(|&(_, a, b)| (a, b, 0));
+        let pairs = front.chain(extended.iter().map(|&(a, b)| (a, b, 1)));
+        self.total = [0; 2];
+        self.touching.fill([0; 2]);
+        // Count each qubit's pairs, take running totals so `start[x]` ends
+        // qubit `x`'s range, then fill every range back to front.
+        self.start.fill(0);
+        for (a, b, _) in pairs.clone() {
+            self.start[a] += 1;
+            self.start[b] += 1;
+        }
+        for x in 1..self.start.len() {
+            self.start[x] += self.start[x - 1];
+        }
+        self.links.clear();
+        self.links
+            .resize(self.start[self.start.len() - 1], (0, 0, 0));
+        for (a, b, set) in pairs {
+            let d = r.distance(a, b);
+            self.total[set] += d;
+            for (x, y) in [(a, b), (b, a)] {
+                self.touching[x][set] += d;
+                self.start[x] -= 1;
+                self.links[self.start[x]] = (y, r.l2p[y], set);
+            }
+        }
+    }
+
+    /// The sums once logical `l` moves from `p` to its neighbour `nb`, and
+    /// `nb`'s occupant `l2` (or [`NONE`]) moves to `p`. Only the pairs
+    /// touching exactly one of them change; a pair joining both keeps its
+    /// distance of 1.
+    fn after_swap(&self, r: &Router, l: usize, p: usize, l2: usize, nb: usize) -> [u64; 2] {
+        let mut moved = [0u64; 2];
+        let mut joined = [0u64; 2];
+        let mut old = self.touching[l];
+        for &(y, py, set) in &self.links[self.start[l]..self.start[l + 1]] {
+            if y == l2 {
+                joined[set] += 1;
+            } else if y != l {
+                moved[set] += u64::from(r.device.distance(nb, py));
+            }
+        }
+        if l2 != NONE {
+            let also = self.touching[l2];
+            old = [old[0] + also[0], old[1] + also[1]];
+            for &(y, py, set) in &self.links[self.start[l2]..self.start[l2 + 1]] {
+                if y != l && y != l2 {
+                    moved[set] += u64::from(r.device.distance(p, py));
+                }
+            }
+        }
+        // `old` counts each joining pair from both of its qubits.
+        [0, 1].map(|set| self.total[set] + moved[set] + 2 * joined[set] - old[set])
+    }
+}
+
+/// Routes the circuit `t` describes from `initial_layout`. The routed
+/// circuit is emitted from `gates`, the lowered gates `t` was built from
+/// in forward order; with `None` it stays empty, for a backward refinement
+/// routing that only needs its final layout.
+pub(crate) fn route_tables(
+    t: &Tables,
+    gates: Option<&[Gate]>,
+    device: &CouplingGraph,
+    initial_layout: Layout,
+    opts: &RouterOptions,
+) -> Result<RoutedCircuit, RouteError> {
+    let n_log = t.n_log;
     let n_phys = device.num_qubits();
     if n_log > n_phys {
         return Err(RouteError::DeviceTooSmall {
@@ -182,131 +613,90 @@ pub fn try_route(
             circuit: n_log,
         });
     }
-    // Arity was just validated, so every logical qubit of the circuit maps.
-    let ph = |layout: &Layout, l: usize| -> usize {
-        layout.phys(l).expect("layout arity validated above")
-    };
-    let budget = opts.swap_budget(lowered.counts().two_qubit(), n_phys);
-
-    // Per-qubit gate queues: gate g is ready when it heads the queue of
-    // each of its qubits.
-    let gates = lowered.gates();
-    let mut queues: Vec<std::collections::VecDeque<usize>> = vec![Default::default(); n_log];
-    for (gi, g) in gates.iter().enumerate() {
-        let (a, b) = g.qubits();
-        queues[a].push_back(gi);
-        if let Some(b) = b {
-            queues[b].push_back(gi);
-        }
+    if initial_layout.num_physical() != n_phys {
+        return Err(RouteError::LayoutWidthMismatch {
+            layout: initial_layout.num_physical(),
+            device: n_phys,
+        });
     }
-
-    let start_layout = initial_layout.clone();
-    let mut layout = initial_layout;
-    let mut out = Circuit::new(n_phys);
+    let budget = opts.swap_budget(t.num_2q(), n_phys);
+    let l2p: Vec<usize> = (0..n_log)
+        .map(|l| {
+            initial_layout
+                .phys(l)
+                .expect("layout arity validated above")
+        })
+        .collect();
+    let p2l: Vec<usize> = (0..n_phys)
+        .map(|p| initial_layout.logical(p).unwrap_or(NONE))
+        .collect();
+    let mut r = Router {
+        t,
+        device,
+        head: t.queue_start[..n_log].to_vec(),
+        executed: vec![false; t.pairs.len()],
+        min_pending: 0,
+        l2p,
+        p2l,
+        emit: gates.map(|g| (g, Vec::with_capacity(g.len()))),
+        visit: QubitSet::new(n_log),
+        next: QubitSet::new(n_log),
+        pass: 0,
+        popped: vec![0; n_log],
+    };
     let mut num_swaps = 0usize;
     let mut decay = vec![0.0f64; n_phys];
     let mut swaps_since_reset = 0usize;
     let mut last_swap: Option<(usize, usize)> = None;
+    let mut front = Vec::new();
+    let mut sums = Sums::new(n_log);
+    // `scored[p] == num_swaps + 1` once every candidate at `p` was scored
+    // for the coming SWAP.
+    let mut scored = vec![0usize; n_phys];
 
-    let ready = |queues: &[std::collections::VecDeque<usize>], gi: usize, g: &Gate| -> bool {
-        let (a, b) = g.qubits();
-        queues[a].front() == Some(&gi) && b.is_none_or(|b| queues[b].front() == Some(&gi))
-    };
-
+    (0..n_log).for_each(|q| r.visit.insert(q));
     loop {
         // Phase 1: drain everything executable.
-        let mut any_executed = false;
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            // Scan the front of each queue once.
-            let fronts: Vec<usize> = queues.iter().filter_map(|q| q.front().copied()).collect();
-            for gi in fronts {
-                let g = &gates[gi];
-                if !ready(&queues, gi, g) {
-                    continue;
-                }
-                let (a, b) = g.qubits();
-                let executable = match b {
-                    None => true,
-                    Some(b) => device.contains_edge(ph(&layout, a), ph(&layout, b)),
-                };
-                if executable {
-                    out.push(g.map_qubits(&mut |q| ph(&layout, q)));
-                    queues[a].pop_front();
-                    if let Some(b) = b {
-                        queues[b].pop_front();
-                    }
-                    progressed = true;
-                    any_executed = true;
-                }
-            }
-        }
-        if any_executed {
+        if r.drain() {
             last_swap = None;
         }
 
         // Front layer: ready-but-blocked 2Q gates.
-        let front: Vec<(usize, usize)> = {
-            let mut f = Vec::new();
-            for q in 0..n_log {
-                if let Some(&gi) = queues[q].front() {
-                    let g = &gates[gi];
-                    if let (a, Some(b)) = g.qubits() {
-                        if ready(&queues, gi, g) && a == q {
-                            f.push((a, b));
-                        }
-                    }
-                }
-            }
-            f
-        };
+        r.front_layer(&mut front);
         if front.is_empty() {
             break; // all gates executed
         }
-
-        // Extended set: the next few 2Q gates beyond the front layer.
-        let extended = extended_set(gates, &queues, opts.extended_set_size);
+        let extended = r.extended(opts.extended_set_size);
 
         // Bridge option: a distance-2 CNOT whose pair does not recur soon
         // is cheaper as 4 CNOTs through the middle qubit than as SWAPs.
         if opts.use_bridge {
-            let mut bridged = false;
-            for &(a, b) in &front {
-                let (pa, pb) = (ph(&layout, a), ph(&layout, b));
-                if device.distance(pa, pb) != 2 {
-                    continue;
-                }
-                let recurs = extended
-                    .iter()
-                    .filter(|&&(ea, eb)| (ea, eb) == (a, b) || (ea, eb) == (b, a))
-                    .count()
-                    > 1;
-                if recurs {
-                    continue;
-                }
+            let bridge = front.iter().find(|&&(_, a, b)| {
+                r.distance(a, b) == 2
+                    && extended
+                        .iter()
+                        .filter(|&&e| e == (a, b) || e == (b, a))
+                        .count()
+                        <= 1
+            });
+            if let Some(&(g, a, b)) = bridge {
+                let (pa, pb) = (r.l2p[a], r.l2p[b]);
                 let path = device
                     .shortest_path(pa, pb)
                     .expect("distance-2 pair is connected");
                 let m = path[1];
-                // CX(pa,pb) = CX(pa,m)·CX(m,pb)·CX(pa,m)·CX(m,pb) in circuit order.
-                for _ in 0..2 {
-                    out.push(Gate::Cnot(pa, m));
-                    out.push(Gate::Cnot(m, pb));
+                if let Some((_, out)) = &mut r.emit {
+                    // CX(pa,pb) = CX(pa,m)·CX(m,pb)·CX(pa,m)·CX(m,pb) in circuit order.
+                    for _ in 0..2 {
+                        out.push(Gate::Cnot(pa, m));
+                        out.push(Gate::Cnot(m, pb));
+                    }
                 }
                 if phoenix_obs::metrics::enabled() {
                     phoenix_obs::metrics::global()
                         .incr(phoenix_obs::metrics::MetricId::SabreBridgesTotal);
                 }
-                // Retire the logical gate.
-                let gi = *queues[a].front().expect("front gate exists");
-                debug_assert_eq!(queues[b].front(), Some(&gi));
-                queues[a].pop_front();
-                queues[b].pop_front();
-                bridged = true;
-                break;
-            }
-            if bridged {
+                r.retire(g, a, b);
                 last_swap = None;
                 continue;
             }
@@ -315,45 +705,48 @@ pub fn try_route(
         // Candidate swaps: device edges touching any front-layer qubit.
         // The swap that would undo the previous one is excluded to rule out
         // ping-pong livelock (it can never be the sole candidate: the edge
-        // that was just swapped still offers its other-endpoint moves).
+        // that was just swapped still offers its other-endpoint moves). An
+        // edge between two front qubits was already scored from the first:
+        // the same swap has the same score, which cannot win the strict `<`.
+        //
+        // Distances are integers, so the sums are exact and each score is
+        // the same `f64` that summing every pair's distance would give.
+        sums.rebuild(&r, &front, extended);
         let mut best: Option<((usize, usize), f64)> = None;
-        for &(a, b) in &front {
-            for &l in &[a, b] {
-                let p = ph(&layout, l);
+        for &(_, a, b) in &front {
+            for l in [a, b] {
+                let p = r.l2p[l];
                 for &nb in device.neighbors(p).unwrap_or(&[]) {
                     let edge = (p.min(nb), p.max(nb));
-                    if Some(edge) == last_swap {
+                    if Some(edge) == last_swap || scored[nb] == num_swaps + 1 {
                         continue;
                     }
-                    let mut trial = layout.clone();
-                    trial.swap_physical(edge.0, edge.1);
-                    let mut score = 0.0;
-                    for &(fa, fb) in &front {
-                        score += device.distance(ph(&trial, fa), ph(&trial, fb)) as f64;
-                    }
+                    let [front_new, ext_new] = sums.after_swap(&r, l, p, r.p2l[nb], nb);
+                    let mut score = front_new as f64;
                     if !extended.is_empty() {
-                        let mut ext = 0.0;
-                        for &(ea, eb) in &extended {
-                            ext += device.distance(ph(&trial, ea), ph(&trial, eb)) as f64;
-                        }
-                        score += opts.extended_weight * ext / extended.len() as f64;
+                        score += opts.extended_weight * ext_new as f64 / extended.len() as f64;
                     }
                     score *= 1.0 + decay[edge.0] + decay[edge.1];
                     if best.is_none_or(|(_, s)| score < s) {
                         best = Some((edge, score));
                     }
                 }
+                scored[p] = num_swaps + 1;
             }
         }
-        let ((p1, p2), _) = best.ok_or(RouteError::NoSwapCandidate { pair: front[0] })?;
+        let ((p1, p2), _) = best.ok_or(RouteError::NoSwapCandidate {
+            pair: (front[0].1, front[0].2),
+        })?;
         if num_swaps >= budget {
             return Err(RouteError::SwapBudgetExceeded { budget });
         }
-        out.push(Gate::Swap(p1, p2));
+        if let Some((_, out)) = &mut r.emit {
+            out.push(Gate::Swap(p1, p2));
+        }
         if phoenix_obs::metrics::enabled() {
             phoenix_obs::metrics::global().incr(phoenix_obs::metrics::MetricId::SabreSwapsTotal);
         }
-        layout.swap_physical(p1, p2);
+        r.swap(p1, p2);
         last_swap = Some((p1, p2));
         num_swaps += 1;
         decay[p1] += opts.decay;
@@ -365,37 +758,13 @@ pub fn try_route(
         }
     }
 
+    let out = r.emit.map_or_else(Vec::new, |(_, out)| out);
     Ok(RoutedCircuit {
-        circuit: out,
+        circuit: Circuit::from_gates(n_phys, out),
         num_swaps,
-        initial_layout: start_layout,
-        final_layout: layout,
+        initial_layout,
+        final_layout: Layout::from_assignment(r.l2p, n_phys),
     })
-}
-
-/// Collects up to `k` upcoming 2Q gates past the front layer (in program
-/// order), as logical qubit pairs.
-fn extended_set(
-    gates: &[Gate],
-    queues: &[std::collections::VecDeque<usize>],
-    k: usize,
-) -> Vec<(usize, usize)> {
-    let executed_before: std::collections::BTreeSet<usize> =
-        queues.iter().filter_map(|q| q.front().copied()).collect();
-    let min_pending = match executed_before.iter().next() {
-        Some(&m) => m,
-        None => return Vec::new(),
-    };
-    gates
-        .iter()
-        .enumerate()
-        .skip(min_pending)
-        .filter_map(|(_, g)| match g.qubits() {
-            (a, Some(b)) => Some((a, b)),
-            _ => None,
-        })
-        .take(k)
-        .collect()
 }
 
 #[cfg(test)]
@@ -577,6 +946,39 @@ mod tests {
                 circuit: 3
             }
         ));
+    }
+
+    /// A layout must span exactly the device's physical qubits: routing
+    /// from a narrower or a wider one would index past the layout or the
+    /// distance table.
+    fn route_with_width(layout_width: usize, assignment: Vec<usize>) -> RouteError {
+        let mut c = Circuit::new(2);
+        c.push(Gate::Cnot(0, 1));
+        let dev = CouplingGraph::line(5);
+        let layout = Layout::from_assignment(assignment, layout_width);
+        try_route(&c, &dev, layout, &opts()).unwrap_err()
+    }
+
+    #[test]
+    fn try_route_rejects_a_layout_narrower_than_the_device() {
+        assert_eq!(
+            route_with_width(3, vec![0, 2]),
+            RouteError::LayoutWidthMismatch {
+                layout: 3,
+                device: 5
+            }
+        );
+    }
+
+    #[test]
+    fn try_route_rejects_a_layout_wider_than_the_device() {
+        assert_eq!(
+            route_with_width(8, vec![0, 7]),
+            RouteError::LayoutWidthMismatch {
+                layout: 8,
+                device: 5
+            }
+        );
     }
 
     #[test]
