@@ -18,10 +18,11 @@
 //! - [`twoqan_style`]: the 2-local specialist — edge-coloring depth-optimal
 //!   layers for QAOA programs.
 //!
-//! Every baseline emits plain `{1Q, CNOT}` circuits; the shared
-//! [`hardware_aware`] wrapper applies the same peephole ("O3") + SABRE
-//! pipeline used for PHOENIX, so comparisons isolate the compilation
-//! strategy.
+//! Every baseline emits plain `{1Q, CNOT}` circuits;
+//! [`CompilerStrategy::compile_hardware`] routes them through the same
+//! peephole ("O3") + SABRE back end PHOENIX uses
+//! ([`phoenix_core::try_run_hardware_backend`]), so comparisons isolate the
+//! compilation strategy.
 
 pub mod naive;
 pub mod paulihedral_style;
@@ -30,10 +31,8 @@ pub mod tket_style;
 pub mod twoqan_style;
 
 use phoenix_circuit::Circuit;
-use phoenix_core::{CompilerStrategy, HardwareProgram, PhoenixCompiler};
+use phoenix_core::{CompilerStrategy, PhoenixCompiler};
 use phoenix_pauli::PauliString;
-use phoenix_router::RouterOptions;
-use phoenix_topology::CouplingGraph;
 
 /// The compiler strategies under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,21 +98,10 @@ pub fn strategies() -> Vec<Box<dyn CompilerStrategy>> {
     ]
 }
 
-/// The shared hardware-aware back end: peephole ("O3"), SABRE routing,
-/// SWAP lowering, final peephole — identical to PHOENIX's back end so that
-/// strategy differences dominate. Delegates to the pass sequence of
-/// [`phoenix_core::hardware_backend`].
-///
-/// # Panics
-///
-/// Panics if the device is smaller than the program.
-pub fn hardware_aware(logical: &Circuit, device: &CouplingGraph) -> HardwareProgram {
-    phoenix_core::run_hardware_backend(logical, device, &RouterOptions::default(), 3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phoenix_topology::CouplingGraph;
 
     fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
         labels
@@ -146,7 +134,7 @@ mod tests {
     fn hardware_wrapper_respects_coupling() {
         let t = terms(&["ZZII", "IZZI", "IIZZ", "ZIIZ"]);
         let dev = CouplingGraph::line(4);
-        let hw = hardware_aware(&Baseline::Naive.compile_logical(4, &t), &dev);
+        let hw = Baseline::Naive.compile_hardware(4, &t, &dev);
         for g in hw.circuit.gates() {
             if let (a, Some(b)) = g.qubits() {
                 assert!(dev.contains_edge(a, b));

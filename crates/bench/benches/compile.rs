@@ -5,12 +5,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phoenix_baselines::Baseline;
-use phoenix_circuit::peephole;
-use phoenix_core::{group::group_by_support, simplify::simplify_terms, PhoenixCompiler};
+use phoenix_circuit::{peephole, Circuit};
+use phoenix_core::{
+    group::group_by_support, simplify::simplify_terms, CompileRequest, Device, Target,
+};
 use phoenix_hamil::{qaoa, uccsd, Molecule};
 use phoenix_pauli::PauliString;
 use phoenix_router::{route, search_layout, RouterOptions};
 use phoenix_topology::CouplingGraph;
+
+/// PHOENIX's CNOT-ISA compilation with default options.
+fn phoenix_cnot(n: usize, terms: &[(PauliString, f64)]) -> Circuit {
+    CompileRequest::new(n, terms)
+        .target(Target::Cnot)
+        .run()
+        .unwrap()
+        .circuit
+}
 
 fn bench_logical_compile(c: &mut Criterion) {
     let mut g = c.benchmark_group("logical_compile");
@@ -22,7 +33,7 @@ fn bench_logical_compile(c: &mut Criterion) {
     ] {
         let h = uccsd::ansatz(mol, frozen, uccsd::Encoding::JordanWigner, 7);
         g.bench_with_input(BenchmarkId::new("phoenix", label), &h, |b, h| {
-            b.iter(|| PhoenixCompiler::default().compile_to_cnot(h.num_qubits(), h.terms()))
+            b.iter(|| phoenix_cnot(h.num_qubits(), h.terms()))
         });
         g.bench_with_input(BenchmarkId::new("paulihedral", label), &h, |b, h| {
             b.iter(|| {
@@ -50,7 +61,7 @@ fn bench_stages(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
-    let logical = PhoenixCompiler::default().compile_to_cnot(n, h.terms());
+    let logical = phoenix_cnot(n, h.terms());
     let device = CouplingGraph::manhattan65();
     g.bench_function("layout_search", |b| {
         b.iter(|| search_layout(&logical, &device, &RouterOptions::default(), 3))
@@ -103,7 +114,7 @@ fn bench_group_scaling(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(num_groups),
             &terms,
-            |b, terms| b.iter(|| PhoenixCompiler::default().compile_to_cnot(n, terms)),
+            |b, terms| b.iter(|| phoenix_cnot(n, terms)),
         );
     }
     g.finish();
@@ -112,16 +123,15 @@ fn bench_group_scaling(c: &mut Criterion) {
 fn bench_qaoa(c: &mut Criterion) {
     let mut g = c.benchmark_group("qaoa_hardware_aware");
     g.sample_size(10);
-    let device = CouplingGraph::manhattan65();
+    let device = Device::bare(CouplingGraph::manhattan65());
     for n in [16usize, 24] {
         let h = qaoa::benchmark(qaoa::QaoaKind::Rand4, n, 7 + n as u64);
         g.bench_with_input(BenchmarkId::new("phoenix", n), &h, |b, h| {
             b.iter(|| {
-                PhoenixCompiler::default().compile_hardware_aware(
-                    h.num_qubits(),
-                    h.terms(),
-                    &device,
-                )
+                CompileRequest::new(h.num_qubits(), h.terms())
+                    .target(Target::Device(device.clone()))
+                    .run()
+                    .unwrap()
             })
         });
     }

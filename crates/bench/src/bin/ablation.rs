@@ -13,7 +13,7 @@
 //! - **lookahead-1** — greedy ordering without a window.
 
 use phoenix_bench::{or_exit, row, write_results, Tracer, SEED};
-use phoenix_core::{PhoenixCompiler, PhoenixOptions};
+use phoenix_core::{Device, PhoenixCompiler, PhoenixOptions, Target};
 use phoenix_hamil::{uccsd, Molecule};
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
@@ -58,7 +58,7 @@ fn variants() -> Vec<(&'static str, PhoenixOptions)> {
 }
 
 fn main() {
-    let device = CouplingGraph::manhattan65();
+    let device = Device::bare(CouplingGraph::manhattan65());
     let mut entries = Vec::new();
     let mut tracer = Tracer::from_env("ablation");
     for (mol, frozen) in [
@@ -72,19 +72,23 @@ fn main() {
             let mut rows = BTreeMap::new();
             for (name, opts) in variants() {
                 let compiler = PhoenixCompiler::new(opts);
-                let logical = or_exit(compiler.try_compile_to_cnot(n, h.terms()), h.name());
-                let hw = or_exit(
-                    compiler.try_compile_hardware_aware(n, h.terms(), &device),
-                    h.name(),
-                );
+                let compile = |target| {
+                    or_exit(
+                        compiler.request(n, h.terms()).target(target).run(),
+                        h.name(),
+                    )
+                    .circuit
+                };
+                let logical = compile(Target::Cnot);
+                let mapped = compile(Target::Device(device.clone()));
                 tracer.record_logical(&format!("{}/{name}", h.name()), &compiler, n, h.terms());
                 rows.insert(
                     name.to_string(),
                     (
                         logical.counts().cnot,
                         logical.depth_2q(),
-                        hw.circuit.counts().cnot,
-                        hw.circuit.depth_2q(),
+                        mapped.counts().cnot,
+                        mapped.depth_2q(),
                     ),
                 );
             }

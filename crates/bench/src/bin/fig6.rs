@@ -9,7 +9,7 @@ use phoenix_baselines::strategies;
 use phoenix_bench::{
     geomean, phoenix_compiler, row, short_label, write_results, Metrics, Tracer, SEED,
 };
-use phoenix_core::CompilerStrategy;
+use phoenix_core::{CompilerStrategy, Device};
 use phoenix_hamil::uccsd;
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
@@ -33,6 +33,7 @@ const COMPILERS: [&str; 3] = ["Paulihedral", "Tetris", "PHOENIX"];
 
 fn main() {
     let device = CouplingGraph::manhattan65();
+    let traced_device = Device::bare(device.clone());
     let mut entries = Vec::new();
     let mut tracer = Tracer::from_env("fig6");
     // TKET is excluded as in the paper; compare the remaining strategies.
@@ -55,7 +56,7 @@ fn main() {
                 },
             );
         }
-        tracer.record_hardware(h.name(), &phoenix_compiler(), n, h.terms(), &device);
+        tracer.record_device(h.name(), &phoenix_compiler(), n, h.terms(), &traced_device);
         eprintln!("[fig6] {} done", h.name());
         entries.push(Entry {
             benchmark: h.name().to_string(),

@@ -19,7 +19,9 @@ use std::sync::Arc;
 use phoenix_bench::{or_exit, phoenix_compiler, row, write_results, Tracer, SEED};
 use phoenix_core::group::group_by_support;
 use phoenix_core::simplify::simplify_terms_with;
-use phoenix_core::{CompileCache, CompileRequest, CostEvaluator, SimplifiedGroup, SimplifyOptions};
+use phoenix_core::{
+    CompileCache, CompileRequest, CostEvaluator, SimplifiedGroup, SimplifyOptions, Target,
+};
 use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::{Bsf, GroupShape};
 use serde::Serialize;
@@ -46,7 +48,7 @@ struct Row {
     /// First-epoch candidate scan (`prepare` + `best_candidate`) per
     /// support pair, in ns (best of reps).
     scan_ns_per_pair: f64,
-    /// End-to-end `compile_to_cnot` wall-clock (incremental evaluator).
+    /// End-to-end `Target::Cnot` compile wall-clock (incremental evaluator).
     end_to_end_ms: f64,
     /// Uncached logical compile wall-clock (best of reps).
     cold_compile_ms: f64,
@@ -210,7 +212,10 @@ fn main() {
         let mut e2e_ms = f64::INFINITY;
         for _ in 0..reps {
             let t = Instant::now();
-            let _ = or_exit(phoenix_compiler().try_compile_to_cnot(n, h.terms()), label);
+            let request = phoenix_compiler()
+                .request(n, h.terms())
+                .target(Target::Cnot);
+            let _ = or_exit(request.run(), label);
             e2e_ms = e2e_ms.min(t.elapsed().as_secs_f64() * 1e3);
         }
         tracer.record_logical(label, &phoenix_compiler(), n, h.terms());

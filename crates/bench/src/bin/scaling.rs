@@ -6,7 +6,7 @@
 //! implementation is ~1000× faster).
 
 use phoenix_bench::{or_exit, phoenix_compiler, row, write_results, Tracer, SEED};
-
+use phoenix_core::Target;
 use phoenix_hamil::{models, qaoa, uccsd, Hamiltonian, Molecule};
 use serde::Serialize;
 use std::time::Instant;
@@ -25,10 +25,10 @@ fn measure(h: &Hamiltonian, tracer: &mut Tracer) -> Point {
     // Timed without trace recording, so the reported numbers are clean;
     // the trace (when requested) comes from a separate run.
     let t0 = Instant::now();
-    let c = or_exit(
-        phoenix_compiler().try_compile_to_cnot(h.num_qubits(), h.terms()),
-        h.name(),
-    );
+    let request = phoenix_compiler()
+        .request(h.num_qubits(), h.terms())
+        .target(Target::Cnot);
+    let c = or_exit(request.run(), h.name()).circuit;
     let millis = t0.elapsed().as_secs_f64() * 1e3;
     tracer.record_logical(h.name(), &phoenix_compiler(), h.num_qubits(), h.terms());
     Point {

@@ -7,7 +7,7 @@
 use phoenix_baselines::strategies;
 use phoenix_bench::{or_exit, phoenix_compiler, row, short_label, write_results, Tracer, SEED};
 use phoenix_circuit::{kak, peephole, rebase, weyl, Circuit, Gate};
-use phoenix_core::CompilerStrategy;
+use phoenix_core::{CompilerStrategy, Target};
 use phoenix_hamil::{uccsd, Molecule};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -79,10 +79,10 @@ fn main() {
             let mut per = BTreeMap::new();
             // PHOENIX: direct SU(4) emission.
             let phoenix = phoenix_compiler();
-            let p_su4 = or_exit(phoenix.try_compile_to_su4(n, h.terms()), h.name());
-            let p_cnot = or_exit(phoenix.try_compile_to_cnot(n, h.terms()), h.name())
-                .counts()
-                .cnot;
+            let compile =
+                |target| or_exit(phoenix.request(n, h.terms()).target(target).run(), h.name());
+            let p_su4 = compile(Target::Su4).circuit;
+            let p_cnot = compile(Target::Cnot).circuit.counts().cnot;
             let p_resynth = peephole::optimize(&kak::resynthesize(&p_su4)).counts().cnot;
             per.insert(
                 "PHOENIX".to_string(),

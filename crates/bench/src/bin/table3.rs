@@ -6,13 +6,14 @@
 //! each of the four regimes. Baselines rebase CNOT circuits into SU(4) ISA;
 //! PHOENIX emits SU(4) blocks directly from its simplified IR.
 
-use phoenix_baselines::{hardware_aware, strategies};
+use phoenix_baselines::strategies;
 use phoenix_bench::{
     geomean, or_exit, phoenix_compiler, row, short_label, write_results, Tracer, SEED,
 };
 use phoenix_circuit::{peephole, rebase, Circuit};
-use phoenix_core::CompilerStrategy;
+use phoenix_core::{try_run_hardware_backend, CompilerStrategy, Device, Target};
 use phoenix_hamil::uccsd;
+use phoenix_router::RouterOptions;
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -31,6 +32,7 @@ struct Regime {
 
 fn main() {
     let device = CouplingGraph::manhattan65();
+    let heavy_hex = Device::bare(device.clone());
     let suite = uccsd::table1_suite(SEED);
     let mut tracer = Tracer::from_env("table3");
     // Every general-purpose baseline, as trait objects.
@@ -45,24 +47,26 @@ fn main() {
         let n = h.num_qubits();
         let phoenix = phoenix_compiler();
         // Logical circuits.
-        let p_cnot = or_exit(phoenix.try_compile_to_cnot(n, h.terms()), h.name());
-        let p_su4 = or_exit(phoenix.try_compile_to_su4(n, h.terms()), h.name());
-        let p_hw = or_exit(
-            phoenix.try_compile_hardware_aware(n, h.terms(), &device),
-            h.name(),
-        );
-        let p_hw_su4 = rebase::to_su4(&p_hw.circuit);
-        tracer.record_hardware(h.name(), &phoenix, n, h.terms(), &device);
+        let compile =
+            |target| or_exit(phoenix.request(n, h.terms()).target(target).run(), h.name()).circuit;
+        let p_cnot = compile(Target::Cnot);
+        let p_su4 = compile(Target::Su4);
+        let p_hw = compile(Target::Device(heavy_hex.clone()));
+        let p_hw_su4 = rebase::to_su4(&p_hw);
+        tracer.record_device(h.name(), &phoenix, n, h.terms(), &heavy_hex);
         for strategy in &baselines {
             let name = short_label(strategy.name());
             let b_logical = peephole::optimize(&strategy.compile_logical(n, h.terms()));
             let b_su4 = rebase::to_su4(&b_logical);
-            let b_hw = hardware_aware(&b_logical, &device);
+            let b_hw = or_exit(
+                try_run_hardware_backend(&b_logical, &device, &RouterOptions::default(), 3),
+                h.name(),
+            );
             let b_hw_su4 = rebase::to_su4(&b_hw.circuit);
             for (regime, p, bl) in [
                 ("CNOT all-to-all", &p_cnot, &b_logical),
                 ("SU(4) all-to-all", &p_su4, &b_su4),
-                ("CNOT heavy-hex", &p_hw.circuit, &b_hw.circuit),
+                ("CNOT heavy-hex", &p_hw, &b_hw.circuit),
                 ("SU(4) heavy-hex", &p_hw_su4, &b_hw_su4),
             ] {
                 let (pc, pd) = metrics_2q(p);

@@ -8,7 +8,7 @@
 
 use phoenix_baselines::Baseline;
 use phoenix_bench::{phoenix_compiler, row, write_results, Metrics, Tracer, SEED};
-use phoenix_core::{CompilerStrategy, HardwareProgram};
+use phoenix_core::{CompilerStrategy, Device, HardwareProgram};
 use phoenix_hamil::qaoa;
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
@@ -40,6 +40,7 @@ fn side(hw: &HardwareProgram) -> Side {
 
 fn main() {
     let device = CouplingGraph::manhattan65();
+    let traced_device = Device::bare(device.clone());
     let mut entries = Vec::new();
     let mut tracer = Tracer::from_env("table4_fig7");
     // The 2-local specialist against PHOENIX, as trait objects.
@@ -52,7 +53,7 @@ fn main() {
         let [qan, phoenix] = contenders
             .each_ref()
             .map(|s| side(&s.compile_hardware(n, h.terms(), &device)));
-        tracer.record_hardware(h.name(), &phoenix_compiler(), n, h.terms(), &device);
+        tracer.record_device(h.name(), &phoenix_compiler(), n, h.terms(), &traced_device);
         eprintln!("[table4] {} done", h.name());
         entries.push(Entry {
             benchmark: h.name().to_string(),

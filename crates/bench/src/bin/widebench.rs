@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use phoenix_bench::{or_exit, phoenix_compiler, row, write_results};
-use phoenix_core::CompiledProgram;
+use phoenix_core::CompileOutcome;
 use phoenix_hamil::models::{heisenberg_chain, tfim_chain};
 use phoenix_pauli::PauliString;
 use phoenix_verify::engine::{check_skeleton_identity, Outcome};
@@ -29,7 +29,7 @@ struct Row {
     terms: usize,
     groups: usize,
     reps: usize,
-    /// Logical `try_compile` wall-clock (best of reps), milliseconds.
+    /// Logical compile wall-clock (best of reps), milliseconds.
     compile_ms: f64,
     /// Gates in the high-level circuit.
     gates: usize,
@@ -54,7 +54,7 @@ fn multiset(terms: &[(PauliString, f64)]) -> Vec<(String, i64)> {
 
 /// The width-independent verification tier: Clifford-skeleton identity
 /// (stabilizer tableau, any `n`) plus term-order permutation equivalence.
-fn verify_wide(out: &CompiledProgram, input: &[(PauliString, f64)]) -> String {
+fn verify_wide(out: &CompileOutcome, input: &[(PauliString, f64)]) -> String {
     if multiset(&out.term_order) != multiset(input) {
         return "fail: term order is not a permutation of the input".to_string();
     }
@@ -100,7 +100,7 @@ fn main() {
             let mut out = None;
             for _ in 0..reps {
                 let t = Instant::now();
-                let program = or_exit(phoenix_compiler().try_compile(n, h.terms()), &label);
+                let program = or_exit(phoenix_compiler().request(n, h.terms()).run(), &label);
                 best = best.min(t.elapsed().as_secs_f64() * 1e3);
                 out = Some(program);
             }

@@ -10,7 +10,6 @@ use phoenix_circuit::Circuit;
 use phoenix_core::phoenix_obs::{perfetto, ObsReport};
 use phoenix_core::{CompileRequest, Device, PassTrace, PhoenixCompiler, Target};
 use phoenix_pauli::PauliString;
-use phoenix_topology::CouplingGraph;
 use serde::Serialize;
 use std::path::Path;
 
@@ -128,23 +127,6 @@ impl Tracer {
         terms: &[(PauliString, f64)],
     ) {
         self.record(label, compiler.request(n, terms).target(Target::Cnot));
-    }
-
-    /// Records an instrumented hardware-aware PHOENIX compilation of
-    /// `terms` on a bare coupling graph.
-    ///
-    /// **Deprecated**: prefer [`Tracer::record_device`] with a
-    /// [`Device`] (e.g. from `DeviceRegistry`) — this wrapper forwards to
-    /// it via `Device::bare` and exists only for pre-device callers.
-    pub fn record_hardware(
-        &mut self,
-        label: &str,
-        compiler: &PhoenixCompiler,
-        n: usize,
-        terms: &[(PauliString, f64)],
-        device: &CouplingGraph,
-    ) {
-        self.record_device(label, compiler, n, terms, &Device::bare(device.clone()));
     }
 
     /// Records an instrumented device-targeted PHOENIX compilation of

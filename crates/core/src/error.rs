@@ -1,8 +1,9 @@
 //! The compiler's fault boundary: every way PHOENIX rejects or abandons a
 //! compilation, as one typed error.
 //!
-//! [`PhoenixError`] is returned by the `try_compile*` entry points of
-//! [`PhoenixCompiler`](crate::PhoenixCompiler) and by
+//! [`PhoenixError`] is returned by
+//! [`CompileRequest::run`](crate::CompileRequest::run) (and its
+//! `bind`/`structure`/`fleet` siblings) and by
 //! [`try_run_hardware_backend`](crate::try_run_hardware_backend). It wraps
 //! every lower-level error of the workspace — pass failures
 //! ([`PassError`]), routing ([`RouteError`]), QASM ingestion

@@ -19,13 +19,14 @@
 //!    hardware-aware mode — the interaction-graph similarity factor of
 //!    Eq. (7) (Fig. 4(b)).
 //!
-//! [`PhoenixCompiler`] ties the stages together and exposes CNOT-ISA,
-//! SU(4)-ISA, and hardware-aware outputs.
+//! [`CompileRequest`] is the one entry point: it runs the three stages and
+//! then lowers to the requested [`Target`] — the CNOT ISA, the SU(4) ISA,
+//! or a routed [`Device`] — through one pass list.
 //!
 //! # Examples
 //!
 //! ```
-//! use phoenix_core::PhoenixCompiler;
+//! use phoenix_core::{CompileRequest, Target};
 //! use phoenix_pauli::PauliString;
 //!
 //! // Compile the Fig. 1(b) example program.
@@ -33,8 +34,11 @@
 //!     .iter()
 //!     .map(|s| (s.parse().unwrap(), 0.1))
 //!     .collect();
-//! let compiler = PhoenixCompiler::default();
-//! let cnot = compiler.compile_to_cnot(3, &terms);
+//! let cnot = CompileRequest::new(3, &terms)
+//!     .target(Target::Cnot)
+//!     .run()
+//!     .unwrap()
+//!     .circuit;
 //! // Four weight-3 exponentiations cost 16 CNOTs naively (2(w−1) each);
 //! // one simultaneous Clifford conjugation brings the whole group to ≤2Q.
 //! assert!(cnot.counts().cnot < 16);
@@ -93,11 +97,7 @@ pub use pass::{
     EVENT_DEGRADED, EVENT_RETRIED, EVENT_ROUND_ABANDONED, EVENT_SKIPPED, EVENT_TRUNCATED,
     EVENT_VERIFIED,
 };
-pub use pipeline::{
-    device_backend, hardware_backend, run_hardware_backend, run_hardware_backend_with_trace,
-    try_run_hardware_backend, try_run_hardware_backend_with_trace, CompiledProgram,
-    HardwareProgram, PhoenixCompiler, PhoenixOptions,
-};
+pub use pipeline::{try_run_hardware_backend, HardwareProgram, PhoenixCompiler, PhoenixOptions};
 pub use request::{CompileOutcome, CompileRequest, FleetEntry, FleetOutcome, Target};
 pub use simplify::{CfgItem, SimplifiedGroup, SimplifyOptions};
 pub use strategy::CompilerStrategy;

@@ -33,13 +33,10 @@ use phoenix_obs::metrics::MetricId;
 use phoenix_obs::ObsCollector;
 use phoenix_pauli::{CanonicalIr, PauliString};
 
-use crate::anytime::AnytimePass;
 use crate::error::{validate_program, PhoenixError};
 use crate::observe::MetricsObserver;
-use crate::pass::{CompileContext, PassManager, PassTrace};
-use crate::passes::{ConcatPass, GroupPass, OrderPass, SimplifySynthPass, TransformPass};
-use crate::pipeline::{hardware_backend, PhoenixOptions};
-use crate::request::Target;
+use crate::pass::{CompileContext, PassTrace};
+use crate::pipeline::{logical_passes, PhoenixOptions};
 
 /// SplitMix64-style finalizer used for the options fingerprint.
 fn mix(mut x: u64) -> u64 {
@@ -65,49 +62,10 @@ pub(crate) fn options_fingerprint(options: &PhoenixOptions, routing_aware: bool)
 
 /// Whether the split structure/bind path may serve a request with these
 /// options. Pass budgets make outputs time-dependent and verification
-/// carries state across the whole pipeline, so both fall back to the
-/// legacy single-manager path (the cache is simply not consulted).
+/// carries state across the whole pipeline, so `run()` and `bind()` compile
+/// both unsplit, through one manager (the cache is simply not consulted).
 pub(crate) fn split_path_allowed(options: &PhoenixOptions) -> bool {
     options.pass_budget.is_none() && !options.verify
-}
-
-/// The structure-phase pass sequence: the canonical logical passes, minus
-/// the verifier attachment that [`split_path_allowed`] excludes. A pass
-/// budget *is* attached: `structure()`/`bind()` run this manager even when
-/// the split path is disallowed for `run()` (the cache is filtered out by
-/// [`obtain_structure`] instead), and a budgeted request must truncate
-/// deterministically rather than silently optimize forever.
-fn structure_manager(options: &PhoenixOptions, routing_aware: bool) -> PassManager {
-    match options.pass_budget {
-        // Budgeted structure compiles deepen anytime-style, mirroring
-        // `PhoenixCompiler::logical_passes`.
-        Some(budget) => PassManager::new()
-            .with(GroupPass)
-            .with(AnytimePass {
-                lookahead: options.lookahead,
-                simplify: options.enable_simplification,
-                order_enabled: options.enable_ordering,
-                routing_aware: routing_aware || options.routing_aware,
-                threads: options.stage2_threads,
-                scan_threads: options.stage2_scan_threads,
-                max_rounds: options.anytime_rounds,
-            })
-            .with_budget(budget),
-        None => PassManager::new()
-            .with(GroupPass)
-            .with(SimplifySynthPass {
-                simplify: options.enable_simplification,
-                threads: options.stage2_threads,
-                scan_threads: options.stage2_scan_threads,
-                fault_inject_group: None,
-            })
-            .with(OrderPass {
-                lookahead: options.lookahead,
-                routing_aware: routing_aware || options.routing_aware,
-                enabled: options.enable_ordering,
-            })
-            .with(ConcatPass),
-    }
 }
 
 /// Runs the structure phase cold: compiles `terms` slot-encoded through the
@@ -137,7 +95,11 @@ pub(crate) fn compile_structure(
     ctx.cache = cache.cloned();
     ctx.obs = obs.cloned();
     ctx.cancel = options.cancel.clone();
-    let manager = structure_manager(options, routing_aware);
+    // The same logical stages `run()` starts with: a budget truncates them
+    // and `verify` audits them on the slot-encoded terms. Only
+    // `structure()` brings either here, with the cache filtered out;
+    // `run()` and `bind()` compile such requests unsplit.
+    let manager = logical_passes(options, routing_aware);
     let manager = if obs.is_some() {
         manager.with_observer(Arc::new(MetricsObserver))
     } else {
@@ -167,8 +129,8 @@ pub(crate) fn obtain_structure(
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
 ) -> Result<(Arc<StructureArtifact>, bool, PassTrace), PhoenixError> {
-    // `structure()`/`bind()` land here regardless of options, so re-apply
-    // the same gating `run()` uses before taking the split path: a request
+    // `structure()` lands here regardless of options, so re-apply the
+    // same gating `run()` uses before taking the split path: a request
     // carrying a pass budget (even `Duration::ZERO`) or verification must
     // never be served from — or leak into — the cache. A zero/expired
     // budget thus deterministically takes the truncated compile path.
@@ -201,38 +163,6 @@ pub(crate) fn obtain_structure(
         compile_structure(num_qubits, terms, options, routing_aware, Some(cache), obs)?;
     let artifact = cache.insert_program(key, artifact);
     Ok((artifact, false, trace))
-}
-
-/// The post-bind lowering sequence for `target`: the circuit-level passes
-/// the legacy single-manager path would have run after concatenation, on
-/// the same options. [`Target::Logical`] lowers with an empty manager.
-pub(crate) fn lowering_manager(target: &Target, options: &PhoenixOptions) -> PassManager {
-    let manager = match target {
-        Target::Logical => PassManager::new(),
-        Target::Cnot => PassManager::new().with(TransformPass::peephole()),
-        Target::Su4 => PassManager::new().with(TransformPass::su4_rebase()),
-        Target::CnotViaKak => PassManager::new()
-            .with(TransformPass::su4_rebase())
-            .with(TransformPass::kak_resynthesis())
-            .with(TransformPass::peephole()),
-        Target::Hardware(_) => {
-            PassManager::new().append(hardware_backend(&options.router, options.layout_trials))
-        }
-        Target::Device(device) => PassManager::new().append(crate::pipeline::device_backend(
-            device,
-            &options.router,
-            options.layout_trials,
-        )),
-        // Fleet requests fan out into per-member `Target::Device` requests
-        // before any lowering happens (see `CompileRequest::fleet`), so a
-        // fleet target never reaches the lowering manager; lower like
-        // `Logical` to stay total.
-        Target::Fleet(_) => PassManager::new(),
-    };
-    match options.pass_budget {
-        Some(budget) => manager.with_budget(budget),
-        None => manager,
-    }
 }
 
 #[cfg(test)]

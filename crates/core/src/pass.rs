@@ -9,10 +9,9 @@
 //! before/after circuit statistics, so any pipeline assembled from passes is
 //! observable for free.
 //!
-//! [`PhoenixCompiler`](crate::PhoenixCompiler)'s entry points are thin
-//! wrappers that assemble canonical sequences from
-//! [`passes`](crate::passes); custom pipelines compose the same building
-//! blocks:
+//! [`CompileRequest`](crate::CompileRequest) runs the canonical sequence
+//! assembled from [`passes`](crate::passes); custom pipelines compose the
+//! same building blocks:
 //!
 //! ```
 //! use phoenix_core::pass::{CompileContext, PassManager};

@@ -1,10 +1,13 @@
-//! The end-to-end PHOENIX compiler.
+//! The one PHOENIX pipeline definition.
 //!
-//! Every entry point is a thin wrapper over the unified
-//! [`CompileRequest`](crate::CompileRequest) builder: it picks the
-//! [`Target`](crate::Target) and retention flags matching the legacy
-//! signature and delegates. The golden-equivalence tests in
-//! `tests/compile_request.rs` pin each wrapper to the request path.
+//! Every compilation is [`logical_passes`] (stages 1–3 plus
+//! concatenation) followed by [`lowering_passes`] for its
+//! [`Target`](crate::Target). [`CompileRequest::run`] appends the two and
+//! runs them as one manager; the cached structure/bind path runs the same
+//! two managers on either side of the angle substitution. Device targets
+//! lower through [`device_backend`], the routing back end that
+//! [`try_run_hardware_backend`] also runs on circuits other compilers
+//! produced.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,12 +15,12 @@ use std::time::Duration;
 use crate::anytime::AnytimePass;
 use crate::cancel::CancelToken;
 use crate::error::{validate_device, PhoenixError};
-use crate::pass::{CompileContext, PassError, PassManager, PassTrace};
+use crate::pass::{CompileContext, PassError, PassManager};
 use crate::passes::{
     ConcatPass, GroupPass, LayoutRoutePass, OrderPass, SimplifySynthPass, SnapshotLogicalPass,
     TransformPass,
 };
-use crate::request::{CompileOutcome, CompileRequest, Target};
+use crate::request::{CompileRequest, Target};
 use crate::verify::BoundaryVerifier;
 use phoenix_circuit::Circuit;
 use phoenix_device::{Device, NativeIsa};
@@ -61,8 +64,9 @@ pub struct PhoenixOptions {
     /// Wall-clock budget for optimization effort. Once elapsed, remaining
     /// optimization epochs are cut short (each affected unit of work falls
     /// back to its unoptimized form, recorded as `truncated`/`skipped`
-    /// events in the [`PassTrace`]) while correctness-critical stages run
-    /// to completion — the output is always valid, just less optimized.
+    /// events in the [`PassTrace`](crate::PassTrace)) while
+    /// correctness-critical stages run to completion — the output is always
+    /// valid, just less optimized.
     /// `None` (the default) never truncates.
     pub pass_budget: Option<Duration>,
     /// Logical cap on the anytime deepening schedule used by budgeted
@@ -118,21 +122,6 @@ impl Default for PhoenixOptions {
     }
 }
 
-/// The result of logical compilation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledProgram {
-    /// The ordered high-level circuit (Clifford2Q generators + ≤2Q Pauli
-    /// rotations), still ISA-independent.
-    pub circuit: Circuit,
-    /// Number of IR groups the program decomposed into.
-    pub num_groups: usize,
-    /// The input terms in the order the emitted circuit implements them —
-    /// a permutation of the input (compilation only reorders the Trotter
-    /// product). The circuit's unitary equals this order's exact Trotter
-    /// product up to global phase.
-    pub term_order: Vec<(PauliString, f64)>,
-}
-
 /// The result of hardware-aware compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardwareProgram {
@@ -166,11 +155,84 @@ impl HardwareProgram {
     }
 }
 
+/// The logical stages every target starts with: grouping, then BSF
+/// simplification and synthesis, Tetris ordering and concatenation.
+///
+/// A pass budget turns the last three into one interruptible
+/// [`AnytimePass`] and rides on the returned manager;
+/// [`PassManager::append`] keeps it, so a lowering suffix appended here
+/// runs under the same deadline. `verify` attaches the compilation's one
+/// [`BoundaryVerifier`], which `append` also keeps, so the suffix is
+/// verified by the same instance.
+pub(crate) fn logical_passes(options: &PhoenixOptions, routing_aware: bool) -> PassManager {
+    let routing_aware = routing_aware || options.routing_aware;
+    let manager = match options.pass_budget {
+        // Budgeted compiles deepen anytime-style: stages 2–4 become one
+        // interruptible pass that always holds a valid best-so-far.
+        Some(budget) => PassManager::new()
+            .with(GroupPass)
+            .with(AnytimePass {
+                lookahead: options.lookahead,
+                simplify: options.enable_simplification,
+                order_enabled: options.enable_ordering,
+                routing_aware,
+                threads: options.stage2_threads,
+                scan_threads: options.stage2_scan_threads,
+                max_rounds: options.anytime_rounds,
+            })
+            .with_budget(budget),
+        // Unbudgeted compiles take the exact legacy single-shot path.
+        None => PassManager::new()
+            .with(GroupPass)
+            .with(SimplifySynthPass {
+                simplify: options.enable_simplification,
+                threads: options.stage2_threads,
+                scan_threads: options.stage2_scan_threads,
+                fault_inject_group: None,
+            })
+            .with(OrderPass {
+                lookahead: options.lookahead,
+                routing_aware,
+                enabled: options.enable_ordering,
+            })
+            .with(ConcatPass),
+    };
+    if options.verify {
+        manager.with_observer(Arc::new(BoundaryVerifier::default()))
+    } else {
+        manager
+    }
+}
+
+/// The circuit-level suffix that lowers the concatenated logical circuit
+/// into `target`: nothing for [`Target::Logical`], the peephole for
+/// [`Target::Cnot`], an SU(4) rebase for [`Target::Su4`], rebase + KAK
+/// resynthesis + peephole for [`Target::CnotViaKak`], and
+/// [`device_backend`] for [`Target::Device`]. It carries no budget: a
+/// budgeted compile appends it to [`logical_passes`], whose budget covers
+/// both.
+pub(crate) fn lowering_passes(target: &Target, options: &PhoenixOptions) -> PassManager {
+    match target {
+        // Fleet requests fan out into per-member `Target::Device` requests
+        // before anything runs (see `CompileRequest::fleet`), so a fleet
+        // target never reaches lowering; lower like `Logical` to stay total.
+        Target::Logical | Target::Fleet(_) => PassManager::new(),
+        Target::Cnot => PassManager::new().with(TransformPass::peephole()),
+        Target::Su4 => PassManager::new().with(TransformPass::su4_rebase()),
+        Target::CnotViaKak => PassManager::new()
+            .with(TransformPass::su4_rebase())
+            .with(TransformPass::kak_resynthesis())
+            .with(TransformPass::peephole()),
+        Target::Device(device) => device_backend(device, &options.router, options.layout_trials),
+    }
+}
+
 /// The shared hardware-aware back end as a pass sequence: peephole ("O3"),
 /// logical snapshot, layout search + SABRE routing, SWAP lowering, final
-/// peephole. Used both by [`PhoenixCompiler::compile_hardware_aware`] and by
-/// the baseline harness, so strategy differences dominate comparisons.
-pub fn hardware_backend(router: &RouterOptions, layout_trials: usize) -> PassManager {
+/// peephole. Every device target runs it (through [`device_backend`]), and
+/// so does [`try_run_hardware_backend`] on the baselines' outputs, so
+/// strategy differences dominate comparisons.
+pub(crate) fn hardware_backend(router: &RouterOptions, layout_trials: usize) -> PassManager {
     PassManager::new()
         .with(TransformPass::peephole())
         .with(SnapshotLogicalPass)
@@ -191,7 +253,7 @@ pub fn hardware_backend(router: &RouterOptions, layout_trials: usize) -> PassMan
 /// `{1Q, CNOT}` ([`Pass::run_skipped`](crate::pass::Pass::run_skipped)), so
 /// the native-ISA guarantee survives `pass_budget` truncation exactly as it
 /// does for the logical ISA targets.
-pub fn device_backend(
+pub(crate) fn device_backend(
     device: &Device,
     router: &RouterOptions,
     layout_trials: usize,
@@ -207,20 +269,26 @@ pub fn device_backend(
     }
 }
 
-/// Fallible [`run_hardware_backend_with_trace`]: validates that the
-/// circuit fits the device before routing, and surfaces pass failures
-/// (including contained panics) as a typed [`PhoenixError`].
-pub fn try_run_hardware_backend_with_trace(
+/// Routes a circuit some other compiler produced onto `device` through the
+/// shared hardware back end (peephole, logical snapshot, layout search +
+/// SABRE routing, SWAP lowering, final peephole) — the baselines' path to
+/// the hardware back end.
+///
+/// # Errors
+///
+/// Returns a typed [`PhoenixError`] when the circuit does not fit the
+/// device or a pass fails (including a contained panic).
+pub fn try_run_hardware_backend(
     logical: &Circuit,
     device: &CouplingGraph,
     router: &RouterOptions,
     layout_trials: usize,
-) -> Result<(HardwareProgram, PassTrace), PhoenixError> {
+) -> Result<HardwareProgram, PhoenixError> {
     validate_device(logical.num_qubits(), device)?;
     let mut ctx = CompileContext::from_circuit(logical.clone());
     ctx.device = Some(device.clone());
-    let trace = hardware_backend(router, layout_trials).run(&mut ctx)?;
-    extract_hardware_program(ctx).map(|p| (p, trace))
+    hardware_backend(router, layout_trials).run(&mut ctx)?;
+    extract_hardware_program(ctx)
 }
 
 /// Pulls a [`HardwareProgram`] out of a routed [`CompileContext`].
@@ -245,50 +313,14 @@ pub(crate) fn extract_hardware_program(
     })
 }
 
-/// [`try_run_hardware_backend_with_trace`] without the trace.
-pub fn try_run_hardware_backend(
-    logical: &Circuit,
-    device: &CouplingGraph,
-    router: &RouterOptions,
-    layout_trials: usize,
-) -> Result<HardwareProgram, PhoenixError> {
-    try_run_hardware_backend_with_trace(logical, device, router, layout_trials).map(|(p, _)| p)
-}
-
-/// Runs the shared hardware back end on an already-compiled logical
-/// circuit, returning the routed program and the pass trace.
-///
-/// # Panics
-///
-/// Panics if the device does not fit the circuit or routing fails — use
-/// [`try_run_hardware_backend_with_trace`] for graceful rejection.
-pub fn run_hardware_backend_with_trace(
-    logical: &Circuit,
-    device: &CouplingGraph,
-    router: &RouterOptions,
-    layout_trials: usize,
-) -> (HardwareProgram, PassTrace) {
-    try_run_hardware_backend_with_trace(logical, device, router, layout_trials)
-        .unwrap_or_else(|e| panic!("hardware backend failed: {e}"))
-}
-
-/// [`run_hardware_backend_with_trace`] without the trace.
-pub fn run_hardware_backend(
-    logical: &Circuit,
-    device: &CouplingGraph,
-    router: &RouterOptions,
-    layout_trials: usize,
-) -> HardwareProgram {
-    run_hardware_backend_with_trace(logical, device, router, layout_trials).0
-}
-
-/// The PHOENIX compiler: grouping → BSF simplification → Tetris ordering,
-/// with CNOT-ISA, SU(4)-ISA and hardware-aware back ends.
+/// The PHOENIX compiler: a set of [`PhoenixOptions`] that builds
+/// [`CompileRequest`]s, and PHOENIX's
+/// [`CompilerStrategy`](crate::CompilerStrategy) next to the baselines.
 ///
 /// # Examples
 ///
 /// ```
-/// use phoenix_core::PhoenixCompiler;
+/// use phoenix_core::{PhoenixCompiler, Target};
 /// use phoenix_pauli::PauliString;
 ///
 /// let terms: Vec<(PauliString, f64)> = vec![
@@ -296,8 +328,14 @@ pub fn run_hardware_backend(
 ///     ("YYXX".parse().unwrap(), 0.2),
 ///     ("ZZII".parse().unwrap(), 0.3),
 /// ];
-/// let out = PhoenixCompiler::default().compile(4, &terms);
+/// let out = PhoenixCompiler::default().request(4, &terms).run().unwrap();
 /// assert_eq!(out.num_groups, 2);
+/// let cnot = PhoenixCompiler::default()
+///     .request(4, &terms)
+///     .target(Target::Cnot)
+///     .run()
+///     .unwrap();
+/// assert!(cnot.circuit.counts().cnot > 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhoenixCompiler {
@@ -311,301 +349,9 @@ impl PhoenixCompiler {
         PhoenixCompiler { options }
     }
 
-    /// The canonical logical pass sequence (stages 1–3 + concatenation),
-    /// parameterized by this compiler's options (including the pass
-    /// budget, which survives [`PassManager::append`]).
-    pub fn logical_passes(&self, routing_aware: bool) -> PassManager {
-        let manager = match self.options.pass_budget {
-            // Budgeted compiles deepen anytime-style: stages 2–4 become one
-            // interruptible pass that always holds a valid best-so-far.
-            Some(budget) => PassManager::new()
-                .with(GroupPass)
-                .with(AnytimePass {
-                    lookahead: self.options.lookahead,
-                    simplify: self.options.enable_simplification,
-                    order_enabled: self.options.enable_ordering,
-                    routing_aware: routing_aware || self.options.routing_aware,
-                    threads: self.options.stage2_threads,
-                    scan_threads: self.options.stage2_scan_threads,
-                    max_rounds: self.options.anytime_rounds,
-                })
-                .with_budget(budget),
-            // Unbudgeted compiles take the exact legacy single-shot path.
-            None => PassManager::new()
-                .with(GroupPass)
-                .with(SimplifySynthPass {
-                    simplify: self.options.enable_simplification,
-                    threads: self.options.stage2_threads,
-                    scan_threads: self.options.stage2_scan_threads,
-                    fault_inject_group: None,
-                })
-                .with(OrderPass {
-                    lookahead: self.options.lookahead,
-                    routing_aware: routing_aware || self.options.routing_aware,
-                    enabled: self.options.enable_ordering,
-                })
-                .with(ConcatPass),
-        };
-        if self.options.verify {
-            // One verifier per compilation: it carries a unitary snapshot
-            // across rewrites. `append` keeps the observer, so the
-            // hardware back end is verified by the same instance.
-            manager.with_observer(Arc::new(BoundaryVerifier::default()))
-        } else {
-            manager
-        }
-    }
-
-    /// A [`CompileRequest`] for `terms` carrying this compiler's options —
-    /// the preferred entry point; every legacy method below delegates to
-    /// it.
+    /// A [`CompileRequest`] for `terms` carrying this compiler's options.
     pub fn request(&self, n: usize, terms: &[(PauliString, f64)]) -> CompileRequest {
         CompileRequest::new(n, terms).options(self.options.clone())
-    }
-
-    /// Logical compilation to the high-level IR-group circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input — use [`PhoenixCompiler::try_compile`] for
-    /// graceful rejection.
-    pub fn compile(&self, n: usize, terms: &[(PauliString, f64)]) -> CompiledProgram {
-        self.try_compile(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// Fallible [`PhoenixCompiler::compile`]: validates the program up
-    /// front and returns a typed [`PhoenixError`] instead of panicking.
-    pub fn try_compile(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<CompiledProgram, PhoenixError> {
-        self.request(n, terms)
-            .run()
-            .map(CompileOutcome::into_program)
-    }
-
-    /// [`PhoenixCompiler::compile`] plus the recorded pass trace.
-    pub fn compile_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> (CompiledProgram, PassTrace) {
-        self.try_compile_with_trace(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// [`PhoenixCompiler::try_compile`] plus the recorded pass trace.
-    pub fn try_compile_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<(CompiledProgram, PassTrace), PhoenixError> {
-        self.request(n, terms)
-            .trace(true)
-            .run()
-            .map(CompileOutcome::into_program_and_trace)
-    }
-
-    /// Logical compilation to the CNOT ISA (lowered + peephole-optimized).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input — use [`PhoenixCompiler::try_compile_to_cnot`].
-    pub fn compile_to_cnot(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.try_compile_to_cnot(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// Fallible [`PhoenixCompiler::compile_to_cnot`].
-    pub fn try_compile_to_cnot(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<Circuit, PhoenixError> {
-        self.request(n, terms)
-            .target(Target::Cnot)
-            .run()
-            .map(|out| out.circuit)
-    }
-
-    /// [`PhoenixCompiler::compile_to_cnot`] plus the recorded pass trace.
-    pub fn compile_to_cnot_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> (Circuit, PassTrace) {
-        self.try_compile_to_cnot_with_trace(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// [`PhoenixCompiler::try_compile_to_cnot`] plus the recorded pass
-    /// trace.
-    pub fn try_compile_to_cnot_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<(Circuit, PassTrace), PhoenixError> {
-        self.request(n, terms)
-            .target(Target::Cnot)
-            .trace(true)
-            .run()
-            .map(CompileOutcome::into_circuit_and_trace)
-    }
-
-    /// Logical compilation to the SU(4) ISA: PHOENIX emits SU(4) blocks
-    /// directly from its simplified IR (no CNOT detour).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input — use [`PhoenixCompiler::try_compile_to_su4`].
-    pub fn compile_to_su4(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.try_compile_to_su4(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// Fallible [`PhoenixCompiler::compile_to_su4`].
-    pub fn try_compile_to_su4(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<Circuit, PhoenixError> {
-        self.request(n, terms)
-            .target(Target::Su4)
-            .run()
-            .map(|out| out.circuit)
-    }
-
-    /// [`PhoenixCompiler::compile_to_su4`] plus the recorded pass trace.
-    pub fn compile_to_su4_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> (Circuit, PassTrace) {
-        self.try_compile_to_su4_with_trace(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// [`PhoenixCompiler::try_compile_to_su4`] plus the recorded pass
-    /// trace.
-    pub fn try_compile_to_su4_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<(Circuit, PassTrace), PhoenixError> {
-        self.request(n, terms)
-            .target(Target::Su4)
-            .trace(true)
-            .run()
-            .map(CompileOutcome::into_circuit_and_trace)
-    }
-
-    /// Logical compilation to the CNOT ISA *through* the SU(4) layer:
-    /// blocks are KAK-resynthesized to their ≤3-rotation canonical forms
-    /// before lowering, capping every same-pair run at its Weyl floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input — use
-    /// [`PhoenixCompiler::try_compile_to_cnot_via_kak`].
-    pub fn compile_to_cnot_via_kak(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.try_compile_to_cnot_via_kak(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// Fallible [`PhoenixCompiler::compile_to_cnot_via_kak`].
-    pub fn try_compile_to_cnot_via_kak(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<Circuit, PhoenixError> {
-        self.request(n, terms)
-            .target(Target::CnotViaKak)
-            .run()
-            .map(|out| out.circuit)
-    }
-
-    /// [`PhoenixCompiler::compile_to_cnot_via_kak`] plus the recorded pass
-    /// trace.
-    pub fn compile_to_cnot_via_kak_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> (Circuit, PassTrace) {
-        self.try_compile_to_cnot_via_kak_with_trace(n, terms)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// [`PhoenixCompiler::try_compile_to_cnot_via_kak`] plus the recorded
-    /// pass trace.
-    pub fn try_compile_to_cnot_via_kak_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-    ) -> Result<(Circuit, PassTrace), PhoenixError> {
-        self.request(n, terms)
-            .target(Target::CnotViaKak)
-            .trace(true)
-            .run()
-            .map(CompileOutcome::into_circuit_and_trace)
-    }
-
-    /// Hardware-aware compilation: routing-aware ordering, CNOT lowering,
-    /// SABRE routing on `device`, SWAP lowering and final peephole.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input or an unroutable device — use
-    /// [`PhoenixCompiler::try_compile_hardware_aware`].
-    pub fn compile_hardware_aware(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-        device: &CouplingGraph,
-    ) -> HardwareProgram {
-        self.try_compile_hardware_aware(n, terms, device)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// Fallible [`PhoenixCompiler::compile_hardware_aware`]: additionally
-    /// validates that the device fits the program and is connected.
-    pub fn try_compile_hardware_aware(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-        device: &CouplingGraph,
-    ) -> Result<HardwareProgram, PhoenixError> {
-        self.try_compile_hardware_aware_with_trace(n, terms, device)
-            .map(|(p, _)| p)
-    }
-
-    /// [`PhoenixCompiler::compile_hardware_aware`] plus the recorded pass
-    /// trace.
-    pub fn compile_hardware_aware_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-        device: &CouplingGraph,
-    ) -> (HardwareProgram, PassTrace) {
-        self.try_compile_hardware_aware_with_trace(n, terms, device)
-            .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
-    }
-
-    /// [`PhoenixCompiler::try_compile_hardware_aware`] plus the recorded
-    /// pass trace.
-    pub fn try_compile_hardware_aware_with_trace(
-        &self,
-        n: usize,
-        terms: &[(PauliString, f64)],
-        device: &CouplingGraph,
-    ) -> Result<(HardwareProgram, PassTrace), PhoenixError> {
-        self.request(n, terms)
-            .target(Target::Hardware(device.clone()))
-            .trace(true)
-            .run()?
-            .into_hardware_and_trace()
-            .map_err(|_| PassError::new("layout-route", "hardware program missing").into())
     }
 }
 
@@ -613,6 +359,8 @@ impl PhoenixCompiler {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pass::PassTrace;
+    use crate::request::CompileOutcome;
     use phoenix_circuit::synthesis::naive_circuit;
 
     fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
@@ -623,10 +371,33 @@ mod tests {
             .collect()
     }
 
+    fn compile(
+        options: &PhoenixOptions,
+        n: usize,
+        t: &[(PauliString, f64)],
+        target: Target,
+    ) -> Result<CompileOutcome, PhoenixError> {
+        CompileRequest::new(n, t)
+            .options(options.clone())
+            .target(target)
+            .trace(true)
+            .run()
+    }
+
+    fn bare(graph: &CouplingGraph) -> Target {
+        Target::Device(Device::bare(graph.clone()))
+    }
+
+    fn trace_of(out: &CompileOutcome) -> &PassTrace {
+        out.trace.as_ref().unwrap()
+    }
+
     #[test]
     fn compile_beats_naive_on_fig1b() {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let phoenix = PhoenixCompiler::default().compile_to_cnot(3, &t);
+        let phoenix = compile(&PhoenixOptions::default(), 3, &t, Target::Cnot)
+            .unwrap()
+            .circuit;
         let naive = naive_circuit(3, &t);
         assert!(
             phoenix.counts().cnot < naive.counts().cnot,
@@ -639,7 +410,9 @@ mod tests {
     #[test]
     fn su4_output_contains_only_su4_two_qubit_gates() {
         let t = terms(&["XYZX", "YYZZ", "ZIIZ", "XIIX"]);
-        let su4 = PhoenixCompiler::default().compile_to_su4(4, &t);
+        let su4 = compile(&PhoenixOptions::default(), 4, &t, Target::Su4)
+            .unwrap()
+            .circuit;
         let k = su4.counts();
         assert_eq!(k.cnot + k.clifford2 + k.pauli_rot2 + k.swap, 0);
         assert!(k.su4 > 0);
@@ -649,7 +422,10 @@ mod tests {
     fn hardware_aware_respects_coupling() {
         let t = terms(&["ZZII", "IZZI", "IIZZ", "ZIIZ"]);
         let dev = CouplingGraph::line(4);
-        let hw = PhoenixCompiler::default().compile_hardware_aware(4, &t, &dev);
+        let hw = compile(&PhoenixOptions::default(), 4, &t, bare(&dev))
+            .unwrap()
+            .hardware
+            .unwrap();
         for g in hw.circuit.gates() {
             if let (a, Some(b)) = g.qubits() {
                 assert!(dev.contains_edge(a, b), "gate {g} violates coupling");
@@ -660,7 +436,7 @@ mod tests {
 
     #[test]
     fn empty_program_compiles_to_empty_circuit() {
-        let out = PhoenixCompiler::default().compile(3, &[]);
+        let out = compile(&PhoenixOptions::default(), 3, &[], Target::Logical).unwrap();
         assert!(out.circuit.is_empty());
         assert_eq!(out.num_groups, 0);
     }
@@ -668,7 +444,7 @@ mod tests {
     #[test]
     fn qaoa_terms_compile_without_cliffords() {
         let t = terms(&["ZZII", "IZZI", "IIZZ"]);
-        let out = PhoenixCompiler::default().compile(4, &t);
+        let out = compile(&PhoenixOptions::default(), 4, &t, Target::Logical).unwrap();
         assert_eq!(out.circuit.counts().clifford2, 0);
         assert_eq!(out.circuit.counts().pauli_rot2, 3);
     }
@@ -676,9 +452,9 @@ mod tests {
     #[test]
     fn logical_trace_names_the_canonical_sequence() {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let (_, trace) = PhoenixCompiler::default().compile_to_cnot_with_trace(3, &t);
+        let out = compile(&PhoenixOptions::default(), 3, &t, Target::Cnot).unwrap();
         assert_eq!(
-            trace.pass_names(),
+            trace_of(&out).pass_names(),
             [
                 "group",
                 "simplify-synth",
@@ -690,21 +466,21 @@ mod tests {
     }
 
     #[test]
-    fn try_compile_rejects_malformed_programs_without_panicking() {
-        let c = PhoenixCompiler::default();
+    fn malformed_programs_are_rejected_without_panicking() {
+        let o = PhoenixOptions::default();
         let mixed = terms(&["ZZ", "ZZI"]);
         assert!(matches!(
-            c.try_compile(2, &mixed),
-            Err(crate::error::PhoenixError::TermWidthMismatch { index: 1, .. })
+            compile(&o, 2, &mixed, Target::Logical),
+            Err(PhoenixError::TermWidthMismatch { index: 1, .. })
         ));
         let nan = vec![("XX".parse::<PauliString>().unwrap(), f64::NAN)];
-        assert!(c.try_compile_to_cnot(2, &nan).is_err());
-        assert!(c.try_compile_to_su4(2, &nan).is_err());
-        assert!(c.try_compile_to_cnot_via_kak(2, &nan).is_err());
+        for target in [Target::Cnot, Target::Su4, Target::CnotViaKak] {
+            assert!(compile(&o, 2, &nan, target).is_err());
+        }
         let dev = CouplingGraph::line(2);
         assert!(matches!(
-            c.try_compile_hardware_aware(3, &terms(&["ZZI"]), &dev),
-            Err(crate::error::PhoenixError::DeviceTooSmall {
+            compile(&o, 3, &terms(&["ZZI"]), bare(&dev)),
+            Err(PhoenixError::DeviceTooSmall {
                 program: 3,
                 device: 2
             })
@@ -712,39 +488,22 @@ mod tests {
     }
 
     #[test]
-    fn try_paths_match_infallible_paths_on_valid_input() {
-        let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let c = PhoenixCompiler::default();
-        assert_eq!(c.try_compile(3, &t).unwrap(), c.compile(3, &t));
-        assert_eq!(
-            c.try_compile_to_cnot(3, &t).unwrap(),
-            c.compile_to_cnot(3, &t)
-        );
-        let dev = CouplingGraph::line(3);
-        assert_eq!(
-            c.try_compile_hardware_aware(3, &t, &dev).unwrap(),
-            c.compile_hardware_aware(3, &t, &dev)
-        );
-    }
-
-    #[test]
     fn pass_budget_truncates_but_still_compiles_hardware_aware() {
         let t = terms(&["ZZII", "IZZI", "IIZZ", "ZIIZ"]);
         let dev = CouplingGraph::line(4);
-        let c = PhoenixCompiler::new(PhoenixOptions {
+        let o = PhoenixOptions {
             pass_budget: Some(Duration::ZERO),
             ..PhoenixOptions::default()
-        });
-        let (hw, trace) = c
-            .try_compile_hardware_aware_with_trace(4, &t, &dev)
-            .unwrap();
-        for g in hw.circuit.gates() {
+        };
+        let out = compile(&o, 4, &t, bare(&dev)).unwrap();
+        for g in out.hardware.as_ref().unwrap().circuit.gates() {
             if let (a, Some(b)) = g.qubits() {
                 assert!(dev.contains_edge(a, b), "gate {g} violates coupling");
             }
         }
         // Required passes (lowering, routing) still ran; optimization was
         // truncated or skipped and the trace says so.
+        let trace = trace_of(&out);
         assert!(!trace.events.is_empty());
         assert!(trace
             .pass_names()
@@ -756,12 +515,12 @@ mod tests {
     fn verify_option_validates_every_executed_boundary() {
         use crate::pass::EVENT_VERIFIED;
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let c = PhoenixCompiler::new(PhoenixOptions {
+        let o = PhoenixOptions {
             verify: true,
             ..PhoenixOptions::default()
-        });
-        let (_, trace) = c.try_compile_to_cnot_with_trace(3, &t).unwrap();
-        let verified: Vec<&str> = trace
+        };
+        let out = compile(&o, 3, &t, Target::Cnot).unwrap();
+        let verified: Vec<&str> = trace_of(&out)
             .events
             .iter()
             .filter(|e| e.kind == EVENT_VERIFIED)
@@ -779,19 +538,18 @@ mod tests {
         );
 
         let dev = CouplingGraph::line(3);
-        let (hw, trace) = c
-            .try_compile_hardware_aware_with_trace(3, &t, &dev)
-            .unwrap();
-        assert!(trace
+        let hw_out = compile(&o, 3, &t, bare(&dev)).unwrap();
+        assert!(trace_of(&hw_out)
             .events
             .iter()
             .any(|e| e.kind == EVENT_VERIFIED && e.pass == "layout-route"));
+        let hw = hw_out.hardware.unwrap();
         assert_eq!(hw.initial_layout.len(), 3);
         assert_eq!(hw.final_layout.len(), 3);
 
         // The verified output is identical to the unverified one.
-        let plain = PhoenixCompiler::default();
-        assert_eq!(c.compile_to_cnot(3, &t), plain.compile_to_cnot(3, &t));
+        let plain = compile(&PhoenixOptions::default(), 3, &t, Target::Cnot).unwrap();
+        assert_eq!(out.circuit, plain.circuit);
     }
 
     #[test]
@@ -812,9 +570,7 @@ mod tests {
         }
 
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let compiler = PhoenixCompiler::default();
-        let manager = compiler
-            .logical_passes(false)
+        let manager = logical_passes(&PhoenixOptions::default(), false)
             .with(SabotagePass)
             .with_observer(Arc::new(crate::verify::BoundaryVerifier::default()));
         let mut ctx = CompileContext::new(3, &t);
@@ -828,7 +584,9 @@ mod tests {
     #[test]
     fn try_run_hardware_backend_rejects_undersized_devices() {
         let t = terms(&["ZZZ"]);
-        let logical = PhoenixCompiler::default().compile_to_cnot(3, &t);
+        let logical = compile(&PhoenixOptions::default(), 3, &t, Target::Cnot)
+            .unwrap()
+            .circuit;
         let small = CouplingGraph::line(2);
         assert!(try_run_hardware_backend(&logical, &small, &RouterOptions::default(), 1).is_err());
     }
@@ -837,9 +595,9 @@ mod tests {
     fn hardware_trace_covers_the_full_pipeline() {
         let t = terms(&["ZZII", "IZZI", "IIZZ"]);
         let dev = CouplingGraph::line(4);
-        let (hw, trace) = PhoenixCompiler::default().compile_hardware_aware_with_trace(4, &t, &dev);
+        let out = compile(&PhoenixOptions::default(), 4, &t, bare(&dev)).unwrap();
         assert_eq!(
-            trace.pass_names(),
+            trace_of(&out).pass_names(),
             [
                 "group",
                 "simplify-synth",
@@ -852,6 +610,6 @@ mod tests {
                 "peephole"
             ]
         );
-        assert!(!hw.circuit.is_empty());
+        assert!(!out.hardware.unwrap().circuit.is_empty());
     }
 }

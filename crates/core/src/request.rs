@@ -1,9 +1,9 @@
 //! The unified compilation API: [`CompileRequest`] → [`CompileOutcome`].
 //!
-//! [`PhoenixCompiler`] grew one entry point per (target ISA × fallibility ×
-//! trace retention) combination — twenty methods that all assemble the same
-//! canonical pass sequence. [`CompileRequest`] collapses them into one
-//! builder:
+//! Every compilation goes through one builder: pick a [`Target`], set
+//! options and retention flags, then [`CompileRequest::run`] (or
+//! [`CompileRequest::bind`] / [`CompileRequest::structure`] for the cached
+//! parametric path, [`CompileRequest::fleet`] for a ranked fleet):
 //!
 //! ```
 //! use phoenix_core::{CompileRequest, Target};
@@ -25,10 +25,8 @@
 //! assert_eq!(report.metrics.counter("groups_compiled"), Some(1));
 //! ```
 //!
-//! The legacy `compile*` methods survive as thin wrappers over this type
-//! (see `pipeline.rs`), so downstream code migrates at its own pace; the
-//! golden-equivalence tests in `crates/core/tests/compile_request.rs` pin
-//! every wrapper to the request path bit-for-bit.
+//! Every path runs the one pass list of `pipeline.rs`: the logical stages,
+//! then the target's lowering suffix.
 
 use std::sync::Arc;
 
@@ -38,16 +36,13 @@ use phoenix_device::Device;
 use phoenix_obs::report::ObsEvent;
 use phoenix_obs::{metrics, MetricId, ObsCollector, ObsReport, Span};
 use phoenix_pauli::PauliString;
-use phoenix_topology::CouplingGraph;
 
 use crate::error::{validate_device, validate_program, PhoenixError};
 use crate::observe::MetricsObserver;
 use crate::parametric;
-use crate::pass::{CompileContext, PassTrace};
-use crate::passes::TransformPass;
+use crate::pass::{CompileContext, PassManager, PassTrace};
 use crate::pipeline::{
-    device_backend, extract_hardware_program, CompiledProgram, HardwareProgram, PhoenixCompiler,
-    PhoenixOptions,
+    extract_hardware_program, logical_passes, lowering_passes, HardwareProgram, PhoenixOptions,
 };
 
 /// The compilation target a [`CompileRequest`] lowers to.
@@ -64,23 +59,25 @@ pub enum Target {
     /// The CNOT ISA *through* the SU(4) layer: blocks KAK-resynthesized to
     /// their Weyl floor before lowering.
     CnotViaKak,
-    /// **Deprecated**: hardware-aware compilation onto a bare coupling
-    /// graph. Normalized on execution to
-    /// `Target::Device(Device::bare(graph))` — a noiseless CNOT-ISA device
-    /// — so outputs are bit-for-bit identical to [`Target::Device`] with
-    /// that device (pinned by `crates/core/tests/fleet.rs`). Prefer
-    /// [`Target::Device`], which also carries a native ISA and error model.
-    Hardware(CouplingGraph),
     /// Hardware-aware compilation onto a [`Device`]: routing-aware
     /// ordering, CNOT lowering, layout search + SABRE routing, SWAP
     /// lowering, peephole, then rebase into the device's native ISA
-    /// (see [`phoenix_device::NativeIsa`]).
+    /// (see [`phoenix_device::NativeIsa`]). A bare coupling graph compiles
+    /// as [`Device::bare`], a noiseless CNOT-ISA device.
     Device(Device),
     /// Compile one program against every device of a fleet in parallel
     /// and keep the outcome of the member with the highest predicted
     /// fidelity. [`CompileRequest::run`] returns the best member's
     /// outcome; use [`CompileRequest::fleet`] for the full ranking.
     Fleet(Vec<Device>),
+}
+
+impl Target {
+    /// Whether this target routes onto hardware, which makes stage 3's
+    /// ordering routing-aware (Eq. (7)).
+    fn routes(&self) -> bool {
+        matches!(self, Target::Device(_) | Target::Fleet(_))
+    }
 }
 
 /// A single compilation, fully described: program, target, options, and
@@ -169,15 +166,11 @@ impl CompileRequest {
     ///
     /// Returns a typed [`PhoenixError`] on invalid input or a failing pass.
     pub fn structure(self) -> Result<Arc<StructureArtifact>, PhoenixError> {
-        let routing_aware = matches!(
-            self.target,
-            Target::Hardware(_) | Target::Device(_) | Target::Fleet(_)
-        );
         let (artifact, _, _) = parametric::obtain_structure(
             self.num_qubits,
             &self.terms,
             &self.options,
-            routing_aware,
+            self.target.routes(),
             self.cache.as_ref(),
             None,
         )?;
@@ -188,15 +181,29 @@ impl CompileRequest {
     /// obtains the structure artifact (from the cache when possible), binds
     /// the angles into the skeleton, and lowers to the requested target.
     /// This is the VQE-sweep entry point — on a warm cache, everything but
-    /// the substitution and target lowering is skipped.
+    /// the substitution and target lowering is skipped. Requests the cache
+    /// may not serve (a pass budget or verification) and fleets compile
+    /// exactly as [`CompileRequest::run`] with the angles as coefficients.
     ///
     /// # Errors
     ///
     /// Returns a typed [`PhoenixError`] on invalid input, an angle vector
     /// whose length differs from the term count, or a non-finite angle.
-    pub fn bind(self, angles: &[f64]) -> Result<CompileOutcome, PhoenixError> {
-        let angles = angles.to_vec();
-        self.run_split(Some(angles))
+    pub fn bind(mut self, angles: &[f64]) -> Result<CompileOutcome, PhoenixError> {
+        if parametric::split_path_allowed(&self.options) && !matches!(self.target, Target::Fleet(_))
+        {
+            return self.run_split(angles);
+        }
+        if angles.len() != self.terms.len() {
+            return Err(PhoenixError::Bind(BindError::AngleCount {
+                expected: self.terms.len(),
+                got: angles.len(),
+            }));
+        }
+        for ((_, c), a) in self.terms.iter_mut().zip(angles) {
+            *c = *a;
+        }
+        self.run()
     }
 
     /// Executes the request.
@@ -207,100 +214,20 @@ impl CompileRequest {
     /// device, a failing pass, or a rejected verification boundary — never
     /// panics on bad input.
     pub fn run(mut self) -> Result<CompileOutcome, PhoenixError> {
-        self = self.normalize();
-        if let Target::Fleet(devices) = &self.target {
-            let devices = devices.clone();
-            self.target = Target::Logical;
+        if let Target::Fleet(devices) = &mut self.target {
+            let devices = std::mem::take(devices);
             return self.fleet(&devices)?.into_best();
         }
-        if self.cache.is_some() && parametric::split_path_allowed(&self.options) {
-            return self.run_split(None);
-        }
         validate_program(self.num_qubits, &self.terms)?;
-        let compiler = PhoenixCompiler::new(self.options.clone());
-        let mut ctx = match &self.target {
-            Target::Device(device) => {
-                validate_device(self.num_qubits, device.graph())?;
-                CompileContext::for_device(self.num_qubits, &self.terms, device.graph())
-            }
-            _ => CompileContext::new(self.num_qubits, &self.terms),
-        };
-        let manager = match &self.target {
-            Target::Logical => compiler.logical_passes(false),
-            Target::Cnot => compiler
-                .logical_passes(false)
-                .with(TransformPass::peephole()),
-            Target::Su4 => compiler
-                .logical_passes(false)
-                .with(TransformPass::su4_rebase()),
-            Target::CnotViaKak => compiler
-                .logical_passes(false)
-                .with(TransformPass::su4_rebase())
-                .with(TransformPass::kak_resynthesis())
-                .with(TransformPass::peephole()),
-            Target::Device(device) => compiler.logical_passes(true).append(device_backend(
-                device,
-                &self.options.router,
-                self.options.layout_trials,
-            )),
-            // `normalize` rewrote Hardware to Device and the Fleet arm
-            // returned above; kept for match exhaustiveness only.
-            Target::Hardware(_) | Target::Fleet(_) => {
-                unreachable!("target normalized before dispatch")
-            }
-        };
-        let collector = if self.obs {
-            // Turn on process-global recording so router/simulator
-            // counters flow; left on — other instrumented compilations may
-            // be in flight, and the disabled-path cost is one relaxed load.
-            metrics::set_enabled(true);
-            Some(Arc::new(ObsCollector::new()))
-        } else {
-            None
-        };
-        ctx.obs = collector.clone();
-        ctx.cancel = self.options.cancel.clone();
-        // The metrics collector goes last so validators attached by
-        // `logical_passes` (BoundaryVerifier) shield it, and so it sees
-        // their `verified` events (see `PassManager::with_observer`).
-        let manager = if self.obs {
-            manager.with_observer(Arc::new(MetricsObserver))
-        } else {
-            manager
-        };
-        let trace = manager.run(&mut ctx)?;
-        let obs = collector.map(|c| {
-            c.finish(
-                trace
-                    .events
-                    .iter()
-                    .map(|e| ObsEvent {
-                        pass: e.pass.clone(),
-                        kind: e.kind.clone(),
-                        detail: e.detail.clone(),
-                    })
-                    .collect(),
-            )
-        });
-        let num_groups = ctx.num_groups;
-        let depth_reached = ctx.depth_reached;
-        let term_order = std::mem::take(&mut ctx.term_order);
-        let (circuit, hardware) = match &self.target {
-            Target::Device(_) => {
-                let hw = extract_hardware_program(ctx)?;
-                (hw.circuit.clone(), Some(hw))
-            }
-            _ => (ctx.circuit, None),
-        };
-        Ok(CompileOutcome {
-            circuit,
-            num_groups,
-            term_order,
-            hardware,
-            depth_reached,
-            trace: if self.trace { Some(trace) } else { None },
-            obs,
-        })
+        if self.cache.is_some() && parametric::split_path_allowed(&self.options) {
+            let coefficients: Vec<f64> = self.terms.iter().map(|(_, c)| *c).collect();
+            return self.run_split(&coefficients);
+        }
+        let ctx = self.context()?;
+        let manager = logical_passes(&self.options, self.target.routes())
+            .append(lowering_passes(&self.target, &self.options));
+        let collector = self.collector();
+        self.execute(manager, ctx, PassTrace::default(), collector)
     }
 
     /// Compiles the request's program against every device of `devices` in
@@ -389,102 +316,87 @@ impl CompileRequest {
         Ok(FleetOutcome { ranked, failed })
     }
 
-    /// Rewrites the deprecated [`Target::Hardware`] to its exact modern
-    /// equivalent, [`Target::Device`] on a bare (noiseless, CNOT-ISA)
-    /// device, so the execution paths only ever dispatch on `Device`.
-    fn normalize(mut self) -> Self {
-        if matches!(self.target, Target::Hardware(_)) {
-            if let Target::Hardware(graph) = std::mem::replace(&mut self.target, Target::Logical) {
-                self.target = Target::Device(Device::bare(graph));
-            }
-        }
-        self
-    }
-
     /// The split structure/bind execution path: obtain the structure
-    /// artifact (cache-aware), bind the angles (`explicit_angles`, or the
-    /// request's own coefficients), then run the target's circuit-level
-    /// lowering on the bound circuit. The retained trace honestly reflects
-    /// what ran: on a program-cache hit it contains only the lowering
-    /// passes.
-    fn run_split(
-        mut self,
-        explicit_angles: Option<Vec<f64>>,
-    ) -> Result<CompileOutcome, PhoenixError> {
-        self = self.normalize();
-        if matches!(self.target, Target::Fleet(_)) {
-            // Fleet + bind: substitute the angles into the coefficients and
-            // take the fleet path — each member re-splits internally, so a
-            // warm cache still serves the shared structure phase.
-            if let Some(angles) = explicit_angles {
-                if angles.len() != self.terms.len() {
-                    return Err(PhoenixError::Bind(BindError::AngleCount {
-                        expected: self.terms.len(),
-                        got: angles.len(),
-                    }));
-                }
-                for ((_, c), a) in self.terms.iter_mut().zip(&angles) {
-                    *c = *a;
-                }
-            }
-            return self.run();
-        }
-        if explicit_angles.is_none() {
-            // Binding the request's own coefficients: enforce the same
-            // up-front validation as the legacy path (a NaN coefficient is
-            // rejected before any pass runs).
-            validate_program(self.num_qubits, &self.terms)?;
-        }
-        if let Target::Device(device) = &self.target {
-            validate_device(self.num_qubits, device.graph())?;
-        }
-        let collector = if self.obs {
-            metrics::set_enabled(true);
-            Some(Arc::new(ObsCollector::new()))
-        } else {
-            None
-        };
-        let routing_aware = matches!(self.target, Target::Device(_));
-        let (artifact, _hit, mut trace) = parametric::obtain_structure(
+    /// artifact (cache-aware), bind `angles`, then run the target's
+    /// circuit-level lowering on the bound circuit. The retained trace
+    /// honestly reflects what ran: on a program-cache hit it contains only
+    /// the lowering passes.
+    fn run_split(self, angles: &[f64]) -> Result<CompileOutcome, PhoenixError> {
+        let mut ctx = self.context()?;
+        let collector = self.collector();
+        let (artifact, _hit, trace) = parametric::obtain_structure(
             self.num_qubits,
             &self.terms,
             &self.options,
-            routing_aware,
+            self.target.routes(),
             self.cache.as_ref(),
             collector.as_ref(),
         )?;
-        let angles: Vec<f64> = match explicit_angles {
-            Some(a) => a,
-            None => self.terms.iter().map(|(_, c)| *c).collect(),
-        };
         let bind_start = collector.as_ref().map(|c| c.now_us());
-        let bound = artifact.bind(&angles)?;
+        let bound = artifact.bind(angles)?;
         if let Some(c) = &collector {
             let mut span = Span::new("bind", "bind");
             span.start_us = bind_start.unwrap_or(0);
             span.dur_us = c.now_us().saturating_sub(span.start_us);
             c.push_root(span);
         }
-        let mut ctx = match &self.target {
-            Target::Device(device) => {
-                CompileContext::for_device(self.num_qubits, &self.terms, device.graph())
-            }
-            _ => CompileContext::new(self.num_qubits, &self.terms),
-        };
         ctx.circuit = bound.circuit;
         ctx.term_order = bound.term_order;
         ctx.num_groups = bound.num_groups;
+        let manager = lowering_passes(&self.target, &self.options);
+        self.execute(manager, ctx, trace, collector)
+    }
+
+    /// A fresh context for the request's program, on its device (checked
+    /// to fit) when the target routes onto one.
+    fn context(&self) -> Result<CompileContext, PhoenixError> {
+        match &self.target {
+            Target::Device(device) => {
+                validate_device(self.num_qubits, device.graph())?;
+                Ok(CompileContext::for_device(
+                    self.num_qubits,
+                    &self.terms,
+                    device.graph(),
+                ))
+            }
+            _ => Ok(CompileContext::new(self.num_qubits, &self.terms)),
+        }
+    }
+
+    /// The request's observability collector, when `obs` is on.
+    fn collector(&self) -> Option<Arc<ObsCollector>> {
+        self.obs.then(|| {
+            // Turn on process-global recording so router/simulator
+            // counters flow; left on — other instrumented compilations may
+            // be in flight, and the disabled-path cost is one relaxed load.
+            metrics::set_enabled(true);
+            Arc::new(ObsCollector::new())
+        })
+    }
+
+    /// Runs `manager` over `ctx` and assembles the outcome. `trace` holds
+    /// the passes that already ran (the split path's structure phase);
+    /// `manager`'s passes are appended to it.
+    fn execute(
+        &self,
+        manager: PassManager,
+        mut ctx: CompileContext,
+        mut trace: PassTrace,
+        collector: Option<Arc<ObsCollector>>,
+    ) -> Result<CompileOutcome, PhoenixError> {
         ctx.obs = collector.clone();
         ctx.cancel = self.options.cancel.clone();
-        let manager = parametric::lowering_manager(&self.target, &self.options);
-        let manager = if self.obs {
+        // The metrics collector goes last so validators attached by
+        // `logical_passes` (BoundaryVerifier) shield it, and so it sees
+        // their `verified` events (see `PassManager::with_observer`).
+        let manager = if collector.is_some() {
             manager.with_observer(Arc::new(MetricsObserver))
         } else {
             manager
         };
-        let lower_trace = manager.run(&mut ctx)?;
-        trace.passes.extend(lower_trace.passes);
-        trace.events.extend(lower_trace.events);
+        let ran = manager.run(&mut ctx)?;
+        trace.passes.extend(ran.passes);
+        trace.events.extend(ran.events);
         let obs = collector.map(|c| {
             c.finish(
                 trace
@@ -499,6 +411,7 @@ impl CompileRequest {
             )
         });
         let num_groups = ctx.num_groups;
+        let depth_reached = ctx.depth_reached;
         let term_order = std::mem::take(&mut ctx.term_order);
         let (circuit, hardware) = match &self.target {
             Target::Device(_) => {
@@ -512,10 +425,8 @@ impl CompileRequest {
             num_groups,
             term_order,
             hardware,
-            // The split path is gated on `pass_budget.is_none()`, so no
-            // anytime deepening ran.
-            depth_reached: None,
-            trace: if self.trace { Some(trace) } else { None },
+            depth_reached,
+            trace: self.trace.then_some(trace),
             obs,
         })
     }
@@ -524,7 +435,7 @@ impl CompileRequest {
 /// Everything a compilation produced.
 ///
 /// `circuit` is always the final circuit of the requested target (for
-/// [`Target::Hardware`] it equals `hardware.circuit`); the optional fields
+/// [`Target::Device`] it equals `hardware.circuit`); the optional fields
 /// are populated according to the request's target and retention flags.
 #[derive(Debug, Clone)]
 pub struct CompileOutcome {
@@ -534,7 +445,7 @@ pub struct CompileOutcome {
     pub num_groups: usize,
     /// The input terms in the order the emitted circuit implements them.
     pub term_order: Vec<(PauliString, f64)>,
-    /// The full hardware program ([`Target::Hardware`] only).
+    /// The full hardware program ([`Target::Device`] only).
     pub hardware: Option<HardwareProgram>,
     /// Deepening rounds the anytime optimizer completed (budgeted compiles
     /// only; `None` on the legacy unbudgeted path). `0` means the naive
@@ -545,44 +456,6 @@ pub struct CompileOutcome {
     /// The observability report (when requested via
     /// [`CompileRequest::obs`]).
     pub obs: Option<ObsReport>,
-}
-
-impl CompileOutcome {
-    /// The logical-compilation view of this outcome.
-    pub fn into_program(self) -> CompiledProgram {
-        CompiledProgram {
-            circuit: self.circuit,
-            num_groups: self.num_groups,
-            term_order: self.term_order,
-        }
-    }
-
-    /// Splits into the logical program and the recorded trace (empty when
-    /// trace retention was off).
-    pub fn into_program_and_trace(mut self) -> (CompiledProgram, PassTrace) {
-        let trace = self.trace.take().unwrap_or_default();
-        (self.into_program(), trace)
-    }
-
-    /// Splits into the final circuit and the recorded trace (empty when
-    /// trace retention was off).
-    pub fn into_circuit_and_trace(self) -> (Circuit, PassTrace) {
-        (self.circuit, self.trace.unwrap_or_default())
-    }
-
-    /// Splits into the hardware program and the recorded trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the outcome unchanged when the request did not target
-    /// hardware.
-    pub fn into_hardware_and_trace(mut self) -> Result<(HardwareProgram, PassTrace), Box<Self>> {
-        let trace = self.trace.take().unwrap_or_default();
-        match self.hardware.take() {
-            Some(hw) => Ok((hw, trace)),
-            None => Err(Box::new(self)),
-        }
-    }
 }
 
 /// One fleet member's compilation: the device, its predicted fidelity for
@@ -639,6 +512,7 @@ impl FleetOutcome {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use phoenix_topology::CouplingGraph;
 
     fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
         labels
@@ -660,16 +534,17 @@ mod tests {
     }
 
     #[test]
-    fn hardware_target_populates_the_hardware_program() {
+    fn device_target_populates_the_hardware_program() {
         let t = terms(&["ZZII", "IZZI", "IIZZ"]);
         let dev = CouplingGraph::line(4);
         let out = CompileRequest::new(4, &t)
-            .target(Target::Hardware(dev.clone()))
+            .target(Target::Device(Device::bare(dev.clone())))
             .trace(true)
             .run()
             .unwrap();
-        let (hw, trace) = out.into_hardware_and_trace().unwrap();
-        assert!(!trace.passes.is_empty());
+        assert!(!out.trace.unwrap().passes.is_empty());
+        let hw = out.hardware.unwrap();
+        assert_eq!(hw.circuit, out.circuit);
         for g in hw.circuit.gates() {
             if let (a, Some(b)) = g.qubits() {
                 assert!(dev.contains_edge(a, b), "gate {g} violates coupling");
@@ -678,10 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn non_hardware_outcome_refuses_hardware_extraction() {
+    fn non_device_outcomes_carry_no_hardware_program() {
         let t = terms(&["ZZ"]);
-        let out = CompileRequest::new(2, &t).run().unwrap();
-        assert!(out.into_hardware_and_trace().is_err());
+        for target in [
+            Target::Logical,
+            Target::Cnot,
+            Target::Su4,
+            Target::CnotViaKak,
+        ] {
+            let out = CompileRequest::new(2, &t).target(target).run().unwrap();
+            assert!(out.hardware.is_none());
+        }
     }
 
     #[test]
@@ -725,7 +607,7 @@ mod tests {
         let dev = CouplingGraph::line(2);
         assert!(matches!(
             CompileRequest::new(3, &terms(&["ZZI"]))
-                .target(Target::Hardware(dev))
+                .target(Target::Device(Device::bare(dev)))
                 .run(),
             Err(PhoenixError::DeviceTooSmall { .. })
         ));

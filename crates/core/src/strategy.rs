@@ -10,11 +10,13 @@
 //! path to use its routing-aware ordering.
 
 use phoenix_circuit::{peephole, Circuit};
+use phoenix_device::Device;
 use phoenix_pauli::PauliString;
 use phoenix_router::RouterOptions;
 use phoenix_topology::CouplingGraph;
 
-use crate::pipeline::{run_hardware_backend, HardwareProgram, PhoenixCompiler};
+use crate::pipeline::{try_run_hardware_backend, HardwareProgram, PhoenixCompiler};
+use crate::request::{CompileOutcome, CompileRequest, Target};
 
 /// A compilation strategy: logical synthesis plus shared back ends.
 pub trait CompilerStrategy {
@@ -43,13 +45,21 @@ pub trait CompilerStrategy {
         terms: &[(PauliString, f64)],
         device: &CouplingGraph,
     ) -> HardwareProgram {
-        run_hardware_backend(
+        try_run_hardware_backend(
             &self.compile_logical(n, terms),
             device,
             &RouterOptions::default(),
             3,
         )
+        .unwrap_or_else(|e| panic!("hardware backend failed: {e}"))
     }
+}
+
+/// Runs a PHOENIX request for the infallible strategy methods.
+fn compiled(request: CompileRequest) -> CompileOutcome {
+    request
+        .run()
+        .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
 }
 
 impl CompilerStrategy for PhoenixCompiler {
@@ -58,11 +68,11 @@ impl CompilerStrategy for PhoenixCompiler {
     }
 
     fn compile_logical(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.compile(n, terms).circuit
+        compiled(self.request(n, terms)).circuit
     }
 
     fn compile_optimized(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.compile_to_cnot(n, terms)
+        compiled(self.request(n, terms).target(Target::Cnot)).circuit
     }
 
     /// PHOENIX's hardware path re-runs ordering routing-aware (Eq. (7))
@@ -73,7 +83,10 @@ impl CompilerStrategy for PhoenixCompiler {
         terms: &[(PauliString, f64)],
         device: &CouplingGraph,
     ) -> HardwareProgram {
-        self.compile_hardware_aware(n, terms, device)
+        let target = Target::Device(Device::bare(device.clone()));
+        compiled(self.request(n, terms).target(target))
+            .hardware
+            .expect("device targets carry a hardware program")
     }
 }
 
@@ -90,14 +103,16 @@ mod tests {
         let compiler = PhoenixCompiler::default();
         let strategy: &dyn CompilerStrategy = &compiler;
         assert_eq!(strategy.name(), "PHOENIX");
+        let run = |target| CompileRequest::new(3, &t).target(target).run().unwrap();
         assert_eq!(
-            strategy.compile_optimized(3, &t),
-            compiler.compile_to_cnot(3, &t)
+            strategy.compile_logical(3, &t),
+            run(Target::Logical).circuit
         );
+        assert_eq!(strategy.compile_optimized(3, &t), run(Target::Cnot).circuit);
         let dev = CouplingGraph::line(3);
         assert_eq!(
-            strategy.compile_hardware(3, &t, &dev),
-            compiler.compile_hardware_aware(3, &t, &dev)
+            Some(strategy.compile_hardware(3, &t, &dev)),
+            run(Target::Device(Device::bare(dev))).hardware
         );
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! Two contracts are pinned here. First, **unbudgeted compiles take the
 //! exact legacy code path**: with `pass_budget: None` the anytime pass is
-//! never even constructed, so every entry point must stay bit-for-bit
+//! never even constructed, so every target must stay bit-for-bit
 //! identical to the pre-anytime goldens (the monolithic stage functions,
 //! re-implemented verbatim below). Second, **budgeted compiles are a pure
 //! function of the logical budget**: `depth_reached` and the returned
 //! circuit are deterministic for a fixed `anytime_rounds` cap regardless of
 //! `stage2_threads`/`stage2_scan_threads`, checked by a property test.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use phoenix_circuit::{peephole, Circuit};
@@ -16,7 +17,9 @@ use phoenix_core::group::group_by_support;
 use phoenix_core::order::{order_groups, OrderOptions};
 use phoenix_core::simplify::simplify_terms;
 use phoenix_core::synth::synthesize_group;
-use phoenix_core::{CompileRequest, PhoenixCompiler, PhoenixOptions, Target};
+use phoenix_core::{
+    CompileCache, CompileRequest, CompilerStrategy, Device, PhoenixCompiler, PhoenixOptions, Target,
+};
 use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
@@ -64,7 +67,7 @@ fn monolithic_compile(n: usize, terms: &[(PauliString, f64)], options: &PhoenixO
     circuit
 }
 
-/// Satellite pin: with no `pass_budget`, all five entry points stay
+/// Satellite pin: with no `pass_budget`, all five targets stay
 /// bit-for-bit on the legacy path — the anytime machinery must be
 /// unobservable (no `anytime-deepen` pass, no `depth_reached`, identical
 /// circuits).
@@ -73,6 +76,7 @@ fn unbudgeted_entry_points_match_the_pre_anytime_goldens() {
     for (n, terms) in [fig1b(), uccsd_lih()] {
         let compiler = PhoenixCompiler::default();
         let golden = monolithic_compile(n, &terms, &compiler.options);
+        let compile = |target| compiler.request(n, &terms).target(target).run().unwrap();
 
         let logical = compiler
             .request(n, &terms)
@@ -97,17 +101,17 @@ fn unbudgeted_entry_points_match_the_pre_anytime_goldens() {
         assert!(names.contains(&"simplify-synth"), "{names:?}");
 
         assert_eq!(
-            compiler.compile_to_cnot(n, &terms),
+            compile(Target::Cnot).circuit,
             peephole::optimize(&golden),
             "CNOT diverged"
         );
         assert_eq!(
-            compiler.compile_to_su4(n, &terms),
+            compile(Target::Su4).circuit,
             phoenix_circuit::rebase::to_su4(&golden),
             "SU(4) diverged"
         );
         assert_eq!(
-            compiler.compile_to_cnot_via_kak(n, &terms),
+            compile(Target::CnotViaKak).circuit,
             peephole::optimize(&phoenix_circuit::kak::resynthesize(
                 &phoenix_circuit::rebase::to_su4(&golden)
             )),
@@ -116,37 +120,41 @@ fn unbudgeted_entry_points_match_the_pre_anytime_goldens() {
     }
 }
 
-/// The hardware entry point stays pinned too: an unbudgeted hardware-aware
-/// compile equals the request-path golden and reports no deepening depth.
+/// The hardware target stays pinned too: an unbudgeted hardware-aware
+/// compile equals PHOENIX's hardware strategy and reports no deepening
+/// depth.
 #[test]
 fn unbudgeted_hardware_entry_point_stays_on_the_legacy_path() {
     let (n, terms) = fig1b();
     let device = CouplingGraph::line(3);
     let out = CompileRequest::new(n, &terms)
-        .target(Target::Hardware(device.clone()))
+        .target(Target::Device(Device::bare(device.clone())))
         .run()
         .unwrap();
     assert_eq!(out.depth_reached, None);
     assert_eq!(
-        PhoenixCompiler::default().compile_hardware_aware(n, &terms, &device),
+        PhoenixCompiler::default().compile_hardware(n, &terms, &device),
         out.hardware.unwrap()
     );
 }
 
 /// A budgeted request runs the anytime pass: the trace shows it, the
 /// outcome reports the depth, and a roomy wall budget with an uncapped
-/// schedule converges to (at least) legacy quality.
+/// schedule converges to (at least) legacy quality. `bind` with the same
+/// angles compiles exactly as `run`, with or without a cache attached, and
+/// leaves the cache untouched.
 #[test]
 fn budgeted_requests_deepen_and_report_their_depth() {
     let (n, terms) = fig1b();
     let compiler = PhoenixCompiler::default();
     let golden = monolithic_compile(n, &terms, &compiler.options);
+    let options = PhoenixOptions {
+        pass_budget: Some(Duration::from_secs(600)),
+        ..PhoenixOptions::default()
+    };
 
     let out = CompileRequest::new(n, &terms)
-        .options(PhoenixOptions {
-            pass_budget: Some(Duration::from_secs(600)),
-            ..PhoenixOptions::default()
-        })
+        .options(options.clone())
         .trace(true)
         .run()
         .unwrap();
@@ -168,6 +176,21 @@ fn budgeted_requests_deepen_and_report_their_depth() {
         cost(&out.circuit),
         cost(&golden)
     );
+
+    let angles: Vec<f64> = terms.iter().map(|(_, c)| *c).collect();
+    let cache = Arc::new(CompileCache::new());
+    for cached in [false, true] {
+        let mut request = CompileRequest::new(n, &terms).options(options.clone());
+        if cached {
+            request = request.cache(&cache);
+        }
+        let bound = request.bind(&angles).unwrap();
+        assert_eq!(bound.depth_reached, out.depth_reached, "cached: {cached}");
+        assert_eq!(bound.circuit, out.circuit, "cached: {cached}");
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.program_hits + stats.program_misses, 0);
+    assert_eq!(cache.num_programs(), 0);
 }
 
 /// A random valid program: `n ∈ 2..=5` qubits, `1..=6` full-width terms

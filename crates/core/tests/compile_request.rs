@@ -1,15 +1,11 @@
-//! Golden-equivalence and determinism tests for the unified
-//! [`CompileRequest`] API.
+//! Outcome-shape and determinism tests for the [`CompileRequest`] API.
 //!
-//! Every legacy `compile*` entry point on [`PhoenixCompiler`] survives as a
-//! thin wrapper over the request path; these tests pin each wrapper
-//! bit-for-bit against an explicit [`CompileRequest`] with the matching
-//! [`Target`], so neither side can drift. A property test then checks the
-//! observability contract: span trees (modulo timings) and per-compilation
-//! metric totals are identical for `stage2_threads` ∈ {1, 2, 8}.
+//! A device target's outcome circuit is its hardware program's circuit. A
+//! property test then checks the observability contract: span trees
+//! (modulo timings) and per-compilation metric totals are identical for
+//! `stage2_threads` ∈ {1, 2, 8}.
 
-use phoenix_core::{CompileRequest, PhoenixCompiler, PhoenixOptions, Target};
-use phoenix_hamil::{uccsd, Molecule};
+use phoenix_core::{CompileRequest, Device, PhoenixOptions, Target};
 use phoenix_obs::ObsReport;
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
@@ -25,144 +21,12 @@ fn fig1b() -> (usize, Vec<(PauliString, f64)>) {
     (3, terms)
 }
 
-/// A UCCSD ansatz instance (LiH, frozen core, Jordan–Wigner).
-fn uccsd_lih() -> (usize, Vec<(PauliString, f64)>) {
-    let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
-    (h.num_qubits(), h.terms().to_vec())
-}
-
-/// Pass names of a trace, for comparing trace-retaining wrappers.
-fn pass_names(trace: &phoenix_core::PassTrace) -> Vec<String> {
-    trace.passes.iter().map(|p| p.name.clone()).collect()
-}
-
-#[test]
-fn logical_wrappers_match_the_request_path() {
-    for (n, terms) in [fig1b(), uccsd_lih()] {
-        let compiler = PhoenixCompiler::default();
-        let golden = compiler.request(n, &terms).run().unwrap();
-
-        let p = compiler.compile(n, &terms);
-        assert_eq!(p.circuit, golden.circuit);
-        assert_eq!(p.num_groups, golden.num_groups);
-        assert_eq!(p.term_order, golden.term_order);
-
-        let p = compiler.try_compile(n, &terms).unwrap();
-        assert_eq!(p.circuit, golden.circuit);
-
-        let golden_traced = compiler.request(n, &terms).trace(true).run().unwrap();
-        let (p, trace) = compiler.compile_with_trace(n, &terms);
-        assert_eq!(p.circuit, golden.circuit);
-        assert_eq!(
-            pass_names(&trace),
-            pass_names(golden_traced.trace.as_ref().unwrap())
-        );
-        let (p, trace) = compiler.try_compile_with_trace(n, &terms).unwrap();
-        assert_eq!(p.circuit, golden.circuit);
-        assert!(!trace.passes.is_empty());
-    }
-}
-
-#[test]
-fn cnot_wrappers_match_the_request_path() {
-    for (n, terms) in [fig1b(), uccsd_lih()] {
-        let compiler = PhoenixCompiler::default();
-        let golden = compiler
-            .request(n, &terms)
-            .target(Target::Cnot)
-            .run()
-            .unwrap()
-            .circuit;
-        assert_eq!(compiler.compile_to_cnot(n, &terms), golden);
-        assert_eq!(compiler.try_compile_to_cnot(n, &terms).unwrap(), golden);
-        let (c, trace) = compiler.compile_to_cnot_with_trace(n, &terms);
-        assert_eq!(c, golden);
-        assert!(!trace.passes.is_empty());
-        let (c, _) = compiler.try_compile_to_cnot_with_trace(n, &terms).unwrap();
-        assert_eq!(c, golden);
-    }
-}
-
-#[test]
-fn su4_wrappers_match_the_request_path() {
-    for (n, terms) in [fig1b(), uccsd_lih()] {
-        let compiler = PhoenixCompiler::default();
-        let golden = compiler
-            .request(n, &terms)
-            .target(Target::Su4)
-            .run()
-            .unwrap()
-            .circuit;
-        assert_eq!(compiler.compile_to_su4(n, &terms), golden);
-        assert_eq!(compiler.try_compile_to_su4(n, &terms).unwrap(), golden);
-        let (c, trace) = compiler.compile_to_su4_with_trace(n, &terms);
-        assert_eq!(c, golden);
-        assert!(!trace.passes.is_empty());
-        let (c, _) = compiler.try_compile_to_su4_with_trace(n, &terms).unwrap();
-        assert_eq!(c, golden);
-    }
-}
-
-#[test]
-fn via_kak_wrappers_match_the_request_path() {
-    for (n, terms) in [fig1b(), uccsd_lih()] {
-        let compiler = PhoenixCompiler::default();
-        let golden = compiler
-            .request(n, &terms)
-            .target(Target::CnotViaKak)
-            .run()
-            .unwrap()
-            .circuit;
-        assert_eq!(compiler.compile_to_cnot_via_kak(n, &terms), golden);
-        assert_eq!(
-            compiler.try_compile_to_cnot_via_kak(n, &terms).unwrap(),
-            golden
-        );
-        let (c, trace) = compiler.compile_to_cnot_via_kak_with_trace(n, &terms);
-        assert_eq!(c, golden);
-        assert!(!trace.passes.is_empty());
-        let (c, _) = compiler
-            .try_compile_to_cnot_via_kak_with_trace(n, &terms)
-            .unwrap();
-        assert_eq!(c, golden);
-    }
-}
-
-#[test]
-fn hardware_wrappers_match_the_request_path() {
-    let (n, terms) = uccsd_lih();
-    let device = CouplingGraph::manhattan65();
-    let compiler = PhoenixCompiler::default();
-    let golden = compiler
-        .request(n, &terms)
-        .target(Target::Hardware(device.clone()))
-        .run()
-        .unwrap()
-        .hardware
-        .unwrap();
-
-    assert_eq!(compiler.compile_hardware_aware(n, &terms, &device), golden);
-    assert_eq!(
-        compiler
-            .try_compile_hardware_aware(n, &terms, &device)
-            .unwrap(),
-        golden
-    );
-    let (hw, trace) = compiler.compile_hardware_aware_with_trace(n, &terms, &device);
-    assert_eq!(hw, golden);
-    assert!(!trace.passes.is_empty());
-    let (hw, _) = compiler
-        .try_compile_hardware_aware_with_trace(n, &terms, &device)
-        .unwrap();
-    assert_eq!(hw, golden);
-}
-
 #[test]
 fn hardware_outcome_circuit_equals_the_hardware_program_circuit() {
     let (n, terms) = fig1b();
     let device = CouplingGraph::line(3);
     let out = CompileRequest::new(n, &terms)
-        .target(Target::Hardware(device))
+        .target(Target::Device(Device::bare(device)))
         .run()
         .unwrap();
     assert_eq!(out.circuit, out.hardware.unwrap().circuit);

@@ -1,15 +1,19 @@
 //! Fault-injection suite for the compilation boundary: malformed IR and
 //! mutated QASM must come back as typed errors — never panics — from every
-//! `try_compile*` entry point, a forced in-pass panic must degrade to the
+//! compile target, a forced in-pass panic must degrade to the
 //! conventional fallback with a `degraded` trace entry, and on valid input
-//! the fallible paths must be bit-identical to the infallible ones.
+//! the fallible request path must be bit-identical to the infallible
+//! strategy paths.
 
 use std::panic::{self, AssertUnwindSafe};
 
 use phoenix_circuit::qasm::{from_qasm, to_qasm};
+use phoenix_circuit::{kak, peephole, rebase};
 use phoenix_core::pass::{CompileContext, PassManager};
 use phoenix_core::passes::{ConcatPass, GroupPass, OrderPass, SimplifySynthPass};
-use phoenix_core::{PhoenixCompiler, PhoenixError};
+use phoenix_core::{
+    CompileOutcome, CompileRequest, CompilerStrategy, Device, PhoenixCompiler, PhoenixError, Target,
+};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
 use proptest::prelude::*;
@@ -40,27 +44,31 @@ fn arb_program() -> impl Strategy<Value = (usize, Vec<(PauliString, f64)>)> {
         })
 }
 
-/// Every fallible entry point applied to one input; `Some(err)` per entry
-/// point that rejected it.
+fn compile(
+    n: usize,
+    terms: &[(PauliString, f64)],
+    target: Target,
+) -> Result<CompileOutcome, PhoenixError> {
+    CompileRequest::new(n, terms).target(target).run()
+}
+
+/// Every target applied to one input; `Some(err)` per target that
+/// rejected it.
 fn reject_all(
     n: usize,
     terms: &[(PauliString, f64)],
     device: &CouplingGraph,
 ) -> Vec<Option<PhoenixError>> {
-    let compiler = PhoenixCompiler::default();
-    vec![
-        compiler.try_compile(n, terms).map(|_| ()).err(),
-        compiler.try_compile_to_cnot(n, terms).map(|_| ()).err(),
-        compiler.try_compile_to_su4(n, terms).map(|_| ()).err(),
-        compiler
-            .try_compile_to_cnot_via_kak(n, terms)
-            .map(|_| ())
-            .err(),
-        compiler
-            .try_compile_hardware_aware(n, terms, device)
-            .map(|_| ())
-            .err(),
+    [
+        Target::Logical,
+        Target::Cnot,
+        Target::Su4,
+        Target::CnotViaKak,
+        Target::Device(Device::bare(device.clone())),
     ]
+    .into_iter()
+    .map(|target| compile(n, terms, target).err())
+    .collect()
 }
 
 proptest! {
@@ -94,25 +102,24 @@ proptest! {
         };
         let device = CouplingGraph::line(n.max(2));
         let outcomes = panic::catch_unwind(AssertUnwindSafe(|| reject_all(n, &terms, &device)))
-            .expect("try_compile* must not panic on malformed input");
+            .expect("compiles must not panic on malformed input");
         for (entry, err) in outcomes.into_iter().enumerate() {
-            prop_assert!(err.is_some(), "entry point {entry} accepted malformed input");
+            prop_assert!(err.is_some(), "target {entry} accepted malformed input");
         }
     }
 
     /// A device smaller than the program, or disconnected, is rejected by
-    /// the hardware-aware entry point with the matching typed error.
+    /// the hardware-aware target with the matching typed error.
     #[test]
     fn unfit_devices_are_rejected((n, terms) in arb_program()) {
-        let compiler = PhoenixCompiler::default();
-        let small = CouplingGraph::line(n - 1);
+        let small = Device::bare(CouplingGraph::line(n - 1));
         prop_assert!(matches!(
-            compiler.try_compile_hardware_aware(n, &terms, &small),
+            compile(n, &terms, Target::Device(small)),
             Err(PhoenixError::DeviceTooSmall { .. })
         ));
-        let disconnected = CouplingGraph::from_edges(n, std::iter::empty());
+        let disconnected = Device::bare(CouplingGraph::from_edges(n, std::iter::empty()));
         prop_assert!(matches!(
-            compiler.try_compile_hardware_aware(n, &terms, &disconnected),
+            compile(n, &terms, Target::Device(disconnected)),
             Err(PhoenixError::DisconnectedDevice { .. })
         ));
     }
@@ -127,7 +134,7 @@ proptest! {
         pos in 0usize..1024,
         byte in 32u8..127,
     ) {
-        let circuit = PhoenixCompiler::default().compile_to_cnot(n, &terms);
+        let circuit = compile(n, &terms, Target::Cnot).unwrap().circuit;
         let text = to_qasm(&circuit);
         let mutated = match mutation {
             0 => text[..pos % (text.len() + 1)].to_string(),
@@ -167,28 +174,29 @@ proptest! {
         }
     }
 
-    /// On valid input the fallible paths are bit-identical to the
-    /// infallible ones (golden equivalence of the error boundary).
+    /// On valid input the fallible request path is bit-identical to the
+    /// infallible strategy paths and to the ISA lowerings of its logical
+    /// output (golden equivalence of the error boundary).
     #[test]
     fn valid_programs_compile_identically_via_try_paths((n, terms) in arb_program()) {
         let c = PhoenixCompiler::default();
-        prop_assert_eq!(c.try_compile(n, &terms).unwrap(), c.compile(n, &terms));
+        let logical = compile(n, &terms, Target::Logical).unwrap().circuit;
+        prop_assert_eq!(&logical, &c.compile_logical(n, &terms));
         prop_assert_eq!(
-            c.try_compile_to_cnot(n, &terms).unwrap(),
-            c.compile_to_cnot(n, &terms)
+            compile(n, &terms, Target::Cnot).unwrap().circuit,
+            c.compile_optimized(n, &terms)
         );
+        let su4 = rebase::to_su4(&logical);
+        prop_assert_eq!(compile(n, &terms, Target::Su4).unwrap().circuit, su4.clone());
         prop_assert_eq!(
-            c.try_compile_to_su4(n, &terms).unwrap(),
-            c.compile_to_su4(n, &terms)
-        );
-        prop_assert_eq!(
-            c.try_compile_to_cnot_via_kak(n, &terms).unwrap(),
-            c.compile_to_cnot_via_kak(n, &terms)
+            compile(n, &terms, Target::CnotViaKak).unwrap().circuit,
+            peephole::optimize(&kak::resynthesize(&su4))
         );
         let device = CouplingGraph::line(n);
+        let target = Target::Device(Device::bare(device.clone()));
         prop_assert_eq!(
-            c.try_compile_hardware_aware(n, &terms, &device).unwrap(),
-            c.compile_hardware_aware(n, &terms, &device)
+            compile(n, &terms, target).unwrap().hardware,
+            Some(c.compile_hardware(n, &terms, &device))
         );
     }
 }

@@ -1,13 +1,11 @@
 //! Fleet compilation: determinism across thread counts, the fleet-of-one
-//! == single-device guarantee, fidelity ranking, and the golden pin of the
-//! deprecated `Target::Hardware` wrapper onto `Target::Device`.
+//! == single-device guarantee, and fidelity ranking.
 
 use phoenix_core::{
     CompileRequest, Device, DeviceRegistry, NativeIsa, PhoenixError, PhoenixOptions, Target,
 };
 use phoenix_mathkit::Xoshiro256;
 use phoenix_pauli::PauliString;
-use phoenix_topology::CouplingGraph;
 use proptest::prelude::*;
 
 /// A deterministic random program on `n` qubits.
@@ -146,44 +144,6 @@ fn native_isa_is_respected_per_member() {
                 entry.device.name()
             ),
         }
-    }
-}
-
-/// The deprecated `Target::Hardware(graph)` wrapper stays bit-for-bit
-/// identical to `Target::Device(Device::bare(graph))`.
-#[test]
-fn hardware_wrapper_is_golden_pinned_to_bare_device() {
-    for seed in 0..8u64 {
-        let t = random_terms(5, 6, seed);
-        let graph = if seed % 2 == 0 {
-            CouplingGraph::line(6)
-        } else {
-            CouplingGraph::grid(2, 3)
-        };
-        let legacy = CompileRequest::new(5, &t)
-            .target(Target::Hardware(graph.clone()))
-            .trace(true)
-            .run()
-            .expect("legacy hardware target");
-        let modern = CompileRequest::new(5, &t)
-            .target(Target::Device(Device::bare(graph)))
-            .trace(true)
-            .run()
-            .expect("bare device target");
-        assert_eq!(legacy.circuit, modern.circuit, "seed {seed}");
-        assert_eq!(legacy.hardware, modern.hardware, "seed {seed}");
-        assert_eq!(legacy.term_order, modern.term_order, "seed {seed}");
-        let lt = legacy.trace.expect("legacy trace");
-        let mt = modern.trace.expect("modern trace");
-        // PassRecords carry wall-clock timings; pin the deterministic
-        // parts — pass sequence and per-pass circuit stats.
-        let shape = |t: &phoenix_core::PassTrace| {
-            t.passes
-                .iter()
-                .map(|p| (p.name.clone(), p.before, p.after))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(shape(&lt), shape(&mt), "seed {seed}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Golden-equivalence tests for the pass-manager refactor.
 //!
-//! The pass pipeline must be a pure re-organization: for every entry point,
-//! its output is gate-for-gate identical to the pre-refactor monolithic
+//! The pass pipeline must be a pure re-organization: for every target, its
+//! output is gate-for-gate identical to the pre-refactor monolithic
 //! pipeline, re-implemented verbatim here from the public stage functions
 //! (`group_by_support` → `simplify_terms`/`synthesize_group` →
 //! `order_groups` → concatenation, plus the peephole/route back ends).
@@ -11,7 +11,10 @@ use phoenix_core::group::group_by_support;
 use phoenix_core::order::{order_groups, OrderOptions};
 use phoenix_core::simplify::simplify_terms;
 use phoenix_core::synth::synthesize_group;
-use phoenix_core::{HardwareProgram, PhoenixCompiler, PhoenixOptions};
+use phoenix_core::{
+    try_run_hardware_backend, CompileOutcome, CompileRequest, Device, HardwareProgram,
+    PhoenixOptions, Target,
+};
 use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::PauliString;
 use phoenix_router::{route, search_layout, Layout, RouterOptions};
@@ -39,7 +42,7 @@ fn uccsd_lih() -> (usize, Vec<(PauliString, f64)>) {
     (h.num_qubits(), h.terms().to_vec())
 }
 
-/// The pre-refactor `PhoenixCompiler::compile`, verbatim.
+/// The pre-refactor monolithic logical compile, verbatim.
 fn monolithic_compile(
     n: usize,
     terms: &[(PauliString, f64)],
@@ -86,7 +89,7 @@ fn monolithic_compile(
     (circuit, groups.len(), term_order)
 }
 
-/// The pre-refactor `PhoenixCompiler::compile_hardware_aware`, verbatim.
+/// The pre-refactor monolithic hardware-aware compile, verbatim.
 fn monolithic_hardware(
     n: usize,
     terms: &[(PauliString, f64)],
@@ -109,27 +112,40 @@ fn monolithic_hardware(
     }
 }
 
-fn assert_logical_golden(n: usize, terms: &[(PauliString, f64)]) {
-    let compiler = PhoenixCompiler::default();
-    let (circuit, num_groups, term_order) = monolithic_compile(n, terms, &compiler.options);
+fn compile(
+    options: &PhoenixOptions,
+    n: usize,
+    terms: &[(PauliString, f64)],
+    target: Target,
+) -> CompileOutcome {
+    CompileRequest::new(n, terms)
+        .options(options.clone())
+        .target(target)
+        .run()
+        .unwrap()
+}
 
-    let out = compiler.compile(n, terms);
+fn assert_logical_golden(n: usize, terms: &[(PauliString, f64)]) {
+    let options = PhoenixOptions::default();
+    let (circuit, num_groups, term_order) = monolithic_compile(n, terms, &options);
+
+    let out = compile(&options, n, terms, Target::Logical);
     assert_eq!(out.circuit, circuit, "high-level circuit diverged");
     assert_eq!(out.num_groups, num_groups);
     assert_eq!(out.term_order, term_order);
 
     assert_eq!(
-        compiler.compile_to_cnot(n, terms),
+        compile(&options, n, terms, Target::Cnot).circuit,
         peephole::optimize(&circuit),
         "CNOT-ISA output diverged"
     );
     assert_eq!(
-        compiler.compile_to_su4(n, terms),
+        compile(&options, n, terms, Target::Su4).circuit,
         phoenix_circuit::rebase::to_su4(&circuit),
         "SU(4)-ISA output diverged"
     );
     assert_eq!(
-        compiler.compile_to_cnot_via_kak(n, terms),
+        compile(&options, n, terms, Target::CnotViaKak).circuit,
         peephole::optimize(&phoenix_circuit::kak::resynthesize(
             &phoenix_circuit::rebase::to_su4(&circuit)
         )),
@@ -152,20 +168,21 @@ fn uccsd_outputs_match_the_monolithic_pipeline() {
 #[test]
 fn hardware_outputs_match_the_monolithic_pipeline() {
     let (n, terms) = uccsd_lih();
-    let compiler = PhoenixCompiler::default();
+    let options = PhoenixOptions::default();
     let device = CouplingGraph::manhattan65();
-    let golden = monolithic_hardware(n, &terms, &compiler.options, &device);
-    let hw = compiler.compile_hardware_aware(n, &terms, &device);
-    assert_eq!(hw, golden, "hardware-aware output diverged");
+    let golden = monolithic_hardware(n, &terms, &options, &device);
+    let target = Target::Device(Device::bare(device));
+    let hw = compile(&options, n, &terms, target).hardware;
+    assert_eq!(hw, Some(golden), "hardware-aware output diverged");
 }
 
 #[test]
 fn baseline_hardware_wrapper_matches_the_monolithic_backend() {
     let (n, terms) = fig1b();
-    let logical = PhoenixCompiler::default().compile(n, &terms).circuit;
+    let logical = compile(&PhoenixOptions::default(), n, &terms, Target::Logical).circuit;
     let device = CouplingGraph::line(3);
 
-    // The pre-refactor `phoenix_baselines::hardware_aware`, verbatim.
+    // The pre-refactor baseline hardware back end, verbatim.
     let golden = {
         let logical = peephole::optimize(&logical);
         let opts = RouterOptions::default();
@@ -179,24 +196,25 @@ fn baseline_hardware_wrapper_matches_the_monolithic_backend() {
             num_swaps: routed.num_swaps,
         }
     };
-    let got = phoenix_core::run_hardware_backend(&logical, &device, &RouterOptions::default(), 3);
-    assert_eq!(got, golden);
+    let got = try_run_hardware_backend(&logical, &device, &RouterOptions::default(), 3);
+    assert_eq!(got, Ok(golden));
 }
 
 #[test]
 fn parallel_stage2_is_bit_identical_across_thread_counts() {
     let (n, terms) = uccsd_lih();
-    let baseline = PhoenixCompiler::new(PhoenixOptions {
-        stage2_threads: 1,
-        ..PhoenixOptions::default()
-    })
-    .compile(n, &terms);
-    for threads in [0, 2, 4, 16] {
-        let out = PhoenixCompiler::new(PhoenixOptions {
+    let at = |threads| {
+        let options = PhoenixOptions {
             stage2_threads: threads,
             ..PhoenixOptions::default()
-        })
-        .compile(n, &terms);
-        assert_eq!(out, baseline, "stage2_threads = {threads}");
+        };
+        compile(&options, n, &terms, Target::Logical)
+    };
+    let baseline = at(1);
+    for threads in [0, 2, 4, 16] {
+        let out = at(threads);
+        assert_eq!(out.circuit, baseline.circuit, "stage2_threads = {threads}");
+        assert_eq!(out.num_groups, baseline.num_groups);
+        assert_eq!(out.term_order, baseline.term_order);
     }
 }

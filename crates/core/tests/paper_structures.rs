@@ -5,7 +5,7 @@ use phoenix_core::{
     group::group_by_support,
     simplify::{simplify_terms, CfgItem},
     synth::synthesize_group,
-    PhoenixCompiler,
+    CompileRequest, Target,
 };
 use phoenix_hamil::{qaoa, uccsd, Molecule};
 use phoenix_sim::{circuit_unitary, infidelity, trotter_unitary};
@@ -71,7 +71,11 @@ fn jw_double_excitation_group_is_exact() {
 fn bk_groups_beat_naive_chains() {
     let h = uccsd::ansatz(Molecule::nh(), true, uccsd::Encoding::BravyiKitaev, 7);
     let n = h.num_qubits();
-    let phoenix = PhoenixCompiler::default().compile_to_cnot(n, h.terms());
+    let phoenix = CompileRequest::new(n, h.terms())
+        .target(Target::Cnot)
+        .run()
+        .unwrap()
+        .circuit;
     let naive = phoenix_circuit::synthesis::naive_circuit(n, h.terms());
     assert!(phoenix.counts().cnot * 2 < naive.counts().cnot);
 }

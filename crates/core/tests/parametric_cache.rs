@@ -7,9 +7,11 @@
 
 use std::sync::Arc;
 
-use phoenix_core::{CompileCache, CompileRequest, PhoenixError, PhoenixOptions, Target};
+use phoenix_core::{
+    CompileCache, CompileOutcome, CompileRequest, DeviceRegistry, PhoenixError, PhoenixOptions,
+    Target, EVENT_VERIFIED,
+};
 use phoenix_pauli::PauliString;
-use phoenix_topology::CouplingGraph;
 
 fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
     labels
@@ -24,25 +26,36 @@ const PROGRAM: &[&str] = &["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX", "ZZI", "YIY
 #[test]
 fn cached_run_matches_legacy_bit_for_bit_across_targets() {
     let t = terms(PROGRAM);
-    let dev = CouplingGraph::line(3);
-    let targets = [
+    let registry = DeviceRegistry::new();
+    let mut targets = vec![
         Target::Logical,
         Target::Cnot,
         Target::Su4,
         Target::CnotViaKak,
-        Target::Hardware(dev),
     ];
+    // One device per native ISA, so the split path's lowering suffix is
+    // checked against `run()`'s for each.
+    for spec in ["line:3", "line:3@su4", "line:3@kak"] {
+        targets.push(Target::Device(registry.build(spec).unwrap()));
+    }
     for target in targets {
         let legacy = CompileRequest::new(3, &t)
             .target(target.clone())
+            .trace(true)
             .run()
             .unwrap();
         let cache = Arc::new(CompileCache::new());
         let cold = CompileRequest::new(3, &t)
             .target(target.clone())
             .cache(&cache)
+            .trace(true)
             .run()
             .unwrap();
+        assert_eq!(
+            cold.trace.as_ref().unwrap().pass_names(),
+            legacy.trace.as_ref().unwrap().pass_names(),
+            "pass list @ {target:?}"
+        );
         let warm = CompileRequest::new(3, &t)
             .target(target.clone())
             .cache(&cache)
@@ -58,6 +71,7 @@ fn cached_run_matches_legacy_bit_for_bit_across_targets() {
                 out.num_groups, legacy.num_groups,
                 "{name} groups @ {target:?}"
             );
+            assert_eq!(out.hardware, legacy.hardware, "{name} routing @ {target:?}");
         }
         let stats = cache.stats();
         assert_eq!(stats.program_misses, 1, "@ {target:?}");
@@ -152,25 +166,38 @@ fn structure_artifact_is_reusable_directly() {
 #[test]
 fn budget_and_verify_requests_bypass_the_cache() {
     let t = terms(PROGRAM);
+    let angles: Vec<f64> = t.iter().map(|(_, c)| *c).collect();
     let cache = Arc::new(CompileCache::new());
     let budgeted = PhoenixOptions {
         pass_budget: Some(std::time::Duration::from_secs(3600)),
         ..PhoenixOptions::default()
     };
-    let _ = CompileRequest::new(3, &t)
-        .options(budgeted)
-        .cache(&cache)
-        .run()
-        .unwrap();
     let verified = PhoenixOptions {
         verify: true,
         ..PhoenixOptions::default()
     };
-    let _ = CompileRequest::new(3, &t)
-        .options(verified)
-        .cache(&cache)
-        .run()
-        .unwrap();
+    let verified_passes = |out: &CompileOutcome| -> Vec<String> {
+        let trace = out.trace.as_ref().unwrap();
+        let events = trace.events.iter().filter(|e| e.kind == EVENT_VERIFIED);
+        events.map(|e| e.pass.clone()).collect()
+    };
+    for options in [budgeted, verified] {
+        let request = CompileRequest::new(3, &t)
+            .options(options)
+            .cache(&cache)
+            .trace(true);
+        let run = request.clone().run().unwrap();
+        // `structure` compiles uncached too, verifier and budget included.
+        let artifact = request.clone().structure().unwrap();
+        assert_eq!(artifact.num_slots(), t.len());
+        // `bind` with the request's own coefficients compiles exactly as
+        // `run`: it keeps the verifier and reports the anytime depth.
+        let bound = request.bind(&angles).unwrap();
+        assert_eq!(bound.circuit, run.circuit);
+        assert_eq!(bound.depth_reached, run.depth_reached);
+        assert_eq!(verified_passes(&bound), verified_passes(&run));
+        assert!(run.depth_reached.is_some() || !verified_passes(&run).is_empty());
+    }
     let stats = cache.stats();
     assert_eq!(stats.program_hits + stats.program_misses, 0);
     assert_eq!(stats.group_hits + stats.group_misses, 0);

@@ -5,7 +5,7 @@
 //! timings with before/after stats that chain between consecutive passes.
 
 use phoenix_core::pass::CircuitStats;
-use phoenix_core::{PassTrace, PhoenixCompiler, PhoenixOptions};
+use phoenix_core::{CompileOutcome, CompileRequest, Device, PassTrace, PhoenixOptions, Target};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
 
@@ -18,10 +18,31 @@ fn fig1b() -> (usize, Vec<(PauliString, f64)>) {
     (3, terms)
 }
 
+/// Compiles with trace retention on; returns the outcome and its trace.
+fn traced(
+    options: PhoenixOptions,
+    n: usize,
+    terms: &[(PauliString, f64)],
+    target: Target,
+) -> (CompileOutcome, PassTrace) {
+    let mut out = CompileRequest::new(n, terms)
+        .options(options)
+        .target(target)
+        .trace(true)
+        .run()
+        .unwrap();
+    let trace = out.trace.take().unwrap();
+    (out, trace)
+}
+
+fn line3() -> Target {
+    Target::Device(Device::bare(CouplingGraph::line(3)))
+}
+
 #[test]
 fn trace_round_trips_through_json() {
     let (n, terms) = fig1b();
-    let (_, trace) = PhoenixCompiler::default().compile_to_cnot_with_trace(n, &terms);
+    let (_, trace) = traced(PhoenixOptions::default(), n, &terms, Target::Cnot);
     let json = serde_json::to_string(&trace).unwrap();
     let back: PassTrace = serde_json::from_str(&json).unwrap();
     assert_eq!(back, trace);
@@ -34,7 +55,7 @@ fn trace_round_trips_through_json() {
 #[test]
 fn trace_json_exposes_the_documented_schema() {
     let (n, terms) = fig1b();
-    let (_, trace) = PhoenixCompiler::default().compile_with_trace(n, &terms);
+    let (_, trace) = traced(PhoenixOptions::default(), n, &terms, Target::Logical);
     let value = serde_json::to_value(&trace).unwrap();
     let passes = value.get("passes").and_then(|p| p.as_array()).unwrap();
     assert_eq!(passes.len(), trace.passes.len());
@@ -54,26 +75,25 @@ fn trace_json_exposes_the_documented_schema() {
 #[test]
 fn trace_names_match_each_entry_point() {
     let (n, terms) = fig1b();
-    let c = PhoenixCompiler::default();
+    let names = |target| traced(PhoenixOptions::default(), n, &terms, target).1;
     let logical = ["group", "simplify-synth", "tetris-order", "concat"];
 
-    let (_, t) = c.compile_with_trace(n, &terms);
+    let t = names(Target::Logical);
     assert_eq!(t.pass_names(), logical);
 
-    let (_, t) = c.compile_to_cnot_with_trace(n, &terms);
+    let t = names(Target::Cnot);
     assert_eq!(t.pass_names(), [&logical[..], &["peephole"]].concat());
 
-    let (_, t) = c.compile_to_su4_with_trace(n, &terms);
+    let t = names(Target::Su4);
     assert_eq!(t.pass_names(), [&logical[..], &["su4-rebase"]].concat());
 
-    let (_, t) = c.compile_to_cnot_via_kak_with_trace(n, &terms);
+    let t = names(Target::CnotViaKak);
     assert_eq!(
         t.pass_names(),
         [&logical[..], &["su4-rebase", "kak-resynthesis", "peephole"]].concat()
     );
 
-    let dev = CouplingGraph::line(3);
-    let (_, t) = c.compile_hardware_aware_with_trace(n, &terms, &dev);
+    let t = names(line3());
     assert_eq!(
         t.pass_names(),
         [
@@ -93,12 +113,12 @@ fn trace_names_match_each_entry_point() {
 #[test]
 fn ablation_options_rename_the_replaced_stages() {
     let (n, terms) = fig1b();
-    let c = PhoenixCompiler::new(PhoenixOptions {
+    let options = PhoenixOptions {
         enable_simplification: false,
         enable_ordering: false,
         ..PhoenixOptions::default()
-    });
-    let (_, t) = c.compile_with_trace(n, &terms);
+    };
+    let (_, t) = traced(options, n, &terms, Target::Logical);
     assert_eq!(
         t.pass_names(),
         ["group", "naive-synth", "program-order", "concat"]
@@ -108,8 +128,7 @@ fn ablation_options_rename_the_replaced_stages() {
 #[test]
 fn trace_timings_are_monotone_and_stats_chain() {
     let (n, terms) = fig1b();
-    let dev = CouplingGraph::line(3);
-    let (hw, trace) = PhoenixCompiler::default().compile_hardware_aware_with_trace(n, &terms, &dev);
+    let (hw, trace) = traced(PhoenixOptions::default(), n, &terms, line3());
 
     let mut cumulative = 0.0;
     for record in &trace.passes {

@@ -2,10 +2,10 @@
 //!
 //! A correct compilation may only *reorder* the Trotter product — so for
 //! every input the emitted circuit's unitary must equal the exact Trotter
-//! product of [`CompiledProgram::term_order`] up to global phase, and that
+//! product of [`CompileOutcome::term_order`] up to global phase, and that
 //! order must be a permutation of the input terms.
 
-use phoenix_core::{CompiledProgram, PhoenixCompiler};
+use phoenix_core::{CompileOutcome, CompileRequest};
 use phoenix_mathkit::Xoshiro256;
 use phoenix_pauli::{Pauli, PauliString};
 use phoenix_sim::{circuit_unitary, infidelity, trotter_unitary};
@@ -48,7 +48,7 @@ fn multiset(
 }
 
 fn check_program(n: usize, terms: &[(PauliString, f64)], label: &str) {
-    let out: CompiledProgram = PhoenixCompiler::default().compile(n, terms);
+    let out: CompileOutcome = CompileRequest::new(n, terms).run().unwrap();
     assert_eq!(
         multiset(&out.term_order),
         multiset(terms),

@@ -1,9 +1,9 @@
 //! Wide-register compilation: the packed-mask representation must carry
 //! programs past the historical 128-qubit cap through every logical compile
 //! path, and the (much higher) sanity cap must surface as a typed error
-//! from every entry point — never a panic.
+//! from every target — never a panic.
 
-use phoenix_core::{PhoenixCompiler, PhoenixError};
+use phoenix_core::{CompileRequest, Device, PhoenixError, Target};
 use phoenix_hamil::models::{heisenberg_chain, tfim_chain};
 use phoenix_pauli::{PauliString, MAX_QUBITS};
 use phoenix_topology::CouplingGraph;
@@ -12,28 +12,19 @@ use phoenix_topology::CouplingGraph;
 fn over_cap_widths_are_typed_errors_on_every_path() {
     let n = MAX_QUBITS + 1;
     let terms: Vec<(PauliString, f64)> = Vec::new();
-    let compiler = PhoenixCompiler::default();
-    let device = CouplingGraph::line(2);
-    let errs = [
-        compiler.try_compile(n, &terms).map(|_| ()).unwrap_err(),
-        compiler
-            .try_compile_to_cnot(n, &terms)
+    let device = Device::bare(CouplingGraph::line(2));
+    for target in [
+        Target::Logical,
+        Target::Cnot,
+        Target::Su4,
+        Target::CnotViaKak,
+        Target::Device(device),
+    ] {
+        let err = CompileRequest::new(n, &terms)
+            .target(target)
+            .run()
             .map(|_| ())
-            .unwrap_err(),
-        compiler
-            .try_compile_to_su4(n, &terms)
-            .map(|_| ())
-            .unwrap_err(),
-        compiler
-            .try_compile_to_cnot_via_kak(n, &terms)
-            .map(|_| ())
-            .unwrap_err(),
-        compiler
-            .try_compile_hardware_aware(n, &terms, &device)
-            .map(|_| ())
-            .unwrap_err(),
-    ];
-    for err in errs {
+            .unwrap_err();
         assert_eq!(err, PhoenixError::UnsupportedWidth { num_qubits: n });
     }
 }
@@ -41,10 +32,9 @@ fn over_cap_widths_are_typed_errors_on_every_path() {
 #[test]
 fn trotter_chains_compile_past_128_qubits() {
     let n = 300;
-    let compiler = PhoenixCompiler::default();
     for h in [tfim_chain(n, 1.0, 0.5), heisenberg_chain(n, 1.0, 1.0, 0.5)] {
-        let out = compiler
-            .try_compile(n, h.terms())
+        let out = CompileRequest::new(n, h.terms())
+            .run()
             .expect("wide logical compile succeeds");
         assert_eq!(out.term_order.len(), h.len());
         assert_eq!(out.circuit.num_qubits(), n);
@@ -63,9 +53,11 @@ fn wide_cnot_lowering_touches_the_top_qubits() {
     // The CNOT-target path must synthesize real gates above qubit 128.
     let n = 200;
     let h = tfim_chain(n, 1.0, 0.5);
-    let c = PhoenixCompiler::default()
-        .try_compile_to_cnot(n, h.terms())
-        .expect("wide CNOT compile succeeds");
+    let c = CompileRequest::new(n, h.terms())
+        .target(Target::Cnot)
+        .run()
+        .expect("wide CNOT compile succeeds")
+        .circuit;
     let touches_top = c.gates().iter().any(|g| {
         let (a, b) = g.qubits();
         a >= 128 || b.is_some_and(|b| b >= 128)

@@ -140,8 +140,7 @@ impl NoiseProfile {
 ///
 /// Construct by hand with [`Device::new`], or from a registry spec with
 /// [`DeviceRegistry::build`]. [`Device::bare`] wraps a plain
-/// [`CouplingGraph`] as a noiseless CNOT-ISA device — the exact semantics
-/// of the deprecated `Target::Hardware`.
+/// [`CouplingGraph`] as a noiseless CNOT-ISA device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     name: String,
@@ -166,10 +165,8 @@ impl Device {
         }
     }
 
-    /// Wrap a bare coupling graph as a noiseless CNOT-ISA device.
-    ///
-    /// This is what the deprecated `Target::Hardware(graph)` normalizes
-    /// to, so legacy hardware compiles stay bit-for-bit identical.
+    /// Wrap a bare coupling graph as a noiseless CNOT-ISA device: the
+    /// device a hardware-aware compile onto a plain topology targets.
     pub fn bare(graph: CouplingGraph) -> Self {
         let noise = NoiseProfile::noiseless(&graph);
         Device {

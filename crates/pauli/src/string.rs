@@ -105,7 +105,8 @@ impl PauliString {
 
     /// Fallible [`PauliString::from_packed`]: out-of-range widths and masks
     /// with support at or above `n` come back as a [`WidthError`] instead
-    /// of a panic, so `try_compile*` callers get an error on bad input.
+    /// of a panic, so `CompileRequest::run` callers get an error on bad
+    /// input.
     ///
     /// # Errors
     ///

@@ -1,16 +1,16 @@
 //! Differential verification of every compile path.
 //!
-//! For one program, [`verify_program`] runs PHOENIX through all five of its
-//! entry points (high-level, CNOT, SU(4), CNOT-via-KAK, hardware-aware) and
-//! each baseline through its logical / optimized / hardware paths, checks
-//! every output against the reference Trotter evolution with the
-//! appropriate tier of the engine, and cross-checks the strategies against
-//! each other. Every failure is reported with the pipeline that produced
-//! it.
+//! For one program, [`verify_program`] compiles with PHOENIX to each of
+//! its five targets (high-level, CNOT, SU(4), CNOT-via-KAK,
+//! hardware-aware) and each baseline through its logical / optimized /
+//! hardware paths, checks every output against the reference Trotter
+//! evolution with the appropriate tier of the engine, and cross-checks the
+//! strategies against each other. Every failure is reported with the
+//! pipeline that produced it.
 
 use phoenix_baselines::Baseline;
 use phoenix_circuit::Circuit;
-use phoenix_core::{CompilerStrategy, PhoenixCompiler};
+use phoenix_core::{CompileRequest, CompilerStrategy, Device, PhoenixOptions, Target};
 use phoenix_mathkit::{CMatrix, Xoshiro256};
 use phoenix_sim::circuit_unitary;
 use phoenix_topology::CouplingGraph;
@@ -95,13 +95,19 @@ pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> Vec<Failure> {
     let states = n <= cfg.state_max_qubits;
     let mut rng = Xoshiro256::seed_from_u64(cfg.state_seed ^ program.seed);
 
-    let compiler = PhoenixCompiler::new(phoenix_core::PhoenixOptions {
+    let options = PhoenixOptions {
         verify: cfg.verify_passes,
-        ..phoenix_core::PhoenixOptions::default()
-    });
+        ..PhoenixOptions::default()
+    };
+    let compile = |target| {
+        CompileRequest::new(n, terms)
+            .options(options.clone())
+            .target(target)
+            .run()
+    };
 
-    // --- PHOENIX: every logical entry point against its own term order ---
-    let compiled = match compiler.try_compile(n, terms) {
+    // --- PHOENIX: every logical target against its own term order ---
+    let compiled = match compile(Target::Logical) {
         Ok(c) => c,
         Err(e) => {
             failures.push(Failure {
@@ -121,11 +127,11 @@ pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> Vec<Failure> {
     );
     let phoenix_paths: Vec<(&str, Result<Circuit, phoenix_core::PhoenixError>)> = vec![
         ("PHOENIX/high-level", Ok(compiled.circuit.clone())),
-        ("PHOENIX/cnot", compiler.try_compile_to_cnot(n, terms)),
-        ("PHOENIX/su4", compiler.try_compile_to_su4(n, terms)),
+        ("PHOENIX/cnot", compile(Target::Cnot).map(|o| o.circuit)),
+        ("PHOENIX/su4", compile(Target::Su4).map(|o| o.circuit)),
         (
             "PHOENIX/kak",
-            compiler.try_compile_to_cnot_via_kak(n, terms),
+            compile(Target::CnotViaKak).map(|o| o.circuit),
         ),
     ];
     let mut phoenix_cnot_unitary: Option<CMatrix> = None;
@@ -239,9 +245,9 @@ pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> Vec<Failure> {
             let mut v = Vec::new();
             v.push((
                 "PHOENIX/hardware".to_string(),
-                compiler
-                    .try_compile_hardware_aware(n, terms, &device)
-                    .map_err(|e| e.to_string()),
+                compile(Target::Device(Device::bare(device.clone())))
+                    .map_err(|e| e.to_string())
+                    .and_then(|o| o.hardware.ok_or_else(|| "no hardware program".into())),
             ));
             for b in baselines {
                 let logical = b.compile_logical(n, terms);

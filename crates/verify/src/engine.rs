@@ -315,7 +315,7 @@ pub fn check_coupling_legal(c: &Circuit, device: &phoenix_topology::CouplingGrap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phoenix_core::PhoenixCompiler;
+    use phoenix_core::CompileRequest;
 
     fn ps(l: &str) -> PauliString {
         l.parse().unwrap()
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn exact_check_accepts_phoenix_and_rejects_corruption() {
         let terms = vec![(ps("ZYY"), 1.5e-3), (ps("XZY"), -1.1e-3), (ps("YIZ"), 2e-3)];
-        let out = PhoenixCompiler::default().compile(3, &terms);
+        let out = CompileRequest::new(3, &terms).run().unwrap();
         assert!(matches!(
             check_exact_unitary(&out.circuit, &out.term_order),
             Outcome::Pass(_)
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn skeleton_of_phoenix_output_is_identity() {
         let terms = vec![(ps("ZYY"), 1.5e-3), (ps("ZZY"), -1.1e-3), (ps("XYY"), 2e-3)];
-        let out = PhoenixCompiler::default().compile(3, &terms);
+        let out = CompileRequest::new(3, &terms).run().unwrap();
         assert!(matches!(
             check_skeleton_identity(&out.circuit),
             Outcome::Pass(_)
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn state_check_matches_unitary_check() {
         let terms = vec![(ps("XXI"), 1.5e-3), (ps("IZZ"), -1.8e-3), (ps("YXZ"), 1e-3)];
-        let out = PhoenixCompiler::default().compile(3, &terms);
+        let out = CompileRequest::new(3, &terms).run().unwrap();
         let mut rng = Xoshiro256::seed_from_u64(5);
         assert!(matches!(
             check_states_vs_order(&out.circuit, &out.term_order, 1e-9, 4, &mut rng),

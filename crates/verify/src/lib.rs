@@ -13,7 +13,7 @@
 //!   programs in UCCSD-like, Ising-like and unstructured families, with a
 //!   greedy [`shrink`](gen::shrink) minimizer for counterexamples;
 //! - [`differential`] — [`verify_program`](differential::verify_program):
-//!   drives PHOENIX (all five entry points) and the four baselines over
+//!   drives PHOENIX (all five targets) and the four baselines over
 //!   one program, checking each output and all pairs;
 //! - [`metamorphic`] — compilation commutes with qubit relabeling, term
 //!   permutation, coefficient scaling and program concatenation;

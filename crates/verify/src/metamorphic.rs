@@ -16,8 +16,10 @@
 //! All properties are dense checks — run them on programs within the
 //! unitary tier (`n ≲ 8`).
 
-use phoenix_core::PhoenixCompiler;
+use phoenix_circuit::Circuit;
+use phoenix_core::{CompileOutcome, CompileRequest, Target};
 use phoenix_mathkit::Xoshiro256;
+use phoenix_pauli::PauliString;
 use phoenix_sim::{circuit_unitary, infidelity};
 
 use crate::differential::Failure;
@@ -55,11 +57,8 @@ fn relabeling(program: &Program, rng: &mut Xoshiro256, failures: &mut Vec<Failur
         .iter()
         .map(|(p, c)| (p.embed(n, &pi), *c))
         .collect();
-    let compiler = PhoenixCompiler::default();
-    let direct = compiler.compile_to_cnot(n, &relabeled);
-    let via_map = compiler
-        .compile_to_cnot(n, &program.terms)
-        .map_qubits(n, |q| pi[q]);
+    let direct = cnot(n, &relabeled);
+    let via_map = cnot(n, &program.terms).map_qubits(n, |q| pi[q]);
     let tol = 2.0 * reorder_tolerance(&relabeled);
     let infid = infidelity(&circuit_unitary(&direct), &circuit_unitary(&via_map));
     if infid > tol {
@@ -76,9 +75,8 @@ fn relabeling(program: &Program, rng: &mut Xoshiro256, failures: &mut Vec<Failur
 fn term_permutation(program: &Program, rng: &mut Xoshiro256, failures: &mut Vec<Failure>) {
     let mut shuffled = program.terms.clone();
     rng.shuffle(&mut shuffled);
-    let compiler = PhoenixCompiler::default();
-    let a = compiler.compile_to_cnot(program.num_qubits, &program.terms);
-    let b = compiler.compile_to_cnot(program.num_qubits, &shuffled);
+    let a = cnot(program.num_qubits, &program.terms);
+    let b = cnot(program.num_qubits, &shuffled);
     let tol = 2.0 * reorder_tolerance(&program.terms);
     let infid = infidelity(&circuit_unitary(&a), &circuit_unitary(&b));
     if infid > tol {
@@ -94,14 +92,13 @@ fn term_permutation(program: &Program, rng: &mut Xoshiro256, failures: &mut Vec<
 /// Zero-scaled coefficients compile to the identity; PHOENIX's exact
 /// term-order invariant holds at any scale.
 fn coefficient_scaling(program: &Program, failures: &mut Vec<Failure>) {
-    let compiler = PhoenixCompiler::default();
     let n = program.num_qubits;
     let zeroed: Vec<_> = program
         .terms
         .iter()
         .map(|(p, _)| (p.clone(), 0.0))
         .collect();
-    let at_zero = compiler.compile_to_cnot(n, &zeroed);
+    let at_zero = cnot(n, &zeroed);
     let infid = infidelity(&circuit_unitary(&at_zero), &identity_unitary(n));
     if infid > EPSILON {
         fail(
@@ -117,7 +114,7 @@ fn coefficient_scaling(program: &Program, failures: &mut Vec<Failure>) {
             .iter()
             .map(|(p, c)| (p.clone(), c * scale))
             .collect();
-        let out = compiler.compile(n, &scaled);
+        let out = compile(n, &scaled, Target::Logical);
         if let Outcome::Fail { metric, detail } = check_exact_unitary(&out.circuit, &out.term_order)
         {
             fail(
@@ -136,11 +133,10 @@ fn concatenation(program: &Program, failures: &mut Vec<Failure>) {
         return;
     }
     let (left, right) = program.terms.split_at(program.terms.len() / 2);
-    let compiler = PhoenixCompiler::default();
     let n = program.num_qubits;
-    let whole = compiler.compile_to_cnot(n, &program.terms);
-    let mut composed = compiler.compile_to_cnot(n, left);
-    composed.append(&compiler.compile_to_cnot(n, right));
+    let whole = cnot(n, &program.terms);
+    let mut composed = cnot(n, left);
+    composed.append(&cnot(n, right));
     let tol = 2.0 * reorder_tolerance(&program.terms);
     let infid = infidelity(&circuit_unitary(&whole), &circuit_unitary(&composed));
     if infid > tol {
@@ -151,6 +147,19 @@ fn concatenation(program: &Program, failures: &mut Vec<Failure>) {
             format!("compile(P⧺Q) vs compile(P)·compile(Q): infidelity {infid:.3e} > {tol:.3e}"),
         );
     }
+}
+
+/// Compiles with default options; the properties run on generated
+/// programs, which are valid by construction.
+fn compile(n: usize, terms: &[(PauliString, f64)], target: Target) -> CompileOutcome {
+    CompileRequest::new(n, terms)
+        .target(target)
+        .run()
+        .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
+}
+
+fn cnot(n: usize, terms: &[(PauliString, f64)]) -> Circuit {
+    compile(n, terms, Target::Cnot).circuit
 }
 
 fn identity_unitary(n: usize) -> phoenix_mathkit::CMatrix {

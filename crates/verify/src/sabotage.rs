@@ -7,7 +7,7 @@
 //! flags it and produces a minimized counterexample.
 
 use phoenix_circuit::{Circuit, Gate};
-use phoenix_core::{CompilerStrategy, PhoenixCompiler};
+use phoenix_core::{CompileRequest, CompilerStrategy, PhoenixCompiler};
 use phoenix_pauli::PauliString;
 
 /// How the output is corrupted.
@@ -78,14 +78,14 @@ impl CompilerStrategy for SabotagedPhoenix {
 
     fn compile_logical(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
         corrupt(
-            &PhoenixCompiler::default().compile(n, terms).circuit,
+            &PhoenixCompiler::default().compile_logical(n, terms),
             self.mode,
         )
     }
 
     fn compile_optimized(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
         corrupt(
-            &PhoenixCompiler::default().compile_to_cnot(n, terms),
+            &PhoenixCompiler::default().compile_optimized(n, terms),
             self.mode,
         )
     }
@@ -98,7 +98,9 @@ pub fn sabotage_failures(
     program: &crate::gen::Program,
     mode: SabotageMode,
 ) -> Vec<crate::differential::Failure> {
-    let compiled = PhoenixCompiler::default().compile(program.num_qubits, &program.terms);
+    let compiled = CompileRequest::new(program.num_qubits, &program.terms)
+        .run()
+        .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"));
     let bad = corrupt(&compiled.circuit, mode);
     let mut failures = Vec::new();
     if let crate::engine::Outcome::Fail { metric, detail } =

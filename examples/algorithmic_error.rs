@@ -6,11 +6,11 @@
 
 use phoenix::baselines::Baseline;
 use phoenix::circuit::peephole;
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::CompileRequest;
 use phoenix::hamil::models::heisenberg_chain;
 use phoenix::sim::{circuit_unitary, exact_evolution, infidelity};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = heisenberg_chain(6, 0.4, 0.3, 0.5);
     println!("program: {base}\n");
     println!("scale | TKET-style error | PHOENIX error");
@@ -22,8 +22,8 @@ fn main() {
             &Baseline::TketStyle.compile_logical(h.num_qubits(), h.terms()),
         ));
         let phoenix = circuit_unitary(
-            &PhoenixCompiler::default()
-                .compile(h.num_qubits(), h.terms())
+            &CompileRequest::new(h.num_qubits(), h.terms())
+                .run()?
                 .circuit,
         );
         println!(
@@ -34,4 +34,5 @@ fn main() {
     }
     println!("\nBoth circuits are exact Trotter products; the error is purely");
     println!("the Trotterization error of each compiler's chosen term order.");
+    Ok(())
 }

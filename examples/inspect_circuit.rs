@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example inspect_circuit`
 
 use phoenix::circuit::{draw, kak, rebase, weyl, Gate};
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Target};
 use phoenix::pauli::PauliString;
 use phoenix::sim::noise::ErrorModel;
 
@@ -16,8 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(s, c)| Ok::<_, phoenix::pauli::ParsePauliStringError>((s.parse()?, *c)))
             .collect::<Result<_, _>>()?;
 
-    let compiler = PhoenixCompiler::default();
-    let high = compiler.compile(3, &terms).circuit;
+    let compile = |target| CompileRequest::new(3, &terms).target(target).run();
+    let high = compile(Target::Logical)?.circuit;
     println!("High-level PHOENIX output (Clifford2Q + ≤2Q rotations):\n");
     println!("{}", draw::ascii(&high));
 
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let resynth = kak::resynthesize(&su4);
-    let cnot = compiler.compile_to_cnot(3, &terms);
-    let via_kak = compiler.compile_to_cnot_via_kak(3, &terms);
+    let cnot = compile(Target::Cnot)?.circuit;
+    let via_kak = compile(Target::CnotViaKak)?.circuit;
     println!("\nCNOT ISA             : {} CNOTs", cnot.counts().cnot);
     println!("CNOT ISA via KAK     : {} CNOTs", via_kak.counts().cnot);
     println!("\nKAK-resynthesized circuit:\n");

@@ -4,15 +4,16 @@
 //!
 //! Run with: `cargo run --release --example molecular_simulation`
 
-use phoenix::baselines::{hardware_aware, Baseline};
+use phoenix::baselines::Baseline;
 use phoenix::circuit::peephole;
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, CompilerStrategy, Device, Target};
 use phoenix::hamil::{uccsd, Molecule};
 use phoenix::topology::CouplingGraph;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = CouplingGraph::manhattan65();
     println!("device: {device}\n");
+    let heavy_hex = Target::Device(Device::bare(device.clone()));
 
     for encoding in [uccsd::Encoding::JordanWigner, uccsd::Encoding::BravyiKitaev] {
         let program = uccsd::ansatz(Molecule::lih(), true, encoding, 7);
@@ -40,8 +41,8 @@ fn main() {
                 c.depth_2q()
             );
         }
-        let compiler = PhoenixCompiler::default();
-        let phoenix = compiler.compile_to_cnot(program.num_qubits(), program.terms());
+        let request = CompileRequest::new(program.num_qubits(), program.terms());
+        let phoenix = request.clone().target(Target::Cnot).run()?.circuit;
         println!(
             "  {:20}: {:5} CNOTs, 2Q depth {:5}",
             "PHOENIX",
@@ -50,7 +51,11 @@ fn main() {
         );
 
         // Hardware-aware on the heavy-hex device.
-        let hw = compiler.compile_hardware_aware(program.num_qubits(), program.terms(), &device);
+        let hw = request
+            .target(heavy_hex.clone())
+            .run()?
+            .hardware
+            .ok_or("device targets carry a hardware program")?;
         println!(
             "  PHOENIX on heavy-hex: {:5} CNOTs, 2Q depth {:5}, {} SWAPs, {:.2}x routing overhead",
             hw.circuit.counts().cnot,
@@ -58,8 +63,9 @@ fn main() {
             hw.num_swaps,
             hw.routing_overhead()
         );
-        let ph_hw = hardware_aware(
-            &Baseline::PaulihedralStyle.compile_logical(program.num_qubits(), program.terms()),
+        let ph_hw = Baseline::PaulihedralStyle.compile_hardware(
+            program.num_qubits(),
+            program.terms(),
             &device,
         );
         println!(
@@ -70,4 +76,5 @@ fn main() {
             ph_hw.routing_overhead()
         );
     }
+    Ok(())
 }

@@ -4,13 +4,14 @@
 //!
 //! Run with: `cargo run --release --example qaoa_maxcut`
 
-use phoenix::baselines::{hardware_aware, Baseline};
-use phoenix::core::PhoenixCompiler;
+use phoenix::baselines::Baseline;
+use phoenix::core::{CompileRequest, CompilerStrategy, Device, Target};
 use phoenix::hamil::qaoa;
 use phoenix::topology::CouplingGraph;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = CouplingGraph::manhattan65();
+    let heavy_hex = Target::Device(Device::bare(device.clone()));
     for (kind, label) in [
         (qaoa::QaoaKind::Rand4, "random 4-regular"),
         (qaoa::QaoaKind::Reg3, "3-regular"),
@@ -19,10 +20,7 @@ fn main() {
             let program = qaoa::benchmark(kind, n, 7 + n as u64);
             println!("== {} ({label}, {} edges)", program.name(), program.len());
 
-            let qan = hardware_aware(
-                &Baseline::TwoQanStyle.compile_logical(n, program.terms()),
-                &device,
-            );
+            let qan = Baseline::TwoQanStyle.compile_hardware(n, program.terms(), &device);
             println!(
                 "  2QAN-style : logical 2Q depth {:2} | mapped: {:3} CNOTs, depth {:3}, {:2} SWAPs",
                 qan.logical.depth_2q(),
@@ -31,7 +29,11 @@ fn main() {
                 qan.num_swaps
             );
 
-            let hw = PhoenixCompiler::default().compile_hardware_aware(n, program.terms(), &device);
+            let hw = CompileRequest::new(n, program.terms())
+                .target(heavy_hex.clone())
+                .run()?
+                .hardware
+                .ok_or("device targets carry a hardware program")?;
             println!(
                 "  PHOENIX    : logical 2Q depth {:2} | mapped: {:3} CNOTs, depth {:3}, {:2} SWAPs",
                 hw.logical.depth_2q(),
@@ -41,4 +43,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

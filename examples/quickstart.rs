@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use phoenix::baselines::Baseline;
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Target};
 use phoenix::pauli::PauliString;
 use phoenix::sim::{circuit_unitary, infidelity, trotter_unitary};
 
@@ -27,9 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // PHOENIX: one simultaneous Clifford conjugation simplifies the whole
     // group to ≤2-qubit rotations.
-    let compiler = PhoenixCompiler::default();
-    let compiled = compiler.compile(3, &terms);
-    let cnot = compiler.compile_to_cnot(3, &terms);
+    let compile = |target| CompileRequest::new(3, &terms).target(target).run();
+    let compiled = compile(Target::Logical)?;
+    let cnot = compile(Target::Cnot)?.circuit;
     println!(
         "PHOENIX     : {:3} CNOTs, 2Q depth {:3}  ({} IR group)",
         cnot.counts().cnot,
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("unitary deviation from the exact Trotter product: {err:.2e}");
 
     // And the SU(4)-ISA view: the whole group fuses into a few blocks.
-    let su4 = compiler.compile_to_su4(3, &terms);
+    let su4 = compile(Target::Su4)?.circuit;
     println!(
         "SU(4) ISA   : {:3} native 2Q instructions",
         su4.counts().su4

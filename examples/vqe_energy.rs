@@ -5,11 +5,11 @@
 //! Run with: `cargo run --release --example vqe_energy`
 
 use phoenix::baselines::Baseline;
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Target};
 use phoenix::hamil::{molecular, uccsd, FermionEncoding, Molecule};
 use phoenix::sim::{energy, State};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 10-spin-orbital synthetic molecule and the LiH UCCSD ansatz.
     let enc = FermionEncoding::jordan_wigner(10);
     let hamiltonian = molecular::synthetic(&enc, 42);
@@ -23,9 +23,9 @@ fn main() {
     let e_ref = energy(&State::zero(n).evolved(&reference), hamiltonian.terms());
 
     // PHOENIX in each ISA.
-    let compiler = PhoenixCompiler::default();
-    let cnot = compiler.compile_to_cnot(n, ansatz.terms());
-    let su4 = compiler.compile_to_su4(n, ansatz.terms());
+    let compile = |target| CompileRequest::new(n, ansatz.terms()).target(target).run();
+    let cnot = compile(Target::Cnot)?.circuit;
+    let su4 = compile(Target::Su4)?.circuit;
     let e_cnot = energy(&State::zero(n).evolved(&cnot), hamiltonian.terms());
     let e_su4 = energy(&State::zero(n).evolved(&su4), hamiltonian.terms());
 
@@ -43,4 +43,5 @@ fn main() {
         "\nmax deviation: {:.2e}  (term reordering only shifts Trotter error,\nnot the prepared state's physics at these amplitudes)",
         (e_cnot - e_ref).abs().max((e_su4 - e_ref).abs())
     );
+    Ok(())
 }

@@ -19,15 +19,18 @@
 //! # Quickstart
 //!
 //! ```
-//! use phoenix::core::PhoenixCompiler;
+//! use phoenix::core::{CompileRequest, Target};
 //! use phoenix::hamil::{uccsd, Molecule};
 //!
 //! // Build a molecular-simulation program and compile it.
 //! let program = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
-//! let circuit = PhoenixCompiler::default()
-//!     .compile_to_cnot(program.num_qubits(), program.terms());
+//! let circuit = CompileRequest::new(program.num_qubits(), program.terms())
+//!     .target(Target::Cnot)
+//!     .run()?
+//!     .circuit;
 //! println!("{} CNOTs, 2Q depth {}", circuit.counts().cnot, circuit.depth_2q());
 //! # assert!(circuit.counts().cnot > 0);
+//! # Ok::<(), phoenix::core::PhoenixError>(())
 //! ```
 
 pub use phoenix_baselines as baselines;

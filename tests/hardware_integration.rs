@@ -1,11 +1,20 @@
 //! Hardware-aware integration: every compiler's mapped output must respect
 //! the coupling graph, and the routing bookkeeping must be consistent.
 
-use phoenix::baselines::{hardware_aware, Baseline};
+use phoenix::baselines::Baseline;
 use phoenix::circuit::Circuit;
-use phoenix::core::PhoenixCompiler;
-use phoenix::hamil::{qaoa, uccsd, Molecule};
+use phoenix::core::{CompileRequest, CompilerStrategy, Device, HardwareProgram, Target};
+use phoenix::hamil::{qaoa, uccsd, Hamiltonian, Molecule};
 use phoenix::topology::CouplingGraph;
+
+fn phoenix_hardware(h: &Hamiltonian, device: &CouplingGraph) -> HardwareProgram {
+    CompileRequest::new(h.num_qubits(), h.terms())
+        .target(Target::Device(Device::bare(device.clone())))
+        .run()
+        .unwrap()
+        .hardware
+        .unwrap()
+}
 
 fn assert_respects_coupling(c: &Circuit, device: &CouplingGraph, label: &str) {
     for g in c.gates() {
@@ -22,7 +31,7 @@ fn assert_respects_coupling(c: &Circuit, device: &CouplingGraph, label: &str) {
 fn phoenix_mapped_output_respects_heavy_hex() {
     let device = CouplingGraph::manhattan65();
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
-    let hw = PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+    let hw = phoenix_hardware(&h, &device);
     assert_respects_coupling(&hw.circuit, &device, "PHOENIX");
     assert!(hw.routing_overhead() >= 1.0);
     assert!(hw.circuit.counts().cnot >= hw.logical.counts().cnot);
@@ -37,7 +46,7 @@ fn baselines_mapped_output_respects_heavy_hex() {
         Baseline::TetrisStyle,
         Baseline::TwoQanStyle,
     ] {
-        let hw = hardware_aware(&b.compile_logical(h.num_qubits(), h.terms()), &device);
+        let hw = b.compile_hardware(h.num_qubits(), h.terms(), &device);
         assert_respects_coupling(&hw.circuit, &device, b.name());
     }
 }
@@ -46,7 +55,7 @@ fn baselines_mapped_output_respects_heavy_hex() {
 fn all_to_all_needs_no_routing() {
     let device = CouplingGraph::all_to_all(10);
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::BravyiKitaev, 7);
-    let hw = PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+    let hw = phoenix_hardware(&h, &device);
     assert_eq!(hw.num_swaps, 0);
 }
 
@@ -55,8 +64,7 @@ fn smaller_devices_also_work() {
     // Route a 10-qubit program onto a 3×4 grid and a 12-qubit line.
     let h = uccsd::ansatz(Molecule::nh(), true, uccsd::Encoding::JordanWigner, 7);
     for device in [CouplingGraph::grid(3, 4), CouplingGraph::line(12)] {
-        let hw =
-            PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+        let hw = phoenix_hardware(&h, &device);
         assert_respects_coupling(&hw.circuit, &device, "grid/line");
         assert!(hw.num_swaps > 0, "sparse devices need swaps");
     }

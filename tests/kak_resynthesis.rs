@@ -1,7 +1,7 @@
 //! KAK resynthesis preserves semantics and finds gate-count floors.
 
 use phoenix::circuit::{kak, peephole, rebase, Circuit, Gate};
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::CompileRequest;
 use phoenix::hamil::models;
 use phoenix::mathkit::Xoshiro256;
 use phoenix::sim::{circuit_unitary, infidelity};
@@ -64,7 +64,9 @@ fn resynthesis_caps_same_pair_runs_at_three_rotations() {
 #[test]
 fn kak_pipeline_preserves_compiled_program_semantics() {
     let h = models::heisenberg_chain(4, 0.4, -0.3, 0.6);
-    let out = PhoenixCompiler::default().compile(h.num_qubits(), h.terms());
+    let out = CompileRequest::new(h.num_qubits(), h.terms())
+        .run()
+        .unwrap();
     let su4 = rebase::to_su4(&out.circuit);
     let resynth = kak::resynthesize(&su4);
     let u = circuit_unitary(&out.circuit);

@@ -2,9 +2,16 @@
 
 use phoenix::baselines::Baseline;
 use phoenix::circuit::peephole;
-use phoenix::core::PhoenixCompiler;
-use phoenix::hamil::{models, qaoa, uccsd, Molecule};
+use phoenix::core::{CompileOutcome, CompileRequest, Target};
+use phoenix::hamil::{models, qaoa, uccsd, Hamiltonian, Molecule};
 use phoenix::sim::{circuit_unitary, infidelity, trotter_unitary};
+
+fn compile(h: &Hamiltonian, target: Target) -> CompileOutcome {
+    CompileRequest::new(h.num_qubits(), h.terms())
+        .target(target)
+        .run()
+        .unwrap()
+}
 
 /// PHOENIX must beat the conventional circuit on every UCCSD benchmark.
 #[test]
@@ -15,7 +22,7 @@ fn phoenix_beats_original_on_uccsd_suite() {
             continue;
         }
         let naive = Baseline::Naive.compile_logical(h.num_qubits(), h.terms());
-        let phoenix = PhoenixCompiler::default().compile_to_cnot(h.num_qubits(), h.terms());
+        let phoenix = compile(&h, Target::Cnot).circuit;
         assert!(
             phoenix.counts().cnot * 2 < naive.counts().cnot,
             "{}: {} vs {}",
@@ -33,7 +40,7 @@ fn phoenix_beats_original_on_uccsd_suite() {
 #[test]
 fn compiled_circuits_are_unitarily_faithful() {
     let h = models::heisenberg_chain(4, 0.3, -0.2, 0.5);
-    let out = PhoenixCompiler::default().compile(h.num_qubits(), h.terms());
+    let out = compile(&h, Target::Logical);
     let want = trotter_unitary(h.num_qubits(), &out.term_order);
     assert!(infidelity(&want, &circuit_unitary(&out.circuit)) < 1e-10);
 
@@ -67,7 +74,7 @@ fn naive_baseline_is_order_exact() {
 #[test]
 fn qaoa_compiles_depth_efficiently() {
     let h = qaoa::benchmark(qaoa::QaoaKind::Reg3, 16, 3);
-    let out = PhoenixCompiler::default().compile(h.num_qubits(), h.terms());
+    let out = compile(&h, Target::Logical);
     assert_eq!(out.circuit.counts().clifford2, 0, "no conjugations needed");
     assert_eq!(out.circuit.counts().pauli_rot2, h.len());
     // 3-regular graphs are 3- or 4-edge-colorable; each color layer costs
@@ -83,9 +90,8 @@ fn qaoa_compiles_depth_efficiently() {
 #[test]
 fn su4_isa_reduces_instruction_count() {
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::BravyiKitaev, 7);
-    let compiler = PhoenixCompiler::default();
-    let cnot = compiler.compile_to_cnot(h.num_qubits(), h.terms());
-    let su4 = compiler.compile_to_su4(h.num_qubits(), h.terms());
+    let cnot = compile(&h, Target::Cnot).circuit;
+    let su4 = compile(&h, Target::Su4).circuit;
     assert!(su4.counts().su4 < cnot.counts().cnot);
     assert!(su4.depth_2q() <= cnot.depth_2q());
 }
@@ -94,8 +100,8 @@ fn su4_isa_reduces_instruction_count() {
 #[test]
 fn compilation_is_deterministic() {
     let h = uccsd::ansatz(Molecule::nh(), true, uccsd::Encoding::JordanWigner, 9);
-    let a = PhoenixCompiler::default().compile(h.num_qubits(), h.terms());
-    let b = PhoenixCompiler::default().compile(h.num_qubits(), h.terms());
+    let a = compile(&h, Target::Logical);
+    let b = compile(&h, Target::Logical);
     assert_eq!(a.circuit, b.circuit);
     assert_eq!(a.term_order, b.term_order);
 }

@@ -1,7 +1,7 @@
 //! Property-based tests on the core invariants, spanning crates.
 
 use phoenix::circuit::{peephole, rebase, synthesis, Circuit, Gate};
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Device, Target};
 use phoenix::pauli::{Bsf, Clifford2Q, Pauli, PauliString, CLIFFORD2Q_GENERATORS};
 use phoenix::sim::{circuit_unitary, infidelity, trotter_unitary};
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ proptest! {
     /// reported term order, for any 4-qubit program.
     #[test]
     fn phoenix_is_unitarily_exact(terms in small_program(4, 6)) {
-        let out = PhoenixCompiler::default().compile(4, &terms);
+        let out = CompileRequest::new(4, &terms).run().unwrap();
         let want = trotter_unitary(4, &out.term_order);
         let got = circuit_unitary(&out.circuit);
         prop_assert!(infidelity(&want, &got) < 1e-9);
@@ -50,7 +50,7 @@ proptest! {
     /// depth.
     #[test]
     fn rebase_preserves_unitary(terms in small_program(4, 5)) {
-        let hl = PhoenixCompiler::default().compile(4, &terms).circuit;
+        let hl = CompileRequest::new(4, &terms).run().unwrap().circuit;
         let su4 = rebase::to_su4(&hl);
         prop_assert!(su4.depth_2q() <= hl.depth_2q());
         let u = circuit_unitary(&hl);
@@ -92,7 +92,12 @@ proptest! {
     #[test]
     fn routed_circuits_only_use_device_edges(terms in small_program(4, 5)) {
         let device = phoenix::topology::CouplingGraph::line(4);
-        let hw = PhoenixCompiler::default().compile_hardware_aware(4, &terms, &device);
+        let hw = CompileRequest::new(4, &terms)
+            .target(Target::Device(Device::bare(device.clone())))
+            .run()
+            .unwrap()
+            .hardware
+            .unwrap();
         for g in hw.circuit.gates() {
             if let (x, Some(y)) = g.qubits() {
                 prop_assert!(device.contains_edge(x, y));

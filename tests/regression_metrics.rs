@@ -7,10 +7,17 @@
 
 use phoenix::baselines::Baseline;
 use phoenix::circuit::peephole;
-use phoenix::core::PhoenixCompiler;
-use phoenix::hamil::{qaoa, uccsd, Molecule};
+use phoenix::core::{CompileOutcome, CompileRequest, Device, Target};
+use phoenix::hamil::{qaoa, uccsd, Hamiltonian, Molecule};
 use phoenix::sim::noise::ErrorModel;
 use phoenix::topology::CouplingGraph;
+
+fn compile(h: &Hamiltonian, target: Target) -> CompileOutcome {
+    CompileRequest::new(h.num_qubits(), h.terms())
+        .target(target)
+        .run()
+        .unwrap()
+}
 
 #[test]
 fn lih_frz_jw_logical_band() {
@@ -21,7 +28,7 @@ fn lih_frz_jw_logical_band() {
         1376,
         "naive synthesis is deterministic"
     );
-    let phoenix = PhoenixCompiler::default().compile_to_cnot(h.num_qubits(), h.terms());
+    let phoenix = compile(&h, Target::Cnot).circuit;
     let ratio = phoenix.counts().cnot as f64 / naive.counts().cnot as f64;
     assert!(
         (0.15..0.40).contains(&ratio),
@@ -42,10 +49,7 @@ fn compiler_ranking_is_stable() {
             .cnot
     };
     let naive = Baseline::Naive.compile_logical(n, h.terms()).counts().cnot;
-    let phoenix = PhoenixCompiler::default()
-        .compile_to_cnot(n, h.terms())
-        .counts()
-        .cnot;
+    let phoenix = compile(&h, Target::Cnot).circuit.counts().cnot;
     let ph = count(Baseline::PaulihedralStyle);
     let tket = count(Baseline::TketStyle);
     let tetris = count(Baseline::TetrisStyle);
@@ -62,7 +66,9 @@ fn compiler_ranking_is_stable() {
 fn hardware_aware_band_on_heavy_hex() {
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::BravyiKitaev, 7);
     let device = CouplingGraph::manhattan65();
-    let hw = PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+    let hw = compile(&h, Target::Device(Device::bare(device)))
+        .hardware
+        .unwrap();
     let multiple = hw.routing_overhead();
     assert!(
         (1.2..5.0).contains(&multiple),
@@ -74,7 +80,7 @@ fn hardware_aware_band_on_heavy_hex() {
 fn qaoa_depth_stays_near_optimal() {
     for (kind, degree) in [(qaoa::QaoaKind::Reg3, 3), (qaoa::QaoaKind::Rand4, 4)] {
         let h = qaoa::benchmark(kind, 16, 7);
-        let out = PhoenixCompiler::default().compile(h.num_qubits(), h.terms());
+        let out = compile(&h, Target::Logical);
         // Vizing: edge chromatic number ≤ degree+1; allow 2× slack.
         assert!(
             out.circuit.depth_2q() <= 2 * (degree + 1),
@@ -91,7 +97,7 @@ fn predicted_success_improves_substantially() {
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
     let n = h.num_qubits();
     let naive = Baseline::Naive.compile_logical(n, h.terms());
-    let phoenix = PhoenixCompiler::default().compile_to_cnot(n, h.terms());
+    let phoenix = compile(&h, Target::Cnot).circuit;
     let m = ErrorModel::ibm_like();
     let gain = m.success_probability(&phoenix) / m.success_probability(&naive);
     assert!(gain > 10.0, "success gain only {gain:.1}×");

@@ -173,7 +173,7 @@ fn routed_circuit_respects_the_initial_layout_on_heavy_hex() {
 #[test]
 fn routed_unitaries_decode_to_the_layout_permutation() {
     use phoenix::baselines::Baseline;
-    use phoenix::core::{try_run_hardware_backend, PhoenixCompiler};
+    use phoenix::core::{try_run_hardware_backend, CompileRequest, Device, Target};
 
     let device = CouplingGraph::line(5);
     let mut gen = RandomProgramGen::new(0x10c4);
@@ -181,9 +181,12 @@ fn routed_unitaries_decode_to_the_layout_permutation() {
         let program = gen.program(family, 5, 8);
         let n = program.num_qubits;
 
-        let hw = PhoenixCompiler::default()
-            .try_compile_hardware_aware(n, &program.terms, &device)
-            .expect("hardware compile");
+        let hw = CompileRequest::new(n, &program.terms)
+            .target(Target::Device(Device::bare(device.clone())))
+            .run()
+            .expect("hardware compile")
+            .hardware
+            .expect("hardware program");
         let outcome = check_routed_equivalence(
             &hw.circuit,
             &hw.logical,
