@@ -19,19 +19,27 @@
 //!    pipeline would have performed, so warm and cold outputs are
 //!    bit-for-bit identical.
 //!
-//! The concurrent [`CompileCache`] holds artifacts at two granularities:
+//! The concurrent [`CompileCache`] holds artifacts at three granularities:
 //!
 //! - whole-program [`StructureArtifact`]s, keyed by the Zobrist digest of
 //!   the angle-erased canonical IR ([`phoenix_pauli::CanonicalIr`]) plus an
 //!   options fingerprint;
 //! - per-shape [`GroupArtifact`]s, keyed by the [`GroupShape`] of an IR
 //!   group: its rows relabelled onto its support ranks. One artifact serves
-//!   every group of the shape, in any program, on any support.
+//!   every group of the shape, in any program, on any support;
+//! - routed templates ([`RouteArtifact`]s), keyed by a [`RouteKey`]: the
+//!   lowered circuit the router reads with its rotations slot-encoded,
+//!   plus the coupling graph and the router settings. The router reads
+//!   only gate qubits, so one layout search and routing serves every
+//!   circuit of the same gate kinds and qubits, whatever its angles.
 
 use phoenix_circuit::{Circuit, Gate};
 use phoenix_pauli::{fold_conjugation_sign, CanonicalIr, GroupShape, PauliString};
+use phoenix_router::{RouteError, RoutedCircuit, RouterOptions};
+use phoenix_topology::CouplingGraph;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -107,6 +115,13 @@ pub enum DecodeError {
         /// The coefficient that failed to decode.
         coeff: f64,
     },
+    /// A routed template does not carry every input rotation exactly once
+    /// with its sign unchanged, so its rotations cannot be rebound one to
+    /// one.
+    SlotNotCopied {
+        /// The input rotation whose slot was missing, repeated or negated.
+        slot: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -127,6 +142,10 @@ impl fmt::Display for DecodeError {
             DecodeError::UnencodedCoeff { term_index, coeff } => write!(
                 f,
                 "ordered term {term_index}: coefficient {coeff} is not a slot encoding ±(k+1)"
+            ),
+            DecodeError::SlotNotCopied { slot } => write!(
+                f,
+                "rotation {slot} is not copied exactly once into the routed template"
             ),
         }
     }
@@ -473,6 +492,240 @@ impl ProgramKey {
     }
 }
 
+/// A word-at-a-time hasher for [`RouteKey`]s. A route key covers every
+/// gate of a lowered circuit and is hashed on every device compile, where
+/// SipHash's per-write cost would show; a collision costs only a full
+/// comparison, since keys compare in full.
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// Cache key for routed templates: the `{1Q, CNOT}` circuit the router
+/// reads, with the `k`-th `Rx`/`Ry`/`Rz` angle replaced by
+/// `2·`[`encode_slot`]`(k)`, plus everything else the router reads: the
+/// coupling graph, the [`RouterOptions`] and the layout-search trials. Two
+/// circuits with the same gate kinds on the same qubits in the same order
+/// share a key, whatever their angles.
+///
+/// The hash covers every part (gate discriminants, qubits, angle bits, the
+/// graph's edges, the option bits), and equality compares every part in
+/// full, so a hash collision cannot produce a wrong hit.
+#[derive(Debug, Clone)]
+pub struct RouteKey {
+    hash: u64,
+    circuit: Circuit,
+    num_physical: usize,
+    edges: Vec<(usize, usize)>,
+    router: [u64; 6],
+    layout_trials: usize,
+}
+
+impl RouteKey {
+    /// Lowers `circuit` to `{1Q, CNOT}` as the router does, slot-encodes
+    /// its rotations and keys the result with the device and the router
+    /// settings. Also returns the erased angles in rotation order: the
+    /// `k`-th is what [`RouteArtifact::bind`] copies back for slot `k`.
+    pub fn new(
+        circuit: &Circuit,
+        device: &CouplingGraph,
+        router: &RouterOptions,
+        layout_trials: usize,
+    ) -> (RouteKey, Vec<f64>) {
+        let mut gates = circuit.lower_to_cnot().into_gates();
+        let mut angles = Vec::new();
+        for g in &mut gates {
+            if let Gate::Rx(_, t) | Gate::Ry(_, t) | Gate::Rz(_, t) = g {
+                angles.push(*t);
+                *t = 2.0 * encode_slot(angles.len() - 1);
+            }
+        }
+        let circuit = Circuit::from_gates(circuit.num_qubits(), gates);
+        // Destructured so that a new router option cannot be left out.
+        let RouterOptions {
+            extended_set_size,
+            extended_weight,
+            decay,
+            decay_reset,
+            use_bridge,
+            max_swaps,
+        } = router;
+        let router = [
+            *extended_set_size as u64,
+            extended_weight.to_bits(),
+            decay.to_bits(),
+            *decay_reset as u64,
+            u64::from(*use_bridge),
+            *max_swaps as u64,
+        ];
+        let edges: Vec<(usize, usize)> = device.edges().iter().copied().collect();
+
+        let mut h = WordHasher(0);
+        h.write_usize(circuit.num_qubits());
+        for g in circuit.gates() {
+            std::mem::discriminant(g).hash(&mut h);
+            let (a, b) = g.qubits();
+            h.write_usize(a);
+            h.write_usize(b.unwrap_or(usize::MAX));
+            if let Gate::Rx(_, t) | Gate::Ry(_, t) | Gate::Rz(_, t) = g {
+                h.write_u64(t.to_bits());
+            }
+        }
+        h.write_usize(device.num_qubits());
+        for &(a, b) in &edges {
+            h.write_usize(a);
+            h.write_usize(b);
+        }
+        router.iter().for_each(|&w| h.write_u64(w));
+        h.write_usize(layout_trials);
+
+        let key = RouteKey {
+            hash: h.finish(),
+            circuit,
+            num_physical: device.num_qubits(),
+            edges,
+            router,
+            layout_trials,
+        };
+        (key, angles)
+    }
+
+    /// The slot-encoded `{1Q, CNOT}` circuit: what a miss routes.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+}
+
+impl PartialEq for RouteKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.layout_trials == other.layout_trials
+            && self.router == other.router
+            && self.num_physical == other.num_physical
+            && self.edges == other.edges
+            && self.circuit == other.circuit
+    }
+}
+
+impl Eq for RouteKey {}
+
+impl Hash for RouteKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A routed template: the layout search and SABRE routing of a
+/// [`RouteKey`]'s slot-encoded circuit, decoded into one
+/// `(output position, input rotation)` binding per rotation.
+///
+/// The router copies gates through `Gate::map_qubits` and never reads an
+/// angle, so routing a circuit with other angles makes the same choices.
+/// [`RouteArtifact::bind`] therefore reproduces that routing bit for bit
+/// by copying each angle into its position.
+#[derive(Debug, Clone)]
+pub struct RouteArtifact {
+    /// The routed skeleton (SWAPs still symbolic), its SWAP count and
+    /// its layouts.
+    routed: RoutedCircuit,
+    /// `(gate index in the skeleton, input rotation)`, one per rotation.
+    bindings: Vec<(usize, usize)>,
+    /// The retry ladder's abandoned attempts: strategy and error.
+    retried: Vec<(&'static str, RouteError)>,
+}
+
+impl RouteArtifact {
+    /// Decodes the routing of a slot-encoded circuit with `num_slots`
+    /// rotations; `retried` lists the attempts the retry ladder abandoned
+    /// on the way.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] unless every input rotation appears in
+    /// the routed circuit exactly once, as a rotation with its encoding
+    /// unchanged: only then can the angles be copied back one to one.
+    pub fn from_slot_encoded(
+        routed: RoutedCircuit,
+        num_slots: usize,
+        retried: Vec<(&'static str, RouteError)>,
+    ) -> Result<Self, DecodeError> {
+        let gates = routed.circuit.gates();
+        let mut seen = vec![false; num_slots];
+        let mut bindings = Vec::with_capacity(num_slots);
+        for (gate_index, slot, sign) in decode_bindings(gates, num_slots)? {
+            let rotation = matches!(
+                gates[gate_index],
+                Gate::Rx(..) | Gate::Ry(..) | Gate::Rz(..)
+            );
+            if !rotation || sign < 0 || std::mem::replace(&mut seen[slot], true) {
+                return Err(DecodeError::SlotNotCopied { slot });
+            }
+            bindings.push((gate_index, slot));
+        }
+        if let Some(slot) = seen.iter().position(|&s| !s) {
+            return Err(DecodeError::SlotNotCopied { slot });
+        }
+        Ok(RouteArtifact {
+            routed,
+            bindings,
+            retried,
+        })
+    }
+
+    /// The attempts the retry ladder abandoned before the routing that
+    /// succeeded, as `(strategy, error)`.
+    pub fn retried(&self) -> &[(&'static str, RouteError)] {
+        &self.retried
+    }
+
+    /// The routing of the circuit whose rotation angles are `angles`, in
+    /// the order [`RouteKey::new`] returned them: the skeleton with every
+    /// angle copied into its position bit for bit. No float operation
+    /// touches an angle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError::AngleCount`] when `angles` does not hold one
+    /// angle per rotation.
+    pub fn bind(&self, angles: &[f64]) -> Result<RoutedCircuit, BindError> {
+        if angles.len() != self.bindings.len() {
+            return Err(BindError::AngleCount {
+                expected: self.bindings.len(),
+                got: angles.len(),
+            });
+        }
+        let mut gates = self.routed.circuit.gates().to_vec();
+        for &(gate_index, slot) in &self.bindings {
+            if let Gate::Rx(_, t) | Gate::Ry(_, t) | Gate::Rz(_, t) = &mut gates[gate_index] {
+                *t = angles[slot];
+            }
+        }
+        Ok(RoutedCircuit {
+            circuit: Circuit::from_gates(self.routed.circuit.num_qubits(), gates),
+            num_swaps: self.routed.num_swaps,
+            initial_layout: self.routed.initial_layout.clone(),
+            final_layout: self.routed.final_layout.clone(),
+        })
+    }
+}
+
 /// A point-in-time snapshot of [`CompileCache`] hit/miss counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -485,30 +738,38 @@ pub struct CacheStats {
     pub group_hits: u64,
     /// Per-shape artifact lookups that missed.
     pub group_misses: u64,
-    /// Artifacts (programs + groups) evicted to honor a capacity bound.
-    /// Always 0 for an unbounded cache.
+    /// Routed-template lookups that hit (one per routed compile on the
+    /// cached path).
+    pub route_hits: u64,
+    /// Routed-template lookups that missed.
+    pub route_misses: u64,
+    /// Artifacts (programs + groups + routes) evicted to honor a capacity
+    /// bound. Always 0 for an unbounded cache.
     pub evictions: u64,
 }
 
 impl CacheStats {
     /// Fraction of whole-program lookups that hit (0.0 when none occurred).
     pub fn program_hit_rate(&self) -> f64 {
-        let total = self.program_hits + self.program_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.program_hits as f64 / total as f64
-        }
+        hit_rate(self.program_hits, self.program_misses)
     }
 
     /// Fraction of per-shape lookups that hit (0.0 when none occurred).
     pub fn group_hit_rate(&self) -> f64 {
-        let total = self.group_hits + self.group_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.group_hits as f64 / total as f64
-        }
+        hit_rate(self.group_hits, self.group_misses)
+    }
+
+    /// Fraction of routed-template lookups that hit (0.0 when none
+    /// occurred).
+    pub fn route_hit_rate(&self) -> f64 {
+        hit_rate(self.route_hits, self.route_misses)
+    }
+}
+
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        total => hits as f64 / total as f64,
     }
 }
 
@@ -552,15 +813,16 @@ fn evict_over_capacity<K: Clone + std::hash::Hash + Eq, V>(
     }
 }
 
-/// A concurrent, content-addressed cache of structure-phase results.
+/// A concurrent, content-addressed cache of structure-phase results and
+/// routed templates.
 ///
 /// Shared across threads behind an `Arc`; lookups take a read lock, inserts
 /// a write lock, and hit/miss counters are lock-free atomics.
 ///
 /// [`CompileCache::new`] is unbounded — right for a VQE sweep over one
 /// ansatz. A long-lived server should use [`CompileCache::with_capacity`]
-/// instead: each map (programs, group shapes) is bounded to `max_entries`
-/// artifacts, and inserts over capacity evict the coarsely
+/// instead: each map (programs, group shapes, routes) is bounded to
+/// `max_entries` artifacts, and inserts over capacity evict the coarsely
 /// least-recently-used entry (lookups stamp entries with a logical clock
 /// under the read lock; eviction scans for the minimum stamp under the
 /// write lock — O(n), fine at the few-hundred-entry capacities a server
@@ -578,6 +840,7 @@ fn evict_over_capacity<K: Clone + std::hash::Hash + Eq, V>(
 pub struct CompileCache {
     programs: RwLock<HashMap<ProgramKey, Stamped<StructureArtifact>>>,
     groups: RwLock<HashMap<GroupShape, Stamped<GroupArtifact>>>,
+    routes: RwLock<HashMap<RouteKey, Stamped<RouteArtifact>>>,
     /// Per-map capacity bound; `None` = unbounded.
     max_entries: Option<usize>,
     /// Logical clock: bumped on every lookup/insert, stamped into entries.
@@ -586,8 +849,13 @@ pub struct CompileCache {
     program_misses: AtomicU64,
     group_hits: AtomicU64,
     group_misses: AtomicU64,
+    route_hits: AtomicU64,
+    route_misses: AtomicU64,
     evictions: AtomicU64,
 }
+
+/// One map of the cache.
+type Map<K, V> = RwLock<HashMap<K, Stamped<V>>>;
 
 impl CompileCache {
     /// An empty, unbounded cache.
@@ -595,10 +863,10 @@ impl CompileCache {
         CompileCache::default()
     }
 
-    /// An empty cache bounded to `max_entries` artifacts per map (programs
-    /// and groups each). A capacity of 0 is clamped to 1 — an always-empty
-    /// cache would silently disable caching; callers who want that should
-    /// simply not attach one.
+    /// An empty cache bounded to `max_entries` artifacts per map (programs,
+    /// groups and routes each). A capacity of 0 is clamped to 1 — an
+    /// always-empty cache would silently disable caching; callers who want
+    /// that should simply not attach one.
     pub fn with_capacity(max_entries: usize) -> Self {
         CompileCache {
             max_entries: Some(max_entries.max(1)),
@@ -616,20 +884,61 @@ impl CompileCache {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Look up a whole-program artifact, recording a hit or miss.
-    pub fn get_program(&self, key: &ProgramKey) -> Option<Arc<StructureArtifact>> {
-        let programs = self.programs.read().unwrap_or_else(|e| e.into_inner());
-        match programs.get(key) {
+    /// Looks `key` up in `map`, stamping a hit and counting it in `hits`
+    /// or `misses`.
+    fn lookup<K: Hash + Eq, V>(
+        &self,
+        map: &Map<K, V>,
+        key: &K,
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+    ) -> Option<Arc<V>> {
+        let map = map.read().unwrap_or_else(|e| e.into_inner());
+        match map.get(key) {
             Some(entry) => {
                 entry.last_used.store(self.tick(), Ordering::Relaxed);
-                self.program_hits.fetch_add(1, Ordering::Relaxed);
+                hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&entry.value))
             }
             None => {
-                self.program_misses.fetch_add(1, Ordering::Relaxed);
+                misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
+    }
+
+    /// Inserts `artifact` under `key` unless the key is present, returns
+    /// the entry kept, and evicts over capacity.
+    fn insert<K: Clone + Hash + Eq, V>(&self, map: &Map<K, V>, key: K, artifact: Arc<V>) -> Arc<V> {
+        let tick = self.tick();
+        let mut map = map.write().unwrap_or_else(|e| e.into_inner());
+        let kept = Arc::clone(
+            &map.entry(key)
+                .or_insert_with(|| Stamped::new(artifact, tick))
+                .value,
+        );
+        if let Some(cap) = self.max_entries {
+            evict_over_capacity(&mut map, cap, &self.evictions);
+        }
+        kept
+    }
+
+    fn len<K, V>(map: &Map<K, V>) -> usize {
+        map.read().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    fn empty<K, V>(map: &Map<K, V>) {
+        map.write().unwrap_or_else(|e| e.into_inner()).clear();
+    }
+
+    /// Look up a whole-program artifact, recording a hit or miss.
+    pub fn get_program(&self, key: &ProgramKey) -> Option<Arc<StructureArtifact>> {
+        self.lookup(
+            &self.programs,
+            key,
+            &self.program_hits,
+            &self.program_misses,
+        )
     }
 
     /// Insert a whole-program artifact. First writer wins on a racing key:
@@ -641,34 +950,12 @@ impl CompileCache {
         key: ProgramKey,
         artifact: Arc<StructureArtifact>,
     ) -> Arc<StructureArtifact> {
-        let tick = self.tick();
-        let mut programs = self.programs.write().unwrap_or_else(|e| e.into_inner());
-        let kept = Arc::clone(
-            &programs
-                .entry(key)
-                .or_insert_with(|| Stamped::new(artifact, tick))
-                .value,
-        );
-        if let Some(cap) = self.max_entries {
-            evict_over_capacity(&mut programs, cap, &self.evictions);
-        }
-        kept
+        self.insert(&self.programs, key, artifact)
     }
 
     /// Look up a group-shape artifact, recording a hit or miss.
     pub fn get_group(&self, key: &GroupShape) -> Option<Arc<GroupArtifact>> {
-        let groups = self.groups.read().unwrap_or_else(|e| e.into_inner());
-        match groups.get(key) {
-            Some(entry) => {
-                entry.last_used.store(self.tick(), Ordering::Relaxed);
-                self.group_hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.group_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lookup(&self.groups, key, &self.group_hits, &self.group_misses)
     }
 
     /// Insert a group-shape artifact (first writer wins and capacity is
@@ -678,31 +965,33 @@ impl CompileCache {
         key: GroupShape,
         artifact: Arc<GroupArtifact>,
     ) -> Arc<GroupArtifact> {
-        let tick = self.tick();
-        let mut groups = self.groups.write().unwrap_or_else(|e| e.into_inner());
-        let kept = Arc::clone(
-            &groups
-                .entry(key)
-                .or_insert_with(|| Stamped::new(artifact, tick))
-                .value,
-        );
-        if let Some(cap) = self.max_entries {
-            evict_over_capacity(&mut groups, cap, &self.evictions);
-        }
-        kept
+        self.insert(&self.groups, key, artifact)
+    }
+
+    /// Look up a routed template, recording a hit or miss.
+    pub fn get_route(&self, key: &RouteKey) -> Option<Arc<RouteArtifact>> {
+        self.lookup(&self.routes, key, &self.route_hits, &self.route_misses)
+    }
+
+    /// Insert a routed template (first writer wins and capacity is
+    /// enforced, as for programs).
+    pub fn insert_route(&self, key: RouteKey, artifact: Arc<RouteArtifact>) -> Arc<RouteArtifact> {
+        self.insert(&self.routes, key, artifact)
     }
 
     /// Number of cached whole-program artifacts.
     pub fn num_programs(&self) -> usize {
-        self.programs
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        Self::len(&self.programs)
     }
 
     /// Number of cached group-shape artifacts.
     pub fn num_groups(&self) -> usize {
-        self.groups.read().unwrap_or_else(|e| e.into_inner()).len()
+        Self::len(&self.groups)
+    }
+
+    /// Number of cached routed templates.
+    pub fn num_routes(&self) -> usize {
+        Self::len(&self.routes)
     }
 
     /// Snapshot the hit/miss/eviction counters.
@@ -712,25 +1001,28 @@ impl CompileCache {
             program_misses: self.program_misses.load(Ordering::Relaxed),
             group_hits: self.group_hits.load(Ordering::Relaxed),
             group_misses: self.group_misses.load(Ordering::Relaxed),
+            route_hits: self.route_hits.load(Ordering::Relaxed),
+            route_misses: self.route_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
     /// Drop all cached artifacts and reset the counters.
     pub fn clear(&self) {
-        self.programs
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.groups
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.program_hits.store(0, Ordering::Relaxed);
-        self.program_misses.store(0, Ordering::Relaxed);
-        self.group_hits.store(0, Ordering::Relaxed);
-        self.group_misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        Self::empty(&self.programs);
+        Self::empty(&self.groups);
+        Self::empty(&self.routes);
+        for counter in [
+            &self.program_hits,
+            &self.program_misses,
+            &self.group_hits,
+            &self.group_misses,
+            &self.route_hits,
+            &self.route_misses,
+            &self.evictions,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -960,6 +1252,137 @@ mod tests {
         }
         assert_eq!(cache.num_programs(), 64);
         assert_eq!(cache.stats().evictions, 0);
+    }
+
+    /// A circuit with two rotations around a CNOT on the qubit pair `pair`.
+    fn rotations(pair: (usize, usize), angles: [f64; 2]) -> Circuit {
+        let mut c = Circuit::new(3);
+        c.push(Gate::Rz(pair.0, angles[0]));
+        c.push(Gate::Cnot(pair.0, pair.1));
+        c.push(Gate::Rx(pair.1, angles[1]));
+        c
+    }
+
+    fn route_key(pair: (usize, usize), angles: [f64; 2]) -> (RouteKey, Vec<f64>) {
+        RouteKey::new(
+            &rotations(pair, angles),
+            &CouplingGraph::line(3),
+            &RouterOptions::default(),
+            1,
+        )
+    }
+
+    /// The slot-encoded circuit of `key` routed with the identity layout.
+    fn route_artifact(key: &RouteKey) -> Arc<RouteArtifact> {
+        let layout = phoenix_router::Layout::trivial(3, 3);
+        let routed = phoenix_router::route(
+            key.circuit(),
+            &CouplingGraph::line(3),
+            layout,
+            &RouterOptions::default(),
+        );
+        Arc::new(RouteArtifact::from_slot_encoded(routed, 2, Vec::new()).unwrap())
+    }
+
+    #[test]
+    fn route_keys_erase_angles_but_keep_structure() {
+        let (key, angles) = route_key((0, 2), [0.25, -1.5]);
+        assert_eq!(angles, vec![0.25, -1.5]);
+        assert_eq!(key.circuit().gates()[0], Gate::Rz(0, 2.0 * encode_slot(0)));
+        assert_eq!(key.circuit().gates()[2], Gate::Rx(2, 2.0 * encode_slot(1)));
+        assert_eq!(route_key((0, 2), [3.0, 0.0]).0, key);
+        assert_ne!(route_key((0, 1), [0.25, -1.5]).0, key);
+        let (trials, _) = RouteKey::new(
+            &rotations((0, 2), [0.25, -1.5]),
+            &CouplingGraph::line(3),
+            &RouterOptions::default(),
+            2,
+        );
+        assert_ne!(trials, key);
+        let (ring, _) = RouteKey::new(
+            &rotations((0, 2), [0.25, -1.5]),
+            &CouplingGraph::ring(3),
+            &RouterOptions::default(),
+            1,
+        );
+        assert_ne!(ring, key);
+    }
+
+    #[test]
+    fn route_artifact_copies_angles_bit_for_bit() {
+        let (key, _) = route_key((0, 2), [0.25, -1.5]);
+        let artifact = route_artifact(&key);
+        let angles = [-0.0, f64::MIN_POSITIVE];
+        let bound = artifact.bind(&angles).unwrap();
+        assert!(bound.num_swaps > 0, "qubits 0 and 2 are not coupled");
+        let direct = phoenix_router::route(
+            &rotations((0, 2), angles),
+            &CouplingGraph::line(3),
+            phoenix_router::Layout::trivial(3, 3),
+            &RouterOptions::default(),
+        );
+        assert_eq!(bound.circuit.len(), direct.circuit.len());
+        for (a, b) in bound.circuit.gates().iter().zip(direct.circuit.gates()) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        assert_eq!(bound.final_layout, direct.final_layout);
+        assert_eq!(
+            artifact.bind(&[0.1]).unwrap_err(),
+            BindError::AngleCount {
+                expected: 2,
+                got: 1
+            }
+        );
+    }
+
+    #[test]
+    fn route_artifacts_need_every_rotation_exactly_once() {
+        let (key, _) = route_key((0, 1), [0.25, -1.5]);
+        let routed = |gates: Vec<Gate>| phoenix_router::RoutedCircuit {
+            circuit: Circuit::from_gates(3, gates),
+            num_swaps: 0,
+            initial_layout: phoenix_router::Layout::trivial(3, 3),
+            final_layout: phoenix_router::Layout::trivial(3, 3),
+        };
+        let gates = key.circuit().gates().to_vec();
+        let twice = [gates.clone(), vec![gates[0].clone()]].concat();
+        let missing = gates[..2].to_vec();
+        let negated = vec![Gate::Rz(0, -2.0 * encode_slot(0)), gates[2].clone()];
+        for (bad, slot) in [(twice, 0), (missing, 1), (negated, 0)] {
+            assert_eq!(
+                RouteArtifact::from_slot_encoded(routed(bad), 2, Vec::new()).unwrap_err(),
+                DecodeError::SlotNotCopied { slot }
+            );
+        }
+        assert!(RouteArtifact::from_slot_encoded(routed(gates), 2, Vec::new()).is_ok());
+    }
+
+    #[test]
+    fn route_map_counts_evicts_races_and_clears() {
+        let cache = CompileCache::with_capacity(2);
+        let (a, _) = route_key((0, 1), [0.1, 0.2]);
+        let (b, _) = route_key((1, 2), [0.1, 0.2]);
+        let (c, _) = route_key((0, 2), [0.1, 0.2]);
+        assert!(cache.get_route(&a).is_none());
+        let first = cache.insert_route(a.clone(), route_artifact(&a));
+        // A racing insert of the same key keeps the incumbent.
+        let second = cache.insert_route(a.clone(), route_artifact(&a));
+        assert!(Arc::ptr_eq(&first, &second));
+        cache.insert_route(b.clone(), route_artifact(&b));
+        // Touch `a` so `b` is the stalest when `c` goes over capacity.
+        assert!(cache.get_route(&route_key((0, 1), [5.0, 6.0]).0).is_some());
+        cache.insert_route(c.clone(), route_artifact(&c));
+        assert_eq!(cache.num_routes(), 2);
+        assert!(cache.get_route(&b).is_none());
+        assert!(cache.get_route(&c).is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.route_hits, stats.route_misses), (2, 2));
+        assert_eq!(stats.evictions, 1);
+        assert!((stats.route_hit_rate() - 0.5).abs() < 1e-12);
+
+        cache.clear();
+        assert_eq!(cache.num_routes(), 0);
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::Circuit;
 use phoenix_pauli::QubitMask;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// The set of unordered qubit pairs coupled by any 2Q gate.
 pub fn interaction_edges(c: &Circuit) -> BTreeSet<(usize, usize)> {
@@ -72,95 +72,32 @@ pub fn distance_matrix<'a>(
     nodes: &[usize],
     edges: impl IntoIterator<Item = &'a (usize, usize)>,
 ) -> Vec<Vec<f64>> {
-    let mut d = DistanceMatrix::default();
-    d.compute(nodes, edges);
-    d.rows().map(<[f64]>::to_vec).collect()
-}
-
-/// A [`distance_matrix`] kept row-major in reusable buffers, so that
-/// recomputing it (once per ordering candidate) allocates nothing once the
-/// buffers have grown.
-#[derive(Debug, Clone, Default)]
-pub struct DistanceMatrix {
-    k: usize,
-    /// Row-major `k × k` distances.
-    d: Vec<f64>,
-    /// Edges between nodes, as node positions.
-    local: Vec<(usize, usize)>,
-    /// Adjacency in compressed rows: node `i`'s neighbours are
-    /// `adj[start[i]..start[i + 1]]`.
-    start: Vec<usize>,
-    adj: Vec<usize>,
-    /// BFS queue and hop counts.
-    queue: Vec<usize>,
-    hops: Vec<usize>,
-}
-
-impl DistanceMatrix {
-    /// Recomputes the matrix for `nodes` and `edges`, as
-    /// [`distance_matrix`] does.
-    pub fn compute<'a>(
-        &mut self,
-        nodes: &[usize],
-        edges: impl IntoIterator<Item = &'a (usize, usize)>,
-    ) {
-        let k = nodes.len();
-        self.k = k;
-        let pos = |q: usize| nodes.iter().position(|&n| n == q);
-        self.local.clear();
-        for &(a, b) in edges {
-            if let (Some(i), Some(j)) = (pos(a), pos(b)) {
-                self.local.push((i, j));
-            }
+    let k = nodes.len();
+    let pos = |q: usize| nodes.iter().position(|&n| n == q);
+    let mut adj = vec![Vec::new(); k];
+    for &(a, b) in edges {
+        if let (Some(i), Some(j)) = (pos(a), pos(b)) {
+            adj[i].push(j);
+            adj[j].push(i);
         }
-        self.start.clear();
-        self.start.resize(k + 1, 0);
-        for &(i, j) in &self.local {
-            self.start[i + 1] += 1;
-            self.start[j + 1] += 1;
-        }
-        for i in 0..k {
-            self.start[i + 1] += self.start[i];
-        }
-        self.adj.clear();
-        self.adj.resize(self.start[k], 0);
-        // `hops` doubles as the per-row fill cursor here.
-        self.hops.clear();
-        self.hops.extend_from_slice(&self.start[..k]);
-        for &(i, j) in &self.local {
-            self.adj[self.hops[i]] = j;
-            self.hops[i] += 1;
-            self.adj[self.hops[j]] = i;
-            self.hops[j] += 1;
-        }
-        self.d.clear();
-        self.d.resize(k * k, k as f64);
-        for s in 0..k {
-            let row = &mut self.d[s * k..(s + 1) * k];
-            row[s] = 0.0;
-            self.hops.clear();
-            self.hops.resize(k, usize::MAX);
-            self.hops[s] = 0;
-            self.queue.clear();
-            self.queue.push(s);
-            let mut head = 0;
-            while let Some(&u) = self.queue.get(head) {
-                head += 1;
-                for &v in &self.adj[self.start[u]..self.start[u + 1]] {
-                    if self.hops[v] == usize::MAX {
-                        self.hops[v] = self.hops[u] + 1;
-                        row[v] = self.hops[v] as f64;
-                        self.queue.push(v);
-                    }
+    }
+    let mut d = vec![vec![k as f64; k]; k];
+    for (s, row) in d.iter_mut().enumerate() {
+        row[s] = 0.0;
+        let mut queue = VecDeque::from([s]);
+        let mut hops = vec![usize::MAX; k];
+        hops[s] = 0;
+        while let Some(u) = queue.pop_front() {
+            for &v in &adj[u] {
+                if hops[v] == usize::MAX {
+                    hops[v] = hops[u] + 1;
+                    row[v] = hops[v] as f64;
+                    queue.push_back(v);
                 }
             }
         }
     }
-
-    /// The rows, in node order.
-    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.d.chunks_exact(self.k.max(1))
-    }
+    d
 }
 
 /// The similarity factor `s` of Eq. (7): the sum over rows of the cosine
@@ -173,25 +110,8 @@ impl DistanceMatrix {
 /// Panics if the matrices have different dimensions.
 pub fn similarity(d1: &[Vec<f64>], d2: &[Vec<f64>]) -> f64 {
     assert_eq!(d1.len(), d2.len(), "distance matrices must align");
-    row_cosine_sum(d1.iter().map(Vec::as_slice), d2.iter().map(Vec::as_slice))
-}
-
-/// [`similarity`] of two [`DistanceMatrix`]es.
-///
-/// # Panics
-///
-/// Panics if the matrices have different dimensions.
-pub fn matrix_similarity(d1: &DistanceMatrix, d2: &DistanceMatrix) -> f64 {
-    assert_eq!(d1.k, d2.k, "distance matrices must align");
-    row_cosine_sum(d1.rows(), d2.rows())
-}
-
-fn row_cosine_sum<'a>(
-    rows1: impl Iterator<Item = &'a [f64]>,
-    rows2: impl Iterator<Item = &'a [f64]>,
-) -> f64 {
     let mut s = 0.0;
-    for (r1, r2) in rows1.zip(rows2) {
+    for (r1, r2) in d1.iter().zip(d2) {
         assert_eq!(r1.len(), r2.len(), "distance matrices must align");
         let dot: f64 = r1.iter().zip(r2).map(|(a, b)| a * b).sum();
         let n1: f64 = r1.iter().map(|a| a * a).sum::<f64>().sqrt();

@@ -310,11 +310,7 @@ impl Pass for AnytimePass {
             scan_threads: self.scan_threads,
             naive_cost: false,
         };
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
-        .min(ctx.groups.len().max(1));
+        let threads = crate::resolve_threads(self.threads).min(ctx.groups.len().max(1));
 
         // Round 0: the naive baseline, always computed (it is the cheapest
         // valid form) so every interruption point — including a zero

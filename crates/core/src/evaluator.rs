@@ -441,10 +441,7 @@ impl CostEvaluator {
         max_pairs: usize,
     ) -> Option<(Clifford2Q, f64)> {
         debug_assert_eq!(self.rows as usize, bsf.rows().len(), "prepare() is stale");
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        };
+        let threads = crate::resolve_threads(threads);
         let num_pairs = (pairs2(self.support.len() as u64) as usize).min(max_pairs);
         let best = if threads <= 1 || num_pairs < 2 * threads {
             self.scan_pair_range(0, num_pairs)

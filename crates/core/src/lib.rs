@@ -102,3 +102,15 @@ pub use request::{CompileOutcome, CompileRequest, FleetEntry, FleetOutcome, Targ
 pub use simplify::{CfgItem, SimplifiedGroup, SimplifyOptions};
 pub use strategy::CompilerStrategy;
 pub use verify::BoundaryVerifier;
+
+/// Resolves a worker-thread option: `0` means one worker per available
+/// core. The core count is read once per process, because
+/// `available_parallelism` re-reads the cgroup limits on every call, which
+/// costs about as much as spawning and joining a scoped thread.
+pub(crate) fn resolve_threads(requested: usize) -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    match requested {
+        0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get())),
+        t => t,
+    }
+}

@@ -25,10 +25,10 @@
 //! Groups are pre-sorted by descending width, then assembled with a bounded
 //! lookahead window.
 
-use phoenix_circuit::interaction::{head_edges, matrix_similarity, tail_edges, DistanceMatrix};
+use phoenix_circuit::interaction::{head_edges, tail_edges};
 use phoenix_circuit::{Circuit, Gate};
 use phoenix_pauli::{Clifford2Q, QubitMask};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 #[cfg(test)]
 mod legacy;
@@ -119,10 +119,11 @@ struct Shape {
     head_layer: Vec<Option<Clifford2Q>>,
     /// The first 2Q layer from the right end.
     tail_layer: Vec<Option<Clifford2Q>>,
-    /// Routing-aware only: the head and tail interaction edges, in
-    /// `BTreeSet` order.
-    head_edges: Vec<(usize, usize)>,
-    tail_edges: Vec<(usize, usize)>,
+    /// Routing-aware only: hop counts between the 2Q support's qubits in
+    /// the head and tail interaction graphs, row-major in support order
+    /// ([`hop_table`]).
+    head_hops: Vec<u32>,
+    tail_hops: Vec<u32>,
 }
 
 impl Shape {
@@ -141,34 +142,70 @@ impl Shape {
                 support.set_bit(b);
             }
         }
-        let profile = support
-            .to_indices()
-            .into_iter()
-            .map(|q| (q, std::mem::take(&mut chain[q])))
-            .collect();
-        let (head_edges, tail_edges) = if routing_aware {
+        let support = support.to_indices();
+        let (head_hops, tail_hops) = if routing_aware {
             (
-                head_edges(c).into_iter().collect(),
-                tail_edges(c).into_iter().collect(),
+                hop_table(&support, &head_edges(c)),
+                hop_table(&support, &tail_edges(c)),
             )
         } else {
             Default::default()
         };
+        let profile = support
+            .into_iter()
+            .map(|q| (q, std::mem::take(&mut chain[q])))
+            .collect();
         Shape {
             profile,
             leading: frontier_cliffords(c.gates().iter()),
             trailing: frontier_cliffords(c.gates().iter().rev()),
             head_layer: facing_layer(c.gates().iter()),
             tail_layer: facing_layer(c.gates().iter().rev()),
-            head_edges,
-            tail_edges,
+            head_hops,
+            tail_hops,
         }
     }
+}
 
-    /// The 2Q support, ascending.
-    fn support(&self) -> impl Iterator<Item = usize> + '_ {
-        self.profile.iter().map(|&(q, _)| q)
+/// Marks a qubit outside a group's 2Q support.
+const ABSENT: usize = usize::MAX;
+/// Marks a pair of support qubits that an interaction graph does not
+/// connect.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// Hop counts between the qubits of `support` (ascending) in the graph of
+/// `edges`, which lie on `support`: row-major over support positions,
+/// [`UNREACHABLE`] where the graph has no path.
+fn hop_table(support: &[usize], edges: &BTreeSet<(usize, usize)>) -> Vec<u32> {
+    let k = support.len();
+    let pos = |q: usize| {
+        support
+            .binary_search(&q)
+            .expect("interaction edges lie on the 2Q support")
+    };
+    let mut adj = vec![Vec::new(); k];
+    for &(a, b) in edges {
+        adj[pos(a)].push(pos(b));
+        adj[pos(b)].push(pos(a));
     }
+    let mut hops = vec![UNREACHABLE; k * k];
+    let mut queue = Vec::with_capacity(k);
+    for (s, row) in hops.chunks_exact_mut(k.max(1)).enumerate() {
+        row[s] = 0;
+        queue.clear();
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &v in &adj[u] {
+                if row[v] == UNREACHABLE {
+                    row[v] = row[u] + 1;
+                    queue.push(v);
+                }
+            }
+        }
+    }
+    hops
 }
 
 /// Buffers reused across candidate evaluations.
@@ -178,11 +215,10 @@ struct Scratch {
     used: Vec<bool>,
     /// Every Clifford2Q matched across the seam, from both sides.
     matched: Vec<Clifford2Q>,
-    /// Union of the two groups' 2Q supports, ascending.
-    nodes: Vec<usize>,
-    /// Distance matrices of the previous tail and the candidate head.
-    tail: DistanceMatrix,
-    head: DistanceMatrix,
+    /// Union of the two groups' 2Q supports, ascending, as each qubit's
+    /// position in the previous and the candidate support ([`ABSENT`] if
+    /// outside).
+    nodes: Vec<(usize, usize)>,
 }
 
 /// The assembling cost of placing `next` after the assembled prefix whose
@@ -231,29 +267,62 @@ fn shape_cost(
 
 /// Eq. (7) similarity of `prev`'s tail and `next`'s head, normalized to a
 /// mean row cosine in `[0, 1]`.
+///
+/// The distance matrices span the union `U` of the two 2Q supports. A
+/// graph's edges lie on its own group's support, so two qubits of that
+/// support are as far apart as in the group's hop table, and any other
+/// off-diagonal pair is unreachable, which counts as `|U|`. Every distance
+/// is an integer, so the integer dot products and squared norms convert
+/// to the exact `f64` sums a row-by-row float computation gives.
 fn mean_similarity(prev: &Shape, next: &Shape, scratch: &mut Scratch) -> f64 {
-    let Scratch {
-        nodes, tail, head, ..
-    } = scratch;
+    let nodes = &mut scratch.nodes;
     nodes.clear();
-    let (mut a, mut b) = (prev.support().peekable(), next.support().peekable());
-    loop {
-        let q = match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => break,
-        };
-        a.next_if_eq(&q);
-        b.next_if_eq(&q);
-        nodes.push(q);
+    let (p, q) = (&prev.profile, &next.profile);
+    let (mut i, mut j) = (0, 0);
+    while i < p.len() || j < q.len() {
+        let a = p.get(i).map_or(ABSENT, |&(x, _)| x);
+        let b = q.get(j).map_or(ABSENT, |&(x, _)| x);
+        let x = a.min(b);
+        nodes.push((
+            if a == x { i } else { ABSENT },
+            if b == x { j } else { ABSENT },
+        ));
+        i += usize::from(a == x);
+        j += usize::from(b == x);
     }
-    if nodes.is_empty() {
+    let k = nodes.len();
+    if k == 0 {
         return 1.0;
     }
-    tail.compute(nodes, &prev.tail_edges);
-    head.compute(nodes, &next.head_edges);
-    matrix_similarity(tail, head) / nodes.len() as f64
+    let far = k as u64;
+    let distance = |hops: &[u32], width: usize, x: usize, y: usize| -> u64 {
+        if x == ABSENT || y == ABSENT {
+            return far;
+        }
+        match hops[x * width + y] {
+            UNREACHABLE => far,
+            h => u64::from(h),
+        }
+    };
+    let mut s = 0.0;
+    for (r, &(pr, qr)) in nodes.iter().enumerate() {
+        let (mut dot, mut n1, mut n2) = (0u64, 0u64, 0u64);
+        for (c, &(pc, qc)) in nodes.iter().enumerate() {
+            if c == r {
+                continue; // zero on the diagonal
+            }
+            let t = distance(&prev.tail_hops, p.len(), pr, pc);
+            let h = distance(&next.head_hops, q.len(), qr, qc);
+            dot += t * h;
+            n1 += t * t;
+            n2 += h * h;
+        }
+        let (n1, n2) = ((n1 as f64).sqrt(), (n2 as f64).sqrt());
+        if n1 > 0.0 && n2 > 0.0 {
+            s += dot as f64 / (n1 * n2);
+        }
+    }
+    s / k as f64
 }
 
 /// Counts Hermitian Clifford2Q pairs that cancel across the seam and
@@ -363,8 +432,9 @@ pub fn order_groups(circuits: &[Circuit], opts: &OrderOptions) -> Vec<usize> {
 /// rounds and the ordering pass observe `CancelToken`s mid-loop.
 ///
 /// Each group's Tetris shape is computed once up front, so a window candidate
-/// costs O(2Q support + frontier Cliffords) (plus the Eq. (7) distance
-/// matrices when routing-aware), independent of the group's gate count.
+/// costs O(2Q support + frontier Cliffords) (plus O(|U|²) hop-table lookups
+/// over the merged support `U` when routing-aware), independent of the
+/// group's gate count.
 pub fn order_groups_interruptible(
     circuits: &[Circuit],
     opts: &OrderOptions,

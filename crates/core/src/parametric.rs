@@ -25,6 +25,12 @@
 //! angles, and a sum of two slot payloads is not a slot payload — it would
 //! decode silently to the wrong parameter. Keeping the skeleton at the
 //! logical level makes every cached angle a pristine encoding.
+//!
+//! Routing, the costly part of that lowering, is memoized one layer
+//! further down: `layout-route` slot-encodes the *bound, peephole-lowered*
+//! circuit it is about to route, so its templates see pristine encodings
+//! too, and the same cache holds them (DESIGN.md §2.10, "The route
+//! memo").
 
 use std::sync::Arc;
 

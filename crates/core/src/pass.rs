@@ -104,8 +104,12 @@ pub struct CompileContext {
     /// Shared parametric compilation cache. When set, stage 2 looks up each
     /// distinct group shape's artifact here before compiling it and inserts
     /// the artifacts it compiles, so later compiles of any group of the same
-    /// shape, in any program, only bind. `None` compiles every shape for
-    /// this compile alone, with bit-for-bit the same output.
+    /// shape, in any program, only bind; and `layout-route` looks up the
+    /// routed template of its angle-erased input, so a structure is routed
+    /// once and later compiles only copy their angles into it. Both ignore
+    /// the cache while a pass deadline is set. `None` compiles every shape
+    /// and routes every circuit for this compile alone, with bit-for-bit
+    /// the same output.
     pub cache: Option<Arc<phoenix_cache::CompileCache>>,
     /// Cooperative cancellation token. The manager checks it before every
     /// pass and stage 2 once per greedy epoch; a fired token aborts the

@@ -23,7 +23,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use phoenix_cache::{encode_slot, CompileCache, GroupArtifact};
+use phoenix_cache::{encode_slot, CompileCache, GroupArtifact, RouteArtifact, RouteKey};
 use phoenix_circuit::transform::{
     CircuitTransform, CnotLower, KakResynthesis, Peephole, Su4Rebase,
 };
@@ -31,7 +31,10 @@ use phoenix_circuit::Circuit;
 use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId};
 use phoenix_obs::{ObsCollector, Span};
 use phoenix_pauli::{GroupShape, PauliString};
-use phoenix_router::{route_with_attempt_log, RouterOptions};
+use phoenix_router::{
+    route_with_attempt_log, RouteAttempt, RouteError, RoutedCircuit, RouterOptions,
+};
+use phoenix_topology::CouplingGraph;
 
 use crate::cancel::CancelToken;
 use crate::evaluator::CostEvaluator;
@@ -464,11 +467,7 @@ impl Pass for SimplifySynthPass {
             scan_threads: self.scan_threads,
             ..SimplifyOptions::default()
         };
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
-        .min(groups.len().max(1));
+        let threads = crate::resolve_threads(self.threads).min(groups.len().max(1));
         if let Some(o) = obs {
             o.metrics()
                 .set_gauge(GaugeId::Stage2Threads, threads as i64);
@@ -749,6 +748,12 @@ impl Pass for SnapshotLogicalPass {
 /// Layout search + SABRE routing on the context's device. The working
 /// circuit becomes the physical-indexed routed circuit (SWAPs still
 /// symbolic — follow with [`TransformPass::swap_lower`]).
+///
+/// With a shared [`CompileCache`] mounted (and no pass deadline), the pass
+/// routes a structure once: it keys the router's input by its
+/// angle-erased form ([`RouteKey`]) and binds the angles into a stored
+/// [`RouteArtifact`], which is bit-for-bit the routing of the real
+/// circuit (DESIGN.md §2.10).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayoutRoutePass {
     /// SABRE tuning knobs.
@@ -767,6 +772,81 @@ impl Default for LayoutRoutePass {
     }
 }
 
+/// What routing produced: the routed circuit, the attempts of the retry
+/// ladder that ran (none on a memo hit), and each abandoned attempt's
+/// strategy and error.
+struct Routing {
+    routed: RoutedCircuit,
+    attempts: Vec<RouteAttempt>,
+    retried: Vec<(&'static str, RouteError)>,
+}
+
+impl Routing {
+    fn ran(routed: RoutedCircuit, attempts: Vec<RouteAttempt>) -> Self {
+        let retried = attempts
+            .iter()
+            .filter_map(|a| a.error.clone().map(|e| (a.strategy, e)))
+            .collect();
+        Routing {
+            routed,
+            attempts,
+            retried,
+        }
+    }
+}
+
+impl LayoutRoutePass {
+    /// Routes `circuit` through the router's retry ladder.
+    fn route(&self, circuit: &Circuit, device: &CouplingGraph) -> Result<Routing, PassError> {
+        let (routed, attempts) =
+            route_with_attempt_log(circuit, device, &self.router, self.layout_trials)
+                .map_err(|e| PassError::new(self.name(), format!("routing failed: {e}")))?;
+        Ok(Routing::ran(routed, attempts))
+    }
+
+    /// Routes `circuit` through `cache`'s route memo: a hit binds the
+    /// circuit's angles into the stored template; a miss routes the
+    /// slot-encoded circuit, stores the template and binds it. A template
+    /// that does not decode one rotation to one position is never stored,
+    /// and the real circuit is routed instead. Returns whether the lookup
+    /// hit.
+    fn route_memoized(
+        &self,
+        circuit: &Circuit,
+        device: &CouplingGraph,
+        cache: &CompileCache,
+    ) -> Result<(Routing, bool), PassError> {
+        let (key, angles) = RouteKey::new(circuit, device, &self.router, self.layout_trials);
+        let (artifact, attempts, hit) = match cache.get_route(&key) {
+            Some(artifact) => (Some(artifact), Vec::new(), true),
+            None => {
+                let ran = self.route(key.circuit(), device)?;
+                let artifact =
+                    RouteArtifact::from_slot_encoded(ran.routed, angles.len(), ran.retried)
+                        .ok()
+                        .map(|a| cache.insert_route(key, Arc::new(a)));
+                (artifact, ran.attempts, false)
+            }
+        };
+        if let Some(artifact) = artifact {
+            if let Ok(routed) = artifact.bind(&angles) {
+                let retried = artifact.retried().to_vec();
+                return Ok((
+                    Routing {
+                        routed,
+                        attempts,
+                        retried,
+                    },
+                    hit,
+                ));
+            }
+        }
+        let mut real = self.route(circuit, device)?;
+        real.attempts.splice(0..0, attempts);
+        Ok((real, hit))
+    }
+}
+
 impl Pass for LayoutRoutePass {
     fn name(&self) -> &str {
         "layout-route"
@@ -778,24 +858,46 @@ impl Pass for LayoutRoutePass {
             .as_ref()
             .ok_or_else(|| PassError::new(self.name(), "no target device in context"))?;
         let device_qubits = device.num_qubits();
-        let (routed, attempts) =
-            route_with_attempt_log(&ctx.circuit, device, &self.router, self.layout_trials)
-                .map_err(|e| PassError::new(self.name(), format!("routing failed: {e}")))?;
-        let name = self.name().to_string();
-        for a in &attempts {
-            if let Some(error) = &a.error {
-                ctx.record_event(
-                    &name,
-                    EVENT_RETRIED,
-                    format!("{} layout abandoned ({}); retried", a.strategy, error),
-                );
+        let obs = ctx.obs.clone();
+        let start_us = obs.as_ref().map(|o| o.now_us());
+        // As in stage 2, a pass budget keeps the shared cache out.
+        let memo = ctx.cache.clone().filter(|_| ctx.deadline.is_none());
+        let (routing, hit) = match &memo {
+            Some(cache) => {
+                let (routing, hit) = self.route_memoized(&ctx.circuit, device, cache)?;
+                (routing, Some(hit))
             }
+            None => (self.route(&ctx.circuit, device)?, None),
+        };
+        let Routing {
+            routed,
+            attempts,
+            retried,
+        } = routing;
+        let name = self.name().to_string();
+        for (strategy, error) in &retried {
+            ctx.record_event(
+                &name,
+                EVENT_RETRIED,
+                format!("{strategy} layout abandoned ({error}); retried"),
+            );
         }
-        if let Some(obs) = ctx.obs.clone() {
+        if let Some(obs) = obs {
             let m = obs.metrics();
+            match hit {
+                Some(true) => m.incr(MetricId::CacheRouteHits),
+                Some(false) => m.incr(MetricId::CacheRouteMisses),
+                None => {}
+            }
             m.add(MetricId::RouterAttempts, attempts.len() as u64);
             m.add(MetricId::SabreSwaps, routed.num_swaps as u64);
             m.set_gauge(GaugeId::DeviceQubits, device_qubits as i64);
+            if hit == Some(true) {
+                let mut span = Span::new("route:memo", "route").arg("swaps", routed.num_swaps);
+                span.start_us = start_us.unwrap_or(0);
+                span.dur_us = obs.now_us().saturating_sub(span.start_us);
+                ctx.push_span(span);
+            }
             // Attempts ran back to back ending roughly now; reconstruct
             // their start offsets from the per-attempt durations.
             let total: u64 = attempts.iter().map(|a| a.micros).sum();

@@ -145,12 +145,15 @@ impl CompileRequest {
     ///
     /// With a cache attached, [`CompileRequest::run`] splits into a
     /// structure phase (memoized in the cache, keyed by the Zobrist digest
-    /// of the angle-erased canonical IR) and an angle-binding phase, and
-    /// stage 2 additionally reuses per-shape group artifacts. Outputs are
-    /// bit-for-bit identical to the uncached path. Requests carrying a pass
-    /// budget or verification fall back to the legacy path — time-boxed or
-    /// verifier-audited runs must not be served from (or leak into) a
-    /// cache.
+    /// of the angle-erased canonical IR) and an angle-binding phase; stage
+    /// 2 additionally reuses per-shape group artifacts, and a
+    /// [`Target::Device`] lowering reuses the routing of any earlier
+    /// compile whose router input had the same gates on the same qubits
+    /// (on the same graph, router options and layout trials), copying the
+    /// new angles into it. Outputs are bit-for-bit identical to the
+    /// uncached path. Requests carrying a pass budget or verification fall
+    /// back to the legacy path — time-boxed or verifier-audited runs must
+    /// not be served from (or leak into) a cache.
     pub fn cache(mut self, cache: &Arc<CompileCache>) -> Self {
         self.cache = Some(Arc::clone(cache));
         self
@@ -181,9 +184,11 @@ impl CompileRequest {
     /// obtains the structure artifact (from the cache when possible), binds
     /// the angles into the skeleton, and lowers to the requested target.
     /// This is the VQE-sweep entry point — on a warm cache, everything but
-    /// the substitution and target lowering is skipped. Requests the cache
-    /// may not serve (a pass budget or verification) and fleets compile
-    /// exactly as [`CompileRequest::run`] with the angles as coefficients.
+    /// the substitution and target lowering is skipped, and a device
+    /// target's lowering binds into the cached routing instead of searching
+    /// a layout. Requests the cache may not serve (a pass budget or
+    /// verification) and fleets compile exactly as [`CompileRequest::run`]
+    /// with the angles as coefficients.
     ///
     /// # Errors
     ///
@@ -273,11 +278,7 @@ impl CompileRequest {
                 Err(e) => Err((dev.name().to_string(), e)),
             }
         };
-        let threads = match self.options.fleet_threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
-        .clamp(1, devices.len());
+        let threads = crate::resolve_threads(self.options.fleet_threads).clamp(1, devices.len());
         let mut slots: Vec<Option<Result<FleetEntry, (String, PhoenixError)>>> =
             devices.iter().map(|_| None).collect();
         if threads == 1 {
@@ -318,9 +319,9 @@ impl CompileRequest {
 
     /// The split structure/bind execution path: obtain the structure
     /// artifact (cache-aware), bind `angles`, then run the target's
-    /// circuit-level lowering on the bound circuit. The retained trace
-    /// honestly reflects what ran: on a program-cache hit it contains only
-    /// the lowering passes.
+    /// circuit-level lowering on the bound circuit, with the cache mounted
+    /// for the route memo. The retained trace honestly reflects what ran:
+    /// on a program-cache hit it contains only the lowering passes.
     fn run_split(self, angles: &[f64]) -> Result<CompileOutcome, PhoenixError> {
         let mut ctx = self.context()?;
         let collector = self.collector();
@@ -343,6 +344,9 @@ impl CompileRequest {
         ctx.circuit = bound.circuit;
         ctx.term_order = bound.term_order;
         ctx.num_groups = bound.num_groups;
+        // The lowering sees the cache too: `layout-route` memoizes routed
+        // templates in it.
+        ctx.cache = self.cache.clone();
         let manager = lowering_passes(&self.target, &self.options);
         self.execute(manager, ctx, trace, collector)
     }

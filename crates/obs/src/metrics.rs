@@ -47,7 +47,8 @@ pub enum MetricId {
     SabreSwaps,
     /// Routing attempts abandoned by the retry ladder.
     RouterRetries,
-    /// Routing attempts started (successful or not).
+    /// Routing attempts that ran, successful or not (none on a route-memo
+    /// hit).
     RouterAttempts,
     /// Passes executed by the pass manager.
     PassesRun,
@@ -71,6 +72,11 @@ pub enum MetricId {
     CacheGroupHits,
     /// Per-group synthesis cache lookups that missed.
     CacheGroupMisses,
+    /// Routed-template cache lookups that hit: the compile bound its angles
+    /// into a stored routing instead of searching a layout and routing.
+    CacheRouteHits,
+    /// Routed-template cache lookups that missed.
+    CacheRouteMisses,
     /// Requests admitted to the serve queue (`phoenixd`).
     ServeAdmitted,
     /// Requests shed with `Overloaded` by admission control.
@@ -93,7 +99,7 @@ pub enum MetricId {
 
 /// All counters, in discriminant order. Kept in sync with [`MetricId`] by
 /// the `catalog_is_complete` test.
-pub const COUNTERS: [MetricId; 28] = [
+pub const COUNTERS: [MetricId; 30] = [
     MetricId::GroupsCompiled,
     MetricId::TermsCompiled,
     MetricId::CnotsSavedStage2,
@@ -113,6 +119,8 @@ pub const COUNTERS: [MetricId; 28] = [
     MetricId::CacheProgramMisses,
     MetricId::CacheGroupHits,
     MetricId::CacheGroupMisses,
+    MetricId::CacheRouteHits,
+    MetricId::CacheRouteMisses,
     MetricId::ServeAdmitted,
     MetricId::ServeShed,
     MetricId::ServeCancelled,
@@ -147,6 +155,8 @@ impl MetricId {
             MetricId::CacheProgramMisses => "cache_program_misses",
             MetricId::CacheGroupHits => "cache_group_hits",
             MetricId::CacheGroupMisses => "cache_group_misses",
+            MetricId::CacheRouteHits => "cache_route_hits",
+            MetricId::CacheRouteMisses => "cache_route_misses",
             MetricId::ServeAdmitted => "serve_admitted",
             MetricId::ServeShed => "serve_shed",
             MetricId::ServeCancelled => "serve_cancelled",

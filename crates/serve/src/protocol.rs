@@ -220,6 +220,8 @@ pub fn cache_stats_value(stats: &CacheStats) -> Value {
         ("program_misses", int_val(stats.program_misses)),
         ("group_hits", int_val(stats.group_hits)),
         ("group_misses", int_val(stats.group_misses)),
+        ("route_hits", int_val(stats.route_hits)),
+        ("route_misses", int_val(stats.route_misses)),
         ("evictions", int_val(stats.evictions)),
         ("program_hit_rate", Value::Float(stats.program_hit_rate())),
         ("group_hit_rate", Value::Float(stats.group_hit_rate())),

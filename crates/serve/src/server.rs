@@ -312,7 +312,7 @@ impl ServeReport {
              panics contained      {}\n  worker deaths         {}\n  invalid frames        {}\n  \
              oversized frames      {}\n  slow-client drops     {}\n  reaped connections    {}\n  \
              queue wait p50        {} us\n  queue wait p99        {} us\n  \
-             cache hit rate        {:.2} (program) / {:.2} (group), {} evictions",
+             cache hit rate        {:.2} (program) / {:.2} (group) / {:.2} (route), {} evictions",
             self.admitted,
             self.completed,
             self.shed,
@@ -328,6 +328,7 @@ impl ServeReport {
             self.queue_wait_p99_us,
             self.cache.program_hit_rate(),
             self.cache.group_hit_rate(),
+            self.cache.route_hit_rate(),
             self.cache.evictions,
         )
     }

@@ -92,6 +92,70 @@ fn compile_round_trip_reports_metrics_and_cache_hits() {
     assert_eq!(report.worker_deaths, 0);
 }
 
+/// A compile frame for `terms` routed onto the registry device `target`.
+fn device_frame(id: u64, qubits: usize, terms: &[(&str, f64)], target: &str) -> String {
+    let terms: Vec<String> = terms
+        .iter()
+        .map(|(p, c)| format!("[\"{p}\",{c}]"))
+        .collect();
+    format!(
+        "{{\"op\":\"compile\",\"id\":{id},\"qubits\":{qubits},\"terms\":[{}],\"target\":\"{target}\"}}",
+        terms.join(",")
+    )
+}
+
+fn route_hits(reply: &Value) -> u64 {
+    reply
+        .get("cache")
+        .and_then(|c| c.get("route_hits"))
+        .and_then(Value::as_u64)
+        .unwrap()
+}
+
+#[test]
+fn a_rebound_device_structure_reuses_its_routing() {
+    const LABELS: [&str; 6] = ["ZZIIII", "IZZIII", "ZIIZII", "IXIIXI", "IIYIIY", "ZIIIIZ"];
+    let coefficients = |scale: f64| -> Vec<(&str, f64)> {
+        LABELS
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, scale * (0.1 + 0.05 * i as f64)))
+            .collect()
+    };
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    let first = client
+        .request(1, &device_frame(1, 6, &coefficients(1.0), "grid:2x3"))
+        .unwrap();
+    assert_eq!(status(&first), "ok", "reply: {first:?}");
+    let rebound = device_frame(2, 6, &coefficients(-0.7), "grid:2x3");
+    let second = client.request(2, &rebound).unwrap();
+    assert_eq!(status(&second), "ok", "reply: {second:?}");
+    assert_eq!(route_hits(&second), route_hits(&first) + 1);
+    // The counts equal an uncached compile of the new coefficients.
+    let Ok(phoenix_serve::Request::Compile(spec)) =
+        phoenix_serve::protocol::parse_request(&rebound, 1)
+    else {
+        panic!("frame parses as a compile");
+    };
+    let uncached = phoenix_serve::execute_spec(&spec, None, None, None);
+    assert_eq!(status(&uncached), "ok", "reply: {uncached:?}");
+    for key in [
+        "gates",
+        "cnot",
+        "two_qubit",
+        "depth",
+        "depth_2q",
+        "num_groups",
+    ] {
+        assert_eq!(second.get(key), uncached.get(key), "{key}");
+    }
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.cache.route_hits, 1);
+    assert_eq!(report.cache.route_misses, 1);
+}
+
 #[test]
 fn torn_frames_are_reassembled_across_writes() {
     let (handle, addr, join) = start_server(ServerConfig::default());
