@@ -272,7 +272,7 @@ fn emit_basis(emit: &mut impl FnMut(Gate), a: usize, basis_a: Basis, b: usize, b
     }
 }
 
-fn lower_gate(g: &Gate, emit: &mut impl FnMut(Gate)) {
+pub(crate) fn lower_gate(g: &Gate, emit: &mut impl FnMut(Gate)) {
     match g {
         Gate::Swap(a, b) => {
             emit(Gate::Cnot(*a, *b));

@@ -1,6 +1,7 @@
 //! The gate vocabulary.
 
-use phoenix_mathkit::{CMatrix, Complex};
+use crate::unitary;
+use phoenix_mathkit::CMatrix;
 use phoenix_pauli::{Clifford2Q, Pauli};
 use std::fmt;
 
@@ -149,91 +150,17 @@ impl Gate {
 
     /// 2×2 matrix of a 1Q gate, or `None` for 2Q gates.
     pub fn matrix1(&self) -> Option<CMatrix> {
-        let o = Complex::ZERO;
-        let l = Complex::ONE;
-        let i = Complex::I;
-        let h = 0.5f64.sqrt();
-        Some(match *self {
-            Gate::H(_) => CMatrix::from_rows(&[
-                &[Complex::from_re(h), Complex::from_re(h)],
-                &[Complex::from_re(h), Complex::from_re(-h)],
-            ]),
-            Gate::S(_) => CMatrix::from_rows(&[&[l, o], &[o, i]]),
-            Gate::Sdg(_) => CMatrix::from_rows(&[&[l, o], &[o, -i]]),
-            Gate::X(_) => Pauli::X.to_matrix(),
-            Gate::Y(_) => Pauli::Y.to_matrix(),
-            Gate::Z(_) => Pauli::Z.to_matrix(),
-            Gate::Rx(_, t) => rot_matrix(Pauli::X, t),
-            Gate::Ry(_, t) => rot_matrix(Pauli::Y, t),
-            Gate::Rz(_, t) => rot_matrix(Pauli::Z, t),
-            _ => return None,
-        })
+        unitary::matrix1(self).map(|m| unitary::to_cmatrix(2, &m))
     }
 
     /// 4×4 matrix of a 2Q gate in the *local little-endian* order (the
     /// gate's first qubit is the basis LSB), or `None` for 1Q gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an [`Su4Block`] holds a gate acting outside its two qubits.
     pub fn matrix2(&self) -> Option<CMatrix> {
-        let o = Complex::ZERO;
-        let l = Complex::ONE;
-        Some(match self {
-            Gate::Cnot(..) => phoenix_pauli::Clifford2QKind::Czx.matrix4(),
-            Gate::Swap(..) => {
-                CMatrix::from_rows(&[&[l, o, o, o], &[o, o, l, o], &[o, l, o, o], &[o, o, o, l]])
-            }
-            Gate::Clifford2(c) => c.kind.matrix4(),
-            Gate::PauliRot2 { pa, pb, theta, .. } => {
-                // exp(-iθ/2 (pb ⊗ pa)) in little-endian kron order.
-                let p = pb.to_matrix().kron(&pa.to_matrix());
-                let half = *theta / 2.0;
-                &CMatrix::identity(4).scale(Complex::from_re(half.cos()))
-                    + &p.scale(Complex::new(0.0, -half.sin()))
-            }
-            Gate::Su4(blk) => {
-                let mut u = CMatrix::identity(4);
-                let local = |q: usize| usize::from(q == blk.b);
-                for g in &blk.inner {
-                    let gm = embed_local(g, blk.a, blk.b, &local);
-                    u = gm.matmul(&u);
-                }
-                u
-            }
-            _ => return None,
-        })
-    }
-}
-
-/// `exp(-i·θ/2·P)` as a 2×2 matrix.
-fn rot_matrix(p: Pauli, theta: f64) -> CMatrix {
-    let half = theta / 2.0;
-    &CMatrix::identity(2).scale(Complex::from_re(half.cos()))
-        + &p.to_matrix().scale(Complex::new(0.0, -half.sin()))
-}
-
-/// Embeds a gate acting on qubits {a, b} into the 4×4 local space.
-fn embed_local(g: &Gate, a: usize, b: usize, local: &impl Fn(usize) -> usize) -> CMatrix {
-    if let Some(m1) = g.matrix1() {
-        let (q, _) = g.qubits();
-        assert!(q == a || q == b, "su4 inner gate leaves the block");
-        if local(q) == 0 {
-            CMatrix::identity(2).kron(&m1)
-        } else {
-            m1.kron(&CMatrix::identity(2))
-        }
-    } else {
-        let m2 = g.matrix2().expect("gate is 1q or 2q");
-        let (ga, gb) = g.qubits();
-        let gb = gb.expect("2q gate");
-        assert!(
-            (ga == a || ga == b) && (gb == a || gb == b),
-            "su4 inner gate leaves the block"
-        );
-        if local(ga) == 0 {
-            m2
-        } else {
-            // Swap the roles of the two local qubits: conjugate by SWAP.
-            let swap = Gate::Swap(0, 1).matrix2().expect("swap is 2q");
-            swap.matmul(&m2).matmul(&swap)
-        }
+        unitary::matrix2(self).map(|m| unitary::to_cmatrix(4, &m))
     }
 }
 
@@ -269,6 +196,7 @@ impl fmt::Display for Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phoenix_mathkit::Complex;
     use phoenix_pauli::Clifford2QKind;
 
     #[test]

@@ -17,9 +17,12 @@
 //! orthogonal; mapping `K·Q` and `Qᵀ` back through `M` yields the local
 //! factors. Everything is verified by reconstruction in the tests.
 
-use crate::{Circuit, Gate};
-use phoenix_mathkit::{jacobi_simultaneous, CMatrix, Complex};
+use crate::circuit::lower_gate;
+use crate::unitary::{self, Spectrum, MAGIC, MAGIC_DAGGER};
+use crate::{Circuit, Gate, Su4Block};
+use phoenix_mathkit::{matmul4, CMatrix, Complex};
 use phoenix_pauli::Pauli;
+use std::f64::consts::FRAC_PI_2;
 
 /// The result of a KAK decomposition (little-endian qubit convention:
 /// index 0 is the basis LSB, matching [`Gate::matrix2`]).
@@ -45,57 +48,64 @@ pub struct KakDecomposition {
 ///
 /// Panics if `u` is not a 4×4 unitary.
 pub fn kak_decompose(u: &CMatrix) -> KakDecomposition {
-    assert_eq!(u.rows(), 4, "expected a 4×4 unitary");
-    assert!(u.is_unitary(1e-9), "matrix must be unitary");
+    let spectrum = unitary::spectrum(&unitary::read(u));
+    let (coords, shifts) = canonical_coords(&spectrum.theta);
+    local_factors(&spectrum, coords, shifts)
+}
 
-    // Normalize to SU(4).
-    let det = det4(u);
-    let phase = det.im.atan2(det.re) / 4.0;
-    let su = u.scale(Complex::cis(-phase));
-
-    let m = magic_basis();
-    let v = m.dagger().matmul(&su).matmul(&m);
-
-    // W = Vᵀ V, split into commuting real symmetric parts.
-    let mut w = CMatrix::zeros(4, 4);
-    for i in 0..4 {
-        for j in 0..4 {
-            let mut acc = Complex::ZERO;
-            for k in 0..4 {
-                acc += v[(k, i)] * v[(k, j)];
+/// The canonical coordinates of a spectrum, and the multiple of π/2 each
+/// was shifted by.
+///
+/// The canonical factor is `M·diag(e^{iθ})·M†`, whose Hermitian generator
+/// `G = M·diag(θ)·M†` lies in span{XX, YY, ZZ} (diagonal matrices in the
+/// magic basis are exactly the Cartan subalgebra; the tracelessness
+/// `Σθ = 0` removes the identity part). Each coordinate is then shifted
+/// into (−π/4, π/4]; [`local_factors`] absorbs the shifts.
+fn canonical_coords(theta: &[f64; 4]) -> ([f64; 3], [i64; 3]) {
+    let mut gen_diag = [Complex::ZERO; 16];
+    for (i, &t) in theta.iter().enumerate() {
+        gen_diag[i * 5] = Complex::from_re(t);
+    }
+    let g = matmul4(&matmul4(&MAGIC, &gen_diag), &MAGIC_DAGGER);
+    let mut coords = [0.0; 3];
+    let mut shifts = [0; 3];
+    for (k, p) in [Pauli::X, Pauli::Y, Pauli::Z].into_iter().enumerate() {
+        let pp = unitary::kron2(&unitary::pauli(p), &unitary::pauli(p));
+        let mut tr = Complex::ZERO;
+        for i in 0..4 {
+            for j in 0..4 {
+                tr += g[i * 4 + j] * pp[j * 4 + i];
             }
-            w[(i, j)] = acc;
+        }
+        coords[k] = tr.re / 4.0;
+        shifts[k] = (coords[k] / FRAC_PI_2).round() as i64;
+        if shifts[k] != 0 {
+            coords[k] -= shifts[k] as f64 * FRAC_PI_2;
         }
     }
-    let re: Vec<Vec<f64>> = (0..4)
-        .map(|i| (0..4).map(|j| w[(i, j)].re).collect())
-        .collect();
-    let im: Vec<Vec<f64>> = (0..4)
-        .map(|i| (0..4).map(|j| w[(i, j)].im).collect())
-        .collect();
-    let (alpha, beta, q_cols) = jacobi_simultaneous(&re, &im);
+    (coords, shifts)
+}
 
-    // Eigenphases θⱼ with Σθ = 0 exactly (det W = 1).
-    let mut theta: Vec<f64> = alpha
-        .iter()
-        .zip(&beta)
-        .map(|(&a, &b)| b.atan2(a) / 2.0)
-        .collect();
-    let sigma: f64 = theta.iter().sum();
-    theta[3] -= sigma;
-
+/// Completes a decomposition from its spectrum and canonical coordinates:
+/// the local factors, and the global phase.
+fn local_factors(spectrum: &Spectrum, coords: [f64; 3], shifts: [i64; 3]) -> KakDecomposition {
+    let Spectrum { phase, v, q, theta } = spectrum;
     // Q real orthogonal with det +1 (flip one column if needed).
-    let mut q = CMatrix::zeros(4, 4);
-    for (j, col) in q_cols.iter().enumerate() {
-        for i in 0..4 {
-            q[(i, j)] = Complex::from_re(col[i]);
+    let mut q_arr = [Complex::ZERO; 16];
+    for (j, col) in q.iter().enumerate() {
+        for (i, &x) in col.iter().enumerate() {
+            q_arr[i * 4 + j] = Complex::from_re(x);
         }
     }
-    if det4(&q).re < 0.0 {
+    if unitary::det4(&q_arr).re < 0.0 {
         for i in 0..4 {
-            q[(i, 0)] = -q[(i, 0)];
+            q_arr[i * 4] = -q_arr[i * 4];
         }
     }
+    let q = unitary::to_cmatrix(4, &q_arr);
+    let q_t = CMatrix::from_fn(4, 4, |i, j| q[(j, i)]);
+    let m = unitary::to_cmatrix(4, &MAGIC);
+    let m_dagger = unitary::to_cmatrix(4, &MAGIC_DAGGER);
 
     // P⁻¹ = Q · diag(e^{-iθ}) · Qᵀ; K = V · P⁻¹ is real orthogonal det +1.
     let dsqrt_inv = CMatrix::from_fn(4, 4, |i, j| {
@@ -105,57 +115,24 @@ pub fn kak_decompose(u: &CMatrix) -> KakDecomposition {
             Complex::ZERO
         }
     });
-    let p_inv = q.matmul(&dsqrt_inv).matmul(&transpose(&q));
-    let k = v.matmul(&p_inv);
+    let p_inv = q.matmul(&dsqrt_inv).matmul(&q_t);
+    let k = unitary::to_cmatrix(4, v).matmul(&p_inv);
 
     // Local factors in the computational basis.
-    let left = m.matmul(&k).matmul(&q).matmul(&m.dagger());
-    let right = m.matmul(&transpose(&q)).matmul(&m.dagger());
-    let (a1, a0, lphase) = kron_factor(&left);
+    let left = m.matmul(&k).matmul(&q).matmul(&m_dagger);
+    let right = m.matmul(&q_t).matmul(&m_dagger);
+    let (mut a1, mut a0, lphase) = kron_factor(&left);
     let (b1, b0, rphase) = kron_factor(&right);
 
-    // Canonical coordinates: the middle factor is M·diag(e^{iθ})·M†, whose
-    // Hermitian generator G = M·diag(θ)·M† lies in span{XX, YY, ZZ}
-    // (diagonal matrices in the magic basis are exactly the Cartan
-    // subalgebra; the tracelessness Σθ = 0 removes the identity part).
-    let gen_diag = CMatrix::from_fn(4, 4, |i, j| {
-        if i == j {
-            Complex::from_re(theta[i])
-        } else {
-            Complex::ZERO
-        }
-    });
-    let g = m.matmul(&gen_diag).matmul(&m.dagger());
-    let coeff = |pa: Pauli, pb: Pauli| -> f64 {
-        let pp = pb.to_matrix().kron(&pa.to_matrix());
-        let mut tr = Complex::ZERO;
-        for i in 0..4 {
-            for j in 0..4 {
-                tr += g[(i, j)] * pp[(j, i)];
-            }
-        }
-        tr.re / 4.0
-    };
-    let mut coords = [
-        coeff(Pauli::X, Pauli::X),
-        coeff(Pauli::Y, Pauli::Y),
-        coeff(Pauli::Z, Pauli::Z),
-    ];
-
-    // Normalize each coordinate into (−π/4, π/4]: a π/2 shift multiplies
-    // the canonical gate by the *local* i·P⊗P, absorbed into the left
-    // factors and the global phase.
-    let mut a0 = a0;
-    let mut a1 = a1;
+    // A π/2 shift of a coordinate multiplies the canonical gate by the
+    // *local* i·P⊗P, absorbed into the left factors and the global phase.
     let mut global_phase = phase + lphase + rphase;
-    for (k, p) in [Pauli::X, Pauli::Y, Pauli::Z].into_iter().enumerate() {
-        let m_shift = (coords[k] / std::f64::consts::FRAC_PI_2).round() as i64;
-        if m_shift != 0 {
-            coords[k] -= m_shift as f64 * std::f64::consts::FRAC_PI_2;
-            global_phase += m_shift as f64 * std::f64::consts::FRAC_PI_2;
+    for (shift, p) in shifts.into_iter().zip([Pauli::X, Pauli::Y, Pauli::Z]) {
+        if shift != 0 {
+            global_phase += shift as f64 * FRAC_PI_2;
             // exp(i·m·π/2·PP) = i^m · (P⊗P)^{m mod 2}: the i^m went into the
             // phase above; an odd shift leaves one P on each wire.
-            if m_shift.rem_euclid(2) == 1 {
+            if shift.rem_euclid(2) == 1 {
                 a0 = a0.matmul(&p.to_matrix());
                 a1 = a1.matmul(&p.to_matrix());
             }
@@ -170,6 +147,12 @@ pub fn kak_decompose(u: &CMatrix) -> KakDecomposition {
         b0,
         b1,
     }
+}
+
+/// Whether [`KakDecomposition::to_circuit`] emits a rotation for a
+/// canonical coordinate.
+fn needs_rotation(coord: f64) -> bool {
+    coord.abs() > 1e-12
 }
 
 impl KakDecomposition {
@@ -198,7 +181,7 @@ impl KakDecomposition {
         append_1q(&mut c, q0, &self.b0);
         append_1q(&mut c, q1, &self.b1);
         for (coord, p) in self.coords.iter().zip([Pauli::X, Pauli::Y, Pauli::Z]) {
-            if coord.abs() > 1e-12 {
+            if needs_rotation(*coord) {
                 c.push(Gate::PauliRot2 {
                     a: q0,
                     b: q1,
@@ -217,7 +200,9 @@ impl KakDecomposition {
 /// KAK-resynthesizes every fused SU(4) block of a circuit: blocks whose
 /// canonical form needs fewer CNOTs than their fused contents are replaced
 /// by locals + at most three same-pair Pauli rotations (re-fused into a
-/// block). Other gates pass through untouched.
+/// block). Other gates pass through untouched. The decision reads only a
+/// block's canonical coordinates, so the local factors are computed only
+/// for the blocks it replaces.
 ///
 /// This is the optimization pass that turns the SU(4) ISA's analysis
 /// ([`weyl`](crate::weyl)) into gate-count wins when lowering back to the
@@ -241,37 +226,36 @@ impl KakDecomposition {
 pub fn resynthesize(circuit: &Circuit) -> Circuit {
     let mut out = Circuit::new(circuit.num_qubits());
     for g in circuit.gates() {
-        match g {
-            Gate::Su4(blk) => {
-                let u = g.matrix2().expect("su4 is 2q");
-                let kak = kak_decompose(&u);
-                let local = kak.to_circuit(0, 1);
-                let mapped: Vec<Gate> = local
-                    .gates()
-                    .iter()
-                    .map(|lg| lg.map_qubits(&mut |q| if q == 0 { blk.a } else { blk.b }))
-                    .collect();
-                let local_inner: Vec<Gate> = blk
-                    .inner
-                    .iter()
-                    .map(|ig| ig.map_qubits(&mut |q| usize::from(q == blk.b)))
-                    .collect();
-                let old_cost = Circuit::from_gates(2, local_inner)
-                    .lower_to_cnot()
-                    .counts()
-                    .cnot;
-                let new_cost = local.lower_to_cnot().counts().cnot;
-                if new_cost < old_cost {
-                    out.push(Gate::Su4(Box::new(crate::Su4Block {
-                        a: blk.a,
-                        b: blk.b,
-                        inner: mapped,
-                    })));
-                } else {
-                    out.push(g.clone());
-                }
-            }
-            other => out.push(other.clone()),
+        let Gate::Su4(blk) = g else {
+            out.push(g.clone());
+            continue;
+        };
+        // Decide from the canonical coordinates before decomposing: each
+        // coordinate `to_circuit` keeps becomes one `PauliRot2`, which
+        // lowers to 2 CNOTs, and the local factors cost none.
+        let spectrum = unitary::spectrum(&unitary::block_unitary(blk));
+        let (coords, shifts) = canonical_coords(&spectrum.theta);
+        let new_cost = 2 * coords.iter().filter(|&&c| needs_rotation(c)).count();
+        let mut old_cost = 0;
+        for inner in &blk.inner {
+            lower_gate(inner, &mut |lg| {
+                old_cost += usize::from(matches!(lg, Gate::Cnot(..)));
+            });
+        }
+        if new_cost < old_cost {
+            let local = local_factors(&spectrum, coords, shifts).to_circuit(0, 1);
+            let inner = local
+                .gates()
+                .iter()
+                .map(|lg| lg.map_qubits(&mut |q| if q == 0 { blk.a } else { blk.b }))
+                .collect();
+            out.push(Gate::Su4(Box::new(Su4Block {
+                a: blk.a,
+                b: blk.b,
+                inner,
+            })));
+        } else {
+            out.push(g.clone());
         }
     }
     out
@@ -308,7 +292,7 @@ fn zyz_angles(u: &CMatrix) -> (f64, f64, f64) {
     let theta = 2.0 * u[(1, 0)].abs().atan2(u[(0, 0)].abs());
     if u[(0, 0)].abs() < 1e-9 {
         // θ = π: only φ − λ is defined.
-        (arg(u[(1, 0)] * (-u[(0, 1)]).conj()) / 2.0 * 2.0, theta, 0.0)
+        (arg(u[(1, 0)] * (-u[(0, 1)]).conj()), theta, 0.0)
     } else if u[(1, 0)].abs() < 1e-9 {
         // θ = 0: only φ + λ is defined.
         (arg(u[(1, 1)] * u[(0, 0)].conj()), theta, 0.0)
@@ -363,47 +347,9 @@ fn kron_factor(u: &CMatrix) -> (CMatrix, CMatrix, f64) {
     (high, low, ph)
 }
 
-fn transpose(m: &CMatrix) -> CMatrix {
-    CMatrix::from_fn(m.cols(), m.rows(), |i, j| m[(j, i)])
-}
-
-fn magic_basis() -> CMatrix {
-    let h = Complex::from_re(std::f64::consts::FRAC_1_SQRT_2);
-    let ih = Complex::new(0.0, std::f64::consts::FRAC_1_SQRT_2);
-    let o = Complex::ZERO;
-    CMatrix::from_rows(&[
-        &[h, o, o, ih],
-        &[o, ih, h, o],
-        &[o, ih, -h, o],
-        &[h, o, o, -ih],
-    ])
-}
-
-fn det4(u: &CMatrix) -> Complex {
-    let minor = |r: usize, c: usize| -> Complex {
-        let rows: Vec<usize> = (0..4).filter(|&i| i != r).collect();
-        let cols: Vec<usize> = (0..4).filter(|&j| j != c).collect();
-        let m = |i: usize, j: usize| u[(rows[i], cols[j])];
-        m(0, 0) * (m(1, 1) * m(2, 2) - m(1, 2) * m(2, 1))
-            - m(0, 1) * (m(1, 0) * m(2, 2) - m(1, 2) * m(2, 0))
-            + m(0, 2) * (m(1, 0) * m(2, 1) - m(1, 1) * m(2, 0))
-    };
-    let mut det = Complex::ZERO;
-    for c in 0..4 {
-        let sign = if c % 2 == 0 {
-            Complex::ONE
-        } else {
-            -Complex::ONE
-        };
-        det += sign * u[(0, c)] * minor(0, c);
-    }
-    det
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Su4Block;
     use phoenix_mathkit::Xoshiro256;
 
     fn unitary_of(gates: Vec<Gate>) -> CMatrix {

@@ -41,6 +41,7 @@ pub mod qasm;
 pub mod rebase;
 pub mod synthesis;
 pub mod transform;
+mod unitary;
 pub mod weyl;
 
 pub use circuit::{Circuit, GateCounts};

@@ -16,71 +16,31 @@
 //! This powers the SU(4)-ISA analysis: how close a compiler's fused blocks
 //! are to their theoretical CNOT floors.
 
-use crate::{Gate, Su4Block};
-use phoenix_mathkit::{jacobi_simultaneous, CMatrix, Complex};
+use crate::unitary::{self, U4};
+use crate::Su4Block;
+use phoenix_mathkit::CMatrix;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
 /// Numerical tolerance for classifying coordinates.
 const TOL: f64 = 1e-9;
 
-/// The magic basis (columns), mapping local unitaries to real orthogonals.
-fn magic_basis() -> CMatrix {
-    let h = Complex::from_re(std::f64::consts::FRAC_1_SQRT_2);
-    let ih = Complex::new(0.0, std::f64::consts::FRAC_1_SQRT_2);
-    let o = Complex::ZERO;
-    CMatrix::from_rows(&[
-        &[h, o, o, ih],
-        &[o, ih, h, o],
-        &[o, ih, -h, o],
-        &[h, o, o, -ih],
-    ])
-}
-
 /// Computes the canonical Weyl coordinates `(c₁ ≥ c₂ ≥ |c₃|, c₁ ≤ π/4)` of a
 /// 4×4 unitary (little-endian qubit convention, matching
-/// [`Gate::matrix2`]).
+/// [`Gate::matrix2`](crate::Gate::matrix2)).
 ///
 /// # Panics
 ///
 /// Panics if the matrix is not a 4×4 unitary.
 pub fn weyl_coordinates(u: &CMatrix) -> [f64; 3] {
-    assert_eq!(u.rows(), 4, "expected a 4×4 unitary");
-    assert!(u.is_unitary(1e-9), "matrix must be unitary");
-    // Normalize to SU(4) (4th-root ambiguity is absorbed mod π/2 below).
-    let det = det4(u);
-    let phase = Complex::cis(-det.im.atan2(det.re) / 4.0);
-    let su = u.scale(phase);
+    chamber_point(&unitary::read(u))
+}
 
-    let m = magic_basis();
-    let v = m.dagger().matmul(&su).matmul(&m);
-    // Gram matrix W = Vᵀ V (complex symmetric unitary).
-    let mut w = CMatrix::zeros(4, 4);
-    for i in 0..4 {
-        for j in 0..4 {
-            let mut acc = Complex::ZERO;
-            for k in 0..4 {
-                acc += v[(k, i)] * v[(k, j)];
-            }
-            w[(i, j)] = acc;
-        }
-    }
-    let re: Vec<Vec<f64>> = (0..4)
-        .map(|i| (0..4).map(|j| w[(i, j)].re).collect())
-        .collect();
-    let im: Vec<Vec<f64>> = (0..4)
-        .map(|i| (0..4).map(|j| w[(i, j)].im).collect())
-        .collect();
-    let (alpha, beta, _) = jacobi_simultaneous(&re, &im);
-    // Eigenphases θⱼ of √W.
-    let mut theta: Vec<f64> = alpha
-        .iter()
-        .zip(&beta)
-        .map(|(&a, &b)| b.atan2(a) / 2.0)
-        .collect();
-    // det W = 1 ⇒ Σθ ≡ 0 (mod π); pin it to zero exactly.
-    let sigma: f64 = theta.iter().sum();
-    theta[3] -= sigma;
-    // Pair sums give (±, permuted) canonical coordinates.
+fn chamber_point(u: &U4) -> [f64; 3] {
+    // The SU(4) normalization's 4th-root ambiguity is absorbed mod π/2 by
+    // `canonicalize`.
+    let theta = unitary::spectrum(u).theta;
+    // Pair sums of the eigenphases of √W give (±, permuted) canonical
+    // coordinates.
     let raw = [
         (theta[0] + theta[1]) / 2.0,
         (theta[0] + theta[2]) / 2.0,
@@ -134,7 +94,16 @@ fn canonicalize(mut c: [f64; 3]) -> [f64; 3] {
 ///
 /// Panics if the matrix is not a 4×4 unitary.
 pub fn cnot_cost(u: &CMatrix) -> usize {
-    let c = weyl_coordinates(u);
+    class_cost(weyl_coordinates(u))
+}
+
+/// The minimal CNOT count of a fused SU(4) block.
+pub fn su4_block_cost(block: &Su4Block) -> usize {
+    class_cost(chamber_point(&unitary::block_unitary(block)))
+}
+
+/// The CNOT count of a Weyl chamber point's class.
+fn class_cost(c: [f64; 3]) -> usize {
     if c[0].abs() < TOL {
         0
     } else if (c[0] - FRAC_PI_4).abs() < TOL && c[1].abs() < TOL && c[2].abs() < TOL {
@@ -146,37 +115,10 @@ pub fn cnot_cost(u: &CMatrix) -> usize {
     }
 }
 
-/// The minimal CNOT count of a fused SU(4) block.
-pub fn su4_block_cost(block: &Su4Block) -> usize {
-    let g = Gate::Su4(Box::new(block.clone()));
-    cnot_cost(&g.matrix2().expect("su4 is a 2q gate"))
-}
-
-fn det4(u: &CMatrix) -> Complex {
-    // Laplace expansion along the first row (4×4 only).
-    let minor = |r: usize, c: usize| -> Complex {
-        let rows: Vec<usize> = (0..4).filter(|&i| i != r).collect();
-        let cols: Vec<usize> = (0..4).filter(|&j| j != c).collect();
-        let m = |i: usize, j: usize| u[(rows[i], cols[j])];
-        m(0, 0) * (m(1, 1) * m(2, 2) - m(1, 2) * m(2, 1))
-            - m(0, 1) * (m(1, 0) * m(2, 2) - m(1, 2) * m(2, 0))
-            + m(0, 2) * (m(1, 0) * m(2, 1) - m(1, 1) * m(2, 0))
-    };
-    let mut det = Complex::ZERO;
-    for c in 0..4 {
-        let sign = if c % 2 == 0 {
-            Complex::ONE
-        } else {
-            -Complex::ONE
-        };
-        det += sign * u[(0, c)] * minor(0, c);
-    }
-    det
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Gate;
     use phoenix_mathkit::Xoshiro256;
     use phoenix_pauli::{Pauli, CLIFFORD2Q_GENERATORS};
 

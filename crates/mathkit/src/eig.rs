@@ -6,30 +6,30 @@
 //! splits into commuting real symmetric parts `Re W`, `Im W` whose joint
 //! eigenbasis yields the entangling class.
 
-/// Eigendecomposition `A = Q diag(λ) Qᵀ` of a real symmetric matrix given
-/// as rows; returns `(λ, q)` with `q[k]` the eigenvector column for `λ[k]`.
+/// Eigendecomposition `A = Q diag(λ) Qᵀ` of an `N × N` real symmetric
+/// matrix given as rows; returns `(λ, q)` with `q[k]` the eigenvector column
+/// for `λ[k]`.
 ///
-/// Cyclic Jacobi: unconditionally convergent for symmetric input; intended
-/// for the small (4×4) systems in this workspace but correct for any size.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square.
-pub fn jacobi_symmetric(a: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let n = a.len();
-    for row in a {
-        assert_eq!(row.len(), n, "matrix must be square");
-    }
-    let mut m: Vec<Vec<f64>> = a.to_vec();
+/// Cyclic Jacobi: unconditionally convergent for symmetric input. The
+/// workspace's callers are the 4×4 magic-basis analyses of
+/// `phoenix-circuit`, so everything lives in fixed-size arrays on the stack.
+pub fn jacobi_symmetric<const N: usize>(a: &[[f64; N]; N]) -> ([f64; N], [[f64; N]; N]) {
+    jacobi_leading(a, N)
+}
+
+/// Cyclic Jacobi on the leading `n × n` block of `a` (`n ≤ N`); entries
+/// outside that block are ignored and returned as zero.
+fn jacobi_leading<const N: usize>(a: &[[f64; N]; N], n: usize) -> ([f64; N], [[f64; N]; N]) {
+    let mut m = *a;
     // q starts as identity; columns become eigenvectors.
-    let mut q = vec![vec![0.0; n]; n];
-    for (i, row) in q.iter_mut().enumerate() {
+    let mut q = [[0.0; N]; N];
+    for (i, row) in q.iter_mut().enumerate().take(n) {
         row[i] = 1.0;
     }
     for _sweep in 0..64 {
         let mut off = 0.0;
-        for (p, row) in m.iter().enumerate() {
-            for &v in &row[p + 1..] {
+        for (p, row) in m.iter().enumerate().take(n) {
+            for &v in &row[p + 1..n] {
                 off += v * v;
             }
         }
@@ -46,18 +46,18 @@ pub fn jacobi_symmetric(a: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
-                for row in m.iter_mut() {
+                for row in m.iter_mut().take(n) {
                     let (mkp, mkr) = (row[p], row[r]);
                     row[p] = c * mkp - s * mkr;
                     row[r] = s * mkp + c * mkr;
                 }
                 let (head, tail) = m.split_at_mut(r);
-                for (mpk, mrk) in head[p].iter_mut().zip(tail[0].iter_mut()) {
+                for (mpk, mrk) in head[p][..n].iter_mut().zip(&mut tail[0][..n]) {
                     let (vp, vr) = (*mpk, *mrk);
                     *mpk = c * vp - s * vr;
                     *mrk = s * vp + c * vr;
                 }
-                for row in q.iter_mut() {
+                for row in q.iter_mut().take(n) {
                     let (qkp, qkr) = (row[p], row[r]);
                     row[p] = c * qkp - s * qkr;
                     row[r] = s * qkp + c * qkr;
@@ -65,38 +65,39 @@ pub fn jacobi_symmetric(a: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
             }
         }
     }
-    let eigvals: Vec<f64> = (0..n).map(|i| m[i][i]).collect();
-    // Return eigenvector columns.
-    let cols: Vec<Vec<f64>> = (0..n).map(|j| (0..n).map(|i| q[i][j]).collect()).collect();
+    let mut eigvals = [0.0; N];
+    let mut cols = [[0.0; N]; N];
+    for i in 0..n {
+        eigvals[i] = m[i][i];
+        for j in 0..n {
+            cols[j][i] = q[i][j];
+        }
+    }
     (eigvals, cols)
 }
 
-/// Simultaneously diagonalizes two *commuting* real symmetric matrices:
-/// returns `(α, β, q)` with `A q_k = α_k q_k` and `B q_k = β_k q_k`.
+/// Simultaneously diagonalizes two *commuting* `N × N` real symmetric
+/// matrices: returns `(α, β, q)` with `A q_k = α_k q_k` and
+/// `B q_k = β_k q_k`.
 ///
 /// Diagonalizes `A` first, then re-diagonalizes `B` inside each (near-)
 /// degenerate eigenspace of `A`.
-///
-/// # Panics
-///
-/// Panics if the shapes disagree.
-pub fn jacobi_simultaneous(a: &[Vec<f64>], b: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
-    let n = a.len();
-    assert_eq!(b.len(), n, "shapes must match");
-    let (alpha, mut q) = jacobi_symmetric(a);
+pub fn jacobi_simultaneous<const N: usize>(
+    a: &[[f64; N]; N],
+    b: &[[f64; N]; N],
+) -> ([f64; N], [f64; N], [[f64; N]; N]) {
+    let (alpha, q) = jacobi_symmetric(a);
     // Sort the eigenbasis by α so degenerate clusters are contiguous.
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: [usize; N] = std::array::from_fn(|i| i);
     order.sort_by(|&i, &j| alpha[i].total_cmp(&alpha[j]));
-    let alpha: Vec<f64> = order.iter().map(|&i| alpha[i]).collect();
-    q = order.iter().map(|&i| q[i].clone()).collect();
+    let alpha = order.map(|i| alpha[i]);
+    let mut q = order.map(|i| q[i]);
 
     // B in the α-eigenbasis.
-    let bq = |col: &[f64]| -> Vec<f64> {
-        (0..n)
-            .map(|i| (0..n).map(|j| b[i][j] * col[j]).sum())
-            .collect()
+    let bq = |col: &[f64; N]| -> [f64; N] {
+        std::array::from_fn(|i| (0..N).map(|j| b[i][j] * col[j]).sum())
     };
-    let mut bprime = vec![vec![0.0; n]; n];
+    let mut bprime = [[0.0; N]; N];
     for (cj, qj) in q.iter().enumerate() {
         let bv = bq(qj);
         for (ci, qi) in q.iter().enumerate() {
@@ -104,27 +105,28 @@ pub fn jacobi_simultaneous(a: &[Vec<f64>], b: &[Vec<f64>]) -> (Vec<f64>, Vec<f64
         }
     }
     // Refine inside degenerate clusters of α.
-    let mut beta = vec![0.0; n];
+    let mut beta = [0.0; N];
     let mut start = 0;
-    while start < n {
+    while start < N {
         let mut end = start + 1;
-        while end < n && (alpha[end] - alpha[start]).abs() < 1e-9 {
+        while end < N && (alpha[end] - alpha[start]).abs() < 1e-9 {
             end += 1;
         }
         let k = end - start;
         if k == 1 {
             beta[start] = bprime[start][start];
         } else {
-            let sub: Vec<Vec<f64>> = (start..end)
-                .map(|i| (start..end).map(|j| bprime[i][j]).collect())
-                .collect();
-            let (lam, vecs) = jacobi_symmetric(&sub);
+            let mut sub = [[0.0; N]; N];
+            for (i, row) in sub.iter_mut().enumerate().take(k) {
+                row[..k].copy_from_slice(&bprime[start + i][start..end]);
+            }
+            let (lam, vecs) = jacobi_leading(&sub, k);
             // Rotate the cluster's q-columns.
-            let old: Vec<Vec<f64>> = q[start..end].to_vec();
-            for (local, lam_l) in lam.iter().enumerate() {
+            let old = q;
+            for (local, lam_l) in lam.iter().enumerate().take(k) {
                 beta[start + local] = *lam_l;
-                for i in 0..n {
-                    q[start + local][i] = (0..k).map(|m| old[m][i] * vecs[local][m]).sum();
+                for i in 0..N {
+                    q[start + local][i] = (0..k).map(|m| old[start + m][i] * vecs[local][m]).sum();
                 }
             }
         }
@@ -138,19 +140,17 @@ mod tests {
     use super::*;
     use crate::Xoshiro256;
 
-    fn matvec(a: &[Vec<f64>], v: &[f64]) -> Vec<f64> {
-        a.iter()
-            .map(|row| row.iter().zip(v).map(|(x, y)| x * y).sum())
-            .collect()
+    fn matvec<const N: usize>(a: &[[f64; N]; N], v: &[f64; N]) -> [f64; N] {
+        a.map(|row| row.iter().zip(v).map(|(x, y)| x * y).sum())
     }
 
-    fn random_symmetric(n: usize, seed: u64) -> Vec<Vec<f64>> {
+    fn random_symmetric<const N: usize>(seed: u64) -> [[f64; N]; N] {
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let mut a = vec![vec![0.0; n]; n];
+        let mut a = [[0.0; N]; N];
         // Symmetric fill: (i, j) and (j, i) get the same draw.
         #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in i..n {
+        for i in 0..N {
+            for j in i..N {
                 let x = rng.next_range_f64(-1.0, 1.0);
                 a[i][j] = x;
                 a[j][i] = x;
@@ -161,13 +161,9 @@ mod tests {
 
     #[test]
     fn diagonal_matrix_is_fixed_point() {
-        let a = vec![
-            vec![3.0, 0.0, 0.0],
-            vec![0.0, -1.0, 0.0],
-            vec![0.0, 0.0, 2.0],
-        ];
+        let a = [[3.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 2.0]];
         let (vals, vecs) = jacobi_symmetric(&a);
-        let mut sorted = vals.clone();
+        let mut sorted = vals;
         sorted.sort_by(f64::total_cmp);
         assert!((sorted[0] + 1.0).abs() < 1e-12);
         assert!((sorted[2] - 3.0).abs() < 1e-12);
@@ -183,7 +179,7 @@ mod tests {
     #[test]
     fn random_symmetric_reconstructs() {
         for seed in 0..5 {
-            let a = random_symmetric(4, seed);
+            let a = random_symmetric::<4>(seed);
             let (vals, vecs) = jacobi_symmetric(&a);
             for (k, v) in vecs.iter().enumerate() {
                 let av = matvec(&a, v);
@@ -203,9 +199,9 @@ mod tests {
     #[test]
     fn simultaneous_diagonalization_of_commuting_pair() {
         // Build commuting A, B sharing an eigenbasis with degeneracy in A.
-        let (_, q) = jacobi_symmetric(&random_symmetric(4, 9));
-        let build = |d: [f64; 4]| -> Vec<Vec<f64>> {
-            let mut m = vec![vec![0.0; 4]; 4];
+        let (_, q) = jacobi_symmetric(&random_symmetric::<4>(9));
+        let build = |d: [f64; 4]| -> [[f64; 4]; 4] {
+            let mut m = [[0.0; 4]; 4];
             for i in 0..4 {
                 for j in 0..4 {
                     m[i][j] = (0..4).map(|k| q[k][i] * d[k] * q[k][j]).sum();
@@ -224,11 +220,5 @@ mod tests {
                 assert!((bv[i] - beta[k] * v[i]).abs() < 1e-8, "B pair {k}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn non_square_rejected() {
-        let _ = jacobi_symmetric(&[vec![1.0, 2.0]]);
     }
 }

@@ -8,6 +8,9 @@
 //!   compiler stack needs — products, Kronecker products, adjoints, traces,
 //!   and a scaling-and-squaring matrix exponential ([`CMatrix::expm`]) used to
 //!   compute exact Hamiltonian evolutions for algorithmic-error analysis.
+//! - [`matmul4`] and the fixed-size Jacobi eigensolvers
+//!   ([`jacobi_symmetric`], [`jacobi_simultaneous`]): the stack-allocated
+//!   kernel of the two-qubit (4×4) unitary analyses.
 //! - [`Xoshiro256`]: a small, seedable, portable PRNG so every synthetic
 //!   benchmark in the workspace is bit-reproducible without depending on a
 //!   specific `rand` release.
@@ -32,5 +35,5 @@ mod rng;
 
 pub use complex::Complex;
 pub use eig::{jacobi_simultaneous, jacobi_symmetric};
-pub use matrix::CMatrix;
+pub use matrix::{matmul4, CMatrix};
 pub use rng::Xoshiro256;

@@ -268,6 +268,28 @@ impl CMatrix {
     }
 }
 
+/// The product `a · b` of two row-major 4×4 complex matrices held on the
+/// stack.
+///
+/// It performs [`CMatrix::matmul`]'s float operations in the same order
+/// (ikj loops, exactly-zero left entries skipped), so both give the same
+/// bits, signs of zeros included.
+pub fn matmul4(a: &[Complex; 16], b: &[Complex; 16]) -> [Complex; 16] {
+    let mut out = [Complex::ZERO; 16];
+    for i in 0..4 {
+        for k in 0..4 {
+            let x = a[i * 4 + k];
+            if x == Complex::ZERO {
+                continue;
+            }
+            for j in 0..4 {
+                out[i * 4 + j] += x * b[k * 4 + j];
+            }
+        }
+    }
+    out
+}
+
 impl std::ops::Index<(usize, usize)> for CMatrix {
     type Output = Complex;
     #[inline]
@@ -446,6 +468,33 @@ mod tests {
         let z = pauli_z();
         assert_eq!(z.norm_inf(), 1.0);
         assert!((z.norm_fro() - 2f64.sqrt()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn matmul4_matches_matmul_bit_for_bit() {
+        // Signed zeros on both sides, and an infinity on the right: a
+        // skipped zero left entry keeps `0·∞ = NaN` out of the result.
+        let entry = |k: usize| match k % 5 {
+            0 => Complex::new(-0.0, 0.5 - k as f64),
+            1 => Complex::ZERO,
+            2 => Complex::new(0.25 * k as f64, -0.0),
+            3 => -Complex::ZERO,
+            _ => Complex::new(-1.5, 0.75),
+        };
+        let a: [Complex; 16] = std::array::from_fn(entry);
+        let mut b: [Complex; 16] = std::array::from_fn(|k| entry(k + 3));
+        b[6] = Complex::new(f64::INFINITY, 1.0);
+        let dense = |m: &[Complex; 16]| CMatrix::from_fn(4, 4, |i, j| m[i * 4 + j]);
+        let want = dense(&a).matmul(&dense(&b));
+        let got = matmul4(&a, &b);
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for (k, z) in got.iter().enumerate() {
+            let w = want[(k / 4, k % 4)];
+            assert!(
+                same(z.re, w.re) && same(z.im, w.im),
+                "entry {k}: {z} vs {w}"
+            );
+        }
     }
 
     #[test]
