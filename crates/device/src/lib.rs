@@ -38,6 +38,7 @@ pub use registry::{DeviceRegistry, DeviceSpecError};
 use phoenix_circuit::Circuit;
 use phoenix_topology::CouplingGraph;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The native two-qubit instruction set of a device.
 ///
@@ -141,12 +142,15 @@ impl NoiseProfile {
 /// Construct by hand with [`Device::new`], or from a registry spec with
 /// [`DeviceRegistry::build`]. [`Device::bare`] wraps a plain
 /// [`CouplingGraph`] as a noiseless CNOT-ISA device.
+///
+/// The name, graph and noise profile are shared behind [`Arc`], so a clone
+/// only bumps reference counts; equality still compares contents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Device {
-    name: String,
-    graph: CouplingGraph,
+    name: Arc<str>,
+    graph: Arc<CouplingGraph>,
     isa: NativeIsa,
-    noise: NoiseProfile,
+    noise: Arc<NoiseProfile>,
 }
 
 impl Device {
@@ -158,10 +162,10 @@ impl Device {
         noise: NoiseProfile,
     ) -> Self {
         Device {
-            name: name.into(),
-            graph,
+            name: name.into().into(),
+            graph: Arc::new(graph),
             isa,
-            noise,
+            noise: Arc::new(noise),
         }
     }
 
@@ -169,12 +173,7 @@ impl Device {
     /// device a hardware-aware compile onto a plain topology targets.
     pub fn bare(graph: CouplingGraph) -> Self {
         let noise = NoiseProfile::noiseless(&graph);
-        Device {
-            name: "hardware".to_string(),
-            graph,
-            isa: NativeIsa::Cnot,
-            noise,
-        }
+        Device::new("hardware", graph, NativeIsa::Cnot, noise)
     }
 
     /// The device's display name.
@@ -205,7 +204,7 @@ impl Device {
 
     /// Replace the noise profile (builder-style).
     pub fn with_noise(mut self, noise: NoiseProfile) -> Self {
-        self.noise = noise;
+        self.noise = Arc::new(noise);
         self
     }
 

@@ -42,7 +42,8 @@ impl fmt::Display for DeviceSpecError {
             DeviceSpecError::MalformedSize(spec) => write!(
                 f,
                 "malformed device size in '{spec}' (sizes must be positive \
-                 integers, at most {MAX_DIM})"
+                 integers, at most {MAX_DIM}, for at most {MAX_DEVICE_QUBITS} \
+                 physical qubits)"
             ),
             DeviceSpecError::UnknownIsa(isa) => {
                 write!(f, "unknown ISA '@{isa}' (expected @cnot, @su4, or @kak)")
@@ -56,6 +57,13 @@ impl std::error::Error for DeviceSpecError {}
 /// Per-dimension cap on registry-built device sizes, so a hostile spec
 /// like `grid:99999x99999` cannot allocate an absurd graph.
 const MAX_DIM: usize = 4096;
+
+/// Cap on the physical qubits of a registry-built device, checked before
+/// anything is allocated: a graph keeps an n×n distance table, and
+/// `ion-trap:N` has N(N−1)/2 edges, so `grid:4096x4096` (16.7 M qubits)
+/// or `ion-trap:4096` (8.4 M edges) must not pass on their dimensions
+/// alone. The presets and every spec in use are far below it.
+const MAX_DEVICE_QUBITS: usize = 1024;
 
 /// Builds [`Device`]s from compact named specs with seeded noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,23 +121,45 @@ fn build_graph(spec: &str) -> Result<(CouplingGraph, NativeIsa), DeviceSpecError
     let Some((family, size)) = spec.split_once(':') else {
         return Err(DeviceSpecError::UnknownDevice(spec.to_string()));
     };
+    let capped = |qubits: usize| {
+        if qubits <= MAX_DEVICE_QUBITS {
+            Ok(())
+        } else {
+            Err(DeviceSpecError::MalformedSize(spec.to_string()))
+        }
+    };
     match family {
-        "line" => Ok((CouplingGraph::line(parse_dim(spec, size)?), NativeIsa::Cnot)),
-        "ring" => Ok((CouplingGraph::ring(parse_dim(spec, size)?), NativeIsa::Cnot)),
+        "line" | "ring" | "ion-trap" => {
+            let n = parse_dim(spec, size)?;
+            capped(n)?;
+            Ok(match family {
+                "line" => (CouplingGraph::line(n), NativeIsa::Cnot),
+                "ring" => (CouplingGraph::ring(n), NativeIsa::Cnot),
+                _ => (CouplingGraph::all_to_all(n), NativeIsa::Su4),
+            })
+        }
         "grid" => {
             let (r, c) = parse_dims(spec, size)?;
+            capped(r * c)?;
             Ok((CouplingGraph::grid(r, c), NativeIsa::Cnot))
         }
         "heavy-hex" => {
             let (rows, row_len) = parse_dims(spec, size)?;
+            capped(heavy_hex_qubits(rows, row_len))?;
             Ok((CouplingGraph::heavy_hex(rows, row_len), NativeIsa::Cnot))
         }
-        "ion-trap" => Ok((
-            CouplingGraph::all_to_all(parse_dim(spec, size)?),
-            NativeIsa::Su4,
-        )),
         _ => Err(DeviceSpecError::UnknownDevice(spec.to_string())),
     }
+}
+
+/// Qubits of `CouplingGraph::heavy_hex(rows, row_len)`: the rows, plus one
+/// connector per column `c ≡ 2·(r mod 2) (mod 4)` between rows `r` and
+/// `r + 1`.
+fn heavy_hex_qubits(rows: usize, row_len: usize) -> usize {
+    let connectors = (0..rows - 1)
+        .map(|r| (row_len + 3 - 2 * (r % 2)) / 4)
+        .sum::<usize>();
+    rows * row_len + connectors
 }
 
 fn parse_dim(spec: &str, size: &str) -> Result<usize, DeviceSpecError> {
@@ -254,5 +284,50 @@ mod tests {
         // Errors render with guidance.
         let msg = reg.build("torus:4x4").unwrap_err().to_string();
         assert!(msg.contains("heavy-hex"));
+    }
+
+    #[test]
+    fn device_size_is_capped_before_building() {
+        let reg = DeviceRegistry::new();
+        for spec in [
+            "grid:4096x4096",
+            "heavy-hex:4096x4096",
+            "ion-trap:4096",
+            "line:1025",
+            "ring:4096",
+            "grid:33x32",
+            "heavy-hex:20x43@su4",
+        ] {
+            assert!(
+                matches!(reg.build(spec), Err(DeviceSpecError::MalformedSize(_))),
+                "{spec}"
+            );
+        }
+        let msg = reg.build("grid:4096x4096").unwrap_err().to_string();
+        assert!(msg.contains("1024 physical qubits"), "{msg}");
+        for (spec, qubits) in [
+            ("grid:32x32", 1024),
+            ("line:1024", 1024),
+            ("ion-trap:64", 64),
+        ] {
+            assert_eq!(
+                reg.build(spec).unwrap().graph().num_qubits(),
+                qubits,
+                "{spec}"
+            );
+        }
+    }
+
+    #[test]
+    fn heavy_hex_qubit_count_matches_the_graph() {
+        for rows in 1..=7 {
+            for row_len in 1..=13 {
+                assert_eq!(
+                    heavy_hex_qubits(rows, row_len),
+                    CouplingGraph::heavy_hex(rows, row_len).num_qubits(),
+                    "heavy-hex:{rows}x{row_len}"
+                );
+            }
+        }
     }
 }

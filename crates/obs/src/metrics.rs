@@ -331,41 +331,119 @@ impl MetricsRegistry {
     /// is deterministic. Zero-valued counters/gauges and empty histograms
     /// are retained — a report should show what was *not* exercised too.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<CounterSnapshot> = COUNTERS
-            .iter()
-            .map(|&id| CounterSnapshot {
-                name: id.name().to_string(),
-                value: self.counter(id),
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut gauges: Vec<GaugeSnapshot> = GAUGES
-            .iter()
-            .map(|&id| GaugeSnapshot {
-                name: id.name().to_string(),
-                value: self.gauge(id),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<HistogramSnapshot> = HISTOGRAMS
-            .iter()
-            .map(|&id| {
-                let h = self.histogram(id);
-                HistogramSnapshot {
-                    name: id.name().to_string(),
+        self.snapshot_minus(None)
+    }
+
+    /// The current counters and histograms, index-aligned with the
+    /// catalog: a baseline for [`MetricsRegistry::delta_since_raw`].
+    pub(crate) fn raw(&self) -> RawCounts {
+        RawCounts {
+            counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
+            histograms: std::array::from_fn(|i| {
+                let h = &self.histograms[i];
+                RawHistogram {
                     count: h.count(),
                     sum: h.sum(),
-                    buckets: h.buckets(),
+                    buckets: std::array::from_fn(|b| h.buckets[b].load(Ordering::Relaxed)),
+                }
+            }),
+        }
+    }
+
+    /// The counter-wise difference from a raw baseline (saturating, so
+    /// snapshots taken out of order clamp to zero rather than wrap); gauges
+    /// keep their current values. It turns two global readings into a
+    /// per-interval one.
+    pub(crate) fn delta_since_raw(&self, earlier: &RawCounts) -> MetricsSnapshot {
+        self.snapshot_minus(Some(earlier))
+    }
+
+    /// The name-sorted snapshot, with `base` subtracted (saturating) from
+    /// every counter and histogram when given.
+    fn snapshot_minus(&self, base: Option<&RawCounts>) -> MetricsSnapshot {
+        let order = sorted_catalog();
+        let counters = order
+            .counters
+            .iter()
+            .map(|&i| CounterSnapshot {
+                name: COUNTERS[i].name().to_string(),
+                value: self.counters[i]
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(base.map_or(0, |b| b.counters[i])),
+            })
+            .collect();
+        let gauges = order
+            .gauges
+            .iter()
+            .map(|&i| GaugeSnapshot {
+                name: GAUGES[i].name().to_string(),
+                value: self.gauge(GAUGES[i]),
+            })
+            .collect();
+        let histograms = order
+            .histograms
+            .iter()
+            .map(|&i| {
+                let h = &self.histograms[i];
+                let before = base.map(|b| &b.histograms[i]);
+                HistogramSnapshot {
+                    name: HISTOGRAMS[i].name().to_string(),
+                    count: h.count().saturating_sub(before.map_or(0, |b| b.count)),
+                    sum: h.sum().saturating_sub(before.map_or(0, |b| b.sum)),
+                    buckets: h
+                        .buckets
+                        .iter()
+                        .enumerate()
+                        .map(|(k, v)| {
+                            v.load(Ordering::Relaxed)
+                                .saturating_sub(before.map_or(0, |b| b.buckets[k]))
+                        })
+                        .collect(),
                 }
             })
             .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
             counters,
             gauges,
             histograms,
         }
     }
+}
+
+/// Raw counter and histogram values, index-aligned with [`COUNTERS`] and
+/// [`HISTOGRAMS`] (gauges are not subtracted, so they are not kept).
+#[derive(Debug, Clone)]
+pub(crate) struct RawCounts {
+    counters: [u64; COUNTERS.len()],
+    histograms: [RawHistogram; HISTOGRAMS.len()],
+}
+
+#[derive(Debug, Clone)]
+struct RawHistogram {
+    count: u64,
+    sum: u64,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+}
+
+/// The catalog's indices in name order, sorted once per process.
+struct SortedCatalog {
+    counters: Vec<usize>,
+    gauges: Vec<usize>,
+    histograms: Vec<usize>,
+}
+
+fn sorted_catalog() -> &'static SortedCatalog {
+    fn by_name(names: Vec<&'static str>) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..names.len()).collect();
+        order.sort_by_key(|&i| names[i]);
+        order
+    }
+    static ORDER: std::sync::OnceLock<SortedCatalog> = std::sync::OnceLock::new();
+    ORDER.get_or_init(|| SortedCatalog {
+        counters: by_name(COUNTERS.iter().map(|id| id.name()).collect()),
+        gauges: by_name(GAUGES.iter().map(|id| id.name()).collect()),
+        histograms: by_name(HISTOGRAMS.iter().map(|id| id.name()).collect()),
+    })
 }
 
 /// One counter's snapshot.
@@ -419,51 +497,6 @@ impl MetricsSnapshot {
             .map(|c| c.value)
     }
 
-    /// The counter-wise difference `self - earlier`, for turning two global
-    /// snapshots into a per-interval reading. Gauges keep `self`'s values;
-    /// histogram buckets subtract saturating (a shrinking counter means the
-    /// snapshots were taken out of order — clamped to zero rather than
-    /// wrapped).
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| CounterSnapshot {
-                name: c.name.clone(),
-                value: c
-                    .value
-                    .saturating_sub(earlier.counter(&c.name).unwrap_or(0)),
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| {
-                let before = earlier.histograms.iter().find(|e| e.name == h.name);
-                HistogramSnapshot {
-                    name: h.name.clone(),
-                    count: h.count.saturating_sub(before.map_or(0, |b| b.count)),
-                    sum: h.sum.saturating_sub(before.map_or(0, |b| b.sum)),
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| {
-                            v.saturating_sub(
-                                before.and_then(|b| b.buckets.get(i)).copied().unwrap_or(0),
-                            )
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-        }
-    }
-
     /// Whether every counter and histogram is zero/empty.
     pub fn is_empty(&self) -> bool {
         self.counters.iter().all(|c| c.value == 0) && self.histograms.iter().all(|h| h.count == 0)
@@ -495,6 +528,48 @@ pub fn global() -> &'static MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The name-keyed delta `ObsCollector::finish` took before it kept a
+    /// raw baseline: the reference `delta_since_raw` must equal.
+    fn delta_by_name(later: &MetricsSnapshot, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+        let counters = later
+            .counters
+            .iter()
+            .map(|c| CounterSnapshot {
+                name: c.name.clone(),
+                value: c
+                    .value
+                    .saturating_sub(earlier.counter(&c.name).unwrap_or(0)),
+            })
+            .collect();
+        let histograms = later
+            .histograms
+            .iter()
+            .map(|h| {
+                let before = earlier.histograms.iter().find(|e| e.name == h.name);
+                HistogramSnapshot {
+                    name: h.name.clone(),
+                    count: h.count.saturating_sub(before.map_or(0, |b| b.count)),
+                    sum: h.sum.saturating_sub(before.map_or(0, |b| b.sum)),
+                    buckets: h
+                        .buckets
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| {
+                            v.saturating_sub(
+                                before.and_then(|b| b.buckets.get(i)).copied().unwrap_or(0),
+                            )
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        MetricsSnapshot {
+            counters,
+            gauges: later.gauges.clone(),
+            histograms,
+        }
+    }
 
     #[test]
     fn catalog_is_complete() {
@@ -570,7 +645,7 @@ mod tests {
         let before = r.snapshot();
         r.add(MetricId::SimGateOps, 7);
         r.observe(HistogramId::GroupTerms, 9);
-        let delta = r.snapshot().delta_since(&before);
+        let delta = delta_by_name(&r.snapshot(), &before);
         assert_eq!(delta.counter("sim_gate_ops"), Some(7));
         let h = delta
             .histograms
@@ -579,6 +654,25 @@ mod tests {
             .unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 9);
+    }
+
+    #[test]
+    fn raw_delta_equals_the_named_delta() {
+        let r = MetricsRegistry::new();
+        r.add(MetricId::SimGateOps, 10);
+        r.add(MetricId::SabreSwapsTotal, 3);
+        r.observe(HistogramId::GroupTerms, 5);
+        r.set_gauge(GaugeId::DeviceQubits, 16);
+        let (raw, named) = (r.raw(), r.snapshot());
+        r.add(MetricId::SimGateOps, 7);
+        r.observe(HistogramId::GroupTerms, 9);
+        r.observe(HistogramId::GroupCnots, 900);
+        r.set_gauge(GaugeId::DeviceQubits, 27);
+        let delta = r.delta_since_raw(&raw);
+        assert_eq!(delta, delta_by_name(&r.snapshot(), &named));
+        assert_eq!(delta.counter("sim_gate_ops"), Some(7));
+        assert_eq!(delta.counter("sabre_swaps_total"), Some(0));
+        assert_eq!(delta.gauges, r.snapshot().gauges);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{self, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{self, MetricsRegistry, RawCounts};
 use crate::report::{ObsEvent, ObsReport};
 
 /// One node of the span tree.
@@ -103,7 +103,7 @@ impl Span {
 pub struct ObsCollector {
     epoch: Instant,
     metrics: MetricsRegistry,
-    global_at_start: MetricsSnapshot,
+    global_at_start: RawCounts,
     roots: Mutex<Vec<Span>>,
 }
 
@@ -121,7 +121,7 @@ impl ObsCollector {
         ObsCollector {
             epoch: Instant::now(),
             metrics: MetricsRegistry::new(),
-            global_at_start: metrics::global().snapshot(),
+            global_at_start: metrics::global().raw(),
             roots: Mutex::new(Vec::new()),
         }
     }
@@ -166,9 +166,7 @@ impl ObsCollector {
         ObsReport {
             root,
             metrics: self.metrics.snapshot(),
-            global_metrics: metrics::global()
-                .snapshot()
-                .delta_since(&self.global_at_start),
+            global_metrics: metrics::global().delta_since_raw(&self.global_at_start),
             events,
         }
     }

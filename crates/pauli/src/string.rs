@@ -325,34 +325,113 @@ impl PauliString {
     }
 }
 
-/// Error returned when parsing a [`PauliString`] label fails.
+/// Error returned when parsing a [`PauliString`] label fails: a character
+/// outside `I`, `X`, `Y`, `Z` (either case), or a label wider than
+/// [`MAX_QUBITS`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsePauliStringError {
-    offending: char,
+    kind: ParseErrorKind,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ParseErrorKind {
+    /// The first character that is not a Pauli letter.
+    Char(char),
+    /// The label's width, over [`MAX_QUBITS`].
+    Width(usize),
 }
 
 impl fmt::Display for ParsePauliStringError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid pauli character {:?}; expected one of I, X, Y, Z",
-            self.offending
-        )
+        match self.kind {
+            ParseErrorKind::Char(c) => write!(
+                f,
+                "invalid pauli character {c:?}; expected one of I, X, Y, Z"
+            ),
+            ParseErrorKind::Width(n) => write!(
+                f,
+                "pauli string of {n} qubits exceeds the supported maximum of {MAX_QUBITS} qubits"
+            ),
+        }
     }
 }
 
 impl std::error::Error for ParsePauliStringError {}
 
+/// The symplectic `(x, z)` bits of one label byte, `None` unless it is a
+/// Pauli letter (`Pauli::from_char` accepts either case).
+#[inline]
+fn label_bits(b: u8) -> Option<(u64, u64)> {
+    match b {
+        b'I' | b'i' => Some((0, 0)),
+        b'X' | b'x' => Some((1, 0)),
+        b'Y' | b'y' => Some((1, 1)),
+        b'Z' | b'z' => Some((0, 1)),
+        _ => None,
+    }
+}
+
+/// Packs `label` into the `x` and `z` words, 64 qubits a word; `false` if
+/// a byte is not a Pauli letter.
+fn pack_label(label: &[u8], x: &mut [u64], z: &mut [u64]) -> bool {
+    for (w, chunk) in label.chunks(64).enumerate() {
+        let (mut xw, mut zw) = (0u64, 0u64);
+        for (j, &b) in chunk.iter().enumerate() {
+            let Some((xb, zb)) = label_bits(b) else {
+                return false;
+            };
+            xw |= xb << j;
+            zw |= zb << j;
+        }
+        x[w] = xw;
+        z[w] = zw;
+    }
+    true
+}
+
 impl FromStr for PauliString {
     type Err = ParsePauliStringError;
 
+    /// Parses a label, qubit 0 first, in one pass over its bytes; masks of
+    /// up to 128 qubits are built on the stack.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut out = PauliString::identity(s.chars().count());
-        for (q, c) in s.chars().enumerate() {
-            let p = Pauli::from_char(c).ok_or(ParsePauliStringError { offending: c })?;
-            out.set(q, p);
+        // A valid label is ASCII, so its width is its byte length; on an
+        // invalid one the first offending character is the error.
+        let invalid = || ParsePauliStringError {
+            kind: ParseErrorKind::Char(
+                s.chars()
+                    .find(|&c| Pauli::from_char(c).is_none())
+                    .unwrap_or_default(),
+            ),
+        };
+        let bytes = s.as_bytes();
+        let n = bytes.len();
+        if n > MAX_QUBITS {
+            return Err(if bytes.iter().all(|&b| label_bits(b).is_some()) {
+                ParsePauliStringError {
+                    kind: ParseErrorKind::Width(n),
+                }
+            } else {
+                invalid()
+            });
         }
-        Ok(out)
+        let (x, z) = if n <= 128 {
+            let (mut x, mut z) = ([0u64; 2], [0u64; 2]);
+            if !pack_label(bytes, &mut x, &mut z) {
+                return Err(invalid());
+            }
+            let wide =
+                |w: [u64; 2]| QubitMask::from_u128(u128::from(w[1]) << 64 | u128::from(w[0]));
+            (wide(x), wide(z))
+        } else {
+            let words = crate::mask::words_for(n);
+            let (mut x, mut z) = (vec![0u64; words], vec![0u64; words]);
+            if !pack_label(bytes, &mut x, &mut z) {
+                return Err(invalid());
+            }
+            (QubitMask::from_words(x), QubitMask::from_words(z))
+        };
+        Ok(PauliString { n: n as u32, x, z })
     }
 }
 
@@ -379,6 +458,60 @@ mod tests {
     fn parse_rejects_bad_char() {
         let err = "XQZ".parse::<PauliString>().unwrap_err();
         assert!(err.to_string().contains("'Q'"));
+    }
+
+    #[test]
+    fn parse_names_the_first_bad_character_non_ascii_included() {
+        for (label, bad) in [
+            ("XéQ", "'é'"),
+            ("zQ", "'Q'"),
+            ("ZZ\u{1F600}", "'\u{1F600}'"),
+        ] {
+            let err = label.parse::<PauliString>().unwrap_err().to_string();
+            assert!(err.contains(bad), "{label}: {err}");
+        }
+        // Lower case is accepted, as `Pauli::from_char` accepts it.
+        assert_eq!("xyzi".parse::<PauliString>().unwrap().label(), "XYZI");
+        assert!("".parse::<PauliString>().unwrap().is_identity());
+    }
+
+    #[test]
+    fn parse_matches_building_one_qubit_at_a_time() {
+        let letters = ['I', 'X', 'Y', 'Z', 'x', 'z'];
+        for n in [1, 63, 64, 65, 127, 128, 129, 200, 300] {
+            let label: String = (0..n)
+                .map(|q| letters[(q * 7 + n) % letters.len()])
+                .collect();
+            let mut want = PauliString::identity(n);
+            for (q, c) in label.chars().enumerate() {
+                want.set(q, Pauli::from_char(c).unwrap());
+            }
+            let got: PauliString = label.parse().unwrap();
+            assert_eq!(got, want, "n = {n}");
+            assert_eq!(got.x_mask().words(), want.x_mask().words(), "n = {n}");
+            assert_eq!(got.z_mask().words(), want.z_mask().words(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_labels_wider_than_max_qubits() {
+        assert_eq!(
+            "Z".repeat(MAX_QUBITS)
+                .parse::<PauliString>()
+                .unwrap()
+                .num_qubits(),
+            MAX_QUBITS
+        );
+        let err = "Z"
+            .repeat(MAX_QUBITS + 1)
+            .parse::<PauliString>()
+            .unwrap_err();
+        assert!(err.to_string().contains("65537 qubits"), "{err}");
+        // A label of at most MAX_QUBITS characters but more bytes is judged
+        // by its characters.
+        let wide = format!("{}é", "Z".repeat(MAX_QUBITS - 1));
+        let err = wide.parse::<PauliString>().unwrap_err();
+        assert!(err.to_string().contains("'é'"), "{err}");
     }
 
     #[test]

@@ -31,10 +31,16 @@
 //! `ion-trap:N` (plus the fixed presets), with an optional
 //! `@cnot`/`@su4`/`@kak` native-ISA suffix.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
 use phoenix_core::phoenix_cache::CacheStats;
-use phoenix_core::{CompileOutcome, DeviceRegistry, FleetOutcome, PhoenixError, Target};
+use phoenix_core::{
+    CompileOutcome, Device, DeviceRegistry, DeviceSpecError, FleetOutcome, PhoenixError, Target,
+};
 use phoenix_pauli::PauliString;
-use serde_json::Value;
+use serde_json::{Reader, Value};
 
 /// Default per-frame size bound (bytes), chosen to admit multi-thousand-term
 /// Hamiltonians while bounding a hostile client's memory leverage.
@@ -125,7 +131,7 @@ pub struct FleetSpec {
     pub terms: Vec<(PauliString, f64)>,
     /// The fleet members, built from registry specs at parse time so an
     /// unknown device name fails fast with a line-numbered error.
-    pub devices: Vec<phoenix_core::Device>,
+    pub devices: Vec<Device>,
     /// Wall-clock deadline, measured from admission.
     pub deadline_ms: Option<u64>,
     /// Ordering-lookahead override.
@@ -320,93 +326,372 @@ fn invalid(id: Option<u64>, line: u64, message: &str) -> Value {
     error_reply(id, ErrorKind::InvalidRequest, message, Some(line), None)
 }
 
-fn get_u64(map: &Value, key: &str) -> Option<u64> {
-    map.get(key).and_then(Value::as_u64)
+/// Most device specs the process-wide [`DeviceTable`] keeps. Specs past it
+/// are built per frame, as they would be without the table.
+pub const DEVICE_TABLE_BOUND: usize = 64;
+
+/// Registry devices resolved by earlier frames, keyed by trimmed spec:
+/// a frame naming a known spec clones its [`Device`] (a refcount bump)
+/// instead of rebuilding its graph and noise profile. Insert-only, up to
+/// [`DEVICE_TABLE_BOUND`] specs, so a client cycling through specs cannot
+/// grow it; failed builds are never kept.
+#[derive(Debug, Default)]
+pub struct DeviceTable {
+    devices: Mutex<HashMap<String, Device>>,
 }
 
-/// Rejects any key outside `allowed`, naming the first offender.
-fn check_fields(map: &Value, allowed: &[&str]) -> Result<(), String> {
-    let Value::Map(pairs) = map else {
-        return Err("request frame must be a JSON object".to_string());
-    };
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("unknown field `{k}`"));
+impl DeviceTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        DeviceTable::default()
+    }
+
+    /// The table every `parse_request` call resolves through.
+    pub fn global() -> &'static DeviceTable {
+        static TABLE: OnceLock<DeviceTable> = OnceLock::new();
+        TABLE.get_or_init(DeviceTable::new)
+    }
+
+    /// The device `DeviceRegistry::new().build(spec)` builds, from the
+    /// table when the trimmed spec is in it.
+    ///
+    /// # Errors
+    ///
+    /// The registry's typed error for an invalid spec.
+    pub fn resolve(&self, spec: &str) -> Result<Device, DeviceSpecError> {
+        let spec = spec.trim();
+        if let Some(device) = self.lock().get(spec) {
+            return Ok(device.clone());
+        }
+        let device = DeviceRegistry::new().build(spec)?;
+        let mut devices = self.lock();
+        if devices.len() < DEVICE_TABLE_BOUND {
+            devices
+                .entry(spec.to_string())
+                .or_insert_with(|| device.clone());
+        }
+        Ok(device)
+    }
+
+    /// Number of specs held.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Whether no spec is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Device>> {
+        self.devices.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+const TERMS_SHAPE: &str = "`terms` must be an array of [pauli-string, coefficient] pairs";
+const DEVICES_SHAPE: &str = "`devices` must be an array of device-spec strings";
+
+/// A member decoded without a syntax error: its value, or the field error
+/// the frame is rejected with if this member is the one that decides.
+type Decoded<T> = Result<T, String>;
+
+/// A request frame after one pass: every key in order, and the first
+/// occurrence of each protocol key, decoded (a later duplicate is read for
+/// syntax only, as `Value::get` finds the first). Numbers follow
+/// `Value::as_u64`/`as_f64`, and a member of the wrong type decodes to
+/// what the reply for it needs. `None` marks an absent member.
+#[derive(Default)]
+struct Members<'a> {
+    keys: Vec<Cow<'a, str>>,
+    /// `""` when the member is not a string.
+    op: Option<Cow<'a, str>>,
+    id: Option<Option<u64>>,
+    qubits: Option<Option<u64>>,
+    deadline_ms: Option<Option<u64>>,
+    lookahead: Option<Option<u64>>,
+    cancel: Option<Option<u64>>,
+    terms: Option<Decoded<Vec<(PauliString, f64)>>>,
+    /// `Some(None)` when the member is not a string.
+    target: Option<Option<Cow<'a, str>>>,
+    /// `None` entries are not strings.
+    devices: Option<Decoded<Vec<Option<Cow<'a, str>>>>>,
+    #[cfg(feature = "sabotage")]
+    sabotage: Option<Option<Cow<'a, str>>>,
+}
+
+impl<'a> Members<'a> {
+    /// Reads a frame, or `None` if it is JSON but not an object. A syntax
+    /// error anywhere in the frame is the error, whatever else is wrong.
+    fn read(frame: &'a str) -> Result<Option<Self>, serde_json::Error> {
+        let mut r = Reader::new(frame);
+        if r.peek() != Some(b'{') {
+            r.value()?;
+            r.end()?;
+            return Ok(None);
+        }
+        let mut m = Members::default();
+        let mut key = r.begin_object()?;
+        while let Some(k) = key {
+            let r = &mut r;
+            match &*k {
+                "op" if m.op.is_none() => m.op = Some(read_str(r)?.unwrap_or_default()),
+                "id" if m.id.is_none() => m.id = Some(r.value()?.as_u64()),
+                "qubits" if m.qubits.is_none() => m.qubits = Some(r.value()?.as_u64()),
+                "deadline_ms" if m.deadline_ms.is_none() => {
+                    m.deadline_ms = Some(r.value()?.as_u64());
+                }
+                "lookahead" if m.lookahead.is_none() => m.lookahead = Some(r.value()?.as_u64()),
+                "cancel" if m.cancel.is_none() => m.cancel = Some(r.value()?.as_u64()),
+                "terms" if m.terms.is_none() => m.terms = Some(read_terms(r)?),
+                "target" if m.target.is_none() => m.target = Some(read_str(r)?),
+                "devices" if m.devices.is_none() => m.devices = Some(read_devices(r)?),
+                #[cfg(feature = "sabotage")]
+                "sabotage" if m.sabotage.is_none() => m.sabotage = Some(read_str(r)?),
+                _ => {
+                    r.value()?;
+                }
+            }
+            m.keys.push(k);
+            key = r.next_key()?;
+        }
+        r.end()?;
+        Ok(Some(m))
+    }
+
+    /// Rejects any key outside `allowed`, naming the first offender.
+    fn check_fields(&self, allowed: &[&str], id: Option<u64>, line_no: u64) -> Result<(), Value> {
+        match self.keys.iter().find(|k| !allowed.contains(&k.as_ref())) {
+            Some(k) => Err(invalid(id, line_no, &format!("unknown field `{k}`"))),
+            None => Ok(()),
         }
     }
-    Ok(())
+
+    /// The request, checking fields in the order the protocol defines:
+    /// keys, `id`, `qubits`, `terms`, then `target` or `devices`.
+    fn into_request(self, line_no: u64) -> Result<Request, Value> {
+        // A cancel frame is its own single-field object.
+        if let Some(cancel) = self.cancel {
+            self.check_fields(&["cancel"], None, line_no)?;
+            let id =
+                cancel.ok_or_else(|| invalid(None, line_no, "`cancel` must be a request id"))?;
+            return Ok(Request::Cancel { id });
+        }
+        let op = self.op.as_deref().unwrap_or("compile");
+        let id = self.id.flatten();
+        #[cfg(not(feature = "sabotage"))]
+        const COMPILE: &[&str] = &[
+            "op",
+            "id",
+            "qubits",
+            "terms",
+            "target",
+            "deadline_ms",
+            "lookahead",
+        ];
+        #[cfg(feature = "sabotage")]
+        const COMPILE: &[&str] = &[
+            "op",
+            "id",
+            "qubits",
+            "terms",
+            "target",
+            "deadline_ms",
+            "lookahead",
+            "sabotage",
+        ];
+        const FLEET: &[&str] = &[
+            "op",
+            "id",
+            "qubits",
+            "terms",
+            "devices",
+            "deadline_ms",
+            "lookahead",
+        ];
+        let allowed = match op {
+            "ping" | "stats" => &["op", "id"][..],
+            "compile" => COMPILE,
+            "fleet" => FLEET,
+            other => return Err(invalid(id, line_no, &format!("unknown op `{other}`"))),
+        };
+        self.check_fields(allowed, id, line_no)?;
+        let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
+        match op {
+            "ping" => return Ok(Request::Ping { id }),
+            "stats" => return Ok(Request::Stats { id }),
+            _ => {}
+        }
+        let invalid = |message: String| invalid(Some(id), line_no, &message);
+        let qubits = self
+            .qubits
+            .flatten()
+            .ok_or_else(|| invalid("missing `qubits`".to_string()))? as usize;
+        let terms = self
+            .terms
+            .unwrap_or_else(|| Err(TERMS_SHAPE.to_string()))
+            .map_err(invalid)?;
+        let lookahead = self.lookahead.flatten().map(|l| l as usize);
+        let deadline_ms = self.deadline_ms.flatten();
+        if op == "fleet" {
+            let specs = self
+                .devices
+                .unwrap_or_else(|| Err(DEVICES_SHAPE.to_string()))
+                .map_err(&invalid)?;
+            let devices = resolve_devices(&specs).map_err(invalid)?;
+            return Ok(Request::Fleet(FleetSpec {
+                id,
+                qubits,
+                terms,
+                devices,
+                deadline_ms,
+                lookahead,
+            }));
+        }
+        let target = resolve_target(self.target).map_err(invalid)?;
+        #[cfg(feature = "sabotage")]
+        let sabotage = parse_sabotage(self.sabotage).map_err(invalid)?;
+        Ok(Request::Compile(CompileSpec {
+            id,
+            qubits,
+            terms,
+            target,
+            deadline_ms,
+            lookahead,
+            #[cfg(feature = "sabotage")]
+            sabotage,
+        }))
+    }
 }
 
-fn parse_target(value: Option<&Value>) -> Result<Target, String> {
-    let Some(value) = value else {
+/// A string member, or `None` (read for syntax only) for any other value.
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, serde_json::Error> {
+    if r.peek() == Some(b'"') {
+        r.string().map(Some)
+    } else {
+        r.value().map(|_| None)
+    }
+}
+
+/// The `terms` array, straight into Pauli strings. After the first bad
+/// entry, which the error names, the rest is read for syntax only.
+fn read_terms(r: &mut Reader) -> Result<Decoded<Vec<(PauliString, f64)>>, serde_json::Error> {
+    if r.peek() != Some(b'[') {
+        r.value()?;
+        return Ok(Err(TERMS_SHAPE.to_string()));
+    }
+    let mut terms = Vec::new();
+    let mut more = r.begin_array()?;
+    while more {
+        match read_term(r, terms.len())? {
+            Ok(term) => terms.push(term),
+            Err(message) => {
+                while r.next_element()? {
+                    r.value()?;
+                }
+                return Ok(Err(message));
+            }
+        }
+        more = r.next_element()?;
+    }
+    Ok(Ok(terms))
+}
+
+/// Entry `i` of `terms`: exactly a `[label, number]` pair, checked in that
+/// order (shape, label type, label, coefficient).
+fn read_term(r: &mut Reader, i: usize) -> Result<Decoded<(PauliString, f64)>, serde_json::Error> {
+    let not_a_pair = || Ok(Err(format!("terms[{i}] must be a [string, number] pair")));
+    if r.peek() != Some(b'[') {
+        r.value()?;
+        return not_a_pair();
+    }
+    if !r.begin_array()? {
+        return not_a_pair();
+    }
+    let label = read_str(r)?;
+    if !r.next_element()? {
+        return not_a_pair();
+    }
+    let coeff = r.value()?.as_f64();
+    if r.next_element()? {
+        r.value()?;
+        while r.next_element()? {
+            r.value()?;
+        }
+        return not_a_pair();
+    }
+    let Some(label) = label else {
+        return Ok(Err(format!("terms[{i}][0] must be a Pauli string")));
+    };
+    let pauli = match label.parse::<PauliString>() {
+        Ok(pauli) => pauli,
+        Err(e) => return Ok(Err(format!("terms[{i}]: {e}"))),
+    };
+    Ok(coeff
+        .map(|c| (pauli, c))
+        .ok_or_else(|| format!("terms[{i}][1] must be a number")))
+}
+
+/// The `devices` array's entries; `None` entries are not strings.
+fn read_devices<'a>(
+    r: &mut Reader<'a>,
+) -> Result<Decoded<Vec<Option<Cow<'a, str>>>>, serde_json::Error> {
+    if r.peek() != Some(b'[') {
+        r.value()?;
+        return Ok(Err(DEVICES_SHAPE.to_string()));
+    }
+    let mut specs = Vec::new();
+    let mut more = r.begin_array()?;
+    while more {
+        specs.push(read_str(r)?);
+        more = r.next_element()?;
+    }
+    Ok(Ok(specs))
+}
+
+fn resolve_target(target: Option<Option<Cow<str>>>) -> Result<Target, String> {
+    let Some(target) = target else {
         return Ok(Target::Logical);
     };
-    let Some(s) = value.as_str() else {
+    let Some(s) = target else {
         return Err("`target` must be a string".to_string());
     };
-    match s {
+    match &*s {
         "logical" => Ok(Target::Logical),
         "cnot" => Ok(Target::Cnot),
         "su4" => Ok(Target::Su4),
         "cnot-kak" => Ok(Target::CnotViaKak),
         // Anything else is a device spec, resolved through the registry so
         // unknown names and malformed sizes get its typed diagnostics.
-        spec => DeviceRegistry::new()
-            .build(spec)
+        spec => DeviceTable::global()
+            .resolve(spec)
             .map(Target::Device)
             .map_err(|e| format!("`target`: {e}")),
     }
 }
 
-/// Parses the `devices` field of a fleet frame: a non-empty array of
-/// registry specs, each resolved through the [`DeviceRegistry`]. Errors
-/// name the offending entry (`devices[i]: ...`).
-fn parse_devices(value: Option<&Value>) -> Result<Vec<phoenix_core::Device>, String> {
-    let entries = value
-        .and_then(Value::as_array)
-        .ok_or("`devices` must be an array of device-spec strings")?;
-    if entries.is_empty() {
+/// Resolves the `devices` of a fleet frame: a non-empty array of registry
+/// specs. Errors name the offending entry (`devices[i]: ...`).
+fn resolve_devices(specs: &[Option<Cow<str>>]) -> Result<Vec<Device>, String> {
+    if specs.is_empty() {
         return Err("`devices` must name at least one device".to_string());
     }
-    let registry = DeviceRegistry::new();
-    let mut devices = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let spec = entry
-            .as_str()
-            .ok_or_else(|| format!("devices[{i}] must be a device-spec string"))?;
-        let device = registry
-            .build(spec)
-            .map_err(|e| format!("devices[{i}]: {e}"))?;
-        devices.push(device);
-    }
-    Ok(devices)
-}
-
-fn parse_terms(value: Option<&Value>) -> Result<Vec<(PauliString, f64)>, String> {
-    let entries = value
-        .and_then(Value::as_array)
-        .ok_or("`terms` must be an array of [pauli-string, coefficient] pairs")?;
-    let mut terms = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let pair = entry
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("terms[{i}] must be a [string, number] pair"))?;
-        let label = pair[0]
-            .as_str()
-            .ok_or_else(|| format!("terms[{i}][0] must be a Pauli string"))?;
-        let pauli: PauliString = label.parse().map_err(|e| format!("terms[{i}]: {e}"))?;
-        let coeff = pair[1]
-            .as_f64()
-            .ok_or_else(|| format!("terms[{i}][1] must be a number"))?;
-        terms.push((pauli, coeff));
-    }
-    Ok(terms)
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let spec = spec
+                .as_deref()
+                .ok_or_else(|| format!("devices[{i}] must be a device-spec string"))?;
+            DeviceTable::global()
+                .resolve(spec)
+                .map_err(|e| format!("devices[{i}]: {e}"))
+        })
+        .collect()
 }
 
 #[cfg(feature = "sabotage")]
-fn parse_sabotage(value: Option<&Value>) -> Result<Option<Sabotage>, String> {
-    match value.map(|v| v.as_str()) {
+fn parse_sabotage(value: Option<Option<Cow<str>>>) -> Result<Option<Sabotage>, String> {
+    match value.as_ref().map(|v| v.as_deref()) {
         None => Ok(None),
         Some(Some("pass")) => Ok(Some(Sabotage::Pass)),
         Some(Some("worker")) => Ok(Some(Sabotage::Worker)),
@@ -418,116 +703,14 @@ fn parse_sabotage(value: Option<&Value>) -> Result<Option<Sabotage>, String> {
 /// connection, echoed into error replies so clients can pinpoint the
 /// offending frame in a pipelined stream. On failure the returned `Err` is
 /// a ready-to-send error reply.
+///
+/// The frame is decoded in one pass over its bytes, `terms` straight into
+/// Pauli strings, and device specs resolve through [`DeviceTable::global`].
 pub fn parse_request(frame: &str, line_no: u64) -> Result<Request, Value> {
-    let value: Value = serde_json::from_str(frame)
-        .map_err(|e| invalid(None, line_no, &format!("malformed JSON: {e}")))?;
-    if !matches!(value, Value::Map(_)) {
-        return Err(invalid(
-            None,
-            line_no,
-            "request frame must be a JSON object",
-        ));
-    }
-    // A cancel frame is its own single-field object.
-    if value.get("cancel").is_some() {
-        check_fields(&value, &["cancel"]).map_err(|m| invalid(None, line_no, &m))?;
-        let id = get_u64(&value, "cancel")
-            .ok_or_else(|| invalid(None, line_no, "`cancel` must be a request id"))?;
-        return Ok(Request::Cancel { id });
-    }
-    let op = value
-        .get("op")
-        .map(|v| v.as_str().unwrap_or(""))
-        .unwrap_or("compile");
-    let id = get_u64(&value, "id");
-    match op {
-        "ping" | "stats" => {
-            check_fields(&value, &["op", "id"]).map_err(|m| invalid(id, line_no, &m))?;
-            let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
-            Ok(match op {
-                "ping" => Request::Ping { id },
-                _ => Request::Stats { id },
-            })
-        }
-        "compile" => {
-            #[cfg(not(feature = "sabotage"))]
-            const ALLOWED: &[&str] = &[
-                "op",
-                "id",
-                "qubits",
-                "terms",
-                "target",
-                "deadline_ms",
-                "lookahead",
-            ];
-            #[cfg(feature = "sabotage")]
-            const ALLOWED: &[&str] = &[
-                "op",
-                "id",
-                "qubits",
-                "terms",
-                "target",
-                "deadline_ms",
-                "lookahead",
-                "sabotage",
-            ];
-            check_fields(&value, ALLOWED).map_err(|m| invalid(id, line_no, &m))?;
-            let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
-            let qubits = get_u64(&value, "qubits")
-                .ok_or_else(|| invalid(Some(id), line_no, "missing `qubits`"))?
-                as usize;
-            let terms =
-                parse_terms(value.get("terms")).map_err(|m| invalid(Some(id), line_no, &m))?;
-            let target =
-                parse_target(value.get("target")).map_err(|m| invalid(Some(id), line_no, &m))?;
-            let lookahead = get_u64(&value, "lookahead").map(|l| l as usize);
-            let deadline_ms = get_u64(&value, "deadline_ms");
-            #[cfg(feature = "sabotage")]
-            let sabotage = parse_sabotage(value.get("sabotage"))
-                .map_err(|m| invalid(Some(id), line_no, &m))?;
-            Ok(Request::Compile(CompileSpec {
-                id,
-                qubits,
-                terms,
-                target,
-                deadline_ms,
-                lookahead,
-                #[cfg(feature = "sabotage")]
-                sabotage,
-            }))
-        }
-        "fleet" => {
-            const ALLOWED: &[&str] = &[
-                "op",
-                "id",
-                "qubits",
-                "terms",
-                "devices",
-                "deadline_ms",
-                "lookahead",
-            ];
-            check_fields(&value, ALLOWED).map_err(|m| invalid(id, line_no, &m))?;
-            let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
-            let qubits = get_u64(&value, "qubits")
-                .ok_or_else(|| invalid(Some(id), line_no, "missing `qubits`"))?
-                as usize;
-            let terms =
-                parse_terms(value.get("terms")).map_err(|m| invalid(Some(id), line_no, &m))?;
-            let devices =
-                parse_devices(value.get("devices")).map_err(|m| invalid(Some(id), line_no, &m))?;
-            let lookahead = get_u64(&value, "lookahead").map(|l| l as usize);
-            let deadline_ms = get_u64(&value, "deadline_ms");
-            Ok(Request::Fleet(FleetSpec {
-                id,
-                qubits,
-                terms,
-                devices,
-                deadline_ms,
-                lookahead,
-            }))
-        }
-        other => Err(invalid(id, line_no, &format!("unknown op `{other}`"))),
-    }
+    let members = Members::read(frame)
+        .map_err(|e| invalid(None, line_no, &format!("malformed JSON: {e}")))?
+        .ok_or_else(|| invalid(None, line_no, "request frame must be a JSON object"))?;
+    members.into_request(line_no)
 }
 
 #[cfg(test)]
@@ -683,6 +866,53 @@ mod tests {
     #[test]
     fn cancel_frames_admit_no_extra_fields() {
         assert!(parse_request(r#"{"cancel":1,"id":2}"#, 1).is_err());
+    }
+
+    #[test]
+    fn hostile_frames_get_line_numbered_invalid_requests() {
+        let nested = format!(
+            r#"{{"op":"compile","id":1,"qubits":1,"terms":{}"#,
+            "[".repeat(10_000)
+        );
+        let wide = format!(
+            r#"{{"op":"compile","id":1,"qubits":1,"terms":[["{}",1.0]]}}"#,
+            "Z".repeat(phoenix_pauli::MAX_QUBITS + 1)
+        );
+        let device =
+            r#"{"op":"compile","id":1,"qubits":2,"terms":[["ZZ",1.0]],"target":"grid:4096x4096"}"#;
+        let fleet =
+            r#"{"op":"fleet","id":1,"qubits":2,"terms":[["ZZ",1.0]],"devices":["ion-trap:4096"]}"#;
+        for (frame, needle) in [
+            (nested.as_str(), "recursion limit exceeded"),
+            (wide.as_str(), "terms[0]: pauli string of 65537 qubits"),
+            (device, "`target`: malformed device size"),
+            (fleet, "devices[0]: malformed device size"),
+        ] {
+            let err = parse_request(frame, 5).unwrap_err();
+            assert_eq!(err.get("kind").unwrap().as_str(), Some("invalid_request"));
+            assert_eq!(err.get("line").unwrap().as_u64(), Some(5));
+            let msg = err.get("message").unwrap().as_str().unwrap();
+            assert!(msg.contains(needle), "{msg}");
+        }
+    }
+
+    #[test]
+    fn frames_nest_up_to_the_reader_depth() {
+        // The frame object is the first level.
+        let depth = serde_json::MAX_DEPTH - 1;
+        let frame = |d: usize| {
+            format!(
+                r#"{{"op":"ping","id":1,"x":{}{}}}"#,
+                "[".repeat(d),
+                "]".repeat(d)
+            )
+        };
+        let err = parse_request(&frame(depth), 1).unwrap_err();
+        let msg = err.get("message").unwrap().as_str().unwrap();
+        assert_eq!(msg, "unknown field `x`");
+        let err = parse_request(&frame(depth + 1), 1).unwrap_err();
+        let msg = err.get("message").unwrap().as_str().unwrap();
+        assert!(msg.contains("recursion limit exceeded"), "{msg}");
     }
 
     #[test]

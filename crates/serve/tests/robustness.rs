@@ -222,6 +222,82 @@ fn malformed_frames_get_line_numbered_typed_errors() {
     assert_eq!(report.admitted, 0);
 }
 
+/// Sends `frame`, expects a line-numbered `invalid_request` whose message
+/// contains `needle`, then checks the same connection still answers.
+fn assert_rejected_then_served(client: &mut Client, frame: &str, line: u64, needle: &str) {
+    client.send_line(frame).unwrap();
+    let reply: Value = serde_json::from_str(&client.recv_line().unwrap()).unwrap();
+    assert_eq!(kind(&reply), Some("invalid_request"), "reply: {reply:?}");
+    assert_eq!(reply.get("line").and_then(Value::as_u64), Some(line));
+    let message = reply.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains(needle), "{message}");
+    let pong = client.ping(1000 + line).unwrap();
+    assert_eq!(status(&pong), "pong", "reply: {pong:?}");
+}
+
+#[test]
+fn deeply_nested_frames_are_rejected_and_the_connection_survives() {
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    let prefix = r#"{"op":"compile","id":1,"qubits":1,"terms":"#;
+    // 10 000 levels in a 10 KB frame: enough to overflow a recursive parser.
+    let nested = format!("{prefix}{}", "[".repeat(10_000));
+    assert_rejected_then_served(&mut client, &nested, 1, "recursion limit exceeded");
+    // Just under the 1 MiB frame bound.
+    let bound = phoenix_serve::protocol::DEFAULT_MAX_FRAME_BYTES;
+    let nested = format!("{prefix}{}", "[".repeat(bound - 1 - prefix.len()));
+    assert_eq!(nested.len(), bound - 1);
+    assert_rejected_then_served(&mut client, &nested, 3, "recursion limit exceeded");
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.invalid_frames, 2);
+    assert_eq!(report.oversized_frames, 0);
+}
+
+#[test]
+fn over_wide_labels_are_rejected_and_the_connection_survives() {
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    let width = phoenix_pauli::MAX_QUBITS + 1;
+    let frame = format!(
+        r#"{{"op":"compile","id":1,"qubits":1,"terms":[["Z",1.0],["{}",1.0]]}}"#,
+        "Z".repeat(width)
+    );
+    assert_rejected_then_served(
+        &mut client,
+        &frame,
+        1,
+        &format!("terms[1]: pauli string of {width} qubits"),
+    );
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().invalid_frames, 1);
+}
+
+#[test]
+fn oversized_devices_are_rejected_and_the_connection_survives() {
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    let target = |spec: &str| {
+        format!(r#"{{"op":"compile","id":1,"qubits":2,"terms":[["ZZ",1.0]],"target":"{spec}"}}"#)
+    };
+    assert_rejected_then_served(
+        &mut client,
+        &target("grid:4096x4096"),
+        1,
+        "malformed device size",
+    );
+    assert_rejected_then_served(
+        &mut client,
+        &target("heavy-hex:4096x4096@su4"),
+        3,
+        "malformed device size",
+    );
+    let fleet = r#"{"op":"fleet","id":2,"qubits":2,"terms":[["ZZ",1.0]],"devices":["line:4","ion-trap:4096"]}"#;
+    assert_rejected_then_served(&mut client, fleet, 5, "devices[1]: malformed device size");
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().invalid_frames, 3);
+}
+
 #[test]
 fn zero_capacity_queue_sheds_every_request_with_a_retry_hint() {
     let config = ServerConfig {
