@@ -223,20 +223,20 @@ fn decode_term_slots(
     terms
         .iter()
         .enumerate()
-        .map(|(term_index, (_, coeff))| {
-            let (slot, sign) = decode_coeff(*coeff).ok_or(DecodeError::UnencodedCoeff {
-                term_index,
-                coeff: *coeff,
-            })?;
-            if slot >= num_slots {
-                return Err(DecodeError::UnencodedCoeff {
-                    term_index,
-                    coeff: *coeff,
-                });
-            }
-            Ok((slot, sign))
-        })
+        .map(|(term_index, (_, coeff))| decode_term_slot(term_index, *coeff, num_slots))
         .collect()
+}
+
+/// Decode the slot-encoded coefficient of ordered term `term_index`.
+fn decode_term_slot(
+    term_index: usize,
+    coeff: f64,
+    num_slots: usize,
+) -> Result<(usize, i8), DecodeError> {
+    match decode_coeff(coeff) {
+        Some((slot, sign)) if slot < num_slots => Ok((slot, sign)),
+        _ => Err(DecodeError::UnencodedCoeff { term_index, coeff }),
+    }
 }
 
 /// Patch concrete thetas into a cloned gate list, in place; `angle(slot)`
@@ -398,14 +398,26 @@ pub struct GroupArtifact {
 impl GroupArtifact {
     /// Decode a shape compiled in rank space with local slot encoding
     /// (`coeff[i] =` [`encode_slot`]`(i)` over the shape's `num_slots`
-    /// rows).
+    /// rows). `emitted` holds the coefficient of every emitted rotation
+    /// row, in emission order, as the row carries it inside its Clifford
+    /// frame: `±encode_slot(slot)`. Conjugation only flips a row's sign,
+    /// and every Clifford2Q generator is an involution, so undoing the
+    /// frame gives back the slot's own term with its own, positive,
+    /// coefficient: each row implements slot `|c| − 1` with sign `+1`, and
+    /// no string needs conjugating back.
     pub fn from_slot_encoded(
         num_slots: usize,
         skeleton: Circuit,
-        term_order: &[(PauliString, f64)],
+        emitted: impl IntoIterator<Item = f64>,
     ) -> Result<Self, DecodeError> {
         let bindings = decode_bindings(skeleton.gates(), num_slots)?;
-        let term_slots = decode_term_slots(term_order, num_slots)?;
+        let term_slots = emitted
+            .into_iter()
+            .enumerate()
+            .map(|(term_index, coeff)| {
+                decode_term_slot(term_index, coeff, num_slots).map(|(slot, _)| (slot, 1))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(GroupArtifact {
             num_slots,
             skeleton,
@@ -1135,8 +1147,10 @@ mod tests {
         c.push(Gate::Rz(0, 2.0 * encode_slot(0)));
         c.push(Gate::Cnot(0, 1));
         c.push(Gate::Rz(1, -2.0 * encode_slot(1)));
-        let order = vec![(ps("ZI"), encode_slot(0)), (ps("IZ"), -encode_slot(1))];
-        let art = GroupArtifact::from_slot_encoded(2, c, &order).unwrap();
+        // The second row carries its slot negated in its frame; it still
+        // implements its own term with the term's own sign.
+        let art =
+            GroupArtifact::from_slot_encoded(2, c, [encode_slot(0), -encode_slot(1)]).unwrap();
         assert_eq!((art.width(), art.num_slots()), (2, 2));
         // Bound onto qubits {1, 3} of a 5-qubit register.
         let terms = vec![(ps("IZIII"), 0.25), (ps("IIIZI"), 0.5)];
@@ -1146,7 +1160,7 @@ mod tests {
             circuit.gates(),
             &[Gate::Rz(1, 0.5), Gate::Cnot(1, 3), Gate::Rz(3, -1.0)]
         );
-        assert_eq!(order, vec![(ps("IZIII"), 0.25), (ps("IIIZI"), -0.5)]);
+        assert_eq!(order, vec![(ps("IZIII"), 0.25), (ps("IIIZI"), 0.5)]);
     }
 
     #[test]
@@ -1154,7 +1168,7 @@ mod tests {
     fn group_artifact_rejects_a_support_of_another_width() {
         let mut c = Circuit::new(1);
         c.push(Gate::Rz(0, 2.0 * encode_slot(0)));
-        let art = GroupArtifact::from_slot_encoded(1, c, &[(ps("Z"), encode_slot(0))]).unwrap();
+        let art = GroupArtifact::from_slot_encoded(1, c, [encode_slot(0)]).unwrap();
         art.bind(3, &[0, 2], &[(ps("ZIZ"), 0.5)]);
     }
 
@@ -1232,8 +1246,7 @@ mod tests {
         let art = || {
             let mut c = Circuit::new(1);
             c.push(Gate::Rz(0, 2.0 * encode_slot(0)));
-            let order = vec![(ps("Z"), encode_slot(0))];
-            Arc::new(GroupArtifact::from_slot_encoded(1, c, &order).unwrap())
+            Arc::new(GroupArtifact::from_slot_encoded(1, c, [encode_slot(0)]).unwrap())
         };
         cache.insert_group(shape(1, &["Z"]), art());
         cache.insert_group(shape(1, &["X"]), art());

@@ -33,6 +33,7 @@
 //! [`CostEvaluator::best_candidate_scan_capped`]: crate::evaluator::CostEvaluator::best_candidate_scan_capped
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 use phoenix_circuit::synthesis::naive_circuit;
@@ -45,6 +46,7 @@ use crate::cancel::CancelToken;
 use crate::evaluator::CostEvaluator;
 use crate::group::IrGroup;
 use crate::order::{order_groups_interruptible, OrderOptions};
+use crate::par;
 use crate::pass::{
     CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_ROUND_ABANDONED, EVENT_TRUNCATED,
 };
@@ -177,9 +179,11 @@ pub struct AnytimePass {
     pub order_enabled: bool,
     /// Apply the Eq. (7) routing-similarity factor during ordering.
     pub routing_aware: bool,
-    /// Group-level worker threads (`0` = auto, `1` = sequential).
+    /// Cap on the threads compiling a round's groups: the caller plus up
+    /// to `threads − 1` pool workers (`0` = one per core, `1` = inline).
     pub threads: usize,
-    /// Candidate-scan worker threads per group (`0` = auto).
+    /// Cap on the threads of each candidate scan (`0` = one per core), drawn
+    /// from the same pool.
     pub scan_threads: usize,
     /// Logical budget: deepest round to run (`None` = full schedule).
     /// Output is a pure function of this cap when the wall clock never
@@ -202,29 +206,44 @@ impl Default for AnytimePass {
 }
 
 impl AnytimePass {
-    /// Runs one deepening round's stage 2 over all groups, fanned out over
-    /// `threads` index-aligned slots like `SimplifySynthPass`. Returns
-    /// `None` when the controller interrupted mid-round (some group was
-    /// never compiled); the round must then be abandoned wholesale.
+    /// Runs one deepening round's stage 2 over all groups on at most
+    /// `threads` pool participants, the calling thread first, into
+    /// index-aligned slots like `SimplifySynthPass`. Returns `None` when the
+    /// controller interrupted mid-round (some group was never compiled);
+    /// the round must then be abandoned wholesale. The job runs on pool
+    /// threads, so it shares the groups and the previous round's principal
+    /// variations through `Arc`.
     #[allow(clippy::too_many_arguments)]
     fn deepen_groups(
         &self,
         n: usize,
-        groups: &[IrGroup],
-        pvs: &[Vec<Clifford2Q>],
+        groups: &Arc<[IrGroup]>,
+        pvs: &Arc<Vec<Vec<Clifford2Q>>>,
         opts: &SimplifyOptions,
         breadth: usize,
         threads: usize,
         controller: &DeepeningController,
     ) -> Option<Vec<GroupRound>> {
-        // `None` from `compile_one` means the controller interrupted the
-        // greedy loop mid-group (polled once per epoch, so even a single
-        // pathological group yields within one epoch); the whole round is
-        // then abandoned. A contained panic still produces a (degraded)
-        // result. Each worker carries one evaluator across its groups.
-        let compile_one = |eval: &mut CostEvaluator, i: usize, group: &IrGroup| {
+        let simplify = self.simplify;
+        let groups = Arc::clone(groups);
+        let pvs = Arc::clone(pvs);
+        let opts = *opts;
+        let controller = controller.clone();
+        // Conventional synthesis is too cheap to hand out.
+        let cap = if simplify { threads } else { 1 };
+        // `None` from a group means the controller interrupted the greedy
+        // loop mid-group (polled once per epoch, so even a single
+        // pathological group yields within one epoch) or before the group
+        // started; the whole round is then abandoned. A contained panic
+        // still produces a (degraded) result. Each participant carries one
+        // evaluator across its groups.
+        let rounds = par::map(groups.len(), cap, CostEvaluator::new, move |eval, i| {
+            if controller.interrupted() {
+                return None;
+            }
+            let group = &groups[i];
             let naive = || (naive_circuit(n, group.terms()), group.terms().to_vec());
-            if !self.simplify {
+            if !simplify {
                 let (c, t) = naive();
                 return Some((c, t, Vec::new(), false));
             }
@@ -233,7 +252,7 @@ impl AnytimePass {
                     eval,
                     n,
                     group.terms(),
-                    opts,
+                    &opts,
                     breadth,
                     &pvs[i],
                     &mut || controller.interrupted(),
@@ -248,52 +267,8 @@ impl AnytimePass {
                     Some((c, t, Vec::new(), true))
                 }
             }
-        };
-        let mut slots: Vec<Option<GroupRound>> = vec![None; groups.len()];
-        if threads <= 1 {
-            let mut eval = CostEvaluator::new();
-            for (i, (g, slot)) in groups.iter().zip(slots.iter_mut()).enumerate() {
-                if controller.interrupted() {
-                    return None;
-                }
-                *slot = compile_one(&mut eval, i, g);
-                if slot.is_none() {
-                    return None;
-                }
-            }
-        } else {
-            let chunk = groups.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (c, (gs, out)) in groups
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let compile_one = &compile_one;
-                    scope.spawn(move || {
-                        let mut eval = CostEvaluator::new();
-                        for (j, (g, slot)) in gs.iter().zip(out.iter_mut()).enumerate() {
-                            if controller.interrupted() {
-                                return;
-                            }
-                            *slot = compile_one(&mut eval, c * chunk + j, g);
-                            if slot.is_none() {
-                                return;
-                            }
-                        }
-                    });
-                }
-            });
-            if slots.iter().any(Option::is_none) {
-                return None;
-            }
-        }
-        Some(
-            slots
-                .into_iter()
-                .map(|s| s.expect("every slot was filled"))
-                .collect(),
-        )
+        });
+        rounds.into_iter().collect()
     }
 }
 
@@ -310,7 +285,8 @@ impl Pass for AnytimePass {
             scan_threads: self.scan_threads,
             naive_cost: false,
         };
-        let threads = crate::resolve_threads(self.threads).min(ctx.groups.len().max(1));
+        let threads = par::resolve_threads(self.threads).min(ctx.groups.len().max(1));
+        let groups: Arc<[IrGroup]> = ctx.groups.as_slice().into();
 
         // Round 0: the naive baseline, always computed (it is the cheapest
         // valid form) so every interruption point — including a zero
@@ -333,7 +309,7 @@ impl Pass for AnytimePass {
             term_order,
         };
         let mut depth_reached = 0usize;
-        let mut pvs: Vec<Vec<Clifford2Q>> = vec![Vec::new(); ctx.groups.len()];
+        let mut pvs: Arc<Vec<Vec<Clifford2Q>>> = Arc::new(vec![Vec::new(); groups.len()]);
 
         for round in 1..=controller.max_rounds() {
             if controller.interrupted() {
@@ -351,7 +327,7 @@ impl Pass for AnytimePass {
             let breadth = controller.scan_breadth(round);
             let lookahead = controller.lookahead(round, self.lookahead);
             let Some(rounds) =
-                self.deepen_groups(n, &ctx.groups, &pvs, &opts, breadth, threads, &controller)
+                self.deepen_groups(n, &groups, &pvs, &opts, breadth, threads, &controller)
             else {
                 ctx.record_event(
                     self.name(),
@@ -411,7 +387,7 @@ impl Pass for AnytimePass {
             let cost = cost_key(&circuit);
             let improved = cost < best.cost;
             depth_reached = round;
-            pvs = next_pvs;
+            pvs = Arc::new(next_pvs);
             if let Some(obs) = &ctx.obs {
                 let m = obs.metrics();
                 m.incr(MetricId::AnytimeRounds);

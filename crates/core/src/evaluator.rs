@@ -53,8 +53,11 @@
 //!
 //! [`Clifford2QKind::linear_map`]: phoenix_pauli::Clifford2QKind::linear_map
 
+use std::sync::Arc;
+
 #[cfg(debug_assertions)]
 use crate::cost::cost_bsf;
+use crate::par;
 use phoenix_pauli::{map_nibble, nibble_weight, Bsf, Clifford2Q, CLIFFORD2Q_GENERATORS};
 
 /// The shared popcounts of one qubit pair `(a, b)`, from which every
@@ -420,10 +423,10 @@ impl CostEvaluator {
     }
 
     /// [`best_candidate`](CostEvaluator::best_candidate) with the pair scan
-    /// fanned out over `threads` scoped OS threads (`0` = one per core,
-    /// `1` = sequential). Each worker reduces its pair range to a local
-    /// minimum under the same total order, so the result is identical for
-    /// every thread count.
+    /// split into `threads` pair ranges run by at most `threads` threads of
+    /// the crate's worker pool, the caller first (`0` = one per core, `1` =
+    /// inline). Each range reduces to a local minimum under the same total
+    /// order, so the result is identical for every thread count.
     pub fn best_candidate_scan(&self, bsf: &Bsf, threads: usize) -> Option<(Clifford2Q, f64)> {
         self.best_candidate_scan_capped(bsf, threads, usize::MAX)
     }
@@ -441,29 +444,28 @@ impl CostEvaluator {
         max_pairs: usize,
     ) -> Option<(Clifford2Q, f64)> {
         debug_assert_eq!(self.rows as usize, bsf.rows().len(), "prepare() is stale");
-        let threads = crate::resolve_threads(threads);
+        let threads = par::resolve_threads(threads);
         let num_pairs = (pairs2(self.support.len() as u64) as usize).min(max_pairs);
         let best = if threads <= 1 || num_pairs < 2 * threads {
             self.scan_pair_range(0, num_pairs)
         } else {
             let threads = threads.min(num_pairs);
             let chunk = num_pairs.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(num_pairs);
-                        scope.spawn(move || self.scan_pair_range(lo, hi))
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .filter_map(|w| w.join().expect("scan worker panicked"))
-                    .min_by(|x, y| {
-                        (x.0, x.1)
-                            .partial_cmp(&(y.0, y.1))
-                            .expect("Eq. (6) costs are never NaN")
-                    })
+            // Pool threads outlive this borrow, so the chunks scan a shared
+            // copy of the prepared tables.
+            let eval = Arc::new(self.clone());
+            par::map(
+                threads,
+                threads,
+                || (),
+                move |_, t| eval.scan_pair_range(t * chunk, ((t + 1) * chunk).min(num_pairs)),
+            )
+            .into_iter()
+            .flatten()
+            .min_by(|x, y| {
+                (x.0, x.1)
+                    .partial_cmp(&(y.0, y.1))
+                    .expect("Eq. (6) costs are never NaN")
             })
         };
         let result = best.map(|(cost, _, cand)| (cand, cost));

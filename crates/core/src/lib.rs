@@ -56,6 +56,8 @@ pub mod group;
 pub mod observe;
 pub mod order;
 #[deny(clippy::unwrap_used)]
+mod par;
+#[deny(clippy::unwrap_used)]
 mod parametric;
 #[deny(clippy::unwrap_used)]
 pub mod pass;
@@ -102,15 +104,3 @@ pub use request::{CompileOutcome, CompileRequest, FleetEntry, FleetOutcome, Targ
 pub use simplify::{CfgItem, SimplifiedGroup, SimplifyOptions};
 pub use strategy::CompilerStrategy;
 pub use verify::BoundaryVerifier;
-
-/// Resolves a worker-thread option: `0` means one worker per available
-/// core. The core count is read once per process, because
-/// `available_parallelism` re-reads the cgroup limits on every call, which
-/// costs about as much as spawning and joining a scoped thread.
-pub(crate) fn resolve_threads(requested: usize) -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    match requested {
-        0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get())),
-        t => t,
-    }
-}

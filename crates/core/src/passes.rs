@@ -13,10 +13,11 @@
 //! | [`SnapshotLogicalPass`] | records the pre-routing logical circuit |
 //! | [`LayoutRoutePass`] | layout search + SABRE routing on the target device |
 //!
-//! [`SimplifySynthPass`] compiles each distinct group shape once and binds
-//! every group from its shape's artifact, fanning the independent work out
-//! over scoped threads; results are written back by group index, so the
-//! output is bit-identical for any thread count.
+//! [`SimplifySynthPass`] compiles each distinct group shape once, fanning
+//! the shape compiles out over the crate's worker pool, and binds every
+//! group from its shape's artifact on the calling thread; results are
+//! written back by group index, so the output is bit-identical for any
+//! thread count.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -40,6 +41,7 @@ use crate::cancel::CancelToken;
 use crate::evaluator::CostEvaluator;
 use crate::group::{group_by_support, IrGroup};
 use crate::order::{order_groups_interruptible, OrderOptions};
+use crate::par;
 use crate::pass::{
     CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_RETRIED, EVENT_TRUNCATED,
 };
@@ -84,20 +86,22 @@ impl Pass for GroupPass {
 /// — from the context's shared [`CompileCache`] when one is mounted and
 /// allowed, otherwise compiled for this compile alone — and binds every
 /// group from its shape's artifact, which is bit-for-bit the group's own
-/// compile. Shape leaders compile over `threads` workers (`0` = one per
-/// available core; the calling thread and scoped OS threads), and the binds
-/// fan out the same way; every worker writes index-aligned slots, so the
-/// output is identical for every thread count.
+/// compile. Shape leaders compile over at most `threads` participants
+/// (`0` = one per available core): the calling thread plus workers of the
+/// crate's persistent pool. The binds, well under a microsecond each, run
+/// on the calling thread. Every result lands in an index-aligned slot, so
+/// the output is identical for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplifySynthPass {
     /// Run Algorithm 1; when `false` each group is synthesized with
     /// conventional CNOT chains (the ablation arm).
     pub simplify: bool,
-    /// Worker threads (`0` = auto, `1` = sequential).
+    /// Cap on the threads compiling shapes: the caller plus up to
+    /// `threads − 1` pool workers (`0` = one per core, `1` = inline).
     pub threads: usize,
-    /// Per-group candidate-scan worker threads (`0` = auto, `1` =
-    /// sequential), composing multiplicatively with `threads`. The output
-    /// is identical for every value.
+    /// Cap on the threads of each candidate scan (`0` = one per core,
+    /// `1` = inline), drawn from the same pool as `threads`. The output is
+    /// identical for every value.
     pub scan_threads: usize,
     /// Test hook: force the group at this index to panic mid-optimization,
     /// exercising the degradation path deterministically. The group
@@ -128,47 +132,13 @@ type CompiledGroup = (Circuit, Vec<(PauliString, f64)>);
 /// outcome class, and its span (`Some` only when instrumented).
 type GroupResult = (CompiledGroup, GroupOutcome, Option<Span>);
 
+/// A leader's compile spans and its `(start, duration)` in collector
+/// microseconds (`None` when not instrumented).
+type ShapeCompile = (Vec<Span>, Option<(u64, u64)>);
+
 /// A shape's artifact, or the outcome every group of the shape records
 /// when it falls back to conventional synthesis.
 type ShapeArtifact = Result<Arc<GroupArtifact>, GroupOutcome>;
-
-/// Maps `f` over `0..len` on up to `threads` workers, each carrying one
-/// `state` from `init` across a contiguous chunk of indices; the calling
-/// thread takes the first chunk and scoped threads the rest. Results come
-/// back in index order, so they are identical for every thread count.
-fn fan_out<S, R: Send>(
-    len: usize,
-    threads: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize) -> R + Sync,
-) -> Vec<R> {
-    if threads <= 1 || len <= 1 {
-        let mut state = init();
-        return (0..len).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = len.div_ceil(threads);
-    let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    let work = &|c: usize, out: &mut [Option<R>]| {
-        let mut state = init();
-        for (j, slot) in out.iter_mut().enumerate() {
-            *slot = Some(f(&mut state, c * chunk + j));
-        }
-    };
-    std::thread::scope(|scope| {
-        let mut chunks = slots.chunks_mut(chunk).enumerate();
-        let first = chunks.next();
-        for (c, out) in chunks {
-            scope.spawn(move || work(c, out));
-        }
-        if let Some((c, out)) = first {
-            work(c, out);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk was processed"))
-        .collect()
-}
 
 impl SimplifySynthPass {
     /// Compiles one shape's rank-space rows, slot-encoded, through
@@ -229,7 +199,7 @@ impl SimplifySynthPass {
             let artifact = GroupArtifact::from_slot_encoded(
                 terms.len(),
                 synthesize_group(&s),
-                &s.term_sequence(),
+                s.emitted_coeffs(),
             )
             .expect("a slot-encoded skeleton decodes");
             let children = obs.map_or_else(Vec::new, |o| {
@@ -256,9 +226,10 @@ impl SimplifySynthPass {
     /// conventionally when the shape has none, and builds its span (cat
     /// `group`) when `obs` is set. `role` is the group's place in its shape
     /// (`leader` or `bound`; `None` on the naive path), `cache` whether the
-    /// shape's shared-cache lookup hit, `children` and `start_us` the
-    /// leader's compile spans and start. Only the timings depend on the
-    /// run; names and args are deterministic.
+    /// shape's shared-cache lookup hit, and `compile` the leader's compile
+    /// spans and timing; a leader's span covers its compile and its bind.
+    /// Only the timings depend on the run; names and args are
+    /// deterministic.
     #[allow(clippy::too_many_arguments)]
     fn finish_group(
         n: usize,
@@ -267,10 +238,10 @@ impl SimplifySynthPass {
         artifact: &ShapeArtifact,
         role: Option<&'static str>,
         cache: Option<bool>,
-        children: Vec<Span>,
-        start_us: Option<u64>,
+        compile: ShapeCompile,
         obs: Option<&ObsCollector>,
     ) -> GroupResult {
+        let bind_start = obs.map(|o| o.now_us());
         let (result, outcome) = match artifact {
             Ok(art) => (art.bind(n, &group.support(), group.terms()), None),
             Err(outcome) => (
@@ -298,8 +269,11 @@ impl SimplifySynthPass {
             if let Some(role) = role {
                 s = s.arg("shape", role);
             }
-            s.start_us = start_us.unwrap_or_else(|| o.now_us());
-            s.dur_us = o.now_us().saturating_sub(s.start_us);
+            let bind_start = bind_start.unwrap_or(0);
+            let (children, timing) = compile;
+            let (start_us, compile_us) = timing.unwrap_or((bind_start, 0));
+            s.start_us = start_us;
+            s.dur_us = compile_us + o.now_us().saturating_sub(bind_start);
             s.children = children;
             s
         });
@@ -308,8 +282,9 @@ impl SimplifySynthPass {
 
     /// Compiles every group: one artifact per distinct shape, then one bind
     /// per group. Shapes, shared-cache lookups and inserts are handled on
-    /// the coordinating thread in first-appearance order; the leader
-    /// compiles and the binds fan out over `threads` workers.
+    /// the calling thread in first-appearance order; the missing shapes
+    /// compile over at most `threads` pool participants, and every group
+    /// then binds on the calling thread.
     #[allow(clippy::too_many_arguments)]
     fn compile_groups(
         &self,
@@ -319,14 +294,14 @@ impl SimplifySynthPass {
         opts: &SimplifyOptions,
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
-        obs: Option<&ObsCollector>,
+        obs: Option<&Arc<ObsCollector>>,
         cache: Option<&CompileCache>,
     ) -> Vec<GroupResult> {
         let fault = self.fault_inject_group;
         // Shapes in first-appearance order; the first group of each leads
         // it. The fault-injected group leads a shape of its own, never
         // shared, so exactly that group degrades.
-        let keys: Vec<GroupShape> = groups
+        let keys: Arc<[GroupShape]> = groups
             .iter()
             .map(|g| GroupShape::from_terms(g.support_mask(), g.terms()))
             .collect();
@@ -364,61 +339,57 @@ impl SimplifySynthPass {
             artifacts.push(hit.map(Ok));
         }
 
-        // Compile the missing shapes; each leader binds right after its
-        // compile, so its span covers both.
+        // Compile the missing shapes. The job runs on pool threads, so it
+        // owns what it reads: the shared keys, the leaders it compiles and
+        // clones of the options, token and collector.
         let todo: Vec<usize> = (0..leaders.len())
             .filter(|&s| artifacts[s].is_none())
             .collect();
-        let compiled = fan_out(todo.len(), threads, CostEvaluator::new, |eval, t| {
-            let shape = todo[t];
-            let leader = leaders[shape];
-            let start_us = obs.map(|o| o.now_us());
-            let (artifact, children) = self.compile_shape(
-                eval,
-                &keys[leader],
-                opts,
-                deadline,
-                cancel,
-                obs,
-                fault == Some(leader),
-            );
-            let artifact = artifact.map(Arc::new);
-            let result = Self::finish_group(
-                n,
-                leader,
-                &groups[leader],
-                &artifact,
-                Some("leader"),
-                lookups[shape],
-                children,
-                start_us,
-                obs,
-            );
-            (artifact, result)
-        });
-        let mut results: Vec<Option<GroupResult>> = (0..groups.len()).map(|_| None).collect();
-        for (&shape, (artifact, result)) in todo.iter().zip(compiled) {
-            let leader = leaders[shape];
+        let compiled = {
+            let pass = *self;
+            let keys = Arc::clone(&keys);
+            let todo_leaders: Vec<usize> = todo.iter().map(|&s| leaders[s]).collect();
+            let opts = *opts;
+            let cancel = cancel.cloned();
+            let obs = obs.cloned();
+            par::map(todo.len(), threads, CostEvaluator::new, move |eval, t| {
+                let leader = todo_leaders[t];
+                let start_us = obs.as_ref().map(|o| o.now_us());
+                let (artifact, children) = pass.compile_shape(
+                    eval,
+                    &keys[leader],
+                    &opts,
+                    deadline,
+                    cancel.as_ref(),
+                    obs.as_deref(),
+                    fault == Some(leader),
+                );
+                let timing = obs
+                    .as_ref()
+                    .zip(start_us)
+                    .map(|(o, start)| (start, o.now_us().saturating_sub(start)));
+                (artifact.map(Arc::new), (children, timing))
+            })
+        };
+        let mut compiles: Vec<ShapeCompile> =
+            (0..leaders.len()).map(|_| Default::default()).collect();
+        for (&shape, (artifact, compile)) in todo.iter().zip(compiled) {
             // A partial artifact never exists: interrupted and panicked
             // compiles come back as outcomes and are not inserted.
             let artifact = match (artifact, shared) {
-                (Ok(art), Some(shared)) => Ok(shared.insert_group(keys[leader].clone(), art)),
+                (Ok(art), Some(shared)) => {
+                    Ok(shared.insert_group(keys[leaders[shape]].clone(), art))
+                }
                 (other, _) => other,
             };
             artifacts[shape] = Some(artifact);
-            results[leader] = Some(result);
+            compiles[shape] = compile;
         }
 
-        // Bind every other group (and the leaders of cache hits).
-        let pending: Vec<usize> = (0..groups.len())
-            .filter(|&i| results[i].is_none())
-            .collect();
-        let bound = fan_out(
-            pending.len(),
-            threads,
-            || (),
-            |_, k| {
-                let i = pending[k];
+        // Bind every group, leaders included, on the calling thread.
+        let obs = obs.map(Arc::as_ref);
+        (0..groups.len())
+            .map(|i| {
                 let shape = shape_of[i];
                 let leader = leaders[shape] == i;
                 Self::finish_group(
@@ -428,18 +399,14 @@ impl SimplifySynthPass {
                     artifacts[shape].as_ref().expect("every shape was resolved"),
                     Some(if leader { "leader" } else { "bound" }),
                     if leader { lookups[shape] } else { None },
-                    Vec::new(),
-                    None,
+                    if leader {
+                        std::mem::take(&mut compiles[shape])
+                    } else {
+                        Default::default()
+                    },
                     obs,
                 )
-            },
-        );
-        for (&i, result) in pending.iter().zip(bound) {
-            results[i] = Some(result);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every group was compiled or bound"))
+            })
             .collect()
     }
 }
@@ -460,44 +427,40 @@ impl Pass for SimplifySynthPass {
         let cache_arc = ctx.cache.clone();
         let cache = cache_arc.as_deref();
         let groups = &ctx.groups;
-        let deadline = ctx.deadline;
-        let cancel_token = ctx.cancel.clone();
-        let cancel = cancel_token.as_ref();
         let opts = SimplifyOptions {
             scan_threads: self.scan_threads,
             ..SimplifyOptions::default()
         };
-        let threads = crate::resolve_threads(self.threads).min(groups.len().max(1));
+        let threads = par::resolve_threads(self.threads).min(groups.len().max(1));
         if let Some(o) = obs {
             o.metrics()
                 .set_gauge(GaugeId::Stage2Threads, threads as i64);
         }
         let results: Vec<GroupResult> = if self.simplify {
-            self.compile_groups(n, groups, threads, &opts, deadline, cancel, obs, cache)
-        } else {
-            fan_out(
-                groups.len(),
+            self.compile_groups(
+                n,
+                groups,
                 threads,
-                || (),
-                |_, i| {
-                    Self::finish_group(
-                        n,
-                        i,
-                        &groups[i],
-                        &Err(None),
-                        None,
-                        None,
-                        Vec::new(),
-                        None,
-                        obs,
-                    )
-                },
+                &opts,
+                ctx.deadline,
+                ctx.cancel.as_ref(),
+                obs_arc.as_ref(),
+                cache,
             )
+        } else {
+            // Conventional synthesis costs about as much as a bind: inline.
+            groups
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    Self::finish_group(n, i, g, &Err(None), None, None, Default::default(), obs)
+                })
+                .collect()
         };
         // Events, spans and metrics are recorded in group-index order on
-        // the coordinating thread, keeping every observability artifact
-        // deterministic for any thread count (workers wrote their results
-        // into index-aligned slots above).
+        // the calling thread, keeping every observability artifact
+        // deterministic for any thread count (pool workers wrote their
+        // results into index-aligned slots above).
         let mut subcircuits = Vec::with_capacity(results.len());
         let mut group_terms = Vec::with_capacity(results.len());
         for (i, ((circuit, terms), outcome, span)) in results.into_iter().enumerate() {

@@ -51,15 +51,19 @@ pub struct PhoenixOptions {
     /// Forward/backward refinement rounds of the initial-layout search
     /// (deterministic; see `phoenix_router::search_layout`).
     pub layout_trials: usize,
-    /// Worker threads for the per-group simplification+synthesis stage
-    /// (`0` = one per available core, `1` = sequential). The output is
-    /// identical for every value.
+    /// Cap on the threads compiling stage-2 group shapes (and anytime
+    /// rounds): the calling thread plus up to `stage2_threads − 1` workers
+    /// of the process-wide pool (`0` = one per available core, `1` =
+    /// inline on the caller). No compile creates a thread; the pool holds
+    /// `available_parallelism() − 1` workers. The output is identical for
+    /// every value.
     pub stage2_threads: usize,
-    /// Worker threads for the candidate scan inside each group's greedy
-    /// epoch (`0` = one per available core, `1` = sequential), composing
-    /// multiplicatively with `stage2_threads`. The output is identical for
-    /// every value. Useful for programs with few, very wide groups where
-    /// group-level parallelism alone cannot saturate the machine.
+    /// Cap on the threads of the candidate scan inside each group's greedy
+    /// epoch (`0` = one per available core, `1` = inline), drawn from the
+    /// same pool as `stage2_threads`, so the two never oversubscribe the
+    /// machine. The output is identical for every value. Useful for
+    /// programs with few, very wide groups where group-level parallelism
+    /// alone cannot use every core.
     pub stage2_scan_threads: usize,
     /// Wall-clock budget for optimization effort. Once elapsed, remaining
     /// optimization epochs are cut short (each affected unit of work falls
@@ -86,11 +90,12 @@ pub struct PhoenixOptions {
     /// a budget may *skip* optimization passes (never verified, never run),
     /// but every pass that does execute is verified.
     pub verify: bool,
-    /// Worker threads for fleet compilation: how many devices of a
-    /// `Target::Fleet` compile concurrently (`0` = one per available core,
-    /// capped at the fleet size; `1` = sequential). The ranked outcome is
-    /// identical for every value. Excluded from the parametric options
-    /// fingerprint, like the stage-2 thread counts.
+    /// Cap on the threads of fleet compilation: how many devices of a
+    /// `Target::Fleet` compile concurrently, the caller plus pool workers
+    /// (`0` = one per available core, capped at the fleet size; `1` =
+    /// inline). Each member's stage 2 fans out on the same pool. The ranked
+    /// outcome is identical for every value. Excluded from the parametric
+    /// options fingerprint, like the stage-2 thread caps.
     pub fleet_threads: usize,
     /// Cooperative cancellation token. When set, the pass manager checks it
     /// before every pass (and stage 2 checks it between groups) and aborts

@@ -39,6 +39,7 @@ use phoenix_pauli::PauliString;
 
 use crate::error::{validate_device, validate_program, PhoenixError};
 use crate::observe::MetricsObserver;
+use crate::par;
 use crate::parametric;
 use crate::pass::{CompileContext, PassManager, PassTrace};
 use crate::pipeline::{
@@ -240,12 +241,13 @@ impl CompileRequest {
     ///
     /// Each member compiles exactly as [`Target::Device`] on that device
     /// would — routing onto its topology, rebasing into its native ISA,
-    /// retaining trace/obs per the request's flags — via a deterministic
-    /// [`std::thread::scope`] fan-out (the stage-2 discipline): the ranked
-    /// outcome is identical for every [`PhoenixOptions::fleet_threads`]
-    /// value, and a fleet of one equals the single-device path bit for
-    /// bit. An attached [`CompileCache`] is shared across members, so the
-    /// (device-independent) structure phase is computed once per program.
+    /// retaining trace/obs per the request's flags — over at most
+    /// [`PhoenixOptions::fleet_threads`] threads of the crate's worker pool
+    /// (the stage-2 discipline: index-aligned slots). The ranked outcome is
+    /// identical for every `fleet_threads` value, and a fleet of one equals
+    /// the single-device path bit for bit. An attached [`CompileCache`] is
+    /// shared across members, so the (device-independent) structure phase
+    /// is computed once per program.
     ///
     /// Ties in predicted fidelity keep the input device order. The
     /// request's own `target` field is ignored.
@@ -266,50 +268,34 @@ impl CompileRequest {
         // Per-member targets are assigned below; drop any fleet payload so
         // member clones stay cheap.
         self.target = Target::Logical;
-        let base = &self;
-        let compile_member = |dev: &Device| -> Result<FleetEntry, (String, PhoenixError)> {
-            let req = base.clone().target(Target::Device(dev.clone()));
-            match req.run() {
-                Ok(outcome) => Ok(FleetEntry {
-                    fidelity: dev.predicted_fidelity(&outcome.circuit),
-                    device: dev.clone(),
-                    outcome,
-                }),
-                Err(e) => Err((dev.name().to_string(), e)),
-            }
-        };
-        let threads = crate::resolve_threads(self.options.fleet_threads).clamp(1, devices.len());
-        let mut slots: Vec<Option<Result<FleetEntry, (String, PhoenixError)>>> =
-            devices.iter().map(|_| None).collect();
-        if threads == 1 {
-            for (dev, slot) in devices.iter().zip(slots.iter_mut()) {
-                *slot = Some(compile_member(dev));
-            }
-        } else {
-            // Deterministic fan-out, stage-2 style: contiguous chunks into
-            // index-aligned slots, so results are position-keyed and the
-            // chunking never affects the outcome.
-            let chunk = devices.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for (dev_chunk, slot_chunk) in devices.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    let compile_member = &compile_member;
-                    s.spawn(move || {
-                        for (dev, slot) in dev_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            *slot = Some(compile_member(dev));
-                        }
-                    });
+        let threads = par::resolve_threads(self.options.fleet_threads).clamp(1, devices.len());
+        // Members run on pool threads, so the job owns the request and the
+        // devices; each member's stage 2 nests on the same pool.
+        let base = Arc::new(self);
+        let members: Arc<[Device]> = devices.into();
+        let slots = par::map(
+            devices.len(),
+            threads,
+            || (),
+            move |_, i| {
+                let dev = &members[i];
+                let req = CompileRequest::clone(&base).target(Target::Device(dev.clone()));
+                match req.run() {
+                    Ok(outcome) => Ok(FleetEntry {
+                        fidelity: dev.predicted_fidelity(&outcome.circuit),
+                        device: dev.clone(),
+                        outcome,
+                    }),
+                    Err(e) => Err((dev.name().to_string(), e)),
                 }
-            });
-        }
+            },
+        );
         let mut ranked = Vec::new();
         let mut failed = Vec::new();
         for slot in slots {
             match slot {
-                Some(Ok(entry)) => ranked.push(entry),
-                Some(Err(fail)) => failed.push(fail),
-                // Every slot is written by its chunk's worker before the
-                // scope joins.
-                None => unreachable!("fleet slot left unwritten"),
+                Ok(entry) => ranked.push(entry),
+                Err(fail) => failed.push(fail),
             }
         }
         // Stable sort: fidelity descending, input order breaking ties.

@@ -85,6 +85,20 @@ impl SimplifiedGroup {
             / 2
     }
 
+    /// The coefficient of every emitted rotation row as the row carries it
+    /// inside its Clifford frame, in the order the circuit implements
+    /// them: [`term_sequence`](SimplifiedGroup::term_sequence)'s
+    /// coefficients up to sign, without conjugating any string back.
+    pub fn emitted_coeffs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.items
+            .iter()
+            .flat_map(|item| match item {
+                CfgItem::Rotations(rows) => rows.as_slice(),
+                CfgItem::Clifford(_) => &[],
+            })
+            .map(BsfRow::coeff)
+    }
+
     /// Reconstructs the original-frame `(PauliString, coeff)` terms in the
     /// order the emitted circuit implements them.
     ///
@@ -118,9 +132,10 @@ impl SimplifiedGroup {
 /// Tuning knobs of [`simplify_terms_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplifyOptions {
-    /// Worker threads for the candidate scan of each greedy epoch
-    /// (`0` = one per core, `1` = sequential). The output is identical for
-    /// every value; composes with the group-level `stage2_threads`.
+    /// Cap on the threads of the candidate scan of each greedy epoch
+    /// (`0` = one per core, `1` = inline), drawn from the crate's worker
+    /// pool like the group-level `stage2_threads`. The output is identical
+    /// for every value.
     pub scan_threads: usize,
     /// Force the naive clone-and-rescore cost path instead of the
     /// incremental [`CostEvaluator`] — for differential testing.
@@ -662,5 +677,50 @@ mod tests {
         let s = simplify_terms(2, &terms(&["ZZ"]));
         assert_eq!(s.num_cliffords(), 0);
         assert_eq!(s.term_sequence(), terms(&["ZZ"]));
+    }
+
+    mod emitted {
+        use super::*;
+        use phoenix_cache::{decode_coeff, encode_slot};
+        use proptest::prelude::*;
+
+        /// A shape as stage 2 compiles it: `s` ranks, every row acting on
+        /// all of them, row `i` carrying `encode_slot(i)`.
+        fn arb_shape() -> impl Strategy<Value = (usize, Vec<(PauliString, f64)>)> {
+            (1usize..=7, proptest::collection::vec(any::<u64>(), 1..=40)).prop_map(|(s, rows)| {
+                let terms = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, letters)| {
+                        let label: String = (0..s)
+                            .map(|r| ['X', 'Y', 'Z'][(letters >> (2 * r)) as usize % 3])
+                            .collect();
+                        (label.parse().unwrap(), encode_slot(i))
+                    })
+                    .collect();
+                (s, terms)
+            })
+        }
+
+        proptest! {
+            /// Reading slot `|c| − 1` with sign `+1` off the emitted rows
+            /// gives what decoding `term_sequence()` gives, and every
+            /// reconstructed term is its slot's own string.
+            #[test]
+            fn emitted_slots_match_the_term_sequence((s, input) in arb_shape()) {
+                let group = simplify_terms(s, &input);
+                let emitted: Vec<(usize, i8)> = group
+                    .emitted_coeffs()
+                    .map(|c| (decode_coeff(c).unwrap().0, 1))
+                    .collect();
+                let sequence = group.term_sequence();
+                let decoded: Vec<(usize, i8)> =
+                    sequence.iter().map(|(_, c)| decode_coeff(*c).unwrap()).collect();
+                prop_assert_eq!(&emitted, &decoded);
+                for ((p, _), (slot, _)) in sequence.iter().zip(&decoded) {
+                    prop_assert_eq!(p, &input[*slot].0);
+                }
+            }
+        }
     }
 }

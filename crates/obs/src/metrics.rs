@@ -95,11 +95,20 @@ pub enum MetricId {
     FleetCompiles,
     /// Per-device member compiles attempted across all fleet requests.
     FleetMembersCompiled,
+    /// Fan-outs handed to the worker pool, process-wide (global registry
+    /// only).
+    PoolFanouts,
+    /// Indices of the fan-outs handed to the pool (global registry only).
+    PoolIndices,
+    /// Indices a pool worker ran rather than the fan-out's caller (global
+    /// registry only: it depends on scheduling, so it stays out of the
+    /// deterministic per-compilation snapshot).
+    PoolHelperIndices,
 }
 
 /// All counters, in discriminant order. Kept in sync with [`MetricId`] by
 /// the `catalog_is_complete` test.
-pub const COUNTERS: [MetricId; 30] = [
+pub const COUNTERS: [MetricId; 33] = [
     MetricId::GroupsCompiled,
     MetricId::TermsCompiled,
     MetricId::CnotsSavedStage2,
@@ -130,6 +139,9 @@ pub const COUNTERS: [MetricId; 30] = [
     MetricId::AnytimeImprovements,
     MetricId::FleetCompiles,
     MetricId::FleetMembersCompiled,
+    MetricId::PoolFanouts,
+    MetricId::PoolIndices,
+    MetricId::PoolHelperIndices,
 ];
 
 impl MetricId {
@@ -166,6 +178,9 @@ impl MetricId {
             MetricId::AnytimeImprovements => "anytime_improvements",
             MetricId::FleetCompiles => "fleet_compiles",
             MetricId::FleetMembersCompiled => "fleet_members_compiled",
+            MetricId::PoolFanouts => "pool_fanouts",
+            MetricId::PoolIndices => "pool_indices",
+            MetricId::PoolHelperIndices => "pool_helper_indices",
         }
     }
 }
@@ -279,11 +294,22 @@ impl Histogram {
 }
 
 /// The lock-free registry: one atomic slot per catalog entry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
     counters: [AtomicU64; COUNTERS.len()],
     gauges: [AtomicI64; GAUGES.len()],
     histograms: [Histogram; HISTOGRAMS.len()],
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        // `Default` for arrays stops at 32 elements.
+        MetricsRegistry {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            gauges: Default::default(),
+            histograms: Default::default(),
+        }
+    }
 }
 
 impl MetricsRegistry {
