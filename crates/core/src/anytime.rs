@@ -1,23 +1,28 @@
 //! Anytime iterative deepening for budgeted compiles.
 //!
-//! The legacy budgeted path *truncates*: once the pass budget elapses,
-//! stage 2 falls back to conventional synthesis and ordering keeps
-//! first-appearance order — a deadline can only cost quality. This module
-//! replaces truncation with **iterative deepening**: [`AnytimePass`] always
-//! holds a valid best-so-far circuit (round 0 is the cheap naive baseline)
-//! and monotonically improves it round by round, widening the Algorithm-1
-//! candidate scan ([`CostEvaluator::best_candidate_scan_capped`]) and the
-//! Tetris ordering lookahead on a geometric schedule until the budget or a
-//! [`CancelToken`] interrupts it. Each round seeds the next round's search
-//! with the previous round's chosen Clifford sequence (principal variation
+//! [`AnytimePass`] runs stages 2–4 of the pipeline — the bodies of
+//! [`SimplifySynthPass`], [`OrderPass`] and [`ConcatPass`] — once per
+//! deepening round and keeps the best round, so it always holds a valid
+//! best-so-far circuit. Round 0 is the cheap baseline: conventional
+//! synthesis in first-appearance order. Every later round widens the
+//! Algorithm-1 candidate scan ([`CostEvaluator::best_candidate_scan_capped`])
+//! and the Tetris ordering lookahead on a geometric schedule until the
+//! budget or a [`CancelToken`] interrupts it. A round compiles each
+//! distinct group shape once and seeds each shape's search with the
+//! Clifford sequence the previous round chose for it (principal variation
 //! plus aspiration window — see
 //! [`simplify_terms_deepening`](crate::simplify::simplify_terms_deepening)).
+//!
+//! A round is kept when it strictly improves the `(2Q gates, 2Q depth,
+//! gates)` key of what the target delivers: the round's circuit after
+//! [`AnytimePass::lowering`], the part of the target's lowering that runs
+//! before routing. Routing is not scored.
 //!
 //! Interruption semantics:
 //!
 //! - before a round starts → [`EVENT_TRUNCATED`], keep the last completed
 //!   round's result;
-//! - mid-round (between groups or inside the ordering loop) →
+//! - mid-round (inside stage 2's greedy loop or the ordering loop) →
 //!   [`EVENT_ROUND_ABANDONED`], keep the *previous* round's result — a
 //!   half-deepened round is never observable;
 //! - a fired cancel token is honored by setting
@@ -25,33 +30,25 @@
 //!   lowering on the best-so-far instead of erroring.
 //!
 //! The final round of the full schedule scans every candidate pair at the
-//! full lookahead, so an unconstrained anytime compile converges to the
-//! legacy pipeline's output quality. Rounds are deterministic for every
-//! `threads`/`scan_threads` value, making `depth_reached` and the returned
-//! circuit a pure function of the logical budget ([`AnytimePass::max_rounds`]).
+//! full lookahead, which is the unbudgeted compile. Rounds are
+//! deterministic for every `threads`/`scan_threads` value, making
+//! `depth_reached` and the returned circuit a pure function of the logical
+//! budget ([`AnytimePass::max_rounds`]).
 //!
 //! [`CostEvaluator::best_candidate_scan_capped`]: crate::evaluator::CostEvaluator::best_candidate_scan_capped
 
-use std::panic::{self, AssertUnwindSafe};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use phoenix_circuit::synthesis::naive_circuit;
 use phoenix_circuit::Circuit;
 use phoenix_obs::metrics::MetricId;
 use phoenix_obs::Span;
 use phoenix_pauli::{Clifford2Q, PauliString};
 
 use crate::cancel::CancelToken;
-use crate::evaluator::CostEvaluator;
-use crate::group::IrGroup;
-use crate::order::{order_groups_interruptible, OrderOptions};
-use crate::par;
-use crate::pass::{
-    CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_ROUND_ABANDONED, EVENT_TRUNCATED,
-};
-use crate::simplify::{simplify_terms_deepening, SimplifyOptions};
-use crate::synth::synthesize_group;
+use crate::pass::{CompileContext, Pass, PassError, EVENT_ROUND_ABANDONED, EVENT_TRUNCATED};
+use crate::passes::{ConcatPass, OrderPass, ShapeIndex, SimplifySynthPass, TransformPass};
 
 /// Rounds of the full deepening schedule. The last round scans every
 /// candidate pair (breadth `usize::MAX`) at the full ordering lookahead, so
@@ -94,7 +91,7 @@ impl DeepeningController {
 
     /// Whether the compilation should stop deepening: the wall-clock
     /// deadline elapsed or the cancel token fired. Cheap enough to poll
-    /// between groups and inside the ordering loop.
+    /// once per greedy epoch and inside the ordering loop.
     pub fn interrupted(&self) -> bool {
         self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
             || self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -122,153 +119,95 @@ impl DeepeningController {
     }
 }
 
-/// One group's output for one deepening round: circuit, emitted terms, the
-/// chosen Clifford sequence (next round's principal variation), and whether
-/// optimization panicked and degraded to naive synthesis.
-type GroupRound = (Circuit, Vec<(PauliString, f64)>, Vec<Clifford2Q>, bool);
+/// Lexicographic quality key: 2Q gates, then 2Q depth, then total gates —
+/// the objective hierarchy of the paper's Table I metrics.
+type CostKey = (usize, usize, usize);
 
-/// The best-so-far compilation state, replaced only on strict cost
-/// improvement so quality is monotone non-increasing across rounds.
+fn cost_key(circuit: &Circuit) -> CostKey {
+    let counts = circuit.counts();
+    (counts.two_qubit(), circuit.depth_2q(), counts.total)
+}
+
+/// One completed round's compilation state.
 struct Snapshot {
     subcircuits: Vec<Circuit>,
     group_terms: Vec<Vec<(PauliString, f64)>>,
     order: Vec<usize>,
     circuit: Circuit,
     term_order: Vec<(PauliString, f64)>,
-    cost: (usize, usize, usize),
 }
 
-/// Lexicographic quality key: 2Q gates, then 2Q depth, then total gates —
-/// the objective hierarchy of the paper's Table I metrics.
-fn cost_key(circuit: &Circuit) -> (usize, usize, usize) {
-    let counts = circuit.counts();
-    (counts.two_qubit(), circuit.depth_2q(), counts.total)
-}
-
-/// Assembles ordered subcircuits into a circuit + emitted term order (the
-/// body of `ConcatPass`, inlined so each round can score its assembly).
-fn concat(
-    n: usize,
-    subcircuits: &[Circuit],
-    group_terms: &[Vec<(PauliString, f64)>],
-    order: &[usize],
-) -> (Circuit, Vec<(PauliString, f64)>) {
-    let mut circuit = Circuit::new(n);
-    let mut term_order = Vec::new();
-    for &i in order {
-        circuit.append(&subcircuits[i]);
-        term_order.extend(group_terms[i].iter().cloned());
-    }
-    (circuit, term_order)
-}
-
-/// Stages 2–4 of a budgeted pipeline as one anytime pass: naive baseline,
-/// then deepening rounds of capped candidate search + interruptible
-/// ordering + assembly, keeping the best snapshot. Replaces
-/// `SimplifySynthPass` + `OrderPass` + `ConcatPass` when a `pass_budget`
-/// is set; unbudgeted compiles never construct it, keeping the legacy path
-/// bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Stages 2–4 of a budgeted pipeline as one anytime pass: the baseline,
+/// then deepening rounds of [`SimplifySynthPass`] at a capped candidate
+/// scan, [`OrderPass`] at a ramped lookahead and [`ConcatPass`], keeping
+/// the best round. Replaces those three passes when a `pass_budget` is set;
+/// unbudgeted compiles never construct it.
+#[derive(Debug, Default)]
 pub struct AnytimePass {
-    /// Full ordering lookahead (reached on the final round).
-    pub lookahead: usize,
-    /// Run Algorithm 1 (deepening); `false` keeps naive per-group synthesis
-    /// and deepens only the ordering (the ablation arm).
-    pub simplify: bool,
-    /// Run the Tetris ordering; `false` keeps first-appearance order.
-    pub order_enabled: bool,
-    /// Apply the Eq. (7) routing-similarity factor during ordering.
-    pub routing_aware: bool,
-    /// Cap on the threads compiling a round's groups: the caller plus up
-    /// to `threads − 1` pool workers (`0` = one per core, `1` = inline).
-    pub threads: usize,
-    /// Cap on the threads of each candidate scan (`0` = one per core), drawn
-    /// from the same pool.
-    pub scan_threads: usize,
+    /// The stage-2 pass every round runs at the round's scan breadth.
+    pub stage2: SimplifySynthPass,
+    /// The ordering pass every round runs at the round's lookahead; its
+    /// own `lookahead` is the final round's.
+    pub order: OrderPass,
     /// Logical budget: deepest round to run (`None` = full schedule).
     /// Output is a pure function of this cap when the wall clock never
     /// interrupts.
     pub max_rounds: Option<usize>,
-}
-
-impl Default for AnytimePass {
-    fn default() -> Self {
-        AnytimePass {
-            lookahead: 20,
-            simplify: true,
-            order_enabled: true,
-            routing_aware: false,
-            threads: 1,
-            scan_threads: 1,
-            max_rounds: None,
-        }
-    }
+    /// What the target's lowering runs before routing (or at all, when it
+    /// does not route): every round is scored on the circuit these passes
+    /// make of it. Empty scores the logical circuit itself.
+    pub lowering: Vec<TransformPass>,
 }
 
 impl AnytimePass {
-    /// Runs one deepening round's stage 2 over all groups on at most
-    /// `threads` pool participants, the calling thread first, into
-    /// index-aligned slots like `SimplifySynthPass`. Returns `None` when the
-    /// controller interrupted mid-round (some group was never compiled);
-    /// the round must then be abandoned wholesale. The job runs on pool
-    /// threads, so it shares the groups and the previous round's principal
-    /// variations through `Arc`.
-    #[allow(clippy::too_many_arguments)]
-    fn deepen_groups(
+    /// Runs stages 2–4 once, polling `controller`: stage 2 at `breadth`
+    /// from the principal variations `pvs`, ordering at `lookahead`, then
+    /// concatenation. Returns the round and its shapes' chosen Clifford
+    /// sequences, or `None` when interrupted.
+    fn round(
         &self,
-        n: usize,
-        groups: &Arc<[IrGroup]>,
-        pvs: &Arc<Vec<Vec<Clifford2Q>>>,
-        opts: &SimplifyOptions,
+        ctx: &mut CompileContext,
+        shapes: &ShapeIndex,
         breadth: usize,
-        threads: usize,
+        lookahead: usize,
+        pvs: &Arc<[Vec<Clifford2Q>]>,
         controller: &DeepeningController,
-    ) -> Option<Vec<GroupRound>> {
-        let simplify = self.simplify;
-        let groups = Arc::clone(groups);
-        let pvs = Arc::clone(pvs);
-        let opts = *opts;
-        let controller = controller.clone();
-        // Conventional synthesis is too cheap to hand out.
-        let cap = if simplify { threads } else { 1 };
-        // `None` from a group means the controller interrupted the greedy
-        // loop mid-group (polled once per epoch, so even a single
-        // pathological group yields within one epoch) or before the group
-        // started; the whole round is then abandoned. A contained panic
-        // still produces a (degraded) result. Each participant carries one
-        // evaluator across its groups.
-        let rounds = par::map(groups.len(), cap, CostEvaluator::new, move |eval, i| {
-            if controller.interrupted() {
-                return None;
-            }
-            let group = &groups[i];
-            let naive = || (naive_circuit(n, group.terms()), group.terms().to_vec());
-            if !simplify {
-                let (c, t) = naive();
-                return Some((c, t, Vec::new(), false));
-            }
-            let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-                simplify_terms_deepening(
-                    eval,
-                    n,
-                    group.terms(),
-                    &opts,
-                    breadth,
-                    &pvs[i],
-                    &mut || controller.interrupted(),
-                )
-                .map(|(s, pv)| (synthesize_group(&s), s.term_sequence(), pv))
-            }));
-            match attempt {
-                Ok(Some((circuit, terms, pv))) => Some((circuit, terms, pv, false)),
-                Ok(None) => None,
-                Err(_) => {
-                    let (c, t) = naive();
-                    Some((c, t, Vec::new(), true))
-                }
-            }
-        });
-        rounds.into_iter().collect()
+    ) -> Option<(Snapshot, Arc<[Vec<Clifford2Q>]>)> {
+        let poll = controller.clone();
+        let round = self.stage2.compile_round(
+            ctx.num_qubits,
+            &ctx.groups,
+            shapes,
+            breadth,
+            pvs,
+            move || poll.interrupted(),
+            None,
+            None,
+        )?;
+        let pvs = Arc::clone(&round.pvs);
+        let (subcircuits, group_terms) = round.record(ctx, self.name());
+        let order = self
+            .order
+            .order(&subcircuits, lookahead, &mut || controller.interrupted())?;
+        let (circuit, term_order) =
+            ConcatPass::concat(ctx.num_qubits, &subcircuits, &group_terms, &order);
+        let snapshot = Snapshot {
+            subcircuits,
+            group_terms,
+            order,
+            circuit,
+            term_order,
+        };
+        Some((snapshot, pvs))
+    }
+
+    /// The quality key of what the target delivers from `circuit`.
+    fn score(&self, circuit: &Circuit) -> CostKey {
+        let lowered = self
+            .lowering
+            .iter()
+            .fold(Cow::Borrowed(circuit), |c, pass| Cow::Owned(pass.apply(&c)));
+        cost_key(&lowered)
     }
 }
 
@@ -278,38 +217,32 @@ impl Pass for AnytimePass {
     }
 
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-        let n = ctx.num_qubits;
         let controller =
             DeepeningController::new(ctx.deadline, ctx.cancel.clone(), self.max_rounds);
-        let opts = SimplifyOptions {
-            scan_threads: self.scan_threads,
-            naive_cost: false,
-        };
-        let threads = par::resolve_threads(self.threads).min(ctx.groups.len().max(1));
-        let groups: Arc<[IrGroup]> = ctx.groups.as_slice().into();
+        let shapes = self.stage2.shapes(&ctx.groups);
 
-        // Round 0: the naive baseline, always computed (it is the cheapest
-        // valid form) so every interruption point — including a zero
-        // budget — yields a complete compilation.
-        let subcircuits: Vec<Circuit> = ctx
-            .groups
-            .iter()
-            .map(|g| naive_circuit(n, g.terms()))
-            .collect();
-        let group_terms: Vec<Vec<(PauliString, f64)>> =
-            ctx.groups.iter().map(|g| g.terms().to_vec()).collect();
-        let order: Vec<usize> = (0..subcircuits.len()).collect();
-        let (circuit, term_order) = concat(n, &subcircuits, &group_terms, &order);
-        let mut best = Snapshot {
-            cost: cost_key(&circuit),
-            subcircuits,
-            group_terms,
-            order,
-            circuit,
-            term_order,
+        // Round 0, the baseline, polls nothing, so every interruption
+        // point — including a zero budget — yields a complete compilation.
+        let baseline = AnytimePass {
+            stage2: SimplifySynthPass {
+                simplify: false,
+                ..self.stage2
+            },
+            order: OrderPass {
+                enabled: false,
+                ..self.order
+            },
+            ..AnytimePass::default()
         };
+        let mut pvs: Arc<[Vec<Clifford2Q>]> = Arc::from([]);
+        let (mut best, _) = baseline
+            .round(ctx, &shapes, usize::MAX, 0, &pvs, &controller)
+            .expect("the baseline round polls no interrupt");
+        let mut best_score = self.score(&best.circuit);
+        // The previous round's circuit and score when it was not kept: a
+        // round that repeats it is not lowered again.
+        let mut last: Option<(Circuit, CostKey)> = None;
         let mut depth_reached = 0usize;
-        let mut pvs: Arc<Vec<Vec<Clifford2Q>>> = Arc::new(vec![Vec::new(); groups.len()]);
 
         for round in 1..=controller.max_rounds() {
             if controller.interrupted() {
@@ -325,9 +258,9 @@ impl Pass for AnytimePass {
             }
             let round_start = ctx.obs.as_ref().map(|o| o.now_us());
             let breadth = controller.scan_breadth(round);
-            let lookahead = controller.lookahead(round, self.lookahead);
-            let Some(rounds) =
-                self.deepen_groups(n, &groups, &pvs, &opts, breadth, threads, &controller)
+            let lookahead = controller.lookahead(round, self.order.lookahead);
+            let Some((snapshot, next_pvs)) =
+                self.round(ctx, &shapes, breadth, lookahead, &pvs, &controller)
             else {
                 ctx.record_event(
                     self.name(),
@@ -339,55 +272,17 @@ impl Pass for AnytimePass {
                 );
                 break;
             };
-            let mut subcircuits = Vec::with_capacity(rounds.len());
-            let mut group_terms = Vec::with_capacity(rounds.len());
-            let mut next_pvs = Vec::with_capacity(rounds.len());
-            for (i, (circuit, terms, pv, degraded)) in rounds.into_iter().enumerate() {
-                if degraded {
-                    ctx.record_event(
-                        self.name(),
-                        EVENT_DEGRADED,
-                        format!(
-                            "group {i} fell back to conventional synthesis in round {round} \
-                             (optimization panicked)"
-                        ),
-                    );
-                }
-                subcircuits.push(circuit);
-                group_terms.push(terms);
-                next_pvs.push(pv);
-            }
-            let order = if self.order_enabled {
-                let ordered = order_groups_interruptible(
-                    &subcircuits,
-                    &OrderOptions {
-                        lookahead,
-                        routing_aware: self.routing_aware,
-                    },
-                    &mut || controller.interrupted(),
-                );
-                match ordered {
-                    Some(o) => o,
-                    None => {
-                        ctx.record_event(
-                            self.name(),
-                            EVENT_ROUND_ABANDONED,
-                            format!(
-                                "deadline hit mid-round {round} (ordering); \
-                                 kept round {depth_reached} result"
-                            ),
-                        );
-                        break;
-                    }
-                }
+            let (previous, previous_score) = last
+                .as_ref()
+                .map_or((&best.circuit, best_score), |(c, s)| (c, *s));
+            let score = if snapshot.circuit == *previous {
+                previous_score
             } else {
-                (0..subcircuits.len()).collect()
+                self.score(&snapshot.circuit)
             };
-            let (circuit, term_order) = concat(n, &subcircuits, &group_terms, &order);
-            let cost = cost_key(&circuit);
-            let improved = cost < best.cost;
+            let improved = score < best_score;
             depth_reached = round;
-            pvs = Arc::new(next_pvs);
+            pvs = next_pvs;
             if let Some(obs) = &ctx.obs {
                 let m = obs.metrics();
                 m.incr(MetricId::AnytimeRounds);
@@ -404,9 +299,9 @@ impl Pass for AnytimePass {
                 let mut span = Span::new(format!("round {round}"), "anytime")
                     .arg("breadth", breadth_label)
                     .arg("lookahead", lookahead)
-                    .arg("two_qubit", cost.0 as u64)
-                    .arg("depth_2q", cost.1 as u64)
-                    .arg("gates", cost.2 as u64)
+                    .arg("two_qubit", score.0 as u64)
+                    .arg("depth_2q", score.1 as u64)
+                    .arg("gates", score.2 as u64)
                     .arg("improved", if improved { "yes" } else { "no" });
                 span.start_us = round_start.unwrap_or(0);
                 if let Some(obs) = &ctx.obs {
@@ -415,14 +310,11 @@ impl Pass for AnytimePass {
                 ctx.push_span(span);
             }
             if improved {
-                best = Snapshot {
-                    subcircuits,
-                    group_terms,
-                    order,
-                    circuit,
-                    term_order,
-                    cost,
-                };
+                best = snapshot;
+                best_score = score;
+                last = None;
+            } else {
+                last = Some((snapshot.circuit, score));
             }
         }
 
@@ -445,8 +337,16 @@ impl Pass for AnytimePass {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::evaluator::CostEvaluator;
+    use crate::group::{group_by_support, IrGroup};
     use crate::pass::PassManager;
     use crate::passes::GroupPass;
+    use crate::simplify::{simplify_terms_deepening, SimplifyOptions};
+    use crate::synth::synthesize_group;
+    use phoenix_circuit::synthesis::naive_circuit;
+    use phoenix_mathkit::Xoshiro256;
+    use phoenix_pauli::Pauli;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
@@ -516,8 +416,11 @@ mod tests {
             let pm = PassManager::new()
                 .with(GroupPass)
                 .with(AnytimePass {
-                    threads,
-                    scan_threads,
+                    stage2: SimplifySynthPass {
+                        threads,
+                        scan_threads,
+                        ..SimplifySynthPass::default()
+                    },
                     max_rounds: Some(4),
                     ..AnytimePass::default()
                 })
@@ -562,5 +465,146 @@ mod tests {
         assert!(ctx.soft_cancelled);
         assert_eq!(ctx.depth_reached, Some(0));
         assert!(!ctx.circuit.is_empty());
+    }
+
+    /// Per group, per round 1..=MAX_ROUNDS: the circuit and the emitted
+    /// terms, in `Debug` form (which tells `-0.0` from `0.0`).
+    type Rounds = Vec<Vec<(String, String)>>;
+
+    /// Every group compiled on its own, round after round, each round
+    /// seeded with the group's own previous chosen Clifford sequence.
+    fn per_group(n: usize, groups: &[IrGroup]) -> Rounds {
+        let schedule = DeepeningController::new(None, None, None);
+        let mut eval = CostEvaluator::new();
+        groups
+            .iter()
+            .map(|g| {
+                let mut pv = Vec::new();
+                (1..=MAX_ROUNDS)
+                    .map(|round| {
+                        let (s, next) = simplify_terms_deepening(
+                            &mut eval,
+                            n,
+                            g.terms(),
+                            &SimplifyOptions::default(),
+                            schedule.scan_breadth(round),
+                            &pv,
+                            &mut || false,
+                        )
+                        .unwrap();
+                        pv = next;
+                        (
+                            format!("{:?}", synthesize_group(&s)),
+                            format!("{:?}", s.term_sequence()),
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The rounds as `AnytimePass` runs them: each shape compiled once in
+    /// rank space from its own principal variation, then bound to every
+    /// group of the shape.
+    fn per_shape(n: usize, groups: &[IrGroup]) -> Rounds {
+        let schedule = DeepeningController::new(None, None, None);
+        let stage2 = SimplifySynthPass::default();
+        let shapes = stage2.shapes(groups);
+        let mut pvs: Arc<[Vec<Clifford2Q>]> = Arc::from([]);
+        let mut out: Rounds = vec![Vec::new(); groups.len()];
+        for round in 1..=MAX_ROUNDS {
+            let compiled = stage2
+                .compile_round(
+                    n,
+                    groups,
+                    &shapes,
+                    schedule.scan_breadth(round),
+                    &pvs,
+                    || false,
+                    None,
+                    None,
+                )
+                .unwrap();
+            pvs = Arc::clone(&compiled.pvs);
+            let (circuits, group_terms) = compiled.record(&mut CompileContext::new(n, &[]), "test");
+            for (g, (c, t)) in circuits.iter().zip(&group_terms).enumerate() {
+                out[g].push((format!("{c:?}"), format!("{t:?}")));
+            }
+        }
+        out
+    }
+
+    /// `s` distinct qubits of `n`, ascending, drawn from `seed`.
+    fn support(n: usize, s: usize, seed: u64) -> Vec<usize> {
+        let mut all: Vec<usize> = (0..n).collect();
+        Xoshiro256::seed_from_u64(seed).shuffle(&mut all);
+        let mut chosen = all[..s].to_vec();
+        chosen.sort_unstable();
+        chosen
+    }
+
+    /// A program whose group shapes repeat: one to three base groups of
+    /// width 1–7 (up to 24 rows, each acting on the whole support), each
+    /// placed on two to four random supports of a 7–12-qubit register.
+    fn arb_repeating() -> impl Strategy<Value = (usize, Vec<(PauliString, f64)>)> {
+        (
+            7usize..=12,
+            proptest::collection::vec(
+                (
+                    1usize..=7,
+                    proptest::collection::vec((any::<u64>(), -1.0f64..1.0), 1..=24),
+                    proptest::collection::vec(any::<u64>(), 2..=4),
+                ),
+                1..=3,
+            ),
+        )
+            .prop_map(|(n, bases)| {
+                let mut terms = Vec::new();
+                for (width, rows, placements) in bases {
+                    for seed in placements {
+                        let qubits = support(n, width, seed);
+                        for &(letters, coeff) in &rows {
+                            let mut p = PauliString::identity(n);
+                            for (r, &q) in qubits.iter().enumerate() {
+                                let letter = [Pauli::X, Pauli::Y, Pauli::Z]
+                                    [(letters >> (2 * r)) as usize % 3];
+                                p.set(q, letter);
+                            }
+                            terms.push((p, coeff));
+                        }
+                    }
+                }
+                (n, terms)
+            })
+    }
+
+    proptest! {
+        /// Deepening rounds are relabel-invariant: compiling each shape
+        /// once in rank space, with the shape's principal variation, and
+        /// binding it to every group of the shape gives, bit for bit, what
+        /// compiling every group on its own with its own principal
+        /// variation chain gives, at every round of the schedule.
+        #[test]
+        fn rounds_compiled_per_shape_equal_rounds_per_group((n, t) in arb_repeating()) {
+            let groups = group_by_support(n, &t);
+            prop_assert_eq!(per_shape(n, &groups), per_group(n, &groups));
+        }
+    }
+
+    #[test]
+    fn table1_rounds_compiled_per_shape_equal_rounds_per_group() {
+        use phoenix_hamil::uccsd::{self, Encoding, Molecule};
+        for molecule in [Molecule::lih(), Molecule::nh()] {
+            for encoding in [Encoding::JordanWigner, Encoding::BravyiKitaev] {
+                let h = uccsd::ansatz(molecule, true, encoding, 7);
+                let groups = group_by_support(h.num_qubits(), h.terms());
+                assert_eq!(
+                    per_shape(h.num_qubits(), &groups),
+                    per_group(h.num_qubits(), &groups),
+                    "{}",
+                    h.name()
+                );
+            }
+        }
     }
 }

@@ -43,6 +43,7 @@ use crate::error::{validate_program, PhoenixError};
 use crate::observe::MetricsObserver;
 use crate::pass::{CompileContext, PassTrace};
 use crate::pipeline::{logical_passes, PhoenixOptions};
+use crate::request::Target;
 
 /// SplitMix64-style finalizer used for the options fingerprint.
 fn mix(mut x: u64) -> u64 {
@@ -101,11 +102,12 @@ pub(crate) fn compile_structure(
     ctx.cache = cache.cloned();
     ctx.obs = obs.cloned();
     ctx.cancel = options.cancel.clone();
-    // The same logical stages `run()` starts with: a budget truncates them
-    // and `verify` audits them on the slot-encoded terms. Only
+    // The same logical stages `run()` starts with: a budget deepens them
+    // anytime-style, scored on the logical circuit, and `verify` audits
+    // them on the slot-encoded terms. Only
     // `structure()` brings either here, with the cache filtered out;
     // `run()` and `bind()` compile such requests unsplit.
-    let manager = logical_passes(options, routing_aware);
+    let manager = logical_passes(options, routing_aware, &Target::Logical);
     let manager = if obs.is_some() {
         manager.with_observer(Arc::new(MetricsObserver))
     } else {

@@ -90,8 +90,8 @@ pub struct CompileContext {
     /// truncations); drained into the [`PassTrace`] after each pass.
     pub events: Vec<TraceEvent>,
     /// Wall-clock deadline for optimization effort, set from the pass
-    /// budget. Passes consult [`CompileContext::past_deadline`] to cut
-    /// optional work short; correctness-critical work always completes.
+    /// budget. The manager skips optional passes past it and the anytime
+    /// pass stops deepening; correctness-critical work always completes.
     pub deadline: Option<Instant>,
     /// Observability collector, when this compilation is instrumented
     /// (`CompileRequest::obs(true)`). `None` costs one pointer check per
@@ -106,8 +106,9 @@ pub struct CompileContext {
     /// the artifacts it compiles, so later compiles of any group of the same
     /// shape, in any program, only bind; and `layout-route` looks up the
     /// routed template of its angle-erased input, so a structure is routed
-    /// once and later compiles only copy their angles into it. Both ignore
-    /// the cache while a pass deadline is set. `None` compiles every shape
+    /// once and later compiles only copy their angles into it.
+    /// `layout-route` ignores the cache while a pass deadline is set, and
+    /// anytime deepening rounds never use it. `None` compiles every shape
     /// and routes every circuit for this compile alone, with bit-for-bit
     /// the same output.
     pub cache: Option<Arc<phoenix_cache::CompileCache>>,
@@ -490,10 +491,10 @@ impl PassManager {
     }
 
     /// Sets a wall-clock budget for optimization effort. Once it elapses,
-    /// optional passes are skipped (recorded as `skipped` events) and
-    /// budget-aware passes cut their remaining work short (`truncated`
-    /// events); correctness-critical passes still run to completion, so
-    /// the output is always a valid compilation — just less optimized.
+    /// optional passes are skipped (recorded as `skipped` events) and the
+    /// anytime pass stops deepening (`truncated` or `round-abandoned`
+    /// events); every other pass ignores it and runs to completion, so the
+    /// output is always a valid compilation — just less optimized.
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
         self

@@ -21,8 +21,7 @@
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 use phoenix_cache::{encode_slot, CompileCache, GroupArtifact, RouteArtifact, RouteKey};
 use phoenix_circuit::transform::{
@@ -31,20 +30,18 @@ use phoenix_circuit::transform::{
 use phoenix_circuit::Circuit;
 use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId};
 use phoenix_obs::{ObsCollector, Span};
-use phoenix_pauli::{GroupShape, PauliString};
+use phoenix_pauli::{Clifford2Q, GroupShape, PauliString};
 use phoenix_router::{
     route_with_attempt_log, RouteAttempt, RouteError, RoutedCircuit, RouterOptions,
 };
 use phoenix_topology::CouplingGraph;
 
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelReason, CancelToken};
 use crate::evaluator::CostEvaluator;
 use crate::group::{group_by_support, IrGroup};
 use crate::order::{order_groups_interruptible, OrderOptions};
 use crate::par;
-use crate::pass::{
-    CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_RETRIED, EVENT_TRUNCATED,
-};
+use crate::pass::{CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_RETRIED};
 use crate::simplify::{simplify_terms_deepening, SimplifyOptions};
 use crate::synth::synthesize_group;
 
@@ -125,8 +122,11 @@ impl Default for SimplifySynthPass {
 /// when not `None`).
 type GroupOutcome = Option<&'static str>;
 
+/// Pauli strings with their coefficients.
+type Terms = Vec<(PauliString, f64)>;
+
 /// One group's compiled output: circuit + implemented term sequence.
-type CompiledGroup = (Circuit, Vec<(PauliString, f64)>);
+type CompiledGroup = (Circuit, Terms);
 
 /// One group's compiled output (circuit + implemented term sequence), its
 /// outcome class, and its span (`Some` only when instrumented).
@@ -140,64 +140,139 @@ type ShapeCompile = (Vec<Span>, Option<(u64, u64)>);
 /// when it falls back to conventional synthesis.
 type ShapeArtifact = Result<Arc<GroupArtifact>, GroupOutcome>;
 
+/// A shape's compile: its artifact (or the outcome its groups record when
+/// they fall back), the Clifford sequence it chose, and its spans.
+type CompiledShape = (
+    Result<GroupArtifact, GroupOutcome>,
+    Vec<Clifford2Q>,
+    Vec<Span>,
+);
+
+/// One compile's group shapes, built once for all its stage-2 rounds:
+/// per group its key and shape, per shape its first group (the leader)
+/// and its rank-space rows, slot-encoded on the shape's first compile.
+pub(crate) struct ShapeIndex {
+    keys: Arc<[GroupShape]>,
+    leaders: Vec<usize>,
+    shape_of: Vec<usize>,
+    rows: Arc<[OnceLock<Terms>]>,
+}
+
+/// One stage-2 round: per group its output, outcome and span; per shape
+/// the Clifford sequence its compile chose in rank space, the shape's
+/// principal variation in the next round.
+pub(crate) struct Stage2Round {
+    groups: Vec<GroupResult>,
+    pub(crate) pvs: Arc<[Vec<Clifford2Q>]>,
+}
+
+impl Stage2Round {
+    /// Splits the round into subcircuits and emitted terms, recording
+    /// against `pass`, in group-index order, a [`EVENT_DEGRADED`] event per
+    /// fallen-back group and the round's group spans.
+    pub(crate) fn record(
+        self,
+        ctx: &mut CompileContext,
+        pass: &str,
+    ) -> (Vec<Circuit>, Vec<Vec<(PauliString, f64)>>) {
+        let mut subcircuits = Vec::with_capacity(self.groups.len());
+        let mut group_terms = Vec::with_capacity(self.groups.len());
+        for (i, ((circuit, terms), outcome, span)) in self.groups.into_iter().enumerate() {
+            if let Some(kind) = outcome {
+                ctx.record_event(
+                    pass,
+                    kind,
+                    format!(
+                        "group {i} fell back to conventional synthesis (optimization panicked)"
+                    ),
+                );
+            }
+            if let Some(span) = span {
+                ctx.push_span(span);
+            }
+            subcircuits.push(circuit);
+            group_terms.push(terms);
+        }
+        (subcircuits, group_terms)
+    }
+}
+
 impl SimplifySynthPass {
-    /// Compiles one shape's rank-space rows, slot-encoded, through
-    /// Algorithm 1 and synthesis, with the failure modes contained: a
-    /// panic (reported as [`EVENT_DEGRADED`]) and an elapsed optimization
-    /// deadline (reported as [`EVENT_TRUNCATED`]) both leave the shape
-    /// without an artifact, and its groups fall back to their unsimplified
-    /// conventional synthesis, which is always available and semantically
-    /// equivalent. A fired cancel token falls back silently: the result is
-    /// discarded at the next pass boundary anyway. The token and deadline
-    /// are polled once per greedy epoch, so even one pathological shape
-    /// (hundreds of wide rows take thousands of epochs) cannot stall a
-    /// cancellation for more than one epoch.
+    /// Keys `groups` by shape in first-appearance order (none when
+    /// simplification is off). The fault-injected group leads a shape of
+    /// its own, never shared, so exactly that group degrades.
+    pub(crate) fn shapes(&self, groups: &[IrGroup]) -> ShapeIndex {
+        let keys: Arc<[GroupShape]> = if self.simplify {
+            groups
+                .iter()
+                .map(|g| GroupShape::from_terms(g.support_mask(), g.terms()))
+                .collect()
+        } else {
+            Arc::from([])
+        };
+        let mut index: HashMap<&GroupShape, usize> = HashMap::with_capacity(keys.len());
+        let mut leaders: Vec<usize> = Vec::new();
+        let mut shape_of: Vec<usize> = Vec::with_capacity(keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            let shape = if self.fault_inject_group == Some(i) {
+                leaders.push(i);
+                leaders.len() - 1
+            } else {
+                *index.entry(key).or_insert_with(|| {
+                    leaders.push(i);
+                    leaders.len() - 1
+                })
+            };
+            shape_of.push(shape);
+        }
+        let rows = leaders.iter().map(|_| OnceLock::new()).collect();
+        ShapeIndex {
+            keys,
+            leaders,
+            shape_of,
+            rows,
+        }
+    }
+
+    /// Compiles one shape's rows through Algorithm 1, scanning `breadth`
+    /// support-pair ranks from the principal variation `pv`, and synthesis.
+    /// Returns the artifact and the chosen Clifford sequence, or `None`
+    /// when `interrupted` fired; it is polled once per greedy epoch, so
+    /// even one pathological shape (hundreds of wide rows take thousands
+    /// of epochs) cannot hold an interruption for more than one epoch. A
+    /// panic ([`EVENT_DEGRADED`]) leaves the shape without an artifact, and
+    /// its groups fall back to their unsimplified conventional synthesis,
+    /// which is always available and semantically equivalent.
     ///
     /// When `obs` is set, also returns the `candidate-scan`/`synthesize`
     /// child spans of the leader's group span.
     #[allow(clippy::too_many_arguments)]
     fn compile_shape(
-        &self,
         eval: &mut CostEvaluator,
-        shape: &GroupShape,
+        rows: &[(PauliString, f64)],
+        width: usize,
         opts: &SimplifyOptions,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
+        breadth: usize,
+        pv: &[Clifford2Q],
+        interrupted: &dyn Fn() -> bool,
         obs: Option<&ObsCollector>,
         fault: bool,
-    ) -> (Result<GroupArtifact, GroupOutcome>, Vec<Span>) {
-        let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return (Err(None), Vec::new());
-        }
-        if past_deadline() {
-            return (Err(Some(EVENT_TRUNCATED)), Vec::new());
+    ) -> Option<CompiledShape> {
+        if interrupted() {
+            return None;
         }
         let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
             if fault {
                 panic!("fault injection: forced panic");
             }
-            let terms: Vec<(PauliString, f64)> = shape
-                .strings()
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| (p, encode_slot(i)))
-                .collect();
             let scan_start = obs.map(|o| o.now_us());
-            let mut interrupted = || cancel.is_some_and(|c| c.is_cancelled()) || past_deadline();
-            // Full breadth and no principal variation: the plain greedy loop.
-            let (s, _) = simplify_terms_deepening(
-                eval,
-                shape.width(),
-                &terms,
-                opts,
-                usize::MAX,
-                &[],
-                &mut interrupted,
-            )?;
+            let (s, pv) =
+                simplify_terms_deepening(eval, width, rows, opts, breadth, pv, &mut || {
+                    interrupted()
+                })?;
             let synth_start = obs.map(|o| o.now_us());
             let artifact = GroupArtifact::from_slot_encoded(
-                terms.len(),
+                rows.len(),
                 synthesize_group(&s),
                 s.emitted_coeffs(),
             )
@@ -211,14 +286,11 @@ impl SimplifySynthPass {
                 synth.dur_us = o.now_us().saturating_sub(synth.start_us);
                 vec![scan, synth]
             });
-            Some((artifact, children))
+            Some((artifact, pv, children))
         }));
         match attempt {
-            Ok(Some((artifact, children))) => (Ok(artifact), children),
-            // Interrupted mid-loop: past-deadline is reported as truncation,
-            // a fired cancel token stays silent.
-            Ok(None) => (Err(past_deadline().then_some(EVENT_TRUNCATED)), Vec::new()),
-            Err(_) => (Err(Some(EVENT_DEGRADED)), Vec::new()),
+            Ok(round) => round.map(|(artifact, pv, children)| (Ok(artifact), pv, children)),
+            Err(_) => Some((Err(Some(EVENT_DEGRADED)), Vec::new(), Vec::new())),
         }
     }
 
@@ -280,53 +352,53 @@ impl SimplifySynthPass {
         (result, outcome, span)
     }
 
-    /// Compiles every group: one artifact per distinct shape, then one bind
-    /// per group. Shapes, shared-cache lookups and inserts are handled on
-    /// the calling thread in first-appearance order; the missing shapes
-    /// compile over at most `threads` pool participants, and every group
-    /// then binds on the calling thread.
+    /// Compiles one stage-2 round: one artifact per shape, each greedy
+    /// epoch scanning `breadth` support-pair ranks from the shape's
+    /// principal variation in `pvs` (`usize::MAX` and none: the plain
+    /// greedy loop), then one bind per group. With `cache`, shapes are
+    /// looked up and inserted on the calling thread in first-appearance
+    /// order, never under fault injection; the missing ones compile over
+    /// at most `threads` pool participants, and every group binds on the
+    /// calling thread. `obs` adds group spans. Returns `None`, never a
+    /// partial round, when `interrupted` fired.
     #[allow(clippy::too_many_arguments)]
-    fn compile_groups(
+    pub(crate) fn compile_round(
         &self,
         n: usize,
         groups: &[IrGroup],
-        threads: usize,
-        opts: &SimplifyOptions,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-        obs: Option<&Arc<ObsCollector>>,
+        shapes: &ShapeIndex,
+        breadth: usize,
+        pvs: &Arc<[Vec<Clifford2Q>]>,
+        interrupted: impl Fn() -> bool + Send + Sync + 'static,
         cache: Option<&CompileCache>,
-    ) -> Vec<GroupResult> {
-        let fault = self.fault_inject_group;
-        // Shapes in first-appearance order; the first group of each leads
-        // it. The fault-injected group leads a shape of its own, never
-        // shared, so exactly that group degrades.
-        let keys: Arc<[GroupShape]> = groups
-            .iter()
-            .map(|g| GroupShape::from_terms(g.support_mask(), g.terms()))
-            .collect();
-        let mut index: HashMap<&GroupShape, usize> = HashMap::with_capacity(keys.len());
-        let mut leaders: Vec<usize> = Vec::new();
-        let mut shape_of: Vec<usize> = Vec::with_capacity(keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            let shape = if fault == Some(i) {
-                leaders.push(i);
-                leaders.len() - 1
-            } else {
-                *index.entry(key).or_insert_with(|| {
-                    leaders.push(i);
-                    leaders.len() - 1
+        obs: Option<&Arc<ObsCollector>>,
+    ) -> Option<Stage2Round> {
+        if !self.simplify {
+            // Conventional synthesis costs about as much as a bind: inline.
+            let obs = obs.map(Arc::as_ref);
+            let groups = groups
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    Self::finish_group(n, i, g, &Err(None), None, None, Default::default(), obs)
                 })
-            };
-            shape_of.push(shape);
+                .collect();
+            return Some(Stage2Round {
+                groups,
+                pvs: Arc::from([]),
+            });
         }
-
-        // Fault injection and pass budgets must never leak artifacts into
-        // (or be masked by) the shared cache: one lookup per shape.
-        let shared = cache.filter(|_| fault.is_none() && deadline.is_none());
+        let ShapeIndex {
+            keys,
+            leaders,
+            shape_of,
+            rows,
+        } = shapes;
+        let fault = self.fault_inject_group;
+        let shared = cache.filter(|_| fault.is_none());
         let mut artifacts: Vec<Option<ShapeArtifact>> = Vec::with_capacity(leaders.len());
         let mut lookups: Vec<Option<bool>> = Vec::with_capacity(leaders.len());
-        for &leader in &leaders {
+        for &leader in leaders {
             let hit = shared.and_then(|c| c.get_group(&keys[leader]));
             if let (Some(o), Some(_)) = (obs, shared) {
                 o.metrics().incr(if hit.is_some() {
@@ -340,42 +412,61 @@ impl SimplifySynthPass {
         }
 
         // Compile the missing shapes. The job runs on pool threads, so it
-        // owns what it reads: the shared keys, the leaders it compiles and
-        // clones of the options, token and collector.
+        // owns what it reads: the shared keys, rows and principal
+        // variations, the shapes it compiles and clones of the options,
+        // poll and collector.
         let todo: Vec<usize> = (0..leaders.len())
             .filter(|&s| artifacts[s].is_none())
             .collect();
         let compiled = {
-            let pass = *self;
-            let keys = Arc::clone(&keys);
-            let todo_leaders: Vec<usize> = todo.iter().map(|&s| leaders[s]).collect();
-            let opts = *opts;
-            let cancel = cancel.cloned();
+            let keys = Arc::clone(keys);
+            let rows = Arc::clone(rows);
+            let pvs = Arc::clone(pvs);
+            let todo: Vec<(usize, usize)> = todo.iter().map(|&s| (s, leaders[s])).collect();
+            let opts = SimplifyOptions {
+                scan_threads: self.scan_threads,
+                ..SimplifyOptions::default()
+            };
             let obs = obs.cloned();
-            par::map(todo.len(), threads, CostEvaluator::new, move |eval, t| {
-                let leader = todo_leaders[t];
-                let start_us = obs.as_ref().map(|o| o.now_us());
-                let (artifact, children) = pass.compile_shape(
-                    eval,
-                    &keys[leader],
-                    &opts,
-                    deadline,
-                    cancel.as_ref(),
-                    obs.as_deref(),
-                    fault == Some(leader),
-                );
-                let timing = obs
-                    .as_ref()
-                    .zip(start_us)
-                    .map(|(o, start)| (start, o.now_us().saturating_sub(start)));
-                (artifact.map(Arc::new), (children, timing))
-            })
+            par::map(
+                todo.len(),
+                self.threads,
+                CostEvaluator::new,
+                move |eval, t| {
+                    let (shape, leader) = todo[t];
+                    let key = &keys[leader];
+                    let rows = rows[shape].get_or_init(|| {
+                        let slots = (0..).map(encode_slot);
+                        key.strings().into_iter().zip(slots).collect()
+                    });
+                    let pv = pvs.get(shape).map_or(&[][..], Vec::as_slice);
+                    let start_us = obs.as_ref().map(|o| o.now_us());
+                    let (artifact, pv, children) = Self::compile_shape(
+                        eval,
+                        rows,
+                        key.width(),
+                        &opts,
+                        breadth,
+                        pv,
+                        &interrupted,
+                        obs.as_deref(),
+                        fault == Some(leader),
+                    )?;
+                    let timing = obs
+                        .as_ref()
+                        .zip(start_us)
+                        .map(|(o, start)| (start, o.now_us().saturating_sub(start)));
+                    Some((artifact.map(Arc::new), pv, (children, timing)))
+                },
+            )
         };
+        let mut next_pvs: Vec<Vec<Clifford2Q>> = vec![Vec::new(); leaders.len()];
         let mut compiles: Vec<ShapeCompile> =
             (0..leaders.len()).map(|_| Default::default()).collect();
-        for (&shape, (artifact, compile)) in todo.iter().zip(compiled) {
-            // A partial artifact never exists: interrupted and panicked
-            // compiles come back as outcomes and are not inserted.
+        for (&shape, compiled) in todo.iter().zip(compiled) {
+            let (artifact, pv, compile) = compiled?;
+            // A partial artifact never exists: panicked compiles come back
+            // as outcomes and are not inserted.
             let artifact = match (artifact, shared) {
                 (Ok(art), Some(shared)) => {
                     Ok(shared.insert_group(keys[leaders[shape]].clone(), art))
@@ -383,12 +474,13 @@ impl SimplifySynthPass {
                 (other, _) => other,
             };
             artifacts[shape] = Some(artifact);
+            next_pvs[shape] = pv;
             compiles[shape] = compile;
         }
 
         // Bind every group, leaders included, on the calling thread.
         let obs = obs.map(Arc::as_ref);
-        (0..groups.len())
+        let groups = (0..groups.len())
             .map(|i| {
                 let shape = shape_of[i];
                 let leader = leaders[shape] == i;
@@ -407,7 +499,11 @@ impl SimplifySynthPass {
                     obs,
                 )
             })
-            .collect()
+            .collect();
+        Some(Stage2Round {
+            groups,
+            pvs: next_pvs.into(),
+        })
     }
 }
 
@@ -421,64 +517,36 @@ impl Pass for SimplifySynthPass {
     }
 
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-        let n = ctx.num_qubits;
-        let obs_arc = ctx.obs.clone();
-        let obs = obs_arc.as_deref();
-        let cache_arc = ctx.cache.clone();
-        let cache = cache_arc.as_deref();
-        let groups = &ctx.groups;
-        let opts = SimplifyOptions {
-            scan_threads: self.scan_threads,
-            ..SimplifyOptions::default()
-        };
-        let threads = par::resolve_threads(self.threads).min(groups.len().max(1));
-        if let Some(o) = obs {
+        let obs = ctx.obs.clone();
+        if let Some(o) = &obs {
+            let threads = par::resolve_threads(self.threads).min(ctx.groups.len().max(1));
             o.metrics()
                 .set_gauge(GaugeId::Stage2Threads, threads as i64);
         }
-        let results: Vec<GroupResult> = if self.simplify {
-            self.compile_groups(
-                n,
-                groups,
-                threads,
-                &opts,
-                ctx.deadline,
-                ctx.cancel.as_ref(),
-                obs_arc.as_ref(),
-                cache,
-            )
-        } else {
-            // Conventional synthesis costs about as much as a bind: inline.
-            groups
-                .iter()
-                .enumerate()
-                .map(|(i, g)| {
-                    Self::finish_group(n, i, g, &Err(None), None, None, Default::default(), obs)
-                })
-                .collect()
+        let shapes = self.shapes(&ctx.groups);
+        let cancel = ctx.cancel.clone();
+        let round = self.compile_round(
+            ctx.num_qubits,
+            &ctx.groups,
+            &shapes,
+            usize::MAX,
+            &Arc::from([]),
+            move || cancel.as_ref().is_some_and(CancelToken::is_cancelled),
+            ctx.cache.as_deref(),
+            obs.as_ref(),
+        );
+        let Some(round) = round else {
+            // The token fired mid-round: stop where the manager would stop
+            // at the next pass boundary.
+            let reason = ctx.cancel_reason().unwrap_or(CancelReason::Client);
+            return Err(PassError::cancelled(self.name(), reason));
         };
-        // Events, spans and metrics are recorded in group-index order on
-        // the calling thread, keeping every observability artifact
-        // deterministic for any thread count (pool workers wrote their
-        // results into index-aligned slots above).
-        let mut subcircuits = Vec::with_capacity(results.len());
-        let mut group_terms = Vec::with_capacity(results.len());
-        for (i, ((circuit, terms), outcome, span)) in results.into_iter().enumerate() {
-            if let Some(kind) = outcome {
-                let why = match kind {
-                    EVENT_TRUNCATED => "pass budget elapsed",
-                    _ => "optimization panicked",
-                };
-                ctx.record_event(
-                    self.name(),
-                    kind,
-                    format!("group {i} fell back to conventional synthesis ({why})"),
-                );
-            }
-            if let Some(o) = obs {
-                let m = o.metrics();
+        let (subcircuits, group_terms) = round.record(ctx, self.name());
+        if let Some(o) = &obs {
+            let m = o.metrics();
+            for (circuit, terms) in subcircuits.iter().zip(&group_terms) {
                 let cnot = circuit.counts().two_qubit() as u64;
-                let naive_cnot = naive_cnot_estimate(&terms);
+                let naive_cnot = naive_cnot_estimate(terms);
                 let saved = naive_cnot.saturating_sub(cnot);
                 m.incr(MetricId::GroupsCompiled);
                 m.add(MetricId::TermsCompiled, terms.len() as u64);
@@ -487,11 +555,6 @@ impl Pass for SimplifySynthPass {
                 m.observe(HistogramId::GroupCnots, cnot);
                 m.observe(HistogramId::GroupCnotsSaved, saved);
             }
-            if let Some(span) = span {
-                ctx.push_span(span);
-            }
-            subcircuits.push(circuit);
-            group_terms.push(terms);
         }
         ctx.subcircuits = subcircuits;
         ctx.group_terms = group_terms;
@@ -521,6 +584,29 @@ impl Default for OrderPass {
     }
 }
 
+impl OrderPass {
+    /// Orders `subcircuits` with a `lookahead` window (first-appearance
+    /// order when disabled), or `None` when `interrupted` fired.
+    pub(crate) fn order(
+        &self,
+        subcircuits: &[Circuit],
+        lookahead: usize,
+        interrupted: &mut dyn FnMut() -> bool,
+    ) -> Option<Vec<usize>> {
+        if !self.enabled {
+            return Some((0..subcircuits.len()).collect());
+        }
+        order_groups_interruptible(
+            subcircuits,
+            &OrderOptions {
+                lookahead,
+                routing_aware: self.routing_aware,
+            },
+            interrupted,
+        )
+    }
+}
+
 impl Pass for OrderPass {
     fn name(&self) -> &str {
         if self.enabled {
@@ -531,37 +617,17 @@ impl Pass for OrderPass {
     }
 
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-        if self.enabled && ctx.past_deadline() {
-            // Ordering is pure optimization: past the budget deadline keep
-            // first-appearance order, which is always valid.
-            ctx.record_event(
-                self.name(),
-                EVENT_TRUNCATED,
-                "pass budget elapsed; keeping first-appearance group order",
-            );
-            ctx.order = (0..ctx.subcircuits.len()).collect();
-            return Ok(());
-        }
-        ctx.order = if self.enabled {
-            // The token is polled inside the greedy loop (not just at pass
-            // boundaries): a request abandoned mid-ordering stops paying
-            // for lookahead scoring immediately. The first-appearance
-            // fallback is always valid; the manager aborts at the next
-            // boundary, so — like stage 2's cheap naive fallback — no
-            // event is recorded for a result that is discarded anyway.
-            let cancel = ctx.cancel.clone();
-            order_groups_interruptible(
-                &ctx.subcircuits,
-                &OrderOptions {
-                    lookahead: self.lookahead,
-                    routing_aware: self.routing_aware,
-                },
-                &mut || cancel.as_ref().is_some_and(|t| t.is_cancelled()),
-            )
-            .unwrap_or_else(|| (0..ctx.subcircuits.len()).collect())
-        } else {
-            (0..ctx.subcircuits.len()).collect()
-        };
+        // The token is polled inside the greedy loop (not just at pass
+        // boundaries): a request abandoned mid-ordering stops paying for
+        // lookahead scoring immediately. The first-appearance fallback is
+        // always valid and the manager aborts at the next boundary, so no
+        // event is recorded for a result that is discarded anyway.
+        let cancel = ctx.cancel.clone();
+        ctx.order = self
+            .order(&ctx.subcircuits, self.lookahead, &mut || {
+                cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+            })
+            .unwrap_or_else(|| (0..ctx.subcircuits.len()).collect());
         if let Some(obs) = &ctx.obs {
             let m = obs.metrics();
             m.set_gauge(GaugeId::OrderLookahead, self.lookahead as i64);
@@ -577,6 +643,25 @@ impl Pass for OrderPass {
 /// the emitted term order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConcatPass;
+
+impl ConcatPass {
+    /// Appends `subcircuits` in `order` onto an `n`-qubit circuit, with the
+    /// terms they emit in that order.
+    pub(crate) fn concat(
+        n: usize,
+        subcircuits: &[Circuit],
+        group_terms: &[Vec<(PauliString, f64)>],
+        order: &[usize],
+    ) -> (Circuit, Vec<(PauliString, f64)>) {
+        let mut circuit = Circuit::new(n);
+        let mut term_order = Vec::with_capacity(group_terms.iter().map(Vec::len).sum());
+        for &i in order {
+            circuit.append(&subcircuits[i]);
+            term_order.extend(group_terms[i].iter().cloned());
+        }
+        (circuit, term_order)
+    }
+}
 
 impl Pass for ConcatPass {
     fn name(&self) -> &str {
@@ -594,14 +679,12 @@ impl Pass for ConcatPass {
                 ),
             ));
         }
-        let mut circuit = Circuit::new(ctx.num_qubits);
-        let mut term_order = Vec::with_capacity(ctx.terms.len());
-        for &i in &ctx.order {
-            circuit.append(&ctx.subcircuits[i]);
-            term_order.extend(ctx.group_terms[i].iter().cloned());
-        }
-        ctx.circuit = circuit;
-        ctx.term_order = term_order;
+        (ctx.circuit, ctx.term_order) = Self::concat(
+            ctx.num_qubits,
+            &ctx.subcircuits,
+            &ctx.group_terms,
+            &ctx.order,
+        );
         Ok(())
     }
 }
@@ -669,6 +752,11 @@ impl TransformPass {
     pub fn swap_lower() -> Self {
         TransformPass::new(CnotLower)
     }
+
+    /// The transform applied to `circuit`, as the pass runs it.
+    pub(crate) fn apply(&self, circuit: &Circuit) -> Circuit {
+        self.transform.apply(circuit)
+    }
 }
 
 impl Pass for TransformPass {
@@ -677,7 +765,7 @@ impl Pass for TransformPass {
     }
 
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-        ctx.circuit = self.transform.apply(&ctx.circuit);
+        ctx.circuit = self.apply(&ctx.circuit);
         Ok(())
     }
 
@@ -977,25 +1065,31 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_truncates_stage2_and_ordering_but_compiles() {
+    fn zero_budget_skips_only_the_peephole() {
         let t = terms(&["ZYY", "ZZY", "IZZ", "XIX"]);
+        let stages = || {
+            PassManager::new()
+                .with(GroupPass)
+                .with(SimplifySynthPass::default())
+                .with(OrderPass::default())
+                .with(ConcatPass)
+        };
+        let mut unbudgeted = CompileContext::new(3, &t);
+        stages().run(&mut unbudgeted).unwrap();
         let mut ctx = CompileContext::new(3, &t);
-        let pm = PassManager::new()
-            .with(GroupPass)
-            .with(SimplifySynthPass::default())
-            .with(OrderPass::default())
-            .with(ConcatPass)
+        let trace = stages()
             .with(TransformPass::peephole())
-            .with_budget(std::time::Duration::ZERO);
-        let trace = pm.run(&mut ctx).unwrap();
-        assert!(!ctx.circuit.is_empty());
-        // Stage 2 and ordering truncated; peephole skipped outright.
-        assert!(!trace
+            .with_budget(std::time::Duration::ZERO)
+            .run(&mut ctx)
+            .unwrap();
+        // Stage 2 and ordering do not read the budget; the optional
+        // peephole is skipped and leaves its CNOT lowering.
+        assert!(trace
             .events_of_kind(crate::pass::EVENT_TRUNCATED)
             .is_empty());
         assert_eq!(trace.events_of_kind(crate::pass::EVENT_SKIPPED).len(), 1);
-        // Emitted terms are still a permutation of the input.
-        assert_eq!(ctx.term_order.len(), t.len());
+        assert_eq!(ctx.circuit, unbudgeted.circuit.lower_to_cnot());
+        assert_eq!(ctx.term_order, unbudgeted.term_order);
     }
 
     #[test]

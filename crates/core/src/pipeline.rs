@@ -65,13 +65,16 @@ pub struct PhoenixOptions {
     /// programs with few, very wide groups where group-level parallelism
     /// alone cannot use every core.
     pub stage2_scan_threads: usize,
-    /// Wall-clock budget for optimization effort. Once elapsed, remaining
-    /// optimization epochs are cut short (each affected unit of work falls
-    /// back to its unoptimized form, recorded as `truncated`/`skipped`
-    /// events in the [`PassTrace`](crate::PassTrace)) while
-    /// correctness-critical stages run to completion — the output is always
-    /// valid, just less optimized.
-    /// `None` (the default) never truncates.
+    /// Wall-clock budget for optimization effort. A budgeted compile runs
+    /// stages 2–4 as anytime deepening rounds that always hold a valid
+    /// best-so-far circuit: the budget stops the deepening (a round not
+    /// started is a `truncated` event, a round cut off a `round-abandoned`
+    /// one in the [`PassTrace`](crate::PassTrace)), and optional polish
+    /// passes that start past it are `skipped`, while correctness-critical
+    /// stages run to completion — the output is always valid, just less
+    /// optimized. Each round is kept by the quality of the circuit the
+    /// target's lowering delivers before routing. `None` (the default)
+    /// never truncates.
     pub pass_budget: Option<Duration>,
     /// Logical cap on the anytime deepening schedule used by budgeted
     /// compiles: the optimizer runs at most this many deepening rounds
@@ -163,44 +166,42 @@ impl HardwareProgram {
 /// The logical stages every target starts with: grouping, then BSF
 /// simplification and synthesis, Tetris ordering and concatenation.
 ///
-/// A pass budget turns the last three into one interruptible
-/// [`AnytimePass`] and rides on the returned manager;
-/// [`PassManager::append`] keeps it, so a lowering suffix appended here
-/// runs under the same deadline. `verify` attaches the compilation's one
-/// [`BoundaryVerifier`], which `append` also keeps, so the suffix is
-/// verified by the same instance.
-pub(crate) fn logical_passes(options: &PhoenixOptions, routing_aware: bool) -> PassManager {
-    let routing_aware = routing_aware || options.routing_aware;
+/// A pass budget runs the last three once per deepening round inside one
+/// interruptible [`AnytimePass`], which scores each round on what
+/// `delivered`'s lowering makes of it before routing, and rides on the
+/// returned manager; [`PassManager::append`] keeps it, so a lowering
+/// suffix appended here runs under the same deadline. `verify` attaches
+/// the compilation's one [`BoundaryVerifier`], which `append` also keeps,
+/// so the suffix is verified by the same instance.
+pub(crate) fn logical_passes(
+    options: &PhoenixOptions,
+    routing_aware: bool,
+    delivered: &Target,
+) -> PassManager {
+    let stage2 = SimplifySynthPass {
+        simplify: options.enable_simplification,
+        threads: options.stage2_threads,
+        scan_threads: options.stage2_scan_threads,
+        fault_inject_group: None,
+    };
+    let order = OrderPass {
+        lookahead: options.lookahead,
+        routing_aware: routing_aware || options.routing_aware,
+        enabled: options.enable_ordering,
+    };
+    let manager = PassManager::new().with(GroupPass);
     let manager = match options.pass_budget {
-        // Budgeted compiles deepen anytime-style: stages 2–4 become one
-        // interruptible pass that always holds a valid best-so-far.
-        Some(budget) => PassManager::new()
-            .with(GroupPass)
+        // Budgeted compiles deepen anytime-style: the same stages, run
+        // once per round, always hold a valid best-so-far.
+        Some(budget) => manager
             .with(AnytimePass {
-                lookahead: options.lookahead,
-                simplify: options.enable_simplification,
-                order_enabled: options.enable_ordering,
-                routing_aware,
-                threads: options.stage2_threads,
-                scan_threads: options.stage2_scan_threads,
+                stage2,
+                order,
                 max_rounds: options.anytime_rounds,
+                lowering: pre_routing_passes(delivered),
             })
             .with_budget(budget),
-        // Unbudgeted compiles take the exact legacy single-shot path.
-        None => PassManager::new()
-            .with(GroupPass)
-            .with(SimplifySynthPass {
-                simplify: options.enable_simplification,
-                threads: options.stage2_threads,
-                scan_threads: options.stage2_scan_threads,
-                fault_inject_group: None,
-            })
-            .with(OrderPass {
-                lookahead: options.lookahead,
-                routing_aware,
-                enabled: options.enable_ordering,
-            })
-            .with(ConcatPass),
+        None => manager.with(stage2).with(order).with(ConcatPass),
     };
     if options.verify {
         manager.with_observer(Arc::new(BoundaryVerifier::default()))
@@ -209,37 +210,51 @@ pub(crate) fn logical_passes(options: &PhoenixOptions, routing_aware: bool) -> P
     }
 }
 
-/// The circuit-level suffix that lowers the concatenated logical circuit
-/// into `target`: nothing for [`Target::Logical`], the peephole for
-/// [`Target::Cnot`], an SU(4) rebase for [`Target::Su4`], rebase + KAK
-/// resynthesis + peephole for [`Target::CnotViaKak`], and
-/// [`device_backend`] for [`Target::Device`]. It carries no budget: a
-/// budgeted compile appends it to [`logical_passes`], whose budget covers
-/// both.
-pub(crate) fn lowering_passes(target: &Target, options: &PhoenixOptions) -> PassManager {
+/// The part of `target`'s lowering that runs before routing, which is all
+/// of it for a target that does not route: nothing for
+/// [`Target::Logical`], the peephole for [`Target::Cnot`], an SU(4) rebase
+/// for [`Target::Su4`], and rebase + KAK resynthesis + peephole for
+/// [`Target::CnotViaKak`]. A [`Target::Device`] routes what the CNOT
+/// target delivers ([`hardware_backend`]).
+fn pre_routing_passes(target: &Target) -> Vec<TransformPass> {
     match target {
         // Fleet requests fan out into per-member `Target::Device` requests
         // before anything runs (see `CompileRequest::fleet`), so a fleet
         // target never reaches lowering; lower like `Logical` to stay total.
-        Target::Logical | Target::Fleet(_) => PassManager::new(),
-        Target::Cnot => PassManager::new().with(TransformPass::peephole()),
-        Target::Su4 => PassManager::new().with(TransformPass::su4_rebase()),
-        Target::CnotViaKak => PassManager::new()
-            .with(TransformPass::su4_rebase())
-            .with(TransformPass::kak_resynthesis())
-            .with(TransformPass::peephole()),
-        Target::Device(device) => device_backend(device, &options.router, options.layout_trials),
+        Target::Logical | Target::Fleet(_) => Vec::new(),
+        Target::Cnot | Target::Device(_) => vec![TransformPass::peephole()],
+        Target::Su4 => vec![TransformPass::su4_rebase()],
+        Target::CnotViaKak => vec![
+            TransformPass::su4_rebase(),
+            TransformPass::kak_resynthesis(),
+            TransformPass::peephole(),
+        ],
     }
 }
 
-/// The shared hardware-aware back end as a pass sequence: peephole ("O3"),
-/// logical snapshot, layout search + SABRE routing, SWAP lowering, final
-/// peephole. Every device target runs it (through [`device_backend`]), and
-/// so does [`try_run_hardware_backend`] on the baselines' outputs, so
-/// strategy differences dominate comparisons.
+/// The circuit-level suffix that lowers the concatenated logical circuit
+/// into `target`: its [`pre_routing_passes`], or [`device_backend`] for
+/// [`Target::Device`]. It carries no budget: a budgeted compile appends it
+/// to [`logical_passes`], whose budget covers both.
+pub(crate) fn lowering_passes(target: &Target, options: &PhoenixOptions) -> PassManager {
+    match target {
+        Target::Device(device) => device_backend(device, &options.router, options.layout_trials),
+        _ => pre_routing_passes(target)
+            .into_iter()
+            .fold(PassManager::new(), PassManager::with),
+    }
+}
+
+/// The shared hardware-aware back end as a pass sequence: the CNOT
+/// target's lowering (peephole, "O3"), logical snapshot, layout search +
+/// SABRE routing, SWAP lowering, final peephole. Every device target runs
+/// it (through [`device_backend`]), and so does
+/// [`try_run_hardware_backend`] on the baselines' outputs, so strategy
+/// differences dominate comparisons.
 pub(crate) fn hardware_backend(router: &RouterOptions, layout_trials: usize) -> PassManager {
-    PassManager::new()
-        .with(TransformPass::peephole())
+    pre_routing_passes(&Target::Cnot)
+        .into_iter()
+        .fold(PassManager::new(), PassManager::with)
         .with(SnapshotLogicalPass)
         .with(LayoutRoutePass {
             router: router.clone(),
@@ -575,7 +590,7 @@ mod tests {
         }
 
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let manager = logical_passes(&PhoenixOptions::default(), false)
+        let manager = logical_passes(&PhoenixOptions::default(), false, &Target::Logical)
             .with(SabotagePass)
             .with_observer(Arc::new(crate::verify::BoundaryVerifier::default()));
         let mut ctx = CompileContext::new(3, &t);

@@ -230,7 +230,7 @@ impl CompileRequest {
             return self.run_split(&coefficients);
         }
         let ctx = self.context()?;
-        let manager = logical_passes(&self.options, self.target.routes())
+        let manager = logical_passes(&self.options, self.target.routes(), &self.target)
             .append(lowering_passes(&self.target, &self.options));
         let collector = self.collector();
         self.execute(manager, ctx, PassTrace::default(), collector)

@@ -1,6 +1,6 @@
 //! Pins for the anytime iterative-deepening path.
 //!
-//! Two contracts are pinned here. First, **unbudgeted compiles take the
+//! Three contracts are pinned here. First, **unbudgeted compiles take the
 //! exact legacy code path**: with `pass_budget: None` the anytime pass is
 //! never even constructed, so every target must stay bit-for-bit
 //! identical to the pre-anytime goldens (the monolithic stage functions,
@@ -8,6 +8,10 @@
 //! function of the logical budget**: `depth_reached` and the returned
 //! circuit are deterministic for a fixed `anytime_rounds` cap regardless of
 //! `stage2_threads`/`stage2_scan_threads`, checked by a property test.
+//! Third, **rounds are kept by what the target delivers**: at
+//! `Target::Cnot` the CNOT circuit a client receives never gets worse with
+//! a deeper cap, and the full schedule is never worse than the unbudgeted
+//! compile.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,7 +24,7 @@ use phoenix_core::synth::synthesize_group;
 use phoenix_core::{
     CompileCache, CompileRequest, CompilerStrategy, Device, PhoenixCompiler, PhoenixOptions, Target,
 };
-use phoenix_hamil::{uccsd, Molecule};
+use phoenix_hamil::{models, uccsd, Molecule};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
 use proptest::prelude::*;
@@ -191,6 +195,87 @@ fn budgeted_requests_deepen_and_report_their_depth() {
     let stats = cache.stats();
     assert_eq!(stats.program_hits + stats.program_misses, 0);
     assert_eq!(cache.num_programs(), 0);
+}
+
+/// The quality key a `Target::Cnot` client receives: CNOTs, then 2Q
+/// depth, then gates.
+fn delivered_key(c: &Circuit) -> (usize, usize, usize) {
+    (c.counts().two_qubit(), c.depth_2q(), c.counts().total)
+}
+
+/// A budgeted `Target::Cnot` compile under a wall budget too large to
+/// interrupt, capped at `rounds`.
+fn budgeted_cnot(
+    n: usize,
+    terms: &[(PauliString, f64)],
+    rounds: usize,
+) -> phoenix_core::CompileOutcome {
+    CompileRequest::new(n, terms)
+        .options(PhoenixOptions {
+            pass_budget: Some(Duration::from_secs(600)),
+            anytime_rounds: Some(rounds),
+            ..PhoenixOptions::default()
+        })
+        .target(Target::Cnot)
+        .run()
+        .unwrap()
+}
+
+/// Every Table I program at `Target::Cnot`: the full schedule delivers no
+/// more CNOTs (then 2Q depth, then gates) than the unbudgeted compile,
+/// because each round is scored on its peephole-lowered circuit rather
+/// than on the logical one.
+#[test]
+fn full_schedule_is_never_worse_than_unbudgeted_on_table1() {
+    for h in uccsd::table1_suite(7) {
+        let (n, terms) = (h.num_qubits(), h.terms());
+        let unbudgeted = CompileRequest::new(n, terms)
+            .target(Target::Cnot)
+            .run()
+            .unwrap();
+        let deep = budgeted_cnot(n, terms, phoenix_core::MAX_ROUNDS);
+        assert!(
+            delivered_key(&deep.circuit) <= delivered_key(&unbudgeted.circuit),
+            "{}: full schedule {:?} vs unbudgeted {:?}",
+            h.name(),
+            delivered_key(&deep.circuit),
+            delivered_key(&unbudgeted.circuit)
+        );
+    }
+}
+
+/// The quality-vs-budget curve at `Target::Cnot` on a UCCSD ansatz and two
+/// spin chains: every cap is reached, the delivered key never rises with
+/// the cap, and deepening pays on the UCCSD program.
+#[test]
+fn delivered_quality_is_monotone_in_the_round_cap() {
+    let (lih_n, lih) = uccsd_lih();
+    let tfim = models::tfim_chain(10, 1.0, 0.5);
+    let heisenberg = models::heisenberg_chain(10, 1.0, 1.0, 1.0);
+    let programs = [
+        ("LiH_frz_JW", lih_n, lih),
+        ("TFIM_chain_10", tfim.num_qubits(), tfim.terms().to_vec()),
+        (
+            "Heisenberg_10",
+            heisenberg.num_qubits(),
+            heisenberg.terms().to_vec(),
+        ),
+    ];
+    for (name, n, terms) in &programs {
+        let mut curve = Vec::new();
+        for cap in [0, 1, 2, 4, 6, phoenix_core::MAX_ROUNDS] {
+            let out = budgeted_cnot(*n, terms, cap);
+            assert_eq!(out.depth_reached, Some(cap), "{name}");
+            curve.push(delivered_key(&out.circuit));
+        }
+        assert!(
+            curve.windows(2).all(|w| w[1] <= w[0]),
+            "{name}: delivered key rose with the cap: {curve:?}"
+        );
+        if *name == "LiH_frz_JW" {
+            assert!(curve[curve.len() - 1] < curve[0], "{name}: {curve:?}");
+        }
+    }
 }
 
 /// A random valid program: `n ∈ 2..=5` qubits, `1..=6` full-width terms

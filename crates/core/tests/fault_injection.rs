@@ -1,21 +1,24 @@
 //! Fault-injection suite for the compilation boundary: malformed IR and
 //! mutated QASM must come back as typed errors — never panics — from every
 //! compile target, a forced in-pass panic must degrade to the
-//! conventional fallback with a `degraded` trace entry, and on valid input
-//! the fallible request path must be bit-identical to the infallible
+//! conventional fallback with a `degraded` trace entry (in an unbudgeted
+//! compile and in every deepening round of a budgeted one), and on valid
+//! input the fallible request path must be bit-identical to the infallible
 //! strategy paths.
 
 use std::panic::{self, AssertUnwindSafe};
 
 use phoenix_circuit::qasm::{from_qasm, to_qasm};
 use phoenix_circuit::{kak, peephole, rebase};
-use phoenix_core::pass::{CompileContext, PassManager};
+use phoenix_core::pass::{CompileContext, PassManager, TraceEvent};
 use phoenix_core::passes::{ConcatPass, GroupPass, OrderPass, SimplifySynthPass};
 use phoenix_core::{
-    CompileOutcome, CompileRequest, CompilerStrategy, Device, PhoenixCompiler, PhoenixError, Target,
+    AnytimePass, CompileOutcome, CompileRequest, CompilerStrategy, Device, PhoenixCompiler,
+    PhoenixError, Target,
 };
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
+use phoenix_verify::engine::{check_exact_unitary, Outcome};
 use proptest::prelude::*;
 
 /// A random *valid* program: `n ∈ 2..=5` qubits, `1..=5` full-width terms
@@ -228,6 +231,107 @@ fn forced_in_pass_panic_degrades_with_trace_entry() {
     // The program still compiled end to end: every input term is emitted.
     assert_eq!(ctx.term_order.len(), terms.len());
     assert!(!ctx.circuit.is_empty());
+}
+
+/// A budgeted compile's groups, emitted terms, circuit and events.
+type Budgeted = (
+    Vec<phoenix_circuit::Circuit>,
+    Vec<Vec<(PauliString, f64)>>,
+    phoenix_circuit::Circuit,
+    Vec<(PauliString, f64)>,
+    Vec<TraceEvent>,
+);
+
+/// A full-schedule budgeted compile of `terms` on `stage2_threads`
+/// threads, with the group at `fault` forced to panic in every round.
+fn budgeted(
+    n: usize,
+    terms: &[(PauliString, f64)],
+    threads: usize,
+    fault: Option<usize>,
+) -> Budgeted {
+    let mut ctx = CompileContext::new(n, terms);
+    let pm = PassManager::new()
+        .with(GroupPass)
+        .with(AnytimePass {
+            stage2: SimplifySynthPass {
+                threads,
+                fault_inject_group: fault,
+                ..SimplifySynthPass::default()
+            },
+            ..AnytimePass::default()
+        })
+        .with_budget(std::time::Duration::from_secs(600));
+    let prev = panic::take_hook();
+    panic::set_hook(Box::new(|_| {})); // the contained panics stay quiet
+    let trace = pm.run(&mut ctx);
+    panic::set_hook(prev);
+    let trace = trace.expect("degradation is not an error");
+    assert_eq!(ctx.depth_reached, Some(phoenix_core::MAX_ROUNDS));
+    (
+        ctx.subcircuits,
+        ctx.group_terms,
+        ctx.circuit,
+        ctx.term_order,
+        trace.events,
+    )
+}
+
+/// Fault injection reaches budgeted compiles: the injected group falls
+/// back to conventional synthesis in every deepening round, only that
+/// group is reported, every other group compiles exactly as without the
+/// fault, and the result is exact and the same for every thread count.
+#[test]
+fn forced_panic_degrades_one_group_in_every_budgeted_round() {
+    // Two groups of one shape (qubits {0, 1, 2} and {3, 4, 5}) and one
+    // group of another; the first is injected.
+    let terms: Vec<(PauliString, f64)> = [
+        "ZYYIII", "ZZYIII", "XYYIII", "XZYIII", "IIIZYY", "IIIZZY", "IIIXYY", "IIIXZY", "IXYZII",
+        "IYYXII", "IZXYII",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, l)| (l.parse().unwrap(), 0.02 * (i + 1) as f64))
+    .collect();
+    let clean = budgeted(6, &terms, 1, None);
+    assert!(clean.4.is_empty(), "{:?}", clean.4);
+    let injected = budgeted(6, &terms, 1, Some(0));
+    let (subcircuits, group_terms, circuit, term_order, events) = &injected;
+
+    assert!(
+        matches!(check_exact_unitary(circuit, term_order), Outcome::Pass(_)),
+        "the degraded compile is not exact"
+    );
+    let mut emitted: Vec<String> = term_order
+        .iter()
+        .map(|(p, c)| format!("{p}{c:?}"))
+        .collect();
+    let mut input: Vec<String> = terms.iter().map(|(p, c)| format!("{p}{c:?}")).collect();
+    emitted.sort();
+    input.sort();
+    assert_eq!(emitted, input);
+
+    assert_eq!(events.len(), phoenix_core::MAX_ROUNDS, "{events:?}");
+    for e in events {
+        assert_eq!(e.kind, phoenix_core::EVENT_DEGRADED);
+        assert_eq!(e.pass, "anytime-deepen");
+        assert!(e.detail.starts_with("group 0 "), "{}", e.detail);
+    }
+    assert_eq!(
+        subcircuits[0],
+        phoenix_circuit::synthesis::naive_circuit(6, &terms[..4])
+    );
+    for g in 1..subcircuits.len() {
+        assert_eq!(subcircuits[g], clean.0[g], "group {g}");
+        assert_eq!(group_terms[g], clean.1[g], "group {g}");
+    }
+    for threads in [2, 8] {
+        assert_eq!(
+            &budgeted(6, &terms, threads, Some(0)),
+            &injected,
+            "stage2_threads {threads}"
+        );
+    }
 }
 
 #[test]

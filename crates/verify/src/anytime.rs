@@ -8,8 +8,9 @@
 //! checks one program three ways:
 //!
 //! 1. **Logical-budget ladder** — `anytime_rounds` caps 0, 2 and
-//!    [`MAX_ROUNDS`] under a wall budget too large to interrupt: exact
-//!    equivalence at every rung, `depth_reached` equal to the cap, cost
+//!    [`MAX_ROUNDS`] under a wall budget too large to interrupt, at
+//!    `Target::Logical` and at `Target::Cnot`: exact equivalence at every
+//!    rung, `depth_reached` equal to the cap, the delivered cost
 //!    lexicographically non-increasing and depth non-decreasing up the
 //!    ladder.
 //! 2. **Adversarial wall budgets** — zero, one-tick (1 ns) and seeded
@@ -30,7 +31,7 @@
 use std::time::Duration;
 
 use phoenix_core::{
-    CancelToken, CompileOutcome, CompileRequest, PhoenixError, PhoenixOptions, MAX_ROUNDS,
+    CancelToken, CompileOutcome, CompileRequest, PhoenixError, PhoenixOptions, Target, MAX_ROUNDS,
 };
 use phoenix_pauli::PauliString;
 
@@ -52,7 +53,7 @@ fn fail(failures: &mut Vec<Failure>, pipeline: &str, check: &str, detail: String
 }
 
 /// Lexicographic quality key mirroring the anytime pass's objective:
-/// 2Q gates, then 2Q depth, then total gates.
+/// 2Q gates, then 2Q depth, then total gates of the delivered circuit.
 pub type CostKey = (usize, usize, usize);
 
 /// Computes the [`CostKey`] of a compile outcome.
@@ -104,6 +105,7 @@ fn check_equivalent(
 
 fn budgeted(
     program: &Program,
+    target: Target,
     budget: Duration,
     rounds: Option<usize>,
     cancel: Option<CancelToken>,
@@ -115,6 +117,7 @@ fn budgeted(
             cancel,
             ..PhoenixOptions::default()
         })
+        .target(target)
         .run()
 }
 
@@ -135,49 +138,56 @@ pub fn verify_anytime(
     );
     let mut rng = phoenix_mathkit::Xoshiro256::seed_from_u64(program.seed ^ 0xA277_1E50_DEAD_11E5);
 
-    // 1. The logical-budget ladder under a roomy wall budget.
-    let mut ladder: Vec<CostKey> = Vec::new();
-    let mut prev_depth = 0usize;
-    for cap in LADDER {
-        let pipeline = format!("{tag} cap={cap}");
-        let out = match budgeted(program, ROOMY, Some(cap), None) {
-            Ok(out) => out,
-            Err(e) => {
-                fail(failures, &pipeline, "compiles", e.to_string());
-                return None;
-            }
-        };
-        check_equivalent(failures, &pipeline, program, &out);
-        let depth = out.depth_reached.unwrap_or(0);
-        if depth != cap {
-            fail(
-                failures,
-                &pipeline,
-                "depth-equals-cap",
-                format!("uninterrupted cap {cap} reported depth {depth}"),
-            );
-        }
-        if depth < prev_depth {
-            fail(
-                failures,
-                &pipeline,
-                "depth-monotone",
-                format!("depth shrank from {prev_depth} to {depth}"),
-            );
-        }
-        prev_depth = depth;
-        let cost = cost_key(&out);
-        if let Some(&worse) = ladder.last() {
-            if cost > worse {
+    // 1. The logical-budget ladder under a roomy wall budget, on the
+    // logical circuit and on the CNOT circuit a client receives.
+    let mut logical: Vec<CostKey> = Vec::new();
+    for (isa, target) in [("logical", Target::Logical), ("cnot", Target::Cnot)] {
+        let mut ladder: Vec<CostKey> = Vec::new();
+        let mut prev_depth = 0usize;
+        for cap in LADDER {
+            let pipeline = format!("{tag} {isa} cap={cap}");
+            let out = match budgeted(program, target.clone(), ROOMY, Some(cap), None) {
+                Ok(out) => out,
+                Err(e) => {
+                    fail(failures, &pipeline, "compiles", e.to_string());
+                    return None;
+                }
+            };
+            check_equivalent(failures, &pipeline, program, &out);
+            let depth = out.depth_reached.unwrap_or(0);
+            if depth != cap {
                 fail(
                     failures,
                     &pipeline,
-                    "cost-monotone",
-                    format!("cost rose from {worse:?} to {cost:?} with a deeper budget"),
+                    "depth-equals-cap",
+                    format!("uninterrupted cap {cap} reported depth {depth}"),
                 );
             }
+            if depth < prev_depth {
+                fail(
+                    failures,
+                    &pipeline,
+                    "depth-monotone",
+                    format!("depth shrank from {prev_depth} to {depth}"),
+                );
+            }
+            prev_depth = depth;
+            let cost = cost_key(&out);
+            if let Some(&worse) = ladder.last() {
+                if cost > worse {
+                    fail(
+                        failures,
+                        &pipeline,
+                        "cost-monotone",
+                        format!("cost rose from {worse:?} to {cost:?} with a deeper budget"),
+                    );
+                }
+            }
+            ladder.push(cost);
         }
-        ladder.push(cost);
+        if isa == "logical" {
+            logical = ladder;
+        }
     }
 
     // 2. Adversarial wall-clock budgets: zero, one tick, random microseconds.
@@ -188,7 +198,7 @@ pub fn verify_anytime(
         ("random", Duration::from_micros(random_us)),
     ] {
         let pipeline = format!("{tag} wall={label}");
-        match budgeted(program, budget, None, None) {
+        match budgeted(program, Target::Logical, budget, None, None) {
             Ok(out) => check_equivalent(failures, &pipeline, program, &out),
             Err(e) => fail(
                 failures,
@@ -209,7 +219,7 @@ pub fn verify_anytime(
             std::thread::sleep(delay);
             killer.cancel();
         });
-        budgeted(program, ROOMY, None, Some(token))
+        budgeted(program, Target::Logical, ROOMY, None, Some(token))
     });
     match result {
         Ok(out) => check_equivalent(failures, &pipeline, program, &out),
@@ -224,7 +234,7 @@ pub fn verify_anytime(
         ),
     }
 
-    ladder.first().copied().zip(ladder.last().copied())
+    logical.first().copied().zip(logical.last().copied())
 }
 
 /// Verifies `count` seeded programs (round-robin over the three families,
