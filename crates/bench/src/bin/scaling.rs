@@ -45,7 +45,7 @@ fn main() {
     let mut points = Vec::new();
     let mut tracer = Tracer::from_env("scaling");
     // Heisenberg chains of growing width.
-    for n in [8usize, 16, 32, 64, 96] {
+    for n in [8usize, 16, 32, 64, 96, 128, 256, 500] {
         points.push(measure(
             &models::heisenberg_chain(n, 1.0, 0.8, 0.6),
             &mut tracer,

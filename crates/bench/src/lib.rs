@@ -94,13 +94,6 @@ impl Tracer {
         self.trace || self.obs
     }
 
-    /// Records an already-obtained trace under `label`.
-    pub fn add(&mut self, label: impl Into<String>, trace: PassTrace) {
-        if self.trace {
-            self.traces.push((label.into(), trace));
-        }
-    }
-
     /// Runs `request` with the tracer's retention flags and files whatever
     /// artifacts come back (no-op when disabled; exits nonzero on compile
     /// errors).

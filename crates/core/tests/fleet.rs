@@ -2,8 +2,10 @@
 //! == single-device guarantee, and fidelity ranking.
 
 use phoenix_core::{
-    CompileRequest, Device, DeviceRegistry, NativeIsa, PhoenixError, PhoenixOptions, Target,
+    CompileRequest, Device, DeviceRegistry, NativeIsa, NoiseProfile, PhoenixError, PhoenixOptions,
+    Target,
 };
+use phoenix_hamil::qaoa;
 use phoenix_mathkit::Xoshiro256;
 use phoenix_pauli::PauliString;
 use proptest::prelude::*;
@@ -74,6 +76,53 @@ fn fleet_over_four_registry_devices_returns_ranked_results() {
     assert_eq!(
         outcome.best().expect("nonempty").device.name(),
         outcome.ranked[0].device.name()
+    );
+}
+
+#[test]
+fn all_to_all_ranks_above_a_line_on_a_dense_program() {
+    // MaxCut on the complete graph K8: every qubit pair interacts, the
+    // worst case for sparse topologies. At equal error rates the
+    // routing-free ion trap must rank at or above the swap-heavy line.
+    let n = 8;
+    let edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+        .collect();
+    let h = qaoa::maxcut_program("K8", n, &edges, 7);
+    let devices: Vec<Device> = fleet_of(&[
+        "ion-trap:8",
+        "ion-trap:8@cnot",
+        "line:8@cnot",
+        "ring:8@cnot",
+        "grid:2x4",
+        "falcon27",
+    ])
+    .into_iter()
+    .map(|dev| {
+        let noise = NoiseProfile::uniform(dev.graph(), 5e-4, 5e-3, 1e-2);
+        dev.with_noise(noise)
+    })
+    .collect();
+    let outcome = CompileRequest::new(n, h.terms())
+        .fleet(&devices)
+        .expect("fleet compiles");
+    assert!(outcome.failed.is_empty(), "failed: {:?}", outcome.failed);
+    assert_eq!(outcome.ranked.len(), devices.len());
+    let rank = |name: &str| {
+        outcome
+            .ranked
+            .iter()
+            .position(|e| e.device.name() == name)
+            .unwrap_or_else(|| panic!("{name} missing from the ranking"))
+    };
+    let (ion, line) = (rank("ion-trap:8@cnot"), rank("line:8@cnot"));
+    assert!(
+        ion < line,
+        "ion-trap:8@cnot ranked {} ({}), line:8@cnot {} ({})",
+        ion + 1,
+        outcome.ranked[ion].fidelity,
+        line + 1,
+        outcome.ranked[line].fidelity
     );
 }
 

@@ -4,13 +4,16 @@
 //! guaranteed-progress fallback, and the end-to-end `simplify_terms` output.
 //! Small tableaux cover every candidate; tall, wide ones reach multi-word
 //! row bitsets (more than 64 rows) and heap-backed masks (more than 128
-//! qubits).
+//! qubits); the LiH_frz Jordan–Wigner UCCSD groups are the tableaux stage 2
+//! really sees.
 
 use phoenix_core::cost::cost_bsf;
+use phoenix_core::group::group_by_support;
 use phoenix_core::simplify::{
     best_candidate_naive, progress_candidate_naive, reduce_row_naive, simplify_terms_with,
 };
 use phoenix_core::{CostEvaluator, SimplifyOptions};
+use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::{Bsf, BsfRow, Clifford2Q, PauliString, QubitMask, CLIFFORD2Q_GENERATORS};
 use proptest::prelude::*;
 
@@ -241,5 +244,35 @@ proptest! {
         prop_assert_eq!(eval.progress_candidate(&bsf), progress_candidate_naive(&bsf));
         let first = first.unwrap();
         prop_assert_eq!(eval.reduce_row(&bsf, first), reduce_row_naive(&bsf, first));
+    }
+}
+
+/// Algorithm 1 on every LiH_frz JW UCCSD group: the forced-naive evaluator
+/// and the parallel scan give the default's `SimplifiedGroup`, item for
+/// item.
+#[test]
+fn lih_groups_simplify_identically_under_every_evaluator() {
+    let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
+    let n = h.num_qubits();
+    let groups = group_by_support(n, h.terms());
+    assert_eq!(groups.len(), 24);
+    for (i, g) in groups.iter().enumerate() {
+        let reference = simplify_terms_with(n, g.terms(), &SimplifyOptions::default());
+        for opts in [
+            SimplifyOptions {
+                naive_cost: true,
+                ..SimplifyOptions::default()
+            },
+            SimplifyOptions {
+                scan_threads: 4,
+                ..SimplifyOptions::default()
+            },
+        ] {
+            assert_eq!(
+                simplify_terms_with(n, g.terms(), &opts),
+                reference,
+                "group {i}"
+            );
+        }
     }
 }

@@ -8,9 +8,10 @@
 use std::sync::Arc;
 
 use phoenix_core::{
-    CompileCache, CompileOutcome, CompileRequest, DeviceRegistry, PhoenixError, PhoenixOptions,
-    Target, EVENT_VERIFIED,
+    CacheStats, CompileCache, CompileOutcome, CompileRequest, DeviceRegistry, PhoenixError,
+    PhoenixOptions, Target, EVENT_VERIFIED,
 };
+use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::PauliString;
 
 fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
@@ -79,32 +80,76 @@ fn cached_run_matches_legacy_bit_for_bit_across_targets() {
     }
 }
 
+/// `count` angles for VQE sweep point `point`.
+fn sweep_angles(point: usize, count: usize) -> Vec<f64> {
+    (0..count)
+        .map(|i| ((point * 7 + i * 3) as f64).sin() * 0.4)
+        .collect()
+}
+
+/// `program`'s Pauli strings with `angles` as their coefficients.
+fn with_angles(program: &[(PauliString, f64)], angles: &[f64]) -> Vec<(PauliString, f64)> {
+    program
+        .iter()
+        .zip(angles)
+        .map(|((p, _), a)| (p.clone(), *a))
+        .collect()
+}
+
 #[test]
 fn rebinding_new_angles_matches_a_fresh_compile() {
-    let strings: Vec<&str> = PROGRAM.to_vec();
-    let cache = Arc::new(CompileCache::new());
-    for sweep_point in 0..12 {
-        let t: Vec<(PauliString, f64)> = strings
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let angle = ((sweep_point * 7 + i * 3) as f64).sin() * 0.4;
-                (l.parse().unwrap(), angle)
-            })
-            .collect();
-        let warm = CompileRequest::new(3, &t).cache(&cache).run().unwrap();
-        let fresh = CompileRequest::new(3, &t).run().unwrap();
-        assert_eq!(warm.circuit, fresh.circuit, "sweep point {sweep_point}");
-        assert_eq!(
-            warm.term_order, fresh.term_order,
-            "sweep point {sweep_point}"
-        );
+    let lih = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
+    let programs = [
+        ("PROGRAM", 3, terms(PROGRAM)),
+        ("LiH_frz_JW", lih.num_qubits(), lih.terms().to_vec()),
+    ];
+    for (name, n, program) in programs {
+        let cache = Arc::new(CompileCache::new());
+        let mut primed = None;
+        for point in 0..12 {
+            let angles = sweep_angles(point, program.len());
+            let reparam = with_angles(&program, &angles);
+            // Even points rebind through `bind`, odd ones through `run`
+            // with the angles as coefficients: both take the warm path.
+            let warm = if point % 2 == 0 {
+                CompileRequest::new(n, &program).cache(&cache).bind(&angles)
+            } else {
+                CompileRequest::new(n, &reparam).cache(&cache).run()
+            }
+            .unwrap();
+            let fresh = CompileRequest::new(n, &reparam).run().unwrap();
+            assert_eq!(warm.circuit, fresh.circuit, "{name} point {point}");
+            assert_eq!(warm.term_order, fresh.term_order, "{name} point {point}");
+            // One structure compile serves the whole sweep: angles differ
+            // between points but the angle-erased canonical IR (and so the
+            // key) does not. The first point compiles each shape once;
+            // every later one adds one program hit and touches no group.
+            let stats = cache.stats();
+            let (first, shapes) = *primed.get_or_insert((stats, cache.num_groups()));
+            assert_eq!(first.group_misses, shapes as u64, "{name}");
+            let expected = CacheStats {
+                program_hits: point as u64,
+                program_misses: 1,
+                ..first
+            };
+            assert_eq!(stats, expected, "{name} point {point}");
+            assert_eq!(cache.num_groups(), shapes, "{name} point {point}");
+        }
+        // A CNOT-target rebind through the same cache equals a fresh CNOT
+        // compile too, and reuses the structure.
+        let angles = sweep_angles(12, program.len());
+        let warm = CompileRequest::new(n, &program)
+            .target(Target::Cnot)
+            .cache(&cache)
+            .bind(&angles)
+            .unwrap();
+        let fresh = CompileRequest::new(n, &with_angles(&program, &angles))
+            .target(Target::Cnot)
+            .run()
+            .unwrap();
+        assert_eq!(warm.circuit, fresh.circuit, "{name} at Target::Cnot");
+        assert_eq!(cache.stats().program_misses, 1, "{name} at Target::Cnot");
     }
-    // One structure compile served the whole sweep: angles differ between
-    // points but the angle-erased canonical IR (and so the key) does not.
-    let stats = cache.stats();
-    assert_eq!(stats.program_misses, 1);
-    assert_eq!(stats.program_hits, 11);
 }
 
 #[test]
@@ -117,12 +162,9 @@ fn bind_substitutes_explicit_angles() {
         .bind(&angles)
         .unwrap();
     // Equivalent to compiling a program that had these coefficients.
-    let explicit: Vec<(PauliString, f64)> = t
-        .iter()
-        .zip(&angles)
-        .map(|((p, _), a)| (p.clone(), *a))
-        .collect();
-    let fresh = CompileRequest::new(3, &explicit).run().unwrap();
+    let fresh = CompileRequest::new(3, &with_angles(&t, &angles))
+        .run()
+        .unwrap();
     assert_eq!(bound.circuit, fresh.circuit);
     assert_eq!(bound.term_order, fresh.term_order);
 }

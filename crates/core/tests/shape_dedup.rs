@@ -18,6 +18,7 @@ use phoenix_core::passes::{GroupPass, SimplifySynthPass};
 use phoenix_core::simplify::simplify_terms;
 use phoenix_core::synth::synthesize_group;
 use phoenix_core::CompileCache;
+use phoenix_hamil::uccsd;
 use phoenix_mathkit::Xoshiro256;
 use phoenix_pauli::{Pauli, PauliString};
 use proptest::prelude::*;
@@ -182,6 +183,33 @@ proptest! {
             prop_assert_eq!(cache.stats().group_hits, shapes);
         }
     }
+}
+
+/// The totals DESIGN.md §2.2.2 quotes: stage 2 compiles Table I's 2659
+/// IR groups as 1389 shapes. A shape key or index that stopped merging
+/// equal shapes would keep every bit-identity test green while compiling
+/// more, so the count of shapes each program's stage 2 compiles is pinned
+/// here: on a fresh cache every shape it compiles is one lookup, a miss
+/// that stores one artifact.
+#[test]
+fn table1_groups_compile_as_1389_shapes() {
+    let (mut groups, mut shapes) = (0, 0);
+    for h in uccsd::table1_suite(7) {
+        let cache = Arc::new(CompileCache::new());
+        let (ctx, events) = stage2(h.num_qubits(), h.terms(), 1, Some(&cache), None);
+        assert!(events.is_empty(), "{}: {events:?}", h.name());
+        let stats = cache.stats();
+        let stored = cache.num_groups() as u64;
+        assert_eq!(
+            (stats.group_hits, stats.group_misses),
+            (0, stored),
+            "{}",
+            h.name()
+        );
+        groups += ctx.groups.len();
+        shapes += cache.num_groups();
+    }
+    assert_eq!((groups, shapes), (2659, 1389));
 }
 
 #[test]

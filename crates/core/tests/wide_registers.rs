@@ -7,6 +7,7 @@ use phoenix_core::{CompileRequest, Device, PhoenixError, Target};
 use phoenix_hamil::models::{heisenberg_chain, tfim_chain};
 use phoenix_pauli::{PauliString, MAX_QUBITS};
 use phoenix_topology::CouplingGraph;
+use phoenix_verify::engine::{check_skeleton_identity, Outcome};
 
 #[test]
 fn over_cap_widths_are_typed_errors_on_every_path() {
@@ -29,22 +30,31 @@ fn over_cap_widths_are_typed_errors_on_every_path() {
     }
 }
 
+/// Logical compiles at 128, 256 and 300 qubits are checked by the
+/// width-independent tier: the emitted order is a permutation of the input
+/// program, and the circuit's Clifford skeleton is the identity.
 #[test]
 fn trotter_chains_compile_past_128_qubits() {
-    let n = 300;
-    for h in [tfim_chain(n, 1.0, 0.5), heisenberg_chain(n, 1.0, 1.0, 0.5)] {
-        let out = CompileRequest::new(n, h.terms())
-            .run()
-            .expect("wide logical compile succeeds");
-        assert_eq!(out.term_order.len(), h.len());
-        assert_eq!(out.circuit.num_qubits(), n);
-        // The emitted order is a permutation of the input program.
-        let key = |t: &(PauliString, f64)| (t.0.to_string(), (t.1 * 1e12).round() as i64);
-        let mut got: Vec<_> = out.term_order.iter().map(key).collect();
-        let mut want: Vec<_> = h.terms().iter().map(key).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
+    for n in [128, 256, 300] {
+        for h in [tfim_chain(n, 1.0, 0.5), heisenberg_chain(n, 1.0, 1.0, 0.5)] {
+            let name = h.name();
+            let out = CompileRequest::new(n, h.terms())
+                .run()
+                .expect("wide logical compile succeeds");
+            assert_eq!(out.term_order.len(), h.len(), "{name}");
+            assert_eq!(out.circuit.num_qubits(), n, "{name}");
+            let key = |t: &(PauliString, f64)| (t.0.to_string(), (t.1 * 1e12).round() as i64);
+            let mut got: Vec<_> = out.term_order.iter().map(key).collect();
+            let mut want: Vec<_> = h.terms().iter().map(key).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{name}");
+            // A skipped check proves nothing, so only a pass will do.
+            match check_skeleton_identity(&out.circuit) {
+                Outcome::Pass(_) => {}
+                other => panic!("{name}: skeleton check gave {other:?}"),
+            }
+        }
     }
 }
 

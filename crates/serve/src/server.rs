@@ -268,8 +268,8 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// The report as a JSON object (the shape written to `--report` files
-    /// and `results/BENCH_serve.json`).
+    /// The report as a JSON object (the shape `phoenixd --report` writes,
+    /// which `tests/daemon.rs` audits after a SIGTERM drain).
     pub fn to_json(&self) -> Value {
         protocol::obj(vec![
             ("admitted", Value::Int(self.admitted as i64)),

@@ -1,0 +1,256 @@
+//! `phoenixd` as a process: eight concurrent clients drive the real daemon
+//! binary with mixed valid and adversarial traffic, then SIGTERM drains it.
+//!
+//! The serving contract, checked end to end:
+//!
+//! - the daemon never dies during the run, whatever clients send;
+//! - every request gets a typed reply: shed requests surface as
+//!   `overloaded`, malformed frames as `invalid_request` and oversized
+//!   ones as `frame_too_large`, never as a silent drop;
+//! - SIGTERM drains: the process exits 0, and its `--report` shows every
+//!   admitted request completed, no worker death and a bounded p99 queue
+//!   wait;
+//! - the daemon writes nothing but its report, and the test removes that.
+//!
+//! Each client sends ten requests: about 65% valid compiles (retried with
+//! backoff through overload), 10% malformed frames, 5% oversized frames,
+//! 10% compile-then-cancel pairs, 5% zero deadlines and 5% pings.
+
+#![cfg(unix)]
+#![allow(clippy::unwrap_used)]
+
+use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
+
+use phoenix_mathkit::Xoshiro256;
+use phoenix_serve::{Client, RetryPolicy};
+use serde_json::Value;
+
+const SEED: u64 = 7;
+const CLIENTS: u64 = 8;
+const REQUESTS: usize = 10;
+const MAX_FRAME_BYTES: usize = 4096;
+const REPORT: &str = "report.json";
+
+/// The reply classes this traffic may receive. Every program it sends is
+/// valid, so a `compile_error` fails the test too.
+const TYPED: [&str; 7] = [
+    "ok",
+    "pong",
+    "cancelled",
+    "deadline_exceeded",
+    "invalid_request",
+    "frame_too_large",
+    "overloaded",
+];
+
+/// A `phoenixd` child running in a directory of its own. Dropping it kills
+/// the daemon if it is still running and removes the directory, so a
+/// failing test leaves neither a process nor a file behind.
+struct Daemon {
+    child: Child,
+    dir: PathBuf,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Starts `phoenixd` on an ephemeral port (4 workers, a queue of 8) and
+/// returns it with the address it announced.
+fn spawn_daemon() -> (Daemon, String) {
+    let dir = std::env::temp_dir().join(format!("phoenixd-daemon-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let child = Command::new(env!("CARGO_BIN_EXE_phoenixd"))
+        .current_dir(&dir)
+        .args(["--tcp", "127.0.0.1:0", "--workers", "4", "--queue", "8"])
+        .args(["--max-frame-bytes", &MAX_FRAME_BYTES.to_string()])
+        .args(["--report", REPORT])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut daemon = Daemon { child, dir };
+    let mut banner = String::new();
+    BufReader::new(daemon.child.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .trim_end()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
+        .to_string();
+    (daemon, addr)
+}
+
+/// Sends SIGTERM and waits up to a minute for the drain to finish, so a
+/// daemon that never exits fails the test instead of hanging it.
+fn terminate(child: &mut Child) -> ExitStatus {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    // SAFETY: `kill(2)` takes plain integers and touches no memory of ours.
+    assert_eq!(unsafe { kill(child.id() as i32, 15) }, 0, "SIGTERM failed");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return status;
+        }
+        assert!(Instant::now() < deadline, "phoenixd did not drain in 60 s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+fn compile_frame(id: u64, qubits: usize, n: usize, rng: &mut Xoshiro256) -> String {
+    let mut terms = Vec::with_capacity(n);
+    while terms.len() < n {
+        let label: String = (0..qubits)
+            .map(|_| ['I', 'X', 'Y', 'Z'][rng.next_below(4)])
+            .collect();
+        if label.bytes().all(|b| b == b'I') {
+            continue;
+        }
+        terms.push(format!("[\"{label}\",{:.4}]", rng.next_f64() - 0.5));
+    }
+    format!(
+        "{{\"op\":\"compile\",\"id\":{id},\"qubits\":{qubits},\"terms\":[{}],\"target\":\"cnot\"}}",
+        terms.join(",")
+    )
+}
+
+/// The line-delimited reply to a frame sent raw; an unparseable line
+/// becomes `Null`, which no class check accepts.
+fn positional_reply(client: &mut Client, frame: &str) -> std::io::Result<Value> {
+    client.send_line(frame)?;
+    let line = client.recv_line()?;
+    Ok(serde_json::from_str(&line).unwrap_or(Value::Null))
+}
+
+/// One client's mixed traffic, sent sequentially so each adversarial
+/// frame's reply can be read positionally. Returns, per request, what was
+/// sent and the reply.
+fn drive_client(addr: &str, client_id: u64) -> Vec<(&'static str, Value)> {
+    let policy = RetryPolicy {
+        seed: SEED ^ client_id,
+        ..RetryPolicy::default()
+    };
+    let mut client = Client::connect(addr, policy).unwrap();
+    let mut rng = Xoshiro256::seed_from_u64(SEED.wrapping_mul(31) ^ client_id);
+    let mut replies = Vec::with_capacity(REQUESTS);
+    for i in 0..REQUESTS {
+        let id = client_id * 10_000 + i as u64;
+        let roll = rng.next_below(100);
+        let (sent, reply) = if roll < 10 {
+            (
+                "malformed",
+                positional_reply(&mut client, "{definitely not json"),
+            )
+        } else if roll < 15 {
+            let frame = "z".repeat(2 * MAX_FRAME_BYTES);
+            ("oversized", positional_reply(&mut client, &frame))
+        } else if roll < 25 {
+            // A big job abandoned right away: `cancelled`, or `ok` if the
+            // compile won the race.
+            let reply = client
+                .send_line(&compile_frame(id, 8, 120, &mut rng))
+                .and_then(|()| client.cancel(id))
+                .and_then(|()| client.wait_reply(id));
+            ("cancel pair", reply)
+        } else if roll < 30 {
+            let frame = format!(
+                "{{\"op\":\"compile\",\"id\":{id},\"qubits\":3,\"terms\":[[\"ZZI\",0.5]],\"deadline_ms\":0}}"
+            );
+            ("zero deadline", client.request(id, &frame))
+        } else if roll < 35 {
+            ("ping", client.ping(id))
+        } else {
+            let frame = compile_frame(id, 4 + rng.next_below(3), 8, &mut rng);
+            ("compile", client.request(id, &frame))
+        };
+        let reply =
+            reply.unwrap_or_else(|e| panic!("client {client_id} request {i} ({sent}): {e}"));
+        replies.push((sent, reply));
+    }
+    replies
+}
+
+/// What a reply says: its status on success, its kind on an error.
+fn class(reply: &Value) -> &str {
+    match reply.get("status").and_then(Value::as_str) {
+        Some("error") => reply.get("kind").and_then(Value::as_str).unwrap_or("error"),
+        Some(status) => status,
+        None => "untyped",
+    }
+}
+
+#[test]
+fn daemon_answers_mixed_traffic_and_drains_on_sigterm() {
+    let (mut daemon, addr) = spawn_daemon();
+    let replies: Vec<(&str, Value)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (1..=CLIENTS)
+            .map(|c| {
+                let addr = &addr;
+                scope.spawn(move || drive_client(addr, c))
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+
+    assert_eq!(
+        daemon.child.try_wait().unwrap(),
+        None,
+        "phoenixd died during the run"
+    );
+    assert_eq!(replies.len(), (CLIENTS as usize) * REQUESTS);
+    for (sent, reply) in &replies {
+        assert!(
+            TYPED.contains(&class(reply)),
+            "{sent} got an untyped reply: {reply:?}"
+        );
+    }
+
+    let status = terminate(&mut daemon.child);
+    assert!(
+        status.success(),
+        "phoenixd exited with {status} after SIGTERM"
+    );
+    let written: Vec<_> = std::fs::read_dir(&daemon.dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(written, [REPORT], "phoenixd wrote more than its report");
+    let text = std::fs::read_to_string(daemon.dir.join(REPORT)).unwrap();
+    let report: Value = serde_json::from_str(text.trim()).unwrap();
+    let field = |name: &str| {
+        report
+            .get(name)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("report lacks `{name}`: {report:?}"))
+    };
+    assert_eq!(
+        field("admitted"),
+        field("completed"),
+        "drain dropped admitted work: {report:?}"
+    );
+    assert_eq!(field("worker_deaths"), 0, "{report:?}");
+    assert!(
+        field("queue_wait_p99_us") <= 60_000_000,
+        "p99 queue wait unbounded: {report:?}"
+    );
+
+    let dir = daemon.dir.clone();
+    drop(daemon);
+    assert!(!dir.exists(), "{} left behind", dir.display());
+}
