@@ -1,6 +1,6 @@
 //! The circuit container and structural lowering.
 
-use crate::gate::{Gate, Su4Block};
+use crate::gate::Gate;
 use phoenix_pauli::{Pauli, QubitMask};
 use std::fmt;
 
@@ -216,16 +216,10 @@ impl Circuit {
     pub fn lower_to_cnot(&self) -> Circuit {
         let mut out = Circuit::new(self.n);
         out.gates.reserve(self.gates.len());
-        self.for_each_lowered(|g| out.push(g));
-        out
-    }
-
-    /// Feeds the gates of [`Circuit::lower_to_cnot`] to `emit`, in order,
-    /// without building the lowered circuit.
-    pub(crate) fn for_each_lowered(&self, mut emit: impl FnMut(Gate)) {
         for g in &self.gates {
-            lower_gate(g, &mut emit);
+            lower_gate(g, &mut |g| out.push(g));
         }
+        out
     }
 }
 
@@ -238,55 +232,56 @@ fn check_qubits(n: usize, g: &Gate) {
     }
 }
 
-/// A basis-change circuit: 1Q gate constructors applied to one qubit.
-type Basis = &'static [fn(usize) -> Gate];
-
-/// Basis-change circuits used by the lowerings. `pre`/`post` sandwich a
-/// Z-basis (control) or X-basis (target) core.
-fn conj_to_z(p: Pauli) -> (Basis, Basis) {
-    match p {
-        Pauli::Z => (&[], &[]),
-        Pauli::X => (&[Gate::H], &[Gate::H]),
-        Pauli::Y => (&[Gate::Sdg, Gate::H], &[Gate::H, Gate::S]),
-        Pauli::I => unreachable!("identity needs no basis change"),
+/// The consumer of a lowering to the CNOT ISA: [`lower_gate`] calls it
+/// once per lowered gate, in circuit order. By default each gate the
+/// expansion emits is built as a [`Gate`] and handed to `gate`; a sink
+/// that keeps no `Gate`s overrides every method.
+pub(crate) trait CnotSink {
+    /// A gate in the ISA (1Q or CNOT): an input gate passed through, or
+    /// one the expansion built.
+    fn gate(&mut self, g: &Gate);
+    fn cnot(&mut self, a: usize, b: usize) {
+        self.gate(&Gate::Cnot(a, b));
+    }
+    fn h(&mut self, q: usize) {
+        self.gate(&Gate::H(q));
+    }
+    fn s(&mut self, q: usize) {
+        self.gate(&Gate::S(q));
+    }
+    fn sdg(&mut self, q: usize) {
+        self.gate(&Gate::Sdg(q));
+    }
+    fn rz(&mut self, q: usize, theta: f64) {
+        self.gate(&Gate::Rz(q, theta));
     }
 }
 
-fn conj_to_x(p: Pauli) -> (Basis, Basis) {
-    match p {
-        Pauli::X => (&[], &[]),
-        Pauli::Z => (&[Gate::H], &[Gate::H]),
-        // V X V† = Y for V = S: circuit pre = V† = Sdg, post = S.
-        Pauli::Y => (&[Gate::Sdg], &[Gate::S]),
-        Pauli::I => unreachable!("identity needs no basis change"),
+/// A closure sink receives each lowered gate by value.
+impl<F: FnMut(Gate)> CnotSink for F {
+    fn gate(&mut self, g: &Gate) {
+        self(g.clone());
     }
 }
 
-/// Emits `basis_a` on qubit `a`, then `basis_b` on qubit `b`.
-fn emit_basis(emit: &mut impl FnMut(Gate), a: usize, basis_a: Basis, b: usize, basis_b: Basis) {
-    for make in basis_a {
-        emit(make(a));
-    }
-    for make in basis_b {
-        emit(make(b));
-    }
-}
-
-pub(crate) fn lower_gate(g: &Gate, emit: &mut impl FnMut(Gate)) {
-    match g {
+/// Lowers `g` to the CNOT ISA into `sink`. This is the one expansion of
+/// each multi-gate kind; every lowering consumer goes through it.
+pub(crate) fn lower_gate(g: &Gate, sink: &mut impl CnotSink) {
+    match *g {
         Gate::Swap(a, b) => {
-            emit(Gate::Cnot(*a, *b));
-            emit(Gate::Cnot(*b, *a));
-            emit(Gate::Cnot(*a, *b));
+            sink.cnot(a, b);
+            sink.cnot(b, a);
+            sink.cnot(a, b);
         }
         Gate::Clifford2(c) => {
             // C(σ₀,σ₁) = (V₀⊗V₁) CNOT (V₀⊗V₁)† where V₀ Z V₀† = σ₀ and
             // V₁ X V₁† = σ₁; circuit order is V† gates, CNOT, V gates.
-            let (pre_a, post_a) = conj_to_z(c.kind.sigma0());
-            let (pre_b, post_b) = conj_to_x(c.kind.sigma1());
-            emit_basis(emit, c.a, pre_a, c.b, pre_b);
-            emit(Gate::Cnot(c.a, c.b));
-            emit_basis(emit, c.a, post_a, c.b, post_b);
+            let (s0, s1) = (c.kind.sigma0(), c.kind.sigma1());
+            z_basis(sink, c.a, s0, false);
+            x_basis(sink, c.b, s1, false);
+            sink.cnot(c.a, c.b);
+            z_basis(sink, c.a, s0, true);
+            x_basis(sink, c.b, s1, true);
         }
         Gate::PauliRot2 {
             a,
@@ -295,21 +290,52 @@ pub(crate) fn lower_gate(g: &Gate, emit: &mut impl FnMut(Gate)) {
             pb,
             theta,
         } => {
-            let (pre_a, post_a) = conj_to_z(*pa);
-            let (pre_b, post_b) = conj_to_z(*pb);
-            emit_basis(emit, *a, pre_a, *b, pre_b);
-            emit(Gate::Cnot(*a, *b));
-            emit(Gate::Rz(*b, *theta));
-            emit(Gate::Cnot(*a, *b));
-            emit_basis(emit, *a, post_a, *b, post_b);
+            z_basis(sink, a, pa, false);
+            z_basis(sink, b, pb, false);
+            sink.cnot(a, b);
+            sink.rz(b, theta);
+            sink.cnot(a, b);
+            z_basis(sink, a, pa, true);
+            z_basis(sink, b, pb, true);
         }
-        Gate::Su4(blk) => {
-            let Su4Block { inner, .. } = blk.as_ref();
-            for g in inner {
-                lower_gate(g, emit);
+        Gate::Su4(ref blk) => {
+            for g in &blk.inner {
+                lower_gate(g, sink);
             }
         }
-        other => emit(other.clone()),
+        ref other => sink.gate(other),
+    }
+}
+
+/// The basis change around a Z-basis core (a CNOT control, or both ends
+/// of `CNOT·Rz·CNOT`) on `q`, for `V Z V† = p`: `V†` before the core,
+/// `V` after it (`after`).
+fn z_basis(sink: &mut impl CnotSink, q: usize, p: Pauli, after: bool) {
+    match (p, after) {
+        (Pauli::Z, _) => {}
+        (Pauli::X, _) => sink.h(q),
+        (Pauli::Y, false) => {
+            sink.sdg(q);
+            sink.h(q);
+        }
+        (Pauli::Y, true) => {
+            sink.h(q);
+            sink.s(q);
+        }
+        (Pauli::I, _) => unreachable!("identity needs no basis change"),
+    }
+}
+
+/// The basis change around an X-basis core (a CNOT target) on `q`, for
+/// `V X V† = p`: `V†` before the core, `V` after it (`after`).
+fn x_basis(sink: &mut impl CnotSink, q: usize, p: Pauli, after: bool) {
+    match (p, after) {
+        (Pauli::X, _) => {}
+        (Pauli::Z, _) => sink.h(q),
+        // V X V† = Y for V = S.
+        (Pauli::Y, false) => sink.sdg(q),
+        (Pauli::Y, true) => sink.s(q),
+        (Pauli::I, _) => unreachable!("identity needs no basis change"),
     }
 }
 

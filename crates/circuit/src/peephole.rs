@@ -31,6 +31,7 @@
 //! blocker lives. A search that ran off the end of its wires stays
 //! fruitless for good.
 
+use crate::circuit::{lower_gate, CnotSink};
 use crate::{Circuit, Gate};
 
 const TWO_PI: f64 = std::f64::consts::TAU;
@@ -66,23 +67,15 @@ pub fn optimize(c: &Circuit) -> Circuit {
     Circuit::from_gates(c.num_qubits(), dag.into_gates())
 }
 
-/// Rewrites phase-like Cliffords as rotations (up to global phase) so the
-/// merge pass sees a uniform representation.
-fn normalize(g: Gate) -> Gate {
-    use std::f64::consts::{FRAC_PI_2, PI};
-    match g {
-        Gate::S(q) => Gate::Rz(q, FRAC_PI_2),
-        Gate::Sdg(q) => Gate::Rz(q, -FRAC_PI_2),
-        Gate::Z(q) => Gate::Rz(q, PI),
-        Gate::X(q) => Gate::Rx(q, PI),
-        Gate::Y(q) => Gate::Ry(q, PI),
-        other => other,
-    }
-}
-
 /// Wraps an angle into `(-π, π]`.
 fn wrap(theta: f64) -> f64 {
-    let mut t = theta % TWO_PI;
+    // IEEE `fmod` returns its argument unchanged when |θ| < 2π; NaN and
+    // ±∞ fail the test and still take it.
+    let mut t = if theta.abs() < TWO_PI {
+        theta
+    } else {
+        theta % TWO_PI
+    };
     if t > std::f64::consts::PI {
         t -= TWO_PI;
     } else if t <= -std::f64::consts::PI {
@@ -163,6 +156,8 @@ enum Pass {
 /// The lowered circuit as wire-linked nodes plus the pending searches.
 struct WireDag {
     nodes: Vec<Node>,
+    /// Number of live nodes.
+    live: usize,
     /// One bit per node whose search must run (again), per [`Pass`].
     pending: [Vec<u64>; 2],
 }
@@ -171,46 +166,30 @@ impl WireDag {
     /// Lowers `c` to the CNOT ISA, normalizes it, and links the wires.
     /// Every search starts pending.
     fn lower(c: &Circuit) -> Self {
-        let mut len = 0usize;
-        c.for_each_lowered(|_| len += 1);
-        assert!(len < NIL as usize, "circuit too long for the peephole pass");
-        let mut nodes: Vec<Node> = Vec::with_capacity(len);
-        let mut last = vec![NIL; c.num_qubits()];
-        let mut pending = [vec![0u64; len.div_ceil(64)], vec![0u64; len.div_ceil(64)]];
-        c.for_each_lowered(|g| {
-            let (kind, theta, q0, q1) = match normalize(g) {
-                Gate::H(q) => (Kind::H, 0.0, q, None),
-                Gate::Rx(q, t) => (Kind::Rot(Axis::X), t, q, None),
-                Gate::Ry(q, t) => (Kind::Rot(Axis::Y), t, q, None),
-                Gate::Rz(q, t) => (Kind::Rot(Axis::Z), t, q, None),
-                Gate::Cnot(a, b) => (Kind::Cnot, 0.0, a, Some(b)),
-                other => unreachable!("{other} survives lowering and normalization"),
-            };
-            let idx = nodes.len() as u32;
-            let mut node = Node {
-                kind,
-                theta,
-                q: [q0 as u32, q1.map_or(NIL, |b| b as u32)],
-                next: [NIL; 2],
-                prev: [NIL; 2],
-                parked: NIL,
-                park_next: NIL,
-            };
-            for s in 0..node.arity() {
-                let q = node.q[s];
-                let p = last[q as usize];
-                node.prev[s] = p;
-                if p != NIL {
-                    let pn = &mut nodes[p as usize];
-                    let ps = pn.slot(q);
-                    pn.next[ps] = idx;
-                }
-                last[q as usize] = idx;
-            }
-            set_bit(&mut pending[kind.pass() as usize], idx);
-            nodes.push(node);
-        });
-        WireDag { nodes, pending }
+        let mut wires = Wires {
+            nodes: Vec::new(),
+            last: vec![NIL; c.num_qubits()],
+        };
+        for g in c.gates() {
+            lower_gate(g, &mut wires);
+        }
+        let nodes = wires.nodes;
+        // Checked after the build: a longer array wrapped its `u32`
+        // indices, but no search has followed a link yet.
+        assert!(
+            nodes.len() < NIL as usize,
+            "circuit too long for the peephole pass"
+        );
+        let words = nodes.len().div_ceil(64);
+        let mut pending = [vec![0u64; words], vec![0u64; words]];
+        for (i, node) in nodes.iter().enumerate() {
+            set_bit(&mut pending[node.kind.pass() as usize], i as u32);
+        }
+        WireDag {
+            live: nodes.len(),
+            nodes,
+            pending,
+        }
     }
 
     /// Runs `pass`'s search from every pending node in circuit order.
@@ -351,6 +330,7 @@ impl WireDag {
         }
         let node = &mut self.nodes[k as usize];
         node.kind = Kind::Dead;
+        self.live -= 1;
         let mut w = std::mem::replace(&mut node.parked, NIL);
         // A live node sits in at most one parked list, and only while its
         // search is not pending; dead entries are skipped.
@@ -366,8 +346,7 @@ impl WireDag {
 
     /// The live gates in circuit order.
     fn into_gates(self) -> Vec<Gate> {
-        let live = self.nodes.iter().filter(|n| n.kind != Kind::Dead).count();
-        let mut out = Vec::with_capacity(live);
+        let mut out = Vec::with_capacity(self.live);
         for n in &self.nodes {
             let q = n.q[0] as usize;
             out.push(match n.kind {
@@ -380,6 +359,83 @@ impl WireDag {
             });
         }
         out
+    }
+}
+
+/// Builds the wire-linked nodes straight from the lowering, one node per
+/// lowered gate.
+struct Wires {
+    nodes: Vec<Node>,
+    /// The last node on each wire so far.
+    last: Vec<u32>,
+}
+
+impl Wires {
+    /// Appends a node on qubits `q` (`q[1]` is `NIL` for a 1Q gate) and
+    /// links it behind the last node of each of its wires.
+    fn push(&mut self, kind: Kind, theta: f64, q: [u32; 2]) {
+        let idx = self.nodes.len() as u32;
+        let mut node = Node {
+            kind,
+            theta,
+            q,
+            next: [NIL; 2],
+            prev: [NIL; 2],
+            parked: NIL,
+            park_next: NIL,
+        };
+        for s in 0..node.arity() {
+            let q = node.q[s];
+            let p = self.last[q as usize];
+            node.prev[s] = p;
+            if p != NIL {
+                let pn = &mut self.nodes[p as usize];
+                let ps = pn.slot(q);
+                pn.next[ps] = idx;
+            }
+            self.last[q as usize] = idx;
+        }
+        self.nodes.push(node);
+    }
+
+    fn rot(&mut self, axis: Axis, q: usize, theta: f64) {
+        self.push(Kind::Rot(axis), theta, [q as u32, NIL]);
+    }
+}
+
+/// Phase-like Cliffords become rotations (up to global phase), so the
+/// merge pass sees a uniform representation.
+impl CnotSink for Wires {
+    fn gate(&mut self, g: &Gate) {
+        use std::f64::consts::PI;
+        match *g {
+            Gate::H(q) => self.h(q),
+            Gate::S(q) => self.s(q),
+            Gate::Sdg(q) => self.sdg(q),
+            Gate::X(q) => self.rot(Axis::X, q, PI),
+            Gate::Y(q) => self.rot(Axis::Y, q, PI),
+            Gate::Z(q) => self.rot(Axis::Z, q, PI),
+            Gate::Rx(q, t) => self.rot(Axis::X, q, t),
+            Gate::Ry(q, t) => self.rot(Axis::Y, q, t),
+            Gate::Rz(q, t) => self.rot(Axis::Z, q, t),
+            Gate::Cnot(a, b) => self.cnot(a, b),
+            ref other => unreachable!("{other} survives lowering"),
+        }
+    }
+    fn cnot(&mut self, a: usize, b: usize) {
+        self.push(Kind::Cnot, 0.0, [a as u32, b as u32]);
+    }
+    fn h(&mut self, q: usize) {
+        self.push(Kind::H, 0.0, [q as u32, NIL]);
+    }
+    fn s(&mut self, q: usize) {
+        self.rot(Axis::Z, q, std::f64::consts::FRAC_PI_2);
+    }
+    fn sdg(&mut self, q: usize) {
+        self.rot(Axis::Z, q, -std::f64::consts::FRAC_PI_2);
+    }
+    fn rz(&mut self, q: usize, theta: f64) {
+        self.rot(Axis::Z, q, theta);
     }
 }
 

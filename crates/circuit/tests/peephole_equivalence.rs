@@ -1,6 +1,9 @@
 //! Differential test: the wire-linked `peephole::optimize` against a
-//! test-only copy of the quadratic forward-scan implementation it replaced.
-//! The two must agree bit for bit, angles included.
+//! test-only copy of the quadratic forward-scan implementation it replaced,
+//! fed by a test-only copy of the table-driven CNOT lowering that the
+//! library's one expansion replaced. The two must agree bit for bit,
+//! angles included, and `Circuit::lower_to_cnot` must match the copied
+//! lowering gate for gate.
 //!
 //! Run more cases with `PROPTEST_CASES=1024 cargo test --release -p
 //! phoenix-circuit --test peephole_equivalence`.
@@ -8,7 +11,98 @@
 use phoenix_circuit::{peephole, Circuit, Gate, Su4Block};
 use phoenix_pauli::{Clifford2Q, Pauli, CLIFFORD2Q_GENERATORS};
 use proptest::prelude::*;
-use std::f64::consts::{FRAC_PI_2, PI};
+use std::f64::consts::{FRAC_PI_2, PI, TAU};
+
+/// The CNOT lowering through static basis-change tables, so the
+/// reference does not depend on the library code under test.
+mod tables {
+    use phoenix_circuit::{Circuit, Gate, Su4Block};
+    use phoenix_pauli::Pauli;
+
+    /// `Circuit::lower_to_cnot` through the tables.
+    pub fn lower_to_cnot(c: &Circuit) -> Circuit {
+        let mut gates = Vec::with_capacity(c.len());
+        for g in c.gates() {
+            lower_gate(g, &mut |g| gates.push(g));
+        }
+        Circuit::from_gates(c.num_qubits(), gates)
+    }
+
+    /// A basis-change circuit: 1Q gate constructors applied to one qubit.
+    type Basis = &'static [fn(usize) -> Gate];
+
+    /// Basis-change circuits used by the lowerings. `pre`/`post` sandwich a
+    /// Z-basis (control) or X-basis (target) core.
+    fn conj_to_z(p: Pauli) -> (Basis, Basis) {
+        match p {
+            Pauli::Z => (&[], &[]),
+            Pauli::X => (&[Gate::H], &[Gate::H]),
+            Pauli::Y => (&[Gate::Sdg, Gate::H], &[Gate::H, Gate::S]),
+            Pauli::I => unreachable!("identity needs no basis change"),
+        }
+    }
+
+    fn conj_to_x(p: Pauli) -> (Basis, Basis) {
+        match p {
+            Pauli::X => (&[], &[]),
+            Pauli::Z => (&[Gate::H], &[Gate::H]),
+            // V X V† = Y for V = S: circuit pre = V† = Sdg, post = S.
+            Pauli::Y => (&[Gate::Sdg], &[Gate::S]),
+            Pauli::I => unreachable!("identity needs no basis change"),
+        }
+    }
+
+    /// Emits `basis_a` on qubit `a`, then `basis_b` on qubit `b`.
+    fn emit_basis(emit: &mut impl FnMut(Gate), a: usize, basis_a: Basis, b: usize, basis_b: Basis) {
+        for make in basis_a {
+            emit(make(a));
+        }
+        for make in basis_b {
+            emit(make(b));
+        }
+    }
+
+    fn lower_gate(g: &Gate, emit: &mut impl FnMut(Gate)) {
+        match g {
+            Gate::Swap(a, b) => {
+                emit(Gate::Cnot(*a, *b));
+                emit(Gate::Cnot(*b, *a));
+                emit(Gate::Cnot(*a, *b));
+            }
+            Gate::Clifford2(c) => {
+                // C(σ₀,σ₁) = (V₀⊗V₁) CNOT (V₀⊗V₁)† where V₀ Z V₀† = σ₀ and
+                // V₁ X V₁† = σ₁; circuit order is V† gates, CNOT, V gates.
+                let (pre_a, post_a) = conj_to_z(c.kind.sigma0());
+                let (pre_b, post_b) = conj_to_x(c.kind.sigma1());
+                emit_basis(emit, c.a, pre_a, c.b, pre_b);
+                emit(Gate::Cnot(c.a, c.b));
+                emit_basis(emit, c.a, post_a, c.b, post_b);
+            }
+            Gate::PauliRot2 {
+                a,
+                b,
+                pa,
+                pb,
+                theta,
+            } => {
+                let (pre_a, post_a) = conj_to_z(*pa);
+                let (pre_b, post_b) = conj_to_z(*pb);
+                emit_basis(emit, *a, pre_a, *b, pre_b);
+                emit(Gate::Cnot(*a, *b));
+                emit(Gate::Rz(*b, *theta));
+                emit(Gate::Cnot(*a, *b));
+                emit_basis(emit, *a, post_a, *b, post_b);
+            }
+            Gate::Su4(blk) => {
+                let Su4Block { inner, .. } = blk.as_ref();
+                for g in inner {
+                    lower_gate(g, emit);
+                }
+            }
+            other => emit(other.clone()),
+        }
+    }
+}
 
 /// The forward-scan peephole pass: `Vec<Option<Gate>>`, every scan from
 /// every gate on every sweep.
@@ -19,7 +113,7 @@ mod quadratic {
     const EPS: f64 = 1e-12;
 
     pub fn optimize(c: &Circuit) -> Circuit {
-        let lowered = c.lower_to_cnot();
+        let lowered = super::tables::lower_to_cnot(c);
         let mut gates: Vec<Option<Gate>> = lowered
             .gates()
             .iter()
@@ -193,15 +287,17 @@ mod quadratic {
 }
 
 /// Angles that exercise `wrap` and the identity threshold: generic values,
-/// values within a few ulps-to-1e-12 of 0 and ±π, and exact multiples of
-/// π/2.
+/// values within a few ulps-to-1e-12 of 0 and ±π, exact multiples of π/2,
+/// magnitudes above 2π, and values within 1e-13 of −4π.
 fn angle(choice: usize, t: f64) -> f64 {
     match choice {
         0 => 3.5 * t,
         1 => 2e-12 * t,
         2 => PI + 2e-12 * t,
         3 => -PI + 2e-12 * t,
-        _ => FRAC_PI_2 * (4.0 * t).round(),
+        4 => FRAC_PI_2 * (4.0 * t).round(),
+        5 => 7.5f64.copysign(t) + t,
+        _ => -2.0 * TAU + 1e-13 * t,
     }
 }
 
@@ -220,15 +316,18 @@ fn basic_gate(kind: usize, a: usize, b: usize, theta: f64) -> Gate {
     }
 }
 
+/// A random gate of any kind. `pick` chooses the Clifford generator (all
+/// six) or the `PauliRot2` basis pair (all nine) independently of the
+/// angle.
 fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
     (
-        (0usize..15, 0usize..n, 0usize..n),
-        (0usize..5, -1.0f64..1.0),
-        proptest::collection::vec((0usize..10, any::<bool>(), 0usize..5, -1.0f64..1.0), 1..6),
+        (0usize..15, 0usize..n, 0usize..n, 0usize..9),
+        (0usize..7, -1.0f64..1.0),
+        proptest::collection::vec((0usize..10, any::<bool>(), 0usize..7, -1.0f64..1.0), 1..6),
     )
         .prop_filter_map(
             "needs distinct qubits",
-            move |((kind, a, b), (choice, t), inner)| {
+            move |((kind, a, b, pick), (choice, t), inner)| {
                 if a == b && kind >= 9 {
                     return None;
                 }
@@ -236,12 +335,12 @@ fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
                 Some(match kind {
                     0..=9 => basic_gate(kind, a, b, theta),
                     10 => Gate::Swap(a, b),
-                    11 => Gate::Clifford2(Clifford2Q::new(CLIFFORD2Q_GENERATORS[choice % 6], a, b)),
+                    11 => Gate::Clifford2(Clifford2Q::new(CLIFFORD2Q_GENERATORS[pick % 6], a, b)),
                     12 | 13 => Gate::PauliRot2 {
                         a,
                         b,
-                        pa: Pauli::XYZ[choice % 3],
-                        pb: Pauli::XYZ[(choice + kind) % 3],
+                        pa: Pauli::XYZ[pick / 3],
+                        pb: Pauli::XYZ[pick % 3],
                         theta,
                     },
                     _ => Gate::Su4(Box::new(Su4Block {
@@ -284,5 +383,11 @@ proptest! {
     #[test]
     fn matches_quadratic_on_wide_circuits(c in arb_circuit(6, 96)) {
         prop_assert_eq!(exact(&peephole::optimize(&c)), exact(&quadratic::optimize(&c)));
+    }
+
+    /// The library's expansion emits the tables' gates in the tables' order.
+    #[test]
+    fn lower_to_cnot_matches_tables(c in arb_circuit(4, 48)) {
+        prop_assert_eq!(exact(&c.lower_to_cnot()), exact(&tables::lower_to_cnot(&c)));
     }
 }
