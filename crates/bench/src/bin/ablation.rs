@@ -60,7 +60,7 @@ fn variants() -> Vec<(&'static str, PhoenixOptions)> {
 fn main() {
     let device = Device::bare(CouplingGraph::manhattan65());
     let mut entries = Vec::new();
-    let mut tracer = Tracer::from_env("ablation");
+    let mut tracer = Tracer::from_args("ablation");
     for (mol, frozen) in [
         (Molecule::lih(), true),
         (Molecule::nh(), true),

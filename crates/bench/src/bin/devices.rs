@@ -30,7 +30,7 @@ fn devices() -> Vec<Device> {
 
 fn main() {
     let mut entries = Vec::new();
-    let mut tracer = Tracer::from_env("devices");
+    let mut tracer = Tracer::from_args("devices");
     println!("# Device sweep: PHOENIX hardware-aware across topologies\n");
     println!(
         "{}",

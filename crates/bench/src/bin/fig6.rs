@@ -35,7 +35,7 @@ fn main() {
     let device = CouplingGraph::manhattan65();
     let traced_device = Device::bare(device.clone());
     let mut entries = Vec::new();
-    let mut tracer = Tracer::from_env("fig6");
+    let mut tracer = Tracer::from_args("fig6");
     // TKET is excluded as in the paper; compare the remaining strategies.
     let contenders: Vec<Box<dyn CompilerStrategy>> = strategies()
         .into_iter()

@@ -26,7 +26,7 @@ const SCALES: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 
 fn main() {
     let mut out: Vec<Series> = Vec::new();
-    let mut tracer = Tracer::from_env("fig8");
+    let mut tracer = Tracer::from_args("fig8");
     let tket: &dyn CompilerStrategy = &Baseline::TketStyle;
     let phoenix_compiler = phoenix_compiler();
     let phoenix_strategy: &dyn CompilerStrategy = &phoenix_compiler;

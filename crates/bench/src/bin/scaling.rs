@@ -57,7 +57,7 @@ fn measure(h: &Hamiltonian, tracer: &mut Tracer) -> Point {
 
 fn main() {
     let mut points = Vec::new();
-    let mut tracer = Tracer::from_env("scaling");
+    let mut tracer = Tracer::from_args("scaling");
     // Heisenberg chains of growing width.
     for n in [8usize, 16, 32, 64, 96, 128, 256, 500] {
         points.push(measure(

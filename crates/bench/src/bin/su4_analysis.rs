@@ -48,7 +48,7 @@ fn histogram(su4_circuit: &Circuit) -> CostHistogram {
 fn main() {
     let mut results: BTreeMap<String, BTreeMap<String, (CostHistogram, usize, usize)>> =
         BTreeMap::new();
-    let mut tracer = Tracer::from_env("su4_analysis");
+    let mut tracer = Tracer::from_args("su4_analysis");
     // Baselines reach SU(4) by CNOT compile + rebase.
     let baselines: Vec<Box<dyn CompilerStrategy>> = strategies()
         .into_iter()

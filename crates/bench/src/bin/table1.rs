@@ -4,10 +4,10 @@
 //! the conventional ("original") circuit's `#Gate`, `#CNOT`, `Depth`,
 //! `Depth-2Q`.
 //!
-//! Usage: `table1 [--quick] [--trace] [--obs] [--device <spec>]` —
+//! Usage: `table1 [--quick] [--obs] [--verify] [--device <spec>]` —
 //! `--quick` runs the two smallest benchmarks only (the CI smoke
-//! configuration); `--trace`/`--obs` file pass traces and observability
-//! reports under `results/`. `--device <spec>` resolves a registry device
+//! configuration); `--obs` files observability reports under `results/`;
+//! `--verify` checks every pass boundary. `--device <spec>` resolves a registry device
 //! (`line:N`, `grid:RxC`, `heavy-hex:RxL`, `ion-trap:N`, presets; optional
 //! `@isa` suffix) and records instrumented device-targeted compilations
 //! instead of logical ones — the what-if variant of the fixed table.
@@ -58,7 +58,7 @@ fn main() {
     );
     println!("{}", row(&vec!["---".to_string(); 8]));
     let mut rows = Vec::new();
-    let mut tracer = Tracer::from_env("table1");
+    let mut tracer = Tracer::from_args("table1");
     let original: &dyn CompilerStrategy = &Baseline::Naive;
     let phoenix = phoenix_compiler();
     let suite = uccsd::table1_suite(SEED);

@@ -36,7 +36,7 @@ const COMPILERS: [&str; 7] = [
 
 fn main() {
     let mut entries: Vec<Entry> = Vec::new();
-    let mut tracer = Tracer::from_env("table2_fig5");
+    let mut tracer = Tracer::from_args("table2_fig5");
     let strategies = phoenix_baselines::strategies();
     for h in uccsd::table1_suite(SEED) {
         let n = h.num_qubits();

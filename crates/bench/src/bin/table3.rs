@@ -34,7 +34,7 @@ fn main() {
     let device = CouplingGraph::manhattan65();
     let heavy_hex = Device::bare(device.clone());
     let suite = uccsd::table1_suite(SEED);
-    let mut tracer = Tracer::from_env("table3");
+    let mut tracer = Tracer::from_args("table3");
     // Every general-purpose baseline, as trait objects.
     let baselines: Vec<Box<dyn CompilerStrategy>> = strategies()
         .into_iter()

@@ -42,7 +42,7 @@ fn main() {
     let device = CouplingGraph::manhattan65();
     let traced_device = Device::bare(device.clone());
     let mut entries = Vec::new();
-    let mut tracer = Tracer::from_env("table4_fig7");
+    let mut tracer = Tracer::from_args("table4_fig7");
     // The 2-local specialist against PHOENIX, as trait objects.
     let contenders: [Box<dyn CompilerStrategy>; 2] = [
         Box::new(Baseline::TwoQanStyle),

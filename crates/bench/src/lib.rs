@@ -8,7 +8,7 @@
 
 use phoenix_circuit::Circuit;
 use phoenix_core::phoenix_obs::{perfetto, ObsReport};
-use phoenix_core::{CompileRequest, Device, PassTrace, PhoenixCompiler, Target};
+use phoenix_core::{CompileRequest, Device, PhoenixCompiler, Target};
 use phoenix_pauli::PauliString;
 use serde::Serialize;
 use std::path::Path;
@@ -16,31 +16,21 @@ use std::path::Path;
 /// Default deterministic seed shared by every experiment binary.
 pub const SEED: u64 = 7;
 
-/// True when pass-trace emission was requested, either with `--trace` on
-/// the command line or via the `PHOENIX_TRACE` environment variable.
-pub fn trace_enabled() -> bool {
-    std::env::args().any(|a| a == "--trace")
-        || std::env::var("PHOENIX_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// True when observability instrumentation was requested, either with
-/// `--obs` on the command line or via the `PHOENIX_OBS` environment
-/// variable. Every experiment binary honors this; the collected reports
-/// land in `results/<bin>_perfetto.json` (Chrome/Perfetto loadable),
-/// `results/<bin>_obs.json` (machine-readable), and
+/// True when observability instrumentation was requested with `--obs`.
+/// Every experiment binary honors it; the collected reports land in
+/// `results/<bin>_perfetto.json` (Chrome/Perfetto loadable),
+/// `results/<bin>_obs.json` (machine-readable, every pass span carrying its
+/// time and before/after circuit statistics), and
 /// `results/<bin>_report.txt` (human-readable).
 pub fn obs_enabled() -> bool {
     std::env::args().any(|a| a == "--obs")
-        || std::env::var("PHOENIX_OBS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// True when pass-boundary translation validation was requested, either
-/// with `--verify` on the command line or via the `PHOENIX_VERIFY`
-/// environment variable. Every experiment binary honors this; a
-/// miscompiled pass then aborts the run with the offending pass named.
+/// True when pass-boundary translation validation was requested with
+/// `--verify`. Every experiment binary honors it; a miscompiled pass then
+/// aborts the run with the offending pass named.
 pub fn verify_enabled() -> bool {
     std::env::args().any(|a| a == "--verify")
-        || std::env::var("PHOENIX_VERIFY").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// The PHOENIX compiler every experiment binary should use: default
@@ -59,52 +49,35 @@ pub fn short_label(name: &str) -> &str {
     name.strip_suffix("-style").unwrap_or(name)
 }
 
-/// Collects per-benchmark observability artifacts — [`PassTrace`]s when
-/// `--trace`/`PHOENIX_TRACE` is set, [`ObsReport`]s when
-/// `--obs`/`PHOENIX_OBS` is set — and writes them under `results/` on
-/// [`Tracer::finish`]. With neither flag set every recording method is a
-/// no-op, so default experiment output is unchanged.
+/// Collects per-benchmark [`ObsReport`]s when `--obs` is set and writes
+/// them under `results/` on [`Tracer::finish`]. Without the flag every
+/// recording method is a no-op, so default experiment output is unchanged.
 ///
-/// Compilations are replayed through the unified [`CompileRequest`] API,
-/// so both artifacts come from the same instrumented run.
+/// Compilations are replayed through the unified [`CompileRequest`] API.
 #[derive(Debug)]
 pub struct Tracer {
     experiment: &'static str,
-    trace: bool,
     obs: bool,
-    traces: Vec<(String, PassTrace)>,
     reports: Vec<(String, ObsReport)>,
 }
 
 impl Tracer {
-    /// A tracer for `experiment`, enabled per [`trace_enabled`] /
-    /// [`obs_enabled`].
-    pub fn from_env(experiment: &'static str) -> Self {
+    /// A tracer for `experiment`, enabled per [`obs_enabled`].
+    pub fn from_args(experiment: &'static str) -> Self {
         Tracer {
             experiment,
-            trace: trace_enabled(),
             obs: obs_enabled(),
-            traces: Vec::new(),
             reports: Vec::new(),
         }
     }
 
-    /// Whether any artifact (trace or obs report) is being collected.
-    pub fn enabled(&self) -> bool {
-        self.trace || self.obs
-    }
-
-    /// Runs `request` with the tracer's retention flags and files whatever
-    /// artifacts come back (no-op when disabled; exits nonzero on compile
-    /// errors).
+    /// Runs `request` instrumented and files its report (no-op when
+    /// disabled; exits nonzero on compile errors).
     pub fn record(&mut self, label: &str, request: CompileRequest) {
-        if !self.enabled() {
+        if !self.obs {
             return;
         }
-        let outcome = or_exit(request.trace(self.trace).obs(self.obs).run(), label);
-        if let Some(trace) = outcome.trace {
-            self.traces.push((label.to_string(), trace));
-        }
+        let outcome = or_exit(request.obs(true).run(), label);
         if let Some(report) = outcome.obs {
             self.reports.push((label.to_string(), report));
         }
@@ -141,25 +114,22 @@ impl Tracer {
         );
     }
 
-    /// Writes the collected artifacts (no-op for whichever side is
-    /// disabled or empty): `results/<bin>_trace.json`, and under `--obs`
-    /// additionally `results/<bin>_perfetto.json`,
-    /// `results/<bin>_obs.json`, and `results/<bin>_report.txt`.
+    /// Writes the collected reports (no-op when there are none):
+    /// `results/<bin>_obs.json`, `results/<bin>_perfetto.json` and
+    /// `results/<bin>_report.txt`.
     pub fn finish(self) {
-        if !self.traces.is_empty() {
-            write_results(&format!("{}_trace", self.experiment), &self.traces);
+        if self.reports.is_empty() {
+            return;
         }
-        if !self.reports.is_empty() {
-            write_results(&format!("{}_obs", self.experiment), &self.reports);
-            let file = perfetto::to_trace_file_batch(&self.reports);
-            let json = or_exit(perfetto::to_json(&file), "serializing perfetto trace");
-            write_text(&format!("{}_perfetto.json", self.experiment), &json);
-            let mut text = String::new();
-            for (label, report) in &self.reports {
-                text.push_str(&format!("=== {label} ===\n{}\n", report.render()));
-            }
-            write_text(&format!("{}_report.txt", self.experiment), &text);
+        write_results(&format!("{}_obs", self.experiment), &self.reports);
+        let file = perfetto::to_trace_file_batch(&self.reports);
+        let json = or_exit(perfetto::to_json(&file), "serializing perfetto trace");
+        write_text(&format!("{}_perfetto.json", self.experiment), &json);
+        let mut text = String::new();
+        for (label, report) in &self.reports {
+            text.push_str(&format!("=== {label} ===\n{}\n", report.render()));
         }
+        write_text(&format!("{}_report.txt", self.experiment), &text);
     }
 }
 
@@ -307,39 +277,26 @@ mod tests {
         assert_eq!(short_label("original"), "original");
     }
 
-    fn tracer(trace: bool, obs: bool) -> Tracer {
+    fn tracer(obs: bool) -> Tracer {
         Tracer {
             experiment: "test",
-            trace,
             obs,
-            traces: Vec::new(),
             reports: Vec::new(),
         }
     }
 
     #[test]
     fn disabled_tracer_collects_nothing() {
-        let mut t = tracer(false, false);
+        let mut t = tracer(false);
         t.record_logical("x", &phoenix_compiler(), 2, &[("ZZ".parse().unwrap(), 0.1)]);
-        assert!(t.traces.is_empty());
         assert!(t.reports.is_empty());
         t.finish();
     }
 
     #[test]
-    fn enabled_tracer_records_traces() {
-        let mut t = tracer(true, false);
-        t.record_logical("x", &phoenix_compiler(), 2, &[("ZZ".parse().unwrap(), 0.1)]);
-        assert_eq!(t.traces.len(), 1);
-        assert!(!t.traces[0].1.passes.is_empty());
-        assert!(t.reports.is_empty());
-    }
-
-    #[test]
     fn obs_tracer_records_reports() {
-        let mut t = tracer(false, true);
+        let mut t = tracer(true);
         t.record_logical("x", &phoenix_compiler(), 2, &[("ZZ".parse().unwrap(), 0.1)]);
-        assert!(t.traces.is_empty());
         assert_eq!(t.reports.len(), 1);
         assert_eq!(t.reports[0].1.root.name, "pipeline");
         assert!(t.reports[0].1.metrics.counter("passes_run").unwrap_or(0) > 0);

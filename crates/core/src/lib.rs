@@ -52,8 +52,6 @@ pub mod cost;
 pub mod error;
 pub mod evaluator;
 pub mod group;
-#[deny(clippy::unwrap_used)]
-pub mod observe;
 pub mod order;
 #[deny(clippy::unwrap_used)]
 mod par;
@@ -93,9 +91,8 @@ pub use cancel::{CancelReason, CancelToken};
 pub use error::{validate_device, validate_program, PhoenixError};
 pub use evaluator::CostEvaluator;
 pub use group::IrGroup;
-pub use observe::MetricsObserver;
 pub use pass::{
-    CompileContext, Pass, PassError, PassManager, PassObserver, PassTrace, TraceEvent,
+    CompileContext, EventKind, Pass, PassError, PassManager, PassObserver, PassTrace, TraceEvent,
     EVENT_DEGRADED, EVENT_RETRIED, EVENT_ROUND_ABANDONED, EVENT_SKIPPED, EVENT_TRUNCATED,
     EVENT_VERIFIED,
 };

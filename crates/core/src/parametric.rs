@@ -40,7 +40,6 @@ use phoenix_obs::ObsCollector;
 use phoenix_pauli::{CanonicalIr, PauliString};
 
 use crate::error::{validate_program, PhoenixError};
-use crate::observe::MetricsObserver;
 use crate::pass::{CompileContext, PassTrace};
 use crate::pipeline::{logical_passes, PhoenixOptions};
 use crate::request::Target;
@@ -107,13 +106,7 @@ pub(crate) fn compile_structure(
     // them on the slot-encoded terms. Only
     // `structure()` brings either here, with the cache filtered out;
     // `run()` and `bind()` compile such requests unsplit.
-    let manager = logical_passes(options, routing_aware, &Target::Logical);
-    let manager = if obs.is_some() {
-        manager.with_observer(Arc::new(MetricsObserver))
-    } else {
-        manager
-    };
-    let trace = manager.run(&mut ctx)?;
+    let trace = logical_passes(options, routing_aware, &Target::Logical).run(&mut ctx)?;
     let artifact = StructureArtifact::from_slot_encoded(
         num_qubits,
         terms.len(),

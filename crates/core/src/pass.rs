@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use phoenix_circuit::Circuit;
 use phoenix_obs::metrics::MetricId;
+pub use phoenix_obs::report::{Event as TraceEvent, EventKind};
 use phoenix_obs::{ObsCollector, Span};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
@@ -169,10 +170,10 @@ impl CompileContext {
     }
 
     /// Records a robustness event against `pass`.
-    pub fn record_event(&mut self, pass: &str, kind: &str, detail: impl Into<String>) {
+    pub fn record_event(&mut self, pass: &str, kind: EventKind, detail: impl Into<String>) {
         self.events.push(TraceEvent {
             pass: pass.to_string(),
-            kind: kind.to_string(),
+            kind,
             detail: detail.into(),
         });
     }
@@ -295,68 +296,33 @@ pub trait Pass {
     }
 }
 
-/// A robustness event recorded during compilation: a degradation to a
-/// fallback path, a routing retry, or budget-driven truncation of
-/// optimization effort.
-///
-/// `kind` is one of the `EVENT_*` constants of this module; `detail` is a
-/// human-readable elaboration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Name of the pass that raised the event.
-    pub pass: String,
-    /// Event class (`degraded`, `retried`, `truncated`, or `skipped`).
-    pub kind: String,
-    /// Human-readable elaboration.
-    pub detail: String,
-}
+/// Event kind: see [`EventKind::Degraded`].
+pub const EVENT_DEGRADED: EventKind = EventKind::Degraded;
+/// Event kind: see [`EventKind::Retried`].
+pub const EVENT_RETRIED: EventKind = EventKind::Retried;
+/// Event kind: see [`EventKind::Truncated`].
+pub const EVENT_TRUNCATED: EventKind = EventKind::Truncated;
+/// Event kind: see [`EventKind::Skipped`].
+pub const EVENT_SKIPPED: EventKind = EventKind::Skipped;
+/// Event kind: see [`EventKind::Verified`].
+pub const EVENT_VERIFIED: EventKind = EventKind::Verified;
+/// Event kind: see [`EventKind::RoundAbandoned`].
+pub const EVENT_ROUND_ABANDONED: EventKind = EventKind::RoundAbandoned;
 
-/// Event kind: a unit of work panicked or failed and was replaced by its
-/// unoptimized fallback.
-pub const EVENT_DEGRADED: &str = "degraded";
-/// Event kind: routing abandoned an attempt and retried with a different
-/// strategy.
-pub const EVENT_RETRIED: &str = "retried";
-/// Event kind: the pass budget elapsed and remaining optimization effort
-/// inside a pass was cut short.
-pub const EVENT_TRUNCATED: &str = "truncated";
-/// Event kind: an optional pass was skipped entirely because the budget
-/// had elapsed before it started.
-pub const EVENT_SKIPPED: &str = "skipped";
-/// Event kind: a [`PassObserver`] validated the context at a pass boundary
-/// (raised once per verified boundary, so a trace shows exactly which
-/// transformations were checked).
-pub const EVENT_VERIFIED: &str = "verified";
-/// Event kind: the anytime optimizer hit its deadline (or a fired cancel
-/// token) in the middle of a deepening round and kept the previous round's
-/// result. Distinct from [`EVENT_TRUNCATED`], which marks work cut short
-/// *before* it started improving anything.
-pub const EVENT_ROUND_ABANDONED: &str = "round-abandoned";
-
-/// A hook invoked after every executed pass — the attachment point for
-/// translation validation and metrics collection.
+/// A hook invoked after every executed pass: the attachment point for
+/// translation validation.
 ///
 /// An observer sees the full [`CompileContext`] at each pass boundary and
 /// may reject it with a [`PassError`], failing compilation the same way a
-/// broken pass would. Observers must not mutate compilation state; they may
-/// record events via the returned error path only (the manager itself
-/// records an [`EVENT_VERIFIED`] event for each boundary a *verifying*
-/// observer accepts).
+/// broken pass would. Observers must not mutate compilation state. The
+/// manager records an [`EVENT_VERIFIED`] event for each boundary an
+/// observer accepts, and invokes observers in attachment order; the first
+/// rejection aborts the pipeline.
 ///
-/// Multiple observers compose: [`PassManager::with_observer`] appends, and
-/// the manager invokes observers **in attachment order** at every boundary.
-/// The first rejection aborts the pipeline, so validators attached earlier
-/// shield collectors attached later from invalid state; and because the
-/// manager records each verifier's `verified` event before calling the next
-/// observer, a later observer (e.g. a metrics collector) sees the events
-/// earlier observers produced at the same boundary.
-///
-/// The canonical implementations are
+/// The canonical implementation is
 /// [`BoundaryVerifier`](crate::verify::BoundaryVerifier), which re-simulates
 /// the working circuit against the exact Trotter reference after every
-/// semantic transformation (`PhoenixOptions::verify`), and
-/// [`MetricsObserver`](crate::observe::MetricsObserver), which folds pass
-/// boundaries into the per-compilation metrics registry.
+/// semantic transformation (`PhoenixOptions::verify`).
 pub trait PassObserver: Send + Sync {
     /// Stable display name (used in `verified` trace events).
     fn name(&self) -> &str;
@@ -364,14 +330,6 @@ pub trait PassObserver: Send + Sync {
     /// Validates the context after `pass` ran. Returning an error aborts
     /// the pipeline.
     fn after_pass(&self, pass: &str, ctx: &CompileContext) -> Result<(), PassError>;
-
-    /// Whether an accepted boundary should be recorded as an
-    /// [`EVENT_VERIFIED`] event. Validators keep the default `true`;
-    /// passive collectors (metrics, logging) return `false` so traces only
-    /// claim verification when semantic checking actually happened.
-    fn verifies(&self) -> bool {
-        true
-    }
 }
 
 /// Size/shape statistics of the working circuit at a trace point.
@@ -418,6 +376,25 @@ pub struct PassRecord {
     pub after: CircuitStats,
 }
 
+impl PassRecord {
+    /// The record as an untimed obs pass span whose ten args are the five
+    /// statistics before and after the pass.
+    fn span(&self) -> Span {
+        let (b, a) = (self.before, self.after);
+        Span::new(self.name.as_str(), "pass")
+            .arg("gates_before", b.gates)
+            .arg("gates_after", a.gates)
+            .arg("cnot_before", b.cnot)
+            .arg("cnot_after", a.cnot)
+            .arg("two_qubit_before", b.two_qubit)
+            .arg("two_qubit_after", a.two_qubit)
+            .arg("depth_before", b.depth)
+            .arg("depth_after", a.depth)
+            .arg("depth_2q_before", b.depth_2q)
+            .arg("depth_2q_after", a.depth_2q)
+    }
+}
+
 /// The full observability record of one [`PassManager::run`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PassTrace {
@@ -439,8 +416,8 @@ impl PassTrace {
         self.passes.iter().map(|p| p.name.as_str()).collect()
     }
 
-    /// The events of a given kind (one of the `EVENT_*` constants).
-    pub fn events_of_kind(&self, kind: &str) -> Vec<&TraceEvent> {
+    /// The events of a given kind.
+    pub fn events_of_kind(&self, kind: EventKind) -> Vec<&TraceEvent> {
         self.events.iter().filter(|e| e.kind == kind).collect()
     }
 
@@ -451,7 +428,9 @@ impl PassTrace {
 }
 
 /// Executes a pass sequence over a [`CompileContext`], recording a
-/// [`PassTrace`].
+/// [`PassTrace`]. It is the one recorder of pass boundaries: with
+/// [`CompileContext::obs`] set, the pass spans and the boundary counters
+/// come from the same measurements as the trace.
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
@@ -501,19 +480,12 @@ impl PassManager {
     }
 
     /// Attaches a [`PassObserver`] invoked after every executed pass
-    /// (builder style). Observers compose: each call **appends**, and at
-    /// every pass boundary the manager invokes them in attachment order,
-    /// aborting on the first rejection. Attach validators before passive
-    /// collectors so metrics are never folded over a state a verifier
-    /// would have rejected.
+    /// (builder style). Each call appends, and at every pass boundary the
+    /// manager invokes the observers in attachment order, aborting on the
+    /// first rejection.
     pub fn with_observer(mut self, observer: Arc<dyn PassObserver>) -> Self {
         self.observers.push(observer);
         self
-    }
-
-    /// The names of the attached observers, in invocation order.
-    pub fn observer_names(&self) -> Vec<&str> {
-        self.observers.iter().map(|o| o.name()).collect()
     }
 
     /// Appends one pass (builder style).
@@ -550,12 +522,22 @@ impl PassManager {
     /// passes whose start time falls past the deadline are skipped and
     /// recorded as `skipped` events in the trace; a skipped pass still
     /// runs its [`Pass::run_skipped`] lowering.
+    ///
+    /// Each executed pass is measured once: one clock reading at each end
+    /// (observers included) and one [`CircuitStats`] per boundary, so a
+    /// pass's `after` is the next pass's `before`. When the context is
+    /// instrumented, the pass span is built from the same [`PassRecord`],
+    /// and `passes_run` plus every counter an event kind feeds are counted
+    /// here.
     pub fn run(&self, ctx: &mut CompileContext) -> Result<PassTrace, PassError> {
         let mut trace = PassTrace::default();
         let t0 = Instant::now();
         if let Some(budget) = self.budget {
             ctx.deadline = Some(t0 + budget);
         }
+        // The statistics at the current boundary; cleared after a skipped
+        // pass, whose lowering may have changed the circuit.
+        let mut stats = None;
         for pass in &self.passes {
             // Cooperative cancellation: checked before every pass, so a
             // fired token stops the pipeline at the next boundary without
@@ -575,55 +557,65 @@ impl PassManager {
                     EVENT_SKIPPED,
                     "pass budget elapsed before this optional pass started",
                 );
-                if let Some(obs) = &ctx.obs {
-                    obs.metrics().incr(MetricId::PassesSkipped);
-                }
-                trace.events.append(&mut ctx.events);
+                drain_events(ctx, &mut trace);
                 run_contained(pass.name(), || pass.run_skipped(ctx))?;
+                stats = None;
                 continue;
             }
-            let before = CircuitStats::of(&ctx.circuit);
+            let before = stats.unwrap_or_else(|| CircuitStats::of(&ctx.circuit));
             ctx.spans.clear();
-            let span_start = ctx.obs.as_ref().map(|obs| obs.now_us());
             let start = Instant::now();
             run_contained(pass.name(), || pass.run(ctx))?;
             for observer in &self.observers {
                 observer.after_pass(pass.name(), ctx)?;
-                if observer.verifies() {
-                    ctx.record_event(
-                        pass.name(),
-                        EVENT_VERIFIED,
-                        format!("boundary accepted by observer `{}`", observer.name()),
-                    );
-                }
+                ctx.record_event(
+                    pass.name(),
+                    EVENT_VERIFIED,
+                    format!("boundary accepted by observer `{}`", observer.name()),
+                );
             }
-            let millis = start.elapsed().as_secs_f64() * 1e3;
+            let end = Instant::now();
             let after = CircuitStats::of(&ctx.circuit);
+            stats = Some(after);
+            let record = PassRecord {
+                name: pass.name().to_string(),
+                millis: (end - start).as_secs_f64() * 1e3,
+                cumulative_millis: (end - t0).as_secs_f64() * 1e3,
+                before,
+                after,
+            };
             if let Some(obs) = &ctx.obs {
-                let start_us = span_start.unwrap_or(0);
-                let mut span = Span::new(pass.name(), "pass")
-                    .arg("gates_before", before.gates)
-                    .arg("gates_after", after.gates)
-                    .arg("cnot_before", before.cnot)
-                    .arg("cnot_after", after.cnot)
-                    .arg("depth_2q_before", before.depth_2q)
-                    .arg("depth_2q_after", after.depth_2q);
-                span.start_us = start_us;
-                span.dur_us = obs.now_us().saturating_sub(start_us);
+                obs.metrics().incr(MetricId::PassesRun);
+                let mut span = record.span();
+                span.start_us = obs.us_at(start);
+                span.dur_us = (end - start).as_micros() as u64;
                 span.children = std::mem::take(&mut ctx.spans);
                 obs.push_root(span);
             }
-            trace.events.append(&mut ctx.events);
-            trace.passes.push(PassRecord {
-                name: pass.name().to_string(),
-                millis,
-                cumulative_millis: t0.elapsed().as_secs_f64() * 1e3,
-                before,
-                after,
-            });
+            drain_events(ctx, &mut trace);
+            trace.passes.push(record);
         }
         Ok(trace)
     }
+}
+
+/// Moves the boundary's events into `trace`, counting each kind that feeds
+/// a counter when the context is instrumented.
+fn drain_events(ctx: &mut CompileContext, trace: &mut PassTrace) {
+    if let Some(obs) = &ctx.obs {
+        for event in &ctx.events {
+            let id = match event.kind {
+                EventKind::Degraded => MetricId::Stage2Degraded,
+                EventKind::Retried => MetricId::RouterRetries,
+                EventKind::Truncated => MetricId::Stage2Truncated,
+                EventKind::Skipped => MetricId::PassesSkipped,
+                EventKind::Verified => MetricId::BoundariesVerified,
+                EventKind::RoundAbandoned => continue,
+            };
+            obs.metrics().incr(id);
+        }
+    }
+    trace.events.append(&mut ctx.events);
 }
 
 /// Runs one pass with panics contained: an unwinding pass becomes a
@@ -762,6 +754,44 @@ mod tests {
         assert_eq!(skipped[0].pass, "optional-marker");
     }
 
+    /// Optional; skipped, it still appends a gate, as a skipped peephole
+    /// still lowers.
+    struct ChangesWhenSkipped;
+
+    impl Pass for ChangesWhenSkipped {
+        fn name(&self) -> &str {
+            "changes-when-skipped"
+        }
+
+        fn run(&self, _ctx: &mut CompileContext) -> Result<(), PassError> {
+            Ok(())
+        }
+
+        fn optional(&self) -> bool {
+            true
+        }
+
+        fn run_skipped(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
+            ctx.circuit.push(phoenix_circuit::Gate::H(0));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn statistics_are_taken_again_after_a_skipped_pass() {
+        let mut ctx = CompileContext::new(2, &[]);
+        let trace = PassManager::new()
+            .with(AddTerms(1))
+            .with(ChangesWhenSkipped)
+            .with(AddTerms(1))
+            .with_budget(Duration::ZERO)
+            .run(&mut ctx)
+            .unwrap();
+        assert_eq!(trace.pass_names(), ["add-terms", "add-terms"]);
+        assert_eq!(trace.passes[0].after.gates, 0);
+        assert_eq!(trace.passes[1].before.gates, 1);
+    }
+
     #[test]
     fn without_budget_optional_passes_run() {
         let mut ctx = CompileContext::new(2, &[]);
@@ -867,6 +897,76 @@ mod tests {
             cancelled.cancellation_reason(),
             Some(CancelReason::Deadline)
         );
+    }
+
+    struct RaisesEvents;
+
+    impl Pass for RaisesEvents {
+        fn name(&self) -> &str {
+            "raises-events"
+        }
+
+        fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
+            ctx.record_event("raises-events", EVENT_DEGRADED, "a");
+            ctx.record_event("raises-events", EVENT_RETRIED, "b");
+            ctx.record_event("raises-events", EVENT_RETRIED, "c");
+            Ok(())
+        }
+    }
+
+    struct Verifier;
+
+    impl PassObserver for Verifier {
+        fn name(&self) -> &str {
+            "test-verifier"
+        }
+
+        fn after_pass(&self, _pass: &str, _ctx: &CompileContext) -> Result<(), PassError> {
+            Ok(())
+        }
+    }
+
+    fn instrumented() -> (CompileContext, Arc<ObsCollector>) {
+        let mut ctx = CompileContext::new(2, &[]);
+        let obs = Arc::new(ObsCollector::new());
+        ctx.obs = Some(obs.clone());
+        (ctx, obs)
+    }
+
+    #[test]
+    fn manager_counts_passes_and_event_kinds() {
+        let (mut ctx, obs) = instrumented();
+        PassManager::new().with(RaisesEvents).run(&mut ctx).unwrap();
+        let m = obs.metrics();
+        assert_eq!(m.counter(MetricId::PassesRun), 1);
+        assert_eq!(m.counter(MetricId::Stage2Degraded), 1);
+        assert_eq!(m.counter(MetricId::RouterRetries), 2);
+        // Without an observer no boundary is claimed as verified.
+        assert_eq!(m.counter(MetricId::BoundariesVerified), 0);
+    }
+
+    #[test]
+    fn manager_counts_the_boundaries_observers_verify() {
+        let (mut ctx, obs) = instrumented();
+        let trace = PassManager::new()
+            .with(RaisesEvents)
+            .with_observer(Arc::new(Verifier))
+            .run(&mut ctx)
+            .unwrap();
+        assert_eq!(obs.metrics().counter(MetricId::BoundariesVerified), 1);
+        assert_eq!(trace.events_of_kind(EVENT_VERIFIED).len(), 1);
+    }
+
+    #[test]
+    fn uninstrumented_manager_still_traces_events() {
+        let mut ctx = CompileContext::new(2, &[]);
+        let trace = PassManager::new()
+            .with(RaisesEvents)
+            .with_observer(Arc::new(Verifier))
+            .run(&mut ctx)
+            .unwrap();
+        assert_eq!(trace.events.len(), 4);
+        assert!(ctx.events.is_empty());
     }
 
     #[test]

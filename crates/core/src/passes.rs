@@ -41,7 +41,7 @@ use crate::evaluator::CostEvaluator;
 use crate::group::{group_by_support, IrGroup};
 use crate::order::{order_groups_interruptible, OrderOptions};
 use crate::par;
-use crate::pass::{CompileContext, Pass, PassError, EVENT_DEGRADED, EVENT_RETRIED};
+use crate::pass::{CompileContext, EventKind, Pass, PassError, EVENT_DEGRADED, EVENT_RETRIED};
 use crate::simplify::{simplify_terms_deepening, SimplifyOptions};
 use crate::synth::synthesize_group;
 
@@ -120,7 +120,7 @@ impl Default for SimplifySynthPass {
 
 /// Outcome class of one group's compilation (reported as a trace event
 /// when not `None`).
-type GroupOutcome = Option<&'static str>;
+type GroupOutcome = Option<EventKind>;
 
 /// Pauli strings with their coefficients.
 type Terms = Vec<(PauliString, f64)>;

@@ -33,12 +33,10 @@ use std::sync::Arc;
 use phoenix_cache::{BindError, CompileCache, StructureArtifact};
 use phoenix_circuit::Circuit;
 use phoenix_device::Device;
-use phoenix_obs::report::ObsEvent;
 use phoenix_obs::{metrics, MetricId, ObsCollector, ObsReport, Span};
 use phoenix_pauli::PauliString;
 
 use crate::error::{validate_device, validate_program, PhoenixError};
-use crate::observe::MetricsObserver;
 use crate::par;
 use crate::parametric;
 use crate::pass::{CompileContext, PassManager, PassTrace};
@@ -133,10 +131,10 @@ impl CompileRequest {
     }
 
     /// Whether to instrument the compilation: attach an
-    /// [`ObsCollector`] (span tree + per-compilation metrics), append a
-    /// [`MetricsObserver`] after any verifying observer, and enable
-    /// process-global metric recording for substrate crates. The resulting
-    /// [`ObsReport`] lands in [`CompileOutcome::obs`].
+    /// [`ObsCollector`] (span tree + per-compilation metrics, fed by the
+    /// pass manager at every boundary) and enable process-global metric
+    /// recording for substrate crates. The resulting [`ObsReport`] lands in
+    /// [`CompileOutcome::obs`]; its events are the [`PassTrace`]'s.
     pub fn obs(mut self, on: bool) -> Self {
         self.obs = on;
         self
@@ -376,29 +374,15 @@ impl CompileRequest {
     ) -> Result<CompileOutcome, PhoenixError> {
         ctx.obs = collector.clone();
         ctx.cancel = self.options.cancel.clone();
-        // The metrics collector goes last so validators attached by
-        // `logical_passes` (BoundaryVerifier) shield it, and so it sees
-        // their `verified` events (see `PassManager::with_observer`).
-        let manager = if collector.is_some() {
-            manager.with_observer(Arc::new(MetricsObserver))
-        } else {
-            manager
-        };
         let ran = manager.run(&mut ctx)?;
         trace.passes.extend(ran.passes);
         trace.events.extend(ran.events);
         let obs = collector.map(|c| {
-            c.finish(
-                trace
-                    .events
-                    .iter()
-                    .map(|e| ObsEvent {
-                        pass: e.pass.clone(),
-                        kind: e.kind.clone(),
-                        detail: e.detail.clone(),
-                    })
-                    .collect(),
-            )
+            c.finish(if self.trace {
+                trace.events.clone()
+            } else {
+                std::mem::take(&mut trace.events)
+            })
         });
         let num_groups = ctx.num_groups;
         let depth_reached = ctx.depth_reached;

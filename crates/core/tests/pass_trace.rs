@@ -3,9 +3,19 @@
 //! Traces must (a) survive a JSON round-trip unchanged, (b) name exactly
 //! the passes the manager ran, in order, and (c) carry monotone cumulative
 //! timings with before/after stats that chain between consecutive passes.
+//! An instrumented compile's pass spans and boundary counters must (d) come
+//! from the same measurements as its trace.
 
-use phoenix_core::pass::CircuitStats;
-use phoenix_core::{CompileOutcome, CompileRequest, Device, PassTrace, PhoenixOptions, Target};
+use std::sync::Arc;
+use std::time::Duration;
+
+use phoenix_core::pass::{CircuitStats, CompileContext, PassManager};
+use phoenix_core::passes::{ConcatPass, GroupPass, OrderPass, SimplifySynthPass};
+use phoenix_core::phoenix_obs::{MetricId, ObsCollector, ObsReport};
+use phoenix_core::{
+    CompileCache, CompileOutcome, CompileRequest, Device, EventKind, PassTrace, PhoenixOptions,
+    Target, EVENT_DEGRADED, EVENT_RETRIED, EVENT_SKIPPED, EVENT_TRUNCATED, EVENT_VERIFIED,
+};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
 
@@ -151,4 +161,139 @@ fn trace_timings_are_monotone_and_stats_chain() {
     }
     let last = trace.passes.last().unwrap();
     assert_eq!(last.after, CircuitStats::of(&hw.circuit));
+}
+
+/// Compiles with both trace retention and instrumentation on.
+fn instrumented(
+    options: PhoenixOptions,
+    target: Target,
+    cache: Option<&Arc<CompileCache>>,
+) -> (PassTrace, ObsReport) {
+    let (n, terms) = fig1b();
+    let mut request = CompileRequest::new(n, &terms)
+        .options(options)
+        .target(target)
+        .trace(true)
+        .obs(true);
+    if let Some(cache) = cache {
+        request = request.cache(cache);
+    }
+    let out = request.run().unwrap();
+    (out.trace.unwrap(), out.obs.unwrap())
+}
+
+fn zero_budget() -> PhoenixOptions {
+    PhoenixOptions {
+        pass_budget: Some(Duration::ZERO),
+        ..PhoenixOptions::default()
+    }
+}
+
+fn verifying() -> PhoenixOptions {
+    PhoenixOptions {
+        verify: true,
+        ..PhoenixOptions::default()
+    }
+}
+
+/// The counter each event kind feeds; `round-abandoned` feeds none.
+const FED: [(&str, EventKind); 5] = [
+    ("passes_skipped", EVENT_SKIPPED),
+    ("stage2_truncated", EVENT_TRUNCATED),
+    ("boundaries_verified", EVENT_VERIFIED),
+    ("router_retries", EVENT_RETRIED),
+    ("stage2_degraded", EVENT_DEGRADED),
+];
+
+#[test]
+fn obs_counters_fold_the_trace_events() {
+    let mut raised = [0usize; FED.len()];
+    for (options, target) in [
+        (zero_budget(), Target::Cnot),
+        (zero_budget(), line3()),
+        (verifying(), Target::Cnot),
+        (verifying(), line3()),
+    ] {
+        let (trace, report) = instrumented(options, target, None);
+        let counter = |name| report.metrics.counter(name).unwrap();
+        for (i, (name, kind)) in FED.into_iter().enumerate() {
+            let n = trace.events_of_kind(kind).len();
+            assert_eq!(counter(name), n as u64, "`{name}` against `{kind}` events");
+            raised[i] += n;
+        }
+        assert_eq!(counter("passes_run"), trace.passes.len() as u64);
+        assert_eq!(report.events, trace.events);
+    }
+    // The compiles above raise every kind they are meant to exercise.
+    assert!(raised[..3].iter().all(|&n| n > 0), "{raised:?}");
+}
+
+#[test]
+fn degraded_groups_are_counted_at_their_boundary() {
+    let (n, terms) = fig1b();
+    let mut ctx = CompileContext::new(n, &terms);
+    let obs = Arc::new(ObsCollector::new());
+    ctx.obs = Some(obs.clone());
+    let pm = PassManager::new()
+        .with(GroupPass)
+        .with(SimplifySynthPass {
+            fault_inject_group: Some(0),
+            ..SimplifySynthPass::default()
+        })
+        .with(OrderPass::default())
+        .with(ConcatPass);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // the contained panic stays quiet
+    let trace = pm.run(&mut ctx);
+    std::panic::set_hook(prev);
+    let trace = trace.unwrap();
+    let m = obs.metrics();
+    assert_eq!(trace.events_of_kind(EVENT_DEGRADED).len(), 1);
+    assert_eq!(m.counter(MetricId::Stage2Degraded), 1);
+    assert_eq!(m.counter(MetricId::PassesRun), 4);
+}
+
+#[test]
+fn each_pass_span_is_its_trace_record() {
+    let cache = Arc::new(CompileCache::new());
+    let compiles = [
+        (PhoenixOptions::default(), Target::Cnot, None),
+        (PhoenixOptions::default(), Target::CnotViaKak, None),
+        (zero_budget(), line3(), None),
+        (verifying(), line3(), None),
+        // Cold and warm split paths: a structure phase (or none) plus the
+        // lowering, with a `bind` span between them.
+        (PhoenixOptions::default(), line3(), Some(&cache)),
+        (PhoenixOptions::default(), line3(), Some(&cache)),
+    ];
+    for (options, target, cache) in compiles {
+        let (trace, report) = instrumented(options, target, cache);
+        let spans: Vec<_> = report
+            .root
+            .children
+            .iter()
+            .filter(|s| s.cat == "pass")
+            .collect();
+        assert_eq!(spans.len(), trace.passes.len());
+        for (span, record) in spans.into_iter().zip(&trace.passes) {
+            assert_eq!(span.name, record.name);
+            let gap_us = (span.dur_us as f64 - record.millis * 1e3).abs();
+            assert!(gap_us <= 1.0, "`{}`: {gap_us} µs apart", record.name);
+            let (b, a) = (record.before, record.after);
+            let expected = [
+                ("gates_before", b.gates),
+                ("gates_after", a.gates),
+                ("cnot_before", b.cnot),
+                ("cnot_after", a.cnot),
+                ("two_qubit_before", b.two_qubit),
+                ("two_qubit_after", a.two_qubit),
+                ("depth_before", b.depth),
+                ("depth_after", a.depth),
+                ("depth_2q_before", b.depth_2q),
+                ("depth_2q_after", a.depth_2q),
+            ]
+            .map(|(k, v)| (k.to_string(), v.to_string()));
+            assert_eq!(span.args, expected, "`{}`", record.name);
+        }
+    }
 }

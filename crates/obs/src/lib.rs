@@ -20,7 +20,7 @@
 //!    events into an [`ObsReport`] with a human-readable rendering.
 //!
 //! The compiler front end is `phoenix_core`'s `CompileRequest::obs(true)`;
-//! every experiment binary exposes it as `--obs` / `PHOENIX_OBS=1`.
+//! every experiment binary exposes it as `--obs`.
 //!
 //! # Examples
 //!
@@ -47,5 +47,5 @@ pub mod span;
 
 pub use metrics::{GaugeId, HistogramId, MetricId, MetricsRegistry, MetricsSnapshot};
 pub use perfetto::{TraceEvent, TraceEventFile};
-pub use report::{ObsEvent, ObsReport};
+pub use report::{Event, EventKind, ObsReport};
 pub use span::{ObsCollector, Span};

@@ -39,7 +39,10 @@ pub enum MetricId {
     /// Stage-2 groups that fell back to conventional synthesis after a
     /// contained panic.
     Stage2Degraded,
-    /// Stage-2 groups truncated by an elapsed pass budget.
+    /// Budgeted compiles whose anytime deepening stopped because the pass
+    /// budget elapsed (or a cancel token fired) before the next round
+    /// started: one per `truncated` event. The name predates the anytime
+    /// pass and stays because `phoenixd` replies carry it.
     Stage2Truncated,
     /// Groups permuted by the Tetris-like ordering stage.
     OrderedGroups,

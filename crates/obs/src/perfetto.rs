@@ -160,7 +160,7 @@ pub fn from_json(text: &str) -> Result<TraceEventFile, serde_json::Error> {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::report::ObsEvent;
+    use crate::report::{Event, EventKind};
 
     fn report() -> ObsReport {
         let mut root = Span::new("pipeline", "pipeline");
@@ -174,9 +174,9 @@ mod tests {
             root,
             metrics: MetricsRegistry::new().snapshot(),
             global_metrics: MetricsRegistry::new().snapshot(),
-            events: vec![ObsEvent {
+            events: vec![Event {
                 pass: "layout-route".into(),
-                kind: "retried".into(),
+                kind: EventKind::Retried,
                 detail: "x".into(),
             }],
         }

@@ -6,19 +6,98 @@
 //! degraded/retried/truncated/skipped event rollup, and the non-zero
 //! metrics. [`ObsReport`] itself serializes to JSON for `results/`.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::MetricsSnapshot;
 use crate::span::Span;
 
-/// A robustness/verification event mirrored out of the pass trace
-/// (`degraded`, `retried`, `truncated`, `skipped`, `verified`).
+/// What a compilation [`Event`] reports. Serialized as its
+/// [`name`](EventKind::name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// A unit of work panicked or failed and was replaced by its
+    /// unoptimized fallback (a stage-2 group's conventional synthesis).
+    Degraded,
+    /// Routing abandoned an attempt and retried with a different strategy.
+    Retried,
+    /// The pass budget (or a fired cancel token) elapsed before an anytime
+    /// deepening round started; the last completed round is kept.
+    Truncated,
+    /// An optional pass was skipped entirely because the budget had
+    /// elapsed (or a soft cancellation was honored) before it started; its
+    /// required lowering still ran.
+    Skipped,
+    /// A pass-boundary observer validated the working circuit (one per
+    /// accepted boundary, so a trace shows exactly which transformations
+    /// were checked).
+    Verified,
+    /// The anytime optimizer hit its deadline (or a fired cancel token) in
+    /// the middle of a deepening round and kept the previous round's
+    /// result. Distinct from [`EventKind::Truncated`], which marks a round
+    /// that never started.
+    RoundAbandoned,
+}
+
+impl EventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [EventKind; 6] = [
+        EventKind::Degraded,
+        EventKind::Retried,
+        EventKind::Truncated,
+        EventKind::Skipped,
+        EventKind::Verified,
+        EventKind::RoundAbandoned,
+    ];
+
+    /// The stable name used in traces, reports and JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::Degraded => "degraded",
+            EventKind::Retried => "retried",
+            EventKind::Truncated => "truncated",
+            EventKind::Skipped => "skipped",
+            EventKind::Verified => "verified",
+            EventKind::RoundAbandoned => "round-abandoned",
+        }
+    }
+}
+
+impl fmt::Display for EventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+// Hand-written: the vendored derive handles structs only.
+impl Serialize for EventKind {
+    fn to_content(&self) -> serde::Content {
+        serde::Content::Str(self.name().to_string())
+    }
+}
+
+impl Deserialize for EventKind {
+    fn from_content(content: &serde::Content) -> Result<Self, String> {
+        let name = content
+            .as_str()
+            .ok_or_else(|| "event kind must be a string".to_string())?;
+        EventKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown event kind `{name}`"))
+    }
+}
+
+/// A robustness or verification event raised during compilation: a
+/// degradation to a fallback path, a routing retry, budget-driven
+/// truncation or skipping, or an accepted verification boundary.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsEvent {
+pub struct Event {
     /// Name of the pass that raised the event.
     pub pass: String,
-    /// Event class.
-    pub kind: String,
+    /// What happened.
+    pub kind: EventKind,
     /// Human-readable elaboration.
     pub detail: String,
 }
@@ -34,8 +113,8 @@ pub struct ObsReport {
     /// (simulator/router totals; approximate under concurrent
     /// compilations).
     pub global_metrics: MetricsSnapshot,
-    /// Robustness events raised during compilation.
-    pub events: Vec<ObsEvent>,
+    /// Robustness and verification events raised during compilation.
+    pub events: Vec<Event>,
 }
 
 impl ObsReport {
@@ -138,9 +217,9 @@ pub fn render(report: &ObsReport) -> String {
     if !report.events.is_empty() {
         let mut kinds: Vec<(&str, usize)> = Vec::new();
         for e in &report.events {
-            match kinds.iter_mut().find(|(k, _)| *k == e.kind) {
+            match kinds.iter_mut().find(|(k, _)| *k == e.kind.name()) {
                 Some((_, n)) => *n += 1,
-                None => kinds.push((&e.kind, 1)),
+                None => kinds.push((e.kind.name(), 1)),
             }
         }
         kinds.sort();
@@ -259,9 +338,9 @@ mod tests {
             root,
             metrics: MetricsRegistry::new().snapshot(),
             global_metrics: MetricsRegistry::new().snapshot(),
-            events: vec![ObsEvent {
+            events: vec![Event {
                 pass: "layout-route".into(),
-                kind: "retried".into(),
+                kind: EventKind::Retried,
                 detail: "searched layout abandoned".into(),
             }],
         }
@@ -332,6 +411,31 @@ events: retried ×1
         );
         assert!(text.contains("round 1"), "{text}");
         assert!(text.contains("improved yes"), "{text}");
+    }
+
+    /// The six names are a wire format (`PassTrace` and `ObsReport` JSON):
+    /// each kind round-trips through its name, and no other string parses.
+    #[test]
+    fn event_kinds_serialize_as_their_names() {
+        let names: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "degraded",
+                "retried",
+                "truncated",
+                "skipped",
+                "verified",
+                "round-abandoned"
+            ]
+        );
+        for kind in EventKind::ALL {
+            let json = serde_json::to_string(&kind).unwrap();
+            assert_eq!(json, format!("\"{kind}\""));
+            assert_eq!(serde_json::from_str::<EventKind>(&json).unwrap(), kind);
+        }
+        assert!(serde_json::from_str::<EventKind>("\"Degraded\"").is_err());
+        assert!(serde_json::from_str::<EventKind>("3").is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{self, MetricsRegistry, RawCounts};
-use crate::report::{ObsEvent, ObsReport};
+use crate::report::{Event, ObsReport};
 
 /// One node of the span tree.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,7 +128,13 @@ impl ObsCollector {
 
     /// Microseconds elapsed since the collector's epoch.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.us_at(Instant::now())
+    }
+
+    /// Microseconds from the collector's epoch to `t` (0 before it), so a
+    /// span can reuse a clock reading its caller already took.
+    pub fn us_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     /// The per-compilation metrics registry.
@@ -147,7 +153,7 @@ impl ObsCollector {
     /// Assembles the final report: the recorded spans wrapped in a
     /// `pipeline` root, the per-compilation metrics snapshot, and the
     /// global-registry delta since the collector was created.
-    pub fn finish(&self, events: Vec<ObsEvent>) -> ObsReport {
+    pub fn finish(&self, events: Vec<Event>) -> ObsReport {
         let children = std::mem::take(&mut *self.roots.lock().expect("span list mutex poisoned"));
         let start = children.first().map_or(0, |s| s.start_us);
         let end = children

@@ -36,7 +36,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use phoenix_core::phoenix_cache::CompileCache;
-use phoenix_core::{CancelToken, CompileRequest, PhoenixError, PhoenixOptions};
+use phoenix_core::{CancelReason, CancelToken, CompileRequest, PhoenixError, PhoenixOptions};
+use phoenix_pauli::PauliString;
 use serde_json::Value;
 
 /// Executes one compile request against the pipeline, mapping the outcome
@@ -57,34 +58,10 @@ pub fn execute_spec(
     if spec.sabotage == Some(protocol::Sabotage::Pass) {
         return sabotage_pass_reply(spec);
     }
-    if let Some(reason) = cancel.as_ref().and_then(|t| t.reason()) {
-        // Cancelled while queued: reply without compiling at all.
-        let err = match reason {
-            phoenix_core::CancelReason::Client => PhoenixError::Cancelled,
-            phoenix_core::CancelReason::Deadline => PhoenixError::DeadlineExceeded,
-        };
-        return protocol::compile_error_reply(spec.id, &err);
-    }
-    let mut options = PhoenixOptions {
-        pass_budget: budget,
-        // Tiered QoS: map the deadline onto a logical deepening cap so a
-        // roomier deadline buys a deeper (never worse) search even when the
-        // wall clock would not have interrupted the shallow one.
-        anytime_rounds: budget.map(deepening_rounds),
-        cancel,
-        ..PhoenixOptions::default()
-    };
-    if let Some(lookahead) = spec.lookahead {
-        options.lookahead = lookahead;
-    }
-    let mut request = CompileRequest::new(spec.qubits, &spec.terms)
-        .target(spec.target.clone())
-        .options(options)
-        .obs(true);
-    if let Some(cache) = cache {
-        request = request.cache(cache);
-    }
-    match request.run() {
+    let (n, terms) = (spec.qubits, &spec.terms);
+    let outcome = request_for(n, terms, spec.lookahead, cache, cancel, budget)
+        .and_then(|request| request.target(spec.target.clone()).run());
+    match outcome {
         Ok(outcome) => {
             let stats = cache.map(|c| c.stats());
             protocol::ok_reply(spec.id, &outcome, stats.as_ref())
@@ -106,29 +83,10 @@ pub fn execute_fleet_spec(
     cancel: Option<CancelToken>,
     budget: Option<Duration>,
 ) -> Value {
-    if let Some(reason) = cancel.as_ref().and_then(|t| t.reason()) {
-        let err = match reason {
-            phoenix_core::CancelReason::Client => PhoenixError::Cancelled,
-            phoenix_core::CancelReason::Deadline => PhoenixError::DeadlineExceeded,
-        };
-        return protocol::compile_error_reply(spec.id, &err);
-    }
-    let mut options = PhoenixOptions {
-        pass_budget: budget,
-        anytime_rounds: budget.map(deepening_rounds),
-        cancel,
-        ..PhoenixOptions::default()
-    };
-    if let Some(lookahead) = spec.lookahead {
-        options.lookahead = lookahead;
-    }
-    let mut request = CompileRequest::new(spec.qubits, &spec.terms)
-        .options(options)
-        .obs(true);
-    if let Some(cache) = cache {
-        request = request.cache(cache);
-    }
-    match request.fleet(&spec.devices) {
+    let (n, terms) = (spec.qubits, &spec.terms);
+    let outcome = request_for(n, terms, spec.lookahead, cache, cancel, budget)
+        .and_then(|request| request.fleet(&spec.devices));
+    match outcome {
         Ok(outcome) => {
             // A member abandoned by cancellation/deadline abandons the
             // fleet reply too — a partial ranking under an expired deadline
@@ -143,6 +101,43 @@ pub fn execute_fleet_spec(
         }
         Err(err) => protocol::compile_error_reply(spec.id, &err),
     }
+}
+
+/// The instrumented request a compile or fleet spec runs as, or, for a
+/// spec cancelled while it was queued, the typed error it replies with
+/// without compiling at all.
+fn request_for(
+    qubits: usize,
+    terms: &[(PauliString, f64)],
+    lookahead: Option<usize>,
+    cache: Option<&Arc<CompileCache>>,
+    cancel: Option<CancelToken>,
+    budget: Option<Duration>,
+) -> Result<CompileRequest, PhoenixError> {
+    match cancel.as_ref().and_then(CancelToken::reason) {
+        Some(CancelReason::Client) => return Err(PhoenixError::Cancelled),
+        Some(CancelReason::Deadline) => return Err(PhoenixError::DeadlineExceeded),
+        None => {}
+    }
+    let mut options = PhoenixOptions {
+        pass_budget: budget,
+        // Tiered QoS: map the deadline onto a logical deepening cap so a
+        // roomier deadline buys a deeper (never worse) search even when the
+        // wall clock would not have interrupted the shallow one.
+        anytime_rounds: budget.map(deepening_rounds),
+        cancel,
+        ..PhoenixOptions::default()
+    };
+    if let Some(lookahead) = lookahead {
+        options.lookahead = lookahead;
+    }
+    let request = CompileRequest::new(qubits, terms)
+        .options(options)
+        .obs(true);
+    Ok(match cache {
+        Some(cache) => request.cache(cache),
+        None => request,
+    })
 }
 
 /// Maps a request deadline onto an anytime deepening cap: the QoS tiers of
