@@ -253,7 +253,13 @@ fn patch_gates(gates: &mut [Gate], bindings: &[(usize, usize, i8)], angle: impl 
     }
 }
 
-fn check_angles(angles: &[f64], expected: usize) -> Result<(), BindError> {
+/// Checks an angle vector for a program of `expected` parameter slots: one
+/// finite angle per slot.
+///
+/// # Errors
+///
+/// [`BindError::AngleCount`] or [`BindError::NonFiniteAngle`].
+pub fn check_angles(angles: &[f64], expected: usize) -> Result<(), BindError> {
     if angles.len() != expected {
         return Err(BindError::AngleCount {
             expected,

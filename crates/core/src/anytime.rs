@@ -16,7 +16,10 @@
 //! A round is kept when it strictly improves the `(2Q gates, 2Q depth,
 //! gates)` key of what the target delivers: the round's circuit after
 //! [`AnytimePass::lowering`], the part of the target's lowering that runs
-//! before routing. Routing is not scored.
+//! before routing. Routing is not scored. The pass leaves the kept round's
+//! lowered circuit in the context, so a budgeted pipeline runs only the
+//! routing part of the lowering after it, and its output is a pure
+//! function of the round it kept.
 //!
 //! Interruption semantics:
 //!
@@ -26,8 +29,9 @@
 //!   [`EVENT_ROUND_ABANDONED`], keep the *previous* round's result — a
 //!   half-deepened round is never observable;
 //! - a fired cancel token is honored by setting
-//!   [`CompileContext::soft_cancelled`], so the manager finishes required
-//!   lowering on the best-so-far instead of erroring.
+//!   [`CompileContext::soft_cancelled`], so the manager runs the remaining
+//!   passes (routing, for a device target) on the kept round's lowering
+//!   instead of erroring.
 //!
 //! The final round of the full schedule scans every candidate pair at the
 //! full lookahead, which is the unbudgeted compile. Rounds are
@@ -37,7 +41,6 @@
 //!
 //! [`CostEvaluator::best_candidate_scan_capped`]: crate::evaluator::CostEvaluator::best_candidate_scan_capped
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -140,8 +143,9 @@ struct Snapshot {
 /// Stages 2–4 of a budgeted pipeline as one anytime pass: the baseline,
 /// then deepening rounds of [`SimplifySynthPass`] at a capped candidate
 /// scan, [`OrderPass`] at a ramped lookahead and [`ConcatPass`], keeping
-/// the best round. Replaces those three passes when a `pass_budget` is set;
-/// unbudgeted compiles never construct it.
+/// the best round, lowered by [`AnytimePass::lowering`]. Replaces those
+/// three passes and the target's pre-routing lowering when a `pass_budget`
+/// is set; unbudgeted compiles never construct it.
 #[derive(Debug, Default)]
 pub struct AnytimePass {
     /// The stage-2 pass every round runs at the round's scan breadth.
@@ -155,7 +159,8 @@ pub struct AnytimePass {
     pub max_rounds: Option<usize>,
     /// What the target's lowering runs before routing (or at all, when it
     /// does not route): every round is scored on the circuit these passes
-    /// make of it. Empty scores the logical circuit itself.
+    /// make of it, and the kept round's lowered circuit is what the pass
+    /// delivers. Empty scores and delivers the logical circuit itself.
     pub lowering: Vec<TransformPass>,
 }
 
@@ -201,13 +206,14 @@ impl AnytimePass {
         Some((snapshot, pvs))
     }
 
-    /// The quality key of what the target delivers from `circuit`.
-    fn score(&self, circuit: &Circuit) -> CostKey {
-        let lowered = self
-            .lowering
-            .iter()
-            .fold(Cow::Borrowed(circuit), |c, pass| Cow::Owned(pass.apply(&c)));
-        cost_key(&lowered)
+    /// What the target delivers from `circuit` before routing, or `None`
+    /// when the lowering is empty and `circuit` itself is delivered.
+    fn lower(&self, circuit: &Circuit) -> Option<Circuit> {
+        let (first, rest) = self.lowering.split_first()?;
+        Some(
+            rest.iter()
+                .fold(first.apply(circuit), |c, pass| pass.apply(&c)),
+        )
     }
 }
 
@@ -238,7 +244,8 @@ impl Pass for AnytimePass {
         let (mut best, _) = baseline
             .round(ctx, &shapes, usize::MAX, 0, &pvs, &controller)
             .expect("the baseline round polls no interrupt");
-        let mut best_score = self.score(&best.circuit);
+        let mut best_lowered = self.lower(&best.circuit);
+        let mut best_score = cost_key(best_lowered.as_ref().unwrap_or(&best.circuit));
         // The previous round's circuit and score when it was not kept: a
         // round that repeats it is not lowered again.
         let mut last: Option<(Circuit, CostKey)> = None;
@@ -275,10 +282,16 @@ impl Pass for AnytimePass {
             let (previous, previous_score) = last
                 .as_ref()
                 .map_or((&best.circuit, best_score), |(c, s)| (c, *s));
-            let score = if snapshot.circuit == *previous {
-                previous_score
+            // A repeated circuit scores as before and is never kept, so it
+            // needs no lowering.
+            let (score, lowered) = if snapshot.circuit == *previous {
+                (previous_score, None)
             } else {
-                self.score(&snapshot.circuit)
+                let lowered = self.lower(&snapshot.circuit);
+                (
+                    cost_key(lowered.as_ref().unwrap_or(&snapshot.circuit)),
+                    lowered,
+                )
             };
             let improved = score < best_score;
             depth_reached = round;
@@ -311,6 +324,7 @@ impl Pass for AnytimePass {
             }
             if improved {
                 best = snapshot;
+                best_lowered = lowered;
                 best_score = score;
                 last = None;
             } else {
@@ -321,12 +335,12 @@ impl Pass for AnytimePass {
         ctx.subcircuits = best.subcircuits;
         ctx.group_terms = best.group_terms;
         ctx.order = best.order;
-        ctx.circuit = best.circuit;
+        ctx.circuit = best_lowered.unwrap_or(best.circuit);
         ctx.term_order = best.term_order;
         ctx.depth_reached = Some(depth_reached);
         if ctx.cancel_reason().is_some() {
-            // The fired token was honored by keeping the best-so-far:
-            // downstream required lowering must still run.
+            // The fired token was honored by keeping the best-so-far: the
+            // passes after this one (routing) must still run.
             ctx.soft_cancelled = true;
         }
         Ok(())

@@ -93,8 +93,7 @@ pub use evaluator::CostEvaluator;
 pub use group::IrGroup;
 pub use pass::{
     CompileContext, EventKind, Pass, PassError, PassManager, PassObserver, PassTrace, TraceEvent,
-    EVENT_DEGRADED, EVENT_RETRIED, EVENT_ROUND_ABANDONED, EVENT_SKIPPED, EVENT_TRUNCATED,
-    EVENT_VERIFIED,
+    EVENT_DEGRADED, EVENT_RETRIED, EVENT_ROUND_ABANDONED, EVENT_TRUNCATED, EVENT_VERIFIED,
 };
 pub use pipeline::{try_run_hardware_backend, HardwareProgram, PhoenixCompiler, PhoenixOptions};
 pub use request::{CompileOutcome, CompileRequest, FleetEntry, FleetOutcome, Target};

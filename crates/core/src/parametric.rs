@@ -33,6 +33,7 @@
 //! memo").
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use phoenix_cache::{encode_slot, CompileCache, ProgramKey, StructureArtifact};
 use phoenix_obs::metrics::MetricId;
@@ -78,7 +79,8 @@ pub(crate) fn split_path_allowed(options: &PhoenixOptions) -> bool {
 /// logical pipeline and decodes the skeleton into a [`StructureArtifact`].
 ///
 /// `cache` (when given) is threaded into the context so stage 2 can reuse
-/// per-shape group artifacts; `obs` instruments the run.
+/// per-shape group artifacts; `obs` instruments the run, and the trace's
+/// cumulative timings count from `start`.
 pub(crate) fn compile_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],
@@ -86,6 +88,7 @@ pub(crate) fn compile_structure(
     routing_aware: bool,
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
+    start: Instant,
 ) -> Result<(Arc<StructureArtifact>, PassTrace), PhoenixError> {
     // Validate on the slot-encoded terms: structure compilation is
     // independent of the request's coefficients, so a program whose angles
@@ -106,7 +109,8 @@ pub(crate) fn compile_structure(
     // them on the slot-encoded terms. Only
     // `structure()` brings either here, with the cache filtered out;
     // `run()` and `bind()` compile such requests unsplit.
-    let trace = logical_passes(options, routing_aware, &Target::Logical).run(&mut ctx)?;
+    let trace =
+        logical_passes(options, routing_aware, &Target::Logical).run_from(&mut ctx, start)?;
     let artifact = StructureArtifact::from_slot_encoded(
         num_qubits,
         terms.len(),
@@ -121,7 +125,7 @@ pub(crate) fn compile_structure(
 /// Obtains the structure artifact for a request: from the program-level
 /// cache when possible, compiling (and inserting) otherwise. Returns the
 /// artifact, whether it was a program-cache hit, and the structure-phase
-/// trace (empty on a hit — those passes never ran).
+/// trace (empty on a hit — those passes never ran), timed from `start`.
 pub(crate) fn obtain_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],
@@ -129,6 +133,7 @@ pub(crate) fn obtain_structure(
     routing_aware: bool,
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
+    start: Instant,
 ) -> Result<(Arc<StructureArtifact>, bool, PassTrace), PhoenixError> {
     // `structure()` lands here regardless of options, so re-apply the
     // same gating `run()` uses before taking the split path: a request
@@ -138,7 +143,7 @@ pub(crate) fn obtain_structure(
     let cache = cache.filter(|_| split_path_allowed(options));
     let Some(cache) = cache else {
         let (artifact, trace) =
-            compile_structure(num_qubits, terms, options, routing_aware, None, obs)?;
+            compile_structure(num_qubits, terms, options, routing_aware, None, obs, start)?;
         return Ok((artifact, false, trace));
     };
     let key = ProgramKey::new(
@@ -160,8 +165,15 @@ pub(crate) fn obtain_structure(
     if let Some(o) = obs {
         o.metrics().incr(MetricId::CacheProgramMisses);
     }
-    let (artifact, trace) =
-        compile_structure(num_qubits, terms, options, routing_aware, Some(cache), obs)?;
+    let (artifact, trace) = compile_structure(
+        num_qubits,
+        terms,
+        options,
+        routing_aware,
+        Some(cache),
+        obs,
+        start,
+    )?;
     let artifact = cache.insert_program(key, artifact);
     Ok((artifact, false, trace))
 }
@@ -211,7 +223,8 @@ mod tests {
     fn structure_bind_reproduces_the_legacy_logical_compile() {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX"]);
         let opts = PhoenixOptions::default();
-        let (artifact, trace) = compile_structure(3, &t, &opts, false, None, None).unwrap();
+        let (artifact, trace) =
+            compile_structure(3, &t, &opts, false, None, None, Instant::now()).unwrap();
         assert_eq!(trace.passes.len(), 4);
         let angles: Vec<f64> = t.iter().map(|(_, c)| *c).collect();
         let bound = artifact.bind(&angles).unwrap();
@@ -229,8 +242,10 @@ mod tests {
             *c *= -3.25;
         }
         let opts = PhoenixOptions::default();
-        let (art_a, _) = compile_structure(3, &a, &opts, false, None, None).unwrap();
-        let (art_b, _) = compile_structure(3, &b, &opts, false, None, None).unwrap();
+        let (art_a, _) =
+            compile_structure(3, &a, &opts, false, None, None, Instant::now()).unwrap();
+        let (art_b, _) =
+            compile_structure(3, &b, &opts, false, None, None, Instant::now()).unwrap();
         assert_eq!(art_a.skeleton(), art_b.skeleton());
         assert_eq!(art_a.digest(), art_b.digest());
     }
@@ -241,11 +256,11 @@ mod tests {
         let opts = PhoenixOptions::default();
         let cache = Arc::new(CompileCache::new());
         let (first, hit1, trace1) =
-            obtain_structure(3, &t, &opts, false, Some(&cache), None).unwrap();
+            obtain_structure(3, &t, &opts, false, Some(&cache), None, Instant::now()).unwrap();
         assert!(!hit1);
         assert!(!trace1.passes.is_empty());
         let (second, hit2, trace2) =
-            obtain_structure(3, &t, &opts, false, Some(&cache), None).unwrap();
+            obtain_structure(3, &t, &opts, false, Some(&cache), None, Instant::now()).unwrap();
         assert!(hit2);
         assert!(trace2.passes.is_empty());
         assert!(Arc::ptr_eq(&first, &second));
@@ -256,7 +271,7 @@ mod tests {
 
     #[test]
     fn zero_budget_never_enters_the_cached_structure_path() {
-        use crate::pass::{EVENT_SKIPPED, EVENT_TRUNCATED};
+        use crate::pass::EVENT_TRUNCATED;
         use std::time::Duration;
         let t = terms(&["ZYY", "ZZY", "IZZ", "XIX"]);
         let cache = Arc::new(CompileCache::new());
@@ -287,10 +302,7 @@ mod tests {
         assert_eq!(cache.num_programs(), 1);
         let trace = out.trace.unwrap();
         assert!(
-            trace
-                .events
-                .iter()
-                .any(|e| e.kind == EVENT_TRUNCATED || e.kind == EVENT_SKIPPED),
+            !trace.events_of_kind(EVENT_TRUNCATED).is_empty(),
             "zero budget must truncate: {:?}",
             trace.events
         );

@@ -91,8 +91,8 @@ pub struct CompileContext {
     /// truncations); drained into the [`PassTrace`] after each pass.
     pub events: Vec<TraceEvent>,
     /// Wall-clock deadline for optimization effort, set from the pass
-    /// budget. The manager skips optional passes past it and the anytime
-    /// pass stops deepening; correctness-critical work always completes.
+    /// budget. Only the anytime pass reads it, to stop deepening; every
+    /// pass that starts runs in full.
     pub deadline: Option<Instant>,
     /// Observability collector, when this compilation is instrumented
     /// (`CompileRequest::obs(true)`). `None` costs one pointer check per
@@ -107,11 +107,10 @@ pub struct CompileContext {
     /// the artifacts it compiles, so later compiles of any group of the same
     /// shape, in any program, only bind; and `layout-route` looks up the
     /// routed template of its angle-erased input, so a structure is routed
-    /// once and later compiles only copy their angles into it.
-    /// `layout-route` ignores the cache while a pass deadline is set, and
-    /// anytime deepening rounds never use it. `None` compiles every shape
-    /// and routes every circuit for this compile alone, with bit-for-bit
-    /// the same output.
+    /// once and later compiles only copy their angles into it. Budgeted
+    /// and verified requests never mount it, and anytime deepening rounds
+    /// never use it. `None` compiles every shape and routes every circuit
+    /// for this compile alone, with bit-for-bit the same output.
     pub cache: Option<Arc<phoenix_cache::CompileCache>>,
     /// Cooperative cancellation token. The manager checks it before every
     /// pass and stage 2 once per greedy epoch; a fired token aborts the
@@ -123,10 +122,10 @@ pub struct CompileContext {
     /// baseline, so `Some(0)` means "interrupted before any improvement".
     pub depth_reached: Option<usize>,
     /// Set by the anytime pass when a fired [`CancelToken`] was honored by
-    /// keeping the best-so-far snapshot instead of aborting. The manager
-    /// then treats the fired token like an elapsed deadline — optional
-    /// polish is skipped, required lowering still runs — so the caller gets
-    /// a valid (if less optimized) compilation instead of an error.
+    /// keeping the best-so-far round instead of aborting. The manager then
+    /// runs every remaining pass in full instead of stopping at the next
+    /// boundary, so the caller gets a valid (if less optimized) compilation
+    /// instead of an error.
     pub soft_cancelled: bool,
 }
 
@@ -157,11 +156,6 @@ impl CompileContext {
             depth_reached: None,
             soft_cancelled: false,
         }
-    }
-
-    /// Whether the optimization deadline (if any) has elapsed.
-    pub fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// The cancellation reason, when the attached token (if any) has fired.
@@ -275,25 +269,6 @@ pub trait Pass {
 
     /// Executes the stage, mutating the context.
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError>;
-
-    /// Whether this pass is pure optimization that may be skipped when the
-    /// pass budget runs out. Passes the pipeline's correctness depends on
-    /// (grouping, synthesis, concatenation, rebase, routing) return
-    /// `false`; gate-count polish (peephole, KAK resynthesis) returns
-    /// `true`.
-    fn optional(&self) -> bool {
-        false
-    }
-
-    /// Runs in place of [`Pass::run`] when the budget skips this
-    /// [`optional`](Pass::optional) pass. A pass that also changes the
-    /// circuit's representation (peephole lowers to `{1Q, CNOT}` before it
-    /// optimizes) does that part here, so only its optimization is dropped
-    /// and a budgeted compile stays in its target ISA. The default does
-    /// nothing.
-    fn run_skipped(&self, _ctx: &mut CompileContext) -> Result<(), PassError> {
-        Ok(())
-    }
 }
 
 /// Event kind: see [`EventKind::Degraded`].
@@ -302,8 +277,6 @@ pub const EVENT_DEGRADED: EventKind = EventKind::Degraded;
 pub const EVENT_RETRIED: EventKind = EventKind::Retried;
 /// Event kind: see [`EventKind::Truncated`].
 pub const EVENT_TRUNCATED: EventKind = EventKind::Truncated;
-/// Event kind: see [`EventKind::Skipped`].
-pub const EVENT_SKIPPED: EventKind = EventKind::Skipped;
 /// Event kind: see [`EventKind::Verified`].
 pub const EVENT_VERIFIED: EventKind = EventKind::Verified;
 /// Event kind: see [`EventKind::RoundAbandoned`].
@@ -400,8 +373,7 @@ impl PassRecord {
 pub struct PassTrace {
     /// One record per executed pass, in execution order.
     pub passes: Vec<PassRecord>,
-    /// Robustness events (degradations, retries, truncations, skips), in
-    /// the order they were raised.
+    /// Robustness and verification events, in the order they were raised.
     pub events: Vec<TraceEvent>,
 }
 
@@ -470,10 +442,10 @@ impl PassManager {
     }
 
     /// Sets a wall-clock budget for optimization effort. Once it elapses,
-    /// optional passes are skipped (recorded as `skipped` events) and the
-    /// anytime pass stops deepening (`truncated` or `round-abandoned`
-    /// events); every other pass ignores it and runs to completion, so the
-    /// output is always a valid compilation — just less optimized.
+    /// the anytime pass stops deepening (`truncated` or `round-abandoned`
+    /// events); no other pass reads it, and every pass that starts runs in
+    /// full, so the output is always a valid compilation — just less
+    /// optimized.
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
         self
@@ -518,10 +490,8 @@ impl PassManager {
     ///
     /// Each pass runs under a panic guard: a panicking pass is contained
     /// and surfaced as a [`PassError`] rather than unwinding through the
-    /// caller. With a budget set ([`PassManager::with_budget`]), optional
-    /// passes whose start time falls past the deadline are skipped and
-    /// recorded as `skipped` events in the trace; a skipped pass still
-    /// runs its [`Pass::run_skipped`] lowering.
+    /// caller. A budget ([`PassManager::with_budget`]) only sets the
+    /// context's deadline; every pass runs in full.
     ///
     /// Each executed pass is measured once: one clock reading at each end
     /// (observers included) and one [`CircuitStats`] per boundary, so a
@@ -530,37 +500,31 @@ impl PassManager {
     /// and `passes_run` plus every counter an event kind feeds are counted
     /// here.
     pub fn run(&self, ctx: &mut CompileContext) -> Result<PassTrace, PassError> {
+        self.run_from(ctx, Instant::now())
+    }
+
+    /// [`PassManager::run`] on a clock that started at `t0`: the records'
+    /// `cumulative_millis` and the budget's deadline count from it, so the
+    /// managers one compile runs in turn share one clock.
+    pub(crate) fn run_from(
+        &self,
+        ctx: &mut CompileContext,
+        t0: Instant,
+    ) -> Result<PassTrace, PassError> {
         let mut trace = PassTrace::default();
-        let t0 = Instant::now();
         if let Some(budget) = self.budget {
             ctx.deadline = Some(t0 + budget);
         }
-        // The statistics at the current boundary; cleared after a skipped
-        // pass, whose lowering may have changed the circuit.
+        // The last pass's `after`, which is the next pass's `before`.
         let mut stats = None;
         for pass in &self.passes {
             // Cooperative cancellation: checked before every pass, so a
             // fired token stops the pipeline at the next boundary without
             // ever interrupting a pass mid-rewrite. A *soft* cancellation
             // (the anytime pass kept its best-so-far under a fired token)
-            // instead degrades like an elapsed deadline: optional polish is
-            // skipped, required lowering still runs.
-            let cancelled = match ctx.cancel_reason() {
-                Some(reason) if !ctx.soft_cancelled => {
-                    return Err(PassError::cancelled(pass.name(), reason));
-                }
-                reason => reason.is_some(),
-            };
-            if pass.optional() && (ctx.past_deadline() || cancelled) {
-                ctx.record_event(
-                    pass.name(),
-                    EVENT_SKIPPED,
-                    "pass budget elapsed before this optional pass started",
-                );
-                drain_events(ctx, &mut trace);
-                run_contained(pass.name(), || pass.run_skipped(ctx))?;
-                stats = None;
-                continue;
+            // lets the remaining passes run in full instead.
+            if let Some(reason) = ctx.cancel_reason().filter(|_| !ctx.soft_cancelled) {
+                return Err(PassError::cancelled(pass.name(), reason));
             }
             let before = stats.unwrap_or_else(|| CircuitStats::of(&ctx.circuit));
             ctx.spans.clear();
@@ -608,7 +572,6 @@ fn drain_events(ctx: &mut CompileContext, trace: &mut PassTrace) {
                 EventKind::Degraded => MetricId::Stage2Degraded,
                 EventKind::Retried => MetricId::RouterRetries,
                 EventKind::Truncated => MetricId::Stage2Truncated,
-                EventKind::Skipped => MetricId::PassesSkipped,
                 EventKind::Verified => MetricId::BoundariesVerified,
                 EventKind::RoundAbandoned => continue,
             };
@@ -708,23 +671,6 @@ mod tests {
         }
     }
 
-    struct OptionalMarker;
-
-    impl Pass for OptionalMarker {
-        fn name(&self) -> &str {
-            "optional-marker"
-        }
-
-        fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-            ctx.num_groups += 100;
-            Ok(())
-        }
-
-        fn optional(&self) -> bool {
-            true
-        }
-    }
-
     #[test]
     fn panicking_pass_is_contained_as_a_pass_error() {
         let mut ctx = CompileContext::new(2, &[]);
@@ -735,71 +681,6 @@ mod tests {
         std::panic::set_hook(prev);
         assert_eq!(err.pass, "always-panics");
         assert!(err.message.contains("simulated in-pass bug"));
-    }
-
-    #[test]
-    fn elapsed_budget_skips_optional_passes_only() {
-        let mut ctx = CompileContext::new(2, &[]);
-        let pm = PassManager::new()
-            .with(AddTerms(1))
-            .with(OptionalMarker)
-            .with(AddTerms(1))
-            .with_budget(Duration::ZERO);
-        let trace = pm.run(&mut ctx).unwrap();
-        // Required passes ran; the optional one did not.
-        assert_eq!(ctx.num_groups, 2);
-        assert_eq!(trace.pass_names(), ["add-terms", "add-terms"]);
-        let skipped = trace.events_of_kind(EVENT_SKIPPED);
-        assert_eq!(skipped.len(), 1);
-        assert_eq!(skipped[0].pass, "optional-marker");
-    }
-
-    /// Optional; skipped, it still appends a gate, as a skipped peephole
-    /// still lowers.
-    struct ChangesWhenSkipped;
-
-    impl Pass for ChangesWhenSkipped {
-        fn name(&self) -> &str {
-            "changes-when-skipped"
-        }
-
-        fn run(&self, _ctx: &mut CompileContext) -> Result<(), PassError> {
-            Ok(())
-        }
-
-        fn optional(&self) -> bool {
-            true
-        }
-
-        fn run_skipped(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-            ctx.circuit.push(phoenix_circuit::Gate::H(0));
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn statistics_are_taken_again_after_a_skipped_pass() {
-        let mut ctx = CompileContext::new(2, &[]);
-        let trace = PassManager::new()
-            .with(AddTerms(1))
-            .with(ChangesWhenSkipped)
-            .with(AddTerms(1))
-            .with_budget(Duration::ZERO)
-            .run(&mut ctx)
-            .unwrap();
-        assert_eq!(trace.pass_names(), ["add-terms", "add-terms"]);
-        assert_eq!(trace.passes[0].after.gates, 0);
-        assert_eq!(trace.passes[1].before.gates, 1);
-    }
-
-    #[test]
-    fn without_budget_optional_passes_run() {
-        let mut ctx = CompileContext::new(2, &[]);
-        let pm = PassManager::new().with(OptionalMarker);
-        let trace = pm.run(&mut ctx).unwrap();
-        assert_eq!(ctx.num_groups, 100);
-        assert!(trace.events.is_empty());
-        assert!(!trace.is_degraded());
     }
 
     /// Fires the attached cancel token while "running".
@@ -876,16 +757,16 @@ mod tests {
         ctx.cancel = Some(CancelToken::new());
         let pm = PassManager::new()
             .with(SoftCancels)
-            .with(OptionalMarker)
+            .with(AddTerms(100))
             .with(AddTerms(1));
         let trace = pm.run(&mut ctx).unwrap();
-        // The required pass after the soft cancellation still ran; the
-        // optional one was skipped like under an elapsed deadline.
-        assert_eq!(ctx.num_groups, 2);
-        assert_eq!(trace.pass_names(), ["soft-cancels", "add-terms"]);
-        let skipped = trace.events_of_kind(EVENT_SKIPPED);
-        assert_eq!(skipped.len(), 1);
-        assert_eq!(skipped[0].pass, "optional-marker");
+        // Every pass after the soft cancellation ran in full.
+        assert_eq!(ctx.num_groups, 102);
+        assert_eq!(
+            trace.pass_names(),
+            ["soft-cancels", "add-terms", "add-terms"]
+        );
+        assert!(trace.events.is_empty());
     }
 
     #[test]

@@ -692,10 +692,6 @@ impl Pass for ConcatPass {
 /// Adapter running any [`CircuitTransform`] on the working circuit.
 pub struct TransformPass {
     transform: Box<dyn CircuitTransform>,
-    optional: bool,
-    /// What still runs when the budget skips the pass: the transform's
-    /// representation change without its optimization.
-    lowering: Option<Box<dyn CircuitTransform>>,
 }
 
 impl std::fmt::Debug for TransformPass {
@@ -707,48 +703,32 @@ impl std::fmt::Debug for TransformPass {
 }
 
 impl TransformPass {
-    /// Wraps a circuit transform as a required pass.
+    /// Wraps a circuit transform as a pass.
     pub fn new(transform: impl CircuitTransform + 'static) -> Self {
         TransformPass {
             transform: Box::new(transform),
-            optional: false,
-            lowering: None,
         }
     }
 
-    /// Marks the pass as skippable under an elapsed pass budget (builder
-    /// style). Only safe for transforms that purely reduce gate count —
-    /// a representation-changing transform (rebase, lowering) must stay
-    /// required.
-    pub fn skippable(mut self) -> Self {
-        self.optional = true;
-        self
-    }
-
-    /// The peephole-optimization pass (skippable under budget pressure).
-    /// Peephole lowers to `{1Q, CNOT}` before it optimizes, so a skipped
-    /// peephole still lowers ([`CnotLower`], which also expands SU(4)
-    /// blocks): the output stays in the CNOT ISA.
+    /// The peephole pass: lowers the circuit to `{1Q, CNOT}` (SU(4)
+    /// blocks included), then optimizes it, so its output is in the CNOT
+    /// ISA. It runs in full in every compile, budgeted or not.
     pub fn peephole() -> Self {
-        TransformPass {
-            lowering: Some(Box::new(CnotLower)),
-            ..TransformPass::new(Peephole).skippable()
-        }
+        TransformPass::new(Peephole)
     }
 
-    /// The SU(4)-rebase pass (required: later stages expect the SU(4)
-    /// gate set).
+    /// The SU(4)-rebase pass.
     pub fn su4_rebase() -> Self {
         TransformPass::new(Su4Rebase)
     }
 
-    /// The KAK-resynthesis pass (skippable under budget pressure).
+    /// The KAK-resynthesis pass.
     pub fn kak_resynthesis() -> Self {
-        TransformPass::new(KakResynthesis).skippable()
+        TransformPass::new(KakResynthesis)
     }
 
-    /// The SWAP-/structural-lowering pass into `{1Q, CNOT}` (required:
-    /// output must not contain symbolic SWAPs).
+    /// The SWAP-/structural-lowering pass into `{1Q, CNOT}` (output must
+    /// not contain symbolic SWAPs).
     pub fn swap_lower() -> Self {
         TransformPass::new(CnotLower)
     }
@@ -766,17 +746,6 @@ impl Pass for TransformPass {
 
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
         ctx.circuit = self.apply(&ctx.circuit);
-        Ok(())
-    }
-
-    fn optional(&self) -> bool {
-        self.optional
-    }
-
-    fn run_skipped(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
-        if let Some(lowering) = &self.lowering {
-            ctx.circuit = lowering.apply(&ctx.circuit);
-        }
         Ok(())
     }
 }
@@ -800,11 +769,11 @@ impl Pass for SnapshotLogicalPass {
 /// circuit becomes the physical-indexed routed circuit (SWAPs still
 /// symbolic — follow with [`TransformPass::swap_lower`]).
 ///
-/// With a shared [`CompileCache`] mounted (and no pass deadline), the pass
-/// routes a structure once: it keys the router's input by its
-/// angle-erased form ([`RouteKey`]) and binds the angles into a stored
-/// [`RouteArtifact`], which is bit-for-bit the routing of the real
-/// circuit (DESIGN.md §2.10).
+/// With a shared [`CompileCache`] mounted, the pass routes a structure
+/// once: it keys the router's input by its angle-erased form
+/// ([`RouteKey`]) and binds the angles into a stored [`RouteArtifact`],
+/// which is bit-for-bit the routing of the real circuit (DESIGN.md
+/// §2.10).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayoutRoutePass {
     /// SABRE tuning knobs.
@@ -911,9 +880,7 @@ impl Pass for LayoutRoutePass {
         let device_qubits = device.num_qubits();
         let obs = ctx.obs.clone();
         let start_us = obs.as_ref().map(|o| o.now_us());
-        // As in stage 2, a pass budget keeps the shared cache out.
-        let memo = ctx.cache.clone().filter(|_| ctx.deadline.is_none());
-        let (routing, hit) = match &memo {
+        let (routing, hit) = match &ctx.cache {
             Some(cache) => {
                 let (routing, hit) = self.route_memoized(&ctx.circuit, device, cache)?;
                 (routing, Some(hit))
@@ -1065,35 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_skips_only_the_peephole() {
-        let t = terms(&["ZYY", "ZZY", "IZZ", "XIX"]);
-        let stages = || {
-            PassManager::new()
-                .with(GroupPass)
-                .with(SimplifySynthPass::default())
-                .with(OrderPass::default())
-                .with(ConcatPass)
-        };
-        let mut unbudgeted = CompileContext::new(3, &t);
-        stages().run(&mut unbudgeted).unwrap();
-        let mut ctx = CompileContext::new(3, &t);
-        let trace = stages()
-            .with(TransformPass::peephole())
-            .with_budget(std::time::Duration::ZERO)
-            .run(&mut ctx)
-            .unwrap();
-        // Stage 2 and ordering do not read the budget; the optional
-        // peephole is skipped and leaves its CNOT lowering.
-        assert!(trace
-            .events_of_kind(crate::pass::EVENT_TRUNCATED)
-            .is_empty());
-        assert_eq!(trace.events_of_kind(crate::pass::EVENT_SKIPPED).len(), 1);
-        assert_eq!(ctx.circuit, unbudgeted.circuit.lower_to_cnot());
-        assert_eq!(ctx.term_order, unbudgeted.term_order);
-    }
-
-    #[test]
-    fn skipped_peephole_still_lowers_to_cnots() {
+    fn peephole_pass_lowers_every_two_qubit_kind_to_cnots() {
         use phoenix_circuit::{rebase, Gate};
         use phoenix_pauli::{Clifford2Q, Clifford2QKind, Pauli};
 
@@ -1115,18 +1054,11 @@ mod tests {
         assert!(before.clifford2 > 0 && before.pauli_rot2 > 0 && before.su4 > 0);
 
         let mut ctx = CompileContext::from_circuit(c.clone());
-        let trace = PassManager::new()
-            .with(TransformPass::peephole())
-            .with_budget(std::time::Duration::ZERO)
-            .run(&mut ctx)
-            .unwrap();
-        assert_eq!(trace.events_of_kind(crate::pass::EVENT_SKIPPED).len(), 1);
-        assert!(trace.passes.is_empty(), "the optimization did not run");
+        TransformPass::peephole().run(&mut ctx).unwrap();
         let k = ctx.circuit.counts();
         assert_eq!(k.cnot, k.two_qubit(), "only CNOTs remain: {k:?}");
         assert_eq!(k.total, k.oneq + k.cnot);
-        // Exactly the lowering, with no optimization on top.
-        assert_eq!(ctx.circuit, c.lower_to_cnot());
+        assert_eq!(ctx.circuit, phoenix_circuit::peephole::optimize(&c));
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! Every compilation is [`logical_passes`] (stages 1–3 plus
 //! concatenation) followed by [`lowering_passes`] for its
-//! [`Target`](crate::Target). [`CompileRequest::run`] appends the two and
-//! runs them as one manager; the cached structure/bind path runs the same
-//! two managers on either side of the angle substitution. Device targets
-//! lower through [`device_backend`], the routing back end that
-//! [`try_run_hardware_backend`] also runs on circuits other compilers
-//! produced.
+//! [`Target`](crate::Target): the target's [`pre_routing_passes`], then its
+//! [`routing_suffix`]. [`CompileRequest::run`] appends them into one
+//! manager ([`compile_passes`]); the cached structure/bind path runs the
+//! logical stages and the lowering on either side of the angle
+//! substitution. A budgeted compile's anytime pass delivers the
+//! pre-routing lowering itself, so only the routing suffix follows it.
+//! [`try_run_hardware_backend`] runs a bare device's lowering on circuits
+//! other compilers produced.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,15 +68,16 @@ pub struct PhoenixOptions {
     /// alone cannot use every core.
     pub stage2_scan_threads: usize,
     /// Wall-clock budget for optimization effort. A budgeted compile runs
-    /// stages 2–4 as anytime deepening rounds that always hold a valid
-    /// best-so-far circuit: the budget stops the deepening (a round not
-    /// started is a `truncated` event, a round cut off a `round-abandoned`
-    /// one in the [`PassTrace`](crate::PassTrace)), and optional polish
-    /// passes that start past it are `skipped`, while correctness-critical
-    /// stages run to completion — the output is always valid, just less
-    /// optimized. Each round is kept by the quality of the circuit the
-    /// target's lowering delivers before routing. `None` (the default)
-    /// never truncates.
+    /// stages 2–4 and the target's pre-routing lowering as anytime
+    /// deepening rounds that always hold a valid best-so-far circuit. The
+    /// budget only decides how many rounds run (a round not started is a
+    /// `truncated` event, a round cut off a `round-abandoned` one in the
+    /// [`PassTrace`](crate::PassTrace)); every pass that starts runs in
+    /// full. Each round is kept by the quality of the circuit the target's
+    /// lowering delivers before routing, and that lowered circuit is what
+    /// the compile delivers (routed, for a device target), so the output
+    /// equals an untimed compile capped at the `depth_reached` it reports.
+    /// `None` (the default) never truncates.
     pub pass_budget: Option<Duration>,
     /// Logical cap on the anytime deepening schedule used by budgeted
     /// compiles: the optimizer runs at most this many deepening rounds
@@ -88,10 +91,10 @@ pub struct PhoenixOptions {
     /// boundary is semantically re-checked (the `--verify` flag of the
     /// experiment binaries). Compilation fails with a pass-pinpointing
     /// error on the first violated invariant. Dense equivalence checks run
-    /// only up to [`BoundaryVerifier::max_qubits`] — beyond that only the
-    /// structural invariants are enforced. Orthogonal to `pass_budget`:
-    /// a budget may *skip* optimization passes (never verified, never run),
-    /// but every pass that does execute is verified.
+    /// only up to [`BoundaryVerifier::max_qubits`] qubits (of a stage-2
+    /// group's support, of the program, or of the device) — beyond that
+    /// only the structural invariants are enforced. Orthogonal to
+    /// `pass_budget`: every pass runs, and every pass is verified.
     pub verify: bool,
     /// Cap on the threads of fleet compilation: how many devices of a
     /// `Target::Fleet` compile concurrently, the caller plus pool workers
@@ -168,11 +171,11 @@ impl HardwareProgram {
 ///
 /// A pass budget runs the last three once per deepening round inside one
 /// interruptible [`AnytimePass`], which scores each round on what
-/// `delivered`'s lowering makes of it before routing, and rides on the
-/// returned manager; [`PassManager::append`] keeps it, so a lowering
-/// suffix appended here runs under the same deadline. `verify` attaches
-/// the compilation's one [`BoundaryVerifier`], which `append` also keeps,
-/// so the suffix is verified by the same instance.
+/// `delivered`'s [`pre_routing_passes`] make of it and delivers the kept
+/// round so lowered; the budget rides on the returned manager, and the
+/// anytime pass is its only reader. `verify` attaches the compilation's
+/// one [`BoundaryVerifier`], which [`PassManager::append`] keeps, so a
+/// suffix appended here is verified by the same instance.
 pub(crate) fn logical_passes(
     options: &PhoenixOptions,
     routing_aware: bool,
@@ -215,7 +218,7 @@ pub(crate) fn logical_passes(
 /// [`Target::Logical`], the peephole for [`Target::Cnot`], an SU(4) rebase
 /// for [`Target::Su4`], and rebase + KAK resynthesis + peephole for
 /// [`Target::CnotViaKak`]. A [`Target::Device`] routes what the CNOT
-/// target delivers ([`hardware_backend`]).
+/// target delivers ([`routing_suffix`]).
 fn pre_routing_passes(target: &Target) -> Vec<TransformPass> {
     match target {
         // Fleet requests fan out into per-member `Target::Device` requests
@@ -232,53 +235,28 @@ fn pre_routing_passes(target: &Target) -> Vec<TransformPass> {
     }
 }
 
-/// The circuit-level suffix that lowers the concatenated logical circuit
-/// into `target`: its [`pre_routing_passes`], or [`device_backend`] for
-/// [`Target::Device`]. It carries no budget: a budgeted compile appends it
-/// to [`logical_passes`], whose budget covers both.
-pub(crate) fn lowering_passes(target: &Target, options: &PhoenixOptions) -> PassManager {
-    match target {
-        Target::Device(device) => device_backend(device, &options.router, options.layout_trials),
-        _ => pre_routing_passes(target)
-            .into_iter()
-            .fold(PassManager::new(), PassManager::with),
-    }
-}
-
-/// The shared hardware-aware back end as a pass sequence: the CNOT
-/// target's lowering (peephole, "O3"), logical snapshot, layout search +
-/// SABRE routing, SWAP lowering, final peephole. Every device target runs
-/// it (through [`device_backend`]), and so does
-/// [`try_run_hardware_backend`] on the baselines' outputs, so strategy
+/// The part of `target`'s lowering that runs from routing on, which is
+/// nothing for a target that does not route. A [`Target::Device`] runs the
+/// shared hardware back end after the CNOT target's lowering (peephole,
+/// "O3"): logical snapshot, layout search + SABRE routing, SWAP lowering
+/// and a final peephole, then the passes that fold the routed CNOT circuit
+/// into the device's native ISA — nothing for [`NativeIsa::Cnot`], an
+/// SU(4) rebase for [`NativeIsa::Su4`], and rebase + KAK resynthesis +
+/// peephole for [`NativeIsa::CnotViaKak`]. [`try_run_hardware_backend`]
+/// runs the same back end on the baselines' outputs, so strategy
 /// differences dominate comparisons.
-pub(crate) fn hardware_backend(router: &RouterOptions, layout_trials: usize) -> PassManager {
-    pre_routing_passes(&Target::Cnot)
-        .into_iter()
-        .fold(PassManager::new(), PassManager::with)
+pub(crate) fn routing_suffix(target: &Target, options: &PhoenixOptions) -> PassManager {
+    let Target::Device(device) = target else {
+        return PassManager::new();
+    };
+    let manager = PassManager::new()
         .with(SnapshotLogicalPass)
         .with(LayoutRoutePass {
-            router: router.clone(),
-            layout_trials,
+            router: options.router.clone(),
+            layout_trials: options.layout_trials,
         })
         .with(TransformPass::swap_lower())
-        .with(TransformPass::peephole())
-}
-
-/// The hardware back end for a [`Device`]: [`hardware_backend`] followed by
-/// the pass suffix that folds the routed CNOT circuit into the device's
-/// native ISA — nothing for [`NativeIsa::Cnot`], an SU(4) rebase for
-/// [`NativeIsa::Su4`], and rebase + KAK resynthesis + peephole for
-/// [`NativeIsa::CnotViaKak`]. The rebase passes are *required* (not
-/// budget-skippable), and a budget-skipped peephole still lowers to
-/// `{1Q, CNOT}` ([`Pass::run_skipped`](crate::pass::Pass::run_skipped)), so
-/// the native-ISA guarantee survives `pass_budget` truncation exactly as it
-/// does for the logical ISA targets.
-pub(crate) fn device_backend(
-    device: &Device,
-    router: &RouterOptions,
-    layout_trials: usize,
-) -> PassManager {
-    let manager = hardware_backend(router, layout_trials);
+        .with(TransformPass::peephole());
     match device.isa() {
         NativeIsa::Cnot => manager,
         NativeIsa::Su4 => manager.with(TransformPass::su4_rebase()),
@@ -287,6 +265,27 @@ pub(crate) fn device_backend(
             .with(TransformPass::kak_resynthesis())
             .with(TransformPass::peephole()),
     }
+}
+
+/// The circuit-level suffix that lowers the concatenated logical circuit
+/// into `target`: its [`pre_routing_passes`], then its [`routing_suffix`].
+pub(crate) fn lowering_passes(target: &Target, options: &PhoenixOptions) -> PassManager {
+    pre_routing_passes(target)
+        .into_iter()
+        .fold(PassManager::new(), PassManager::with)
+        .append(routing_suffix(target, options))
+}
+
+/// The whole pass list of one direct compile to `target`: the
+/// [`logical_passes`], then the target's lowering. Under a pass budget the
+/// anytime pass has already delivered the pre-routing lowering of the
+/// round it kept, so only the [`routing_suffix`] follows it.
+pub(crate) fn compile_passes(options: &PhoenixOptions, target: &Target) -> PassManager {
+    let lowering = match options.pass_budget {
+        Some(_) => routing_suffix(target, options),
+        None => lowering_passes(target, options),
+    };
+    logical_passes(options, target.routes(), target).append(lowering)
 }
 
 /// Routes a circuit some other compiler produced onto `device` through the
@@ -307,7 +306,13 @@ pub fn try_run_hardware_backend(
     validate_device(logical.num_qubits(), device)?;
     let mut ctx = CompileContext::from_circuit(logical.clone());
     ctx.device = Some(device.clone());
-    hardware_backend(router, layout_trials).run(&mut ctx)?;
+    let target = Target::Device(Device::bare(device.clone()));
+    let options = PhoenixOptions {
+        router: router.clone(),
+        layout_trials,
+        ..PhoenixOptions::default()
+    };
+    lowering_passes(&target, &options).run(&mut ctx)?;
     extract_hardware_program(ctx)
 }
 
@@ -379,7 +384,7 @@ impl PhoenixCompiler {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::pass::PassTrace;
+    use crate::pass::{PassTrace, EVENT_TRUNCATED};
     use crate::request::CompileOutcome;
     use phoenix_circuit::synthesis::naive_circuit;
 
@@ -521,14 +526,30 @@ mod tests {
                 assert!(dev.contains_edge(a, b), "gate {g} violates coupling");
             }
         }
-        // Required passes (lowering, routing) still ran; optimization was
-        // truncated or skipped and the trace says so.
+        // Deepening was truncated and the trace says so; the anytime pass
+        // delivered the pre-routing lowering, and routing ran in full.
         let trace = trace_of(&out);
-        assert!(!trace.events.is_empty());
-        assert!(trace
-            .pass_names()
-            .iter()
-            .all(|p| *p != "peephole" && *p != "kak-resynthesis"));
+        assert_eq!(out.depth_reached, Some(0));
+        assert!(!trace.events_of_kind(EVENT_TRUNCATED).is_empty());
+        assert_eq!(
+            trace.pass_names(),
+            [
+                "group",
+                "anytime-deepen",
+                "snapshot-logical",
+                "layout-route",
+                "cnot-lower",
+                "peephole"
+            ]
+        );
+        // The same compile as round 0 of an untimed schedule.
+        let capped = PhoenixOptions {
+            pass_budget: Some(Duration::from_secs(3600)),
+            anytime_rounds: Some(0),
+            ..PhoenixOptions::default()
+        };
+        let reference = compile(&capped, 4, &t, bare(&dev)).unwrap();
+        assert_eq!(out.hardware, reference.hardware);
     }
 
     #[test]

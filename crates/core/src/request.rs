@@ -29,8 +29,9 @@
 //! then the target's lowering suffix.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use phoenix_cache::{BindError, CompileCache, StructureArtifact};
+use phoenix_cache::{check_angles, CompileCache, StructureArtifact};
 use phoenix_circuit::Circuit;
 use phoenix_device::Device;
 use phoenix_obs::{metrics, MetricId, ObsCollector, ObsReport, Span};
@@ -41,7 +42,7 @@ use crate::par;
 use crate::parametric;
 use crate::pass::{CompileContext, PassManager, PassTrace};
 use crate::pipeline::{
-    extract_hardware_program, logical_passes, lowering_passes, HardwareProgram, PhoenixOptions,
+    compile_passes, extract_hardware_program, lowering_passes, HardwareProgram, PhoenixOptions,
 };
 
 /// The compilation target a [`CompileRequest`] lowers to.
@@ -74,7 +75,7 @@ pub enum Target {
 impl Target {
     /// Whether this target routes onto hardware, which makes stage 3's
     /// ordering routing-aware (Eq. (7)).
-    fn routes(&self) -> bool {
+    pub(crate) fn routes(&self) -> bool {
         matches!(self, Target::Device(_) | Target::Fleet(_))
     }
 }
@@ -175,35 +176,26 @@ impl CompileRequest {
             self.target.routes(),
             self.cache.as_ref(),
             None,
+            Instant::now(),
         )?;
         Ok(artifact)
     }
 
     /// Compiles with `angles` substituted for the request's coefficients:
-    /// obtains the structure artifact (from the cache when possible), binds
-    /// the angles into the skeleton, and lowers to the requested target.
-    /// This is the VQE-sweep entry point — on a warm cache, everything but
-    /// the substitution and target lowering is skipped, and a device
-    /// target's lowering binds into the cached routing instead of searching
-    /// a layout. Requests the cache may not serve (a pass budget or
-    /// verification) and fleets compile exactly as [`CompileRequest::run`]
-    /// with the angles as coefficients.
+    /// exactly [`CompileRequest::run`] on the program with these angles as
+    /// its coefficients. This is the VQE-sweep entry point — with a cache
+    /// attached, `run` takes the structure/bind path, so on a warm cache
+    /// everything but the substitution and target lowering is skipped, and
+    /// a device target's lowering binds into the cached routing instead of
+    /// searching a layout.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`PhoenixError`] on invalid input, an angle vector
-    /// whose length differs from the term count, or a non-finite angle.
+    /// [`PhoenixError::Bind`] when the angle vector's length differs from
+    /// the term count or an angle is not finite, whatever the options and
+    /// cache; otherwise the errors of [`CompileRequest::run`].
     pub fn bind(mut self, angles: &[f64]) -> Result<CompileOutcome, PhoenixError> {
-        if parametric::split_path_allowed(&self.options) && !matches!(self.target, Target::Fleet(_))
-        {
-            return self.run_split(angles);
-        }
-        if angles.len() != self.terms.len() {
-            return Err(PhoenixError::Bind(BindError::AngleCount {
-                expected: self.terms.len(),
-                got: angles.len(),
-            }));
-        }
+        check_angles(angles, self.terms.len())?;
         for ((_, c), a) in self.terms.iter_mut().zip(angles) {
             *c = *a;
         }
@@ -227,11 +219,11 @@ impl CompileRequest {
             let coefficients: Vec<f64> = self.terms.iter().map(|(_, c)| *c).collect();
             return self.run_split(&coefficients);
         }
+        let start = Instant::now();
         let ctx = self.context()?;
-        let manager = logical_passes(&self.options, self.target.routes(), &self.target)
-            .append(lowering_passes(&self.target, &self.options));
+        let manager = compile_passes(&self.options, &self.target);
         let collector = self.collector();
-        self.execute(manager, ctx, PassTrace::default(), collector)
+        self.execute(manager, ctx, PassTrace::default(), collector, start)
     }
 
     /// Compiles the request's program against every device of `devices` in
@@ -305,8 +297,11 @@ impl CompileRequest {
     /// artifact (cache-aware), bind `angles`, then run the target's
     /// circuit-level lowering on the bound circuit, with the cache mounted
     /// for the route memo. The retained trace honestly reflects what ran:
-    /// on a program-cache hit it contains only the lowering passes.
+    /// on a program-cache hit it contains only the lowering passes. Both
+    /// phases time their passes from one start, so `cumulative_millis`
+    /// runs on across them.
     fn run_split(self, angles: &[f64]) -> Result<CompileOutcome, PhoenixError> {
+        let start = Instant::now();
         let mut ctx = self.context()?;
         let collector = self.collector();
         let (artifact, _hit, trace) = parametric::obtain_structure(
@@ -316,6 +311,7 @@ impl CompileRequest {
             self.target.routes(),
             self.cache.as_ref(),
             collector.as_ref(),
+            start,
         )?;
         let bind_start = collector.as_ref().map(|c| c.now_us());
         let bound = artifact.bind(angles)?;
@@ -332,7 +328,7 @@ impl CompileRequest {
         // templates in it.
         ctx.cache = self.cache.clone();
         let manager = lowering_passes(&self.target, &self.options);
-        self.execute(manager, ctx, trace, collector)
+        self.execute(manager, ctx, trace, collector, start)
     }
 
     /// A fresh context for the request's program, on its device (checked
@@ -362,8 +358,9 @@ impl CompileRequest {
         })
     }
 
-    /// Runs `manager` over `ctx` and assembles the outcome. `trace` holds
-    /// the passes that already ran (the split path's structure phase);
+    /// Runs `manager` over `ctx` on the compile's clock, started at
+    /// `start`, and assembles the outcome. `trace` holds the passes that
+    /// already ran on that clock (the split path's structure phase);
     /// `manager`'s passes are appended to it.
     fn execute(
         &self,
@@ -371,10 +368,11 @@ impl CompileRequest {
         mut ctx: CompileContext,
         mut trace: PassTrace,
         collector: Option<Arc<ObsCollector>>,
+        start: Instant,
     ) -> Result<CompileOutcome, PhoenixError> {
         ctx.obs = collector.clone();
         ctx.cancel = self.options.cancel.clone();
-        let ran = manager.run(&mut ctx)?;
+        let ran = manager.run_from(&mut ctx, start)?;
         trace.passes.extend(ran.passes);
         trace.events.extend(ran.events);
         let obs = collector.map(|c| {

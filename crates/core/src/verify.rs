@@ -13,14 +13,15 @@
 //! | boundary | invariant |
 //! |---|---|
 //! | `group` | groups partition the input terms |
-//! | `simplify-synth` / `naive-synth` | each subcircuit ≡ exact Trotter product of its group's emitted terms (dense, `n ≤ max_qubits`) |
+//! | `simplify-synth` / `naive-synth` | each subcircuit acts only on its group's support and ≡ exact Trotter product of the group's emitted terms there (dense, support `≤ max_qubits`) |
 //! | `tetris-order` / `program-order` | the order is a permutation of the groups |
 //! | `concat` | working circuit ≡ exact Trotter product of `term_order`; `term_order` is a permutation of the input |
 //! | circuit rewrites (`peephole`, `su4-rebase`, `kak-resynthesis`, pre-routing `cnot-lower`) | unitary unchanged up to global phase |
 //! | `layout-route`, post-routing `cnot-lower` | routed circuit ≡ qubit-permutation ∘ embedded logical circuit, with the permutation matching SABRE's initial→final layouts |
 //!
-//! Dense checks are skipped (not failed) above `max_qubits`; the structural
-//! checks run at any size.
+//! Dense checks are skipped (not failed) above `max_qubits` qubits: of a
+//! group's support at stage 2, of the program or the device elsewhere. The
+//! structural checks run at any size.
 //!
 //! [`TraceEvent`]: crate::pass::TraceEvent
 //! [`PassObserver`]: crate::pass::PassObserver
@@ -43,8 +44,8 @@ pub const DEFAULT_TOLERANCE: f64 = 1e-9;
 /// boundary (see the module docs for the per-pass table).
 #[derive(Debug)]
 pub struct BoundaryVerifier {
-    /// Dense unitary checks are skipped for programs or devices wider than
-    /// this (structural checks still run).
+    /// Dense unitary checks are skipped for stage-2 group supports,
+    /// programs or devices wider than this (structural checks still run).
     pub max_qubits: usize,
     /// Infidelity tolerance (`1 − |Tr(U†V)|/N`) for equivalence checks.
     pub tolerance: f64,
@@ -176,25 +177,56 @@ impl BoundaryVerifier {
         Ok(())
     }
 
+    /// Each group's emitted terms permute its input, and its subcircuit,
+    /// relabelled onto the group's support, is the Trotter product of those
+    /// terms restricted to it (grouping puts every term of a group on
+    /// exactly its support). A gate off the support fails; the dense check
+    /// runs on supports of at most `max_qubits` qubits, however wide the
+    /// program.
     fn check_stage2(&self, pass: &str, ctx: &CompileContext) -> Result<(), PassError> {
         if ctx.subcircuits.len() != ctx.groups.len() {
             return Err(self.fail(pass, "subcircuit count differs from group count"));
         }
-        for (i, (group, terms)) in ctx.groups.iter().zip(&ctx.group_terms).enumerate() {
+        let groups = ctx
+            .groups
+            .iter()
+            .zip(&ctx.group_terms)
+            .zip(&ctx.subcircuits);
+        for (i, ((group, terms), sub)) in groups.enumerate() {
             if term_multiset(terms) != term_multiset(group.terms()) {
                 return Err(self.fail(
                     pass,
                     format!("group {i} emitted terms that are not a permutation of its input"),
                 ));
             }
-        }
-        if ctx.num_qubits > self.max_qubits {
-            return Ok(());
-        }
-        for (i, (sub, terms)) in ctx.subcircuits.iter().zip(&ctx.group_terms).enumerate() {
+            let support = group.support();
+            let mut rank = vec![None; ctx.num_qubits];
+            for (r, &q) in support.iter().enumerate() {
+                rank[q] = Some(r);
+            }
+            let on = |q: usize| rank.get(q).is_some_and(Option::is_some);
+            let gates_on = sub.gates().iter().all(|g| {
+                let (a, b) = g.qubits();
+                on(a) && b.is_none_or(on)
+            });
+            if !gates_on {
+                return Err(self.fail(
+                    pass,
+                    format!("group {i} acts outside its support {support:?}"),
+                ));
+            }
+            if support.len() > self.max_qubits {
+                continue;
+            }
+            let relabelled =
+                sub.map_qubits(support.len(), |q| rank[q].expect("checked on support"));
+            let local: Vec<(PauliString, f64)> = terms
+                .iter()
+                .map(|(p, c)| (p.restrict(&support), *c))
+                .collect();
             let infid = infidelity(
-                &circuit_unitary(sub),
-                &trotter_unitary(ctx.num_qubits, terms),
+                &circuit_unitary(&relabelled),
+                &trotter_unitary(support.len(), &local),
             );
             if infid > self.tolerance {
                 return Err(self.fail(
@@ -351,7 +383,10 @@ impl PassObserver for BoundaryVerifier {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pass::{Pass, PassManager};
+    use crate::passes::{GroupPass, SimplifySynthPass};
     use phoenix_circuit::{Circuit, Gate};
+    use std::sync::Arc;
 
     #[test]
     fn decodes_a_swap_permutation() {
@@ -376,5 +411,62 @@ mod tests {
     fn identity_decodes_to_identity_permutation() {
         let d = CMatrix::identity(4);
         assert_eq!(decode_qubit_permutation(&d, 2, 1e-9).unwrap(), vec![0, 1]);
+    }
+
+    /// Stage 2, then `corrupt` on the result, under the stage-2 pass name.
+    struct CorruptedStage2(fn(&mut CompileContext));
+
+    impl Pass for CorruptedStage2 {
+        fn name(&self) -> &str {
+            "simplify-synth"
+        }
+
+        fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
+            SimplifySynthPass::default().run(ctx)?;
+            (self.0)(ctx);
+            Ok(())
+        }
+    }
+
+    /// A 40-qubit program of three groups on 2–4-qubit supports.
+    fn wide_program() -> Vec<(PauliString, f64)> {
+        let term = |letters: &[(usize, char)], c: f64| {
+            let mut label = vec!['I'; 40];
+            for &(q, l) in letters {
+                label[q] = l;
+            }
+            (label.into_iter().collect::<String>().parse().unwrap(), c)
+        };
+        vec![
+            term(&[(3, 'Z'), (17, 'Y'), (29, 'Y')], 0.1),
+            term(&[(3, 'X'), (17, 'Z'), (29, 'Y')], 0.2),
+            term(&[(0, 'X'), (39, 'X')], 0.3),
+            term(&[(5, 'Y'), (6, 'Z'), (7, 'X'), (8, 'Z')], 0.4),
+            term(&[(5, 'Z'), (6, 'Z'), (7, 'Y'), (8, 'X')], 0.5),
+        ]
+    }
+
+    fn verify_stage2(corrupt: fn(&mut CompileContext)) -> Result<(), PassError> {
+        let terms = wide_program();
+        let mut ctx = CompileContext::new(40, &terms);
+        PassManager::new()
+            .with(GroupPass)
+            .with(CorruptedStage2(corrupt))
+            .with_observer(Arc::new(BoundaryVerifier::default()))
+            .run(&mut ctx)
+            .map(|_| ())
+    }
+
+    #[test]
+    fn stage2_is_checked_on_each_group_support_of_a_wide_program() {
+        verify_stage2(|_| {}).unwrap();
+        // A wrong angle inside group 1's support.
+        let err = verify_stage2(|ctx| ctx.subcircuits[1].push(Gate::Rz(39, 0.25))).unwrap_err();
+        assert_eq!(err.pass, "simplify-synth");
+        assert!(err.message.contains("group 1 subcircuit deviates"), "{err}");
+        // A gate outside it.
+        let err = verify_stage2(|ctx| ctx.subcircuits[2].push(Gate::H(20))).unwrap_err();
+        assert_eq!(err.pass, "simplify-synth");
+        assert!(err.message.contains("group 2 acts outside"), "{err}");
     }
 }

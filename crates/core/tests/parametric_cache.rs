@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use phoenix_core::phoenix_cache::BindError;
 use phoenix_core::{
     CacheStats, CompileCache, CompileOutcome, CompileRequest, DeviceRegistry, PhoenixError,
     PhoenixOptions, Target, EVENT_VERIFIED,
@@ -169,21 +170,90 @@ fn bind_substitutes_explicit_angles() {
     assert_eq!(bound.term_order, fresh.term_order);
 }
 
+/// Without a cache, `bind` is `run` on the program with the angles as its
+/// coefficients, bit for bit, on every target.
+#[test]
+fn uncached_bind_equals_uncached_run() {
+    let t = terms(PROGRAM);
+    let angles = sweep_angles(5, t.len());
+    let registry = DeviceRegistry::new();
+    let targets = [
+        Target::Logical,
+        Target::Cnot,
+        Target::Su4,
+        Target::CnotViaKak,
+        Target::Device(registry.build("line:3@kak").unwrap()),
+    ];
+    for target in targets {
+        let bound = CompileRequest::new(3, &t)
+            .target(target.clone())
+            .trace(true)
+            .bind(&angles)
+            .unwrap();
+        let run = CompileRequest::new(3, &with_angles(&t, &angles))
+            .target(target.clone())
+            .trace(true)
+            .run()
+            .unwrap();
+        assert_eq!(
+            format!("{:?}", bound.circuit),
+            format!("{:?}", run.circuit),
+            "{target:?}"
+        );
+        assert_eq!(
+            format!("{:?}", bound.term_order),
+            format!("{:?}", run.term_order),
+            "{target:?}"
+        );
+        assert_eq!(bound.hardware, run.hardware, "{target:?}");
+        assert_eq!(
+            bound.trace.unwrap().pass_names(),
+            run.trace.unwrap().pass_names(),
+            "{target:?}"
+        );
+    }
+}
+
+/// A wrong-length or non-finite angle vector is the same `BindError`
+/// whether `bind` runs with a cache, without one, or under a budget.
 #[test]
 fn bind_rejects_malformed_angle_vectors() {
     let t = terms(PROGRAM);
     let cache = Arc::new(CompileCache::new());
-    let err = CompileRequest::new(3, &t)
-        .cache(&cache)
-        .bind(&[0.1])
-        .unwrap_err();
-    assert!(matches!(err, PhoenixError::Bind(_)), "{err}");
-    let bad: Vec<f64> = (0..t.len()).map(|_| f64::NAN).collect();
-    let err = CompileRequest::new(3, &t)
-        .cache(&cache)
-        .bind(&bad)
-        .unwrap_err();
-    assert!(matches!(err, PhoenixError::Bind(_)), "{err}");
+    let budgeted = PhoenixOptions {
+        pass_budget: Some(std::time::Duration::from_secs(3600)),
+        ..PhoenixOptions::default()
+    };
+    let requests = [
+        ("cached", CompileRequest::new(3, &t).cache(&cache)),
+        ("uncached", CompileRequest::new(3, &t)),
+        ("budgeted", CompileRequest::new(3, &t).options(budgeted)),
+    ];
+    let mut nan = vec![0.1; t.len()];
+    nan[2] = f64::NAN;
+    for (label, request) in requests {
+        let err = request.clone().bind(&[0.1]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PhoenixError::Bind(BindError::AngleCount {
+                    expected: 8,
+                    got: 1
+                })
+            ),
+            "{label}: {err}"
+        );
+        let err = request.bind(&nan).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PhoenixError::Bind(BindError::NonFiniteAngle { slot: 2, .. })
+            ),
+            "{label}: {err}"
+        );
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.program_hits + stats.program_misses, 0);
 }
 
 #[test]

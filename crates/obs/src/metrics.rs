@@ -55,8 +55,6 @@ pub enum MetricId {
     RouterAttempts,
     /// Passes executed by the pass manager.
     PassesRun,
-    /// Optional passes skipped by the pass budget.
-    PassesSkipped,
     /// Pass-boundary validations accepted by observers.
     BoundariesVerified,
     /// Gate applications performed by the state-vector simulator
@@ -80,16 +78,6 @@ pub enum MetricId {
     CacheRouteHits,
     /// Routed-template cache lookups that missed.
     CacheRouteMisses,
-    /// Requests admitted to the serve queue (`phoenixd`).
-    ServeAdmitted,
-    /// Requests shed with `Overloaded` by admission control.
-    ServeShed,
-    /// Requests abandoned by an explicit client cancellation.
-    ServeCancelled,
-    /// Requests abandoned by the server-side wall-clock watchdog.
-    ServeDeadlineExceeded,
-    /// Worker panics contained by the serve layer (the process lived).
-    ServePanicsContained,
     /// Deepening rounds completed by the anytime optimizer.
     AnytimeRounds,
     /// Deepening rounds that strictly improved the best-so-far circuit.
@@ -111,7 +99,7 @@ pub enum MetricId {
 
 /// All counters, in discriminant order. Kept in sync with [`MetricId`] by
 /// the `catalog_is_complete` test.
-pub const COUNTERS: [MetricId; 33] = [
+pub const COUNTERS: [MetricId; 27] = [
     MetricId::GroupsCompiled,
     MetricId::TermsCompiled,
     MetricId::CnotsSavedStage2,
@@ -122,7 +110,6 @@ pub const COUNTERS: [MetricId; 33] = [
     MetricId::RouterRetries,
     MetricId::RouterAttempts,
     MetricId::PassesRun,
-    MetricId::PassesSkipped,
     MetricId::BoundariesVerified,
     MetricId::SimGateOps,
     MetricId::SabreSwapsTotal,
@@ -133,11 +120,6 @@ pub const COUNTERS: [MetricId; 33] = [
     MetricId::CacheGroupMisses,
     MetricId::CacheRouteHits,
     MetricId::CacheRouteMisses,
-    MetricId::ServeAdmitted,
-    MetricId::ServeShed,
-    MetricId::ServeCancelled,
-    MetricId::ServeDeadlineExceeded,
-    MetricId::ServePanicsContained,
     MetricId::AnytimeRounds,
     MetricId::AnytimeImprovements,
     MetricId::FleetCompiles,
@@ -161,7 +143,6 @@ impl MetricId {
             MetricId::RouterRetries => "router_retries",
             MetricId::RouterAttempts => "router_attempts",
             MetricId::PassesRun => "passes_run",
-            MetricId::PassesSkipped => "passes_skipped",
             MetricId::BoundariesVerified => "boundaries_verified",
             MetricId::SimGateOps => "sim_gate_ops",
             MetricId::SabreSwapsTotal => "sabre_swaps_total",
@@ -172,11 +153,6 @@ impl MetricId {
             MetricId::CacheGroupMisses => "cache_group_misses",
             MetricId::CacheRouteHits => "cache_route_hits",
             MetricId::CacheRouteMisses => "cache_route_misses",
-            MetricId::ServeAdmitted => "serve_admitted",
-            MetricId::ServeShed => "serve_shed",
-            MetricId::ServeCancelled => "serve_cancelled",
-            MetricId::ServeDeadlineExceeded => "serve_deadline_exceeded",
-            MetricId::ServePanicsContained => "serve_panics_contained",
             MetricId::AnytimeRounds => "anytime_rounds",
             MetricId::AnytimeImprovements => "anytime_improvements",
             MetricId::FleetCompiles => "fleet_compiles",

@@ -2,9 +2,8 @@
 //! human-readable rendering.
 //!
 //! [`render`] produces the text report the `--obs` flag prints: per-pass
-//! timing with gate/depth deltas, the slowest stage-2 groups, a
-//! degraded/retried/truncated/skipped event rollup, and the non-zero
-//! metrics. [`ObsReport`] itself serializes to JSON for `results/`.
+//! timing with gate/depth deltas, the slowest stage-2 groups, an event
+//! rollup by kind, and the non-zero metrics. [`ObsReport`] itself serializes to JSON for `results/`.
 
 use std::fmt;
 
@@ -25,10 +24,6 @@ pub enum EventKind {
     /// The pass budget (or a fired cancel token) elapsed before an anytime
     /// deepening round started; the last completed round is kept.
     Truncated,
-    /// An optional pass was skipped entirely because the budget had
-    /// elapsed (or a soft cancellation was honored) before it started; its
-    /// required lowering still ran.
-    Skipped,
     /// A pass-boundary observer validated the working circuit (one per
     /// accepted boundary, so a trace shows exactly which transformations
     /// were checked).
@@ -42,11 +37,10 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 6] = [
+    pub const ALL: [EventKind; 5] = [
         EventKind::Degraded,
         EventKind::Retried,
         EventKind::Truncated,
-        EventKind::Skipped,
         EventKind::Verified,
         EventKind::RoundAbandoned,
     ];
@@ -57,7 +51,6 @@ impl EventKind {
             EventKind::Degraded => "degraded",
             EventKind::Retried => "retried",
             EventKind::Truncated => "truncated",
-            EventKind::Skipped => "skipped",
             EventKind::Verified => "verified",
             EventKind::RoundAbandoned => "round-abandoned",
         }
@@ -90,8 +83,8 @@ impl Deserialize for EventKind {
 }
 
 /// A robustness or verification event raised during compilation: a
-/// degradation to a fallback path, a routing retry, budget-driven
-/// truncation or skipping, or an accepted verification boundary.
+/// degradation to a fallback path, a routing retry, a budget-driven
+/// truncation or abandoned round, or an accepted verification boundary.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Event {
     /// Name of the pass that raised the event.
@@ -413,7 +406,7 @@ events: retried ×1
         assert!(text.contains("improved yes"), "{text}");
     }
 
-    /// The six names are a wire format (`PassTrace` and `ObsReport` JSON):
+    /// The five names are a wire format (`PassTrace` and `ObsReport` JSON):
     /// each kind round-trips through its name, and no other string parses.
     #[test]
     fn event_kinds_serialize_as_their_names() {
@@ -424,7 +417,6 @@ events: retried ×1
                 "degraded",
                 "retried",
                 "truncated",
-                "skipped",
                 "verified",
                 "round-abandoned"
             ]
