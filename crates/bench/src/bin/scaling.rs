@@ -9,7 +9,7 @@ use phoenix_bench::{or_exit, phoenix_compiler, row, write_results, Tracer, SEED}
 use phoenix_core::Target;
 use phoenix_hamil::{models, qaoa, uccsd, Hamiltonian, Molecule};
 use serde::Serialize;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[derive(Serialize)]
 struct Point {
@@ -21,9 +21,14 @@ struct Point {
     millis: f64,
 }
 
-/// Timed compiles per program, after one untimed warm-up; the table
-/// reports their median.
-const TIMED_RUNS: usize = 5;
+/// Each program is timed over as many warm compiles as fit in this
+/// window, after one untimed warm-up; the table reports their median.
+/// Sub-millisecond rows get a hundred or more samples, so their median
+/// does not move with one slow compile.
+const TIME_WINDOW: Duration = Duration::from_millis(100);
+
+/// Fewest timed compiles per program, however long each takes.
+const MIN_TIMED_RUNS: usize = 5;
 
 fn measure(h: &Hamiltonian, tracer: &mut Tracer) -> Point {
     // Timed without trace recording, so the reported numbers are clean;
@@ -35,15 +40,15 @@ fn measure(h: &Hamiltonian, tracer: &mut Tracer) -> Point {
         or_exit(request.run(), h.name()).circuit
     };
     let c = compile();
-    let mut times: Vec<f64> = (0..TIMED_RUNS)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(compile());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    let mut times = Vec::new();
+    let window = Instant::now();
+    while times.len() < MIN_TIMED_RUNS || window.elapsed() < TIME_WINDOW {
+        let t0 = Instant::now();
+        std::hint::black_box(compile());
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
     times.sort_by(f64::total_cmp);
-    let millis = times[TIMED_RUNS / 2];
+    let millis = times[times.len() / 2];
     tracer.record_logical(h.name(), &phoenix_compiler(), h.num_qubits(), h.terms());
     Point {
         program: h.name().to_string(),
@@ -88,7 +93,10 @@ fn main() {
             "#Pauli".to_string(),
             "#CNOT".to_string(),
             "Depth-2Q".to_string(),
-            format!("time (ms, median of {TIMED_RUNS} after 1 warm-up)"),
+            format!(
+                "time (ms, median of the warm compiles filling {} ms, at least {MIN_TIMED_RUNS})",
+                TIME_WINDOW.as_millis()
+            ),
         ])
     );
     println!("{}", row(&vec!["---".to_string(); 6]));

@@ -12,10 +12,9 @@
 //! - [`peephole::optimize`]: a fixed-point gate-cancellation pass (adjacent
 //!   and commuting CNOT cancellation, 1Q rotation merging) standing in for
 //!   the Qiskit O2/O3 passes used in the paper's harness;
-//! - [`layers`]: 2Q-depth, greedy 2Q layering, and the *endian vectors*
-//!   `e_l`/`e_r` of Fig. 3 that drive Tetris-like ordering;
-//! - [`interaction`]: qubit-interaction graphs, head/tail subgraphs, distance
-//!   matrices, and the cosine similarity factor of Eq. (7).
+//! - [`interaction`]: the 2Q support and the head/tail interaction graphs
+//!   from which Tetris-like ordering scores the similarity factor of
+//!   Eq. (7).
 //!
 //! # Examples
 //!
@@ -35,16 +34,12 @@ pub mod draw;
 mod gate;
 pub mod interaction;
 pub mod kak;
-pub mod layers;
 pub mod peephole;
 pub mod qasm;
 pub mod rebase;
 pub mod synthesis;
-pub mod transform;
 mod unitary;
 pub mod weyl;
 
 pub use circuit::{Circuit, GateCounts};
 pub use gate::{Gate, Su4Block};
-pub use layers::EndianVectors;
-pub use transform::CircuitTransform;

@@ -1,6 +1,6 @@
 //! Property-based tests of circuit-level invariants.
 
-use phoenix_circuit::{layers, peephole, qasm, rebase, synthesis, Circuit, Gate};
+use phoenix_circuit::{peephole, qasm, rebase, synthesis, Circuit, Gate};
 use phoenix_pauli::{Pauli, PauliString};
 use proptest::prelude::*;
 
@@ -148,25 +148,6 @@ proptest! {
         prop_assert_eq!(k.cnot + k.swap + k.clifford2 + k.pauli_rot2, 0);
         prop_assert!(k.su4 <= c.counts().two_qubit());
         prop_assert!(fused.depth_2q() <= c.depth_2q());
-    }
-
-    /// Endian vectors are bounded by the layer count, and acted qubits are
-    /// strictly inside the circuit.
-    #[test]
-    fn endian_vector_bounds(c in arb_circuit(5, 24)) {
-        let ev = layers::endian_vectors(&c);
-        prop_assert_eq!(ev.num_layers, c.depth_2q());
-        for q in 0..5 {
-            prop_assert!(ev.e_l[q] <= ev.num_layers);
-            prop_assert!(ev.e_r[q] <= ev.num_layers);
-            let acted_2q = c.gates().iter().any(|g| g.is_two_qubit() && g.acts_on(q));
-            if acted_2q {
-                prop_assert!(ev.e_l[q] < ev.num_layers);
-                prop_assert!(ev.e_l[q] + ev.e_r[q] < ev.num_layers.max(1));
-            } else {
-                prop_assert_eq!(ev.e_l[q], ev.num_layers);
-            }
-        }
     }
 
     /// Chain synthesis emits exactly `2(w−1)` CNOTs and one rotation per

@@ -81,8 +81,8 @@ pub use phoenix_obs;
 pub use phoenix_cache;
 pub use phoenix_cache::{BoundProgram, CacheStats, CompileCache, StructureArtifact};
 
-// And the device layer: `Target::Device` / `Target::Fleet` trade in its
-// types, and the registry is the canonical way to name fleet members.
+// And the device layer: `Target::Device` and `CompileRequest::fleet` trade
+// in its types, and the registry is the canonical way to name fleet members.
 pub use phoenix_device;
 pub use phoenix_device::{Device, DeviceRegistry, DeviceSpecError, NativeIsa, NoiseProfile};
 

@@ -9,7 +9,7 @@
 //! | [`SimplifySynthPass`] | group-wise BSF simplification + synthesis (Algorithm 1) |
 //! | [`OrderPass`] | Tetris-like IR group ordering (§IV-C) |
 //! | [`ConcatPass`] | assembly of the ordered subcircuits |
-//! | [`TransformPass`] | any circuit-level rewrite (peephole, SU(4) rebase, KAK, SWAP lowering) |
+//! | [`TransformPass`] | the four circuit-level rewrites (peephole, SU(4) rebase, KAK, CNOT lowering) |
 //! | [`SnapshotLogicalPass`] | records the pre-routing logical circuit |
 //! | [`LayoutRoutePass`] | layout search + SABRE routing on the target device |
 //!
@@ -24,10 +24,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use phoenix_cache::{encode_slot, CompileCache, GroupArtifact, RouteArtifact, RouteKey};
-use phoenix_circuit::transform::{
-    CircuitTransform, CnotLower, KakResynthesis, Peephole, Su4Rebase,
-};
-use phoenix_circuit::Circuit;
+use phoenix_circuit::{kak, peephole, rebase, Circuit};
 use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId};
 use phoenix_obs::{ObsCollector, Span};
 use phoenix_pauli::{Clifford2Q, GroupShape, PauliString};
@@ -689,59 +686,65 @@ impl Pass for ConcatPass {
     }
 }
 
-/// Adapter running any [`CircuitTransform`] on the working circuit.
-pub struct TransformPass {
-    transform: Box<dyn CircuitTransform>,
-}
-
-impl std::fmt::Debug for TransformPass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("TransformPass")
-            .field(&self.transform.name())
-            .finish()
-    }
+/// A pure circuit-to-circuit rewrite of `phoenix-circuit`, run on the
+/// working circuit. Each variant's pass name is the rewrite's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransformPass {
+    /// `peephole`: [`peephole::optimize`].
+    Peephole,
+    /// `su4-rebase`: [`rebase::to_su4`].
+    Su4Rebase,
+    /// `kak-resynthesis`: [`kak::resynthesize`].
+    KakResynthesis,
+    /// `cnot-lower`: [`Circuit::lower_to_cnot`].
+    CnotLower,
 }
 
 impl TransformPass {
-    /// Wraps a circuit transform as a pass.
-    pub fn new(transform: impl CircuitTransform + 'static) -> Self {
-        TransformPass {
-            transform: Box::new(transform),
-        }
-    }
-
     /// The peephole pass: lowers the circuit to `{1Q, CNOT}` (SU(4)
     /// blocks included), then optimizes it, so its output is in the CNOT
     /// ISA. It runs in full in every compile, budgeted or not.
     pub fn peephole() -> Self {
-        TransformPass::new(Peephole)
+        TransformPass::Peephole
     }
 
-    /// The SU(4)-rebase pass.
+    /// The SU(4)-rebase pass: fuses maximal same-pair runs into SU(4)
+    /// blocks.
     pub fn su4_rebase() -> Self {
-        TransformPass::new(Su4Rebase)
+        TransformPass::Su4Rebase
     }
 
-    /// The KAK-resynthesis pass.
+    /// The KAK-resynthesis pass: rewrites SU(4) blocks to their canonical
+    /// forms of at most three rotations.
     pub fn kak_resynthesis() -> Self {
-        TransformPass::new(KakResynthesis)
+        TransformPass::KakResynthesis
     }
 
     /// The SWAP-/structural-lowering pass into `{1Q, CNOT}` (output must
     /// not contain symbolic SWAPs).
     pub fn swap_lower() -> Self {
-        TransformPass::new(CnotLower)
+        TransformPass::CnotLower
     }
 
-    /// The transform applied to `circuit`, as the pass runs it.
-    pub(crate) fn apply(&self, circuit: &Circuit) -> Circuit {
-        self.transform.apply(circuit)
+    /// The rewrite applied to `circuit`, as the pass runs it.
+    pub(crate) fn apply(self, circuit: &Circuit) -> Circuit {
+        match self {
+            TransformPass::Peephole => peephole::optimize(circuit),
+            TransformPass::Su4Rebase => rebase::to_su4(circuit),
+            TransformPass::KakResynthesis => kak::resynthesize(circuit),
+            TransformPass::CnotLower => circuit.lower_to_cnot(),
+        }
     }
 }
 
 impl Pass for TransformPass {
     fn name(&self) -> &str {
-        self.transform.name()
+        match self {
+            TransformPass::Peephole => "peephole",
+            TransformPass::Su4Rebase => "su4-rebase",
+            TransformPass::KakResynthesis => "kak-resynthesis",
+            TransformPass::CnotLower => "cnot-lower",
+        }
     }
 
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
@@ -1033,7 +1036,7 @@ mod tests {
 
     #[test]
     fn peephole_pass_lowers_every_two_qubit_kind_to_cnots() {
-        use phoenix_circuit::{rebase, Gate};
+        use phoenix_circuit::Gate;
         use phoenix_pauli::{Clifford2Q, Clifford2QKind, Pauli};
 
         let mut c = Circuit::new(3);
@@ -1058,7 +1061,41 @@ mod tests {
         let k = ctx.circuit.counts();
         assert_eq!(k.cnot, k.two_qubit(), "only CNOTs remain: {k:?}");
         assert_eq!(k.total, k.oneq + k.cnot);
-        assert_eq!(ctx.circuit, phoenix_circuit::peephole::optimize(&c));
+        assert_eq!(ctx.circuit, peephole::optimize(&c));
+    }
+
+    #[test]
+    fn transforms_match_their_free_functions() {
+        use phoenix_circuit::Gate;
+
+        let mut c = Circuit::new(3);
+        c.push(Gate::H(0));
+        c.push(Gate::Cnot(0, 1));
+        c.push(Gate::Cnot(1, 2));
+        c.push(Gate::Rz(2, 0.25));
+        c.push(Gate::Cnot(1, 2));
+        c.push(Gate::Cnot(0, 1));
+        let passes = [
+            TransformPass::peephole(),
+            TransformPass::su4_rebase(),
+            TransformPass::kak_resynthesis(),
+            TransformPass::swap_lower(),
+        ];
+        let names: Vec<&str> = passes.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            names,
+            ["peephole", "su4-rebase", "kak-resynthesis", "cnot-lower"]
+        );
+        let outputs = passes.map(|p| p.apply(&c));
+        assert_eq!(
+            outputs,
+            [
+                peephole::optimize(&c),
+                rebase::to_su4(&c),
+                kak::resynthesize(&c),
+                c.lower_to_cnot(),
+            ]
+        );
     }
 
     #[test]

@@ -97,7 +97,8 @@ pub struct PhoenixOptions {
     /// `pass_budget`: every pass runs, and every pass is verified.
     pub verify: bool,
     /// Cap on the threads of fleet compilation: how many devices of a
-    /// `Target::Fleet` compile concurrently, the caller plus pool workers
+    /// [`CompileRequest::fleet`](crate::CompileRequest::fleet) compile
+    /// concurrently, the caller plus pool workers
     /// (`0` = one per available core, capped at the fleet size; `1` =
     /// inline). Each member's stage 2 fans out on the same pool. The ranked
     /// outcome is identical for every value. Excluded from the parametric
@@ -221,10 +222,7 @@ pub(crate) fn logical_passes(
 /// target delivers ([`routing_suffix`]).
 fn pre_routing_passes(target: &Target) -> Vec<TransformPass> {
     match target {
-        // Fleet requests fan out into per-member `Target::Device` requests
-        // before anything runs (see `CompileRequest::fleet`), so a fleet
-        // target never reaches lowering; lower like `Logical` to stay total.
-        Target::Logical | Target::Fleet(_) => Vec::new(),
+        Target::Logical => Vec::new(),
         Target::Cnot | Target::Device(_) => vec![TransformPass::peephole()],
         Target::Su4 => vec![TransformPass::su4_rebase()],
         Target::CnotViaKak => vec![

@@ -65,18 +65,13 @@ pub enum Target {
     /// (see [`phoenix_device::NativeIsa`]). A bare coupling graph compiles
     /// as [`Device::bare`], a noiseless CNOT-ISA device.
     Device(Device),
-    /// Compile one program against every device of a fleet in parallel
-    /// and keep the outcome of the member with the highest predicted
-    /// fidelity. [`CompileRequest::run`] returns the best member's
-    /// outcome; use [`CompileRequest::fleet`] for the full ranking.
-    Fleet(Vec<Device>),
 }
 
 impl Target {
     /// Whether this target routes onto hardware, which makes stage 3's
     /// ordering routing-aware (Eq. (7)).
     pub(crate) fn routes(&self) -> bool {
-        matches!(self, Target::Device(_) | Target::Fleet(_))
+        matches!(self, Target::Device(_))
     }
 }
 
@@ -209,11 +204,7 @@ impl CompileRequest {
     /// Returns a typed [`PhoenixError`] on invalid input, an unroutable
     /// device, a failing pass, or a rejected verification boundary — never
     /// panics on bad input.
-    pub fn run(mut self) -> Result<CompileOutcome, PhoenixError> {
-        if let Target::Fleet(devices) = &mut self.target {
-            let devices = std::mem::take(devices);
-            return self.fleet(&devices)?.into_best();
-        }
+    pub fn run(self) -> Result<CompileOutcome, PhoenixError> {
         validate_program(self.num_qubits, &self.terms)?;
         if self.cache.is_some() && parametric::split_path_allowed(&self.options) {
             let coefficients: Vec<f64> = self.terms.iter().map(|(_, c)| *c).collect();
@@ -255,8 +246,8 @@ impl CompileRequest {
             metrics::global().incr(MetricId::FleetCompiles);
             metrics::global().add(MetricId::FleetMembersCompiled, devices.len() as u64);
         }
-        // Per-member targets are assigned below; drop any fleet payload so
-        // member clones stay cheap.
+        // Per-member targets are assigned below; drop any device so member
+        // clones stay cheap.
         self.target = Target::Logical;
         let threads = par::resolve_threads(self.options.fleet_threads).clamp(1, devices.len());
         // Members run on pool threads, so the job owns the request and the
@@ -460,23 +451,6 @@ impl FleetOutcome {
     /// The best-ranked member, if any member compiled.
     pub fn best(&self) -> Option<&FleetEntry> {
         self.ranked.first()
-    }
-
-    /// Consumes the fleet outcome into the best member's
-    /// [`CompileOutcome`].
-    ///
-    /// # Errors
-    ///
-    /// When no member compiled, returns the first member's error (the
-    /// fleet is never empty — [`CompileRequest::fleet`] rejects that up
-    /// front).
-    pub fn into_best(self) -> Result<CompileOutcome, PhoenixError> {
-        let mut failed = self.failed;
-        match self.ranked.into_iter().next() {
-            Some(entry) => Ok(entry.outcome),
-            None if failed.is_empty() => Err(PhoenixError::EmptyFleet),
-            None => Err(failed.remove(0).1),
-        }
     }
 }
 

@@ -127,23 +127,6 @@ fn all_to_all_ranks_above_a_line_on_a_dense_program() {
 }
 
 #[test]
-fn run_on_a_fleet_target_returns_the_best_member() {
-    let devices = fleet_of(&["line:6", "ring:6", "grid:2x3", "ion-trap:6"]);
-    let t = random_terms(5, 8, 7);
-    let best_via_fleet = CompileRequest::new(5, &t)
-        .fleet(&devices)
-        .expect("fleet compiles")
-        .into_best()
-        .expect("at least one member");
-    let via_run = CompileRequest::new(5, &t)
-        .target(Target::Fleet(devices))
-        .run()
-        .expect("fleet target runs");
-    assert_eq!(via_run.circuit, best_via_fleet.circuit);
-    assert_eq!(via_run.hardware, best_via_fleet.hardware);
-}
-
-#[test]
 fn member_failures_do_not_fail_the_fleet() {
     let reg = DeviceRegistry::new();
     let devices = vec![

@@ -11,7 +11,8 @@
 //! The fidelity side of the story is [`Device::predicted_fidelity`]: the
 //! product of per-gate success probabilities under the device's error
 //! model, plus readout success over the circuit's support. It is the
-//! score `Target::Fleet` ranks by.
+//! score a fleet compile (`phoenix_core::CompileRequest::fleet`) ranks
+//! its members by.
 //!
 //! # Examples
 //!

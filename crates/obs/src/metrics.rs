@@ -82,7 +82,7 @@ pub enum MetricId {
     AnytimeRounds,
     /// Deepening rounds that strictly improved the best-so-far circuit.
     AnytimeImprovements,
-    /// Fleet compilations executed (one per `Target::Fleet` request).
+    /// Fleet compilations executed (one per `CompileRequest::fleet` call).
     FleetCompiles,
     /// Per-device member compiles attempted across all fleet requests.
     FleetMembersCompiled,

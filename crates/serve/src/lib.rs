@@ -184,98 +184,25 @@ fn sabotage_pass_reply(spec: &CompileSpec) -> Value {
     }
 }
 
-/// One-shot stdio service (`phoenixc --serve-stdin`): reads a single
-/// request frame from `input`, executes it uncached, and returns the reply
-/// line. Exercises the exact wire format of `phoenixd` without a socket.
-pub fn serve_one_line(line: &str) -> String {
-    let reply = match protocol::parse_request(line.trim_end(), 1) {
-        Err(reply) => reply,
-        Ok(Request::Compile(spec)) => {
-            let budget = spec.deadline_ms.map(Duration::from_millis);
-            execute_spec(&spec, None, None, budget)
-        }
-        Ok(Request::Fleet(spec)) => {
-            let budget = spec.deadline_ms.map(Duration::from_millis);
-            execute_fleet_spec(&spec, None, None, budget)
-        }
-        Ok(Request::Ping { id }) => protocol::pong_reply(id),
-        Ok(Request::Cancel { id }) => protocol::error_reply(
-            Some(id),
-            ErrorKind::NotFound,
-            "one-shot mode has no in-flight requests to cancel",
-            None,
-            None,
-        ),
-        Ok(Request::Stats { id }) => protocol::error_reply(
-            Some(id),
-            ErrorKind::NotFound,
-            "one-shot mode keeps no server statistics",
-            None,
-            None,
-        ),
-    };
-    protocol::render(&reply)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
-    fn serve_one_line_compiles_a_valid_frame() {
-        let reply = serve_one_line(
-            r#"{"op":"compile","id":1,"qubits":3,"terms":[["ZYY",0.1],["ZZY",0.1]],"target":"cnot"}"#,
-        );
-        let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("ok"));
-        assert_eq!(v.get("id").unwrap().as_u64(), Some(1));
-        assert!(v.get("gates").unwrap().as_u64().unwrap() > 0);
-        assert!(v.get("metrics").is_some());
-    }
-
-    #[test]
-    fn serve_one_line_answers_a_fleet_frame_with_a_ranking() {
-        let reply = serve_one_line(
-            r#"{"op":"fleet","id":9,"qubits":4,"terms":[["ZZII",0.2],["IZZI",0.2],["IIZZ",0.2],["XIIX",0.1]],"devices":["line:5","grid:2x3","ion-trap:5","ring:5"]}"#,
-        );
-        let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("ok"), "{reply}");
-        assert_eq!(v.get("id").unwrap().as_u64(), Some(9));
-        let fleet = v.get("fleet").unwrap().as_array().unwrap();
-        assert_eq!(fleet.len(), 4);
-        let fidelities: Vec<f64> = fleet
-            .iter()
-            .map(|e| e.get("fidelity").unwrap().as_f64().unwrap())
-            .collect();
-        for pair in fidelities.windows(2) {
-            assert!(pair[0] >= pair[1], "reply not fidelity-ranked: {reply}");
-        }
-        for entry in fleet {
-            assert!(entry.get("device").unwrap().as_str().is_some());
-            assert!(entry.get("two_qubit").unwrap().as_u64().is_some());
-            assert!(entry.get("depth").unwrap().as_u64().is_some());
-        }
-    }
-
-    #[test]
-    fn serve_one_line_rejects_garbage_with_a_typed_error() {
-        let reply = serve_one_line("{broken");
-        let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("error"));
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("invalid_request"));
-    }
-
-    #[test]
     fn zero_deadline_still_produces_a_valid_truncated_compile() {
-        // In one-shot mode there is no watchdog: a zero deadline maps to a
-        // zero pass budget, which truncates optimization but still returns
-        // a valid circuit.
-        let reply = serve_one_line(
-            r#"{"op":"compile","id":2,"qubits":2,"terms":[["ZZ",0.3]],"deadline_ms":0}"#,
-        );
-        let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("ok"));
+        // Without a watchdog to fire the cancel token, a zero deadline is
+        // only a zero pass budget, which truncates optimization but still
+        // returns a valid circuit.
+        let frame = r#"{"op":"compile","id":2,"qubits":2,"terms":[["ZZ",0.3]],"deadline_ms":0}"#;
+        let Ok(Request::Compile(spec)) = protocol::parse_request(frame, 1) else {
+            panic!("not a compile frame: {frame}");
+        };
+        let budget = spec.deadline_ms.map(Duration::from_millis);
+        assert_eq!(budget, Some(Duration::ZERO));
+        let reply = execute_spec(&spec, None, None, budget);
+        assert_eq!(reply.get("status").unwrap().as_str(), Some("ok"));
+        assert!(reply.get("gates").unwrap().as_u64().unwrap() > 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - each **connection** gets a reader thread (frame assembly with a hard
 //!   size bound, strict parsing, idle reaping) and a writer thread (reply
 //!   serialization behind a write timeout, so one slow client never blocks
-//!   a worker);
+//!   a worker); stdio is one connection whose frames go through the same
+//!   assembler;
 //! - a fixed pool of **worker supervisors** each run a worker loop inside
 //!   `catch_unwind`: a worker that dies is logged, counted, its request
 //!   answered with a typed `panic` reply, and the loop re-entered — the
@@ -32,6 +33,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use phoenix_core::phoenix_cache::{CacheStats, CompileCache};
@@ -87,6 +89,11 @@ const POLL: Duration = Duration::from_millis(50);
 
 /// Watchdog scan interval: the resolution of wall-clock deadlines.
 const WATCHDOG_TICK: Duration = Duration::from_millis(5);
+
+/// stdin chunks queued for the frame assembler. A chunk is at most one
+/// 8 KiB read of stdin's buffer, so with the one the reader holds and the
+/// one the assembler takes, at most 24 KiB of stdin is in flight.
+const STDIN_CHUNKS: usize = 1;
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -400,11 +407,7 @@ impl Server {
         if listener.set_nonblocking(true).is_err() {
             state.shutdown();
         }
-        std::thread::scope(|scope| {
-            for slot in 0..state.config.workers.max(1) {
-                scope.spawn(move || supervise_worker(state, slot));
-            }
-            scope.spawn(move || watchdog(state));
+        self.serve(|scope| {
             let mut next_conn: u64 = 0;
             while !state.draining() {
                 match listener.accept() {
@@ -413,45 +416,39 @@ impl Server {
                         let conn = next_conn;
                         scope.spawn(move || serve_connection(state, stream, conn));
                     }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        std::thread::sleep(POLL);
-                    }
+                    // Nothing to accept yet, or a failed accept: poll again.
                     Err(_) => std::thread::sleep(POLL),
                 }
             }
-            // Drain: wake anything parked on the queue so workers can
-            // observe the flag and exit once the queue is empty.
-            state.queue_cv.notify_all();
-        });
-        self.report()
+        })
     }
 
     /// Serves line-delimited requests from stdin (replies to stdout) until
     /// EOF or shutdown, then drains and returns the final report. EOF on
-    /// stdin initiates the same graceful drain as SIGTERM.
+    /// stdin ends a final frame that lacks its newline and initiates the
+    /// same graceful drain as SIGTERM; stdin is never reaped as idle.
     pub fn run_stdio(&self) -> ServeReport {
         let state = &*self.state;
         // stdin reads cannot be timed out portably, so a detached thread
-        // owns the blocking reads and forwards lines over a channel; it
-        // dies with the process if still blocked at exit.
-        let (line_tx, line_rx) = mpsc::channel::<String>();
+        // owns the blocking reads and forwards raw chunks over a bounded
+        // channel; it dies with the process if still blocked at exit.
+        let (chunk_tx, chunk_rx) = mpsc::sync_channel::<Vec<u8>>(STDIN_CHUNKS);
         std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                if line_tx.send(line).is_err() {
+            let mut stdin = std::io::stdin().lock();
+            loop {
+                let chunk = match stdin.fill_buf() {
+                    Ok([]) => break,
+                    Ok(buf) => buf.to_vec(),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => break,
+                };
+                stdin.consume(chunk.len());
+                if chunk_tx.send(chunk).is_err() {
                     break;
                 }
             }
         });
-        std::thread::scope(|scope| {
-            for slot in 0..state.config.workers.max(1) {
-                scope.spawn(move || supervise_worker(state, slot));
-            }
-            scope.spawn(move || watchdog(state));
+        self.serve(|scope| {
             let (reply_tx, reply_rx) = mpsc::channel::<String>();
             scope.spawn(move || {
                 let mut out = std::io::stdout().lock();
@@ -460,27 +457,42 @@ impl Server {
                     let _ = out.flush();
                 }
             });
-            let mut line_no: u64 = 0;
+            let mut frames = FrameAssembler::new(state, 0, &reply_tx);
             while !state.draining() {
-                match line_rx.recv_timeout(POLL) {
-                    Ok(line) => {
-                        line_no += 1;
-                        if line.len() > state.config.max_frame_bytes {
-                            Counters::bump(&state.counters.oversized_frames);
-                            send(&reply_tx, oversized_reply(line_no));
-                            continue;
+                match chunk_rx.recv_timeout(POLL) {
+                    Ok(chunk) => {
+                        let mut rest = &chunk[..];
+                        while !rest.is_empty() {
+                            rest = &rest[frames.feed(rest)..];
                         }
-                        handle_frame(state, 0, &line, line_no, &reply_tx);
                     }
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => {
+                        // EOF ends a final frame that lacks its newline.
+                        frames.feed(b"\n");
                         state.shutdown();
                     }
                 }
             }
-            state.queue_cv.notify_all();
             // `reply_tx` drops here; the printer exits once the workers
             // have flushed the replies for every admitted job.
+        })
+    }
+
+    /// Runs `transport` on the calling thread beside the worker
+    /// supervisors and the watchdog, then drains: returns the final report
+    /// once `transport`'s threads and every admitted job are done.
+    fn serve<'env>(&'env self, transport: impl for<'s> FnOnce(&'s Scope<'s, 'env>)) -> ServeReport {
+        let state: &'env ServerState = &self.state;
+        std::thread::scope(|scope| {
+            for slot in 0..state.config.workers.max(1) {
+                scope.spawn(move || supervise_worker(state, slot));
+            }
+            scope.spawn(move || watchdog(state));
+            transport(scope);
+            // Drain: wake anything parked on the queue so workers can
+            // observe the flag and exit once the queue is empty.
+            state.queue_cv.notify_all();
         });
         self.report()
     }
@@ -525,16 +537,6 @@ impl Server {
 
 fn send(tx: &Sender<String>, reply: Value) {
     let _ = tx.send(render(&reply));
-}
-
-fn oversized_reply(line_no: u64) -> Value {
-    error_reply(
-        None,
-        ErrorKind::FrameTooLarge,
-        "frame exceeds the size bound",
-        Some(line_no),
-        None,
-    )
 }
 
 /// Routes one parsed frame: answer protocol probes inline, register and
@@ -844,9 +846,8 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, state: &ServerState)
     }
 }
 
-/// Assembles newline-delimited frames with a hard size bound. Oversized
-/// frames are discarded to the next newline and answered with
-/// `frame_too_large`; idle connections with nothing in flight are reaped.
+/// Reads a connection's frames through a [`FrameAssembler`]; idle
+/// connections with nothing in flight are reaped.
 fn reader_loop(
     state: &ServerState,
     stream: TcpStream,
@@ -854,9 +855,7 @@ fn reader_loop(
     tx: &Sender<String>,
 ) -> ReaderExit {
     let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    let mut discarding = false;
-    let mut line_no: u64 = 0;
+    let mut frames = FrameAssembler::new(state, conn, tx);
     let mut last_activity = Instant::now();
     loop {
         if state.draining() {
@@ -879,43 +878,74 @@ fn reader_loop(
             Err(_) => return ReaderExit::Abandoned,
         };
         last_activity = Instant::now();
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let consumed = pos + 1;
-                if discarding {
-                    discarding = false;
-                    line.clear();
-                    reader.consume(consumed);
-                    line_no += 1;
-                    Counters::bump(&state.counters.oversized_frames);
-                    send(tx, oversized_reply(line_no));
-                    continue;
-                }
-                line.extend_from_slice(&buf[..pos]);
-                reader.consume(consumed);
-                line_no += 1;
-                if line.len() > state.config.max_frame_bytes {
-                    Counters::bump(&state.counters.oversized_frames);
-                    send(tx, oversized_reply(line_no));
-                } else {
-                    let text = String::from_utf8_lossy(&line).into_owned();
-                    handle_frame(state, conn, &text, line_no, tx);
-                }
-                line.clear();
-            }
-            None => {
-                let len = buf.len();
-                if !discarding {
-                    line.extend_from_slice(buf);
-                    if line.len() > state.config.max_frame_bytes {
-                        // Stop buffering a frame that can only be rejected.
-                        discarding = true;
-                        line.clear();
-                    }
-                }
-                reader.consume(len);
-            }
+        let consumed = frames.feed(buf);
+        reader.consume(consumed);
+    }
+}
+
+/// Turns one connection's bytes into the frames [`handle_frame`] routes:
+/// newline-delimited, numbered from 1 and converted from UTF-8 lossily.
+/// A frame over `max_frame_bytes` is discarded while its bytes stream in
+/// and answered `frame_too_large` at its newline, so the assembler never
+/// holds more than the bound, whatever the client sends. Both transports
+/// feed one.
+struct FrameAssembler<'a> {
+    state: &'a ServerState,
+    conn: u64,
+    tx: &'a Sender<String>,
+    /// The current frame's bytes, unless it is over the bound.
+    line: Vec<u8>,
+    /// Whether the current frame went over the bound.
+    oversized: bool,
+    line_no: u64,
+}
+
+impl<'a> FrameAssembler<'a> {
+    fn new(state: &'a ServerState, conn: u64, tx: &'a Sender<String>) -> Self {
+        FrameAssembler {
+            state,
+            conn,
+            tx,
+            line: Vec::new(),
+            oversized: false,
+            line_no: 0,
         }
+    }
+
+    /// Takes `bytes` up to and including the first newline, routing the
+    /// frame it ends, or all of `bytes` when there is none; returns how
+    /// many bytes it took.
+    fn feed(&mut self, bytes: &[u8]) -> usize {
+        let newline = bytes.iter().position(|&b| b == b'\n');
+        let body = &bytes[..newline.unwrap_or(bytes.len())];
+        if self.oversized || self.line.len() + body.len() > self.state.config.max_frame_bytes {
+            // Stop buffering a frame that can only be rejected.
+            self.oversized = true;
+            self.line.clear();
+        } else {
+            self.line.extend_from_slice(body);
+        }
+        let Some(newline) = newline else {
+            return bytes.len();
+        };
+        self.line_no += 1;
+        if std::mem::take(&mut self.oversized) {
+            Counters::bump(&self.state.counters.oversized_frames);
+            let message = "frame exceeds the size bound";
+            let reply = error_reply(
+                None,
+                ErrorKind::FrameTooLarge,
+                message,
+                Some(self.line_no),
+                None,
+            );
+            send(self.tx, reply);
+        } else {
+            let text = String::from_utf8_lossy(&self.line);
+            handle_frame(self.state, self.conn, &text, self.line_no, self.tx);
+        }
+        self.line.clear();
+        newline + 1
     }
 }
 
@@ -949,5 +979,34 @@ mod tests {
             write_timeout
         ));
         drop(client);
+    }
+
+    #[test]
+    fn the_assembler_never_buffers_more_than_the_bound() {
+        let bound = DEFAULT_MAX_FRAME_BYTES;
+        let server = Server::new(ServerConfig::default());
+        let (tx, rx) = mpsc::channel();
+        let mut frames = FrameAssembler::new(&server.state, 1, &tx);
+        let chunk = vec![b'z'; 64 << 10];
+        for _ in 0..16 * bound / chunk.len() {
+            assert_eq!(frames.feed(&chunk), chunk.len());
+            assert!(frames.line.len() <= bound, "{} buffered", frames.line.len());
+        }
+        let mut rest: &[u8] = b"\n{\"op\":\"ping\",\"id\":3}\n";
+        while !rest.is_empty() {
+            rest = &rest[frames.feed(rest)..];
+        }
+        drop(frames);
+        drop(tx);
+        let replies: Vec<Value> = rx
+            .iter()
+            .map(|line| serde_json::from_str(&line).expect("a JSON reply"))
+            .collect();
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        let kind = replies[0].get("kind").and_then(Value::as_str);
+        assert_eq!(kind, Some("frame_too_large"));
+        assert_eq!(replies[0].get("line").and_then(Value::as_u64), Some(1));
+        assert_eq!(render(&replies[1]), render(&pong_reply(3)));
+        assert_eq!(server.report().oversized_frames, 1);
     }
 }

@@ -1,5 +1,8 @@
-//! `phoenixd` as a process: eight concurrent clients drive the real daemon
-//! binary with mixed valid and adversarial traffic, then SIGTERM drains it.
+//! `phoenixd` as a process, on both transports. Over TCP, eight concurrent
+//! clients drive the real daemon binary with mixed valid and adversarial
+//! traffic, then SIGTERM drains it. Over stdio, the default transport, one
+//! stream of valid, malformed, non-UTF-8 and oversized frames ends in a
+//! ping without a newline, and closing stdin drains it.
 //!
 //! The serving contract, checked end to end:
 //!
@@ -7,20 +10,20 @@
 //! - every request gets a typed reply: shed requests surface as
 //!   `overloaded`, malformed frames as `invalid_request` and oversized
 //!   ones as `frame_too_large`, never as a silent drop;
-//! - SIGTERM drains: the process exits 0, and its `--report` shows every
-//!   admitted request completed, no worker death and a bounded p99 queue
-//!   wait;
+//! - SIGTERM (or EOF on stdio) drains: the process exits 0, and its
+//!   `--report` shows every admitted request completed, no worker death
+//!   and a bounded p99 queue wait;
 //! - the daemon writes nothing but its report, and the test removes that.
 //!
-//! Each client sends ten requests: about 65% valid compiles (retried with
-//! backoff through overload), 10% malformed frames, 5% oversized frames,
-//! 10% compile-then-cancel pairs, 5% zero deadlines and 5% pings.
+//! Each TCP client sends ten requests: about 65% valid compiles (retried
+//! with backoff through overload), 10% malformed frames, 5% oversized
+//! frames, 10% compile-then-cancel pairs, 5% zero deadlines and 5% pings.
 
 #![cfg(unix)]
 #![allow(clippy::unwrap_used)]
 
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader, Write};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
@@ -64,12 +67,18 @@ impl Drop for Daemon {
     }
 }
 
+/// A fresh directory for one daemon of this test process.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("phoenixd-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// Starts `phoenixd` on an ephemeral port (4 workers, a queue of 8) and
 /// returns it with the address it announced.
 fn spawn_daemon() -> (Daemon, String) {
-    let dir = std::env::temp_dir().join(format!("phoenixd-daemon-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("daemon");
     let child = Command::new(env!("CARGO_BIN_EXE_phoenixd"))
         .current_dir(&dir)
         .args(["--tcp", "127.0.0.1:0", "--workers", "4", "--queue", "8"])
@@ -92,14 +101,19 @@ fn spawn_daemon() -> (Daemon, String) {
     (daemon, addr)
 }
 
-/// Sends SIGTERM and waits up to a minute for the drain to finish, so a
-/// daemon that never exits fails the test instead of hanging it.
+/// Sends SIGTERM and waits for the drain to finish.
 fn terminate(child: &mut Child) -> ExitStatus {
     extern "C" {
         fn kill(pid: i32, sig: i32) -> i32;
     }
     // SAFETY: `kill(2)` takes plain integers and touches no memory of ours.
     assert_eq!(unsafe { kill(child.id() as i32, 15) }, 0, "SIGTERM failed");
+    wait_for_exit(child)
+}
+
+/// Waits up to a minute for `child` to exit, so a daemon that never exits
+/// fails the test instead of hanging it.
+fn wait_for_exit(child: &mut Child) -> ExitStatus {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Some(status) = child.try_wait().unwrap() {
@@ -249,6 +263,127 @@ fn daemon_answers_mixed_traffic_and_drains_on_sigterm() {
         field("queue_wait_p99_us") <= 60_000_000,
         "p99 queue wait unbounded: {report:?}"
     );
+
+    let dir = daemon.dir.clone();
+    drop(daemon);
+    assert!(!dir.exists(), "{} left behind", dir.display());
+}
+
+/// The `--report` a drained daemon wrote into `dir`, after checking that it
+/// is the only file there.
+fn read_report(dir: &Path) -> Value {
+    let written: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(written, [REPORT], "phoenixd wrote more than its report");
+    let text = std::fs::read_to_string(dir.join(REPORT)).unwrap();
+    serde_json::from_str(text.trim()).unwrap()
+}
+
+fn report_field(report: &Value, name: &str) -> u64 {
+    report
+        .get(name)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("report lacks `{name}`: {report:?}"))
+}
+
+#[test]
+fn stdio_daemon_answers_every_frame_and_drains_at_eof() {
+    let dir = fresh_dir("stdio");
+    let child = Command::new(env!("CARGO_BIN_EXE_phoenixd"))
+        .current_dir(&dir)
+        .args(["--stdio", "--max-frame-bytes", &MAX_FRAME_BYTES.to_string()])
+        .args(["--report", REPORT])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut daemon = Daemon { child, dir };
+
+    let mut stream = Vec::new();
+    stream.extend_from_slice(
+        br#"{"op":"compile","id":1,"qubits":3,"terms":[["ZYY",0.1],["ZZY",0.1]],"target":"cnot"}"#,
+    );
+    stream.push(b'\n');
+    stream.extend_from_slice(
+        br#"{"op":"fleet","id":2,"qubits":4,"terms":[["ZZII",0.2],["IZZI",0.2],["IIZZ",0.2],["XIIX",0.1]],"devices":["line:5","grid:2x3","ion-trap:5","ring:5"]}"#,
+    );
+    stream.push(b'\n');
+    stream.extend_from_slice(b"{broken\n");
+    stream.extend_from_slice(b"\xff\xfe\n");
+    stream.resize(stream.len() + (1 << 20), b'z');
+    stream.push(b'\n');
+    stream.extend_from_slice(br#"{"op":"ping","id":6}"#);
+
+    // Written from a thread of its own: the daemon answers as it reads,
+    // and dropping the pipe is the EOF that drains it.
+    let mut stdin = daemon.child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || stdin.write_all(&stream));
+    let stdout = daemon.child.stdout.take().unwrap();
+    let reader = std::thread::spawn(move || {
+        BufReader::new(stdout)
+            .lines()
+            .map(|line| serde_json::from_str::<Value>(&line.unwrap()).unwrap_or(Value::Null))
+            .collect::<Vec<_>>()
+    });
+    let status = wait_for_exit(&mut daemon.child);
+    let written = writer.join().unwrap();
+    let replies = reader.join().unwrap();
+    assert!(status.success(), "phoenixd exited with {status} at EOF");
+    written.expect("phoenixd stopped reading stdin");
+
+    // Workers answer the compile and the fleet whenever they finish, so
+    // replies are matched by id, or by line number for the frames that
+    // carry none.
+    assert_eq!(replies.len(), 6, "one reply per frame: {replies:?}");
+    let by_id = |id: u64| {
+        replies
+            .iter()
+            .find(|r| r.get("id").and_then(Value::as_u64) == Some(id))
+            .unwrap_or_else(|| panic!("no reply for id {id}: {replies:?}"))
+    };
+    let by_line = |line: u64| {
+        replies
+            .iter()
+            .find(|r| r.get("line").and_then(Value::as_u64) == Some(line))
+            .unwrap_or_else(|| panic!("no reply for line {line}: {replies:?}"))
+    };
+
+    let compile = by_id(1);
+    assert_eq!(class(compile), "ok", "{compile:?}");
+    assert!(compile.get("gates").unwrap().as_u64().unwrap() > 0);
+    assert!(compile.get("metrics").is_some());
+
+    let fleet = by_id(2);
+    assert_eq!(class(fleet), "ok", "{fleet:?}");
+    let members = fleet.get("fleet").unwrap().as_array().unwrap();
+    assert_eq!(members.len(), 4);
+    let fidelities: Vec<f64> = members
+        .iter()
+        .map(|e| e.get("fidelity").unwrap().as_f64().unwrap())
+        .collect();
+    for pair in fidelities.windows(2) {
+        assert!(pair[0] >= pair[1], "reply not fidelity-ranked: {fleet:?}");
+    }
+    for entry in members {
+        assert!(entry.get("device").unwrap().as_str().is_some());
+        assert!(entry.get("two_qubit").unwrap().as_u64().is_some());
+        assert!(entry.get("depth").unwrap().as_u64().is_some());
+    }
+
+    assert_eq!(class(by_line(3)), "invalid_request");
+    assert_eq!(class(by_line(4)), "invalid_request");
+    assert_eq!(class(by_line(5)), "frame_too_large");
+    assert_eq!(class(by_id(6)), "pong");
+
+    let report = read_report(&daemon.dir);
+    assert_eq!(report_field(&report, "invalid_frames"), 2, "{report:?}");
+    assert_eq!(report_field(&report, "oversized_frames"), 1, "{report:?}");
+    assert_eq!(report_field(&report, "admitted"), 2, "{report:?}");
+    assert_eq!(report_field(&report, "completed"), 2, "{report:?}");
+    assert_eq!(report_field(&report, "worker_deaths"), 0, "{report:?}");
 
     let dir = daemon.dir.clone();
     drop(daemon);

@@ -11,6 +11,10 @@
 //! (`falcon27`, `manhattan65`, `eagle127`), optionally with an `@isa`
 //! suffix (`@cnot`, `@su4`, `@kak`).
 //!
+//! `phoenixc` compiles one program per run; the compile service and its
+//! line-delimited JSON protocol are `phoenixd`'s, on stdin/stdout by
+//! default.
+//!
 //! Program files list one Pauli exponentiation per line as
 //! `<coefficient> <pauli string>` after a `qubits <n>` header; `#` starts a
 //! comment. Example:
@@ -33,7 +37,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("compile") => cmd_compile(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
-        Some("--serve-stdin") => cmd_serve_stdin(),
         Some("--help") | Some("-h") | None => {
             eprintln!("{}", USAGE);
             return ExitCode::SUCCESS;
@@ -55,7 +58,6 @@ const USAGE: &str = "usage:
                    [--qasm <out.qasm>] [--no-simplify] [--no-order] [--lookahead K]
                    [--obs [--obs-trace <out.json>]]
   phoenixc demo uccsd|qaoa
-  phoenixc --serve-stdin
 
   device specs resolve through the registry: line:N, ring:N, grid:RxC,
   heavy-hex:RxL, ion-trap:N, or a preset (falcon27, manhattan65,
@@ -66,24 +68,8 @@ const USAGE: &str = "usage:
   stage-2 groups, metrics) to stderr; --obs-trace additionally writes a
   Chrome/Perfetto-loadable trace-event JSON.
 
-  --serve-stdin answers phoenixd protocol frames one per stdin line
-  (uncached, no server state) until EOF — the wire format without the
-  daemon. See `phoenixd --help` for the long-running service.";
-
-/// One-shot protocol mode: each stdin line is an independent `phoenixd`
-/// request frame, answered on stdout with exactly one reply line.
-fn cmd_serve_stdin() -> Result<(), String> {
-    use std::io::BufRead;
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        println!("{}", phoenix_serve::serve_one_line(&line));
-    }
-    Ok(())
-}
+  The compile service speaks its protocol on stdin/stdout by default:
+  see `phoenixd --help`.";
 
 fn cmd_compile(args: &[String]) -> Result<(), String> {
     let mut input = None;
