@@ -31,7 +31,8 @@ const TIME_WINDOW: Duration = Duration::from_millis(100);
 const MIN_TIMED_RUNS: usize = 5;
 
 fn measure(h: &Hamiltonian, tracer: &mut Tracer) -> Point {
-    // Timed without trace recording, so the reported numbers are clean;
+    // Timed on compiles that keep neither a trace nor an obs report, which
+    // take no per-pass statistics, so the numbers are the compile's own;
     // the trace (when requested) comes from a separate run.
     let compile = || {
         let request = phoenix_compiler()

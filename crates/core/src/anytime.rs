@@ -50,7 +50,9 @@ use phoenix_obs::Span;
 use phoenix_pauli::{Clifford2Q, PauliString};
 
 use crate::cancel::CancelToken;
-use crate::pass::{CompileContext, Pass, PassError, EVENT_ROUND_ABANDONED, EVENT_TRUNCATED};
+use crate::pass::{
+    CircuitStats, CompileContext, Pass, PassError, EVENT_ROUND_ABANDONED, EVENT_TRUNCATED,
+};
 use crate::passes::{ConcatPass, OrderPass, ShapeIndex, SimplifySynthPass, TransformPass};
 
 /// Rounds of the full deepening schedule. The last round scans every
@@ -127,8 +129,8 @@ impl DeepeningController {
 type CostKey = (usize, usize, usize);
 
 fn cost_key(circuit: &Circuit) -> CostKey {
-    let counts = circuit.counts();
-    (counts.two_qubit(), circuit.depth_2q(), counts.total)
+    let stats = CircuitStats::of(circuit);
+    (stats.two_qubit, stats.depth_2q, stats.gates)
 }
 
 /// One completed round's compilation state.

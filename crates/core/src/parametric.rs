@@ -33,7 +33,6 @@
 //! memo").
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use phoenix_cache::{encode_slot, CompileCache, ProgramKey, StructureArtifact};
 use phoenix_obs::metrics::MetricId;
@@ -41,7 +40,7 @@ use phoenix_obs::ObsCollector;
 use phoenix_pauli::{CanonicalIr, PauliString};
 
 use crate::error::{validate_program, PhoenixError};
-use crate::pass::{CompileContext, PassTrace};
+use crate::pass::{CompileContext, PassTrace, Recording};
 use crate::pipeline::{logical_passes, PhoenixOptions};
 use crate::request::Target;
 
@@ -79,8 +78,8 @@ pub(crate) fn split_path_allowed(options: &PhoenixOptions) -> bool {
 /// logical pipeline and decodes the skeleton into a [`StructureArtifact`].
 ///
 /// `cache` (when given) is threaded into the context so stage 2 can reuse
-/// per-shape group artifacts; `obs` instruments the run, and the trace's
-/// cumulative timings count from `start`.
+/// per-shape group artifacts; `obs` instruments the run, and `rec` puts it
+/// on the compile's clock and says whether its boundaries are measured.
 pub(crate) fn compile_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],
@@ -88,7 +87,7 @@ pub(crate) fn compile_structure(
     routing_aware: bool,
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
-    start: Instant,
+    rec: Recording,
 ) -> Result<(Arc<StructureArtifact>, PassTrace), PhoenixError> {
     // Validate on the slot-encoded terms: structure compilation is
     // independent of the request's coefficients, so a program whose angles
@@ -109,8 +108,7 @@ pub(crate) fn compile_structure(
     // them on the slot-encoded terms. Only
     // `structure()` brings either here, with the cache filtered out;
     // `run()` and `bind()` compile such requests unsplit.
-    let trace =
-        logical_passes(options, routing_aware, &Target::Logical).run_from(&mut ctx, start)?;
+    let trace = logical_passes(options, routing_aware, &Target::Logical).run_from(&mut ctx, rec)?;
     let artifact = StructureArtifact::from_slot_encoded(
         num_qubits,
         terms.len(),
@@ -125,7 +123,7 @@ pub(crate) fn compile_structure(
 /// Obtains the structure artifact for a request: from the program-level
 /// cache when possible, compiling (and inserting) otherwise. Returns the
 /// artifact, whether it was a program-cache hit, and the structure-phase
-/// trace (empty on a hit — those passes never ran), timed from `start`.
+/// trace (empty on a hit — those passes never ran), recorded as `rec` says.
 pub(crate) fn obtain_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],
@@ -133,7 +131,7 @@ pub(crate) fn obtain_structure(
     routing_aware: bool,
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
-    start: Instant,
+    rec: Recording,
 ) -> Result<(Arc<StructureArtifact>, bool, PassTrace), PhoenixError> {
     // `structure()` lands here regardless of options, so re-apply the
     // same gating `run()` uses before taking the split path: a request
@@ -143,7 +141,7 @@ pub(crate) fn obtain_structure(
     let cache = cache.filter(|_| split_path_allowed(options));
     let Some(cache) = cache else {
         let (artifact, trace) =
-            compile_structure(num_qubits, terms, options, routing_aware, None, obs, start)?;
+            compile_structure(num_qubits, terms, options, routing_aware, None, obs, rec)?;
         return Ok((artifact, false, trace));
     };
     let key = ProgramKey::new(
@@ -172,7 +170,7 @@ pub(crate) fn obtain_structure(
         routing_aware,
         Some(cache),
         obs,
-        start,
+        rec,
     )?;
     let artifact = cache.insert_program(key, artifact);
     Ok((artifact, false, trace))
@@ -224,7 +222,7 @@ mod tests {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX"]);
         let opts = PhoenixOptions::default();
         let (artifact, trace) =
-            compile_structure(3, &t, &opts, false, None, None, Instant::now()).unwrap();
+            compile_structure(3, &t, &opts, false, None, None, Recording::now(true)).unwrap();
         assert_eq!(trace.passes.len(), 4);
         let angles: Vec<f64> = t.iter().map(|(_, c)| *c).collect();
         let bound = artifact.bind(&angles).unwrap();
@@ -243,9 +241,9 @@ mod tests {
         }
         let opts = PhoenixOptions::default();
         let (art_a, _) =
-            compile_structure(3, &a, &opts, false, None, None, Instant::now()).unwrap();
+            compile_structure(3, &a, &opts, false, None, None, Recording::now(true)).unwrap();
         let (art_b, _) =
-            compile_structure(3, &b, &opts, false, None, None, Instant::now()).unwrap();
+            compile_structure(3, &b, &opts, false, None, None, Recording::now(true)).unwrap();
         assert_eq!(art_a.skeleton(), art_b.skeleton());
         assert_eq!(art_a.digest(), art_b.digest());
     }
@@ -255,12 +253,28 @@ mod tests {
         let t = terms(&["ZYY", "ZZY", "IZZ", "XIX"]);
         let opts = PhoenixOptions::default();
         let cache = Arc::new(CompileCache::new());
-        let (first, hit1, trace1) =
-            obtain_structure(3, &t, &opts, false, Some(&cache), None, Instant::now()).unwrap();
+        let (first, hit1, trace1) = obtain_structure(
+            3,
+            &t,
+            &opts,
+            false,
+            Some(&cache),
+            None,
+            Recording::now(true),
+        )
+        .unwrap();
         assert!(!hit1);
         assert!(!trace1.passes.is_empty());
-        let (second, hit2, trace2) =
-            obtain_structure(3, &t, &opts, false, Some(&cache), None, Instant::now()).unwrap();
+        let (second, hit2, trace2) = obtain_structure(
+            3,
+            &t,
+            &opts,
+            false,
+            Some(&cache),
+            None,
+            Recording::now(true),
+        )
+        .unwrap();
         assert!(hit2);
         assert!(trace2.passes.is_empty());
         assert!(Arc::ptr_eq(&first, &second));

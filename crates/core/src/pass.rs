@@ -10,8 +10,9 @@
 //! observable for free.
 //!
 //! [`CompileRequest`](crate::CompileRequest) runs the canonical sequence
-//! assembled from [`passes`](crate::passes); custom pipelines compose the
-//! same building blocks:
+//! assembled from [`passes`](crate::passes), and takes those statistics
+//! only when it keeps a trace or an obs report; custom pipelines compose
+//! the same building blocks:
 //!
 //! ```
 //! use phoenix_core::pass::{CompileContext, PassManager};
@@ -36,7 +37,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use phoenix_circuit::Circuit;
+use phoenix_circuit::{Circuit, Gate};
 use phoenix_obs::metrics::MetricId;
 pub use phoenix_obs::report::{Event as TraceEvent, EventKind};
 use phoenix_obs::{ObsCollector, Span};
@@ -321,17 +322,45 @@ pub struct CircuitStats {
 }
 
 impl CircuitStats {
-    /// Measures `circuit`.
+    /// Measures `circuit` in one pass over its gates, with one per-qubit
+    /// frontier of (depth, 2Q depth): the numbers [`Circuit::counts`],
+    /// [`Circuit::depth`] and [`Circuit::depth_2q`] take three passes for.
     pub fn of(circuit: &Circuit) -> Self {
-        let counts = circuit.counts();
+        #[cfg(test)]
+        STATS_TAKEN.with(|n| n.set(n.get() + 1));
+        let mut frontier = vec![(0usize, 0usize); circuit.num_qubits()];
+        let (mut cnot, mut two_qubit) = (0, 0);
+        for g in circuit.gates() {
+            match g.qubits() {
+                (a, None) => frontier[a].0 += 1,
+                (a, Some(b)) => {
+                    cnot += usize::from(matches!(g, Gate::Cnot(..)));
+                    two_qubit += 1;
+                    let layer = (
+                        frontier[a].0.max(frontier[b].0) + 1,
+                        frontier[a].1.max(frontier[b].1) + 1,
+                    );
+                    frontier[a] = layer;
+                    frontier[b] = layer;
+                }
+            }
+        }
         CircuitStats {
-            gates: counts.total,
-            cnot: counts.cnot,
-            two_qubit: counts.two_qubit(),
-            depth: circuit.depth(),
-            depth_2q: circuit.depth_2q(),
+            gates: circuit.len(),
+            cnot,
+            two_qubit,
+            depth: frontier.iter().map(|f| f.0).max().unwrap_or(0),
+            depth_2q: frontier.iter().map(|f| f.1).max().unwrap_or(0),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`CircuitStats::of`] calls made on this thread. Thread-local because
+    /// unit tests run concurrently, and a pass manager measures its
+    /// boundaries on the thread that runs it.
+    pub(crate) static STATS_TAKEN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Trace entry for a single executed pass.
@@ -500,20 +529,25 @@ impl PassManager {
     /// and `passes_run` plus every counter an event kind feeds are counted
     /// here.
     pub fn run(&self, ctx: &mut CompileContext) -> Result<PassTrace, PassError> {
-        self.run_from(ctx, Instant::now())
+        self.run_from(ctx, Recording::now(true))
     }
 
-    /// [`PassManager::run`] on a clock that started at `t0`: the records'
-    /// `cumulative_millis` and the budget's deadline count from it, so the
-    /// managers one compile runs in turn share one clock.
+    /// [`PassManager::run`] as one of the managers a compile runs in turn:
+    /// on the compile's clock, and measuring its boundaries only when
+    /// `rec.measure` says the compile keeps a record that carries them.
+    /// Unmeasured, the returned trace holds the events and no pass record.
     pub(crate) fn run_from(
         &self,
         ctx: &mut CompileContext,
-        t0: Instant,
+        rec: Recording,
     ) -> Result<PassTrace, PassError> {
+        debug_assert!(
+            rec.measure || ctx.obs.is_none(),
+            "an instrumented compile measures its boundaries"
+        );
         let mut trace = PassTrace::default();
         if let Some(budget) = self.budget {
-            ctx.deadline = Some(t0 + budget);
+            ctx.deadline = Some(rec.t0 + budget);
         }
         // The last pass's `after`, which is the next pass's `before`.
         let mut stats = None;
@@ -526,7 +560,9 @@ impl PassManager {
             if let Some(reason) = ctx.cancel_reason().filter(|_| !ctx.soft_cancelled) {
                 return Err(PassError::cancelled(pass.name(), reason));
             }
-            let before = stats.unwrap_or_else(|| CircuitStats::of(&ctx.circuit));
+            let before = rec
+                .measure
+                .then(|| stats.unwrap_or_else(|| CircuitStats::of(&ctx.circuit)));
             ctx.spans.clear();
             let start = Instant::now();
             run_contained(pass.name(), || pass.run(ctx))?;
@@ -539,27 +575,51 @@ impl PassManager {
                 );
             }
             let end = Instant::now();
-            let after = CircuitStats::of(&ctx.circuit);
-            stats = Some(after);
-            let record = PassRecord {
-                name: pass.name().to_string(),
-                millis: (end - start).as_secs_f64() * 1e3,
-                cumulative_millis: (end - t0).as_secs_f64() * 1e3,
-                before,
-                after,
-            };
-            if let Some(obs) = &ctx.obs {
-                obs.metrics().incr(MetricId::PassesRun);
-                let mut span = record.span();
-                span.start_us = obs.us_at(start);
-                span.dur_us = (end - start).as_micros() as u64;
-                span.children = std::mem::take(&mut ctx.spans);
-                obs.push_root(span);
+            if let Some(before) = before {
+                let after = CircuitStats::of(&ctx.circuit);
+                stats = Some(after);
+                let record = PassRecord {
+                    name: pass.name().to_string(),
+                    millis: (end - start).as_secs_f64() * 1e3,
+                    cumulative_millis: (end - rec.t0).as_secs_f64() * 1e3,
+                    before,
+                    after,
+                };
+                if let Some(obs) = &ctx.obs {
+                    obs.metrics().incr(MetricId::PassesRun);
+                    let mut span = record.span();
+                    span.start_us = obs.us_at(start);
+                    span.dur_us = (end - start).as_micros() as u64;
+                    span.children = std::mem::take(&mut ctx.spans);
+                    obs.push_root(span);
+                }
+                trace.passes.push(record);
             }
             drain_events(ctx, &mut trace);
-            trace.passes.push(record);
         }
         Ok(trace)
+    }
+}
+
+/// How the managers one compile runs in turn record their boundaries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Recording {
+    /// When the compile started: every record's `cumulative_millis` and the
+    /// budget's deadline count from it, so the managers share one clock.
+    pub(crate) t0: Instant,
+    /// Whether each boundary's [`CircuitStats`] are taken and each pass's
+    /// [`PassRecord`] kept. A compile sets it only when it keeps a record
+    /// that carries them: a retained trace, or an obs collector.
+    pub(crate) measure: bool,
+}
+
+impl Recording {
+    /// A recording on a clock that starts now.
+    pub(crate) fn now(measure: bool) -> Self {
+        Recording {
+            t0: Instant::now(),
+            measure,
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 use crate::anytime::AnytimePass;
 use crate::cancel::CancelToken;
 use crate::error::{validate_device, PhoenixError};
-use crate::pass::{CompileContext, PassError, PassManager};
+use crate::pass::{CompileContext, PassError, PassManager, Recording};
 use crate::passes::{
     ConcatPass, GroupPass, LayoutRoutePass, OrderPass, SimplifySynthPass, SnapshotLogicalPass,
     TransformPass,
@@ -310,7 +310,8 @@ pub fn try_run_hardware_backend(
         layout_trials,
         ..PhoenixOptions::default()
     };
-    lowering_passes(&target, &options).run(&mut ctx)?;
+    // It returns no trace, so it measures no boundary.
+    lowering_passes(&target, &options).run_from(&mut ctx, Recording::now(false))?;
     extract_hardware_program(ctx)
 }
 

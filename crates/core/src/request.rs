@@ -40,7 +40,7 @@ use phoenix_pauli::PauliString;
 use crate::error::{validate_device, validate_program, PhoenixError};
 use crate::par;
 use crate::parametric;
-use crate::pass::{CompileContext, PassManager, PassTrace};
+use crate::pass::{CompileContext, PassManager, PassTrace, Recording};
 use crate::pipeline::{
     compile_passes, extract_hardware_program, lowering_passes, HardwareProgram, PhoenixOptions,
 };
@@ -119,8 +119,9 @@ impl CompileRequest {
         self
     }
 
-    /// Whether to retain the [`PassTrace`] in the outcome. The manager
-    /// records it either way; this only controls retention.
+    /// Whether to retain the [`PassTrace`] in the outcome. A compile that
+    /// retains neither the trace nor an obs report ([`CompileRequest::obs`])
+    /// takes no boundary statistics at all; its trace would be dropped.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
         self
@@ -171,7 +172,7 @@ impl CompileRequest {
             self.target.routes(),
             self.cache.as_ref(),
             None,
-            Instant::now(),
+            Recording::now(false),
         )?;
         Ok(artifact)
     }
@@ -302,7 +303,7 @@ impl CompileRequest {
             self.target.routes(),
             self.cache.as_ref(),
             collector.as_ref(),
-            start,
+            self.recording(start),
         )?;
         let bind_start = collector.as_ref().map(|c| c.now_us());
         let bound = artifact.bind(angles)?;
@@ -338,6 +339,16 @@ impl CompileRequest {
         }
     }
 
+    /// How the compile's managers record, on a clock started at `start`:
+    /// boundaries are measured only when the request keeps a record that
+    /// carries them, its trace or its obs report.
+    fn recording(&self, start: Instant) -> Recording {
+        Recording {
+            t0: start,
+            measure: self.trace || self.obs,
+        }
+    }
+
     /// The request's observability collector, when `obs` is on.
     fn collector(&self) -> Option<Arc<ObsCollector>> {
         self.obs.then(|| {
@@ -363,7 +374,7 @@ impl CompileRequest {
     ) -> Result<CompileOutcome, PhoenixError> {
         ctx.obs = collector.clone();
         ctx.cancel = self.options.cancel.clone();
-        let ran = manager.run_from(&mut ctx, start)?;
+        let ran = manager.run_from(&mut ctx, self.recording(start))?;
         trace.passes.extend(ran.passes);
         trace.events.extend(ran.events);
         let obs = collector.map(|c| {
@@ -544,6 +555,92 @@ mod tests {
         // The report renders without panicking and names every pass.
         let text = report.render();
         assert!(text.contains("simplify-synth"), "{text}");
+    }
+
+    /// `f`'s result and the [`CircuitStats`](crate::pass::CircuitStats)
+    /// it took on this thread.
+    fn stats_taken<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let count = || crate::pass::STATS_TAKEN.with(std::cell::Cell::get);
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    /// The passes a compile recorded, read from its trace or its report.
+    fn passes_recorded(out: &CompileOutcome) -> usize {
+        match (&out.trace, &out.obs) {
+            (Some(trace), _) => trace.passes.len(),
+            (None, Some(report)) => report.metrics.counter("passes_run").unwrap() as usize,
+            (None, None) => 0,
+        }
+    }
+
+    #[test]
+    fn only_a_compile_that_keeps_a_record_measures_its_boundaries() {
+        let t = terms(&["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX"]);
+        let angles: Vec<f64> = (0..t.len()).map(|i| 0.3 - 0.1 * i as f64).collect();
+        let line = Target::Device(Device::bare(CouplingGraph::line(3)));
+        let request = |target: &Target, trace: bool, obs: bool| {
+            CompileRequest::new(3, &t)
+                .target(target.clone())
+                .trace(trace)
+                .obs(obs)
+        };
+
+        // Untraced, uninstrumented compiles take no statistics.
+        for target in [Target::Cnot, line.clone()] {
+            let (_, taken) = stats_taken(|| request(&target, false, false).run().unwrap());
+            assert_eq!(taken, 0, "{target:?}");
+        }
+        let cache = Arc::new(CompileCache::new());
+        request(&Target::Cnot, false, false)
+            .cache(&cache)
+            .run()
+            .unwrap();
+        let (_, taken) = stats_taken(|| {
+            request(&Target::Cnot, false, false)
+                .cache(&cache)
+                .bind(&angles)
+                .unwrap()
+        });
+        assert_eq!(taken, 0, "warm bind");
+        let (_, taken) = stats_taken(|| request(&Target::Cnot, true, true).structure().unwrap());
+        assert_eq!(taken, 0, "structure()");
+        let logical = request(&Target::Logical, false, false).run().unwrap();
+        let (_, taken) = stats_taken(|| {
+            crate::try_run_hardware_backend(
+                &logical.circuit,
+                &CouplingGraph::line(3),
+                &Default::default(),
+                1,
+            )
+            .unwrap()
+        });
+        assert_eq!(taken, 0, "try_run_hardware_backend");
+
+        // A kept record takes one measurement per boundary: each manager
+        // measures before its first pass and after every pass. Unsplit
+        // compiles run one manager; a cold cached bind runs two (the
+        // structure phase and the lowering), a warm one only the lowering.
+        for (trace, obs) in [(true, false), (false, true), (true, true)] {
+            let flags = format!("trace {trace}, obs {obs}");
+            for (target, passes) in [(Target::Cnot, 5), (line.clone(), 9)] {
+                let (out, taken) = stats_taken(|| request(&target, trace, obs).run().unwrap());
+                assert_eq!(passes_recorded(&out), passes, "{flags}, {target:?}");
+                assert_eq!(taken, passes + 1, "{flags}, {target:?}");
+            }
+            let cache = Arc::new(CompileCache::new());
+            for (phase, passes, managers) in [("cold", 5, 2), ("warm", 1, 1)] {
+                let (out, taken) = stats_taken(|| {
+                    request(&Target::Cnot, trace, obs)
+                        .cache(&cache)
+                        .bind(&angles)
+                        .unwrap()
+                });
+                assert_eq!(passes_recorded(&out), passes, "{flags}, {phase}");
+                assert_eq!(taken, passes + managers, "{flags}, {phase}");
+            }
+        }
     }
 
     #[test]

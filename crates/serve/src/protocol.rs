@@ -35,6 +35,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
+use phoenix_core::pass::CircuitStats;
 use phoenix_core::phoenix_cache::CacheStats;
 use phoenix_core::{
     CompileOutcome, Device, DeviceRegistry, DeviceSpecError, FleetOutcome, PhoenixError, Target,
@@ -237,15 +238,15 @@ pub fn cache_stats_value(stats: &CacheStats) -> Value {
 /// The success reply for a compile request: circuit shape, the per-request
 /// metrics snapshot, and the shared cache's running statistics.
 pub fn ok_reply(id: u64, outcome: &CompileOutcome, cache: Option<&CacheStats>) -> Value {
-    let counts = outcome.circuit.counts();
+    let shape = CircuitStats::of(&outcome.circuit);
     let mut pairs = vec![
         ("id", int_val(id)),
         ("status", str_val("ok")),
-        ("gates", int_val(counts.total as u64)),
-        ("cnot", int_val(counts.cnot as u64)),
-        ("two_qubit", int_val(counts.two_qubit() as u64)),
-        ("depth", int_val(outcome.circuit.depth() as u64)),
-        ("depth_2q", int_val(outcome.circuit.depth_2q() as u64)),
+        ("gates", int_val(shape.gates as u64)),
+        ("cnot", int_val(shape.cnot as u64)),
+        ("two_qubit", int_val(shape.two_qubit as u64)),
+        ("depth", int_val(shape.depth as u64)),
+        ("depth_2q", int_val(shape.depth_2q as u64)),
         ("num_groups", int_val(outcome.num_groups as u64)),
     ];
     if let Some(depth) = outcome.depth_reached {
@@ -272,7 +273,7 @@ pub fn fleet_ok_reply(id: u64, outcome: &FleetOutcome, cache: Option<&CacheStats
         .ranked
         .iter()
         .map(|entry| {
-            let counts = entry.outcome.circuit.counts();
+            let shape = CircuitStats::of(&entry.outcome.circuit);
             let swaps = entry
                 .outcome
                 .hardware
@@ -282,8 +283,8 @@ pub fn fleet_ok_reply(id: u64, outcome: &FleetOutcome, cache: Option<&CacheStats
                 ("device", str_val(entry.device.name())),
                 ("fidelity", Value::Float(entry.fidelity)),
                 ("isa", str_val(entry.device.isa().name())),
-                ("two_qubit", int_val(counts.two_qubit() as u64)),
-                ("depth", int_val(entry.outcome.circuit.depth() as u64)),
+                ("two_qubit", int_val(shape.two_qubit as u64)),
+                ("depth", int_val(shape.depth as u64)),
                 ("swaps", int_val(swaps)),
             ])
         })
