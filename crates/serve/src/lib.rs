@@ -8,8 +8,8 @@
 //! - **[`protocol`]** — the strict line-delimited JSON wire format (frame
 //!   size bounds, unknown-field rejection, line-numbered errors).
 //! - **[`server`]** — a bounded worker pool with admission control that
-//!   sheds load with typed `overloaded` replies, a wall-clock deadline
-//!   watchdog, client-initiated cancellation, per-request panic isolation
+//!   sheds load with typed `overloaded` replies, one deadline check at
+//!   dispatch, client-initiated cancellation, per-request panic isolation
 //!   with worker respawn, slow-client write timeouts, half-open connection
 //!   reaping, and graceful drain on shutdown. Speaks TCP (`std::net` +
 //!   scoped threads — no async runtime) and stdio.
@@ -43,11 +43,16 @@ use serde_json::Value;
 /// Executes one compile request against the pipeline, mapping the outcome
 /// (success, typed failure, cancellation, deadline) onto its wire reply.
 ///
-/// `budget` becomes the request's `pass_budget`: optimization effort is
-/// truncated once it elapses, while the wall-clock watchdog (driving
-/// `cancel`) aborts outright. Requests without a budget take the cached
-/// structure path when `cache` is mounted; budgeted requests deterministically
-/// bypass it (time-boxed runs must not leak into a shared cache).
+/// `budget` becomes the request's `pass_budget`, the wall-clock time left
+/// for deepening (a server passes what remains of the deadline at
+/// dispatch); lowering and routing run in full after it. The QoS tier
+/// ([`deepening_rounds`]) is read from the requested `spec.deadline_ms`,
+/// so it does not depend on how long the request queued. A `cancel` token
+/// that has already fired answers without compiling: `cancelled`, or
+/// `deadline_exceeded` for [`CancelToken::cancel_deadline`]. Requests
+/// without a budget take the cached structure path when `cache` is
+/// mounted; budgeted requests deterministically bypass it (time-boxed runs
+/// must not leak into a shared cache).
 pub fn execute_spec(
     spec: &CompileSpec,
     cache: Option<&Arc<CompileCache>>,
@@ -58,8 +63,8 @@ pub fn execute_spec(
     if spec.sabotage == Some(protocol::Sabotage::Pass) {
         return sabotage_pass_reply(spec);
     }
-    let (n, terms) = (spec.qubits, &spec.terms);
-    let outcome = request_for(n, terms, spec.lookahead, cache, cancel, budget)
+    let (n, terms, deadline) = (spec.qubits, &spec.terms, spec.deadline_ms);
+    let outcome = request_for(n, terms, spec.lookahead, deadline, cache, cancel, budget)
         .and_then(|request| request.target(spec.target.clone()).run());
     match outcome {
         Ok(outcome) => {
@@ -83,8 +88,8 @@ pub fn execute_fleet_spec(
     cancel: Option<CancelToken>,
     budget: Option<Duration>,
 ) -> Value {
-    let (n, terms) = (spec.qubits, &spec.terms);
-    let outcome = request_for(n, terms, spec.lookahead, cache, cancel, budget)
+    let (n, terms, deadline) = (spec.qubits, &spec.terms, spec.deadline_ms);
+    let outcome = request_for(n, terms, spec.lookahead, deadline, cache, cancel, budget)
         .and_then(|request| request.fleet(&spec.devices));
     match outcome {
         Ok(outcome) => {
@@ -110,6 +115,7 @@ fn request_for(
     qubits: usize,
     terms: &[(PauliString, f64)],
     lookahead: Option<usize>,
+    deadline_ms: Option<u64>,
     cache: Option<&Arc<CompileCache>>,
     cancel: Option<CancelToken>,
     budget: Option<Duration>,
@@ -121,10 +127,10 @@ fn request_for(
     }
     let mut options = PhoenixOptions {
         pass_budget: budget,
-        // Tiered QoS: map the deadline onto a logical deepening cap so a
-        // roomier deadline buys a deeper (never worse) search even when the
-        // wall clock would not have interrupted the shallow one.
-        anytime_rounds: budget.map(deepening_rounds),
+        // Tiered QoS: map the requested deadline onto a logical deepening
+        // cap so a roomier deadline buys a deeper (never worse) search even
+        // when the wall clock would not have interrupted the shallow one.
+        anytime_rounds: deadline_ms.map(|ms| deepening_rounds(Duration::from_millis(ms))),
         cancel,
         ..PhoenixOptions::default()
     };
@@ -140,13 +146,15 @@ fn request_for(
     })
 }
 
-/// Maps a request deadline onto an anytime deepening cap: the QoS tiers of
-/// `phoenixd`. Tighter deadlines get a shallower logical schedule — they
-/// would be wall-clock-truncated anyway, and capping the rounds makes the
-/// quality tier deterministic instead of machine-speed-dependent. Roomier
-/// deadlines deepen further; ≥ 1 s runs the full schedule.
-pub fn deepening_rounds(budget: Duration) -> usize {
-    match budget.as_millis() {
+/// Maps a requested deadline onto an anytime deepening cap: the QoS tiers
+/// of `phoenixd` (under 10 ms → 2 rounds, under 100 ms → 4, under 1 s → 6,
+/// from 1 s the full schedule). Tighter deadlines get a shallower logical
+/// schedule — they would be wall-clock-truncated anyway, and capping the
+/// rounds makes the quality tier deterministic instead of
+/// machine-speed-dependent. The tier is that of the deadline the client
+/// asked for, not of the time left when a worker picks the request up.
+pub fn deepening_rounds(deadline: Duration) -> usize {
+    match deadline.as_millis() {
         0..=9 => 2,
         10..=99 => 4,
         100..=999 => 6,
@@ -191,9 +199,9 @@ mod tests {
 
     #[test]
     fn zero_deadline_still_produces_a_valid_truncated_compile() {
-        // Without a watchdog to fire the cancel token, a zero deadline is
-        // only a zero pass budget, which truncates optimization but still
-        // returns a valid circuit.
+        // Without the server's dispatch check to fire the cancel token, a
+        // zero deadline is only a zero pass budget, which truncates
+        // optimization but still returns a valid circuit.
         let frame = r#"{"op":"compile","id":2,"qubits":2,"terms":[["ZZ",0.3]],"deadline_ms":0}"#;
         let Ok(Request::Compile(spec)) = protocol::parse_request(frame, 1) else {
             panic!("not a compile frame: {frame}");

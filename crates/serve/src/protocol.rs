@@ -58,7 +58,8 @@ pub enum ErrorKind {
     Overloaded,
     /// The request was abandoned on an explicit client cancellation.
     Cancelled,
-    /// The request was abandoned by the server-side wall-clock watchdog.
+    /// The request's deadline had passed when a worker picked it up, so it
+    /// was not compiled.
     DeadlineExceeded,
     /// Compilation failed with a typed [`PhoenixError`].
     CompileError,

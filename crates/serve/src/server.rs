@@ -1,5 +1,6 @@
 //! The `phoenixd` server: bounded worker pool, admission control, deadline
-//! watchdog, cancellation registry, panic isolation, and graceful drain.
+//! check at dispatch, cancellation registry, panic isolation, and graceful
+//! drain.
 //!
 //! Concurrency model (no async runtime — `std::net` + scoped threads,
 //! following the pipeline's own deterministic `std::thread::scope` idiom):
@@ -14,10 +15,10 @@
 //! - a fixed pool of **worker supervisors** each run a worker loop inside
 //!   `catch_unwind`: a worker that dies is logged, counted, its request
 //!   answered with a typed `panic` reply, and the loop re-entered — the
-//!   process lives;
-//! - a **watchdog** thread fires each request's [`CancelToken`] once its
-//!   wall-clock deadline passes, aborting the compile at the next pass
-//!   boundary even when the `pass_budget` mapping alone would not stop it.
+//!   process lives. A worker checks a request's deadline once, when it
+//!   picks the request up: an expired one is answered `deadline_exceeded`,
+//!   and any other compiles with the time left as its pass budget, which
+//!   stops deepening at the deadline while lowering and routing finish.
 //!
 //! Admission is a bounded queue: when full, requests are *shed* with a
 //! typed `overloaded` reply carrying a `retry_after_ms` estimate — never
@@ -65,7 +66,8 @@ pub struct ServerConfig {
     /// before being reaped.
     pub idle_timeout: Duration,
     /// Deadline applied to requests that do not carry their own
-    /// `deadline_ms`.
+    /// `deadline_ms`: admission writes it into the frame, in whole
+    /// milliseconds, so it picks the QoS tier as a client's would.
     pub default_deadline: Option<Duration>,
 }
 
@@ -83,12 +85,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Poll interval for the accept loop, blocked readers, and queue waits:
-/// every blocking point observes the drain flag at least this often.
+/// Poll interval for the accept loop and blocked readers: each observes
+/// the drain flag at least this often.
 const POLL: Duration = Duration::from_millis(50);
-
-/// Watchdog scan interval: the resolution of wall-clock deadlines.
-const WATCHDOG_TICK: Duration = Duration::from_millis(5);
 
 /// stdin chunks queued for the frame assembler. A chunk is at most one
 /// 8 KiB read of stdin's buffer, so with the one the reader holds and the
@@ -132,10 +131,10 @@ impl JobSpec {
         }
     }
 
-    fn deadline_ms(&self) -> Option<u64> {
+    fn deadline_ms(&mut self) -> &mut Option<u64> {
         match self {
-            JobSpec::Compile(s) => s.deadline_ms,
-            JobSpec::Fleet(s) => s.deadline_ms,
+            JobSpec::Compile(s) => &mut s.deadline_ms,
+            JobSpec::Fleet(s) => &mut s.deadline_ms,
         }
     }
 
@@ -162,12 +161,6 @@ struct Job {
     reply: Sender<String>,
 }
 
-/// What the cancellation registry knows about an in-flight request.
-struct InFlight {
-    token: CancelToken,
-    deadline: Option<Instant>,
-}
-
 /// What a worker supervisor needs to answer for a job whose worker died.
 struct JobMeta {
     conn: u64,
@@ -182,17 +175,19 @@ struct ServerState {
     queue_cv: Condvar,
     /// `(connection, request id)` → cancellation handle, for every admitted
     /// job that has not yet been answered.
-    registry: Mutex<HashMap<(u64, u64), InFlight>>,
+    registry: Mutex<HashMap<(u64, u64), CancelToken>>,
     counters: Counters,
-    /// Microseconds each admitted job waited in the queue (admission →
-    /// worker pickup), for the report's percentiles. Bounded.
-    queue_waits_us: Mutex<Vec<u64>>,
+    /// Microseconds each of the most recent [`MAX_WAIT_SAMPLES`] admitted
+    /// jobs waited in the queue (admission → worker pickup), oldest first,
+    /// for the report's percentiles.
+    queue_waits_us: Mutex<VecDeque<u64>>,
     /// EWMA of job execution time in microseconds, for `retry_after_ms`.
     avg_job_us: AtomicU64,
     draining: AtomicBool,
 }
 
-/// Cap on retained queue-wait samples (~800 KiB); enough for any bench run.
+/// Cap on retained queue-wait samples (~800 KiB): a newer wait replaces
+/// the oldest.
 const MAX_WAIT_SAMPLES: usize = 100_000;
 
 impl ServerState {
@@ -200,7 +195,11 @@ impl ServerState {
         self.draining.load(Ordering::Relaxed)
     }
 
+    /// Sets the drain flag and wakes every idle worker. Both happen under
+    /// the queue lock, so a worker that found the flag clear is already
+    /// waiting on the condvar when the wakeup comes.
     fn shutdown(&self) {
+        let _queue = self.lock_queue();
         self.draining.store(true, Ordering::Relaxed);
         self.queue_cv.notify_all();
     }
@@ -209,7 +208,7 @@ impl ServerState {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, u64), InFlight>> {
+    fn lock_registry(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, u64), CancelToken>> {
         self.registry.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -218,9 +217,10 @@ impl ServerState {
             .queue_waits_us
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if waits.len() < MAX_WAIT_SAMPLES {
-            waits.push(us);
+        if waits.len() == MAX_WAIT_SAMPLES {
+            waits.pop_front();
         }
+        waits.push_back(us);
     }
 
     /// Backoff hint for a shed request: the queue's expected drain time at
@@ -266,9 +266,11 @@ pub struct ServeReport {
     pub slow_client_drops: u64,
     /// Idle half-open connections reaped.
     pub reaped_connections: u64,
-    /// Median queue wait (admission → worker pickup), microseconds.
+    /// Median queue wait (admission → worker pickup) of the most recent
+    /// 100 000 admissions, microseconds.
     pub queue_wait_p50_us: u64,
-    /// 99th-percentile queue wait, microseconds.
+    /// 99th-percentile queue wait of the most recent 100 000 admissions,
+    /// microseconds.
     pub queue_wait_p99_us: u64,
     /// Shared compile-cache statistics.
     pub cache: CacheStats,
@@ -381,7 +383,7 @@ impl Server {
                 queue_cv: Condvar::new(),
                 registry: Mutex::new(HashMap::new()),
                 counters: Counters::default(),
-                queue_waits_us: Mutex::new(Vec::new()),
+                queue_waits_us: Mutex::new(VecDeque::new()),
                 avg_job_us: AtomicU64::new(0),
                 draining: AtomicBool::new(false),
             }),
@@ -480,19 +482,16 @@ impl Server {
     }
 
     /// Runs `transport` on the calling thread beside the worker
-    /// supervisors and the watchdog, then drains: returns the final report
-    /// once `transport`'s threads and every admitted job are done.
+    /// supervisors until the server drains, then returns the final report
+    /// once `transport`'s threads and every admitted job are done (the
+    /// shutdown that started the drain has woken the idle workers).
     fn serve<'env>(&'env self, transport: impl for<'s> FnOnce(&'s Scope<'s, 'env>)) -> ServeReport {
         let state: &'env ServerState = &self.state;
         std::thread::scope(|scope| {
             for slot in 0..state.config.workers.max(1) {
                 scope.spawn(move || supervise_worker(state, slot));
             }
-            scope.spawn(move || watchdog(state));
             transport(scope);
-            // Drain: wake anything parked on the queue so workers can
-            // observe the flag and exit once the queue is empty.
-            state.queue_cv.notify_all();
         });
         self.report()
     }
@@ -502,11 +501,13 @@ impl Server {
     pub fn report(&self) -> ServeReport {
         let s = &self.state;
         let c = &s.counters;
-        let mut waits = s
+        let mut waits: Vec<u64> = s
             .queue_waits_us
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone();
+            .iter()
+            .copied()
+            .collect();
         waits.sort_unstable();
         let pct = |p: f64| -> u64 {
             if waits.is_empty() {
@@ -560,7 +561,7 @@ fn handle_frame(state: &ServerState, conn: u64, frame: &str, line_no: u64, tx: &
             let found = state
                 .lock_registry()
                 .get(&(conn, id))
-                .map(|entry| entry.token.cancel())
+                .map(CancelToken::cancel)
                 .is_some();
             if found {
                 send(tx, cancelling_reply(id));
@@ -602,8 +603,9 @@ fn stats_reply(state: &ServerState, id: u64) -> Value {
 }
 
 /// Admission control: reject during drain, shed when the queue is full,
-/// otherwise register the cancel token and enqueue.
-fn admit(state: &ServerState, conn: u64, spec: JobSpec, tx: &Sender<String>) {
+/// otherwise give a frame without a deadline the server's default, register
+/// the cancel token and enqueue.
+fn admit(state: &ServerState, conn: u64, mut spec: JobSpec, tx: &Sender<String>) {
     if state.draining() {
         send(
             tx,
@@ -618,11 +620,14 @@ fn admit(state: &ServerState, conn: u64, spec: JobSpec, tx: &Sender<String>) {
         return;
     }
     let now = Instant::now();
-    let deadline = spec
-        .deadline_ms()
-        .map(Duration::from_millis)
-        .or(state.config.default_deadline)
-        .map(|d| now + d);
+    let deadline_ms = spec.deadline_ms();
+    if deadline_ms.is_none() {
+        *deadline_ms = state
+            .config
+            .default_deadline
+            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
+    }
+    let deadline = deadline_ms.map(|ms| now + Duration::from_millis(ms));
     let token = CancelToken::new();
     {
         let mut queue = state.lock_queue();
@@ -642,13 +647,9 @@ fn admit(state: &ServerState, conn: u64, spec: JobSpec, tx: &Sender<String>) {
             );
             return;
         }
-        state.lock_registry().insert(
-            (conn, spec.id()),
-            InFlight {
-                token: token.clone(),
-                deadline,
-            },
-        );
+        state
+            .lock_registry()
+            .insert((conn, spec.id()), token.clone());
         queue.push_back(Job {
             conn,
             spec,
@@ -672,11 +673,10 @@ fn pop_job(state: &ServerState) -> Option<Job> {
         if state.draining() {
             return None;
         }
-        let (guard, _) = state
+        queue = state
             .queue_cv
-            .wait_timeout(queue, POLL)
+            .wait(queue)
             .unwrap_or_else(|e| e.into_inner());
-        queue = guard;
     }
 }
 
@@ -715,18 +715,20 @@ fn supervise_worker(state: &ServerState, slot: usize) {
 
 fn worker_loop(state: &ServerState, current: &Mutex<Option<JobMeta>>) {
     while let Some(job) = pop_job(state) {
-        state.record_wait(job.enqueued.elapsed().as_micros() as u64);
+        let started = Instant::now();
+        state.record_wait(started.duration_since(job.enqueued).as_micros() as u64);
         *current.lock().unwrap_or_else(|e| e.into_inner()) = Some(JobMeta {
             conn: job.conn,
             id: job.spec.id(),
             reply: job.reply.clone(),
         });
-        // An expired deadline fires the token *here*, deterministically,
-        // rather than waiting for the watchdog's next tick.
-        if let Some(d) = job.deadline {
-            if Instant::now() >= d {
-                job.token.cancel_deadline();
-            }
+        // The one deadline check: a request whose deadline has passed is
+        // answered `deadline_exceeded` without compiling; any other
+        // compiles with the time left as its pass budget, which stops
+        // deepening at the deadline while lowering and routing finish.
+        let budget = job.deadline.map(|d| d.saturating_duration_since(started));
+        if budget == Some(Duration::ZERO) {
+            job.token.cancel_deadline();
         }
         #[cfg(feature = "sabotage")]
         if let JobSpec::Compile(spec) = &job.spec {
@@ -734,10 +736,6 @@ fn worker_loop(state: &ServerState, current: &Mutex<Option<JobMeta>>) {
                 panic!("sabotage: injected worker panic");
             }
         }
-        let budget = job
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()));
-        let started = Instant::now();
         let reply = job.spec.execute(&state.cache, job.token.clone(), budget);
         state.observe_job_time(started.elapsed());
         match reply.get("kind").and_then(Value::as_str) {
@@ -753,26 +751,6 @@ fn worker_loop(state: &ServerState, current: &Mutex<Option<JobMeta>>) {
         send(&job.reply, reply);
         state.lock_registry().remove(&(job.conn, job.spec.id()));
         *current.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-/// Fires deadline cancellations for queued and running jobs; exits once the
-/// server has drained.
-fn watchdog(state: &ServerState) {
-    loop {
-        {
-            let now = Instant::now();
-            let registry = state.lock_registry();
-            for entry in registry.values() {
-                if entry.deadline.is_some_and(|d| now >= d) {
-                    entry.token.cancel_deadline();
-                }
-            }
-        }
-        if state.draining() && state.lock_queue().is_empty() && state.lock_registry().is_empty() {
-            return;
-        }
-        std::thread::sleep(WATCHDOG_TICK);
     }
 }
 
@@ -792,9 +770,9 @@ fn serve_connection(state: &ServerState, stream: TcpStream, conn: u64) {
             // nobody will observe. (A graceful drain is NOT abandonment —
             // admitted work must complete and flush.)
             let registry = state.lock_registry();
-            for ((c, _), entry) in registry.iter() {
+            for ((c, _), token) in registry.iter() {
                 if *c == conn {
-                    entry.token.cancel();
+                    token.cancel();
                 }
             }
         }
@@ -979,6 +957,20 @@ mod tests {
             write_timeout
         ));
         drop(client);
+    }
+
+    #[test]
+    fn the_wait_percentiles_follow_the_most_recent_admissions() {
+        let server = Server::new(ServerConfig::default());
+        for _ in 0..MAX_WAIT_SAMPLES {
+            server.state.record_wait(1);
+        }
+        for _ in 0..MAX_WAIT_SAMPLES / 50 {
+            server.state.record_wait(1_000_000);
+        }
+        let report = server.report();
+        assert_eq!(report.queue_wait_p50_us, 1);
+        assert_eq!(report.queue_wait_p99_us, 1_000_000);
     }
 
     #[test]

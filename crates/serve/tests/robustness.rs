@@ -520,6 +520,181 @@ fn cancelling_mid_deepening_returns_the_best_so_far() {
     assert_eq!(report.worker_deaths, 0);
 }
 
+fn depth_reached(reply: &Value) -> Option<u64> {
+    reply.get("depth_reached").and_then(Value::as_u64)
+}
+
+/// The QoS tier `frame` gets: the deepest `depth_reached` of five replies
+/// to it, under ids `ids..ids + 5`. The frames are small enough to finish
+/// every round long before their deadline, so the tier decides how deep
+/// they get. A loaded host can only cut a reply short, or hold a frame
+/// past its deadline before a worker picks it up; it never deepens a reply
+/// past its tier.
+fn tier(client: &mut Client, ids: u64, frame: impl Fn(u64) -> String) -> Option<u64> {
+    (ids..ids + 5)
+        .filter_map(|id| {
+            let reply = client.request(id, &frame(id)).unwrap();
+            if kind(&reply) == Some("deadline_exceeded") {
+                return None;
+            }
+            assert_eq!(status(&reply), "ok", "reply: {reply:?}");
+            Some(depth_reached(&reply).unwrap())
+        })
+        .max()
+}
+
+#[test]
+fn a_deadline_picks_the_tier_the_client_asked_for() {
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    // The time a request spends before dispatch must not drop it to the
+    // tier below.
+    for (ids, deadline_ms, rounds) in [(10, 10, 4), (20, 100, 6), (30, 1000, 8)] {
+        let frame = |id| budgeted_frame(id, 3, 3, 17, deadline_ms);
+        assert_eq!(
+            tier(&mut client, ids, frame),
+            Some(rounds),
+            "{deadline_ms} ms"
+        );
+    }
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().completed, 15);
+}
+
+#[test]
+fn the_default_deadline_stands_in_for_a_missing_one() {
+    let config = ServerConfig {
+        default_deadline: Some(Duration::from_millis(1000)),
+        ..ServerConfig::default()
+    };
+    let (handle, addr, join) = start_server(config);
+    let mut client = connect(addr);
+    let defaulted = |id| compile_frame(id, 3, 3, 17);
+    assert_eq!(tier(&mut client, 10, defaulted), Some(8));
+    // A frame's own deadline overrides the default.
+    let own = |id| budgeted_frame(id, 3, 3, 17, 10);
+    assert_eq!(tier(&mut client, 20, own), Some(4));
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().completed, 10);
+}
+
+#[test]
+fn a_zero_default_deadline_refuses_only_frames_without_their_own() {
+    let config = ServerConfig {
+        default_deadline: Some(Duration::ZERO),
+        ..ServerConfig::default()
+    };
+    let (handle, addr, join) = start_server(config);
+    let mut client = connect(addr);
+    let defaulted = client.request(1, &compile_frame(1, 3, 3, 17)).unwrap();
+    assert_eq!(
+        kind(&defaulted),
+        Some("deadline_exceeded"),
+        "reply: {defaulted:?}"
+    );
+    let own = |id| budgeted_frame(id, 3, 3, 17, 1000);
+    assert_eq!(tier(&mut client, 10, own), Some(8));
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.deadline_exceeded, 1);
+    assert_eq!(report.completed, 6);
+}
+
+#[test]
+fn fleet_deadlines_are_checked_at_dispatch() {
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    let fleet = |id: u64, deadline_ms: u64| {
+        format!(
+            concat!(
+                r#"{{"op":"fleet","id":{},"qubits":4,"#,
+                r#""terms":[["ZZII",0.2],["IZZI",0.2],["XIIX",0.1],["IYYI",0.15]],"#,
+                r#""devices":["line:5","grid:2x3","ion-trap:5"],"deadline_ms":{}}}"#
+            ),
+            id, deadline_ms
+        )
+    };
+    let expired = client.request(1, &fleet(1, 0)).unwrap();
+    assert_eq!(
+        kind(&expired),
+        Some("deadline_exceeded"),
+        "reply: {expired:?}"
+    );
+    let roomy = client.request(2, &fleet(2, 60_000)).unwrap();
+    assert_eq!(status(&roomy), "ok", "reply: {roomy:?}");
+    let ranked = roomy.get("fleet").and_then(Value::as_array).unwrap();
+    let mut devices: Vec<&str> = ranked
+        .iter()
+        .map(|e| e.get("device").and_then(Value::as_str).unwrap())
+        .collect();
+    devices.sort_unstable();
+    assert_eq!(devices, ["grid:2x3", "ion-trap:5", "line:5"], "{roomy:?}");
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.deadline_exceeded, 1);
+    assert_eq!(report.completed, 2);
+}
+
+/// A budgeted device compile dispatched before its deadline replies `ok`,
+/// whichever pass the deadline lands in: the deadline stops deepening, and
+/// the lowering and routing after it run in full. Each reply equals an
+/// untimed compile capped at the `depth_reached` it reports, whose every
+/// two-qubit gate sits on a coupled pair of the device.
+#[test]
+fn budgeted_device_compiles_dispatched_in_time_always_route() {
+    use phoenix_core::{CompileRequest, PhoenixOptions, Target};
+
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let (handle, addr, join) = start_server(config);
+    let mut client = connect(addr);
+    let frame = |id| budgeted_frame(id, 10, 150, 29, 20).replace("\"cnot\"", "\"falcon27\"");
+    let replies: Vec<Value> = (0..10)
+        .map(|id| client.request(id, &frame(id)).unwrap())
+        .collect();
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!((report.completed, report.deadline_exceeded), (10, 0));
+
+    let Ok(phoenix_serve::Request::Compile(spec)) =
+        phoenix_serve::protocol::parse_request(&frame(0), 1)
+    else {
+        panic!("frame parses as a compile");
+    };
+    let Target::Device(device) = &spec.target else {
+        panic!("a device target: {:?}", spec.target);
+    };
+    let capped_at = |depth: u64| {
+        let options = PhoenixOptions {
+            pass_budget: Some(Duration::from_secs(3600)),
+            anytime_rounds: Some(depth as usize),
+            ..PhoenixOptions::default()
+        };
+        let capped = CompileRequest::new(spec.qubits, &spec.terms)
+            .target(spec.target.clone())
+            .options(options)
+            .run()
+            .unwrap();
+        for gate in capped.circuit.gates() {
+            if let (a, Some(b)) = gate.qubits() {
+                assert!(device.graph().contains_edge(a, b), "{gate} off the device");
+            }
+        }
+        phoenix_serve::protocol::ok_reply(0, &capped, None)
+    };
+    let mut capped = std::collections::BTreeMap::new();
+    for reply in &replies {
+        assert_eq!(status(reply), "ok", "reply: {reply:?}");
+        let depth = depth_reached(reply).unwrap();
+        let counts = capped.entry(depth).or_insert_with(|| capped_at(depth));
+        for key in ["gates", "cnot", "two_qubit", "depth", "depth_2q"] {
+            assert_eq!(reply.get(key), counts.get(key), "{key} at depth {depth}");
+        }
+    }
+}
+
 #[test]
 fn fleet_frames_return_a_fidelity_ranked_listing_end_to_end() {
     let (handle, addr, join) = start_server(ServerConfig::default());
