@@ -7,8 +7,8 @@
 //! synthesis in first-appearance order. Every later round widens the
 //! Algorithm-1 candidate scan ([`CostEvaluator::best_candidate_scan_capped`])
 //! and the Tetris ordering lookahead on a geometric schedule until the
-//! budget or a [`CancelToken`] interrupts it. A round compiles each
-//! distinct group shape once and seeds each shape's search with the
+//! budget stops it or a [`CancelToken`] ends the compile. A round compiles
+//! each distinct group shape once and seeds each shape's search with the
 //! Clifford sequence the previous round chose for it (principal variation
 //! plus aspiration window — see
 //! [`simplify_terms_deepening`](crate::simplify::simplify_terms_deepening)).
@@ -21,17 +21,18 @@
 //! routing part of the lowering after it, and its output is a pure
 //! function of the round it kept.
 //!
-//! Interruption semantics:
+//! Interruption semantics: the budget is the only thing that stops
+//! deepening and keeps a result.
 //!
-//! - before a round starts → [`EVENT_TRUNCATED`], keep the last completed
-//!   round's result;
-//! - mid-round (inside stage 2's greedy loop or the ordering loop) →
-//!   [`EVENT_ROUND_ABANDONED`], keep the *previous* round's result — a
-//!   half-deepened round is never observable;
-//! - a fired cancel token is honored by setting
-//!   [`CompileContext::soft_cancelled`], so the manager runs the remaining
-//!   passes (routing, for a device target) on the kept round's lowering
-//!   instead of erroring.
+//! - budget elapsed before a round starts → [`EVENT_TRUNCATED`], keep the
+//!   last completed round's result;
+//! - budget elapsed mid-round (inside stage 2's greedy loop or the
+//!   ordering loop) → [`EVENT_ROUND_ABANDONED`], keep the *previous*
+//!   round's result — a half-deepened round is never observable;
+//! - a fired cancel token, before a round or mid-round, ends the pass with
+//!   [`PassError::cancelled`], as it ends every other pass: a cancelled
+//!   compile replies [`Cancelled`](crate::PhoenixError::Cancelled), with or
+//!   without a budget.
 //!
 //! The final round of the full schedule scans every candidate pair at the
 //! full lookahead, which is the unbudgeted compile. Rounds are
@@ -94,9 +95,10 @@ impl DeepeningController {
         self.max_rounds
     }
 
-    /// Whether the compilation should stop deepening: the wall-clock
-    /// deadline elapsed or the cancel token fired. Cheap enough to poll
-    /// once per greedy epoch and inside the ordering loop.
+    /// Whether a round in progress must stop: the wall-clock deadline
+    /// elapsed (deepening stops and the kept round stands) or the cancel
+    /// token fired (the compile ends). Cheap enough to poll once per
+    /// greedy epoch and inside the ordering loop.
     pub fn interrupted(&self) -> bool {
         self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
             || self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -255,6 +257,9 @@ impl Pass for AnytimePass {
 
         for round in 1..=controller.max_rounds() {
             if controller.interrupted() {
+                if ctx.is_cancelled() {
+                    return Err(PassError::cancelled(self.name()));
+                }
                 ctx.record_event(
                     self.name(),
                     EVENT_TRUNCATED,
@@ -271,6 +276,9 @@ impl Pass for AnytimePass {
             let Some((snapshot, next_pvs)) =
                 self.round(ctx, &shapes, breadth, lookahead, &pvs, &controller)
             else {
+                if ctx.is_cancelled() {
+                    return Err(PassError::cancelled(self.name()));
+                }
                 ctx.record_event(
                     self.name(),
                     EVENT_ROUND_ABANDONED,
@@ -340,11 +348,6 @@ impl Pass for AnytimePass {
         ctx.circuit = best_lowered.unwrap_or(best.circuit);
         ctx.term_order = best.term_order;
         ctx.depth_reached = Some(depth_reached);
-        if ctx.cancel_reason().is_some() {
-            // The fired token was honored by keeping the best-so-far: the
-            // passes after this one (routing) must still run.
-            ctx.soft_cancelled = true;
-        }
         Ok(())
     }
 }
@@ -470,17 +473,22 @@ mod tests {
     }
 
     #[test]
-    fn fired_token_soft_cancels_with_best_so_far() {
+    fn fired_token_ends_the_pass_with_the_typed_cancellation() {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
-        let mut ctx = CompileContext::new(3, &t);
-        let token = CancelToken::new();
-        ctx.cancel = Some(token.clone());
-        GroupPass.run(&mut ctx).unwrap();
-        token.cancel();
-        AnytimePass::default().run(&mut ctx).unwrap();
-        assert!(ctx.soft_cancelled);
-        assert_eq!(ctx.depth_reached, Some(0));
-        assert!(!ctx.circuit.is_empty());
+        for deadline in [None, Some(Instant::now() + Duration::from_secs(600))] {
+            let mut ctx = CompileContext::new(3, &t);
+            let token = CancelToken::new();
+            ctx.cancel = Some(token.clone());
+            ctx.deadline = deadline;
+            GroupPass.run(&mut ctx).unwrap();
+            token.cancel();
+            let err = AnytimePass::default().run(&mut ctx).unwrap_err();
+            assert!(err.is_cancellation(), "{err}");
+            assert_eq!(err.pass, "anytime-deepen");
+            // Nothing of the interrupted compile is delivered.
+            assert_eq!(ctx.depth_reached, None);
+            assert!(ctx.circuit.is_empty());
+        }
     }
 
     /// Per group, per round 1..=MAX_ROUNDS: the circuit and the emitted

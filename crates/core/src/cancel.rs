@@ -2,36 +2,18 @@
 //!
 //! A [`CancelToken`] is a cheaply cloneable handle shared between a
 //! compilation and whoever may want to abandon it (a serving layer, a
-//! watchdog thread, a user-facing Ctrl-C handler). Cancellation is
-//! *cooperative*: the pipeline checks the token between passes (see
-//! [`PassManager::run`](crate::pass::PassManager::run)) and between stage-2
-//! groups, so an in-flight unit of work always completes before the
-//! pipeline stops — no state is ever observed half-rewritten.
-//!
-//! Two cancellation reasons are distinguished so callers can map them to
-//! different replies: an explicit client request ([`CancelToken::cancel`])
-//! and an elapsed wall-clock deadline enforced from outside the pipeline
-//! ([`CancelToken::cancel_deadline`]). The first writer wins; a token never
-//! transitions back to live.
+//! user-facing Ctrl-C handler). Cancellation is *cooperative*: the pipeline
+//! polls the token at every pass boundary (see
+//! [`PassManager::run`](crate::pass::PassManager::run)), once per stage-2
+//! greedy epoch, inside the ordering loop and between deepening rounds, and
+//! a fired token ends the compile at its next poll with
+//! [`PhoenixError::Cancelled`](crate::PhoenixError::Cancelled) — no state
+//! is ever observed half-rewritten. A token never transitions back to live.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Why a compilation was cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelReason {
-    /// The client (or owner) explicitly abandoned the request.
-    Client,
-    /// A wall-clock deadline enforced outside the pipeline elapsed.
-    Deadline,
-}
-
-const LIVE: u8 = 0;
-const CANCELLED: u8 = 1;
-const DEADLINE: u8 = 2;
-
-/// A shared, lock-free cancellation flag checked by the pipeline between
-/// passes and between stage-2 groups.
+/// A shared, lock-free cancellation flag polled by the pipeline.
 ///
 /// Clones share state: cancelling any clone cancels them all. Equality is
 /// *identity* (two tokens are equal iff they share state), which keeps
@@ -39,17 +21,17 @@ const DEADLINE: u8 = 2;
 /// meaningful without making cancellation state part of option equality.
 ///
 /// ```
-/// use phoenix_core::cancel::{CancelReason, CancelToken};
+/// use phoenix_core::cancel::CancelToken;
 ///
 /// let token = CancelToken::new();
 /// let watcher = token.clone();
 /// assert!(!token.is_cancelled());
 /// watcher.cancel();
-/// assert_eq!(token.reason(), Some(CancelReason::Client));
+/// assert!(token.is_cancelled());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    state: Arc<AtomicU8>,
+    fired: Arc<AtomicBool>,
 }
 
 impl CancelToken {
@@ -58,39 +40,20 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Requests cancellation on behalf of the client. The first
-    /// cancellation (of either kind) wins; later calls are no-ops.
+    /// Requests cancellation. Later calls are no-ops.
     pub fn cancel(&self) {
-        let _ = self
-            .state
-            .compare_exchange(LIVE, CANCELLED, Ordering::Relaxed, Ordering::Relaxed);
+        self.fired.store(true, Ordering::Relaxed);
     }
 
-    /// Requests cancellation because a wall-clock deadline elapsed.
-    pub fn cancel_deadline(&self) {
-        let _ = self
-            .state
-            .compare_exchange(LIVE, DEADLINE, Ordering::Relaxed, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested (for any reason).
+    /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.state.load(Ordering::Relaxed) != LIVE
-    }
-
-    /// The cancellation reason, or `None` while the token is live.
-    pub fn reason(&self) -> Option<CancelReason> {
-        match self.state.load(Ordering::Relaxed) {
-            CANCELLED => Some(CancelReason::Client),
-            DEADLINE => Some(CancelReason::Deadline),
-            _ => None,
-        }
+        self.fired.load(Ordering::Relaxed)
     }
 }
 
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.state, &other.state)
+        Arc::ptr_eq(&self.fired, &other.fired)
     }
 }
 
@@ -102,9 +65,7 @@ mod tests {
 
     #[test]
     fn fresh_token_is_live() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        assert_eq!(t.reason(), None);
+        assert!(!CancelToken::new().is_cancelled());
     }
 
     #[test]
@@ -113,15 +74,6 @@ mod tests {
         let c = t.clone();
         c.cancel();
         assert!(t.is_cancelled());
-        assert_eq!(t.reason(), Some(CancelReason::Client));
-    }
-
-    #[test]
-    fn first_cancellation_wins() {
-        let t = CancelToken::new();
-        t.cancel_deadline();
-        t.cancel();
-        assert_eq!(t.reason(), Some(CancelReason::Deadline));
     }
 
     #[test]
@@ -130,23 +82,5 @@ mod tests {
         let b = CancelToken::new();
         assert_ne!(a, b);
         assert_eq!(a, a.clone());
-    }
-
-    #[test]
-    fn concurrent_cancellation_settles_on_one_reason() {
-        let t = CancelToken::new();
-        std::thread::scope(|s| {
-            for i in 0..8 {
-                let t = t.clone();
-                s.spawn(move || {
-                    if i % 2 == 0 {
-                        t.cancel();
-                    } else {
-                        t.cancel_deadline();
-                    }
-                });
-            }
-        });
-        assert!(t.reason().is_some());
     }
 }

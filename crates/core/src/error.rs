@@ -95,13 +95,10 @@ pub enum PhoenixError {
     Bind(BindError),
     /// A fleet compilation was requested with an empty device list.
     EmptyFleet,
-    /// The compilation was abandoned at a pass boundary because its
-    /// [`CancelToken`](crate::cancel::CancelToken) was fired by the client.
+    /// The compilation was abandoned at its next poll point (a pass
+    /// boundary, a greedy epoch, the ordering loop or a deepening round)
+    /// because its [`CancelToken`](crate::cancel::CancelToken) fired.
     Cancelled,
-    /// The compilation was abandoned at a pass boundary because a
-    /// wall-clock deadline enforced outside the pipeline elapsed (distinct
-    /// from `pass_budget`, which degrades gracefully instead of aborting).
-    DeadlineExceeded,
 }
 
 impl fmt::Display for PhoenixError {
@@ -146,9 +143,6 @@ impl fmt::Display for PhoenixError {
                 write!(f, "fleet compilation requires at least one device")
             }
             PhoenixError::Cancelled => write!(f, "compilation cancelled by client"),
-            PhoenixError::DeadlineExceeded => {
-                write!(f, "compilation abandoned: wall-clock deadline exceeded")
-            }
         }
     }
 }
@@ -171,11 +165,10 @@ impl std::error::Error for PhoenixError {
 
 impl From<PassError> for PhoenixError {
     fn from(e: PassError) -> Self {
-        use crate::cancel::CancelReason;
-        match e.cancellation_reason() {
-            Some(CancelReason::Client) => PhoenixError::Cancelled,
-            Some(CancelReason::Deadline) => PhoenixError::DeadlineExceeded,
-            None => PhoenixError::Pass(e),
+        if e.is_cancellation() {
+            PhoenixError::Cancelled
+        } else {
+            PhoenixError::Pass(e)
         }
     }
 }

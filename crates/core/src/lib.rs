@@ -87,7 +87,7 @@ pub use phoenix_device;
 pub use phoenix_device::{Device, DeviceRegistry, DeviceSpecError, NativeIsa, NoiseProfile};
 
 pub use anytime::{AnytimePass, DeepeningController, MAX_ROUNDS};
-pub use cancel::{CancelReason, CancelToken};
+pub use cancel::CancelToken;
 pub use error::{validate_device, validate_program, PhoenixError};
 pub use evaluator::CostEvaluator;
 pub use group::IrGroup;

@@ -426,10 +426,10 @@ pub fn order_groups(circuits: &[Circuit], opts: &OrderOptions) -> Vec<usize> {
 
 /// [`order_groups`] with a cooperative interruption point before each
 /// greedy placement: when `interrupted` returns `true` the partial ordering
-/// is abandoned and `None` is returned (the caller keeps whatever ordering
-/// it already holds — a half-greedy permutation is not meaningfully better
-/// than none). The closure is the hook through which the anytime deepening
-/// rounds and the ordering pass observe `CancelToken`s mid-loop.
+/// is abandoned and `None` is returned — a half-greedy permutation is never
+/// delivered. The closure is the hook through which the anytime deepening
+/// rounds and the ordering pass observe the budget and `CancelToken`s
+/// mid-loop.
 ///
 /// Each group's Tetris shape is computed once up front, so a window candidate
 /// costs O(2Q support + frontier Cliffords) (plus O(|U|²) hop-table lookups

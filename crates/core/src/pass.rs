@@ -45,7 +45,7 @@ use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
 use serde::{Deserialize, Serialize};
 
-use crate::cancel::{CancelReason, CancelToken};
+use crate::cancel::CancelToken;
 use crate::group::IrGroup;
 
 /// The mutable state a pass sequence threads through compilation.
@@ -114,20 +114,15 @@ pub struct CompileContext {
     /// for this compile alone, with bit-for-bit the same output.
     pub cache: Option<Arc<phoenix_cache::CompileCache>>,
     /// Cooperative cancellation token. The manager checks it before every
-    /// pass and stage 2 once per greedy epoch; a fired token aborts the
-    /// pipeline with a typed cancellation error. `None` costs one pointer
-    /// check per boundary.
+    /// pass, and stage 2, the ordering loop and the anytime pass poll it
+    /// inside their loops; a fired token ends the compile at the next poll
+    /// with a typed cancellation error, whether or not a pass budget is
+    /// set. `None` costs one pointer check per poll.
     pub cancel: Option<CancelToken>,
     /// Deepening rounds completed by the anytime optimizer (`None` when the
     /// legacy non-anytime path ran). Round 0 is the always-computed naive
     /// baseline, so `Some(0)` means "interrupted before any improvement".
     pub depth_reached: Option<usize>,
-    /// Set by the anytime pass when a fired [`CancelToken`] was honored by
-    /// keeping the best-so-far round instead of aborting. The manager then
-    /// runs every remaining pass in full instead of stopping at the next
-    /// boundary, so the caller gets a valid (if less optimized) compilation
-    /// instead of an error.
-    pub soft_cancelled: bool,
 }
 
 impl CompileContext {
@@ -155,13 +150,12 @@ impl CompileContext {
             cache: None,
             cancel: None,
             depth_reached: None,
-            soft_cancelled: false,
         }
     }
 
-    /// The cancellation reason, when the attached token (if any) has fired.
-    pub fn cancel_reason(&self) -> Option<CancelReason> {
-        self.cancel.as_ref().and_then(|t| t.reason())
+    /// Whether the attached token (if any) has fired.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// Records a robustness event against `pass`.
@@ -215,11 +209,9 @@ pub struct PassError {
     pub message: String,
 }
 
-/// Message prefix marking a [`PassError`] as a cooperative cancellation
-/// rather than a genuine pass failure (see [`PassError::cancelled`]).
-const CANCELLED_BY_CLIENT: &str = "cancelled: abandoned by client request";
-/// Message marking a wall-clock-deadline cancellation.
-const CANCELLED_BY_DEADLINE: &str = "cancelled: wall-clock deadline exceeded";
+/// Message marking a [`PassError`] as a cooperative cancellation rather
+/// than a genuine pass failure (see [`PassError::cancelled`]).
+const CANCELLED: &str = "cancelled: abandoned by client request";
 
 impl PassError {
     /// Builds an error for `pass`.
@@ -230,28 +222,19 @@ impl PassError {
         }
     }
 
-    /// The error the manager raises when a [`CancelToken`] fires between
-    /// passes: `pass` is the pass that was *about to run*. Recognized by
-    /// [`PassError::cancellation_reason`] so the API boundary can convert
-    /// it into the dedicated
-    /// [`PhoenixError::Cancelled`](crate::PhoenixError::Cancelled) /
-    /// [`PhoenixError::DeadlineExceeded`](crate::PhoenixError::DeadlineExceeded)
-    /// variants instead of a generic pass failure.
-    pub fn cancelled(pass: &str, reason: CancelReason) -> Self {
-        let message = match reason {
-            CancelReason::Client => CANCELLED_BY_CLIENT,
-            CancelReason::Deadline => CANCELLED_BY_DEADLINE,
-        };
-        PassError::new(pass, message)
+    /// The error raised when a [`CancelToken`] fired: by the manager
+    /// between passes (`pass` is the pass that was *about to run*), or by
+    /// a pass that polled it mid-loop. Recognized by
+    /// [`PassError::is_cancellation`] so the API boundary can convert it
+    /// into [`PhoenixError::Cancelled`](crate::PhoenixError::Cancelled)
+    /// instead of a generic pass failure.
+    pub fn cancelled(pass: &str) -> Self {
+        PassError::new(pass, CANCELLED)
     }
 
-    /// `Some(reason)` when this error records a cooperative cancellation.
-    pub fn cancellation_reason(&self) -> Option<CancelReason> {
-        match self.message.as_str() {
-            CANCELLED_BY_CLIENT => Some(CancelReason::Client),
-            CANCELLED_BY_DEADLINE => Some(CancelReason::Deadline),
-            _ => None,
-        }
+    /// Whether this error records a cooperative cancellation.
+    pub fn is_cancellation(&self) -> bool {
+        self.message == CANCELLED
     }
 }
 
@@ -554,11 +537,9 @@ impl PassManager {
         for pass in &self.passes {
             // Cooperative cancellation: checked before every pass, so a
             // fired token stops the pipeline at the next boundary without
-            // ever interrupting a pass mid-rewrite. A *soft* cancellation
-            // (the anytime pass kept its best-so-far under a fired token)
-            // lets the remaining passes run in full instead.
-            if let Some(reason) = ctx.cancel_reason().filter(|_| !ctx.soft_cancelled) {
-                return Err(PassError::cancelled(pass.name(), reason));
+            // ever interrupting a pass mid-rewrite.
+            if ctx.is_cancelled() {
+                return Err(PassError::cancelled(pass.name()));
             }
             let before = rec
                 .measure
@@ -670,6 +651,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct AddTerms(usize);
 
@@ -769,18 +751,15 @@ mod tests {
         let pm = PassManager::new().with(AddTerms(1));
         let err = pm.run(&mut ctx).unwrap_err();
         assert_eq!(err.pass, "add-terms");
-        assert_eq!(err.cancellation_reason(), Some(CancelReason::Client));
+        assert!(err.is_cancellation());
         assert_eq!(ctx.num_groups, 0);
     }
 
     #[test]
     fn token_fired_mid_pipeline_stops_at_the_next_boundary() {
         let mut ctx = CompileContext::new(2, &[]);
-        let token = CancelToken::new();
-        token.cancel_deadline();
-        // Replace with a live token fired *by* the middle pass.
-        let token = CancelToken::new();
-        ctx.cancel = Some(token);
+        // A live token, fired *by* the middle pass.
+        ctx.cancel = Some(CancelToken::new());
         let pm = PassManager::new()
             .with(AddTerms(1))
             .with(CancelsItself)
@@ -789,55 +768,68 @@ mod tests {
         // The cancelling pass itself completed; the *next* pass never ran.
         assert_eq!(ctx.num_groups, 2);
         assert_eq!(err.pass, "add-terms");
-        assert_eq!(err.cancellation_reason(), Some(CancelReason::Client));
+        assert!(err.is_cancellation());
     }
 
-    /// Fires the token but marks the cancellation as honored (the anytime
-    /// pass's behaviour when it keeps its best-so-far snapshot).
-    struct SoftCancels;
+    /// Fires the attached token, then runs the anytime pass under it: a
+    /// cancel that lands while a budgeted compile deepens.
+    struct CancelsThenDeepens;
 
-    impl Pass for SoftCancels {
+    impl Pass for CancelsThenDeepens {
         fn name(&self) -> &str {
-            "soft-cancels"
+            "cancels-then-deepens"
         }
 
         fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
             if let Some(t) = &ctx.cancel {
                 t.cancel();
             }
-            ctx.soft_cancelled = true;
-            ctx.num_groups += 1;
+            crate::anytime::AnytimePass::default().run(ctx)
+        }
+    }
+
+    /// Counts its runs.
+    struct CountsRuns(Arc<AtomicUsize>);
+
+    impl Pass for CountsRuns {
+        fn name(&self) -> &str {
+            "counts-runs"
+        }
+
+        fn run(&self, _ctx: &mut CompileContext) -> Result<(), PassError> {
+            self.0.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
     }
 
     #[test]
-    fn soft_cancellation_degrades_instead_of_erroring() {
-        let mut ctx = CompileContext::new(2, &[]);
-        ctx.cancel = Some(CancelToken::new());
-        let pm = PassManager::new()
-            .with(SoftCancels)
-            .with(AddTerms(100))
-            .with(AddTerms(1));
-        let trace = pm.run(&mut ctx).unwrap();
-        // Every pass after the soft cancellation ran in full.
-        assert_eq!(ctx.num_groups, 102);
-        assert_eq!(
-            trace.pass_names(),
-            ["soft-cancels", "add-terms", "add-terms"]
-        );
-        assert!(trace.events.is_empty());
+    fn a_cancel_while_deepening_ends_the_compile() {
+        let terms: Vec<(PauliString, f64)> = ["ZYY", "ZZY", "XYY", "XZY"]
+            .iter()
+            .map(|l| (l.parse().unwrap(), 0.1))
+            .collect();
+        for budget in [None, Some(Duration::from_secs(600))] {
+            let mut ctx = CompileContext::new(3, &terms);
+            ctx.cancel = Some(CancelToken::new());
+            let runs = Arc::new(AtomicUsize::new(0));
+            let mut pm = PassManager::new()
+                .with(crate::passes::GroupPass)
+                .with(CancelsThenDeepens)
+                .with(CountsRuns(Arc::clone(&runs)));
+            if let Some(budget) = budget {
+                pm = pm.with_budget(budget);
+            }
+            let err = pm.run(&mut ctx).unwrap_err();
+            assert!(err.is_cancellation(), "budget {budget:?}: {err}");
+            assert_eq!(err.pass, "anytime-deepen", "budget {budget:?}");
+            assert_eq!(runs.load(Ordering::Relaxed), 0);
+        }
     }
 
     #[test]
     fn ordinary_pass_errors_are_not_cancellations() {
-        let err = PassError::new("concat", "boom");
-        assert_eq!(err.cancellation_reason(), None);
-        let cancelled = PassError::cancelled("concat", CancelReason::Deadline);
-        assert_eq!(
-            cancelled.cancellation_reason(),
-            Some(CancelReason::Deadline)
-        );
+        assert!(!PassError::new("concat", "boom").is_cancellation());
+        assert!(PassError::cancelled("concat").is_cancellation());
     }
 
     struct RaisesEvents;

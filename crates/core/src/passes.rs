@@ -33,7 +33,7 @@ use phoenix_router::{
 };
 use phoenix_topology::CouplingGraph;
 
-use crate::cancel::{CancelReason, CancelToken};
+use crate::cancel::CancelToken;
 use crate::evaluator::CostEvaluator;
 use crate::group::{group_by_support, IrGroup};
 use crate::order::{order_groups_interruptible, OrderOptions};
@@ -535,8 +535,7 @@ impl Pass for SimplifySynthPass {
         let Some(round) = round else {
             // The token fired mid-round: stop where the manager would stop
             // at the next pass boundary.
-            let reason = ctx.cancel_reason().unwrap_or(CancelReason::Client);
-            return Err(PassError::cancelled(self.name(), reason));
+            return Err(PassError::cancelled(self.name()));
         };
         let (subcircuits, group_terms) = round.record(ctx, self.name());
         if let Some(o) = &obs {
@@ -616,15 +615,13 @@ impl Pass for OrderPass {
     fn run(&self, ctx: &mut CompileContext) -> Result<(), PassError> {
         // The token is polled inside the greedy loop (not just at pass
         // boundaries): a request abandoned mid-ordering stops paying for
-        // lookahead scoring immediately. The first-appearance fallback is
-        // always valid and the manager aborts at the next boundary, so no
-        // event is recorded for a result that is discarded anyway.
+        // lookahead scoring immediately.
         let cancel = ctx.cancel.clone();
         ctx.order = self
             .order(&ctx.subcircuits, self.lookahead, &mut || {
                 cancel.as_ref().is_some_and(CancelToken::is_cancelled)
             })
-            .unwrap_or_else(|| (0..ctx.subcircuits.len()).collect());
+            .ok_or_else(|| PassError::cancelled(self.name()))?;
         if let Some(obs) = &ctx.obs {
             let m = obs.metrics();
             m.set_gauge(GaugeId::OrderLookahead, self.lookahead as i64);

@@ -104,12 +104,12 @@ pub struct PhoenixOptions {
     /// outcome is identical for every value. Excluded from the parametric
     /// options fingerprint, like the stage-2 thread caps.
     pub fleet_threads: usize,
-    /// Cooperative cancellation token. When set, the pass manager checks it
-    /// before every pass (and stage 2 checks it between groups) and aborts
-    /// with [`PhoenixError::Cancelled`](crate::PhoenixError::Cancelled) or
-    /// [`PhoenixError::DeadlineExceeded`](crate::PhoenixError::DeadlineExceeded)
-    /// once it fires. Token equality is identity (shared state), so the
-    /// derived `PartialEq` on options stays meaningful; the token is
+    /// Cooperative cancellation token. When set, a fired token ends the
+    /// compile at its next poll point (a pass boundary, a stage-2 greedy
+    /// epoch, the ordering loop or a deepening round) with
+    /// [`PhoenixError::Cancelled`](crate::PhoenixError::Cancelled), with or
+    /// without a `pass_budget`. Token equality is identity (shared state),
+    /// so the derived `PartialEq` on options stays meaningful; the token is
     /// excluded from the parametric options fingerprint.
     pub cancel: Option<CancelToken>,
 }

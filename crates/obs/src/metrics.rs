@@ -40,9 +40,9 @@ pub enum MetricId {
     /// contained panic.
     Stage2Degraded,
     /// Budgeted compiles whose anytime deepening stopped because the pass
-    /// budget elapsed (or a cancel token fired) before the next round
-    /// started: one per `truncated` event. The name predates the anytime
-    /// pass and stays because `phoenixd` replies carry it.
+    /// budget elapsed before the next round started: one per `truncated`
+    /// event. The name predates the anytime pass and stays because
+    /// `phoenixd` replies carry it.
     Stage2Truncated,
     /// Groups permuted by the Tetris-like ordering stage.
     OrderedGroups,

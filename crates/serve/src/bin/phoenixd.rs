@@ -14,44 +14,62 @@
 //! `listening on ADDR`, so harnesses can spawn the daemon on an ephemeral
 //! port and parse the line.
 
+use std::io::Read;
 use std::net::TcpListener;
+use std::os::fd::IntoRawFd;
+use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
 use phoenix_serve::{Server, ServerConfig, ServerHandle};
 
-/// Set by the signal handler; polled by the shutdown monitor thread.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    SHUTDOWN.store(true, Ordering::Relaxed);
+// The only libc surface needed, avoiding a signal-handling dependency.
+extern "C" {
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
-/// Installs `on_signal` for SIGINT (2) and SIGTERM (15) via `signal(2)` —
-/// the only libc surface needed, avoiding a signal-handling dependency.
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+/// The write end of the socket pair the signal handler wakes the shutdown
+/// monitor through. Set once before the handlers are installed and never
+/// closed, so the monitor's read sees a byte, never an end of file. The
+/// descriptor is the only value it publishes, so `Relaxed` suffices.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+extern "C" fn on_signal(_sig: i32) {
+    // SAFETY: `write(2)` is async-signal-safe, and the buffer is one live
+    // byte. The descriptor is the open, non-blocking write end, so the
+    // call never waits; if the socket is full, a byte is already queued
+    // and the monitor wakes anyway.
+    unsafe {
+        write(WAKE_FD.load(Ordering::Relaxed), [1u8].as_ptr(), 1);
     }
+}
+
+/// Installs `on_signal` for SIGINT (2) and SIGTERM (15) via `signal(2)`
+/// and returns the socket the shutdown monitor blocks on.
+fn install_signal_handlers() -> std::io::Result<UnixStream> {
+    let (wake, wake_tx) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    WAKE_FD.store(wake_tx.into_raw_fd(), Ordering::Relaxed);
+    // SAFETY: `on_signal` only loads an atomic and calls `write(2)`, both
+    // async-signal-safe, and `WAKE_FD` is set before either signal can
+    // reach it.
     unsafe {
         signal(2, on_signal);
         signal(15, on_signal);
     }
+    Ok(wake)
 }
 
-/// Bridges the signal flag to a graceful drain.
-fn spawn_shutdown_monitor(handle: ServerHandle) {
-    std::thread::spawn(move || loop {
-        if SHUTDOWN.load(Ordering::Relaxed) {
+/// Bridges a signal to a graceful drain: blocks until the handler writes,
+/// then shuts the server down.
+fn spawn_shutdown_monitor(mut wake: UnixStream, handle: ServerHandle) {
+    std::thread::spawn(move || {
+        if wake.read_exact(&mut [0u8]).is_ok() {
             eprintln!("phoenixd: shutdown signal received; draining");
             handle.shutdown();
-            return;
         }
-        if handle.is_draining() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
     });
 }
 
@@ -119,9 +137,15 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    install_signal_handlers();
+    let wake = match install_signal_handlers() {
+        Ok(wake) => wake,
+        Err(e) => {
+            eprintln!("phoenixd: cannot install signal handlers: {e}");
+            return ExitCode::from(1);
+        }
+    };
     let server = Server::new(args.config);
-    spawn_shutdown_monitor(server.handle());
+    spawn_shutdown_monitor(wake, server.handle());
     let report = match &args.tcp {
         Some(addr) => {
             let listener = match TcpListener::bind(addr) {

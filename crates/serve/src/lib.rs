@@ -36,23 +36,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use phoenix_core::phoenix_cache::CompileCache;
-use phoenix_core::{CancelReason, CancelToken, CompileRequest, PhoenixError, PhoenixOptions};
+use phoenix_core::{CancelToken, CompileRequest, PhoenixError, PhoenixOptions};
 use phoenix_pauli::PauliString;
 use serde_json::Value;
 
 /// Executes one compile request against the pipeline, mapping the outcome
-/// (success, typed failure, cancellation, deadline) onto its wire reply.
+/// (success, typed failure, cancellation) onto its wire reply.
 ///
 /// `budget` becomes the request's `pass_budget`, the wall-clock time left
 /// for deepening (a server passes what remains of the deadline at
 /// dispatch); lowering and routing run in full after it. The QoS tier
 /// ([`deepening_rounds`]) is read from the requested `spec.deadline_ms`,
 /// so it does not depend on how long the request queued. A `cancel` token
-/// that has already fired answers without compiling: `cancelled`, or
-/// `deadline_exceeded` for [`CancelToken::cancel_deadline`]. Requests
-/// without a budget take the cached structure path when `cache` is
-/// mounted; budgeted requests deterministically bypass it (time-boxed runs
-/// must not leak into a shared cache).
+/// that has already fired answers `cancelled` without compiling, and one
+/// that fires mid-compile answers `cancelled` at the compile's next poll,
+/// with or without a budget. Requests without a budget take the cached
+/// structure path when `cache` is mounted; budgeted requests
+/// deterministically bypass it (time-boxed runs must not leak into a
+/// shared cache).
 pub fn execute_spec(
     spec: &CompileSpec,
     cache: Option<&Arc<CompileCache>>,
@@ -77,11 +78,11 @@ pub fn execute_spec(
 
 /// Executes one fleet request: compiles the program against every named
 /// registry device in parallel and replies with the members ranked by
-/// predicted fidelity. Deadlines and cancellation apply to the fleet as a
-/// whole — the budget/token is shared by every member, exactly as a
-/// single compile would see it. An empty ranking with at least one member
-/// failure is still an `ok` reply (the `failed` list tells the story);
-/// only a whole-fleet error (e.g. cancellation) maps to an error reply.
+/// predicted fidelity. The budget and the cancel token apply to the fleet
+/// as a whole — every member shares them, exactly as a single compile
+/// would see them. An empty ranking with at least one member failure is
+/// still an `ok` reply (the `failed` list tells the story); only a
+/// whole-fleet error (e.g. cancellation) maps to an error reply.
 pub fn execute_fleet_spec(
     spec: &FleetSpec,
     cache: Option<&Arc<CompileCache>>,
@@ -93,12 +94,14 @@ pub fn execute_fleet_spec(
         .and_then(|request| request.fleet(&spec.devices));
     match outcome {
         Ok(outcome) => {
-            // A member abandoned by cancellation/deadline abandons the
-            // fleet reply too — a partial ranking under an expired deadline
-            // would be indistinguishable from a complete one.
-            if let Some((_, err)) = outcome.failed.iter().find(|(_, e)| {
-                matches!(e, PhoenixError::Cancelled | PhoenixError::DeadlineExceeded)
-            }) {
+            // A member abandoned by cancellation abandons the fleet reply
+            // too — a partial ranking of a cancelled fleet would be
+            // indistinguishable from a complete one.
+            if let Some((_, err)) = outcome
+                .failed
+                .iter()
+                .find(|(_, e)| matches!(e, PhoenixError::Cancelled))
+            {
                 return protocol::compile_error_reply(spec.id, err);
             }
             let stats = cache.map(|c| c.stats());
@@ -120,10 +123,8 @@ fn request_for(
     cancel: Option<CancelToken>,
     budget: Option<Duration>,
 ) -> Result<CompileRequest, PhoenixError> {
-    match cancel.as_ref().and_then(CancelToken::reason) {
-        Some(CancelReason::Client) => return Err(PhoenixError::Cancelled),
-        Some(CancelReason::Deadline) => return Err(PhoenixError::DeadlineExceeded),
-        None => {}
+    if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        return Err(PhoenixError::Cancelled);
     }
     let mut options = PhoenixOptions {
         pass_budget: budget,
@@ -199,9 +200,9 @@ mod tests {
 
     #[test]
     fn zero_deadline_still_produces_a_valid_truncated_compile() {
-        // Without the server's dispatch check to fire the cancel token, a
-        // zero deadline is only a zero pass budget, which truncates
-        // optimization but still returns a valid circuit.
+        // Without the server's dispatch check, a zero deadline is only a
+        // zero pass budget, which truncates optimization but still returns
+        // a valid circuit.
         let frame = r#"{"op":"compile","id":2,"qubits":2,"terms":[["ZZ",0.3]],"deadline_ms":0}"#;
         let Ok(Request::Compile(spec)) = protocol::parse_request(frame, 1) else {
             panic!("not a compile frame: {frame}");

@@ -318,7 +318,6 @@ pub fn fleet_ok_reply(id: u64, outcome: &FleetOutcome, cache: Option<&CacheStats
 pub fn compile_error_reply(id: u64, err: &PhoenixError) -> Value {
     let kind = match err {
         PhoenixError::Cancelled => ErrorKind::Cancelled,
-        PhoenixError::DeadlineExceeded => ErrorKind::DeadlineExceeded,
         _ => ErrorKind::CompileError,
     };
     error_reply(Some(id), kind, &err.to_string(), None, None)
@@ -469,7 +468,8 @@ impl<'a> Members<'a> {
     }
 
     /// The request, checking fields in the order the protocol defines:
-    /// keys, `id`, `qubits`, `terms`, then `target` or `devices`.
+    /// keys, `id`, `qubits`, `terms`, `lookahead`, `deadline_ms`, then
+    /// `target` or `devices`.
     fn into_request(self, line_no: u64) -> Result<Request, Value> {
         // A cancel frame is its own single-field object.
         if let Some(cancel) = self.cancel {
@@ -532,8 +532,16 @@ impl<'a> Members<'a> {
             .terms
             .unwrap_or_else(|| Err(TERMS_SHAPE.to_string()))
             .map_err(invalid)?;
-        let lookahead = self.lookahead.flatten().map(|l| l as usize);
-        let deadline_ms = self.deadline_ms.flatten();
+        // An optional count is absent or an integer; a member of any other
+        // type is rejected, never read as absent.
+        let count = |member: Option<Option<u64>>, name: &str| {
+            let ill_typed = || format!("`{name}` must be an integer from 0 to {}", i64::MAX);
+            member
+                .map(|v| v.ok_or_else(|| invalid(ill_typed())))
+                .transpose()
+        };
+        let lookahead = count(self.lookahead, "lookahead")?.map(|l| l as usize);
+        let deadline_ms = count(self.deadline_ms, "deadline_ms")?;
         if op == "fleet" {
             let specs = self
                 .devices

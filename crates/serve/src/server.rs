@@ -357,11 +357,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.state.shutdown();
     }
-
-    /// Whether drain has been initiated.
-    pub fn is_draining(&self) -> bool {
-        self.state.draining()
-    }
 }
 
 /// The compile server. Construct with a [`ServerConfig`], then block on
@@ -722,31 +717,34 @@ fn worker_loop(state: &ServerState, current: &Mutex<Option<JobMeta>>) {
             id: job.spec.id(),
             reply: job.reply.clone(),
         });
-        // The one deadline check: a request whose deadline has passed is
-        // answered `deadline_exceeded` without compiling; any other
-        // compiles with the time left as its pass budget, which stops
-        // deepening at the deadline while lowering and routing finish.
-        let budget = job.deadline.map(|d| d.saturating_duration_since(started));
-        if budget == Some(Duration::ZERO) {
-            job.token.cancel_deadline();
-        }
         #[cfg(feature = "sabotage")]
         if let JobSpec::Compile(spec) = &job.spec {
             if spec.sabotage == Some(protocol::Sabotage::Worker) {
                 panic!("sabotage: injected worker panic");
             }
         }
-        let reply = job.spec.execute(&state.cache, job.token.clone(), budget);
-        state.observe_job_time(started.elapsed());
-        match reply.get("kind").and_then(Value::as_str) {
-            Some("cancelled") => {
+        // The one deadline check: a request whose deadline has passed is
+        // answered `deadline_exceeded` here, without compiling; any other
+        // compiles with the time left as its pass budget, which stops
+        // deepening at the deadline while lowering and routing finish.
+        let budget = job.deadline.map(|d| d.saturating_duration_since(started));
+        let reply = if budget == Some(Duration::ZERO) {
+            Counters::bump(&state.counters.deadline_exceeded);
+            error_reply(
+                Some(job.spec.id()),
+                ErrorKind::DeadlineExceeded,
+                "compilation abandoned: wall-clock deadline exceeded",
+                None,
+                None,
+            )
+        } else {
+            let reply = job.spec.execute(&state.cache, job.token.clone(), budget);
+            if reply.get("kind").and_then(Value::as_str) == Some("cancelled") {
                 Counters::bump(&state.counters.cancelled);
             }
-            Some("deadline_exceeded") => {
-                Counters::bump(&state.counters.deadline_exceeded);
-            }
-            _ => {}
-        }
+            reply
+        };
+        state.observe_job_time(started.elapsed());
         Counters::bump(&state.counters.completed);
         send(&job.reply, reply);
         state.lock_registry().remove(&(job.conn, job.spec.id()));

@@ -2,7 +2,10 @@
 //! and writer they replaced.
 //!
 //! The reference is the previous `parse_request` with its helpers, kept
-//! verbatim, over the previous recursive JSON parser and writer and the
+//! verbatim but for one change the decoder made after it: a `lookahead` or
+//! `deadline_ms` member that is not an integer in `0..=i64::MAX` is
+//! rejected (checked after `terms`, `lookahead` first) instead of read as
+//! absent. It runs over the previous recursive JSON parser and writer and the
 //! previous one-qubit-at-a-time Pauli label parser (also verbatim, but for
 //! building the label error's text itself). Device specs resolve through
 //! today's `DeviceRegistry` on both sides. For every generated frame and
@@ -412,7 +415,8 @@ fn parse_label(s: &str) -> Result<PauliString, String> {
     Ok(out)
 }
 
-/// The previous `parse_request` and its helpers.
+/// The previous `parse_request` and its helpers, with ill-typed optional
+/// counts rejected.
 mod reference {
     use phoenix_core::{DeviceRegistry, Target};
     use phoenix_pauli::PauliString;
@@ -427,6 +431,17 @@ mod reference {
 
     fn get_u64(map: &Value, key: &str) -> Option<u64> {
         map.get(key).and_then(Value::as_u64)
+    }
+
+    /// An optional count: absent, or an integer. Unlike [`get_u64`], a
+    /// member of any other type is an error rather than absent.
+    fn get_count(map: &Value, key: &str) -> Result<Option<u64>, String> {
+        map.get(key)
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| format!("`{key}` must be an integer from 0 to {}", i64::MAX))
+            })
+            .transpose()
     }
 
     /// Rejects any key outside `allowed`, naming the first offender.
@@ -584,10 +599,13 @@ mod reference {
                     as usize;
                 let terms =
                     parse_terms(value.get("terms")).map_err(|m| invalid(Some(id), line_no, &m))?;
+                let lookahead = get_count(&value, "lookahead")
+                    .map_err(|m| invalid(Some(id), line_no, &m))?
+                    .map(|l| l as usize);
+                let deadline_ms =
+                    get_count(&value, "deadline_ms").map_err(|m| invalid(Some(id), line_no, &m))?;
                 let target = parse_target(value.get("target"))
                     .map_err(|m| invalid(Some(id), line_no, &m))?;
-                let lookahead = get_u64(&value, "lookahead").map(|l| l as usize);
-                let deadline_ms = get_u64(&value, "deadline_ms");
                 #[cfg(feature = "sabotage")]
                 let sabotage = parse_sabotage(value.get("sabotage"))
                     .map_err(|m| invalid(Some(id), line_no, &m))?;
@@ -619,10 +637,13 @@ mod reference {
                     as usize;
                 let terms =
                     parse_terms(value.get("terms")).map_err(|m| invalid(Some(id), line_no, &m))?;
+                let lookahead = get_count(&value, "lookahead")
+                    .map_err(|m| invalid(Some(id), line_no, &m))?
+                    .map(|l| l as usize);
+                let deadline_ms =
+                    get_count(&value, "deadline_ms").map_err(|m| invalid(Some(id), line_no, &m))?;
                 let devices = parse_devices(value.get("devices"))
                     .map_err(|m| invalid(Some(id), line_no, &m))?;
-                let lookahead = get_u64(&value, "lookahead").map(|l| l as usize);
-                let deadline_ms = get_u64(&value, "deadline_ms");
                 Ok(Request::Fleet(FleetSpec {
                     id,
                     qubits,

@@ -28,14 +28,14 @@ fn connect(addr: SocketAddr) -> Client {
     Client::connect(&addr.to_string(), RetryPolicy::default()).unwrap()
 }
 
-/// A compile frame over `qubits` qubits with `n` random non-identity terms;
-/// large `n` makes the compile slow enough to observe queued/running states.
-fn compile_frame(id: u64, qubits: usize, n: usize, seed: u64) -> String {
+/// `n` random non-identity terms over `qubits` qubits, their labels drawn
+/// from `letters`, as the JSON array of a frame's `terms`.
+fn random_terms(qubits: usize, n: usize, seed: u64, letters: &[char]) -> String {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut terms = Vec::with_capacity(n);
     loop {
         let label: String = (0..qubits)
-            .map(|_| ['I', 'X', 'Y', 'Z'][rng.next_below(4)])
+            .map(|_| letters[rng.next_below(letters.len())])
             .collect();
         if label.bytes().all(|b| b == b'I') {
             continue;
@@ -45,9 +45,15 @@ fn compile_frame(id: u64, qubits: usize, n: usize, seed: u64) -> String {
             break;
         }
     }
+    format!("[{}]", terms.join(","))
+}
+
+/// A compile frame over `qubits` qubits with `n` random non-identity terms;
+/// large `n` makes the compile slow enough to observe queued/running states.
+fn compile_frame(id: u64, qubits: usize, n: usize, seed: u64) -> String {
+    let terms = random_terms(qubits, n, seed, &['I', 'X', 'Y', 'Z']);
     format!(
-        "{{\"op\":\"compile\",\"id\":{id},\"qubits\":{qubits},\"terms\":[{}],\"target\":\"cnot\"}}",
-        terms.join(",")
+        "{{\"op\":\"compile\",\"id\":{id},\"qubits\":{qubits},\"terms\":{terms},\"target\":\"cnot\"}}"
     )
 }
 
@@ -299,6 +305,30 @@ fn oversized_devices_are_rejected_and_the_connection_survives() {
 }
 
 #[test]
+fn ill_typed_counts_are_rejected_and_the_connection_survives() {
+    let (handle, addr, join) = start_server(ServerConfig::default());
+    let mut client = connect(addr);
+    let members = [
+        ("deadline_ms", r#""soon""#),
+        ("deadline_ms", "-1"),
+        ("deadline_ms", "2.5"),
+        ("deadline_ms", "18446744073709551615"),
+        ("lookahead", r#""x""#),
+    ];
+    for (line, (name, value)) in (1..).step_by(2).zip(members) {
+        let frame = format!(
+            r#"{{"op":"compile","id":1,"qubits":2,"terms":[["ZZ",1.0]],"{name}":{value}}}"#
+        );
+        let needle = format!("`{name}` must be an integer");
+        assert_rejected_then_served(&mut client, &frame, line, &needle);
+    }
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.invalid_frames, 5);
+    assert_eq!(report.admitted, 0);
+}
+
+#[test]
 fn zero_capacity_queue_sheds_every_request_with_a_retry_hint() {
     let config = ServerConfig {
         queue_capacity: 0,
@@ -488,35 +518,116 @@ fn tiered_deadlines_trade_latency_for_quality() {
     assert_eq!(report.worker_deaths, 0);
 }
 
-#[test]
-fn cancelling_mid_deepening_returns_the_best_so_far() {
-    let config = ServerConfig {
+/// A `compile` or `fleet` frame (`op`, with its `target` or `devices`
+/// member `place`) of 200 random terms that each act on all 8 qubits, with
+/// a 600 s deadline. The terms form one dense group, so the full deepening
+/// schedule takes seconds even in a release build (2.0–2.4 s at the
+/// `cnot`, `falcon27` and `grid:3x3` targets on a 2-vCPU VM), while a
+/// cancel sent as soon as a worker picks the frame up lands within
+/// milliseconds: always mid-deepening.
+fn dense_budgeted_frame(id: u64, op: &str, place: &str) -> String {
+    let terms = random_terms(8, 200, 61, &['X', 'Y', 'Z']);
+    format!(
+        "{{\"op\":\"{op}\",\"id\":{id},\"qubits\":8,\"terms\":{terms},{place},\"deadline_ms\":600000}}"
+    )
+}
+
+/// Returns once `stats` frames on a connection of its own show that the
+/// one job a one-worker server admitted has left the queue: the worker is
+/// compiling it. Panics if the job has already been answered, since a
+/// cancel or a hang-up would then interrupt nothing.
+fn wait_until_dequeued(addr: SocketAddr) {
+    let mut probe = connect(addr);
+    for id in 0.. {
+        let stats = probe
+            .request(id, &format!(r#"{{"op":"stats","id":{id}}}"#))
+            .unwrap();
+        let count = |key: &str| stats.get(key).and_then(Value::as_u64).unwrap();
+        assert_eq!(
+            count("completed"),
+            0,
+            "answered before dequeue seen: {stats:?}"
+        );
+        if count("admitted") == 1 && count("queue_depth") == 0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Cancels job `id`, already sent on `client` to a one-worker server,
+/// `after` the worker has picked it up, and returns its reply.
+fn cancel_once_dequeued(addr: SocketAddr, client: &mut Client, id: u64, after: Duration) -> Value {
+    wait_until_dequeued(addr);
+    std::thread::sleep(after);
+    client.cancel(id).unwrap();
+    client.wait_reply(id).unwrap()
+}
+
+fn one_worker() -> ServerConfig {
+    ServerConfig {
         workers: 1,
         ..ServerConfig::default()
-    };
-    let (handle, addr, join) = start_server(config);
+    }
+}
+
+#[test]
+fn cancelling_mid_deepening_replies_cancelled() {
+    let (handle, addr, join) = start_server(one_worker());
     let mut client = connect(addr);
-    // A big budgeted job: the roomy deadline means deepening would run for
-    // a long time, so the cancel lands mid-round.
-    client
-        .send_line(&budgeted_frame(400, 10, 400, 77, 600_000))
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(120));
-    client.cancel(400).unwrap();
-    let reply = client.wait_reply(400).unwrap();
-    // Anytime semantics: cancellation of a budgeted request yields the
-    // best-so-far circuit as a normal success, not a `cancelled` error.
-    assert_eq!(status(&reply), "ok", "reply: {reply:?}");
-    assert!(
-        reply.get("depth_reached").and_then(Value::as_u64).is_some(),
-        "reply: {reply:?}"
-    );
-    assert!(reply.get("gates").and_then(Value::as_u64).unwrap() > 0);
-    assert_cnot_isa(&reply);
+    let frame = dense_budgeted_frame(400, "compile", r#""target":"cnot""#);
+    client.send_line(&frame).unwrap();
+    // A fired token ends a budgeted compile at its next poll, as it ends an
+    // unbudgeted one: no best-so-far circuit is delivered.
+    let reply = cancel_once_dequeued(addr, &mut client, 400, Duration::ZERO);
+    assert_eq!(kind(&reply), Some("cancelled"), "reply: {reply:?}");
     handle.shutdown();
     let report = join.join().unwrap();
-    assert_eq!(report.admitted, 1);
-    assert_eq!(report.completed, 1);
+    assert_eq!(
+        (report.admitted, report.completed, report.cancelled),
+        (1, 1, 1)
+    );
+    assert_eq!(report.worker_deaths, 0);
+}
+
+#[test]
+fn cancelling_a_budgeted_fleet_mid_compile_replies_cancelled() {
+    let (handle, addr, join) = start_server(one_worker());
+    let mut client = connect(addr);
+    let frame = dense_budgeted_frame(410, "fleet", r#""devices":["falcon27","grid:3x3"]"#);
+    client.send_line(&frame).unwrap();
+    // Every member shares the token, so each stops at its next poll, and a
+    // cancelled member cancels the fleet reply. The cancel waits 50 ms, a
+    // fortieth of the schedule, so that both members are deepening.
+    let reply = cancel_once_dequeued(addr, &mut client, 410, Duration::from_millis(50));
+    assert_eq!(kind(&reply), Some("cancelled"), "reply: {reply:?}");
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(
+        (report.admitted, report.completed, report.cancelled),
+        (1, 1, 1)
+    );
+}
+
+#[test]
+fn a_disconnect_mid_deepening_cancels_the_abandoned_job() {
+    let (handle, addr, join) = start_server(one_worker());
+    {
+        let mut doomed = connect(addr);
+        let frame = dense_budgeted_frame(420, "compile", r#""target":"falcon27""#);
+        doomed.send_line(&frame).unwrap();
+        wait_until_dequeued(addr);
+        // Hang up mid-deepening: the reaper fires the job's token.
+    }
+    let mut client = connect(addr);
+    let ok = client.request(421, &compile_frame(421, 3, 3, 78)).unwrap();
+    assert_eq!(status(&ok), "ok", "reply: {ok:?}");
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(
+        (report.admitted, report.completed, report.cancelled),
+        (2, 2, 1)
+    );
     assert_eq!(report.worker_deaths, 0);
 }
 

@@ -18,9 +18,10 @@
 //!    exactly equivalent circuit (the round-0 baseline is always
 //!    available).
 //! 3. **Mid-round cancellation** — a [`CancelToken`] fired from another
-//!    thread after a seeded random delay: a success must be equivalent;
-//!    an error is acceptable only as typed [`PhoenixError::Cancelled`]
-//!    (the token fired before the anytime pass took ownership).
+//!    thread after a seeded random delay: a cancel that lands before the
+//!    compile finishes, mid-round included, must surface as the typed
+//!    [`PhoenixError::Cancelled`] (check `cancel-is-typed`), and a compile
+//!    that finished first must be equivalent.
 //!
 //! [`anytime_failures`] sweeps seeded programs round-robin over the three
 //! generator families and additionally demands *progress*: at least one
@@ -223,8 +224,6 @@ pub fn verify_anytime(
     });
     match result {
         Ok(out) => check_equivalent(failures, &pipeline, program, &out),
-        // Acceptable only when the token fired before the anytime pass took
-        // ownership of the compilation (then nothing is discarded).
         Err(PhoenixError::Cancelled) => {}
         Err(e) => fail(
             failures,
