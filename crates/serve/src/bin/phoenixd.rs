@@ -33,16 +33,19 @@ extern "C" {
 /// The write end of the socket pair the signal handler wakes the shutdown
 /// monitor through. Set once before the handlers are installed and never
 /// closed, so the monitor's read sees a byte, never an end of file. The
+/// first signal takes it, so one byte is all that is ever written. The
 /// descriptor is the only value it publishes, so `Relaxed` suffices.
 static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
 extern "C" fn on_signal(_sig: i32) {
-    // SAFETY: `write(2)` is async-signal-safe, and the buffer is one live
-    // byte. The descriptor is the open, non-blocking write end, so the
-    // call never waits; if the socket is full, a byte is already queued
-    // and the monitor wakes anyway.
-    unsafe {
-        write(WAKE_FD.load(Ordering::Relaxed), [1u8].as_ptr(), 1);
+    let fd = WAKE_FD.swap(-1, Ordering::Relaxed);
+    if fd >= 0 {
+        // SAFETY: `write(2)` is async-signal-safe, and the buffer is one
+        // live byte. It is the first byte written to the open write end,
+        // so the call never waits.
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
     }
 }
 
@@ -50,9 +53,8 @@ extern "C" fn on_signal(_sig: i32) {
 /// and returns the socket the shutdown monitor blocks on.
 fn install_signal_handlers() -> std::io::Result<UnixStream> {
     let (wake, wake_tx) = UnixStream::pair()?;
-    wake_tx.set_nonblocking(true)?;
     WAKE_FD.store(wake_tx.into_raw_fd(), Ordering::Relaxed);
-    // SAFETY: `on_signal` only loads an atomic and calls `write(2)`, both
+    // SAFETY: `on_signal` only swaps an atomic and calls `write(2)`, both
     // async-signal-safe, and `WAKE_FD` is set before either signal can
     // reach it.
     unsafe {

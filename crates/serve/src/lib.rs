@@ -12,7 +12,9 @@
 //!   dispatch, client-initiated cancellation, per-request panic isolation
 //!   with worker respawn, slow-client write timeouts, half-open connection
 //!   reaping, and graceful drain on shutdown. Speaks TCP (`std::net` +
-//!   scoped threads — no async runtime) and stdio.
+//!   scoped threads — no async runtime) and stdio. Nothing polls: every
+//!   transport thread blocks on its own input until a shutdown wakes it,
+//!   so an idle server takes no CPU.
 //! - **[`client`]** — a blocking client with retry, exponential backoff and
 //!   jitter on `overloaded`/transient I/O failures.
 //!

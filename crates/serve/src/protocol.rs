@@ -517,31 +517,22 @@ impl<'a> Members<'a> {
             other => return Err(invalid(id, line_no, &format!("unknown op `{other}`"))),
         };
         self.check_fields(allowed, id, line_no)?;
-        let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
+        let id = required(self.id, "id").map_err(|m| invalid(None, line_no, &m))?;
         match op {
             "ping" => return Ok(Request::Ping { id }),
             "stats" => return Ok(Request::Stats { id }),
             _ => {}
         }
         let invalid = |message: String| invalid(Some(id), line_no, &message);
-        let qubits = self
-            .qubits
-            .flatten()
-            .ok_or_else(|| invalid("missing `qubits`".to_string()))? as usize;
+        let qubits = required(self.qubits, "qubits").map_err(invalid)? as usize;
         let terms = self
             .terms
             .unwrap_or_else(|| Err(TERMS_SHAPE.to_string()))
             .map_err(invalid)?;
-        // An optional count is absent or an integer; a member of any other
-        // type is rejected, never read as absent.
-        let count = |member: Option<Option<u64>>, name: &str| {
-            let ill_typed = || format!("`{name}` must be an integer from 0 to {}", i64::MAX);
-            member
-                .map(|v| v.ok_or_else(|| invalid(ill_typed())))
-                .transpose()
-        };
-        let lookahead = count(self.lookahead, "lookahead")?.map(|l| l as usize);
-        let deadline_ms = count(self.deadline_ms, "deadline_ms")?;
+        let lookahead = count(self.lookahead, "lookahead")
+            .map_err(invalid)?
+            .map(|l| l as usize);
+        let deadline_ms = count(self.deadline_ms, "deadline_ms").map_err(invalid)?;
         if op == "fleet" {
             let specs = self
                 .devices
@@ -571,6 +562,19 @@ impl<'a> Members<'a> {
             sabotage,
         }))
     }
+}
+
+/// An optional count: absent, or an integer. A member of any other type is
+/// rejected, never read as absent.
+fn count(member: Option<Option<u64>>, name: &str) -> Decoded<Option<u64>> {
+    let ill_typed = || format!("`{name}` must be an integer from 0 to {}", i64::MAX);
+    member.map(|v| v.ok_or_else(ill_typed)).transpose()
+}
+
+/// A required count: a missing member and one of another type are each
+/// rejected for what they are.
+fn required(member: Option<Option<u64>>, name: &str) -> Decoded<u64> {
+    count(member, name)?.ok_or_else(|| format!("missing `{name}`"))
 }
 
 /// A string member, or `None` (read for syntax only) for any other value.

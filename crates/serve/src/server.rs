@@ -5,13 +5,13 @@
 //! Concurrency model (no async runtime — `std::net` + scoped threads,
 //! following the pipeline's own deterministic `std::thread::scope` idiom):
 //!
-//! - the **accept loop** runs on the caller's thread, polling a
-//!   non-blocking listener so it can observe the drain flag;
+//! - the **accept loop** runs on the caller's thread, blocked in `accept`;
 //! - each **connection** gets a reader thread (frame assembly with a hard
 //!   size bound, strict parsing, idle reaping) and a writer thread (reply
 //!   serialization behind a write timeout, so one slow client never blocks
-//!   a worker); stdio is one connection whose frames go through the same
-//!   assembler;
+//!   a worker); stdio is one connection whose stdin thread feeds the same
+//!   assembler. Each thread blocks on its own input, and a shutdown wakes
+//!   the accept loop and every reader;
 //! - a fixed pool of **worker supervisors** each run a worker loop inside
 //!   `catch_unwind`: a worker that dies is logged, counted, its request
 //!   answered with a typed `panic` reply, and the loop re-entered — the
@@ -29,10 +29,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -62,8 +62,9 @@ pub struct ServerConfig {
     /// How long a reply write may block before the client is declared slow
     /// and its connection dropped.
     pub write_timeout: Duration,
-    /// How long a connection may sit idle (no frames, nothing in flight)
-    /// before being reaped.
+    /// How long a connection may sit idle (no bytes, nothing in flight)
+    /// before being reaped. A read times out after it, so a connection is
+    /// reaped between one and two timeouts after its last byte.
     pub idle_timeout: Duration,
     /// Deadline applied to requests that do not carry their own
     /// `deadline_ms`: admission writes it into the frame, in whole
@@ -84,15 +85,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// Poll interval for the accept loop and blocked readers: each observes
-/// the drain flag at least this often.
-const POLL: Duration = Duration::from_millis(50);
-
-/// stdin chunks queued for the frame assembler. A chunk is at most one
-/// 8 KiB read of stdin's buffer, so with the one the reader holds and the
-/// one the assembler takes, at most 24 KiB of stdin is in flight.
-const STDIN_CHUNKS: usize = 1;
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -173,9 +165,7 @@ struct ServerState {
     cache: Arc<CompileCache>,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    /// `(connection, request id)` → cancellation handle, for every admitted
-    /// job that has not yet been answered.
-    registry: Mutex<HashMap<(u64, u64), CancelToken>>,
+    conns: Mutex<Connections>,
     counters: Counters,
     /// Microseconds each of the most recent [`MAX_WAIT_SAMPLES`] admitted
     /// jobs waited in the queue (admission → worker pickup), oldest first,
@@ -183,6 +173,9 @@ struct ServerState {
     queue_waits_us: Mutex<VecDeque<u64>>,
     /// EWMA of job execution time in microseconds, for `retry_after_ms`.
     avg_job_us: AtomicU64,
+    /// Set once, by `shutdown`, under the queue lock and before it takes
+    /// the connection lock. Workers, registration and `close` read it under
+    /// or after one of those locks, so `Relaxed` suffices.
     draining: AtomicBool,
 }
 
@@ -190,26 +183,83 @@ struct ServerState {
 /// the oldest.
 const MAX_WAIT_SAMPLES: usize = 100_000;
 
+/// What a shutdown wakes and a cancel or a hang-up reaches: the address
+/// of the listener, and each open connection with a clone of its socket
+/// (none for stdio) and the cancel tokens of its jobs in flight, by id.
+#[derive(Default)]
+struct Connections {
+    listener: Option<SocketAddr>,
+    open: HashMap<u64, Connection>,
+}
+
+#[derive(Default)]
+struct Connection {
+    socket: Option<TcpStream>,
+    jobs: HashMap<u64, CancelToken>,
+}
+
 impl ServerState {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::Relaxed)
     }
 
-    /// Sets the drain flag and wakes every idle worker. Both happen under
-    /// the queue lock, so a worker that found the flag clear is already
-    /// waiting on the condvar when the wakeup comes.
+    /// Sets the drain flag and wakes every blocked thread: idle workers
+    /// under the queue lock, so a worker that found the flag clear is
+    /// already waiting on the condvar; each reader by shutting its socket
+    /// for reading; and the accept loop by connecting to the listener (in
+    /// bounded time, so a full backlog cannot hang the shutdown).
     fn shutdown(&self) {
-        let _queue = self.lock_queue();
-        self.draining.store(true, Ordering::Relaxed);
-        self.queue_cv.notify_all();
+        {
+            let _queue = self.lock_queue();
+            if self.draining.swap(true, Ordering::Relaxed) {
+                return;
+            }
+            self.queue_cv.notify_all();
+        }
+        let conns = self.lock_conns();
+        for socket in conns.open.values().filter_map(|c| c.socket.as_ref()) {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        if let Some(addr) = conns.listener {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
+    }
+
+    /// Applies `add` to the connection table unless the server is draining,
+    /// and says whether it did: under the lock a shutdown wakes it under.
+    fn register(&self, add: impl FnOnce(&mut Connections)) -> bool {
+        let mut conns = self.lock_conns();
+        let open = !self.draining();
+        if open {
+            add(&mut conns);
+        }
+        open
+    }
+
+    /// Forgets connection `conn` once its reader has returned. Unless the
+    /// server is draining (admitted work then completes and flushes), the
+    /// client is gone: its jobs in flight are cancelled, so workers stop
+    /// burning time on results nobody will observe.
+    fn close(&self, conn: u64) {
+        let closed = self.lock_conns().open.remove(&conn).unwrap_or_default();
+        if !self.draining() {
+            closed.jobs.values().for_each(CancelToken::cancel);
+        }
+    }
+
+    /// Drops the cancel token of job `id` on connection `conn`.
+    fn forget(&self, conn: u64, id: u64) {
+        if let Some(c) = self.lock_conns().open.get_mut(&conn) {
+            c.jobs.remove(&id);
+        }
     }
 
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, u64), CancelToken>> {
-        self.registry.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_conns(&self) -> std::sync::MutexGuard<'_, Connections> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn record_wait(&self, us: u64) {
@@ -376,7 +426,7 @@ impl Server {
                 cache,
                 queue: Mutex::new(VecDeque::new()),
                 queue_cv: Condvar::new(),
-                registry: Mutex::new(HashMap::new()),
+                conns: Mutex::default(),
                 counters: Counters::default(),
                 queue_waits_us: Mutex::new(VecDeque::new()),
                 avg_job_us: AtomicU64::new(0),
@@ -401,20 +451,36 @@ impl Server {
     /// returns the final report.
     pub fn run_tcp(&self, listener: TcpListener) -> ServeReport {
         let state = &*self.state;
-        if listener.set_nonblocking(true).is_err() {
-            state.shutdown();
+        match listener.local_addr() {
+            Ok(mut addr) => {
+                // An unspecified address is reached at its family's loopback.
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                state.register(|conns| conns.listener = Some(addr));
+            }
+            // Without its address, a shutdown could not wake the listener.
+            Err(_) => state.shutdown(),
         }
         self.serve(|scope| {
             let mut next_conn: u64 = 0;
             while !state.draining() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        next_conn += 1;
-                        let conn = next_conn;
-                        scope.spawn(move || serve_connection(state, stream, conn));
-                    }
-                    // Nothing to accept yet, or a failed accept: poll again.
-                    Err(_) => std::thread::sleep(POLL),
+                let Ok((stream, _)) = listener.accept() else {
+                    // Out of descriptors, say: back off instead of spinning.
+                    std::thread::sleep(Duration::from_millis(10));
+                    continue;
+                };
+                let Some(socket) = prepare_stream(&stream, &state.config) else {
+                    continue;
+                };
+                next_conn += 1;
+                let conn = next_conn;
+                // After a shutdown, this is its wake-up: the loop ends.
+                if state.register(|c| c.open.entry(conn).or_default().socket = Some(socket)) {
+                    scope.spawn(move || serve_connection(state, stream, conn));
                 }
             }
         })
@@ -425,54 +491,41 @@ impl Server {
     /// stdin ends a final frame that lacks its newline and initiates the
     /// same graceful drain as SIGTERM; stdin is never reaped as idle.
     pub fn run_stdio(&self) -> ServeReport {
-        let state = &*self.state;
-        // stdin reads cannot be timed out portably, so a detached thread
-        // owns the blocking reads and forwards raw chunks over a bounded
-        // channel; it dies with the process if still blocked at exit.
-        let (chunk_tx, chunk_rx) = mpsc::sync_channel::<Vec<u8>>(STDIN_CHUNKS);
+        let (tx, rx) = mpsc::channel::<String>();
+        let (state, stdin_tx) = (Arc::clone(&self.state), tx.clone());
+        state.register(|conns| drop(conns.open.insert(0, Connection::default())));
+        // stdin reads cannot be interrupted portably, so a detached thread
+        // owns them and feeds the assembler itself; it dies with the
+        // process if still blocked at exit.
         std::thread::spawn(move || {
+            let mut frames = FrameAssembler::new(&state, 0, &stdin_tx);
             let mut stdin = std::io::stdin().lock();
             loop {
-                let chunk = match stdin.fill_buf() {
+                let taken = match stdin.fill_buf() {
                     Ok([]) => break,
-                    Ok(buf) => buf.to_vec(),
+                    Ok(buf) => frames.feed(buf),
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => break,
                 };
-                stdin.consume(chunk.len());
-                if chunk_tx.send(chunk).is_err() {
-                    break;
-                }
+                stdin.consume(taken);
             }
+            // EOF ends a final frame that lacks its newline.
+            frames.feed(b"\n");
+            state.shutdown();
         });
-        self.serve(|scope| {
-            let (reply_tx, reply_rx) = mpsc::channel::<String>();
+        std::thread::scope(|scope| {
             scope.spawn(move || {
                 let mut out = std::io::stdout().lock();
-                for line in reply_rx {
+                for line in rx.iter().take_while(|line| !line.is_empty()) {
                     let _ = writeln!(out, "{line}");
                     let _ = out.flush();
                 }
             });
-            let mut frames = FrameAssembler::new(state, 0, &reply_tx);
-            while !state.draining() {
-                match chunk_rx.recv_timeout(POLL) {
-                    Ok(chunk) => {
-                        let mut rest = &chunk[..];
-                        while !rest.is_empty() {
-                            rest = &rest[frames.feed(rest)..];
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // EOF ends a final frame that lacks its newline.
-                        frames.feed(b"\n");
-                        state.shutdown();
-                    }
-                }
-            }
-            // `reply_tx` drops here; the printer exits once the workers
-            // have flushed the replies for every admitted job.
+            let report = self.serve(|_| {});
+            // Every worker has replied; an empty line, which no reply
+            // renders to, stops the printer.
+            let _ = tx.send(String::new());
+            report
         })
     }
 
@@ -553,11 +606,10 @@ fn handle_frame(state: &ServerState, conn: u64, frame: &str, line_no: u64, tx: &
         Request::Ping { id } => send(tx, pong_reply(id)),
         Request::Stats { id } => send(tx, stats_reply(state, id)),
         Request::Cancel { id } => {
-            let found = state
-                .lock_registry()
-                .get(&(conn, id))
-                .map(CancelToken::cancel)
-                .is_some();
+            let conns = state.lock_conns();
+            let token = conns.open.get(&conn).and_then(|c| c.jobs.get(&id));
+            let found = token.map(CancelToken::cancel).is_some();
+            drop(conns);
             if found {
                 send(tx, cancelling_reply(id));
             } else {
@@ -597,23 +649,11 @@ fn stats_reply(state: &ServerState, id: u64) -> Value {
     ])
 }
 
-/// Admission control: reject during drain, shed when the queue is full,
-/// otherwise give a frame without a deadline the server's default, register
-/// the cancel token and enqueue.
+/// Admission control: give a frame without a deadline the server's
+/// default, then reject during drain, shed when the queue is full, and
+/// otherwise register the cancel token and enqueue. The drain check holds
+/// the queue lock, so every admitted job is one the workers drain.
 fn admit(state: &ServerState, conn: u64, mut spec: JobSpec, tx: &Sender<String>) {
-    if state.draining() {
-        send(
-            tx,
-            error_reply(
-                Some(spec.id()),
-                ErrorKind::ShuttingDown,
-                "server is draining; no new work admitted",
-                None,
-                None,
-            ),
-        );
-        return;
-    }
     let now = Instant::now();
     let deadline_ms = spec.deadline_ms();
     if deadline_ms.is_none() {
@@ -626,6 +666,13 @@ fn admit(state: &ServerState, conn: u64, mut spec: JobSpec, tx: &Sender<String>)
     let token = CancelToken::new();
     {
         let mut queue = state.lock_queue();
+        if state.draining() {
+            drop(queue);
+            let message = "server is draining; no new work admitted";
+            let kind = ErrorKind::ShuttingDown;
+            send(tx, error_reply(Some(spec.id()), kind, message, None, None));
+            return;
+        }
         if queue.len() >= state.config.queue_capacity {
             let hint = state.retry_after_ms(queue.len());
             drop(queue);
@@ -642,9 +689,9 @@ fn admit(state: &ServerState, conn: u64, mut spec: JobSpec, tx: &Sender<String>)
             );
             return;
         }
-        state
-            .lock_registry()
-            .insert((conn, spec.id()), token.clone());
+        if let Some(c) = state.lock_conns().open.get_mut(&conn) {
+            c.jobs.insert(spec.id(), token.clone());
+        }
         queue.push_back(Job {
             conn,
             spec,
@@ -689,7 +736,7 @@ fn supervise_worker(state: &ServerState, slot: usize) {
                 Counters::bump(&state.counters.panics_contained);
                 let fatal = current.lock().unwrap_or_else(|e| e.into_inner()).take();
                 if let Some(meta) = fatal {
-                    state.lock_registry().remove(&(meta.conn, meta.id));
+                    state.forget(meta.conn, meta.id);
                     Counters::bump(&state.counters.completed);
                     send(
                         &meta.reply,
@@ -747,7 +794,7 @@ fn worker_loop(state: &ServerState, current: &Mutex<Option<JobMeta>>) {
         state.observe_job_time(started.elapsed());
         Counters::bump(&state.counters.completed);
         send(&job.reply, reply);
-        state.lock_registry().remove(&(job.conn, job.spec.id()));
+        state.forget(job.conn, job.spec.id());
         *current.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 }
@@ -755,58 +802,36 @@ fn worker_loop(state: &ServerState, current: &Mutex<Option<JobMeta>>) {
 /// One TCP connection: a reader (this thread) assembling size-bounded
 /// frames, and a writer thread flushing replies behind a write timeout.
 fn serve_connection(state: &ServerState, stream: TcpStream, conn: u64) {
-    let Some(write_half) = prepare_stream(&stream, state.config.write_timeout) else {
-        return;
-    };
     let (tx, rx) = mpsc::channel::<String>();
+    let stream = &stream;
     std::thread::scope(|scope| {
-        scope.spawn(|| writer_loop(write_half, rx, state));
-        let exit = reader_loop(state, stream, conn, &tx);
-        if exit == ReaderExit::Abandoned {
-            // The client is gone: fire the cancel tokens for whatever it
-            // still had in flight, so workers stop burning time on results
-            // nobody will observe. (A graceful drain is NOT abandonment —
-            // admitted work must complete and flush.)
-            let registry = state.lock_registry();
-            for ((c, _), token) in registry.iter() {
-                if *c == conn {
-                    token.cancel();
-                }
-            }
-        }
+        scope.spawn(move || writer_loop(stream, rx, state));
+        reader_loop(state, stream, conn, &tx);
+        state.close(conn);
         drop(tx);
         // The writer exits once every reply sender is gone — i.e. after the
         // workers have answered this connection's remaining jobs.
     });
 }
 
-/// Sets up an accepted connection and returns its write half, or `None`
-/// if the socket cannot be cloned. Replies go out at once (`TCP_NODELAY`):
-/// with requests pipelined on one connection, Nagle's algorithm would
-/// otherwise hold each reply until the client's delayed ACK. Reads poll
-/// every [`POLL`] and writes time out after `write_timeout`. The socket
-/// options are best effort.
-fn prepare_stream(stream: &TcpStream, write_timeout: Duration) -> Option<TcpStream> {
+/// Sets up an accepted connection and returns the clone of its socket a
+/// shutdown wakes its reader through, or `None` if it cannot be cloned.
+/// Replies go out at once (`TCP_NODELAY`): with requests pipelined on one
+/// connection, Nagle's algorithm would otherwise hold each reply until the
+/// client's delayed ACK. Reads time out after `idle_timeout` (1 ms for a
+/// zero one, which the option rejects) and writes after `write_timeout`.
+/// The socket options are best effort.
+fn prepare_stream(stream: &TcpStream, config: &ServerConfig) -> Option<TcpStream> {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let write_half = stream.try_clone().ok()?;
-    let _ = write_half.set_write_timeout(Some(write_timeout));
-    Some(write_half)
-}
-
-/// Why a connection's reader loop returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReaderExit {
-    /// The client hung up (EOF/reset) or was reaped while idle.
-    Abandoned,
-    /// The server is draining; the client may still be listening.
-    Draining,
+    let _ = stream.set_read_timeout(Some(config.idle_timeout.max(Duration::from_millis(1))));
+    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    stream.try_clone().ok()
 }
 
 /// Flushes reply lines to the socket. A write that exceeds the timeout
 /// marks the client slow: the connection's remaining replies are drained
 /// and discarded (never blocking a worker), and the drop is counted.
-fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, state: &ServerState) {
+fn writer_loop(mut stream: &TcpStream, rx: Receiver<String>, state: &ServerState) {
     let mut dead = false;
     for line in rx {
         if dead {
@@ -822,38 +847,31 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<String>, state: &ServerState)
     }
 }
 
-/// Reads a connection's frames through a [`FrameAssembler`]; idle
-/// connections with nothing in flight are reaped.
-fn reader_loop(
-    state: &ServerState,
-    stream: TcpStream,
-    conn: u64,
-    tx: &Sender<String>,
-) -> ReaderExit {
+/// Reads a connection's frames through a [`FrameAssembler`] until the
+/// client hangs up, a shutdown shuts the socket for reading, or the
+/// connection is reaped: a read waited `idle_timeout` for a byte, and
+/// nothing is in flight.
+fn reader_loop(state: &ServerState, stream: &TcpStream, conn: u64, tx: &Sender<String>) {
     let mut reader = BufReader::new(stream);
     let mut frames = FrameAssembler::new(state, conn, tx);
-    let mut last_activity = Instant::now();
-    loop {
-        if state.draining() {
-            return ReaderExit::Draining;
-        }
+    while !state.draining() {
         let buf = match reader.fill_buf() {
-            Ok([]) => return ReaderExit::Abandoned, // EOF
+            Ok([]) => return, // EOF, or a shutdown's wake-up
             Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                let has_inflight = state.lock_registry().keys().any(|(c, _)| *c == conn);
-                if !has_inflight && last_activity.elapsed() >= state.config.idle_timeout {
+                let conns = state.lock_conns();
+                if conns.open.get(&conn).is_some_and(|c| c.jobs.is_empty()) {
                     Counters::bump(&state.counters.reaped_connections);
-                    return ReaderExit::Abandoned;
+                    return;
                 }
                 continue;
             }
-            Err(_) => return ReaderExit::Abandoned,
+            Err(_) => return,
         };
-        last_activity = Instant::now();
         let consumed = frames.feed(buf);
         reader.consume(consumed);
     }
@@ -938,8 +956,11 @@ mod tests {
             !accepted.nodelay().expect("query"),
             "Nagle is on by default"
         );
-        let write_timeout = Duration::from_millis(1234);
-        let write_half = prepare_stream(&accepted, write_timeout).expect("clone");
+        let config = ServerConfig {
+            write_timeout: Duration::from_millis(1234),
+            ..ServerConfig::default()
+        };
+        let write_half = prepare_stream(&accepted, &config).expect("clone");
         assert!(accepted.nodelay().expect("query"));
         assert!(
             write_half.nodelay().expect("query"),
@@ -949,10 +970,13 @@ mod tests {
         let near = |t: Option<Duration>, want: Duration| {
             t.is_some_and(|t| t >= want && t < want + Duration::from_millis(20))
         };
-        assert!(near(accepted.read_timeout().expect("query"), POLL));
+        assert!(near(
+            accepted.read_timeout().expect("query"),
+            config.idle_timeout
+        ));
         assert!(near(
             write_half.write_timeout().expect("query"),
-            write_timeout
+            config.write_timeout
         ));
         drop(client);
     }

@@ -2,7 +2,9 @@
 //! clients drive the real daemon binary with mixed valid and adversarial
 //! traffic, then SIGTERM drains it. Over stdio, the default transport, one
 //! stream of valid, malformed, non-UTF-8 and oversized frames ends in a
-//! ping without a newline, and closing stdin drains it.
+//! ping without a newline, and closing stdin drains it; SIGTERM drains it
+//! with stdin held open. On Linux, an idle daemon is checked to take no
+//! wakeups on either transport, its client connection or stdin held open.
 //!
 //! The serving contract, checked end to end:
 //!
@@ -24,7 +26,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::time::{Duration, Instant};
 
 use phoenix_mathkit::Xoshiro256;
@@ -67,9 +71,13 @@ impl Drop for Daemon {
     }
 }
 
-/// A fresh directory for one daemon of this test process.
+/// A fresh directory for one daemon of this test process, numbered so
+/// that daemons of concurrent tests never share one.
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("phoenixd-{tag}-{}", std::process::id()));
+    static DAEMONS: AtomicUsize = AtomicUsize::new(0);
+    let n = DAEMONS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("phoenixd-{tag}-{}-{n}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -111,15 +119,15 @@ fn terminate(child: &mut Child) -> ExitStatus {
     wait_for_exit(child)
 }
 
-/// Waits up to a minute for `child` to exit, so a daemon that never exits
+/// Waits up to 30 s for `child` to exit, so a daemon that never exits
 /// fails the test instead of hanging it.
 fn wait_for_exit(child: &mut Child) -> ExitStatus {
-    let deadline = Instant::now() + Duration::from_secs(60);
+    let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Some(status) = child.try_wait().unwrap() {
             return status;
         }
-        assert!(Instant::now() < deadline, "phoenixd did not drain in 60 s");
+        assert!(Instant::now() < deadline, "phoenixd did not drain in 30 s");
         std::thread::sleep(Duration::from_millis(10));
     }
 }
@@ -388,4 +396,136 @@ fn stdio_daemon_answers_every_frame_and_drains_at_eof() {
     let dir = daemon.dir.clone();
     drop(daemon);
     assert!(!dir.exists(), "{} left behind", dir.display());
+}
+
+/// Starts `phoenixd --stdio` (4 workers) in a directory of its own, writing
+/// its `--report` there.
+fn spawn_stdio_daemon(tag: &str) -> Daemon {
+    let dir = fresh_dir(tag);
+    let child = Command::new(env!("CARGO_BIN_EXE_phoenixd"))
+        .current_dir(&dir)
+        .args(["--stdio", "--workers", "4", "--report", REPORT])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    Daemon { child, dir }
+}
+
+/// Parses `stdout`'s reply lines on a thread of their own, until the
+/// daemon closes it.
+fn replies_of(stdout: ChildStdout) -> Receiver<Value> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines() {
+            let reply = serde_json::from_str(&line.unwrap()).unwrap_or(Value::Null);
+            if tx.send(reply).is_err() {
+                break;
+            }
+        }
+    });
+    rx
+}
+
+/// The next reply, failing the test if none comes within 30 s.
+fn next_reply(replies: &Receiver<Value>) -> Value {
+    replies
+        .recv_timeout(Duration::from_secs(30))
+        .expect("phoenixd sent no reply in 30 s")
+}
+
+#[test]
+fn sigterm_drains_a_stdio_daemon_with_stdin_held_open() {
+    let mut daemon = spawn_stdio_daemon("stdio-sigterm");
+    let mut stdin = daemon.child.stdin.take().unwrap();
+    let replies = replies_of(daemon.child.stdout.take().unwrap());
+    let mut rng = Xoshiro256::seed_from_u64(SEED);
+    let mut stream = String::new();
+    for id in 1..=4 {
+        stream += &compile_frame(id, 8, 120, &mut rng);
+        stream.push('\n');
+    }
+    stream += "{\"op\":\"ping\",\"id\":5}\n";
+    stdin.write_all(stream.as_bytes()).unwrap();
+    // The pong follows the four admissions; the compiles may still run.
+    let mut answered = Vec::new();
+    loop {
+        let reply = next_reply(&replies);
+        if class(&reply) == "pong" {
+            break;
+        }
+        answered.push(reply);
+    }
+    let status = terminate(&mut daemon.child);
+    assert!(status.success(), "phoenixd exited with {status} on SIGTERM");
+    answered.extend(replies.iter());
+    drop(stdin);
+    for id in 1..=4 {
+        let reply = answered
+            .iter()
+            .find(|r| r.get("id").and_then(Value::as_u64) == Some(id))
+            .unwrap_or_else(|| panic!("no reply for id {id}: {answered:?}"));
+        assert_eq!(class(reply), "ok", "{reply:?}");
+    }
+    assert_eq!(answered.len(), 4, "{answered:?}");
+    let report = read_report(&daemon.dir);
+    assert_eq!(report_field(&report, "admitted"), 4, "{report:?}");
+    assert_eq!(report_field(&report, "completed"), 4, "{report:?}");
+}
+
+/// The run count (field 3 of `schedstat`) of each thread of process
+/// `pid`, by thread id. It panics if procfs cannot be read, so that the
+/// check fails rather than skips.
+#[cfg(target_os = "linux")]
+fn run_counts(pid: u32) -> std::collections::HashMap<String, u64> {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).unwrap();
+    tasks
+        .map(|task| {
+            let task = task.unwrap();
+            let stat = std::fs::read_to_string(task.path().join("schedstat")).unwrap();
+            let runs = stat.split_whitespace().nth(2).unwrap().parse().unwrap();
+            (task.file_name().into_string().unwrap(), runs)
+        })
+        .collect()
+}
+
+/// How many times the threads of process `pid` ran over 2 s, once the
+/// work before has had 200 ms to settle.
+#[cfg(target_os = "linux")]
+fn wakeups(pid: u32) -> u64 {
+    std::thread::sleep(Duration::from_millis(200));
+    let before = run_counts(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let after = run_counts(pid);
+    let ran = |(tid, runs): (&String, &u64)| runs - before.get(tid).copied().unwrap_or(0);
+    after.iter().map(ran).sum()
+}
+
+/// Nothing in `phoenixd` polls: after one compile, with the client's
+/// connection or stdin held open, no thread of the daemon runs at all.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_daemon_makes_no_wakeups_on_either_transport() {
+    let mut rng = Xoshiro256::seed_from_u64(SEED);
+    let (mut daemon, addr) = spawn_daemon();
+    let mut client = Client::connect(&addr, RetryPolicy::default()).unwrap();
+    let reply = client
+        .request(1, &compile_frame(1, 4, 8, &mut rng))
+        .unwrap();
+    assert_eq!(class(&reply), "ok", "{reply:?}");
+    let tcp = wakeups(daemon.child.id());
+    assert!(terminate(&mut daemon.child).success());
+
+    let mut daemon = spawn_stdio_daemon("stdio-idle");
+    let mut stdin = daemon.child.stdin.take().unwrap();
+    let replies = replies_of(daemon.child.stdout.take().unwrap());
+    writeln!(stdin, "{}", compile_frame(1, 4, 8, &mut rng)).unwrap();
+    let reply = next_reply(&replies);
+    assert_eq!(class(&reply), "ok", "{reply:?}");
+    let stdio = wakeups(daemon.child.id());
+    drop(stdin);
+    assert!(wait_for_exit(&mut daemon.child).success());
+
+    assert_eq!((tcp, stdio), (0, 0), "wakeups over 2 s idle (tcp, stdio)");
 }

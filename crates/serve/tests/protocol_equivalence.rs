@@ -2,10 +2,12 @@
 //! and writer they replaced.
 //!
 //! The reference is the previous `parse_request` with its helpers, kept
-//! verbatim but for one change the decoder made after it: a `lookahead` or
+//! verbatim but for two changes the decoder made after it: a `lookahead` or
 //! `deadline_ms` member that is not an integer in `0..=i64::MAX` is
 //! rejected (checked after `terms`, `lookahead` first) instead of read as
-//! absent. It runs over the previous recursive JSON parser and writer and the
+//! absent, and an `id` or `qubits` member that is not one is rejected as
+//! ill-typed where a missing one is rejected, instead of as missing. It
+//! runs over the previous recursive JSON parser and writer and the
 //! previous one-qubit-at-a-time Pauli label parser (also verbatim, but for
 //! building the label error's text itself). Device specs resolve through
 //! today's `DeviceRegistry` on both sides. For every generated frame and
@@ -444,6 +446,11 @@ mod reference {
             .transpose()
     }
 
+    /// A required count: absent is missing, and any other type an error.
+    fn get_required(map: &Value, key: &str) -> Result<u64, String> {
+        get_count(map, key)?.ok_or_else(|| format!("missing `{key}`"))
+    }
+
     /// Rejects any key outside `allowed`, naming the first offender.
     fn check_fields(map: &Value, allowed: &[&str]) -> Result<(), String> {
         let Value::Map(pairs) = map else {
@@ -564,7 +571,7 @@ mod reference {
         match op {
             "ping" | "stats" => {
                 check_fields(&value, &["op", "id"]).map_err(|m| invalid(id, line_no, &m))?;
-                let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
+                let id = get_required(&value, "id").map_err(|m| invalid(None, line_no, &m))?;
                 Ok(match op {
                     "ping" => Request::Ping { id },
                     _ => Request::Stats { id },
@@ -593,9 +600,9 @@ mod reference {
                     "sabotage",
                 ];
                 check_fields(&value, ALLOWED).map_err(|m| invalid(id, line_no, &m))?;
-                let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
-                let qubits = get_u64(&value, "qubits")
-                    .ok_or_else(|| invalid(Some(id), line_no, "missing `qubits`"))?
+                let id = get_required(&value, "id").map_err(|m| invalid(None, line_no, &m))?;
+                let qubits = get_required(&value, "qubits")
+                    .map_err(|m| invalid(Some(id), line_no, &m))?
                     as usize;
                 let terms =
                     parse_terms(value.get("terms")).map_err(|m| invalid(Some(id), line_no, &m))?;
@@ -631,9 +638,9 @@ mod reference {
                     "lookahead",
                 ];
                 check_fields(&value, ALLOWED).map_err(|m| invalid(id, line_no, &m))?;
-                let id = id.ok_or_else(|| invalid(None, line_no, "missing `id`"))?;
-                let qubits = get_u64(&value, "qubits")
-                    .ok_or_else(|| invalid(Some(id), line_no, "missing `qubits`"))?
+                let id = get_required(&value, "id").map_err(|m| invalid(None, line_no, &m))?;
+                let qubits = get_required(&value, "qubits")
+                    .map_err(|m| invalid(Some(id), line_no, &m))?
                     as usize;
                 let terms =
                     parse_terms(value.get("terms")).map_err(|m| invalid(Some(id), line_no, &m))?;

@@ -7,9 +7,11 @@
 
 #![allow(clippy::unwrap_used)]
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{self, Receiver};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use phoenix_mathkit::Xoshiro256;
 use phoenix_serve::{Client, RetryPolicy, ServeReport, Server, ServerConfig, ServerHandle};
@@ -230,7 +232,8 @@ fn malformed_frames_get_line_numbered_typed_errors() {
 
 /// Sends `frame`, expects a line-numbered `invalid_request` whose message
 /// contains `needle`, then checks the same connection still answers.
-fn assert_rejected_then_served(client: &mut Client, frame: &str, line: u64, needle: &str) {
+/// Returns the rejection.
+fn assert_rejected_then_served(client: &mut Client, frame: &str, line: u64, needle: &str) -> Value {
     client.send_line(frame).unwrap();
     let reply: Value = serde_json::from_str(&client.recv_line().unwrap()).unwrap();
     assert_eq!(kind(&reply), Some("invalid_request"), "reply: {reply:?}");
@@ -239,6 +242,7 @@ fn assert_rejected_then_served(client: &mut Client, frame: &str, line: u64, need
     assert!(message.contains(needle), "{message}");
     let pong = client.ping(1000 + line).unwrap();
     assert_eq!(status(&pong), "pong", "reply: {pong:?}");
+    reply
 }
 
 #[test]
@@ -314,17 +318,26 @@ fn ill_typed_counts_are_rejected_and_the_connection_survives() {
         ("deadline_ms", "2.5"),
         ("deadline_ms", "18446744073709551615"),
         ("lookahead", r#""x""#),
+        ("id", r#""one""#),
+        ("id", "-4"),
+        ("qubits", r#""x""#),
+        ("qubits", "2.0"),
+        ("qubits", "-2"),
     ];
     for (line, (name, value)) in (1..).step_by(2).zip(members) {
+        // The member comes first: a key's first occurrence is the one read.
         let frame = format!(
-            r#"{{"op":"compile","id":1,"qubits":2,"terms":[["ZZ",1.0]],"{name}":{value}}}"#
+            r#"{{"{name}":{value},"op":"compile","id":1,"qubits":2,"terms":[["ZZ",1.0]]}}"#
         );
         let needle = format!("`{name}` must be an integer");
-        assert_rejected_then_served(&mut client, &frame, line, &needle);
+        let reply = assert_rejected_then_served(&mut client, &frame, line, &needle);
+        // A reply names the request only once its `id` is known good.
+        let id = (name != "id").then_some(1);
+        assert_eq!(reply.get("id").and_then(Value::as_u64), id, "{reply:?}");
     }
     handle.shutdown();
     let report = join.join().unwrap();
-    assert_eq!(report.invalid_frames, 5);
+    assert_eq!(report.invalid_frames, 10);
     assert_eq!(report.admitted, 0);
 }
 
@@ -461,6 +474,124 @@ fn graceful_drain_answers_every_admitted_request() {
     );
     assert_eq!(ok, report.completed);
     assert_eq!(report.worker_deaths, 0);
+}
+
+/// Runs `server` on `listener` on a thread of its own. The report comes
+/// back through [`drained`], which fails a test whose drain hangs.
+fn run_in_background(server: Server, listener: TcpListener) -> Receiver<ServeReport> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run_tcp(listener));
+    });
+    rx
+}
+
+/// The report of a server that was shut down, failing the test if
+/// `run_tcp` has not returned 30 s later.
+fn drained(reports: &Receiver<ServeReport>) -> ServeReport {
+    reports
+        .recv_timeout(Duration::from_secs(30))
+        .expect("run_tcp did not return in 30 s")
+}
+
+#[test]
+fn a_shutdown_ends_run_tcp_with_an_idle_connection_open() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Server::new(ServerConfig::default());
+    let handle = server.handle();
+    let reports = run_in_background(server, listener);
+    let mut client = connect(addr);
+    assert_eq!(status(&client.ping(1).unwrap()), "pong");
+    handle.shutdown();
+    let report = drained(&reports);
+    assert_eq!(report.reaped_connections, 0);
+    let closed = client.recv_line().unwrap_err();
+    assert_eq!(closed.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+#[test]
+fn a_shutdown_ends_run_tcp_before_any_connection() {
+    // An unspecified address is woken through its loopback.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let listener = TcpListener::bind(bind).unwrap();
+        let server = Server::new(ServerConfig::default());
+        let handle = server.handle();
+        let reports = run_in_background(server, listener);
+        // Give the accept loop time to block.
+        std::thread::sleep(Duration::from_millis(100));
+        handle.shutdown();
+        assert_eq!(drained(&reports).admitted, 0);
+    }
+}
+
+#[test]
+fn a_shutdown_before_run_tcp_ends_it_at_once() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = Server::new(ServerConfig::default());
+    server.handle().shutdown();
+    assert_eq!(drained(&run_in_background(server, listener)).admitted, 0);
+}
+
+/// A connection to `addr` whose reads give up after `limit`.
+fn raw_connect(addr: SocketAddr, limit: Duration) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(limit)).unwrap();
+    stream
+}
+
+#[test]
+fn idle_connections_are_reaped_once_nothing_is_in_flight() {
+    let idle_timeout = Duration::from_millis(100);
+    let config = ServerConfig {
+        idle_timeout,
+        ..ServerConfig::default()
+    };
+    let (handle, addr, join) = start_server(config);
+    // A connection that sends nothing is closed within a few timeouts (a
+    // read that waits longer fails the test).
+    let silent = raw_connect(addr, 20 * idle_timeout);
+    assert_eq!((&silent).read(&mut [0u8; 1]).unwrap(), 0);
+
+    // A compile that outlasts two timeouts (its 1 s deadline ends a
+    // deepening schedule that needs seconds) is answered, and only then is
+    // its connection reaped.
+    let busy = raw_connect(addr, Duration::from_secs(30));
+    let terms = random_terms(8, 200, 61, &['X', 'Y', 'Z']);
+    let frame = format!(
+        "{{\"op\":\"compile\",\"id\":1,\"qubits\":8,\"terms\":{terms},\"deadline_ms\":1000}}\n"
+    );
+    let sent = Instant::now();
+    (&busy).write_all(frame.as_bytes()).unwrap();
+    let mut reader = BufReader::new(&busy);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(sent.elapsed() > 2 * idle_timeout, "{:?}", sent.elapsed());
+    let reply: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(status(&reply), "ok", "reply: {reply:?}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert_eq!(report.reaped_connections, 2);
+    assert_eq!(
+        (report.admitted, report.completed, report.cancelled),
+        (1, 1, 0)
+    );
+}
+
+#[test]
+fn a_zero_idle_timeout_still_reaps() {
+    let config = ServerConfig {
+        idle_timeout: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let (handle, addr, join) = start_server(config);
+    let silent = raw_connect(addr, Duration::from_secs(2));
+    assert_eq!((&silent).read(&mut [0u8; 1]).unwrap(), 0);
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().reaped_connections, 1);
 }
 
 /// Like [`compile_frame`] but with a `deadline_ms`, putting the request on
