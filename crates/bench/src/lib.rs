@@ -72,12 +72,13 @@ impl Tracer {
     }
 
     /// Runs `request` instrumented and files its report (no-op when
-    /// disabled; exits nonzero on compile errors).
+    /// disabled; exits nonzero on compile errors). The compile keeps its
+    /// trace too, because only a traced compile builds the span tree.
     pub fn record(&mut self, label: &str, request: CompileRequest) {
         if !self.obs {
             return;
         }
-        let outcome = or_exit(request.obs(true).run(), label);
+        let outcome = or_exit(request.trace(true).obs(true).run(), label);
         if let Some(report) = outcome.obs {
             self.reports.push((label.to_string(), report));
         }

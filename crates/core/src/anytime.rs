@@ -192,6 +192,7 @@ impl AnytimePass {
             move || poll.interrupted(),
             None,
             None,
+            None,
         )?;
         let pvs = Arc::clone(&round.pvs);
         let (subcircuits, group_terms) = round.record(ctx, self.name());
@@ -270,7 +271,7 @@ impl Pass for AnytimePass {
                 );
                 break;
             }
-            let round_start = ctx.obs.as_ref().map(|o| o.now_us());
+            let round_start = ctx.span_collector().map(|o| o.now_us());
             let breadth = controller.scan_breadth(round);
             let lookahead = controller.lookahead(round, self.order.lookahead);
             let Some((snapshot, next_pvs)) =
@@ -313,7 +314,7 @@ impl Pass for AnytimePass {
                     m.incr(MetricId::AnytimeImprovements);
                 }
             }
-            if ctx.obs.is_some() {
+            if let Some(obs) = ctx.span_collector() {
                 let breadth_label = if breadth == usize::MAX {
                     "full".to_string()
                 } else {
@@ -327,9 +328,7 @@ impl Pass for AnytimePass {
                     .arg("gates", score.2 as u64)
                     .arg("improved", if improved { "yes" } else { "no" });
                 span.start_us = round_start.unwrap_or(0);
-                if let Some(obs) = &ctx.obs {
-                    span.dur_us = obs.now_us().saturating_sub(span.start_us);
-                }
+                span.dur_us = obs.now_us().saturating_sub(span.start_us);
                 ctx.push_span(span);
             }
             if improved {
@@ -545,6 +544,7 @@ mod tests {
                     schedule.scan_breadth(round),
                     &pvs,
                     || false,
+                    None,
                     None,
                     None,
                 )

@@ -87,11 +87,9 @@ where
         all_filled: Condvar::new(),
         state: PhantomData,
     });
-    if metrics::enabled() {
-        let m = metrics::global();
-        m.incr(MetricId::PoolFanouts);
-        m.add(MetricId::PoolIndices, len as u64);
-    }
+    let m = metrics::global();
+    m.incr(MetricId::PoolFanouts);
+    m.add(MetricId::PoolIndices, len as u64);
     pool.submit(job.clone(), helpers);
     job.participate();
     pool.withdraw(&job);
@@ -227,7 +225,7 @@ where
 
     fn help(&self) {
         let ran = self.participate();
-        if ran > 0 && metrics::enabled() {
+        if ran > 0 {
             metrics::global().add(MetricId::PoolHelperIndices, ran as u64);
         }
     }

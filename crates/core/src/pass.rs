@@ -11,8 +11,8 @@
 //!
 //! [`CompileRequest`](crate::CompileRequest) runs the canonical sequence
 //! assembled from [`passes`](crate::passes), and takes those statistics
-//! only when it keeps a trace or an obs report; custom pipelines compose
-//! the same building blocks:
+//! only when it keeps its trace; custom pipelines compose the same
+//! building blocks:
 //!
 //! ```
 //! use phoenix_core::pass::{CompileContext, PassManager};
@@ -96,13 +96,15 @@ pub struct CompileContext {
     /// pass that starts runs in full.
     pub deadline: Option<Instant>,
     /// Observability collector, when this compilation is instrumented
-    /// (`CompileRequest::obs(true)`). `None` costs one pointer check per
-    /// pass and per stage-2 group.
+    /// (`CompileRequest::obs(true)`): passes record their metrics in it,
+    /// and their spans only when [`CompileContext::span_collector`] says
+    /// so. `None` costs one pointer check per pass and per stage-2 group.
     pub obs: Option<Arc<ObsCollector>>,
     /// Child spans produced by the currently running pass (stage-2 groups,
-    /// router attempts, ...). The manager drains them into that pass's span
-    /// after it finishes.
-    pub spans: Vec<Span>,
+    /// router attempts, ...), or `None` when the manager builds no span for
+    /// that pass. The manager drains them into that pass's span after it
+    /// finishes.
+    pub spans: Option<Vec<Span>>,
     /// Shared parametric compilation cache. When set, stage 2 looks up each
     /// distinct group shape's artifact here before compiling it and inserts
     /// the artifacts it compiles, so later compiles of any group of the same
@@ -146,7 +148,7 @@ impl CompileContext {
             events: Vec::new(),
             deadline: None,
             obs: None,
-            spans: Vec::new(),
+            spans: None,
             cache: None,
             cancel: None,
             depth_reached: None,
@@ -167,16 +169,19 @@ impl CompileContext {
         });
     }
 
-    /// Whether this compilation is instrumented for observability.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
+    /// The collector to time the running pass's child spans against: set
+    /// only while the manager builds that pass's span, which it does for an
+    /// instrumented compile that keeps its trace. Every span site asks this
+    /// one question; `None` builds no span.
+    pub fn span_collector(&self) -> Option<&Arc<ObsCollector>> {
+        self.obs.as_ref().filter(|_| self.spans.is_some())
     }
 
     /// Records a child span against the currently running pass. A no-op
-    /// when the compilation is not instrumented.
+    /// when the manager builds no span for the pass.
     pub fn push_span(&mut self, span: Span) {
-        if self.obs.is_some() {
-            self.spans.push(span);
+        if let Some(spans) = &mut self.spans {
+            spans.push(span);
         }
     }
 
@@ -413,8 +418,8 @@ impl PassTrace {
 
 /// Executes a pass sequence over a [`CompileContext`], recording a
 /// [`PassTrace`]. It is the one recorder of pass boundaries: with
-/// [`CompileContext::obs`] set, the pass spans and the boundary counters
-/// come from the same measurements as the trace.
+/// [`CompileContext::obs`] set, it counts the boundaries, and the pass
+/// spans come from the same measurements as the trace.
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
@@ -508,26 +513,23 @@ impl PassManager {
     /// Each executed pass is measured once: one clock reading at each end
     /// (observers included) and one [`CircuitStats`] per boundary, so a
     /// pass's `after` is the next pass's `before`. When the context is
-    /// instrumented, the pass span is built from the same [`PassRecord`],
-    /// and `passes_run` plus every counter an event kind feeds are counted
-    /// here.
+    /// instrumented, `passes_run` and every counter an event kind feeds
+    /// are counted here, and the pass span is built from the same
+    /// [`PassRecord`].
     pub fn run(&self, ctx: &mut CompileContext) -> Result<PassTrace, PassError> {
         self.run_from(ctx, Recording::now(true))
     }
 
     /// [`PassManager::run`] as one of the managers a compile runs in turn:
     /// on the compile's clock, and measuring its boundaries only when
-    /// `rec.measure` says the compile keeps a record that carries them.
-    /// Unmeasured, the returned trace holds the events and no pass record.
+    /// `rec.measure` says the compile keeps its trace. Unmeasured, the
+    /// returned trace holds the events and no pass record, and no span is
+    /// built; an instrumented context still gets its counters.
     pub(crate) fn run_from(
         &self,
         ctx: &mut CompileContext,
         rec: Recording,
     ) -> Result<PassTrace, PassError> {
-        debug_assert!(
-            rec.measure || ctx.obs.is_none(),
-            "an instrumented compile measures its boundaries"
-        );
         let mut trace = PassTrace::default();
         if let Some(budget) = self.budget {
             ctx.deadline = Some(rec.t0 + budget);
@@ -544,7 +546,7 @@ impl PassManager {
             let before = rec
                 .measure
                 .then(|| stats.unwrap_or_else(|| CircuitStats::of(&ctx.circuit)));
-            ctx.spans.clear();
+            ctx.spans = (rec.measure && ctx.obs.is_some()).then(Vec::new);
             let start = Instant::now();
             run_contained(pass.name(), || pass.run(ctx))?;
             for observer in &self.observers {
@@ -556,6 +558,7 @@ impl PassManager {
                 );
             }
             let end = Instant::now();
+            let children = ctx.spans.take();
             if let Some(before) = before {
                 let after = CircuitStats::of(&ctx.circuit);
                 stats = Some(after);
@@ -566,12 +569,11 @@ impl PassManager {
                     before,
                     after,
                 };
-                if let Some(obs) = &ctx.obs {
-                    obs.metrics().incr(MetricId::PassesRun);
+                if let (Some(obs), Some(children)) = (&ctx.obs, children) {
                     let mut span = record.span();
                     span.start_us = obs.us_at(start);
                     span.dur_us = (end - start).as_micros() as u64;
-                    span.children = std::mem::take(&mut ctx.spans);
+                    span.children = children;
                     obs.push_root(span);
                 }
                 trace.passes.push(record);
@@ -589,8 +591,9 @@ pub(crate) struct Recording {
     /// budget's deadline count from it, so the managers share one clock.
     pub(crate) t0: Instant,
     /// Whether each boundary's [`CircuitStats`] are taken and each pass's
-    /// [`PassRecord`] kept. A compile sets it only when it keeps a record
-    /// that carries them: a retained trace, or an obs collector.
+    /// [`PassRecord`] kept. A compile sets it only when it keeps its trace;
+    /// an obs collector then also gets the pass spans, which carry the same
+    /// statistics. Unset, an obs collector gets the counters alone.
     pub(crate) measure: bool,
 }
 
@@ -604,10 +607,12 @@ impl Recording {
     }
 }
 
-/// Moves the boundary's events into `trace`, counting each kind that feeds
-/// a counter when the context is instrumented.
+/// Moves the boundary's events into `trace`, counting the executed pass
+/// and each event kind that feeds a counter when the context is
+/// instrumented.
 fn drain_events(ctx: &mut CompileContext, trace: &mut PassTrace) {
     if let Some(obs) = &ctx.obs {
+        obs.metrics().incr(MetricId::PassesRun);
         for event in &ctx.events {
             let id = match event.kind {
                 EventKind::Degraded => MetricId::Stage2Degraded,

@@ -25,7 +25,7 @@ use std::sync::{Arc, OnceLock};
 
 use phoenix_cache::{encode_slot, CompileCache, GroupArtifact, RouteArtifact, RouteKey};
 use phoenix_circuit::{kak, peephole, rebase, Circuit};
-use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId};
+use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId, MetricsRegistry};
 use phoenix_obs::{ObsCollector, Span};
 use phoenix_pauli::{Clifford2Q, GroupShape, PauliString};
 use phoenix_router::{
@@ -130,7 +130,7 @@ type CompiledGroup = (Circuit, Terms);
 type GroupResult = (CompiledGroup, GroupOutcome, Option<Span>);
 
 /// A leader's compile spans and its `(start, duration)` in collector
-/// microseconds (`None` when not instrumented).
+/// microseconds (`None` when no span is built).
 type ShapeCompile = (Vec<Span>, Option<(u64, u64)>);
 
 /// A shape's artifact, or the outcome every group of the shape records
@@ -241,7 +241,7 @@ impl SimplifySynthPass {
     /// its groups fall back to their unsimplified conventional synthesis,
     /// which is always available and semantically equivalent.
     ///
-    /// When `obs` is set, also returns the `candidate-scan`/`synthesize`
+    /// When `spans` is set, also returns the `candidate-scan`/`synthesize`
     /// child spans of the leader's group span.
     #[allow(clippy::too_many_arguments)]
     fn compile_shape(
@@ -252,7 +252,7 @@ impl SimplifySynthPass {
         breadth: usize,
         pv: &[Clifford2Q],
         interrupted: &dyn Fn() -> bool,
-        obs: Option<&ObsCollector>,
+        spans: Option<&ObsCollector>,
         fault: bool,
     ) -> Option<CompiledShape> {
         if interrupted() {
@@ -262,19 +262,19 @@ impl SimplifySynthPass {
             if fault {
                 panic!("fault injection: forced panic");
             }
-            let scan_start = obs.map(|o| o.now_us());
+            let scan_start = spans.map(|o| o.now_us());
             let (s, pv) =
                 simplify_terms_deepening(eval, width, rows, opts, breadth, pv, &mut || {
                     interrupted()
                 })?;
-            let synth_start = obs.map(|o| o.now_us());
+            let synth_start = spans.map(|o| o.now_us());
             let artifact = GroupArtifact::from_slot_encoded(
                 rows.len(),
                 synthesize_group(&s),
                 s.emitted_coeffs(),
             )
             .expect("a slot-encoded skeleton decodes");
-            let children = obs.map_or_else(Vec::new, |o| {
+            let children = spans.map_or_else(Vec::new, |o| {
                 let mut scan = Span::new("candidate-scan", "stage2");
                 scan.start_us = scan_start.unwrap_or(0);
                 scan.dur_us = synth_start.unwrap_or(0).saturating_sub(scan.start_us);
@@ -293,7 +293,7 @@ impl SimplifySynthPass {
 
     /// Binds one group from its shape's artifact, or synthesizes it
     /// conventionally when the shape has none, and builds its span (cat
-    /// `group`) when `obs` is set. `role` is the group's place in its shape
+    /// `group`) when `spans` is set. `role` is the group's place in its shape
     /// (`leader` or `bound`; `None` on the naive path), `cache` whether the
     /// shape's shared-cache lookup hit, and `compile` the leader's compile
     /// spans and timing; a leader's span covers its compile and its bind.
@@ -308,9 +308,9 @@ impl SimplifySynthPass {
         role: Option<&'static str>,
         cache: Option<bool>,
         compile: ShapeCompile,
-        obs: Option<&ObsCollector>,
+        spans: Option<&ObsCollector>,
     ) -> GroupResult {
-        let bind_start = obs.map(|o| o.now_us());
+        let bind_start = spans.map(|o| o.now_us());
         let (result, outcome) = match artifact {
             Ok(art) => (art.bind(n, &group.support(), group.terms()), None),
             Err(outcome) => (
@@ -321,7 +321,7 @@ impl SimplifySynthPass {
                 *outcome,
             ),
         };
-        let span = obs.map(|o| {
+        let span = spans.map(|o| {
             let cnot = result.0.counts().two_qubit() as u64;
             let naive_cnot = naive_cnot_estimate(group.terms());
             let mut s = Span::new(format!("group {index}"), "group")
@@ -356,8 +356,9 @@ impl SimplifySynthPass {
     /// looked up and inserted on the calling thread in first-appearance
     /// order, never under fault injection; the missing ones compile over
     /// at most `threads` pool participants, and every group binds on the
-    /// calling thread. `obs` adds group spans. Returns `None`, never a
-    /// partial round, when `interrupted` fired.
+    /// calling thread. `metrics` counts the cache lookups and `spans` adds
+    /// group spans. Returns `None`, never a partial round, when
+    /// `interrupted` fired.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compile_round(
         &self,
@@ -368,16 +369,17 @@ impl SimplifySynthPass {
         pvs: &Arc<[Vec<Clifford2Q>]>,
         interrupted: impl Fn() -> bool + Send + Sync + 'static,
         cache: Option<&CompileCache>,
-        obs: Option<&Arc<ObsCollector>>,
+        metrics: Option<&MetricsRegistry>,
+        spans: Option<&Arc<ObsCollector>>,
     ) -> Option<Stage2Round> {
         if !self.simplify {
             // Conventional synthesis costs about as much as a bind: inline.
-            let obs = obs.map(Arc::as_ref);
+            let spans = spans.map(Arc::as_ref);
             let groups = groups
                 .iter()
                 .enumerate()
                 .map(|(i, g)| {
-                    Self::finish_group(n, i, g, &Err(None), None, None, Default::default(), obs)
+                    Self::finish_group(n, i, g, &Err(None), None, None, Default::default(), spans)
                 })
                 .collect();
             return Some(Stage2Round {
@@ -397,8 +399,8 @@ impl SimplifySynthPass {
         let mut lookups: Vec<Option<bool>> = Vec::with_capacity(leaders.len());
         for &leader in leaders {
             let hit = shared.and_then(|c| c.get_group(&keys[leader]));
-            if let (Some(o), Some(_)) = (obs, shared) {
-                o.metrics().incr(if hit.is_some() {
+            if let (Some(m), Some(_)) = (metrics, shared) {
+                m.incr(if hit.is_some() {
                     MetricId::CacheGroupHits
                 } else {
                     MetricId::CacheGroupMisses
@@ -424,7 +426,7 @@ impl SimplifySynthPass {
                 scan_threads: self.scan_threads,
                 ..SimplifyOptions::default()
             };
-            let obs = obs.cloned();
+            let spans = spans.cloned();
             par::map(
                 todo.len(),
                 self.threads,
@@ -437,7 +439,7 @@ impl SimplifySynthPass {
                         key.strings().into_iter().zip(slots).collect()
                     });
                     let pv = pvs.get(shape).map_or(&[][..], Vec::as_slice);
-                    let start_us = obs.as_ref().map(|o| o.now_us());
+                    let start_us = spans.as_ref().map(|o| o.now_us());
                     let (artifact, pv, children) = Self::compile_shape(
                         eval,
                         rows,
@@ -446,10 +448,10 @@ impl SimplifySynthPass {
                         breadth,
                         pv,
                         &interrupted,
-                        obs.as_deref(),
+                        spans.as_deref(),
                         fault == Some(leader),
                     )?;
-                    let timing = obs
+                    let timing = spans
                         .as_ref()
                         .zip(start_us)
                         .map(|(o, start)| (start, o.now_us().saturating_sub(start)));
@@ -476,7 +478,7 @@ impl SimplifySynthPass {
         }
 
         // Bind every group, leaders included, on the calling thread.
-        let obs = obs.map(Arc::as_ref);
+        let spans = spans.map(Arc::as_ref);
         let groups = (0..groups.len())
             .map(|i| {
                 let shape = shape_of[i];
@@ -493,7 +495,7 @@ impl SimplifySynthPass {
                     } else {
                         Default::default()
                     },
-                    obs,
+                    spans,
                 )
             })
             .collect();
@@ -530,7 +532,8 @@ impl Pass for SimplifySynthPass {
             &Arc::from([]),
             move || cancel.as_ref().is_some_and(CancelToken::is_cancelled),
             ctx.cache.as_deref(),
-            obs.as_ref(),
+            obs.as_deref().map(ObsCollector::metrics),
+            ctx.span_collector(),
         );
         let Some(round) = round else {
             // The token fired mid-round: stop where the manager would stop
@@ -878,8 +881,7 @@ impl Pass for LayoutRoutePass {
             .as_ref()
             .ok_or_else(|| PassError::new(self.name(), "no target device in context"))?;
         let device_qubits = device.num_qubits();
-        let obs = ctx.obs.clone();
-        let start_us = obs.as_ref().map(|o| o.now_us());
+        let start_us = ctx.span_collector().map(|o| o.now_us());
         let (routing, hit) = match &ctx.cache {
             Some(cache) => {
                 let (routing, hit) = self.route_memoized(&ctx.circuit, device, cache)?;
@@ -900,7 +902,7 @@ impl Pass for LayoutRoutePass {
                 format!("{strategy} layout abandoned ({error}); retried"),
             );
         }
-        if let Some(obs) = obs {
+        if let Some(obs) = &ctx.obs {
             let m = obs.metrics();
             match hit {
                 Some(true) => m.incr(MetricId::CacheRouteHits),
@@ -910,6 +912,8 @@ impl Pass for LayoutRoutePass {
             m.add(MetricId::RouterAttempts, attempts.len() as u64);
             m.add(MetricId::SabreSwaps, routed.num_swaps as u64);
             m.set_gauge(GaugeId::DeviceQubits, device_qubits as i64);
+        }
+        if let Some(obs) = ctx.span_collector().cloned() {
             if hit == Some(true) {
                 let mut span = Span::new("route:memo", "route").arg("swaps", routed.num_swaps);
                 span.start_us = start_us.unwrap_or(0);

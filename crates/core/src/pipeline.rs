@@ -91,10 +91,11 @@ pub struct PhoenixOptions {
     /// boundary is semantically re-checked (the `--verify` flag of the
     /// experiment binaries). Compilation fails with a pass-pinpointing
     /// error on the first violated invariant. Dense equivalence checks run
-    /// only up to [`BoundaryVerifier::max_qubits`] qubits (of a stage-2
-    /// group's support, of the program, or of the device) — beyond that
-    /// only the structural invariants are enforced. Orthogonal to
-    /// `pass_budget`: every pass runs, and every pass is verified.
+    /// only up to [`MAX_DENSE_QUBITS`](crate::verify::MAX_DENSE_QUBITS)
+    /// qubits (of a stage-2 group's support, of the program, or of the
+    /// device) — beyond that only the structural invariants are enforced.
+    /// Orthogonal to `pass_budget`: every pass runs, and every pass is
+    /// verified.
     pub verify: bool,
     /// Cap on the threads of fleet compilation: how many devices of a
     /// [`CompileRequest::fleet`](crate::CompileRequest::fleet) compile

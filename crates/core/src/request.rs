@@ -119,19 +119,24 @@ impl CompileRequest {
         self
     }
 
-    /// Whether to retain the [`PassTrace`] in the outcome. A compile that
-    /// retains neither the trace nor an obs report ([`CompileRequest::obs`])
-    /// takes no boundary statistics at all; its trace would be dropped.
+    /// Whether to retain the [`PassTrace`] in the outcome. It is the only
+    /// thing that makes a compile measure its pass boundaries: a compile
+    /// that keeps no trace takes no boundary statistics at all. With
+    /// [`CompileRequest::obs`] on as well, the obs report also gets the
+    /// span tree, built from the same measurements.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
         self
     }
 
-    /// Whether to instrument the compilation: attach an
-    /// [`ObsCollector`] (span tree + per-compilation metrics, fed by the
-    /// pass manager at every boundary) and enable process-global metric
-    /// recording for substrate crates. The resulting [`ObsReport`] lands in
-    /// [`CompileOutcome::obs`]; its events are the [`PassTrace`]'s.
+    /// Whether to instrument the compilation: attach an [`ObsCollector`]
+    /// whose per-compilation counters, gauges and histograms the passes and
+    /// the pass manager feed. The resulting [`ObsReport`] lands in
+    /// [`CompileOutcome::obs`]; its events are the [`PassTrace`]'s, and its
+    /// `global_metrics` are the process-wide counters' delta over the
+    /// compile. Its span tree is built only when the request also keeps its
+    /// trace ([`CompileRequest::trace`]); without it, the root `pipeline`
+    /// span has no children and no boundary is measured.
     pub fn obs(mut self, on: bool) -> Self {
         self.obs = on;
         self
@@ -243,10 +248,8 @@ impl CompileRequest {
         if devices.is_empty() {
             return Err(PhoenixError::EmptyFleet);
         }
-        if metrics::enabled() {
-            metrics::global().incr(MetricId::FleetCompiles);
-            metrics::global().add(MetricId::FleetMembersCompiled, devices.len() as u64);
-        }
+        metrics::global().incr(MetricId::FleetCompiles);
+        metrics::global().add(MetricId::FleetMembersCompiled, devices.len() as u64);
         // Per-member targets are assigned below; drop any device so member
         // clones stay cheap.
         self.target = Target::Logical;
@@ -305,9 +308,12 @@ impl CompileRequest {
             collector.as_ref(),
             self.recording(start),
         )?;
-        let bind_start = collector.as_ref().map(|c| c.now_us());
+        // The bind gets a span under the rule every pass span follows: only
+        // a compile that keeps its trace builds spans.
+        let spans = collector.as_ref().filter(|_| self.trace);
+        let bind_start = spans.map(|c| c.now_us());
         let bound = artifact.bind(angles)?;
-        if let Some(c) = &collector {
+        if let Some(c) = spans {
             let mut span = Span::new("bind", "bind");
             span.start_us = bind_start.unwrap_or(0);
             span.dur_us = c.now_us().saturating_sub(span.start_us);
@@ -340,24 +346,17 @@ impl CompileRequest {
     }
 
     /// How the compile's managers record, on a clock started at `start`:
-    /// boundaries are measured only when the request keeps a record that
-    /// carries them, its trace or its obs report.
+    /// boundaries are measured only when the request keeps its trace.
     fn recording(&self, start: Instant) -> Recording {
         Recording {
             t0: start,
-            measure: self.trace || self.obs,
+            measure: self.trace,
         }
     }
 
     /// The request's observability collector, when `obs` is on.
     fn collector(&self) -> Option<Arc<ObsCollector>> {
-        self.obs.then(|| {
-            // Turn on process-global recording so router/simulator
-            // counters flow; left on — other instrumented compilations may
-            // be in flight, and the disabled-path cost is one relaxed load.
-            metrics::set_enabled(true);
-            Arc::new(ObsCollector::new())
-        })
+        self.obs.then(|| Arc::new(ObsCollector::new()))
     }
 
     /// Runs `manager` over `ctx` on the compile's clock, started at
@@ -528,6 +527,7 @@ mod tests {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY"]);
         let out = CompileRequest::new(3, &t)
             .target(Target::Cnot)
+            .trace(true)
             .obs(true)
             .run()
             .unwrap();
@@ -566,13 +566,9 @@ mod tests {
         (out, count() - before)
     }
 
-    /// The passes a compile recorded, read from its trace or its report.
+    /// The passes a compile recorded in its trace.
     fn passes_recorded(out: &CompileOutcome) -> usize {
-        match (&out.trace, &out.obs) {
-            (Some(trace), _) => trace.passes.len(),
-            (None, Some(report)) => report.metrics.counter("passes_run").unwrap() as usize,
-            (None, None) => 0,
-        }
+        out.trace.as_ref().unwrap().passes.len()
     }
 
     #[test]
@@ -587,23 +583,24 @@ mod tests {
                 .obs(obs)
         };
 
-        // Untraced, uninstrumented compiles take no statistics.
-        for target in [Target::Cnot, line.clone()] {
-            let (_, taken) = stats_taken(|| request(&target, false, false).run().unwrap());
-            assert_eq!(taken, 0, "{target:?}");
+        // Untraced compiles take no statistics, whether or not they keep an
+        // obs report.
+        for obs in [false, true] {
+            for target in [Target::Cnot, line.clone()] {
+                let (_, taken) = stats_taken(|| request(&target, false, obs).run().unwrap());
+                assert_eq!(taken, 0, "obs {obs}, {target:?}");
+            }
+            let cache = Arc::new(CompileCache::new());
+            for phase in ["cold", "warm"] {
+                let (_, taken) = stats_taken(|| {
+                    request(&Target::Cnot, false, obs)
+                        .cache(&cache)
+                        .bind(&angles)
+                        .unwrap()
+                });
+                assert_eq!(taken, 0, "obs {obs}, {phase} bind");
+            }
         }
-        let cache = Arc::new(CompileCache::new());
-        request(&Target::Cnot, false, false)
-            .cache(&cache)
-            .run()
-            .unwrap();
-        let (_, taken) = stats_taken(|| {
-            request(&Target::Cnot, false, false)
-                .cache(&cache)
-                .bind(&angles)
-                .unwrap()
-        });
-        assert_eq!(taken, 0, "warm bind");
         let (_, taken) = stats_taken(|| request(&Target::Cnot, true, true).structure().unwrap());
         assert_eq!(taken, 0, "structure()");
         let logical = request(&Target::Logical, false, false).run().unwrap();
@@ -618,27 +615,26 @@ mod tests {
         });
         assert_eq!(taken, 0, "try_run_hardware_backend");
 
-        // A kept record takes one measurement per boundary: each manager
+        // A kept trace takes one measurement per boundary: each manager
         // measures before its first pass and after every pass. Unsplit
         // compiles run one manager; a cold cached bind runs two (the
         // structure phase and the lowering), a warm one only the lowering.
-        for (trace, obs) in [(true, false), (false, true), (true, true)] {
-            let flags = format!("trace {trace}, obs {obs}");
+        for obs in [false, true] {
             for (target, passes) in [(Target::Cnot, 5), (line.clone(), 9)] {
-                let (out, taken) = stats_taken(|| request(&target, trace, obs).run().unwrap());
-                assert_eq!(passes_recorded(&out), passes, "{flags}, {target:?}");
-                assert_eq!(taken, passes + 1, "{flags}, {target:?}");
+                let (out, taken) = stats_taken(|| request(&target, true, obs).run().unwrap());
+                assert_eq!(passes_recorded(&out), passes, "obs {obs}, {target:?}");
+                assert_eq!(taken, passes + 1, "obs {obs}, {target:?}");
             }
             let cache = Arc::new(CompileCache::new());
             for (phase, passes, managers) in [("cold", 5, 2), ("warm", 1, 1)] {
                 let (out, taken) = stats_taken(|| {
-                    request(&Target::Cnot, trace, obs)
+                    request(&Target::Cnot, true, obs)
                         .cache(&cache)
                         .bind(&angles)
                         .unwrap()
                 });
-                assert_eq!(passes_recorded(&out), passes, "{flags}, {phase}");
-                assert_eq!(taken, passes + managers, "{flags}, {phase}");
+                assert_eq!(passes_recorded(&out), passes, "obs {obs}, {phase}");
+                assert_eq!(taken, passes + managers, "obs {obs}, {phase}");
             }
         }
     }

@@ -13,15 +13,15 @@
 //! | boundary | invariant |
 //! |---|---|
 //! | `group` | groups partition the input terms |
-//! | `simplify-synth` / `naive-synth` | each subcircuit acts only on its group's support and ≡ exact Trotter product of the group's emitted terms there (dense, support `≤ max_qubits`) |
+//! | `simplify-synth` / `naive-synth` | each subcircuit acts only on its group's support and ≡ exact Trotter product of the group's emitted terms there (dense, support `≤ MAX_DENSE_QUBITS`) |
 //! | `tetris-order` / `program-order` | the order is a permutation of the groups |
 //! | `concat` | working circuit ≡ exact Trotter product of `term_order`; `term_order` is a permutation of the input |
 //! | circuit rewrites (`peephole`, `su4-rebase`, `kak-resynthesis`, pre-routing `cnot-lower`) | unitary unchanged up to global phase |
 //! | `layout-route`, post-routing `cnot-lower` | routed circuit ≡ qubit-permutation ∘ embedded logical circuit, with the permutation matching SABRE's initial→final layouts |
 //!
-//! Dense checks are skipped (not failed) above `max_qubits` qubits: of a
-//! group's support at stage 2, of the program or the device elsewhere. The
-//! structural checks run at any size.
+//! Dense checks are skipped (not failed) above [`MAX_DENSE_QUBITS`]
+//! qubits: of a group's support at stage 2, of the program or the device
+//! elsewhere. The structural checks run at any size.
 //!
 //! [`TraceEvent`]: crate::pass::TraceEvent
 //! [`PassObserver`]: crate::pass::PassObserver
@@ -34,33 +34,21 @@ use phoenix_sim::{circuit_unitary, infidelity, trotter_unitary};
 
 use crate::pass::{CompileContext, PassError, PassObserver};
 
-/// Default dense-simulation ceiling: the paper's "standard PC" regime.
-pub const DEFAULT_MAX_QUBITS: usize = 10;
+/// Dense-simulation ceiling, the paper's "standard PC" regime: dense
+/// unitary checks are skipped for stage-2 group supports, programs or
+/// devices wider than this (structural checks still run).
+pub const MAX_DENSE_QUBITS: usize = 10;
 
-/// Default infidelity tolerance for exact (up-to-global-phase) equivalence.
-pub const DEFAULT_TOLERANCE: f64 = 1e-9;
+/// Infidelity tolerance (`1 − |Tr(U†V)|/N`) for exact
+/// (up-to-global-phase) equivalence checks.
+pub const TOLERANCE: f64 = 1e-9;
 
 /// A [`PassObserver`] that validates semantic invariants at every pass
 /// boundary (see the module docs for the per-pass table).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BoundaryVerifier {
-    /// Dense unitary checks are skipped for stage-2 group supports,
-    /// programs or devices wider than this (structural checks still run).
-    pub max_qubits: usize,
-    /// Infidelity tolerance (`1 − |Tr(U†V)|/N`) for equivalence checks.
-    pub tolerance: f64,
     /// Unitary snapshot carried across circuit-level rewrites.
     prev: Mutex<Option<CMatrix>>,
-}
-
-impl Default for BoundaryVerifier {
-    fn default() -> Self {
-        BoundaryVerifier {
-            max_qubits: DEFAULT_MAX_QUBITS,
-            tolerance: DEFAULT_TOLERANCE,
-            prev: Mutex::new(None),
-        }
-    }
 }
 
 /// Canonical multiset key of a term list (coefficients quantized well below
@@ -150,14 +138,6 @@ pub fn decode_qubit_permutation(d: &CMatrix, n: usize, tol: f64) -> Result<Vec<u
 }
 
 impl BoundaryVerifier {
-    /// A verifier with a custom dense-check ceiling.
-    pub fn with_max_qubits(max_qubits: usize) -> Self {
-        BoundaryVerifier {
-            max_qubits,
-            ..BoundaryVerifier::default()
-        }
-    }
-
     fn fail(&self, pass: &str, msg: impl Into<String>) -> PassError {
         PassError::new(
             pass,
@@ -181,8 +161,8 @@ impl BoundaryVerifier {
     /// relabelled onto the group's support, is the Trotter product of those
     /// terms restricted to it (grouping puts every term of a group on
     /// exactly its support). A gate off the support fails; the dense check
-    /// runs on supports of at most `max_qubits` qubits, however wide the
-    /// program.
+    /// runs on supports of at most [`MAX_DENSE_QUBITS`] qubits, however
+    /// wide the program.
     fn check_stage2(&self, pass: &str, ctx: &CompileContext) -> Result<(), PassError> {
         if ctx.subcircuits.len() != ctx.groups.len() {
             return Err(self.fail(pass, "subcircuit count differs from group count"));
@@ -215,7 +195,7 @@ impl BoundaryVerifier {
                     format!("group {i} acts outside its support {support:?}"),
                 ));
             }
-            if support.len() > self.max_qubits {
+            if support.len() > MAX_DENSE_QUBITS {
                 continue;
             }
             let relabelled =
@@ -228,7 +208,7 @@ impl BoundaryVerifier {
                 &circuit_unitary(&relabelled),
                 &trotter_unitary(support.len(), &local),
             );
-            if infid > self.tolerance {
+            if infid > TOLERANCE {
                 return Err(self.fail(
                     pass,
                     format!("group {i} subcircuit deviates from its Trotter product (infidelity {infid:.3e})"),
@@ -256,12 +236,12 @@ impl BoundaryVerifier {
         if term_multiset(&ctx.term_order) != term_multiset(&ctx.terms) {
             return Err(self.fail(pass, "term_order is not a permutation of the input terms"));
         }
-        if ctx.num_qubits > self.max_qubits {
+        if ctx.num_qubits > MAX_DENSE_QUBITS {
             return Ok(());
         }
         let u = circuit_unitary(&ctx.circuit);
         let infid = infidelity(&u, &trotter_unitary(ctx.num_qubits, &ctx.term_order));
-        if infid > self.tolerance {
+        if infid > TOLERANCE {
             return Err(self.fail(
                 pass,
                 format!("assembled circuit deviates from the Trotter product of term_order (infidelity {infid:.3e})"),
@@ -276,7 +256,7 @@ impl BoundaryVerifier {
     /// no snapshot yet, against the Trotter reference (or recorded as the
     /// first snapshot when the context started from a bare circuit).
     fn check_rewrite(&self, pass: &str, ctx: &CompileContext) -> Result<(), PassError> {
-        if ctx.num_qubits > self.max_qubits {
+        if ctx.num_qubits > MAX_DENSE_QUBITS {
             return Ok(());
         }
         let u = circuit_unitary(&ctx.circuit);
@@ -290,7 +270,7 @@ impl BoundaryVerifier {
             // current unitary as the baseline for later rewrites.
             None => 0.0,
         };
-        if infid > self.tolerance {
+        if infid > TOLERANCE {
             return Err(self.fail(
                 pass,
                 format!("rewrite changed the circuit unitary (infidelity {infid:.3e})"),
@@ -322,7 +302,7 @@ impl BoundaryVerifier {
             .as_ref()
             .ok_or_else(|| self.fail(pass, "routing did not record its final layout"))?;
         let n_phys = device.num_qubits();
-        if n_phys > self.max_qubits {
+        if n_phys > MAX_DENSE_QUBITS {
             return Ok(());
         }
         let embedded = logical.map_qubits(n_phys, |q| initial[q]);

@@ -58,7 +58,8 @@ fn arb_program() -> impl Strategy<Value = (usize, Vec<(PauliString, f64)>)> {
         })
 }
 
-/// One instrumented compile at the given stage-2 worker count.
+/// One instrumented compile at the given stage-2 worker count, keeping
+/// its trace so that the report carries the span tree.
 fn obs_compile(n: usize, terms: &[(PauliString, f64)], threads: usize) -> ObsReport {
     let options = PhoenixOptions {
         stage2_threads: threads,
@@ -67,6 +68,7 @@ fn obs_compile(n: usize, terms: &[(PauliString, f64)], threads: usize) -> ObsRep
     CompileRequest::new(n, terms)
         .options(options)
         .target(Target::Cnot)
+        .trace(true)
         .obs(true)
         .run()
         .unwrap()

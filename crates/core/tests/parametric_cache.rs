@@ -406,6 +406,7 @@ fn obs_report_carries_cache_counters_and_bind_span() {
     let cold = CompileRequest::new(3, &t)
         .target(Target::Cnot)
         .cache(&cache)
+        .trace(true)
         .obs(true)
         .run()
         .unwrap();

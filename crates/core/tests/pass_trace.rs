@@ -4,7 +4,8 @@
 //! the passes the manager ran, in order, and (c) carry monotone cumulative
 //! timings with before/after stats that chain between consecutive passes.
 //! An instrumented compile's pass spans and boundary counters must (d) come
-//! from the same measurements as its trace.
+//! from the same measurements as its trace, and (e) one that keeps no trace
+//! must count the same and build no span.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -317,5 +318,105 @@ fn each_pass_span_is_its_trace_record() {
             .map(|(k, v)| (k.to_string(), v.to_string()));
             assert_eq!(span.args, expected, "`{}`", record.name);
         }
+    }
+}
+
+/// What an obs report records besides its spans.
+fn counted(report: &ObsReport) -> impl PartialEq + std::fmt::Debug + '_ {
+    (
+        &report.metrics.counters,
+        &report.metrics.histograms,
+        &report.events,
+    )
+}
+
+/// `compile` run with `obs(true)` alone and with `trace(true).obs(true)`:
+/// both count the same, the first builds no span, and the second builds
+/// one pass span per record of its trace, in order. Returns both reports.
+fn assert_only_the_trace_builds_spans(
+    label: &str,
+    mut compile: impl FnMut(bool) -> CompileOutcome,
+) -> (ObsReport, ObsReport) {
+    let (plain, traced) = (compile(false), compile(true));
+    let trace = traced.trace.unwrap();
+    let (plain, traced) = (plain.obs.unwrap(), traced.obs.unwrap());
+    assert_eq!(counted(&plain), counted(&traced), "{label}");
+    assert_eq!(plain.root.name, "pipeline", "{label}");
+    assert!(plain.root.children.is_empty(), "{label}: {:?}", plain.root);
+    let passes: Vec<&str> = traced
+        .root
+        .children
+        .iter()
+        .filter(|s| s.cat == "pass")
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(passes, trace.pass_names(), "{label}");
+    let passes_run = plain.metrics.counter("passes_run");
+    assert_eq!(passes_run, Some(trace.passes.len() as u64), "{label}");
+    (plain, traced)
+}
+
+#[test]
+fn an_obs_compile_without_its_trace_counts_but_builds_no_span() {
+    let (n, terms) = fig1b();
+    let request = |options: PhoenixOptions, target: Target, trace: bool| {
+        CompileRequest::new(n, &terms)
+            .options(options)
+            .target(target)
+            .trace(trace)
+            .obs(true)
+    };
+    for (label, options, target) in [
+        ("unsplit", PhoenixOptions::default(), Target::Cnot),
+        ("unsplit device", PhoenixOptions::default(), line3()),
+        ("zero budget", zero_budget(), Target::Cnot),
+        ("zero budget device", zero_budget(), line3()),
+    ] {
+        assert_only_the_trace_builds_spans(label, |trace| {
+            request(options.clone(), target.clone(), trace)
+                .run()
+                .unwrap()
+        });
+    }
+
+    // Cached binds, cold then warm, through a cache of their own per
+    // setting so both settings see the same hits and misses. The warm
+    // device bind binds into the cold one's routing.
+    let angles = [[0.1, -0.2, 0.3, 0.05], [0.25, 0.15, -0.1, 0.4]];
+    for target in [Target::Cnot, line3()] {
+        let caches = [false, true].map(|_| Arc::new(CompileCache::new()));
+        for (phase, angles) in ["cold", "warm"].into_iter().zip(&angles) {
+            let label = format!("{phase} {target:?}");
+            let (plain, traced) = assert_only_the_trace_builds_spans(&label, |trace| {
+                request(PhoenixOptions::default(), target.clone(), trace)
+                    .cache(&caches[usize::from(trace)])
+                    .bind(angles)
+                    .unwrap()
+            });
+            assert!(traced.root.find("bind").is_some(), "{label}");
+            if phase == "warm" && target != Target::Cnot {
+                assert_eq!(plain.metrics.counter("cache_route_hits"), Some(1));
+                let route = traced.root.find("layout-route").unwrap();
+                let children: Vec<&str> = route.children.iter().map(|s| s.name.as_str()).collect();
+                assert_eq!(children, ["route:memo"], "{label}");
+            }
+        }
+    }
+
+    // Fleet members, each compiled as its device target.
+    let devices = [CouplingGraph::line(3), CouplingGraph::ring(3)].map(Device::bare);
+    let fleet = |trace: bool| {
+        request(PhoenixOptions::default(), Target::Logical, trace)
+            .fleet(&devices)
+            .unwrap()
+    };
+    let (plain, traced) = (fleet(false), fleet(true));
+    assert_eq!(plain.ranked.len(), devices.len());
+    for (p, t) in plain.ranked.into_iter().zip(traced.ranked) {
+        let label = format!("fleet member {}", p.device.name());
+        let mut members = [Some(p.outcome), Some(t.outcome)];
+        assert_only_the_trace_builds_spans(&label, |trace| {
+            members[usize::from(trace)].take().unwrap()
+        });
     }
 }

@@ -1,9 +1,10 @@
 //! Keeping a record never changes the compile.
 //!
-//! A compile measures its pass boundaries only when it keeps a record
-//! that carries them (`trace(true)` or `obs(true)`). Every path must
-//! deliver the same circuit, term order, hardware program, group count
-//! and reached depth under all four (trace, obs) settings.
+//! A compile measures its pass boundaries only when it keeps its trace
+//! (`trace(true)`), and builds obs spans only when it keeps an obs report
+//! (`obs(true)`) too. Every path must deliver the same circuit, term
+//! order, hardware program, group count and reached depth under all four
+//! (trace, obs) settings.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -8,9 +8,9 @@
 //!    atomic counters ([`MetricId`]: `groups_compiled`,
 //!    `cnots_saved_stage2`, `sabre_swaps`, `router_retries`, ...), gauges
 //!    and fixed-bucket histograms. Recording is a relaxed atomic op;
-//!    a process-[`global`](metrics::global) registry (gated on
-//!    [`metrics::enabled`]) serves instrumentation points with no
-//!    compilation context, such as simulator kernels.
+//!    a process-[`global`](metrics::global) registry serves the
+//!    process-wide counters of instrumentation points with no compilation
+//!    context, such as simulator kernels, and always records.
 //! 2. **[`span`]** — hierarchical [`Span`] trees (pipeline → pass →
 //!    stage-2 group → candidate scan / router attempt) collected per
 //!    compilation by an [`ObsCollector`]. Structure and arguments are
@@ -19,8 +19,10 @@
 //!    loadable in `ui.perfetto.dev`; [`report`] bundles spans + metrics +
 //!    events into an [`ObsReport`] with a human-readable rendering.
 //!
-//! The compiler front end is `phoenix_core`'s `CompileRequest::obs(true)`;
-//! every experiment binary exposes it as `--obs`.
+//! The compiler front end is `phoenix_core`'s `CompileRequest::obs(true)`,
+//! which records the metrics and events; the span tree is built only for a
+//! compile that also keeps its trace (`trace(true)`). Every experiment
+//! binary asks for both with `--obs`.
 //!
 //! # Examples
 //!

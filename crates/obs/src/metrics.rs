@@ -15,12 +15,15 @@
 //!   given program (and thread-count-independent — the proptests in
 //!   `phoenix-core` enforce this);
 //! - the **process-global** registry ([`global`]), fed by substrate crates
-//!   (router swap insertions, simulator gate applications) that have no
-//!   compilation context to thread a collector through. Global recording is
-//!   additionally gated on [`enabled`] so the disabled cost is one relaxed
-//!   atomic load.
+//!   (router swap insertions, simulator gate applications, pool fan-outs)
+//!   that have no compilation context to thread a collector through. It
+//!   always records, at one relaxed add per sample.
+//!
+//! Each counter belongs to one of the two ([`MetricId::process_wide`]);
+//! gauges and histograms belong to the per-compilation registry. A
+//! snapshot lists only the metrics of its registry's scope.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -162,6 +165,23 @@ impl MetricId {
             MetricId::PoolHelperIndices => "pool_helper_indices",
         }
     }
+
+    /// Whether the counter is process-wide: recorded only in the
+    /// [`global`] registry, by code that has no compilation context. Every
+    /// other counter is recorded only in a per-compilation registry.
+    pub fn process_wide(self) -> bool {
+        matches!(
+            self,
+            MetricId::SimGateOps
+                | MetricId::SabreSwapsTotal
+                | MetricId::SabreBridgesTotal
+                | MetricId::FleetCompiles
+                | MetricId::FleetMembersCompiled
+                | MetricId::PoolFanouts
+                | MetricId::PoolIndices
+                | MetricId::PoolHelperIndices
+        )
+    }
 }
 
 /// The gauge catalog: last-write-wins instantaneous values.
@@ -275,6 +295,9 @@ impl Histogram {
 /// The lock-free registry: one atomic slot per catalog entry.
 #[derive(Debug)]
 pub struct MetricsRegistry {
+    /// Whether this is the [`global`] registry, which records the
+    /// process-wide counters; every other registry records the rest.
+    process_wide: bool,
     counters: [AtomicU64; COUNTERS.len()],
     gauges: [AtomicI64; GAUGES.len()],
     histograms: [Histogram; HISTOGRAMS.len()],
@@ -284,6 +307,7 @@ impl Default for MetricsRegistry {
     fn default() -> Self {
         // `Default` for arrays stops at 32 elements.
         MetricsRegistry {
+            process_wide: false,
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: Default::default(),
             histograms: Default::default(),
@@ -297,8 +321,15 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `n` to a counter (lock-free, relaxed).
+    /// Adds `n` to a counter (lock-free, relaxed). The counter must belong
+    /// to this registry's scope, or no snapshot would list it.
     pub fn add(&self, id: MetricId, n: u64) {
+        debug_assert_eq!(
+            id.process_wide(),
+            self.process_wide,
+            "`{}` recorded outside its scope",
+            id.name()
+        );
         self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
     }
 
@@ -332,54 +363,49 @@ impl MetricsRegistry {
         &self.histograms[id as usize]
     }
 
-    /// A serializable point-in-time copy, sorted by metric name so output
-    /// is deterministic. Zero-valued counters/gauges and empty histograms
-    /// are retained — a report should show what was *not* exercised too.
+    /// A serializable point-in-time copy of the metrics of this registry's
+    /// scope, sorted by metric name so output is deterministic. Zero-valued
+    /// counters/gauges and empty histograms are retained — a report should
+    /// show what was *not* exercised too.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.snapshot_minus(None)
     }
 
-    /// The current counters and histograms, index-aligned with the
-    /// catalog: a baseline for [`MetricsRegistry::delta_since_raw`].
+    /// The current counters, index-aligned with the catalog: a baseline
+    /// for [`MetricsRegistry::delta_since_raw`].
     pub(crate) fn raw(&self) -> RawCounts {
-        RawCounts {
-            counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
-            histograms: std::array::from_fn(|i| {
-                let h = &self.histograms[i];
-                RawHistogram {
-                    count: h.count(),
-                    sum: h.sum(),
-                    buckets: std::array::from_fn(|b| h.buckets[b].load(Ordering::Relaxed)),
-                }
-            }),
-        }
+        std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
     }
 
     /// The counter-wise difference from a raw baseline (saturating, so
-    /// snapshots taken out of order clamp to zero rather than wrap); gauges
-    /// keep their current values. It turns two global readings into a
-    /// per-interval one.
+    /// snapshots taken out of order clamp to zero rather than wrap). It
+    /// turns two readings of the global registry, whose scope has no gauges
+    /// or histograms, into a per-interval one.
     pub(crate) fn delta_since_raw(&self, earlier: &RawCounts) -> MetricsSnapshot {
+        debug_assert!(self.process_wide, "only the process-wide scope is diffed");
         self.snapshot_minus(Some(earlier))
     }
 
-    /// The name-sorted snapshot, with `base` subtracted (saturating) from
-    /// every counter and histogram when given.
+    /// The name-sorted snapshot of the registry's scope, with `base`
+    /// subtracted (saturating) from every counter when given.
     fn snapshot_minus(&self, base: Option<&RawCounts>) -> MetricsSnapshot {
         let order = sorted_catalog();
+        let per_compilation = !self.process_wide;
         let counters = order
             .counters
             .iter()
+            .filter(|&&i| COUNTERS[i].process_wide() == self.process_wide)
             .map(|&i| CounterSnapshot {
                 name: COUNTERS[i].name().to_string(),
                 value: self.counters[i]
                     .load(Ordering::Relaxed)
-                    .saturating_sub(base.map_or(0, |b| b.counters[i])),
+                    .saturating_sub(base.map_or(0, |b| b[i])),
             })
             .collect();
         let gauges = order
             .gauges
             .iter()
+            .filter(|_| per_compilation)
             .map(|&i| GaugeSnapshot {
                 name: GAUGES[i].name().to_string(),
                 value: self.gauge(GAUGES[i]),
@@ -388,22 +414,14 @@ impl MetricsRegistry {
         let histograms = order
             .histograms
             .iter()
+            .filter(|_| per_compilation)
             .map(|&i| {
                 let h = &self.histograms[i];
-                let before = base.map(|b| &b.histograms[i]);
                 HistogramSnapshot {
                     name: HISTOGRAMS[i].name().to_string(),
-                    count: h.count().saturating_sub(before.map_or(0, |b| b.count)),
-                    sum: h.sum().saturating_sub(before.map_or(0, |b| b.sum)),
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .map(|(k, v)| {
-                            v.load(Ordering::Relaxed)
-                                .saturating_sub(before.map_or(0, |b| b.buckets[k]))
-                        })
-                        .collect(),
+                    count: h.count(),
+                    sum: h.sum(),
+                    buckets: h.buckets(),
                 }
             })
             .collect();
@@ -415,20 +433,8 @@ impl MetricsRegistry {
     }
 }
 
-/// Raw counter and histogram values, index-aligned with [`COUNTERS`] and
-/// [`HISTOGRAMS`] (gauges are not subtracted, so they are not kept).
-#[derive(Debug, Clone)]
-pub(crate) struct RawCounts {
-    counters: [u64; COUNTERS.len()],
-    histograms: [RawHistogram; HISTOGRAMS.len()],
-}
-
-#[derive(Debug, Clone)]
-struct RawHistogram {
-    count: u64,
-    sum: u64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
-}
+/// Raw counter values, index-aligned with [`COUNTERS`].
+pub(crate) type RawCounts = [u64; COUNTERS.len()];
 
 /// The catalog's indices in name order, sorted once per process.
 struct SortedCatalog {
@@ -508,26 +514,16 @@ impl MetricsSnapshot {
     }
 }
 
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns process-global metric recording on or off. Substrate crates
-/// (router, simulator) consult [`enabled`] before touching the global
-/// registry, so the disabled cost is one relaxed load.
-pub fn set_enabled(on: bool) {
-    GLOBAL_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether process-global metric recording is on.
-pub fn enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-global registry, for instrumentation points with no
-/// compilation context (simulator kernels, router internals). Callers
-/// should gate recording on [`enabled`].
+/// The process-global registry, for the process-wide counters
+/// ([`MetricId::process_wide`]) of instrumentation points with no
+/// compilation context (simulator kernels, router internals, the worker
+/// pool).
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: std::sync::OnceLock<MetricsRegistry> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
+    GLOBAL.get_or_init(|| MetricsRegistry {
+        process_wide: true,
+        ..MetricsRegistry::new()
+    })
 }
 
 #[cfg(test)]
@@ -630,28 +626,58 @@ mod tests {
         assert_eq!(h.buckets().iter().sum::<u64>(), 4);
     }
 
+    /// A registry of the global one's scope, private to a test.
+    fn process_wide() -> MetricsRegistry {
+        MetricsRegistry {
+            process_wide: true,
+            ..MetricsRegistry::new()
+        }
+    }
+
+    /// The names of the counters of one scope, sorted.
+    fn scope(process_wide: bool) -> Vec<&'static str> {
+        let mut names: Vec<_> = COUNTERS
+            .iter()
+            .filter(|id| id.process_wide() == process_wide)
+            .map(|id| id.name())
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
     #[test]
     fn snapshot_is_name_sorted_and_complete() {
         let r = MetricsRegistry::new();
         r.incr(MetricId::SabreSwaps);
         let s = r.snapshot();
-        assert_eq!(s.counters.len(), COUNTERS.len());
-        assert!(s.counters.windows(2).all(|w| w[0].name <= w[1].name));
+        let names: Vec<&str> = s.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, scope(false));
+        assert_eq!(names.len(), 19);
+        assert_eq!(s.gauges.len(), GAUGES.len());
+        assert_eq!(s.histograms.len(), HISTOGRAMS.len());
         assert_eq!(s.counter("sabre_swaps"), Some(1));
         assert_eq!(s.counter("router_retries"), Some(0));
+        assert_eq!(s.counter("sabre_swaps_total"), None);
         assert_eq!(s.counter("no_such_metric"), None);
+
+        // The global registry lists its process-wide counters only.
+        let s = global().snapshot();
+        let names: Vec<&str> = s.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, scope(true));
+        assert_eq!(names.len(), 8);
+        assert!(s.gauges.is_empty() && s.histograms.is_empty());
     }
 
     #[test]
     fn delta_subtracts_counters_and_histograms() {
         let r = MetricsRegistry::new();
-        r.add(MetricId::SimGateOps, 10);
+        r.add(MetricId::GroupsCompiled, 10);
         r.observe(HistogramId::GroupTerms, 5);
         let before = r.snapshot();
-        r.add(MetricId::SimGateOps, 7);
+        r.add(MetricId::GroupsCompiled, 7);
         r.observe(HistogramId::GroupTerms, 9);
         let delta = delta_by_name(&r.snapshot(), &before);
-        assert_eq!(delta.counter("sim_gate_ops"), Some(7));
+        assert_eq!(delta.counter("groups_compiled"), Some(7));
         let h = delta
             .histograms
             .iter()
@@ -661,31 +687,21 @@ mod tests {
         assert_eq!(h.sum, 9);
     }
 
+    /// Only the process-wide scope, which has no gauges or histograms, is
+    /// diffed raw.
     #[test]
     fn raw_delta_equals_the_named_delta() {
-        let r = MetricsRegistry::new();
+        let r = process_wide();
         r.add(MetricId::SimGateOps, 10);
         r.add(MetricId::SabreSwapsTotal, 3);
-        r.observe(HistogramId::GroupTerms, 5);
-        r.set_gauge(GaugeId::DeviceQubits, 16);
         let (raw, named) = (r.raw(), r.snapshot());
         r.add(MetricId::SimGateOps, 7);
-        r.observe(HistogramId::GroupTerms, 9);
-        r.observe(HistogramId::GroupCnots, 900);
-        r.set_gauge(GaugeId::DeviceQubits, 27);
         let delta = r.delta_since_raw(&raw);
         assert_eq!(delta, delta_by_name(&r.snapshot(), &named));
         assert_eq!(delta.counter("sim_gate_ops"), Some(7));
         assert_eq!(delta.counter("sabre_swaps_total"), Some(0));
-        assert_eq!(delta.gauges, r.snapshot().gauges);
-    }
-
-    #[test]
-    fn global_flag_toggles() {
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
+        assert_eq!(delta.counter("terms_compiled"), None);
+        assert!(delta.gauges.is_empty() && delta.histograms.is_empty());
     }
 
     #[test]

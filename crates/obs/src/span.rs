@@ -95,6 +95,10 @@ impl Span {
 /// Per-compilation observability state: a timing epoch, a lock-free
 /// [`MetricsRegistry`], and the accumulating span roots.
 ///
+/// A compile that keeps its trace pushes one span per pass; one that
+/// keeps only its obs report pushes none and records metrics alone, so
+/// its report's root has no children.
+///
 /// The collector is `Sync`: metrics are atomics, and the span list is
 /// behind a coarse mutex touched once per pass (never inside worker
 /// loops — passes accumulate child spans locally and the pass manager

@@ -692,10 +692,8 @@ pub(crate) fn route_tables(
                         out.push(Gate::Cnot(m, pb));
                     }
                 }
-                if phoenix_obs::metrics::enabled() {
-                    phoenix_obs::metrics::global()
-                        .incr(phoenix_obs::metrics::MetricId::SabreBridgesTotal);
-                }
+                phoenix_obs::metrics::global()
+                    .incr(phoenix_obs::metrics::MetricId::SabreBridgesTotal);
                 r.retire(g, a, b);
                 last_swap = None;
                 continue;
@@ -743,9 +741,7 @@ pub(crate) fn route_tables(
         if let Some((_, out)) = &mut r.emit {
             out.push(Gate::Swap(p1, p2));
         }
-        if phoenix_obs::metrics::enabled() {
-            phoenix_obs::metrics::global().incr(phoenix_obs::metrics::MetricId::SabreSwapsTotal);
-        }
+        phoenix_obs::metrics::global().incr(phoenix_obs::metrics::MetricId::SabreSwapsTotal);
         r.swap(p1, p2);
         last_swap = Some((p1, p2));
         num_swaps += 1;

@@ -115,7 +115,9 @@ pub fn execute_fleet_spec(
 
 /// The instrumented request a compile or fleet spec runs as, or, for a
 /// spec cancelled while it was queued, the typed error it replies with
-/// without compiling at all.
+/// without compiling at all. It keeps no trace: the reply sends only the
+/// metrics, so the compile takes no boundary statistics and builds no
+/// span tree.
 fn request_for(
     qubits: usize,
     terms: &[(PauliString, f64)],

@@ -13,6 +13,7 @@ use std::sync::mpsc::{self, Receiver};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use phoenix_core::phoenix_obs::metrics::COUNTERS;
 use phoenix_mathkit::Xoshiro256;
 use phoenix_serve::{Client, RetryPolicy, ServeReport, Server, ServerConfig, ServerHandle};
 use serde_json::Value;
@@ -83,7 +84,23 @@ fn compile_round_trip_reports_metrics_and_cache_hits() {
     let first = client.request(1, &frame).unwrap();
     assert_eq!(status(&first), "ok", "reply: {first:?}");
     assert!(first.get("gates").and_then(Value::as_u64).unwrap() > 0);
-    assert!(first.get("metrics").is_some(), "metrics snapshot missing");
+    let counters = first
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(Value::as_array)
+        .expect("metrics snapshot missing");
+    let counter = |name: &str| {
+        let entry = counters
+            .iter()
+            .find(|c| c.get("name").and_then(Value::as_str) == Some(name));
+        entry.and_then(|c| c.get("value")).and_then(Value::as_u64)
+    };
+    // The reply counts the compile's passes, and lists no process-wide
+    // counter, which no compile records.
+    assert!(counter("passes_run").unwrap() > 0, "reply: {first:?}");
+    for id in COUNTERS.iter().filter(|id| id.process_wide()) {
+        assert_eq!(counter(id.name()), None, "reply: {first:?}");
+    }
     // The identical structure again: the shared cache must register a hit.
     let second = client.request(2, &compile_frame(2, 4, 6, 11)).unwrap();
     assert_eq!(status(&second), "ok");

@@ -124,10 +124,13 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             Target::Device(parse_device(spec, &isa, via_kak)?)
         }
     };
+    // The report's spans are built only for a compile that keeps its trace.
+    let report = obs || obs_trace.is_some();
     let outcome = CompileRequest::new(n, &terms)
         .options(options)
         .target(target)
-        .obs(obs || obs_trace.is_some())
+        .trace(report)
+        .obs(report)
         .run()
         .map_err(|e| e.to_string())?;
     if let Some(hw) = &outcome.hardware {
