@@ -584,23 +584,50 @@ mod tests {
         };
 
         // Untraced compiles take no statistics, whether or not they keep an
-        // obs report.
+        // obs report: unsplit, cold and warm cached binds (the warm device
+        // bind binds into the cold one's routing), and fleet members (on
+        // the calling thread with one fleet thread).
         for obs in [false, true] {
             for target in [Target::Cnot, line.clone()] {
                 let (_, taken) = stats_taken(|| request(&target, false, obs).run().unwrap());
                 assert_eq!(taken, 0, "obs {obs}, {target:?}");
+                let cache = Arc::new(CompileCache::new());
+                for phase in ["cold", "warm"] {
+                    let (_, taken) = stats_taken(|| {
+                        request(&target, false, obs)
+                            .cache(&cache)
+                            .bind(&angles)
+                            .unwrap()
+                    });
+                    assert_eq!(taken, 0, "obs {obs}, {phase} bind, {target:?}");
+                }
+                assert_eq!(cache.stats().route_hits, u64::from(target.routes()));
             }
-            let cache = Arc::new(CompileCache::new());
-            for phase in ["cold", "warm"] {
-                let (_, taken) = stats_taken(|| {
-                    request(&Target::Cnot, false, obs)
-                        .cache(&cache)
-                        .bind(&angles)
-                        .unwrap()
-                });
-                assert_eq!(taken, 0, "obs {obs}, {phase} bind");
-            }
+            let devices = [CouplingGraph::line(3), CouplingGraph::ring(3)].map(Device::bare);
+            let one_thread = PhoenixOptions {
+                fleet_threads: 1,
+                ..PhoenixOptions::default()
+            };
+            let (_, taken) = stats_taken(|| {
+                request(&Target::Logical, false, obs)
+                    .options(one_thread)
+                    .fleet(&devices)
+                    .unwrap()
+            });
+            assert_eq!(taken, 0, "obs {obs}, fleet");
         }
+        // A budgeted compile scores its rounds on statistics of its own; an
+        // obs report adds none.
+        let budgeted = |obs| {
+            let options = PhoenixOptions {
+                pass_budget: Some(std::time::Duration::from_secs(3600)),
+                anytime_rounds: Some(2),
+                ..PhoenixOptions::default()
+            };
+            let compile = || request(&line, false, obs).options(options).run().unwrap();
+            stats_taken(compile).1
+        };
+        assert_eq!(budgeted(true), budgeted(false), "budgeted");
         let (_, taken) = stats_taken(|| request(&Target::Cnot, true, true).structure().unwrap());
         assert_eq!(taken, 0, "structure()");
         let logical = request(&Target::Logical, false, false).run().unwrap();
