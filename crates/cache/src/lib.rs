@@ -21,9 +21,9 @@
 //!
 //! The concurrent [`CompileCache`] holds artifacts at three granularities:
 //!
-//! - whole-program [`StructureArtifact`]s, keyed by the Zobrist digest of
-//!   the angle-erased canonical IR ([`phoenix_pauli::CanonicalIr`]) plus an
-//!   options fingerprint;
+//! - whole-program [`StructureArtifact`]s, keyed by a [`ProgramKey`]: the
+//!   program's ordered masks ([`CanonicalIr`]) plus the values of the
+//!   options the structure phase reads;
 //! - per-shape [`GroupArtifact`]s, keyed by the [`GroupShape`] of an IR
 //!   group: its rows relabelled onto its support ranks. One artifact serves
 //!   every group of the shape, in any program, on any support;
@@ -32,12 +32,15 @@
 //!   plus the coupling graph and the router settings. The router reads
 //!   only gate qubits, so one layout search and routing serves every
 //!   circuit of the same gate kinds and qubits, whatever its angles.
+//!
+//! Every key is its contents, compared in full, so two requests share an
+//! entry exactly when everything the cached work reads agrees; the maps
+//! hash keys with [`phoenix_pauli::WordHasher`].
 
 use phoenix_circuit::{Circuit, Gate};
-use phoenix_pauli::{fold_conjugation_sign, CanonicalIr, GroupShape, PauliString};
+use phoenix_pauli::{fold_conjugation_sign, CanonicalIr, GroupShape, PauliString, WordHashMap};
 use phoenix_router::{RouteError, RoutedCircuit, RouterOptions};
 use phoenix_topology::CouplingGraph;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -297,7 +300,6 @@ pub struct StructureArtifact {
     skeleton: Circuit,
     bindings: Vec<(usize, usize, i8)>,
     term_slots: Vec<(PauliString, usize, i8)>,
-    digest: u64,
 }
 
 impl StructureArtifact {
@@ -305,16 +307,13 @@ impl StructureArtifact {
     ///
     /// `skeleton` and `term_order` must come from a pipeline run where the
     /// `i`-th input term's coefficient was [`encode_slot`]`(i)`; `num_slots`
-    /// is the number of input terms (= expected angle-vector length) and
-    /// `digest` the Zobrist digest of the canonical IR the artifact is
-    /// keyed by.
+    /// is the number of input terms (= expected angle-vector length).
     pub fn from_slot_encoded(
         num_qubits: usize,
         num_slots: usize,
         num_groups: usize,
         skeleton: Circuit,
         term_order: &[(PauliString, f64)],
-        digest: u64,
     ) -> Result<Self, DecodeError> {
         let bindings = decode_bindings(skeleton.gates(), num_slots)?;
         let term_slots = decode_term_slots(term_order, num_slots)?
@@ -329,7 +328,6 @@ impl StructureArtifact {
             skeleton,
             bindings,
             term_slots,
-            digest,
         })
     }
 
@@ -351,11 +349,6 @@ impl StructureArtifact {
     /// Number of theta-bearing gate positions that get patched per bind.
     pub fn num_bindings(&self) -> usize {
         self.bindings.len()
-    }
-
-    /// Zobrist digest of the canonical IR this artifact was compiled from.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// The slot-encoded skeleton circuit.
@@ -489,50 +482,38 @@ impl GroupArtifact {
     }
 }
 
-/// Cache key for whole-program artifacts: the Zobrist-canonicalized IR plus
-/// a fingerprint of every compiler option that can change the structure
-/// output (lookahead, simplification/ordering toggles, routing awareness).
+/// Cache key for whole-program artifacts: the program's ordered masks plus
+/// the value of every option the structure phase reads. Thread counts are
+/// not among them (the output is identical for every value), nor is
+/// anything only the post-bind lowering reads, so artifacts are shared
+/// across those.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProgramKey {
     ir: CanonicalIr,
-    fingerprint: u64,
+    lookahead: usize,
+    enable_simplification: bool,
+    enable_ordering: bool,
+    routing_aware: bool,
 }
 
 impl ProgramKey {
-    /// Build a key from the canonical IR and an options fingerprint.
-    pub fn new(ir: CanonicalIr, fingerprint: u64) -> Self {
-        ProgramKey { ir, fingerprint }
-    }
-
-    /// The canonical IR this key wraps.
-    pub fn ir(&self) -> &CanonicalIr {
-        &self.ir
-    }
-}
-
-/// A word-at-a-time hasher for [`RouteKey`]s. A route key covers every
-/// gate of a lowered circuit and is hashed on every device compile, where
-/// SipHash's per-write cost would show; a collision costs only a full
-/// comparison, since keys compare in full.
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+    /// Keys `ir` compiled with the Tetris ordering's `lookahead`, with or
+    /// without BSF simplification and ordering, and with or without the
+    /// routing-aware ordering cost (Eq. (7)) in effect.
+    pub fn new(
+        ir: CanonicalIr,
+        lookahead: usize,
+        enable_simplification: bool,
+        enable_ordering: bool,
+        routing_aware: bool,
+    ) -> Self {
+        ProgramKey {
+            ir,
+            lookahead,
+            enable_simplification,
+            enable_ordering,
+            routing_aware,
         }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
     }
 }
 
@@ -545,15 +526,14 @@ impl Hasher for WordHasher {
 ///
 /// The hash covers every part (gate discriminants, qubits, angle bits, the
 /// graph's edges, the option bits), and equality compares every part in
-/// full, so a hash collision cannot produce a wrong hit.
-#[derive(Debug, Clone)]
+/// full, cheapest first.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteKey {
-    hash: u64,
-    circuit: Circuit,
+    layout_trials: usize,
+    router: [u64; 6],
     num_physical: usize,
     edges: Vec<(usize, usize)>,
-    router: [u64; 6],
-    layout_trials: usize,
+    circuit: Circuit,
 }
 
 impl RouteKey {
@@ -593,34 +573,12 @@ impl RouteKey {
             u64::from(*use_bridge),
             *max_swaps as u64,
         ];
-        let edges: Vec<(usize, usize)> = device.edges().iter().copied().collect();
-
-        let mut h = WordHasher(0);
-        h.write_usize(circuit.num_qubits());
-        for g in circuit.gates() {
-            std::mem::discriminant(g).hash(&mut h);
-            let (a, b) = g.qubits();
-            h.write_usize(a);
-            h.write_usize(b.unwrap_or(usize::MAX));
-            if let Gate::Rx(_, t) | Gate::Ry(_, t) | Gate::Rz(_, t) = g {
-                h.write_u64(t.to_bits());
-            }
-        }
-        h.write_usize(device.num_qubits());
-        for &(a, b) in &edges {
-            h.write_usize(a);
-            h.write_usize(b);
-        }
-        router.iter().for_each(|&w| h.write_u64(w));
-        h.write_usize(layout_trials);
-
         let key = RouteKey {
-            hash: h.finish(),
-            circuit,
-            num_physical: device.num_qubits(),
-            edges,
-            router,
             layout_trials,
+            router,
+            num_physical: device.num_qubits(),
+            edges: device.edges().iter().copied().collect(),
+            circuit,
         };
         (key, angles)
     }
@@ -631,22 +589,26 @@ impl RouteKey {
     }
 }
 
-impl PartialEq for RouteKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash
-            && self.layout_trials == other.layout_trials
-            && self.router == other.router
-            && self.num_physical == other.num_physical
-            && self.edges == other.edges
-            && self.circuit == other.circuit
-    }
-}
-
+// Every angle of a key is a slot encoding, never NaN, so equality is
+// reflexive.
 impl Eq for RouteKey {}
 
 impl Hash for RouteKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+        self.layout_trials.hash(state);
+        self.router.hash(state);
+        self.num_physical.hash(state);
+        self.edges.hash(state);
+        state.write_usize(self.circuit.num_qubits());
+        for g in self.circuit.gates() {
+            std::mem::discriminant(g).hash(state);
+            let (a, b) = g.qubits();
+            state.write_usize(a);
+            state.write_usize(b.unwrap_or(usize::MAX));
+            if let Gate::Rx(_, t) | Gate::Ry(_, t) | Gate::Rz(_, t) = g {
+                state.write_u64(t.to_bits());
+            }
+        }
     }
 }
 
@@ -811,8 +773,8 @@ impl<T> Stamped<T> {
 
 /// Evict the stalest entry from `map` while it exceeds `cap`. Called with
 /// the write lock held, right after an insert.
-fn evict_over_capacity<K: Clone + std::hash::Hash + Eq, V>(
-    map: &mut HashMap<K, Stamped<V>>,
+fn evict_over_capacity<K: Clone + Hash + Eq, V>(
+    map: &mut WordHashMap<K, Stamped<V>>,
     cap: usize,
     evictions: &AtomicU64,
 ) {
@@ -856,9 +818,9 @@ fn evict_over_capacity<K: Clone + std::hash::Hash + Eq, V>(
 /// ```
 #[derive(Debug, Default)]
 pub struct CompileCache {
-    programs: RwLock<HashMap<ProgramKey, Stamped<StructureArtifact>>>,
-    groups: RwLock<HashMap<GroupShape, Stamped<GroupArtifact>>>,
-    routes: RwLock<HashMap<RouteKey, Stamped<RouteArtifact>>>,
+    programs: Map<ProgramKey, StructureArtifact>,
+    groups: Map<GroupShape, GroupArtifact>,
+    routes: Map<RouteKey, RouteArtifact>,
     /// Per-map capacity bound; `None` = unbounded.
     max_entries: Option<usize>,
     /// Logical clock: bumped on every lookup/insert, stamped into entries.
@@ -873,7 +835,7 @@ pub struct CompileCache {
 }
 
 /// One map of the cache.
-type Map<K, V> = RwLock<HashMap<K, Stamped<V>>>;
+type Map<K, V> = RwLock<WordHashMap<K, Stamped<V>>>;
 
 impl CompileCache {
     /// An empty, unbounded cache.
@@ -1085,7 +1047,7 @@ mod tests {
             ("ZI".parse::<PauliString>().unwrap(), encode_slot(0)),
             ("IX".parse::<PauliString>().unwrap(), -encode_slot(1)),
         ];
-        let art = StructureArtifact::from_slot_encoded(2, 2, 1, skeleton, &order, 0xfeed).unwrap();
+        let art = StructureArtifact::from_slot_encoded(2, 2, 1, skeleton, &order).unwrap();
         assert_eq!(art.num_bindings(), 2);
 
         let bound = art.bind(&[0.125, 0.75]).unwrap();
@@ -1099,7 +1061,7 @@ mod tests {
     #[test]
     fn bind_validates_the_angle_vector() {
         let art =
-            StructureArtifact::from_slot_encoded(2, 2, 1, slot_encoded_skeleton(), &[], 0).unwrap();
+            StructureArtifact::from_slot_encoded(2, 2, 1, slot_encoded_skeleton(), &[]).unwrap();
         assert_eq!(
             art.bind(&[0.1]),
             Err(BindError::AngleCount {
@@ -1117,7 +1079,7 @@ mod tests {
     fn undecodable_skeletons_are_rejected() {
         let mut c = Circuit::new(1);
         c.push(Gate::Rz(0, 0.7));
-        let err = StructureArtifact::from_slot_encoded(1, 1, 1, c, &[], 0).unwrap_err();
+        let err = StructureArtifact::from_slot_encoded(1, 1, 1, c, &[]).unwrap_err();
         assert!(matches!(
             err,
             DecodeError::UnencodedTheta { gate_index: 0, .. }
@@ -1125,7 +1087,7 @@ mod tests {
 
         let mut c = Circuit::new(1);
         c.push(Gate::Rz(0, 2.0 * encode_slot(5)));
-        let err = StructureArtifact::from_slot_encoded(1, 2, 1, c, &[], 0).unwrap_err();
+        let err = StructureArtifact::from_slot_encoded(1, 2, 1, c, &[]).unwrap_err();
         assert!(matches!(
             err,
             DecodeError::SlotOutOfRange {
@@ -1182,13 +1144,11 @@ mod tests {
     fn cache_counts_hits_and_misses_per_granularity() {
         let cache = CompileCache::new();
         let ir = CanonicalIr::from_terms(2, &[("ZZ".parse().unwrap(), 1.0)]);
-        let key = ProgramKey::new(ir.clone(), 42);
+        let key = ProgramKey::new(ir, 42, true, true, false);
 
         assert!(cache.get_program(&key).is_none());
-        let art = Arc::new(
-            StructureArtifact::from_slot_encoded(2, 0, 0, Circuit::new(2), &[], ir.digest())
-                .unwrap(),
-        );
+        let art =
+            Arc::new(StructureArtifact::from_slot_encoded(2, 0, 0, Circuit::new(2), &[]).unwrap());
         cache.insert_program(key.clone(), Arc::clone(&art));
         assert!(cache.get_program(&key).is_some());
         assert!(cache.get_group(&shape(0b11, &["ZZ"])).is_none());
@@ -1208,27 +1168,21 @@ mod tests {
     #[test]
     fn racing_inserts_keep_the_incumbent() {
         let cache = CompileCache::new();
-        let ir = CanonicalIr::from_terms(1, &[("Z".parse().unwrap(), 1.0)]);
-        let key = ProgramKey::new(ir, 0);
-        let a = Arc::new(
-            StructureArtifact::from_slot_encoded(1, 0, 0, Circuit::new(1), &[], 1).unwrap(),
-        );
-        let b = Arc::new(
-            StructureArtifact::from_slot_encoded(1, 0, 0, Circuit::new(1), &[], 2).unwrap(),
-        );
-        let first = cache.insert_program(key.clone(), a);
-        let second = cache.insert_program(key, b);
-        assert_eq!(first.digest(), 1);
-        assert_eq!(second.digest(), 1);
+        let key = program_key(0);
+        let a = empty_program_artifact();
+        let first = cache.insert_program(key.clone(), Arc::clone(&a));
+        let second = cache.insert_program(key, empty_program_artifact());
+        assert!(Arc::ptr_eq(&first, &a));
+        assert!(Arc::ptr_eq(&second, &a));
     }
 
     fn empty_program_artifact() -> Arc<StructureArtifact> {
-        Arc::new(StructureArtifact::from_slot_encoded(1, 0, 0, Circuit::new(1), &[], 0).unwrap())
+        Arc::new(StructureArtifact::from_slot_encoded(1, 0, 0, Circuit::new(1), &[]).unwrap())
     }
 
-    fn program_key(fingerprint: u64) -> ProgramKey {
+    fn program_key(lookahead: usize) -> ProgramKey {
         let ir = CanonicalIr::from_terms(1, &[("Z".parse().unwrap(), 1.0)]);
-        ProgramKey::new(ir, fingerprint)
+        ProgramKey::new(ir, lookahead, true, true, false)
     }
 
     #[test]
@@ -1266,8 +1220,8 @@ mod tests {
     fn unbounded_cache_never_evicts() {
         let cache = CompileCache::new();
         assert_eq!(cache.max_entries(), None);
-        for fp in 0..64 {
-            cache.insert_program(program_key(fp), empty_program_artifact());
+        for lookahead in 0..64 {
+            cache.insert_program(program_key(lookahead), empty_program_artifact());
         }
         assert_eq!(cache.num_programs(), 64);
         assert_eq!(cache.stats().evictions, 0);

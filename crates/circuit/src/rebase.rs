@@ -4,13 +4,13 @@
 //! two-qubit unitary as a single native instruction. Rebasing therefore
 //! fuses every maximal run of 2Q gates on the same qubit pair — together
 //! with the 1Q gates interleaved on those two qubits — into one
-//! [`Su4Block`](crate::Su4Block).
+//! [`Su4Block`].
 
 use crate::{Circuit, Gate, Su4Block};
 
 /// Rebases a circuit into the SU(4) ISA.
 ///
-/// Every 2Q gate lands in an [`Su4Block`](crate::Su4Block); a block absorbs
+/// Every 2Q gate lands in an [`Su4Block`]; a block absorbs
 /// consecutive gates on its qubit pair (1Q gates included) until another
 /// gate touches one of its qubits. 1Q gates outside any block pass through
 /// unchanged (they are free in all metrics).

@@ -10,8 +10,8 @@
 //! budget stops it or a [`CancelToken`] ends the compile. A round compiles
 //! each distinct group shape once and seeds each shape's search with the
 //! Clifford sequence the previous round chose for it (principal variation
-//! plus aspiration window — see
-//! [`simplify_terms_deepening`](crate::simplify::simplify_terms_deepening)).
+//! plus aspiration window — see `simplify_terms_deepening` in the
+//! `simplify` module).
 //!
 //! A round is kept when it strictly improves the `(2Q gates, 2Q depth,
 //! gates)` key of what the target delivers: the round's circuit after

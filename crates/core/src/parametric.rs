@@ -7,8 +7,9 @@
 //! This module runs the structure phase with each input coefficient replaced
 //! by its [`encode_slot`] payload, decodes the resulting skeleton into a
 //! rebindable [`StructureArtifact`], and memoizes it in a shared
-//! [`CompileCache`] keyed by the Zobrist digest of the angle-erased
-//! canonical IR plus a fingerprint of the structure-relevant options.
+//! [`CompileCache`] under a [`ProgramKey`]: the program's ordered masks
+//! plus the values of the options the structure phase reads, compared in
+//! full.
 //!
 //! The slot encoding makes the factoring an *observation*, not a rewrite:
 //! the structure phase runs the unmodified passes. No pass reads coefficient
@@ -44,26 +45,24 @@ use crate::pass::{CompileContext, PassTrace, Recording};
 use crate::pipeline::{logical_passes, PhoenixOptions};
 use crate::request::Target;
 
-/// SplitMix64-style finalizer used for the options fingerprint.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Fingerprint of every option that can change the *structure* output
-/// (grouping, simplification, ordering). Options that only affect the
-/// post-bind lowering (router knobs, layout trials) or execution strategy
-/// (thread counts — output is thread-count-invariant by construction) are
-/// deliberately excluded, so artifacts are shared across them.
-pub(crate) fn options_fingerprint(options: &PhoenixOptions, routing_aware: bool) -> u64 {
-    let routing_aware = routing_aware || options.routing_aware;
-    let mut h = mix(options.lookahead as u64);
-    h = mix(h ^ (options.enable_simplification as u64));
-    h = mix(h ^ ((options.enable_ordering as u64) << 1));
-    h = mix(h ^ ((routing_aware as u64) << 2));
-    h
+/// The program-cache key of `terms` over `num_qubits` qubits compiled with
+/// `options`, routing-aware when `routing_aware` or the options say so: the
+/// ordered masks plus every option the structure phase reads. Thread
+/// counts change no output, router options act after binding, and a
+/// budgeted or verified compile never takes the cached path.
+fn program_key(
+    num_qubits: usize,
+    terms: &[(PauliString, f64)],
+    options: &PhoenixOptions,
+    routing_aware: bool,
+) -> ProgramKey {
+    ProgramKey::new(
+        CanonicalIr::from_terms(num_qubits, terms),
+        options.lookahead,
+        options.enable_simplification,
+        options.enable_ordering,
+        routing_aware || options.routing_aware,
+    )
 }
 
 /// Whether the split structure/bind path may serve a request with these
@@ -98,7 +97,6 @@ pub(crate) fn compile_structure(
         .map(|(i, (p, _))| (p.clone(), encode_slot(i)))
         .collect();
     validate_program(num_qubits, &slot_terms)?;
-    let digest = CanonicalIr::from_terms(num_qubits, terms).digest();
     let mut ctx = CompileContext::new(num_qubits, &slot_terms);
     ctx.cache = cache.cloned();
     ctx.obs = obs.cloned();
@@ -115,7 +113,6 @@ pub(crate) fn compile_structure(
         ctx.num_groups,
         ctx.circuit,
         &ctx.term_order,
-        digest,
     )?;
     Ok((Arc::new(artifact), trace))
 }
@@ -137,28 +134,23 @@ pub(crate) fn obtain_structure(
     // same gating `run()` uses before taking the split path: a request
     // carrying a pass budget (even `Duration::ZERO`) or verification must
     // never be served from — or leak into — the cache. A zero/expired
-    // budget thus deterministically takes the truncated compile path.
-    let cache = cache.filter(|_| split_path_allowed(options));
+    // budget thus deterministically takes the truncated compile path. A
+    // key reads `num_qubits` qubits of each term, so a term of another
+    // width is left to the uncached compile, which rejects it.
+    let cache = cache.filter(|_| {
+        split_path_allowed(options) && terms.iter().all(|(p, _)| p.num_qubits() == num_qubits)
+    });
     let Some(cache) = cache else {
         let (artifact, trace) =
             compile_structure(num_qubits, terms, options, routing_aware, None, obs, rec)?;
         return Ok((artifact, false, trace));
     };
-    let key = ProgramKey::new(
-        CanonicalIr::from_terms(num_qubits, terms),
-        options_fingerprint(options, routing_aware),
-    );
+    let key = program_key(num_qubits, terms, options, routing_aware);
     if let Some(artifact) = cache.get_program(&key) {
-        // Guard against a digest collision: the artifact must describe a
-        // program of the same shape. (CanonicalIr::eq compares the full
-        // mask sequence, so colliding keys land in distinct map entries;
-        // this check is defensive.)
-        if artifact.num_qubits() == num_qubits && artifact.num_slots() == terms.len() {
-            if let Some(o) = obs {
-                o.metrics().incr(MetricId::CacheProgramHits);
-            }
-            return Ok((artifact, true, PassTrace::default()));
+        if let Some(o) = obs {
+            o.metrics().incr(MetricId::CacheProgramHits);
         }
+        return Ok((artifact, true, PassTrace::default()));
     }
     if let Some(o) = obs {
         o.metrics().incr(MetricId::CacheProgramMisses);
@@ -190,31 +182,43 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_structure_relevant_options() {
+    fn keys_separate_structure_relevant_options() {
+        let t = terms(&["ZYY", "ZZY"]);
+        let key = |options: &PhoenixOptions, routes: bool| program_key(3, &t, options, routes);
         let base = PhoenixOptions::default();
-        let mut lk = base.clone();
-        lk.lookahead = 7;
-        let mut nosimp = base.clone();
-        nosimp.enable_simplification = false;
-        let mut threads = base.clone();
-        threads.stage2_threads = 8;
-        assert_ne!(
-            options_fingerprint(&base, false),
-            options_fingerprint(&lk, false)
-        );
-        assert_ne!(
-            options_fingerprint(&base, false),
-            options_fingerprint(&nosimp, false)
-        );
-        assert_ne!(
-            options_fingerprint(&base, false),
-            options_fingerprint(&base, true)
-        );
+        let changed = [
+            PhoenixOptions {
+                lookahead: base.lookahead + 1,
+                ..base.clone()
+            },
+            PhoenixOptions {
+                enable_simplification: false,
+                ..base.clone()
+            },
+            PhoenixOptions {
+                enable_ordering: false,
+                ..base.clone()
+            },
+        ];
+        for options in &changed {
+            assert_ne!(key(&base, false), key(options, false), "{options:?}");
+        }
+        assert_ne!(key(&base, false), key(&base, true));
+        // Routing awareness from the target or from the options is one
+        // setting.
+        let aware = PhoenixOptions {
+            routing_aware: true,
+            ..base.clone()
+        };
+        assert_eq!(key(&aware, false), key(&base, true));
         // Thread counts never change the output, so they share artifacts.
-        assert_eq!(
-            options_fingerprint(&base, false),
-            options_fingerprint(&threads, false)
-        );
+        let threads = PhoenixOptions {
+            stage2_threads: 8,
+            stage2_scan_threads: 3,
+            fleet_threads: 2,
+            ..base.clone()
+        };
+        assert_eq!(key(&base, false), key(&threads, false));
     }
 
     #[test]
@@ -245,7 +249,6 @@ mod tests {
         let (art_b, _) =
             compile_structure(3, &b, &opts, false, None, None, Recording::now(true)).unwrap();
         assert_eq!(art_a.skeleton(), art_b.skeleton());
-        assert_eq!(art_a.digest(), art_b.digest());
     }
 
     #[test]

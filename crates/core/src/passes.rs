@@ -19,7 +19,6 @@
 //! written back by group index, so the output is bit-identical for any
 //! thread count.
 
-use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
@@ -27,7 +26,7 @@ use phoenix_cache::{encode_slot, CompileCache, GroupArtifact, RouteArtifact, Rou
 use phoenix_circuit::{kak, peephole, rebase, Circuit};
 use phoenix_obs::metrics::{GaugeId, HistogramId, MetricId, MetricsRegistry};
 use phoenix_obs::{ObsCollector, Span};
-use phoenix_pauli::{Clifford2Q, GroupShape, PauliString};
+use phoenix_pauli::{Clifford2Q, GroupShape, PauliString, WordHashMap};
 use phoenix_router::{
     route_with_attempt_log, RouteAttempt, RouteError, RoutedCircuit, RouterOptions,
 };
@@ -207,7 +206,8 @@ impl SimplifySynthPass {
         } else {
             Arc::from([])
         };
-        let mut index: HashMap<&GroupShape, usize> = HashMap::with_capacity(keys.len());
+        let mut index: WordHashMap<&GroupShape, usize> =
+            WordHashMap::with_capacity_and_hasher(keys.len(), Default::default());
         let mut leaders: Vec<usize> = Vec::new();
         let mut shape_of: Vec<usize> = Vec::with_capacity(keys.len());
         for (i, key) in keys.iter().enumerate() {

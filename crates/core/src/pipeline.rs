@@ -102,8 +102,8 @@ pub struct PhoenixOptions {
     /// concurrently, the caller plus pool workers
     /// (`0` = one per available core, capped at the fleet size; `1` =
     /// inline). Each member's stage 2 fans out on the same pool. The ranked
-    /// outcome is identical for every value. Excluded from the parametric
-    /// options fingerprint, like the stage-2 thread caps.
+    /// outcome is identical for every value. Not part of the program-cache
+    /// key, like the stage-2 thread caps.
     pub fleet_threads: usize,
     /// Cooperative cancellation token. When set, a fired token ends the
     /// compile at its next poll point (a pass boundary, a stage-2 greedy
@@ -111,7 +111,7 @@ pub struct PhoenixOptions {
     /// [`PhoenixError::Cancelled`](crate::PhoenixError::Cancelled), with or
     /// without a `pass_budget`. Token equality is identity (shared state),
     /// so the derived `PartialEq` on options stays meaningful; the token is
-    /// excluded from the parametric options fingerprint.
+    /// not part of the program-cache key.
     pub cancel: Option<CancelToken>,
 }
 

@@ -145,9 +145,10 @@ impl CompileRequest {
     /// Attaches a shared parametric compilation cache (builder style).
     ///
     /// With a cache attached, [`CompileRequest::run`] splits into a
-    /// structure phase (memoized in the cache, keyed by the Zobrist digest
-    /// of the angle-erased canonical IR) and an angle-binding phase; stage
-    /// 2 additionally reuses per-shape group artifacts, and a
+    /// structure phase (memoized in the cache under the program's ordered
+    /// Pauli masks and the values of the options the structure phase
+    /// reads, compared in full) and an angle-binding phase; stage 2
+    /// additionally reuses per-shape group artifacts, and a
     /// [`Target::Device`] lowering reuses the routing of any earlier
     /// compile whose router input had the same gates on the same qubits
     /// (on the same graph, router options and layout trials), copying the
@@ -232,9 +233,11 @@ impl CompileRequest {
     /// [`PhoenixOptions::fleet_threads`] threads of the crate's worker pool
     /// (the stage-2 discipline: index-aligned slots). The ranked outcome is
     /// identical for every `fleet_threads` value, and a fleet of one equals
-    /// the single-device path bit for bit. An attached [`CompileCache`] is
-    /// shared across members, so the (device-independent) structure phase
-    /// is computed once per program.
+    /// the single-device path bit for bit. With a [`CompileCache`] attached
+    /// (and no pass budget or verification), the fleet obtains the
+    /// structure phase, which no device changes, once on the calling thread
+    /// before the members start, and every member binds from it: a fleet
+    /// over a fresh cache records one program miss and one hit per member.
     ///
     /// Ties in predicted fidelity keep the input device order. The
     /// request's own `target` field is ignored.
@@ -253,6 +256,27 @@ impl CompileRequest {
         // Per-member targets are assigned below; drop any device so member
         // clones stay cheap.
         self.target = Target::Logical;
+        // One structure compile for all members, before they could race to
+        // compile it. Only a program some member accepts is compiled, and
+        // an error is left to the members, which report it per device.
+        let n = self.num_qubits;
+        if self.cache.is_some()
+            && parametric::split_path_allowed(&self.options)
+            && validate_program(n, &self.terms).is_ok()
+            && devices
+                .iter()
+                .any(|d| validate_device(n, d.graph()).is_ok())
+        {
+            let _ = parametric::obtain_structure(
+                n,
+                &self.terms,
+                &self.options,
+                true, // every member routes
+                self.cache.as_ref(),
+                None,
+                Recording::now(false),
+            );
+        }
         let threads = par::resolve_threads(self.options.fleet_threads).clamp(1, devices.len());
         // Members run on pool threads, so the job owns the request and the
         // devices; each member's stage 2 nests on the same pool.

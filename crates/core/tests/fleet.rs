@@ -1,9 +1,12 @@
 //! Fleet compilation: determinism across thread counts, the fleet-of-one
-//! == single-device guarantee, and fidelity ranking.
+//! == single-device guarantee, fidelity ranking, and one structure compile
+//! per cached fleet.
+
+use std::sync::Arc;
 
 use phoenix_core::{
-    CompileRequest, Device, DeviceRegistry, NativeIsa, NoiseProfile, PhoenixError, PhoenixOptions,
-    Target,
+    CacheStats, CompileCache, CompileRequest, Device, DeviceRegistry, NativeIsa, NoiseProfile,
+    PhoenixError, PhoenixOptions, Target,
 };
 use phoenix_hamil::qaoa;
 use phoenix_mathkit::Xoshiro256;
@@ -124,6 +127,52 @@ fn all_to_all_ranks_above_a_line_on_a_dense_program() {
         line + 1,
         outcome.ranked[line].fidelity
     );
+}
+
+/// A cached fleet compiles its structure once, before its members start,
+/// so a fresh cache always reads one program miss and one hit per member,
+/// however the members interleave; an invalid program leaves the cache
+/// untouched and fails every member as before.
+#[test]
+fn a_cached_fleet_compiles_its_structure_once() {
+    let devices = fleet_of(&["line:6", "ring:6", "grid:2x3", "ion-trap:6"]);
+    let t = random_terms(5, 12, 11);
+    let options = PhoenixOptions {
+        fleet_threads: devices.len(),
+        ..PhoenixOptions::default()
+    };
+    let fleet = |terms: &[(PauliString, f64)], cache: &Arc<CompileCache>| {
+        CompileRequest::new(5, terms)
+            .options(options.clone())
+            .cache(cache)
+            .fleet(&devices)
+            .expect("fleet")
+    };
+    for run in 0..20 {
+        let cache = Arc::new(CompileCache::new());
+        let outcome = fleet(&t, &cache);
+        assert!(outcome.failed.is_empty(), "run {run}");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.program_misses, stats.program_hits),
+            (1, devices.len() as u64),
+            "run {run}"
+        );
+    }
+    let mut invalid = t.clone();
+    invalid[3].1 = f64::NAN;
+    let cache = Arc::new(CompileCache::new());
+    let outcome = fleet(&invalid, &cache);
+    assert!(outcome.ranked.is_empty());
+    assert_eq!(outcome.failed.len(), devices.len());
+    for (_, err) in &outcome.failed {
+        assert!(
+            matches!(err, PhoenixError::NonFiniteCoefficient { index: 3, .. }),
+            "{err:?}"
+        );
+    }
+    assert_eq!(cache.stats(), CacheStats::default());
+    assert_eq!(cache.num_programs(), 0);
 }
 
 #[test]

@@ -45,7 +45,7 @@ mod string;
 
 pub use algebra::{NonHermitianError, PauliPolynomial, PauliTerm};
 pub use bsf::{fold_conjugation_sign, nibble_weight, Bsf, BsfError, BsfRow};
-pub use canon::{term_hash, CanonicalIr, GroupShape, ZobristAcc};
+pub use canon::{CanonicalIr, GroupShape, WordHashMap, WordHasher};
 pub use clifford::{map_nibble, Clifford2Q, Clifford2QKind, CLIFFORD2Q_GENERATORS};
 pub use mask::QubitMask;
 pub use pauli::Pauli;

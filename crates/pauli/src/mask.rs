@@ -1,8 +1,8 @@
 //! Variable-width packed qubit bit masks.
 //!
 //! Every hot kernel of the compiler — symplectic commutation parity, support
-//! popcounts, nibble-class extraction, Clifford conjugation, Zobrist hashing
-//! — operates on per-qubit bit masks. [`QubitMask`] packs those bits into
+//! popcounts, nibble-class extraction, Clifford conjugation, cache keys —
+//! operates on per-qubit bit masks. [`QubitMask`] packs those bits into
 //! `u64` words in the bitboard idiom (popcount, masked shifts, word-parallel
 //! AND/OR/XOR), replacing the former fixed `u128` representation that capped
 //! programs at 128 qubits.

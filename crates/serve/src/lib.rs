@@ -68,7 +68,7 @@ pub fn execute_spec(
     }
     let (n, terms, deadline) = (spec.qubits, &spec.terms, spec.deadline_ms);
     let outcome = request_for(n, terms, spec.lookahead, deadline, cache, cancel, budget)
-        .and_then(|request| request.target(spec.target.clone()).run());
+        .and_then(|request| request.target(spec.target.clone()).obs(true).run());
     match outcome {
         Ok(outcome) => {
             let stats = cache.map(|c| c.stats());
@@ -113,11 +113,11 @@ pub fn execute_fleet_spec(
     }
 }
 
-/// The instrumented request a compile or fleet spec runs as, or, for a
-/// spec cancelled while it was queued, the typed error it replies with
-/// without compiling at all. It keeps no trace: the reply sends only the
-/// metrics, so the compile takes no boundary statistics and builds no
-/// span tree.
+/// The request a compile or fleet spec runs as, or, for a spec cancelled
+/// while it was queued, the typed error it replies with without compiling
+/// at all. It keeps neither trace nor obs report: a fleet reply reads
+/// neither, and a compile reply only the metrics, which
+/// [`execute_spec`] asks for.
 fn request_for(
     qubits: usize,
     terms: &[(PauliString, f64)],
@@ -142,9 +142,7 @@ fn request_for(
     if let Some(lookahead) = lookahead {
         options.lookahead = lookahead;
     }
-    let request = CompileRequest::new(qubits, terms)
-        .options(options)
-        .obs(true);
+    let request = CompileRequest::new(qubits, terms).options(options);
     Ok(match cache {
         Some(cache) => request.cache(cache),
         None => request,

@@ -979,17 +979,25 @@ fn fleet_frames_return_a_fidelity_ranked_listing_end_to_end() {
         assert!(entry.get("two_qubit").and_then(Value::as_u64).is_some());
         assert!(entry.get("depth").and_then(Value::as_u64).is_some());
     }
-    // The same fleet again: the members share one cached program structure.
+    let program_lookups = |reply: &Value| {
+        let count = |key: &str| {
+            reply
+                .get("cache")
+                .and_then(|c| c.get(key))
+                .and_then(Value::as_u64)
+                .unwrap()
+        };
+        (count("program_misses"), count("program_hits"))
+    };
+    // The fleet compiles its structure once and every member binds from
+    // it: one miss and one hit per member.
+    assert_eq!(program_lookups(&reply), (1, 4), "reply: {reply:?}");
+    // The same fleet again: one more hit for the fleet, one per member.
     let again = client
         .request(42, &frame.replace("\"id\":41", "\"id\":42"))
         .unwrap();
     assert_eq!(status(&again), "ok");
-    let hits = again
-        .get("cache")
-        .and_then(|c| c.get("program_hits"))
-        .and_then(Value::as_u64)
-        .unwrap();
-    assert!(hits >= 1, "expected a program cache hit, got {hits}");
+    assert_eq!(program_lookups(&again), (1, 9), "reply: {again:?}");
     handle.shutdown();
     let report = join.join().unwrap();
     assert_eq!(report.admitted, 2);

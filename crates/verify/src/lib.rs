@@ -9,10 +9,10 @@
 //!   stabilizer-tableau equivalence and Clifford-skeleton identity
 //!   (tier 2, any width), and random-product-state spot checks (tier 3,
 //!   `n ≲ 24`), plus permutation-aware equivalence for routed circuits;
-//! - [`gen`] — [`RandomProgramGen`](gen::RandomProgramGen): seeded random
+//! - [`gen`] — [`gen::RandomProgramGen`]: seeded random
 //!   programs in UCCSD-like, Ising-like and unstructured families, with a
-//!   greedy [`shrink`](gen::shrink) minimizer for counterexamples;
-//! - [`differential`] — [`verify_program`](differential::verify_program):
+//!   greedy [`gen::shrink`] minimizer for counterexamples;
+//! - [`differential`] — [`differential::verify_program`]:
 //!   drives PHOENIX (all five targets) and the four baselines over
 //!   one program, checking each output and all pairs;
 //! - [`metamorphic`] — compilation commutes with qubit relabeling, term
