@@ -238,6 +238,10 @@ impl CompileRequest {
     /// structure phase, which no device changes, once on the calling thread
     /// before the members start, and every member binds from it: a fleet
     /// over a fresh cache records one program miss and one hit per member.
+    /// Members whose devices share a coupling graph also share a route-memo
+    /// key, so the fleet runs in two rounds: the first member on each graph
+    /// routes in the first, and the rest bind into those routings in the
+    /// second, one route miss per graph.
     ///
     /// Ties in predicted fidelity keep the input device order. The
     /// request's own `target` field is ignored.
@@ -260,8 +264,8 @@ impl CompileRequest {
         // compile it. Only a program some member accepts is compiled, and
         // an error is left to the members, which report it per device.
         let n = self.num_qubits;
-        if self.cache.is_some()
-            && parametric::split_path_allowed(&self.options)
+        let cached = self.cache.is_some() && parametric::split_path_allowed(&self.options);
+        if cached
             && validate_program(n, &self.terms).is_ok()
             && devices
                 .iter()
@@ -277,31 +281,52 @@ impl CompileRequest {
                 Recording::now(false),
             );
         }
-        let threads = par::resolve_threads(self.options.fleet_threads).clamp(1, devices.len());
-        // Members run on pool threads, so the job owns the request and the
-        // devices; each member's stage 2 nests on the same pool.
+        // With the cache in use, members on one coupling graph share a
+        // route-memo key: the first member on each graph runs in a first
+        // round and routes, and every other member runs in a second round
+        // and binds into that routing. Without the cache every member runs
+        // in one round.
+        let mut rounds = [Vec::new(), Vec::new()];
+        for (i, dev) in devices.iter().enumerate() {
+            let later = cached && devices[..i].iter().any(|d| d.graph() == dev.graph());
+            rounds[usize::from(later)].push(i);
+        }
+        // Members run on pool threads, so each round's job owns the
+        // request, the devices and its indices; each member's stage 2
+        // nests on the same pool.
+        let fleet_threads = self.options.fleet_threads;
         let base = Arc::new(self);
         let members: Arc<[Device]> = devices.into();
-        let slots = par::map(
-            devices.len(),
-            threads,
-            || (),
-            move |_, i| {
-                let dev = &members[i];
-                let req = CompileRequest::clone(&base).target(Target::Device(dev.clone()));
-                match req.run() {
-                    Ok(outcome) => Ok(FleetEntry {
-                        fidelity: dev.predicted_fidelity(&outcome.circuit),
-                        device: dev.clone(),
-                        outcome,
-                    }),
-                    Err(e) => Err((dev.name().to_string(), e)),
-                }
-            },
-        );
+        let mut slots: Vec<_> = devices.iter().map(|_| None).collect();
+        for round in rounds.into_iter().filter(|round| !round.is_empty()) {
+            let threads = par::resolve_threads(fleet_threads).clamp(1, round.len());
+            let round: Arc<[usize]> = round.into();
+            let (job_base, job_members, job_round) =
+                (Arc::clone(&base), Arc::clone(&members), Arc::clone(&round));
+            let done = par::map(
+                round.len(),
+                threads,
+                || (),
+                move |_, k| {
+                    let dev = &job_members[job_round[k]];
+                    let req = CompileRequest::clone(&job_base).target(Target::Device(dev.clone()));
+                    match req.run() {
+                        Ok(outcome) => Ok(FleetEntry {
+                            fidelity: dev.predicted_fidelity(&outcome.circuit),
+                            device: dev.clone(),
+                            outcome,
+                        }),
+                        Err(e) => Err((dev.name().to_string(), e)),
+                    }
+                },
+            );
+            for (&i, out) in round.iter().zip(done) {
+                slots[i] = Some(out);
+            }
+        }
         let mut ranked = Vec::new();
         let mut failed = Vec::new();
-        for slot in slots {
+        for slot in slots.into_iter().flatten() {
             match slot {
                 Ok(entry) => ranked.push(entry),
                 Err(fail) => failed.push(fail),

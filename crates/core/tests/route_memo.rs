@@ -16,8 +16,8 @@ use std::sync::Arc;
 use phoenix_circuit::{Circuit, Gate};
 use phoenix_core::phoenix_obs::ObsReport;
 use phoenix_core::{
-    CompileCache, CompileOutcome, CompileRequest, Device, DeviceRegistry, PhoenixError,
-    PhoenixOptions, Target,
+    CompileCache, CompileOutcome, CompileRequest, Device, DeviceRegistry, FleetOutcome,
+    PhoenixError, PhoenixOptions, Target,
 };
 use phoenix_hamil::{qaoa, uccsd, Molecule};
 use phoenix_pauli::PauliString;
@@ -170,6 +170,22 @@ fn assert_same(
             cached.as_ref().err(),
             uncached.as_ref().err()
         ),
+    }
+}
+
+/// Asserts that a cached fleet ranks the same members in the same order
+/// as `reference`, with the same fidelities and outcomes.
+fn assert_same_fleet(cached: &FleetOutcome, reference: &FleetOutcome, what: &str) {
+    assert_eq!(cached.ranked.len(), reference.ranked.len(), "{what}");
+    assert_eq!(cached.failed.len(), reference.failed.len(), "{what}");
+    for (c, u) in cached.ranked.iter().zip(&reference.ranked) {
+        assert_eq!(c.device.name(), u.device.name(), "{what}");
+        assert_eq!(c.fidelity.to_bits(), u.fidelity.to_bits(), "{what}");
+        assert_same(
+            &Ok(c.outcome.clone()),
+            &Ok(u.outcome.clone()),
+            &format!("{what} @ {}", c.device.name()),
+        );
     }
 }
 
@@ -498,15 +514,48 @@ fn device_route_programs_rebind_from_the_route_memo() {
             h.name()
         );
         let uncached = fleet(&rescaled, None);
-        assert_eq!(cached.ranked.len(), uncached.ranked.len());
-        for (c, u) in cached.ranked.iter().zip(&uncached.ranked) {
-            assert_eq!(c.device.name(), u.device.name());
-            assert_eq!(c.fidelity.to_bits(), u.fidelity.to_bits());
-            assert_same(
-                &Ok(c.outcome.clone()),
-                &Ok(u.outcome.clone()),
-                &format!("fleet {} @ {}", h.name(), c.device.name()),
-            );
+        assert_same_fleet(&cached, &uncached, &format!("fleet {}", h.name()));
+    }
+}
+
+/// Fleet members whose devices share a coupling graph share a route-memo
+/// key. A cached fleet routes with the first member on each graph before
+/// the others start, so on a fresh cache the first routes and every other
+/// member hits, in every run, and the ranking is the uncached fleet's and
+/// the one-thread fleet's.
+#[test]
+fn same_graph_fleet_members_route_once() {
+    let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 3);
+    let n = h.num_qubits();
+    let registry = DeviceRegistry::new();
+    let members: Vec<Device> = ["line:12", "line:12@kak", "line:12@su4", "line:12@cnot"]
+        .iter()
+        .map(|spec| registry.build(spec).unwrap())
+        .collect();
+    let fleet = |fleet_threads: usize, cache: Option<&Arc<CompileCache>>| {
+        let options = PhoenixOptions {
+            fleet_threads,
+            ..PhoenixOptions::default()
+        };
+        let request = CompileRequest::new(n, h.terms())
+            .options(options)
+            .trace(true);
+        match cache {
+            Some(cache) => request.cache(cache),
+            None => request,
         }
+        .fleet(&members)
+        .unwrap()
+    };
+    let uncached = fleet(members.len(), None);
+    let one_thread = fleet(1, Some(&Arc::new(CompileCache::new())));
+    assert!(uncached.failed.is_empty(), "{:?}", uncached.failed);
+    for run in 0..20 {
+        let cache = Arc::new(CompileCache::new());
+        let cached = fleet(members.len(), Some(&cache));
+        let stats = cache.stats();
+        assert_eq!((stats.route_misses, stats.route_hits), (1, 3), "run {run}");
+        assert_same_fleet(&cached, &uncached, &format!("run {run} vs uncached"));
+        assert_same_fleet(&cached, &one_thread, &format!("run {run} vs one thread"));
     }
 }

@@ -4,10 +4,12 @@
 //! candidates it scores. The lowered circuit is read once into [`Tables`],
 //! which a layout search shares across all its routings; the drain visits
 //! only the queue positions that can run a gate; the lookahead set is a
-//! slice of the 2Q gates; and a candidate SWAP is scored from the distances
-//! of the pairs that touch the two qubits it moves. Every output, float
-//! ties included, equals a full rescan's: `tests/sabre_equivalence.rs`
-//! compares the two (DESIGN.md §2.5.1).
+//! slice of the 2Q gates; a candidate SWAP is scored from the distances
+//! of the pairs that touch the two qubits it moves; and a SWAP step after
+//! a drain that ran nothing keeps the previous step's front, lookahead set
+//! and distance sums, updating the sums for the two moved qubits only.
+//! Every output, float ties included, equals a full rescan's:
+//! `tests/sabre_equivalence.rs` compares the two (DESIGN.md §2.5.1).
 
 use crate::Layout;
 use phoenix_circuit::{Circuit, Gate};
@@ -504,15 +506,17 @@ impl<'a> Router<'a> {
 
 /// The distance sums of the front set (`[0]`) and the extended set
 /// (`[1]`), with each pair listed under the logical qubits it touches, so a
-/// candidate SWAP is scored from the pairs of the two qubits it moves.
+/// candidate SWAP is scored, and a SWAP that ran is caught up with, from
+/// the pairs of the two qubits it moves.
 struct Sums {
     total: [u64; 2],
     /// Per logical qubit: the summed distance of the pairs touching it.
     touching: Vec<[u64; 2]>,
     /// Qubit `x`'s pairs are `links[start[x]..start[x + 1]]`, each as
-    /// `(other qubit, its physical qubit, set)`.
+    /// `(other qubit, set)`; the other qubit's position is read from the
+    /// layout, so a SWAP leaves the links valid.
     start: Vec<usize>,
-    links: Vec<(usize, usize, usize)>,
+    links: Vec<(usize, usize)>,
 }
 
 impl Sums {
@@ -546,15 +550,14 @@ impl Sums {
             self.start[x] += self.start[x - 1];
         }
         self.links.clear();
-        self.links
-            .resize(self.start[self.start.len() - 1], (0, 0, 0));
+        self.links.resize(self.start[self.start.len() - 1], (0, 0));
         for (a, b, set) in pairs {
             let d = r.distance(a, b);
             self.total[set] += d;
             for (x, y) in [(a, b), (b, a)] {
                 self.touching[x][set] += d;
                 self.start[x] -= 1;
-                self.links[self.start[x]] = (y, r.l2p[y], set);
+                self.links[self.start[x]] = (y, set);
             }
         }
     }
@@ -567,24 +570,57 @@ impl Sums {
         let mut moved = [0u64; 2];
         let mut joined = [0u64; 2];
         let mut old = self.touching[l];
-        for &(y, py, set) in &self.links[self.start[l]..self.start[l + 1]] {
+        let from_nb = r.device.distances_from(nb);
+        for &(y, set) in &self.links[self.start[l]..self.start[l + 1]] {
             if y == l2 {
                 joined[set] += 1;
             } else if y != l {
-                moved[set] += u64::from(r.device.distance(nb, py));
+                moved[set] += u64::from(from_nb[r.l2p[y]]);
             }
         }
         if l2 != NONE {
             let also = self.touching[l2];
             old = [old[0] + also[0], old[1] + also[1]];
-            for &(y, py, set) in &self.links[self.start[l2]..self.start[l2 + 1]] {
+            let from_p = r.device.distances_from(p);
+            for &(y, set) in &self.links[self.start[l2]..self.start[l2 + 1]] {
                 if y != l && y != l2 {
-                    moved[set] += u64::from(r.device.distance(p, py));
+                    moved[set] += u64::from(from_p[r.l2p[y]]);
                 }
             }
         }
         // `old` counts each joining pair from both of its qubits.
         [0, 1].map(|set| self.total[set] + moved[set] + 2 * joined[set] - old[set])
+    }
+
+    /// Catches up with the SWAP of physical `p1` and `p2` that just ran,
+    /// with the pairs unchanged: the qubit now at `p2` came from `p1`, the
+    /// one now at `p1` from `p2`.
+    fn swapped(&mut self, r: &Router, p1: usize, p2: usize) {
+        let (l1, l2) = (r.p2l[p2], r.p2l[p1]);
+        self.moved(r, l1, p1, p2, l2);
+        self.moved(r, l2, p2, p1, l1);
+    }
+
+    /// Moves the pairs of logical `l` (or none for [`NONE`]) from physical
+    /// `from` to `to`, except those joining it to `other`, the qubit it
+    /// swapped with, which keep their distance of 1, and those joining it
+    /// to itself, which keep 0.
+    fn moved(&mut self, r: &Router, l: usize, from: usize, to: usize, other: usize) {
+        if l == NONE {
+            return;
+        }
+        let (old_row, new_row) = (r.device.distances_from(from), r.device.distances_from(to));
+        for &(y, set) in &self.links[self.start[l]..self.start[l + 1]] {
+            if y == other || y == l {
+                continue;
+            }
+            let py = r.l2p[y];
+            let (old, new) = (u64::from(old_row[py]), u64::from(new_row[py]));
+            // Each sum includes `old`, so none goes below zero.
+            self.total[set] = self.total[set] + new - old;
+            self.touching[l][set] = self.touching[l][set] + new - old;
+            self.touching[y][set] = self.touching[y][set] + new - old;
+        }
     }
 }
 
@@ -649,6 +685,7 @@ pub(crate) fn route_tables(
     let mut swaps_since_reset = 0usize;
     let mut last_swap: Option<(usize, usize)> = None;
     let mut front = Vec::new();
+    let mut extended: &[(usize, usize)] = &[];
     let mut sums = Sums::new(n_log);
     // `scored[p] == num_swaps + 1` once every candidate at `p` was scored
     // for the coming SWAP.
@@ -661,12 +698,21 @@ pub(crate) fn route_tables(
             last_swap = None;
         }
 
-        // Front layer: ready-but-blocked 2Q gates.
-        r.front_layer(&mut front);
-        if front.is_empty() {
-            break; // all gates executed
+        // `last_swap` survives exactly a SWAP step followed by a drain that
+        // ran nothing. No queue head has moved since that step built the
+        // front layer (ready-but-blocked 2Q gates), the lookahead slice and
+        // the sums, so they are kept and the sums catch up with the SWAP.
+        // A drain that ran a gate, a bridge and the first step clear it.
+        if let Some((p1, p2)) = last_swap {
+            sums.swapped(&r, p1, p2);
+        } else {
+            r.front_layer(&mut front);
+            if front.is_empty() {
+                break; // all gates executed
+            }
+            extended = r.extended(opts.extended_set_size);
+            sums.rebuild(&r, &front, extended);
         }
-        let extended = r.extended(opts.extended_set_size);
 
         // Bridge option: a distance-2 CNOT whose pair does not recur soon
         // is cheaper as 4 CNOTs through the middle qubit than as SWAPs.
@@ -709,7 +755,6 @@ pub(crate) fn route_tables(
         //
         // Distances are integers, so the sums are exact and each score is
         // the same `f64` that summing every pair's distance would give.
-        sums.rebuild(&r, &front, extended);
         let mut best: Option<((usize, usize), f64)> = None;
         for &(_, a, b) in &front {
             for l in [a, b] {

@@ -532,6 +532,41 @@ proptest! {
     }
 }
 
+/// A bridge right after a SWAP step whose drain ran nothing. The router
+/// keeps the front layer across such a step, and the bridge must drop it:
+/// the gate it retires leaves the front. On `line:5`, CX(0,3) takes one
+/// SWAP to distance 2, the next drain runs nothing and the gate is bridged;
+/// CX(0,4) is still blocked after the bridge, so that drain runs nothing
+/// either.
+#[test]
+fn a_bridge_after_a_kept_front_matches_rescan() {
+    let mut c = Circuit::new(5);
+    c.push(Gate::Cnot(0, 3));
+    c.push(Gate::Cnot(0, 4));
+    let device = CouplingGraph::line(5);
+    let opts = RouterOptions {
+        use_bridge: true,
+        ..RouterOptions::default()
+    };
+    let new = try_route(&c, &device, Layout::trivial(5, 5), &opts);
+    let old = rescan::try_route(&c, &device, Layout::trivial(5, 5), &opts);
+    assert_eq!(exact(&new), exact(&old));
+    // The shape the case exists for: a SWAP, the bridge's four CNOTs, and
+    // a SWAP after it.
+    let routed = new.expect("routable");
+    let kinds: Vec<&str> = routed
+        .circuit
+        .gates()
+        .iter()
+        .map(|g| match g {
+            Gate::Swap(..) => "swap",
+            Gate::Cnot(..) => "cnot",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(kinds[..6], ["swap", "cnot", "cnot", "cnot", "cnot", "swap"]);
+}
+
 /// Every error path must keep firing: budget exhaustion, a stranded qubit
 /// without SWAP candidates, and a routing that succeeds only after the
 /// ladder falls back.

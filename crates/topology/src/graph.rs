@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// An undirected device coupling graph with precomputed all-pairs
-/// shortest-path distances.
+/// shortest-path distances, stored as one row-major table.
 ///
 /// # Examples
 ///
@@ -20,7 +20,8 @@ pub struct CouplingGraph {
     n: usize,
     edges: BTreeSet<(usize, usize)>,
     adj: Vec<Vec<usize>>,
-    dist: Vec<Vec<u32>>,
+    /// `dist[a * n + b]` is the distance from `a` to `b`.
+    dist: Vec<u32>,
 }
 
 /// Distance value for unreachable pairs.
@@ -192,12 +193,24 @@ impl CouplingGraph {
     /// Panics if either index is out of range.
     #[inline]
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.dist[a][b]
+        self.distances_from(a)[b]
+    }
+
+    /// The distances from qubit `p` to every qubit: entry `q` is
+    /// [`distance(p, q)`](CouplingGraph::distance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[inline]
+    pub fn distances_from(&self, p: usize) -> &[u32] {
+        assert!(p < self.n, "qubit {p} out of range for {} qubits", self.n);
+        &self.dist[p * self.n..(p + 1) * self.n]
     }
 
     /// Whether every qubit can reach every other.
     pub fn is_connected(&self) -> bool {
-        self.n <= 1 || self.dist[0].iter().all(|&d| d < UNREACHABLE)
+        self.n <= 1 || self.distances_from(0).iter().all(|&d| d < UNREACHABLE)
     }
 
     /// Maximum vertex degree.
@@ -209,7 +222,7 @@ impl CouplingGraph {
     ///
     /// Returns `None` if the qubits are disconnected.
     pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        if self.dist[a][b] >= UNREACHABLE {
+        if self.distance(a, b) >= UNREACHABLE {
             return None;
         }
         let mut path = vec![a];
@@ -217,7 +230,7 @@ impl CouplingGraph {
         while cur != b {
             let next = *self.adj[cur]
                 .iter()
-                .find(|&&v| self.dist[v][b] + 1 == self.dist[cur][b])
+                .find(|&&v| self.distance(v, b) + 1 == self.distance(cur, b))
                 .expect("distance table is consistent");
             path.push(next);
             cur = next;
@@ -266,9 +279,11 @@ fn heavy_hex_from_rows(rows: &[(usize, usize)]) -> CouplingGraph {
     CouplingGraph::from_edges(next_id, edges)
 }
 
-fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<u32>> {
-    let mut dist = vec![vec![UNREACHABLE; n]; n];
-    for (s, row) in dist.iter_mut().enumerate() {
+/// The row-major all-pairs distance table: one BFS per source row.
+fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; n * n];
+    // `chunks_mut` rejects a chunk size of 0; an empty graph has no rows.
+    for (s, row) in dist.chunks_mut(n.max(1)).enumerate() {
         row[s] = 0;
         let mut queue = VecDeque::from([s]);
         while let Some(u) = queue.pop_front() {
@@ -386,12 +401,83 @@ mod tests {
         }
     }
 
+    /// Breadth-first distances from `s`, read from the neighbour lists
+    /// alone; `None` where `s` cannot reach.
+    fn bfs(g: &CouplingGraph, s: usize) -> Vec<Option<u32>> {
+        let mut dist = vec![None; g.num_qubits()];
+        dist[s] = Some(0);
+        let mut queue = VecDeque::from([s]);
+        while let Some(u) = queue.pop_front() {
+            for &v in g.neighbors(u).unwrap() {
+                if dist[v].is_none() {
+                    dist[v] = dist[u].map(|d| d + 1);
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// Every family the device registry builds (an ion trap is
+    /// all-to-all): each row of the flat table holds that qubit's
+    /// distances.
+    #[test]
+    fn rows_hold_every_registry_familys_distances() {
+        let families = [
+            CouplingGraph::line(12),
+            CouplingGraph::ring(12),
+            CouplingGraph::grid(3, 4),
+            CouplingGraph::heavy_hex(3, 5),
+            CouplingGraph::falcon27(),
+            CouplingGraph::manhattan65(),
+            CouplingGraph::eagle127(),
+            CouplingGraph::all_to_all(12),
+        ];
+        for g in &families {
+            let n = g.num_qubits();
+            for p in 0..n {
+                let row = g.distances_from(p);
+                assert_eq!(row.len(), n, "{g}");
+                for (q, want) in bfs(g, p).into_iter().enumerate() {
+                    assert_eq!(row[q], g.distance(p, q), "{g}: {p}-{q}");
+                    assert_eq!(Some(row[q]), want, "{g}: {p}-{q}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn disconnected_graph_detected() {
-        let g = CouplingGraph::from_edges(4, [(0, 1), (2, 3)]);
+        let g = CouplingGraph::from_edges(5, [(0, 1), (2, 3)]);
         assert!(!g.is_connected());
         assert!(g.shortest_path(0, 3).is_none());
-        assert!(g.distance(0, 3) > 4);
+        assert_eq!(g.shortest_path(2, 3), Some(vec![2, 3]));
+        assert!(g.distance(0, 3) > 5);
+        for p in 0..5 {
+            for (q, reach) in bfs(&g, p).into_iter().enumerate() {
+                let want = reach.unwrap_or(UNREACHABLE);
+                assert_eq!(g.distances_from(p)[q], want, "{p}-{q}");
+                assert_eq!(g.shortest_path(p, q).is_some(), reach.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_one_qubit_graphs_build() {
+        let empty = CouplingGraph::from_edges(0, []);
+        assert_eq!(empty.num_qubits(), 0);
+        assert!(empty.is_connected());
+        let one = CouplingGraph::from_edges(1, []);
+        assert_eq!(one.distances_from(0), [0]);
+        assert!(one.is_connected());
+        assert_eq!(one.shortest_path(0, 0), Some(vec![0]));
+        assert_eq!(CouplingGraph::line(1), one);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_empty_graph_has_no_rows() {
+        let _ = CouplingGraph::from_edges(0, []).distances_from(0);
     }
 
     #[test]
